@@ -326,6 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_NON_NEGATIVE = ("horizon", "max_stages", "window", "k", "count")
+
+
+def _check_non_negative(args):
+    for name in _NON_NEGATIVE:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise MisuseError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _echo_config(args, out):
     fields = {k: v for k, v in sorted(vars(args).items()) if k != "fn"}
     rendered = " ".join(f"{k}={v}" for k, v in fields.items())
@@ -335,6 +345,7 @@ def _echo_config(args, out):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_non_negative(args)
         _echo_config(args, sys.stdout)
         code = args.fn(args, sys.stdout)
     except StageBudgetExhausted as exc:

@@ -31,7 +31,7 @@ from .errors import (
     StageBudgetExhausted,
 )
 from .lattice import family_hash
-from .pr_lang import ClockedProgram, cantor_pair, program_text, resolve_program
+from .pr_lang import COST_MODEL, ClockedProgram, cantor_pair, program_text, resolve_program
 from .reductions import (
     Counterexample,
     ReductionWitness,
@@ -279,7 +279,7 @@ def _base_header(construction, inputs, family, policy, max_stages, cycle_budget,
                  prefix_convention, outputs, extra=()):
     header = [
         ("construction", construction),
-        ("cost-model", "visits/1"),
+        ("cost-model", COST_MODEL),
         ("policy", policy),
         ("max-stages", str(max_stages)),
         ("cycle-budget", str(cycle_budget) if cycle_budget else "-"),

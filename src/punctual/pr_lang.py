@@ -23,6 +23,15 @@ recursion on argument y performs one base evaluation plus y step
 evaluations.  A clocked evaluation converges iff its total cost is strictly
 below the given budget, which makes convergence monotone in the budget.
 
+Evaluation compiles each term to Python source, kept in a bounded cache
+keyed by the term.  Recursion-free subterms fold into affine expressions,
+each recursion becomes a generated function with one loop, and visits are
+counted per straight-line block: one addition of the block's static cost
+followed by one budget check, per block and per loop iteration.  The
+counter never runs ahead of the true visit count and the last check sees
+the exact total, so values, step counts and budget outcomes are exactly
+those of the ``visits/1`` model above.
+
 The Goedel coding is a direct total coding of terms via Cantor pairing:
 every natural number decodes to a well-formed term and ``decode(encode(t))``
 is ``t``.  Non-unary terms enter the public unary enumeration through
@@ -66,10 +75,26 @@ class Proj:
         return f"Proj({self.n},{self.i})"
 
 
+def _hash_once(t, fields: tuple) -> int:
+    """Hash of a composite term, computed on first use and kept.
+
+    The compile cache hashes its key on every evaluation; terms are
+    immutable, so a deep hash is needed only once per node.
+    """
+    h = t.__dict__.get("_hash")
+    if h is None:
+        h = hash(fields)
+        object.__setattr__(t, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class Comp:
     outer: "PrTerm"
     inners: tuple
+
+    def __hash__(self):
+        return _hash_once(self, (self.outer, self.inners))
 
     def __repr__(self):
         return f"Comp({self.outer!r},{list(self.inners)!r})"
@@ -79,6 +104,9 @@ class Comp:
 class PrimRec:
     base: "PrTerm"
     step: "PrTerm"
+
+    def __hash__(self):
+        return _hash_once(self, (self.base, self.step))
 
     def __repr__(self):
         return f"PrimRec({self.base!r},{self.step!r})"
@@ -101,41 +129,54 @@ def arity(t: PrTerm) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def validate(t: PrTerm, position: int | None = None) -> None:
-    """Check arity consistency at every node; raise ArityError if violated."""
-    if isinstance(t, (Zero, Succ)):
-        return
+def _node_arity(t: PrTerm, child_arities: Sequence[int], position: int | None) -> int:
+    """Check one node whose children have the given arities; return its arity."""
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, Succ):
+        return 1
     if isinstance(t, Proj):
         if t.n < 1 or not (1 <= t.i <= t.n):
             raise ArityError(f"projection P[{t.n},{t.i}] needs 1 <= i <= n", position)
-        return
+        return t.n
     if isinstance(t, Comp):
-        validate(t.outer, position)
         if not t.inners:
             raise ArityError("composition needs at least one inner term", position)
-        for g in t.inners:
-            validate(g, position)
-        k = arity(t.outer)
+        k, inner = child_arities[0], child_arities[1:]
         if k != len(t.inners):
             raise ArityError(
                 f"composition outer arity {k} != {len(t.inners)} inner terms", position)
-        arities = {arity(g) for g in t.inners}
+        arities = set(inner)
         if len(arities) != 1:
             raise ArityError(f"composition inners have mixed arities {sorted(arities)}", position)
         if arities == {0}:
             raise ArityError("composition inners cannot be 0-ary", position)
-        return
+        return inner[0]
     if isinstance(t, PrimRec):
-        validate(t.base, position)
-        validate(t.step, position)
-        n = arity(t.base)
-        want = n + 3
-        have = arity(t.step)
-        if have != want:
+        n, have = child_arities
+        if have != n + 3:
             raise ArityError(
                 f"recursion step arity {have} != base arity {n} + 3", position)
-        return
+        return n + 1
     raise TypeError(f"not a term: {t!r}")
+
+
+def _checked_arity(t: PrTerm, position: int | None) -> int:
+    if isinstance(t, Comp):
+        children = (t.outer, *t.inners)
+    elif isinstance(t, PrimRec):
+        children = (t.base, t.step)
+    else:
+        children = ()
+    child_arities = []
+    for g in children:  # a plain loop keeps one frame per term level
+        child_arities.append(_checked_arity(g, position))
+    return _node_arity(t, child_arities, position)
+
+
+def validate(t: PrTerm, position: int | None = None) -> None:
+    """Check arity consistency at every node; raise ArityError if violated."""
+    _checked_arity(t, position)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +227,21 @@ class _Parser:
             raise ParseError("expected a number", start)
         return int(self.text[start:self.pos])
 
-    def term(self) -> PrTerm:
+    def term(self) -> tuple[PrTerm, int]:
+        """Parse one term; return it with its arity.
+
+        Children are checked when they are built, so each node checks only
+        itself and the whole parse stays linear in the text.
+        """
         self.skip_ws()
         start = self.pos
         ch = self.peek()
         if ch == "Z":
             self.pos += 1
-            return Zero()
+            return Zero(), 0
         if ch == "S":
             self.pos += 1
-            return Succ()
+            return Succ(), 1
         if ch == "P":
             self.pos += 1
             self.expect("[")
@@ -204,31 +250,28 @@ class _Parser:
             i = self.number()
             self.expect("]")
             t = Proj(n, i)
-            validate(t, start)
-            return t
+            return t, _node_arity(t, (), start)
         if ch == "C":
             self.pos += 1
             self.expect("(")
-            outer = self.term()
+            outer, k = self.term()
             self.expect(";")
-            inners = [self.term()]
+            parsed = [self.term()]
             while self.peek() == ",":
                 self.expect(",")
-                inners.append(self.term())
+                parsed.append(self.term())
             self.expect(")")
-            t = Comp(outer, tuple(inners))
-            validate(t, start)
-            return t
+            t = Comp(outer, tuple(g for g, _ in parsed))
+            return t, _node_arity(t, [k, *(a for _, a in parsed)], start)
         if ch == "R":
             self.pos += 1
             self.expect("(")
-            base = self.term()
+            base, n = self.term()
             self.expect(";")
-            step = self.term()
+            step, m = self.term()
             self.expect(")")
             t = PrimRec(base, step)
-            validate(t, start)
-            return t
+            return t, _node_arity(t, (n, m), start)
         raise ParseError(f"expected a term, got {ch!r}" if ch else "unexpected end of input",
                          self.pos)
 
@@ -237,7 +280,7 @@ def parse_term(text: str) -> PrTerm:
     if not text.isascii():
         raise ParseError("term text must be ASCII")
     p = _Parser(text)
-    t = p.term()
+    t, _ = p.term()
     p.skip_ws()
     if p.pos != len(text):
         raise ParseError("trailing input after term", p.pos)
@@ -268,104 +311,143 @@ class _Abort(Exception):
     pass
 
 
-def _compile(t: PrTerm):
-    """Closure-compile a term; the state cell is [visit count, budget].
+# Compilation to Python source.  A recursion-free term computes a constant
+# or an argument plus a constant, so its value is an affine expression
+# ``(name, offset)`` (name ``None`` for a constant) that needs no statement,
+# and its cost, one visit per node, is static.  Only recursions emit code:
+# each PrimRec becomes a generated function with one ``for`` loop, called
+# from a flat temp-variable statement; with no nested loops or expressions in
+# one code object, deep terms stay within CPython's compile limits.  Every
+# function body and loop body is a straight-line block; its static cost is
+# added with one ``c += k`` and the budget is checked right after, so the
+# counter never runs ahead of the true visit count and the last check sees
+# the exact total.
 
-    Every node visit bumps the counter and aborts once it reaches the
-    budget, which keeps clocked convergence strict and monotone.
+def _expr(val) -> str:
+    name, offset = val
+    if name is None:
+        return str(offset)
+    return f"{name} + {offset}" if offset else name
+
+
+class _Block:
+    """Straight-line statements of one generated function or loop body."""
+
+    def __init__(self, unit: "_Unit"):
+        self.unit = unit
+        self.lines: list[str] = []
+        self.cost = 0
+
+    def value(self, t: PrTerm, args: Sequence[tuple]) -> tuple:
+        """Emit t applied to affine args; return its affine value."""
+        self.cost += 1
+        if isinstance(t, Zero):
+            return (None, 0)
+        if isinstance(t, Succ):
+            name, offset = args[0]
+            return (name, offset + 1)
+        if isinstance(t, Proj):
+            return args[t.i - 1]
+        if isinstance(t, Comp):
+            inner = []
+            for g in t.inners:  # a plain loop keeps one frame per term level
+                inner.append(self.value(g, args))
+            return self.value(t.outer, inner)
+        if isinstance(t, PrimRec):
+            acc = self.value(t.base, args[1:])
+            loop = self.unit.loop(t, len(args))
+            temp = f"t{len(self.lines) + 1}"
+            self.lines.append(
+                f"{temp}, c = {loop}(c, b, {', '.join(_expr(v) for v in (*args, acc))})")
+            return (temp, 0)
+        raise TypeError(f"not a term: {t!r}")
+
+
+class _Unit:
+    """The generated source of one term: an entry function and its loops."""
+
+    def __init__(self):
+        self.loops: dict = {}
+        self.sources: list[str] = []
+
+    def loop(self, t: PrimRec, n: int) -> str:
+        """Name of the function running the recursion t at arity n."""
+        name = self.loops.get((t, n))
+        if name is not None:
+            return name
+        name = self.loops[(t, n)] = f"r{len(self.loops)}"
+        xs = [f"x{j}" for j in range(1, n)]
+        body = _Block(self)
+        acc = body.value(t.step, [(p, 0) for p in ("y", *xs, "i", "acc")])
+        self.sources.append("\n".join([
+            f"def {name}(c, b, {', '.join(('y', *xs, 'acc'))}):",
+            "    for i in range(y):",
+            f"        c += {body.cost}",
+            "        if c >= b: raise _Abort",
+            *(f"        {line}" for line in body.lines),
+            *([f"        acc = {_expr(acc)}"] if acc != ("acc", 0) else []),
+            "    return acc, c",
+        ]))
+        return name
+
+    def entry(self, t: PrTerm, n: int) -> None:
+        params = [f"a{j}" for j in range(n)]
+        body = _Block(self)
+        value = body.value(t, [(p, 0) for p in params])
+        self.sources.append("\n".join([
+            f"def entry(c, b, {', '.join(params)}):",
+            f"    c += {body.cost}",
+            "    if c >= b: raise _Abort",
+            *(f"    {line}" for line in body.lines),
+            f"    return {_expr(value)}, c",
+        ]))
+
+
+_COMPILE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _compiled(t: PrTerm) -> tuple[int, Callable]:
+    """(arity, entry) of t; ``entry(0, budget, *args)`` returns (value, visits).
+
+    The entry raises ``_Abort`` as soon as the visit count reaches the budget.
     """
-    if isinstance(t, Zero):
-        def run(args, st):
-            st[0] += 1
-            if st[0] >= st[1]:
-                raise _Abort()
-            return 0
-        return run
-    if isinstance(t, Succ):
-        def run(args, st):
-            st[0] += 1
-            if st[0] >= st[1]:
-                raise _Abort()
-            return args[0] + 1
-        return run
-    if isinstance(t, Proj):
-        i = t.i - 1
-
-        def run(args, st):
-            st[0] += 1
-            if st[0] >= st[1]:
-                raise _Abort()
-            return args[i]
-        return run
-    if isinstance(t, Comp):
-        inners = tuple(_compile(g) for g in t.inners)
-        outer = _compile(t.outer)
-
-        def run(args, st):
-            st[0] += 1
-            if st[0] >= st[1]:
-                raise _Abort()
-            return outer([g(args, st) for g in inners], st)
-        return run
-    if isinstance(t, PrimRec):
-        base = _compile(t.base)
-        step = _compile(t.step)
-
-        def run(args, st):
-            st[0] += 1
-            if st[0] >= st[1]:
-                raise _Abort()
-            acc = base(args[1:], st)
-            step_args = list(args) + [0, acc]
-            for i in range(args[0]):
-                step_args[-2] = i
-                step_args[-1] = acc
-                acc = step(step_args, st)
-            return acc
-        return run
-    raise TypeError(f"not a term: {t!r}")
-
-
-_COMPILED: dict = {}
-
-
-def _compiled(t: PrTerm):
-    hit = _COMPILED.get(id(t))
-    if hit is None or hit[0] is not t:
-        hit = (t, _compile(t))
-        _COMPILED[id(t)] = hit
-    return hit[1]
+    n = arity(t)
+    unit = _Unit()
+    unit.entry(t, n)
+    namespace = {"_Abort": _Abort}
+    exec(compile("\n\n".join(unit.sources), "<pr_lang term>", "exec"), namespace)
+    return n, namespace["entry"]
 
 
 _UNBOUNDED = float("inf")
 
 
+def _compiled_for(t: PrTerm, args: Sequence[int]) -> Callable:
+    n, fn = _compiled(t)
+    if len(args) != n:
+        raise ArityError(f"term of arity {n} applied to {len(args)} arguments")
+    return fn
+
+
 def eval_clocked(t: PrTerm, args: Sequence[int], budget: int) -> StepOutcome:
     """Evaluate t on args; converges iff total cost < budget."""
-    if len(args) != arity(t):
-        raise ArityError(f"term of arity {arity(t)} applied to {len(args)} arguments")
-    st = [0, budget]
+    fn = _compiled_for(t, args)
     try:
-        value = _compiled(t)(list(args), st)
+        value, steps = fn(0, budget, *args)
     except _Abort:
         return OUT_OF_BUDGET
-    return Converged(value, st[0])
+    return Converged(value, steps)
 
 
 def eval_total(t: PrTerm, args: Sequence[int]) -> int:
     """Unclocked evaluation; every term is total."""
-    if len(args) != arity(t):
-        raise ArityError(f"term of arity {arity(t)} applied to {len(args)} arguments")
-    return _compiled(t)(list(args), [0, _UNBOUNDED])
+    return _compiled_for(t, args)(0, _UNBOUNDED, *args)[0]
 
 
 def eval_cost(t: PrTerm, args: Sequence[int]) -> int:
     """Exact node-visit cost of evaluating t on args."""
-    if len(args) != arity(t):
-        raise ArityError(f"term of arity {arity(t)} applied to {len(args)} arguments")
-    st = [0, _UNBOUNDED]
-    _compiled(t)(list(args), st)
-    return st[0]
+    return _compiled_for(t, args)(0, _UNBOUNDED, *args)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +603,14 @@ class TermProgram(ClockedProgram):
         self.term = unary_wrap(term)
         self.name = name if name is not None else serialize(term)
         self._memo: dict[int, tuple[int, int]] = {}
+        self._fn: Callable | None = None
 
     def _run(self, x: int) -> tuple[int, int]:
         hit = self._memo.get(x)
         if hit is None:
-            st = [0, _UNBOUNDED]
-            hit = (_compiled(self.term)([x], st), st[0])
-            self._memo[x] = hit
+            if self._fn is None:
+                self._fn = _compiled(self.term)[1]
+            hit = self._memo[x] = self._fn(0, _UNBOUNDED, x)
         return hit
 
     def value(self, x: int) -> int:

@@ -51,6 +51,22 @@ class TestProfile:
         assert main(["profile", "nope"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "evens", "--horizon", "-5"],
+    ["lattice", "join", "evens", "mod 3", "--horizon", "-1"],
+    ["slow", "make", "--window", "-2"],
+    ["construct", "immune", "--max-stages", "-3"],
+    ["construct", "antichain", "--count", "-1"],
+    ["diamond", "canonical", "evens", "mod 3", "--k", "-1"],
+])
+def test_negative_counts_are_misuse(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+    assert "must be >= 0" in captured.err
+
+
 class TestLattice:
     def test_join(self, capsys):
         code, out = run(["lattice", "join", "evens", "mod 3",

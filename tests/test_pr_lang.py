@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from punctual import pr_lang
 from punctual.errors import ArityError, ParseError
 from punctual.pr_lang import (
     Comp,
@@ -37,16 +38,16 @@ def reference_cost(t, args):
         vals = []
         for g in t.inners:
             total += reference_cost(g, args)
-            vals.append(eval_total(g, args))
+            vals.append(reference_value(g, args))
         return total + reference_cost(t.outer, vals)
     if isinstance(t, PrimRec):
         y = args[0]
         total = 1 + reference_cost(t.base, args[1:])
-        acc = eval_total(t.base, args[1:])
+        acc = reference_value(t.base, args[1:])
         for i in range(y):
             step_args = list(args) + [i, acc]
             total += reference_cost(t.step, step_args)
-            acc = eval_total(t.step, step_args)
+            acc = reference_value(t.step, step_args)
         return total
     raise TypeError(t)
 
@@ -88,6 +89,39 @@ def random_term(rng, depth, target_arity):
     base = random_term(rng, depth - 1, target_arity - 1)
     step = random_term(rng, depth - 1, target_arity + 2)
     return PrimRec(base, step)
+
+
+def shallow_term(rng, depth, target_arity):
+    """Recursion-free term of the given arity (at most 4)."""
+    if depth <= 0 or rng.random() < 0.4:
+        if target_arity == 1 and rng.random() < 0.3:
+            return Succ()
+        return Proj(target_arity, rng.randint(1, target_arity))
+    k = rng.randint(1, 2)
+    return Comp(shallow_term(rng, depth - 1, k),
+                tuple(shallow_term(rng, depth - 1, target_arity) for _ in range(k)))
+
+
+def nested_recursion(rng, levels, target_arity):
+    """Term of arity 1 or 2 whose recursions nest ``levels`` deep.
+
+    Each step composes the next level's term with shallow inner terms, so
+    no node needs more than four arguments.
+    """
+    if levels == 0:
+        return shallow_term(rng, 2, target_arity)
+    base = Zero() if target_arity == 1 else shallow_term(rng, 1, target_arity - 1)
+    k = rng.randint(1, 2)
+    step = Comp(nested_recursion(rng, levels - 1, k),
+                tuple(shallow_term(rng, 1, target_arity + 2) for _ in range(k)))
+    if rng.random() < 0.3:
+        step = Comp(Succ(), (step,))
+    return PrimRec(base, step)
+
+
+def oracle_outcome(t, args, budget):
+    cost = reference_cost(t, args)
+    return Converged(reference_value(t, args), cost) if cost < budget else OUT_OF_BUDGET
 
 
 ADD_SHAPED = "R(Z; C(S; P[3,3]))"
@@ -177,6 +211,60 @@ class TestEval:
     def test_const_term(self):
         assert eval_total(const_term(4), [9]) == 4
         assert eval_total(const_term(0), [3]) == 0
+
+
+class TestCompiledAgainstOracle:
+    """The generated code against the definitional oracle, budget by budget."""
+
+    def test_nested_recursion_budgets(self):
+        rng = random.Random(505)
+        for _ in range(400):
+            ar = rng.randint(1, 2)
+            t = nested_recursion(rng, 2, ar)
+            args = [rng.randint(0, 5) for _ in range(ar)]
+            cost = reference_cost(t, args)
+            assert eval_cost(t, args) == cost
+            assert eval_total(t, args) == reference_value(t, args)
+            for budget in (0, 1, cost - 1, cost, cost + 1, rng.randint(0, 2 * cost + 2)):
+                assert eval_clocked(t, args, budget) == oracle_outcome(t, args, budget)
+
+    def test_decode_sweep_through_converges_within(self):
+        for e in range(3000):
+            t = unary_wrap(decode(e))
+            for x in range(6):
+                cost = reference_cost(t, [x])
+                value = reference_value(t, [x])
+                assert converges_within(e, x, cost) is None
+                assert converges_within(e, x, cost + 1) == value
+
+
+class TestCompileCache:
+    def test_distinct_programs_keep_cache_bounded(self):
+        pr_lang._compiled.cache_clear()
+        wrapped = set()
+        e = 0
+        while len(wrapped) <= 2 * pr_lang._COMPILE_CACHE_SIZE:
+            if arity(decode(e)) != 1:
+                wrapped.add(unary_wrap(decode(e)))
+                converges_within(e, 3, 50)
+            e += 1
+        info = pr_lang._compiled.cache_info()
+        assert info.misses > pr_lang._COMPILE_CACHE_SIZE
+        assert info.currsize <= pr_lang._COMPILE_CACHE_SIZE
+
+    def test_repeat_calls_compile_once(self):
+        e = encode(Comp(Succ(), (Proj(2, 2),)))
+        pr_lang._compiled.cache_clear()
+        for s in range(20):
+            converges_within(e, 6, s)
+        assert pr_lang._compiled.cache_info().misses == 1
+
+    def test_term_program_keeps_its_code(self):
+        p = TermProgram(parse_term(ADD_SHAPED))
+        assert p.cost(3) == 11
+        pr_lang._compiled.cache_clear()
+        assert (p.value(4), p.cost(4)) == (4, 14)
+        assert pr_lang._compiled.cache_info().misses == 0
 
 
 class TestCoding:
