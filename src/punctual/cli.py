@@ -42,14 +42,10 @@ def load_family(path) -> list:
     return members
 
 
-def _emit(out, text):
-    out.write(text)
-
-
 def cmd_profile(args, out) -> int:
     x = parse_set(args.descriptor)
     for s in range(args.horizon + 1):
-        _emit(out, f"{s}\t{x.zeros_by_index(s)}\t{x.zeros_by_steps(s)}\n")
+        out.write(f"{s}\t{x.zeros_by_index(s)}\t{x.zeros_by_steps(s)}\n")
     return 0
 
 
@@ -64,22 +60,22 @@ def cmd_lattice(args, out) -> int:
         ok = all(z.zeros_by_index(s) == pick(xn.zeros_by_index(s),
                                              yn.zeros_by_index(s))
                  for s in range(args.horizon + 1))
-        _emit(out, f"bits\t{z.prefix(args.horizon).as_str()}\n")
-        _emit(out, f"profile-identity\t{'ok' if ok else 'fail'}\n")
+        out.write(f"bits\t{z.prefix(args.horizon).as_str()}\n")
+        out.write(f"profile-identity\t{'ok' if ok else 'fail'}\n")
         return 0 if ok else 1
     if args.lattice_op == "distrib":
         x, y, z = parse_set(args.a), parse_set(args.b), parse_set(args.c)
         lhs = sets.set_join(x, sets.set_meet(y, z))
         rhs = sets.set_meet(sets.set_join(x, y), sets.set_join(x, z))
         ok = all(lhs.bit(n) == rhs.bit(n) for n in range(args.horizon + 1))
-        _emit(out, f"distributivity\t{'ok' if ok else 'fail'}\n")
+        out.write(f"distributivity\t{'ok' if ok else 'fail'}\n")
         return 0 if ok else 1
     x, y = parse_set(args.a), parse_set(args.b)
     rep = lattice.equilibrium_points(x, y, args.horizon, args.convention)
-    _emit(out, f"convention\t{rep.convention}\n")
-    _emit(out, f"count\t{rep.count}\n")
+    out.write(f"convention\t{rep.convention}\n")
+    out.write(f"count\t{rep.count}\n")
     for s in rep.points:
-        _emit(out, f"point\t{s}\n")
+        out.write(f"point\t{s}\n")
     return 0
 
 
@@ -90,14 +86,14 @@ def cmd_reduce(args, out) -> int:
         cex = check_reduction_prefix(w, SetRelation(x), SetRelation(y),
                                      args.horizon)
         if cex is None:
-            _emit(out, "check\tok\n")
+            out.write("check\tok\n")
             return 0
-        _emit(out, f"check\tfail\t{cex.describe()}\n")
+        out.write(f"check\tfail\t{cex.describe()}\n")
         return 1
     if args.reduce_op == "synth-h":
         w = load_witness(args.witness)
         h = synth_h_from_reduction(w, x, y, args.horizon)
-        _emit(out, reductions.serialize_witness(h))
+        out.write(reductions.serialize_witness(h))
         if args.out:
             save_witness(h, args.out)
         return 0
@@ -105,14 +101,14 @@ def cmd_reduce(args, out) -> int:
         h = (load_witness(args.witness) if args.witness
              else domination_certificate(x, y, args.horizon))
         g = synth_reduction_from_h(x, y, h, args.horizon)
-        _emit(out, reductions.serialize_witness(g))
+        out.write(reductions.serialize_witness(g))
         if args.out:
             save_witness(g, args.out)
         return 0
     op = surjectivize if args.reduce_op == "surjectivize" else respect_normal_form
     w = load_witness(args.witness)
     g = op(w, x, y, args.horizon)
-    _emit(out, reductions.serialize_witness(g))
+    out.write(reductions.serialize_witness(g))
     if args.out:
         save_witness(g, args.out)
     return 0
@@ -137,21 +133,21 @@ def cmd_diamond(args, out) -> int:
         pw = TableProgram(
             [min(s, args.horizon) for s in range(args.horizon + 1)], "p")
         w = lattice.canonical_diamond_witness(x, y, pw, pw, args.horizon, args.k)
-        _emit(out, f"case\t{w.case}\n")
-        _emit(out, f"good-stages\t{w.good_stage_count}\n")
-        _emit(out, f"equilibria\t{w.equilibrium_count}\n")
+        out.write(f"case\t{w.case}\n")
+        out.write(f"good-stages\t{w.good_stage_count}\n")
+        out.write(f"equilibria\t{w.equilibrium_count}\n")
         return 0
     else:
         qw, report = lattice.restrict_diamond_witness(
             x, parse_set(args.c), parse_set(args.d), y, None, None, None,
             args.horizon, certificate=cert)
         ev = report
-    _emit(out, f"kind\t{ev.kind}\n")
-    _emit(out, f"convention\t{ev.convention}\n")
-    _emit(out, f"count\t{ev.count}\n")
-    _emit(out, f"verdict\t{ev.verdict}\n")
+    out.write(f"kind\t{ev.kind}\n")
+    out.write(f"convention\t{ev.convention}\n")
+    out.write(f"count\t{ev.count}\n")
+    out.write(f"verdict\t{ev.verdict}\n")
     for h in ev.hits:
-        _emit(out, f"hit\t{h}\n")
+        out.write(f"hit\t{h}\n")
     return 0
 
 
@@ -160,83 +156,62 @@ def cmd_slow(args, out) -> int:
     if args.slow_op == "make":
         s = lattice.make_slow_set(family, args.window)
         for n in range(args.window + 1):
-            _emit(out, f"zero\t{n}\t{s.principal_zero(n)}\n")
+            out.write(f"zero\t{n}\t{s.principal_zero(n)}\n")
         return 0
     x = parse_set(args.descriptor)
     cert = lattice.check_slowness(x, family, (0, args.window))
-    _emit(out, f"slow-on-window\t{'yes' if cert.slow_on_window else 'no'}\n")
+    out.write(f"slow-on-window\t{'yes' if cert.slow_on_window else 'no'}\n")
     for member, n, holds in cert.verdicts:
-        _emit(out, f"verdict\t{member}\t{n}\t{'ok' if holds else 'fail'}\n")
+        out.write(f"verdict\t{member}\t{n}\t{'ok' if holds else 'fail'}\n")
     return 0
+
+
+# builder keywords a registry entry may take from the command line
+_OPTIONS = {
+    "count": lambda args: args.count,
+    "f": lambda args: load_witness(args.witness) if args.witness else None,
+    "min_equilibria": lambda args: args.k,
+}
 
 
 def cmd_construct(args, out) -> int:
     family = load_family(args.family) if args.family else []
     kind = args.construct_op
-    if kind == "immune":
-        result = constructions.construct_immune(family, args.max_stages,
-                                                args.policy)
-    elif kind == "incomparable":
-        rel = parse_set(args.r or args.target)
-        result = constructions.construct_incomparable(
-            SetRelation(rel), family, args.max_stages, args.policy,
-            relation_dsl=rel.dsl)
-    elif kind == "antichain":
-        results = constructions.construct_antichain(args.count, family,
-                                                    args.max_stages, args.policy)
-        for i, r in enumerate(results):
+    entry = constructions.CONSTRUCTIONS[kind]
+    inputs = []
+    for role in entry.inputs:
+        # the positional descriptor stands for a kind's only input
+        text = getattr(args, role.lower())
+        if text is None and len(entry.inputs) == 1:
+            text = args.target
+        if text is None:
+            raise MisuseError(f"construct {kind} needs --{role.lower()}")
+        inputs.append(parse_set(text))
+    options = {kw: _OPTIONS[kw](args) for kw in entry.options}
+    built = entry.build(*inputs, family=family, max_stages=args.max_stages,
+                        policy=args.policy, **options)
+    if isinstance(built, list):
+        # an antichain writes one trace per member
+        for i, r in enumerate(built):
             path = f"{args.out}.{i}" if args.out else None
             if path:
                 constructions.save_trace(r, path)
-                _emit(out, f"trace\t{path}\n")
-            _emit(out, f"verdict\t{i}\t{r.trace.footer[0][1]}\n")
+                out.write(f"trace\t{path}\n")
+            out.write(f"verdict\t{i}\t{r.trace.footer[0][1]}\n")
         return 0
-    elif kind == "dense":
-        x, z = parse_set(args.x), parse_set(args.z)
-        f = load_witness(args.witness) if args.witness else None
-        result = constructions.construct_dense(x, z, f, family,
-                                               args.max_stages, args.policy)
-    elif kind == "dense-incomparable":
-        x, t, z = parse_set(args.x), parse_set(args.t), parse_set(args.z)
-        certs = {"x<=t": domination_certificate(x, t, args.max_stages),
-                 "t<=z": domination_certificate(t, z, args.max_stages)}
-        result = constructions.construct_dense_incomparable(
-            x, t, z, certs, family, args.max_stages, args.policy)
-    elif kind == "join-split":
-        result = constructions.construct_join_split(
-            parse_set(args.target or args.z), family, args.max_stages,
-            args.policy)
-    elif kind == "meet-split":
-        result = constructions.construct_meet_split(
-            parse_set(args.target or args.z), family, args.max_stages,
-            args.policy)
-    elif kind == "diamond":
-        x, z = parse_set(args.x), parse_set(args.z)
-        result = constructions.construct_diamond(x, z, family, args.max_stages,
-                                                 args.policy,
-                                                 min_equilibria=args.k)
-    elif kind == "separator":
-        x, y = parse_set(args.x), parse_set(args.y)
-        anti = lattice.anti_reduction_evidence(
-            sets.drop_least_zero(x), y, family, args.max_stages)
-        result = constructions.construct_separator(x, y, family,
-                                                   args.max_stages,
-                                                   anti_certificate=anti)
-    else:
-        raise MisuseError(f"unknown construction {kind!r}")
     if args.out:
-        constructions.save_trace(result, args.out)
-        _emit(out, f"trace\t{args.out}\n")
-    verdict = result.trace.footer[0][1]
-    _emit(out, f"verdict\t{verdict}\n")
-    for name in result.outputs:
-        _emit(out, f"output\t{name}\n")
+        constructions.save_trace(built, args.out)
+        out.write(f"trace\t{args.out}\n")
+    verdict = built.trace.footer[0][1]
+    out.write(f"verdict\t{verdict}\n")
+    for name in built.outputs:
+        out.write(f"output\t{name}\n")
     return 0 if verdict == "ok" else 1
 
 
 def cmd_verify(args, out) -> int:
     ok, msg = constructions.verify_trace_file(args.trace)
-    _emit(out, f"verify\t{'ok' if ok else 'fail'}\t{msg}\n")
+    out.write(f"verify\t{'ok' if ok else 'fail'}\t{msg}\n")
     return 0 if ok else 1
 
 
@@ -300,10 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_slow)
 
     sp = sub.add_parser("construct", help="run a diagonalization construction")
-    sp.add_argument("construct_op",
-                    choices=["immune", "incomparable", "antichain", "dense",
-                             "dense-incomparable", "join-split", "meet-split",
-                             "diamond", "separator"])
+    sp.add_argument("construct_op", choices=list(constructions.CONSTRUCTIONS))
     sp.add_argument("target", nargs="?",
                     help="input descriptor for the split constructions")
     sp.add_argument("--z")

@@ -5,24 +5,38 @@ clocked opponents, opening and closing requirement cycles, and emits one
 bit per output set per stage.  The run is a pure function of its inputs:
 two runs with equal inputs produce byte-identical traces.
 
-Requirement scheduling: under the ``once`` policy the requirement list is
-processed in order and, after the last cycle closes, emission follows a
-fixed fallback that preserves the construction's structural invariants
-(alternating tail for single-output constructions, donor copying for the
-density machine, dummy rebalancing cycles for splits and diamonds).  Under
-``round-robin`` the family is revisited forever.
+One driver, ``_drive``, owns the stage loop of every cycle-driven
+construction: scheduling, cycle open and close, the cycle budget, one
+trace record per stage and exhaustion at the end of the run.  Each
+construction supplies a ``_Machine`` subclass with its per-stage step.
+The separator drives a member index instead of cycles and keeps its own
+loop.
 
-A cycle that cannot close by ``max_stages`` (or within ``cycle_budget``
-stages) aborts the run with StageBudgetExhausted naming the cycle and
-phase; at desk scale an opponent may genuinely satisfy the reduction the
-cycle is trying to refute, so exhaustion is a first-class outcome.
+Under the ``once`` policy the requirement list is processed in order and,
+after the last cycle closes, emission follows a fixed fallback that keeps
+the construction's structural invariants (alternating tail, donor copying
+for the density machine, filler cycles for splits and diamonds).  Under
+``round-robin`` the family is revisited forever.  A cycle that cannot
+close by ``max_stages`` (or within ``cycle_budget`` stages) aborts the run
+with StageBudgetExhausted naming the cycle and phase; at desk scale an
+opponent may genuinely satisfy the reduction the cycle is trying to
+refute, so exhaustion is a first-class outcome.
+
+``CONSTRUCTIONS`` maps each kind to its public builder, its header input
+roles and its validator; the command line, replay and validation read it.
+To add a construction, write a machine, a builder that runs it through
+``_drive``, a validator for its own invariants, and one registry entry.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from itertools import zip_longest
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     NotCertified,
@@ -30,17 +44,16 @@ from .errors import (
     PreconditionFailed,
     StageBudgetExhausted,
 )
-from .lattice import family_hash
+from .lattice import anti_reduction_evidence, family_hash
 from .pr_lang import COST_MODEL, ClockedProgram, cantor_pair, program_text, resolve_program
 from .reductions import (
+    _PAIR_PREDICATES,
     Counterexample,
     ReductionWitness,
+    _least_violation,
+    _still_violates,
     check_reduction_prefix,
-    detect_counterexample_R_to_RY,
-    detect_counterexample_RX_to_RY,
-    detect_counterexample_RY_to_R,
-    images_split,
-    revalidate_counterexample,
+    domination_certificate,
     verify_claim,
 )
 from .sets import (
@@ -48,6 +61,7 @@ from .sets import (
     PrSet,
     Relation,
     SetRelation,
+    drop_least_zero,
     parse_set,
     prefix_set,
     set_join,
@@ -57,6 +71,7 @@ from .sets import (
 )
 
 TRACE_FORMAT = "punctual-trace/1"
+RECORD_FIELDS = ("stage", "cycle", "phase", "bits", "events")
 
 
 # ---------------------------------------------------------------------------
@@ -101,33 +116,39 @@ class Trace:
     def header_all(self, key: str) -> list:
         return [v for k, v in self.header if k == key]
 
+    def required(self, key: str) -> str:
+        """A header value that must be present; ParseError names the key."""
+        value = self.header_value(key)
+        if value is None:
+            raise ParseError(f"trace header has no {key!r} line")
+        return value
+
+
+def _parse_record(line: str, lineno: int) -> StageRecord:
+    try:
+        stage, cycle, phase, bits, events = line.split("\t")
+        bit_pairs = () if bits == "-" else tuple(
+            (n, int(b)) for n, b in (p.split("=") for p in bits.split(",")))
+        return StageRecord(int(stage), cycle, phase, bit_pairs,
+                           tuple(events.split(";")) if events != "-" else ())
+    except ValueError:
+        raise ParseError(f"malformed trace record on line {lineno}: {line!r}") from None
+
 
 def parse_trace(text: str):
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_FORMAT:
         raise ParseError("not a trace file")
-    header = []
-    i = 1
-    while i < len(lines) and lines[i] != "---":
-        k, _, v = lines[i].partition("\t")
-        header.append((k, v))
-        i += 1
-    i += 1
-    records = []
-    while i < len(lines) and lines[i] != "---":
-        stage, cycle, phase, bits, events = lines[i].split("\t")
-        bit_pairs = tuple(tuple(p.split("=")) for p in bits.split(",")) if bits != "-" else ()
-        bit_pairs = tuple((n, int(b)) for n, b in bit_pairs)
-        ev = tuple(events.split(";")) if events != "-" else ()
-        records.append(StageRecord(int(stage), cycle, phase, bit_pairs, ev))
-        i += 1
-    i += 1
-    footer = []
-    while i < len(lines):
-        if lines[i]:
-            k, _, v = lines[i].partition("\t")
-            footer.append((k, v))
-        i += 1
+    header, records, footer = sections = ([], [], [])
+    part = 0
+    for lineno, line in enumerate(lines[1:], 2):
+        if line == "---" and part < 2:
+            part += 1
+        elif part == 1:
+            records.append(_parse_record(line, lineno))
+        elif line or part == 0:
+            k, _, v = line.partition("\t")
+            sections[part].append((k, v))
     return Trace(header, records, footer)
 
 
@@ -146,7 +167,7 @@ class ConstructionResult:
         return self.outputs[name]
 
 
-def _cex_event(cyc: str, cex: Counterexample) -> str:
+def _cex_event(cex: Counterexample) -> str:
     il, im = cex.images if cex.images else ("-", "-")
     return (f"cex:{cex.flavor}:l={cex.l}:m={cex.m}:il={il}:im={im}"
             f":left={int(cex.left)}:right={int(cex.right)}")
@@ -157,95 +178,62 @@ def _cex_event(cyc: str, cex: Counterexample) -> str:
 
 
 class _Detector:
-    """Stage-incremental wrapper around the definitional detectors.
+    """Stage-incremental form of the definitional detectors.
 
     Eligibility and the fired condition are monotone in the stage, so each
     input is examined once when it becomes eligible and each unordered pair
-    once; on the first hit the definitional full scan extracts the least
-    pair for the record.
+    once, with the flavour's pair predicate; on the first hit the
+    definitional scan extracts the least pair for the record.  Each side of
+    the claim is a relation or a decided bit prefix, as in the detectors.
     """
 
-    def __init__(self, flavor: str, program: ClockedProgram, member: str,
-                 source_rel: Relation | None = None,
-                 target_rel: Relation | None = None):
+    def __init__(self, flavor: str, program: ClockedProgram):
         self.flavor = flavor
+        self.pair = _PAIR_PREDICATES[flavor]
         self.program = program
-        self.member = member
-        self.source_rel = source_rel
-        self.target_rel = target_rel
         self.eligible: list = []
         self.pending: list = []
         self.next_l = 0
         self.fired = False
 
-    def _try_eligible(self, l, s, tgt_bits):
-        if self.program.cost(l) >= s:
-            return None
-        v = self.program.value(l)
-        if self.flavor in ("R_to_RY", "RX_to_RY") and not (tgt_bits is not None
-                                                           and v < len(tgt_bits)):
-            return None
-        return v
-
-    def _pair_fires(self, l, lv, m, mv, src_bits, tgt_bits):
-        if self.flavor == "R_to_RY":
-            left = self.source_rel.related(l, m)
-            right = images_split(tgt_bits, lv, mv)
-        elif self.flavor == "RY_to_R":
-            left = src_bits[l] == 1 and src_bits[m] == 1
-            right = not self.target_rel.related(lv, mv)
-        else:
-            left = src_bits[l] == 1 and src_bits[m] == 1
-            right = images_split(tgt_bits, lv, mv)
-        return left == right
-
-    def scan(self, s: int, src_bits=None, tgt_bits=None) -> bool:
+    def scan(self, s: int, source, target) -> bool:
         """Advance to stage budget s; True once some eligible pair fires."""
         if self.fired:
             return True
-        limit = s + 1 if self.flavor == "R_to_RY" else len(src_bits)
-        while self.next_l < limit:
-            self.pending.append(self.next_l)
-            self.next_l += 1
+        limit = s + 1 if isinstance(source, Relation) else len(source)
+        images = None if isinstance(target, Relation) else len(target)
+        self.pending.extend(range(self.next_l, limit))
+        self.next_l = max(self.next_l, limit)
+        prog, pair = self.program, self.pair
         still = []
-        fresh = []
         for l in self.pending:
-            v = self._try_eligible(l, s, tgt_bits)
-            if v is None:
+            if prog.cost(l) >= s:
                 still.append(l)
-            else:
-                fresh.append((l, v))
-        self.pending = still
-        for i, (l, lv) in enumerate(fresh):
+                continue
+            lv = prog.value(l)
+            if images is not None and lv >= images:
+                still.append(l)
+                continue
             for m, mv in self.eligible:
-                if m != l and self._pair_fires(l, lv, m, mv, src_bits, tgt_bits):
+                left, right = pair(source, target, l, m, lv, mv)
+                if left == right:
                     self.fired = True
-            for m, mv in fresh[:i]:
-                if m != l and self._pair_fires(l, lv, m, mv, src_bits, tgt_bits):
-                    self.fired = True
+                    return True
             self.eligible.append((l, lv))
-        return self.fired
+        self.pending = still
+        return False
 
-    def extract(self, s: int, src_bits=None, tgt_bits=None) -> Counterexample:
+    def extract(self, s: int, source, target) -> Counterexample:
         """Definitional least-pair scan at the firing stage."""
-        tgt = Prefix(tuple(tgt_bits)) if tgt_bits is not None else None
-        src = Prefix(tuple(src_bits)) if src_bits is not None else None
-        if self.flavor == "R_to_RY":
-            cex = detect_counterexample_R_to_RY(self.program, self.source_rel,
-                                                tgt, s, self.member)
-        elif self.flavor == "RY_to_R":
-            cex = detect_counterexample_RY_to_R(self.program, src,
-                                                self.target_rel, s, self.member)
-        else:
-            cex = detect_counterexample_RX_to_RY(self.program, src, tgt, s,
-                                                 self.member)
+        cex = _least_violation(self.flavor, self.program, source, target, s,
+                               self.program.name)
         if cex is None:
             raise AssertionError("incremental detector fired but full scan found nothing")
         return cex
 
 
 # ---------------------------------------------------------------------------
-# Machine helpers
+# The stage-machine driver
 
 
 class _Output:
@@ -265,14 +253,8 @@ class _Output:
     def zero_count(self) -> int:
         return self.zeros[-1] if self.zeros else 0
 
-    def as_set(self, dsl: str | None = None) -> PrSet:
-        return prefix_set(self.name, self.bits, dsl=dsl)
-
-
-def _family_header(family) -> list:
-    rows = [("family", f"{i}\t{program_text(p)}") for i, p in enumerate(family)]
-    rows.append(("family-hash", family_hash(family) if family else "-"))
-    return rows
+    def as_set(self) -> PrSet:
+        return prefix_set(self.name, self.bits)
 
 
 def _base_header(construction, inputs, family, policy, max_stages, cycle_budget,
@@ -288,52 +270,217 @@ def _base_header(construction, inputs, family, policy, max_stages, cycle_budget,
     ]
     for role, s in inputs:
         header.append(("input", f"{role}\t{s.dsl if s.dsl else '!opaque:' + s.name}"))
-    header.extend(_family_header(family))
+    header.extend(("family", f"{i}\t{program_text(p)}") for i, p in enumerate(family))
+    header.append(("family-hash", family_hash(family) if family else "-"))
     header.extend(extra)
     return header
 
 
-class _Schedule:
-    """Requirement scheduler over (kind, member index) cycles."""
+def _schedule(kinds: Sequence[str], family_size: int, policy: str,
+              relation_count: int = 1):
+    """Requirement cycles as (label, member index, relation index, kind).
 
-    def __init__(self, kinds: Sequence[str], family_size: int, policy: str,
-                 relation_count: int = 1):
-        self.kinds = list(kinds)
-        self.family_size = family_size
-        self.policy = policy
-        self.relation_count = relation_count
-        self.position = 0
-        self._slots = self._make_slots()
+    Slots (member, relation) come in Cantor-pairing order, one cycle per
+    kind each; the label numbers the slot, so round-robin labels wrap.
+    """
+    slots = sorted(((e, i) for e in range(family_size)
+                    for i in range(relation_count)),
+                   key=lambda p: cantor_pair(p[0], p[1]))
+    while slots:
+        for n, (e, i) in enumerate(slots):
+            for kind in kinds:
+                yield f"{kind}{n}", e, i, kind
+        if policy == "once":
+            return
 
-    def _make_slots(self):
-        # requirement indices: member e, relation i, enumerated by the pairing
-        if self.relation_count == 1:
-            return [(e,) for e in range(self.family_size)]
-        pairs = [(e, i) for e in range(self.family_size)
-                 for i in range(self.relation_count)]
-        pairs.sort(key=lambda p: cantor_pair(p[0], p[1]))
-        return pairs
 
-    def next_cycle(self):
-        """Next (label, member index, relation index) or None when done."""
-        if self.family_size == 0:
+@dataclass
+class _Cycle:
+    """An open requirement cycle; fillers have no member and no watch."""
+    label: str
+    kind: str
+    member: Optional[int]
+    relation: int
+    watch: object              # per-cycle detector state
+    phase: str
+    opened: int
+
+
+class _Machine:
+    """The per-construction half of a stage run; ``_drive`` owns the loop.
+
+    A subclass sets the requirement kinds and the phase a cycle opens in,
+    and supplies ``step(stage, cycle, events)``: emit this stage's bits in
+    the open cycle, append any counterexample event, and return the phase
+    to show plus ``None`` while the cycle stays open, or the close event's
+    suffix once it closes.
+    """
+
+    kinds = ("P", "Q")
+    phase = "copy"             # phase a scheduled cycle opens in
+    filler_phase = None        # phase of filler cycles F<i>; None: fall back
+
+    def __init__(self, header, family, policy, outputs, relation_count=1):
+        self.header = header
+        self.family = family
+        self.outputs = [_Output(n) for n in outputs]
+        self.y = self.outputs[0]
+        self.slots = _schedule(self.kinds, len(family), policy, relation_count)
+        self.counterexamples: list = []
+        self.flip = 0
+
+    def watch(self, kind, member, relation):
+        return _Detector("RX_to_RY", self.family[member])
+
+    def init(self, cycle) -> None:
+        """Stage 0: the stage+1 convention emits a bit per output here."""
+
+    def fallback(self, stage) -> None:
+        """No cycle left: an alternating tail keeps the output coinfinite."""
+        self.flip = 1 - self.flip
+        self.y.emit(self.flip)
+
+    def starved(self, cycle) -> str:
+        return "open cycle at the stage budget"
+
+    def witnesses(self, max_stages) -> dict:
+        """Witness tables the run promises, checked by the validator."""
+        return {}
+
+    def refute(self, cycle, s, source, target, names, events) -> bool:
+        """Scan the cycle's detector; on a hit record the counterexample."""
+        if not cycle.watch.scan(s, source, target):
+            return False
+        cex = cycle.watch.extract(s, source, target)
+        self.counterexamples.append((cycle.label, cex) + names)
+        events.append(_cex_event(cex))
+        return True
+
+
+def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
+           notes: dict) -> ConstructionResult:
+    """Run a machine for max_stages stages and return its validated result."""
+    records: list = []
+    fillers = 0
+
+    def open_cycle(stage, events):
+        nonlocal fillers
+        nxt = next(m.slots, None)
+        if nxt is not None:
+            label, member, relation, kind = nxt
+            cycle = _Cycle(label, kind, member, relation,
+                           m.watch(kind, member, relation), m.phase, stage)
+        elif m.filler_phase is not None:
+            label, kind = f"F{fillers}", m.kinds[fillers % 2]
+            fillers += 1
+            cycle = _Cycle(label, kind, None, 0, None, m.filler_phase, stage)
+        else:
             return None
-        total = len(self._slots) * len(self.kinds)
-        if self.position >= total:
-            if self.policy == "once":
-                return None
-            self.position %= total
-        slot_i, kind_i = divmod(self.position, len(self.kinds))
-        self.position += 1
-        slot = self._slots[slot_i]
-        e = slot[0]
-        rel = slot[1] if len(slot) > 1 else 0
-        kind = self.kinds[kind_i]
-        return f"{kind}{slot_i}", e, rel, kind
+        events.append(f"open:{label}")
+        return cycle
+
+    def bits():
+        return tuple((o.name, o.bits[-1]) for o in m.outputs if o.bits)
+
+    events: list = []
+    cycle = open_cycle(0, events)
+    m.init(cycle)
+    records.append(StageRecord(0, cycle.label if cycle else "-", "init",
+                               bits(), tuple(events)))
+    for stage in range(1, max_stages + 1):
+        if cycle is None:
+            m.fallback(stage)
+            records.append(StageRecord(stage, "-", "fallback", bits(), ()))
+            continue
+        if cycle_budget and stage - cycle.opened > cycle_budget:
+            raise StageBudgetExhausted("cycle exceeded its stage budget",
+                                       cycle=cycle.label, phase=cycle.phase,
+                                       stage=stage, trace=Trace(m.header, records))
+        events = []
+        label = cycle.label
+        shown, close = m.step(stage, cycle, events)
+        if close is not None:
+            events.append(f"close:{label}{close}")
+            cycle = open_cycle(stage, events)
+        records.append(StageRecord(stage, label, shown, bits(), tuple(events)))
+    if cycle is not None and cycle.member is not None and policy == "once":
+        raise StageBudgetExhausted(m.starved(cycle), cycle=cycle.label,
+                                   phase=cycle.phase, stage=max_stages,
+                                   trace=Trace(m.header, records))
+    trace = Trace(m.header, records)
+    result = ConstructionResult(trace.header_value("construction"),
+                                {o.name: o.as_set() for o in m.outputs}, trace,
+                                m.counterexamples, m.witnesses(max_stages), notes)
+    _finish(result)
+    for name, table in result.witnesses.items():
+        digest = hashlib.sha256(
+            "\n".join(str(v) for v in table).encode()).hexdigest()[:16]
+        trace.footer.append((f"witness-{name}", digest))
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Immunity construction
+
+
+def _immune_schedule(family_size: int, policy: str):
+    """One P cycle per member; round-robin labels keep counting."""
+    idx = 0
+    while family_size and (policy != "once" or idx < family_size):
+        yield f"P{idx}", idx % family_size, 0, "P"
+        idx += 1
+
+
+class _ImmuneMachine(_Machine):
+    phase = "wait"
+
+    def __init__(self, header, family, policy):
+        super().__init__(header, family, policy, ["Y"])
+        self.slots = _immune_schedule(len(family), policy)
+        self.next_input = 1
+        self.closed: list = []
+
+    def watch(self, kind, member, relation):
+        # values seen so far, and the inputs not yet converged
+        return {}, list(range(self.next_input))
+
+    def step(self, stage, cycle, events):
+        s = stage - 1           # detector budget and input bound
+        y = self.y
+        prog = self.family[cycle.member]
+        seen, pending = cycle.watch
+        pending.extend(range(self.next_input, s + 1))
+        self.next_input = max(self.next_input, s + 1)
+        witness = None
+        still = []
+        for l in pending:
+            if prog.cost(l) < s:
+                v = prog.value(l)
+                if v in seen and witness is None:
+                    witness = ("case1", seen[v], l, v)
+                seen.setdefault(v, l)
+                if witness is None and v < len(y.bits) and y.bits[v] == 1:
+                    witness = ("case2", l, v)
+            else:
+                still.append(l)
+        pending[:] = still
+        if witness is None:
+            # a value that converged earlier may sit on a freshly set bit
+            for v, l in seen.items():
+                if v < len(y.bits) and y.bits[v] == 1:
+                    witness = ("case2", l, v)
+                    break
+        if witness is None:
+            y.emit(1)
+            return "copy", None
+        y.emit(0)
+        case, *data = witness
+        self.closed.append((cycle.label, cycle.member, case, tuple(data)))
+        if case == "case1":
+            l, m, v = data
+            return "copy", f":case1:l={l}:m={m}:v={v}"
+        m, v = data
+        return "copy", f":case2:m={m}:v={v}"
 
 
 def construct_immune(family: Sequence[ClockedProgram], max_stages: int,
@@ -348,108 +495,52 @@ def construct_immune(family: Sequence[ClockedProgram], max_stages: int,
     family = list(family)
     header = _base_header("immune", [], family, policy, max_stages,
                           cycle_budget, "stage", ["Y"])
-    y = _Output("Y")
-    records = []
-    closed = []
-
-    idx = 0
-    cycle = None          # (label, member index, opened stage, seen values)
-    fallback_flip = 0
-    if family:
-        cycle = (f"P0", 0, 0)
-        records.append(StageRecord(0, "P0", "init", (), ("open:P0",)))
-        seen: dict = {}
-        conv_pending: list = [0]
-        next_input = 1
-    else:
-        records.append(StageRecord(0, "-", "init", (), ()))
-
-    for stage in range(1, max_stages + 1):
-        s = stage - 1           # detector budget and input bound
-        if cycle is None:
-            b = 1 - fallback_flip
-            fallback_flip = 1 - fallback_flip
-            y.emit(b)
-            records.append(StageRecord(stage, "-", "fallback",
-                                       (("Y", b),), ()))
-            continue
-        label, e, opened = cycle
-        prog = family[e]
-        if cycle_budget and stage - opened > cycle_budget:
-            trace = Trace(header, records)
-            raise StageBudgetExhausted("cycle exceeded its stage budget",
-                                       cycle=label, phase="wait",
-                                       stage=stage, trace=trace)
-        while next_input <= s:
-            conv_pending.append(next_input)
-            next_input += 1
-        events = []
-        witness = None
-        still = []
-        for l in conv_pending:
-            if prog.cost(l) < s:
-                v = prog.value(l)
-                if v in seen and witness is None:
-                    witness = ("case1", seen[v], l, v)
-                seen.setdefault(v, l)
-                if witness is None and v < len(y.bits) and y.bits[v] == 1:
-                    witness = ("case2", l, v)
-            else:
-                still.append(l)
-        conv_pending = still
-        if witness is None:
-            # a value that converged earlier may sit on a freshly set bit
-            for v, l in seen.items():
-                if v < len(y.bits) and y.bits[v] == 1:
-                    witness = ("case2", l, v)
-                    break
-        if witness is not None:
-            y.emit(0)
-            if witness[0] == "case1":
-                _, l, m, v = witness
-                events.append(f"close:{label}:case1:l={l}:m={m}:v={v}")
-                closed.append((label, e, "case1", (l, m, v)))
-            else:
-                _, m, v = witness
-                events.append(f"close:{label}:case2:m={m}:v={v}")
-                closed.append((label, e, "case2", (m, v)))
-            idx += 1
-            nxt = idx if policy == "once" else idx % len(family)
-            if policy == "once" and idx >= len(family):
-                cycle = None
-            else:
-                cycle = (f"P{idx}", nxt % len(family), stage)
-                seen = {}
-                conv_pending = list(range(next_input))
-                events.append(f"open:P{idx}")
-            records.append(StageRecord(stage, label, "copy", (("Y", 0),),
-                                       tuple(events)))
-        else:
-            y.emit(1)
-            records.append(StageRecord(stage, label, "copy", (("Y", 1),), ()))
-
-    if cycle is not None and policy == "once":
-        trace = Trace(header, records)
-        raise StageBudgetExhausted("open cycle at the stage budget",
-                                   cycle=cycle[0], phase="wait",
-                                   stage=max_stages, trace=trace)
-
-    trace = Trace(header, records)
-    result = ConstructionResult("immune", {"Y": y.as_set()}, trace, [],
-                                notes={"closed": closed, "family": family})
-    _finish(result)
-    return result
+    m = _ImmuneMachine(header, family, policy)
+    return _drive(m, max_stages, policy, cycle_budget,
+                  {"closed": m.closed, "family": family})
 
 
 # ---------------------------------------------------------------------------
 # Incomparability and antichain
 
 
-def construct_incomparable(relation: Relation, family, max_stages: int,
+class _IncomparableMachine(_Machine):
+    """P cycles refute reductions of a relation into the new set's relation
+    by keeping members; Q cycles refute the reverse by keeping zeros."""
+
+    def __init__(self, header, family, policy, relations):
+        super().__init__(header, family, policy, ["Y"], len(relations))
+        self.relations = relations
+
+    def watch(self, kind, member, relation):
+        return _Detector("R_to_RY" if kind == "P" else "RY_to_R",
+                         self.family[member])
+
+    def step(self, stage, cycle, events):
+        y = self.y
+        rel = self.relations[cycle.relation]
+        if cycle.kind == "P":
+            sides, names = (rel, y.bits), (rel.name, "Y")
+        else:
+            sides, names = (y.bits, rel), ("Y", rel.name)
+        if self.refute(cycle, stage - 1, *sides, names, events):
+            y.emit(0)
+            return "copy", ""
+        y.emit(1 if cycle.kind == "P" else 0)
+        return "copy", None
+
+
+def construct_incomparable(relation, family, max_stages: int,
                            policy: str = "once",
                            cycle_budget: int | None = None,
                            relation_dsl: str | None = None) -> ConstructionResult:
-    """Build a set whose relation is family-incomparable with the given one."""
+    """Build a set whose relation is family-incomparable with the given one.
+
+    A set given in place of the relation stands for the relation it
+    induces, and its descriptor goes into the trace header.
+    """
+    if isinstance(relation, PrSet):
+        relation, relation_dsl = SetRelation(relation), relation.dsl
     return _incomparable_multi([relation], family, max_stages, policy,
                                cycle_budget, [relation_dsl])
 
@@ -463,68 +554,9 @@ def _incomparable_multi(relations: Sequence[Relation], family, max_stages,
              for i, r in enumerate(relations)]
     header = _base_header("incomparable", [], family, policy, max_stages,
                           cycle_budget, "stage", ["Y"], extra)
-    y = _Output("Y")
-    records = []
-    counterexamples = []
-    sched = _Schedule(["P", "Q"], len(family), policy, len(relations))
-    fallback_flip = 0
-
-    def open_next(stage, events):
-        nxt = sched.next_cycle()
-        if nxt is None:
-            return None
-        label, e, rel_i, kind = nxt
-        events.append(f"open:{label}")
-        flavor = "R_to_RY" if kind == "P" else "RY_to_R"
-        det = _Detector(flavor, family[e], family[e].name,
-                        source_rel=relations[rel_i], target_rel=relations[rel_i])
-        return (label, e, rel_i, kind, det, stage)
-
-    events0 = []
-    cycle = open_next(0, events0) if family else None
-    records.append(StageRecord(0, cycle[0] if cycle else "-", "init", (),
-                               tuple(events0)))
-
-    for stage in range(1, max_stages + 1):
-        s = stage - 1
-        if cycle is None:
-            b = 1 - fallback_flip
-            fallback_flip = 1 - fallback_flip
-            y.emit(b)
-            records.append(StageRecord(stage, "-", "fallback", (("Y", b),), ()))
-            continue
-        label, e, rel_i, kind, det, opened = cycle
-        if cycle_budget and stage - opened > cycle_budget:
-            raise StageBudgetExhausted("cycle exceeded its stage budget",
-                                       cycle=label, phase="copy", stage=stage,
-                                       trace=Trace(header, records))
-        fired = det.scan(s, src_bits=y.bits, tgt_bits=y.bits)
-        events = []
-        if fired:
-            cex = det.extract(s, src_bits=y.bits, tgt_bits=y.bits)
-            names = (relations[rel_i].name, "Y") if kind == "P" else ("Y", relations[rel_i].name)
-            counterexamples.append((label, cex, names[0], names[1]))
-            events.append(_cex_event(label, cex))
-            events.append(f"close:{label}")
-            y.emit(0)
-            cycle = open_next(stage, events)
-            records.append(StageRecord(stage, label, "copy", (("Y", 0),),
-                                       tuple(events)))
-        else:
-            b = 1 if kind == "P" else 0
-            y.emit(b)
-            records.append(StageRecord(stage, label, "copy", (("Y", b),), ()))
-
-    if cycle is not None and policy == "once":
-        raise StageBudgetExhausted("open cycle at the stage budget",
-                                   cycle=cycle[0], phase="copy",
-                                   stage=max_stages, trace=Trace(header, records))
-
-    trace = Trace(header, records)
-    result = ConstructionResult("incomparable", {"Y": y.as_set()}, trace,
-                                counterexamples)
-    _finish(result, relations=relations)
-    return result
+    m = _IncomparableMachine(header, family, policy, relations)
+    return _drive(m, max_stages, policy, cycle_budget,
+                  {"relations": {r.name: r for r in relations}})
 
 
 def construct_antichain(count: int, family, max_stages: int,
@@ -547,6 +579,13 @@ def construct_antichain(count: int, family, max_stages: int,
 # Density machine
 
 
+def _upper_dominating(x: PrSet, z: PrSet, max_stages: int):
+    """z, joined with x if x ever has more zeros; plus its header line."""
+    if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
+        return set_join(x, z), ("normalized-z", "1")
+    return z, ("normalized-z", "0")
+
+
 def _sample_infinite_coinfinite(z: PrSet, window: int) -> None:
     bits = [z.bit(n) for n in range(window + 1)]
     if 1 not in bits or 0 not in bits:
@@ -554,9 +593,8 @@ def _sample_infinite_coinfinite(z: PrSet, window: int) -> None:
             f"{z.name} is not infinite and coinfinite on the sampled window")
 
 
-def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
-               t_mid: PrSet | None, construction: str) -> ConstructionResult:
-    """Shared runner for density and density-plus-incomparability.
+class _DenseMachine(_Machine):
+    """Density and density-plus-incomparability.
 
     The P side refutes reductions of the new set into the lower input by
     copying the upper input; the Q side refutes reductions of the upper
@@ -564,139 +602,98 @@ def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
     zero counts before the hand-off.  With a middle input the detectors
     target it instead, in both directions.
     """
+
+    def __init__(self, header, family, policy, x, z, t_mid):
+        super().__init__(header, family, policy, ["Y"])
+        self.x, self.z = x, z
+        self.t_for_p = t_mid if t_mid is not None else x
+        self.t_for_q = t_mid if t_mid is not None else z
+        self.tp_bits: list = []     # prefix of the P-side detector target
+        self.tq_bits: list = []     # prefix of the Q-side detector source
+
+    def _track(self, stage):
+        self.tp_bits.append(self.t_for_p.bit(stage))
+        self.tq_bits.append(self.t_for_q.bit(stage))
+
+    def init(self, cycle):
+        self.y.emit(1)
+        self._track(0)
+
+    def fallback(self, stage):
+        self._track(stage)
+        self.y.emit(self.z.bit(stage))
+
+    def witnesses(self, max_stages):
+        # the sandwich reductions promised by the construction
+        g, h = _sandwich_witnesses(self.x, self.y.bits, self.z, max_stages)
+        return {"lower_into_new": g, "new_into_upper": h}
+
+    def step(self, stage, cycle, events):
+        self._track(stage)
+        y, p_side = self.y, cycle.kind == "P"
+        if cycle.phase == "copy":
+            y.emit((self.z if p_side else self.x).bit(stage))
+            if p_side:
+                sides = (y.bits, self.tp_bits)
+                names = ("Y", self.t_for_p.name)
+            else:
+                sides = (self.tq_bits, y.bits)
+                names = (self.t_for_q.name, "Y")
+            if self.refute(cycle, stage, *sides, names, events):
+                cycle.phase = "transition"
+        else:
+            y.emit(1 if p_side else 0)
+        if cycle.phase == "transition":
+            target = (self.x if p_side else self.z).zeros_by_index(stage)
+            if y.zero_count == target:
+                return "transition", ""
+        return cycle.phase, None
+
+
+def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
+               t_mid: PrSet | None, construction: str) -> ConstructionResult:
     family = list(family)
     if x.bit(0) != 1 or z.bit(0) != 1:
         raise PreconditionFailed("density needs 0 in both input sets")
     _sample_infinite_coinfinite(z, min(200, max_stages))
-    normalized = False
-    if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
-        z = set_join(x, z)
-        normalized = True
+    z, normalized = _upper_dominating(x, z, max_stages)
     inputs = [("X", x), ("Z", z)] if t_mid is None else [("X", x), ("T", t_mid), ("Z", z)]
-    extra = [("normalized-z", "1" if normalized else "0")]
     header = _base_header(construction, inputs, family, policy, max_stages,
-                          cycle_budget, "stage+1", ["Y"], extra)
-    y = _Output("Y")
-    records = []
-    counterexamples = []
-    sched = _Schedule(["P", "Q"], len(family), policy)
-    t_for_p = t_mid if t_mid is not None else x
-    t_for_q = t_mid if t_mid is not None else z
-    tp_bits = []        # prefix of the P-side detector target
-    tq_bits = []        # prefix of the Q-side detector source
-
-    def open_next(events):
-        nxt = sched.next_cycle()
-        if nxt is None:
-            return None
-        label, e, _, kind = nxt
-        events.append(f"open:{label}")
-        det = _Detector("RX_to_RY", family[e], family[e].name)
-        return [label, e, kind, det, "copy", None]
-
-    events0 = []
-    cycle = open_next(events0) if family else None
-    y.emit(1)
-    tp_bits.append(t_for_p.bit(0))
-    tq_bits.append(t_for_q.bit(0))
-    records.append(StageRecord(0, cycle[0] if cycle else "-", "init",
-                               (("Y", 1),), tuple(events0)))
-
-    for stage in range(1, max_stages + 1):
-        tp_bits.append(t_for_p.bit(stage))
-        tq_bits.append(t_for_q.bit(stage))
-        if cycle is None:
-            b = z.bit(stage)
-            y.emit(b)
-            records.append(StageRecord(stage, "-", "fallback", (("Y", b),), ()))
-            continue
-        label, e, kind, det, phase, opened = cycle
-        opened = opened if opened is not None else 0
-        if cycle_budget and stage - opened > cycle_budget:
-            raise StageBudgetExhausted("cycle exceeded its stage budget",
-                                       cycle=label, phase=phase, stage=stage,
-                                       trace=Trace(header, records))
-        events = []
-        if kind == "P":
-            b = z.bit(stage) if phase == "copy" else 1
-        else:
-            b = x.bit(stage) if phase == "copy" else 0
-        y.emit(b)
-        if phase == "copy":
-            if kind == "P":
-                fired = det.scan(stage, src_bits=y.bits, tgt_bits=tp_bits)
-            else:
-                fired = det.scan(stage, src_bits=tq_bits, tgt_bits=y.bits)
-            if fired:
-                if kind == "P":
-                    cex = det.extract(stage, src_bits=y.bits, tgt_bits=tp_bits)
-                    counterexamples.append((label, cex, "Y", t_for_p.name))
-                else:
-                    cex = det.extract(stage, src_bits=tq_bits, tgt_bits=y.bits)
-                    counterexamples.append((label, cex, t_for_q.name, "Y"))
-                events.append(_cex_event(label, cex))
-                phase = "transition"
-        if phase == "transition":
-            target = x.zeros_by_index(stage) if kind == "P" else z.zeros_by_index(stage)
-            if y.zero_count == target:
-                events.append(f"close:{label}")
-                newc = open_next(events)
-                if newc is not None:
-                    newc[5] = stage
-                cycle = newc
-                records.append(StageRecord(stage, label, phase, (("Y", b),),
-                                           tuple(events)))
-                continue
-        cycle = [label, e, kind, det, phase, opened]
-        records.append(StageRecord(stage, label, phase, (("Y", b),),
-                                   tuple(events)))
-
-    if cycle is not None and policy == "once":
-        raise StageBudgetExhausted("open cycle at the stage budget",
-                                   cycle=cycle[0], phase=cycle[4],
-                                   stage=max_stages, trace=Trace(header, records))
-
-    trace = Trace(header, records)
-    y_set = y.as_set()
-    # the sandwich reductions promised by the construction, as witness tables
-    g_table, h_table = _sandwich_witnesses(x, y.bits, z, max_stages)
-    result = ConstructionResult(construction, {"Y": y_set}, trace,
-                                counterexamples,
-                                witnesses={"lower_into_new": g_table,
-                                           "new_into_upper": h_table},
-                                notes={"normalized": normalized,
-                                       "x": x, "z": z, "t": t_mid})
-    _finish(result)
-    for name, table in result.witnesses.items():
-        digest = hashlib.sha256(
-            "\n".join(str(v) for v in table).encode()).hexdigest()[:16]
-        trace.footer.append((f"witness-{name}", digest))
-    return result
+                          cycle_budget, "stage+1", ["Y"], [normalized])
+    m = _DenseMachine(header, family, policy, x, z, t_mid)
+    return _drive(m, max_stages, policy, cycle_budget,
+                  {"x": x, "z": z, "t": t_mid})
 
 
 def _sandwich_witnesses(x: PrSet, y_bits, z: PrSet, horizon: int):
     """Sandwich reductions the density run guarantees: members to 0, fresh zeros in order.
 
     The chain invariant guarantees a fresh zero of the middle set below s+1
-    for every zero of the lower set at s, and likewise one level up.
+    for every zero of the lower set at s, and likewise one level up.  Each
+    pick is the least unused zero, so the used zeros are a prefix of the
+    zeros in order and one cursor per side finds the next one.
     """
-    g, used_g = [], set()
-    h, used_h = [], set()
+    g, h = [], []
+    next_g = next_h = 0         # every zero below a cursor is used
     for s in range(horizon + 1):
         if x.bit(s) == 1:
             g.append(0)
         else:
-            pick = next(i for i in range(s + 1)
-                        if y_bits[i] == 0 and i not in used_g)
-            used_g.add(pick)
-            g.append(pick)
+            while next_g <= s and y_bits[next_g] != 0:
+                next_g += 1
+            if next_g > s:
+                raise AssertionError(f"no fresh zero of the new set below {s + 1}")
+            g.append(next_g)
+            next_g += 1
         if y_bits[s] == 1:
             h.append(0)
         else:
-            pick = next(i for i in range(s + 1)
-                        if z.bit(i) == 0 and i not in used_h)
-            used_h.add(pick)
-            h.append(pick)
+            while next_h <= s and z.bit(next_h) != 0:
+                next_h += 1
+            if next_h > s:
+                raise AssertionError(f"no fresh zero of {z.name} below {s + 1}")
+            h.append(next_h)
+            next_h += 1
     return g, h
 
 
@@ -723,9 +720,16 @@ def construct_dense(x: PrSet, z: PrSet, f, family, max_stages: int,
 def construct_dense_incomparable(x: PrSet, t: PrSet, z: PrSet, certificates,
                                  family, max_stages: int, policy: str = "once",
                                  cycle_budget: int | None = None) -> ConstructionResult:
-    """Density with both-direction counterexamples against a middle set."""
+    """Density with both-direction counterexamples against a middle set.
+
+    Without certificates (None) the builder derives both from profile
+    domination up to max_stages.
+    """
+    if certificates is None:
+        certificates = {"x<=t": domination_certificate(x, t, max_stages),
+                        "t<=z": domination_certificate(t, z, max_stages)}
     for key in ("x<=t", "t<=z"):
-        w = (certificates or {}).get(key)
+        w = certificates.get(key)
         if w is None or not getattr(w, "verified", False):
             raise NotCertified(f"missing verified certificate {key}")
     if t.bit(0) != 1:
@@ -738,112 +742,55 @@ def construct_dense_incomparable(x: PrSet, t: PrSet, z: PrSet, certificates,
 # Join and meet splittings
 
 
-def _split_run(z: PrSet, family, max_stages, policy, cycle_budget,
-               mode: str) -> ConstructionResult:
-    """Shared runner for the join and meet splittings.
-
-    Join mode: within a P cycle the first output copies the input set while
-    the second gets filler ones, then transition zeros until the zero
+class _SplitMachine(_Machine):
+    """Join mode: within a P cycle the first output copies the input set
+    while the second gets filler ones, then transition zeros until the zero
     counts agree; blockwise the second output is ones-then-zeros, so the
     blockwise join reproduces the input.  Meet mode flips the filler bits
-    (zeros first, then ones) and targets the dual requirement.
+    (zeros first, then ones) and targets the dual requirement.  Filler
+    cycles rebalance as soon as the counts diverge.
     """
+
+    filler_phase = "copy"
+
+    def __init__(self, header, family, policy, z, mode):
+        super().__init__(header, family, policy, ["Y0", "Y1"])
+        self.z, self.mode = z, mode
+        self.z_bits: list = []
+        self.copy_fill = 1 if mode == "join" else 0
+
+    def step(self, stage, cycle, events):
+        b = self.z.bit(stage - 1)
+        self.z_bits.append(b)
+        y0, y1 = self.outputs
+        copier, filler = (y0, y1) if cycle.kind == "P" else (y1, y0)
+        copier.emit(b)
+        if cycle.phase == "transition":
+            filler.emit(1 - self.copy_fill)
+            return "transition", "" if y0.zero_count == y1.zero_count else None
+        filler.emit(self.copy_fill)
+        if cycle.watch is None:
+            diverged = copier.zero_count != filler.zero_count
+        elif self.mode == "join":
+            diverged = self.refute(cycle, stage, self.z_bits, filler.bits,
+                                   (self.z.name, filler.name), events)
+        else:
+            diverged = self.refute(cycle, stage, filler.bits, self.z_bits,
+                                   (filler.name, self.z.name), events)
+        if diverged:
+            cycle.phase = "transition"
+        return "copy", None
+
+
+def _split_run(z: PrSet, family, max_stages, policy, cycle_budget,
+               mode: str) -> ConstructionResult:
     family = list(family)
     _sample_infinite_coinfinite(z, min(200, max_stages))
     construction = "join-split" if mode == "join" else "meet-split"
     header = _base_header(construction, [("Z", z)], family, policy, max_stages,
                           cycle_budget, "stage", ["Y0", "Y1"])
-    y0, y1 = _Output("Y0"), _Output("Y1")
-    records = []
-    counterexamples = []
-    sched = _Schedule(["P", "Q"], len(family), policy)
-    z_bits = []
-    dummy_idx = 0
-    copy_fill = 1 if mode == "join" else 0
-    trans_fill = 1 - copy_fill
-
-    def open_next(events):
-        nonlocal dummy_idx
-        nxt = sched.next_cycle()
-        if nxt is None:
-            label = f"F{dummy_idx}"
-            kind = "P" if dummy_idx % 2 == 0 else "Q"
-            dummy_idx += 1
-            events.append(f"open:{label}")
-            return [label, None, kind, None, "copy", None]
-        label, e, _, kind = nxt
-        events.append(f"open:{label}")
-        det = _Detector("RX_to_RY", family[e], family[e].name)
-        return [label, e, kind, det, "copy", None]
-
-    events0 = []
-    cycle = open_next(events0)
-    records.append(StageRecord(0, cycle[0], "init", (), tuple(events0)))
-
-    for stage in range(1, max_stages + 1):
-        s = stage - 1
-        z_bits.append(z.bit(s))
-        label, e, kind, det, phase, opened = cycle
-        opened = opened if opened is not None else 0
-        if cycle_budget and stage - opened > cycle_budget:
-            raise StageBudgetExhausted("cycle exceeded its stage budget",
-                                       cycle=label, phase=phase, stage=stage,
-                                       trace=Trace(header, records))
-        copier, filler = (y0, y1) if kind == "P" else (y1, y0)
-        fill_bit = copy_fill if phase == "copy" else trans_fill
-        copier.emit(z.bit(s))
-        filler.emit(fill_bit)
-        events = []
-        if phase == "copy":
-            if det is not None:
-                if mode == "join":
-                    fired = det.scan(stage, src_bits=z_bits, tgt_bits=filler.bits)
-                else:
-                    fired = det.scan(stage, src_bits=filler.bits, tgt_bits=z_bits)
-                if fired:
-                    if mode == "join":
-                        cex = det.extract(stage, src_bits=z_bits,
-                                          tgt_bits=filler.bits)
-                        counterexamples.append((label, cex, z.name, filler.name))
-                    else:
-                        cex = det.extract(stage, src_bits=filler.bits,
-                                          tgt_bits=z_bits)
-                        counterexamples.append((label, cex, filler.name, z.name))
-                    events.append(_cex_event(label, cex))
-                    phase = "next-transition"
-            else:
-                # dummy cycle: rebalance as soon as the counts diverge
-                if copier.zero_count != filler.zero_count:
-                    phase = "next-transition"
-        elif phase == "transition":
-            if y0.zero_count == y1.zero_count:
-                events.append(f"close:{label}")
-                newc = open_next(events)
-                newc[5] = stage
-                cycle = newc
-                records.append(StageRecord(
-                    stage, label, phase,
-                    (("Y0", y0.bits[-1]), ("Y1", y1.bits[-1])), tuple(events)))
-                continue
-        shown = "copy" if phase in ("copy", "next-transition") else phase
-        if phase == "next-transition":
-            phase = "transition"
-        cycle = [label, e, kind, det, phase, opened]
-        records.append(StageRecord(stage, label, shown,
-                                   (("Y0", y0.bits[-1]), ("Y1", y1.bits[-1])),
-                                   tuple(events)))
-
-    if cycle[1] is not None and policy == "once":
-        raise StageBudgetExhausted("open cycle at the stage budget",
-                                   cycle=cycle[0], phase=cycle[4],
-                                   stage=max_stages, trace=Trace(header, records))
-
-    trace = Trace(header, records)
-    result = ConstructionResult(construction,
-                                {"Y0": y0.as_set(), "Y1": y1.as_set()},
-                                trace, counterexamples, notes={"z": z, "mode": mode})
-    _finish(result)
-    return result
+    m = _SplitMachine(header, family, policy, z, mode)
+    return _drive(m, max_stages, policy, cycle_budget, {"z": z, "mode": mode})
 
 
 def construct_join_split(z: PrSet, family, max_stages: int,
@@ -862,6 +809,52 @@ def construct_meet_split(z: PrSet, family, max_stages: int,
 # Diamond construction
 
 
+class _DiamondMachine(_Machine):
+    """Within a Q cycle the first output tracks the lower input and the
+    second the upper one (a P cycle swaps them) until the detector fires;
+    the cycle closes at the next equilibrium of the output counts.  Filler
+    cycles wait for an equilibrium straight away."""
+
+    kinds = ("Q", "P")
+    filler_phase = "transition"
+
+    def __init__(self, header, family, policy, x, z):
+        super().__init__(header, family, policy, ["Y0", "Y1"])
+        self.x, self.z = x, z
+        self.z_bits: list = []
+        self.boundaries: list = []
+
+    def init(self, cycle):
+        for out in self.outputs:
+            out.emit(1)
+        self.z_bits.append(self.z.bit(0))
+        self.boundaries.append((0, cycle.label, 0, 0, 0, 0))
+
+    def step(self, stage, cycle, events):
+        x, z = self.x, self.z
+        self.z_bits.append(z.bit(stage))
+        y0, y1 = self.outputs
+        x_tracker, z_tracker = (y0, y1) if cycle.kind == "Q" else (y1, y0)
+        x_tracker.emit(x.bit(stage))
+        z_tracker.emit(z.bit(stage))
+        if cycle.phase == "copy":
+            if self.refute(cycle, stage, self.z_bits, x_tracker.bits,
+                           (z.name, x_tracker.name), events):
+                cycle.phase = "transition"
+            return "copy", None
+        if y0.zero_count != y1.zero_count:
+            return "transition", None
+        self.boundaries.append((stage, cycle.label, x.zeros_by_index(stage),
+                                y0.zero_count, y1.zero_count,
+                                z.zeros_by_index(stage)))
+        return "transition", ""
+
+    def starved(self, cycle):
+        if cycle.phase == "transition":
+            return "transition starved: no further equilibrium point of the pair"
+        return super().starved(cycle)
+
+
 def construct_diamond(x: PrSet, z: PrSet, family, max_stages: int,
                       policy: str = "once", cycle_budget: int | None = None,
                       min_equilibria: int = 1) -> ConstructionResult:
@@ -874,10 +867,7 @@ def construct_diamond(x: PrSet, z: PrSet, family, max_stages: int,
     family = list(family)
     if x.bit(0) != 1 or z.bit(0) != 1:
         raise PreconditionFailed("diamond needs 0 in both input sets")
-    normalized = False
-    if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
-        z = set_join(x, z)
-        normalized = True
+    z, normalized = _upper_dominating(x, z, max_stages)
     eq = [s for s in range(max_stages + 1)
           if x.zeros_by_index(s) == z.zeros_by_index(s)]
     if len(eq) < min_equilibria:
@@ -885,91 +875,10 @@ def construct_diamond(x: PrSet, z: PrSet, family, max_stages: int,
             f"only {len(eq)} equilibrium points below {max_stages}")
     header = _base_header("diamond", [("X", x), ("Z", z)], family, policy,
                           max_stages, cycle_budget, "stage+1", ["Y0", "Y1"],
-                          [("normalized-z", "1" if normalized else "0")])
-    y0, y1 = _Output("Y0"), _Output("Y1")
-    records = []
-    counterexamples = []
-    sched = _Schedule(["Q", "P"], len(family), policy)
-    z_bits = []
-    dummy_idx = 0
-    boundary_equalities = []
-
-    def open_next(events, stage):
-        nonlocal dummy_idx
-        nxt = sched.next_cycle()
-        if nxt is None:
-            label = f"F{dummy_idx}"
-            kind = "Q" if dummy_idx % 2 == 0 else "P"
-            dummy_idx += 1
-            events.append(f"open:{label}")
-            return [label, None, kind, None, "transition", stage]
-        label, e, _, kind = nxt
-        events.append(f"open:{label}")
-        det = _Detector("RX_to_RY", family[e], family[e].name)
-        return [label, e, kind, det, "copy", stage]
-
-    events0 = []
-    cycle = open_next(events0, 0)
-    y0.emit(1)
-    y1.emit(1)
-    z_bits.append(z.bit(0))
-    boundary_equalities.append((0, cycle[0], 0, 0, 0, 0))
-    records.append(StageRecord(0, cycle[0], "init", (("Y0", 1), ("Y1", 1)),
-                               tuple(events0)))
-
-    for stage in range(1, max_stages + 1):
-        z_bits.append(z.bit(stage))
-        label, e, kind, det, phase, opened = cycle
-        if cycle_budget and stage - opened > cycle_budget:
-            raise StageBudgetExhausted("cycle exceeded its stage budget",
-                                       cycle=label, phase=phase, stage=stage,
-                                       trace=Trace(header, records))
-        x_tracker, z_tracker = (y0, y1) if kind == "Q" else (y1, y0)
-        x_tracker.emit(x.bit(stage))
-        z_tracker.emit(z.bit(stage))
-        events = []
-        if phase == "copy" and det is not None:
-            target = y0 if kind == "Q" else y1
-            fired = det.scan(stage, src_bits=z_bits, tgt_bits=target.bits)
-            if fired:
-                cex = det.extract(stage, src_bits=z_bits, tgt_bits=target.bits)
-                counterexamples.append((label, cex, z.name, target.name))
-                events.append(_cex_event(label, cex))
-                phase = "next-transition"
-        if phase == "transition":
-            if y0.zero_count == y1.zero_count:
-                events.append(f"close:{label}")
-                boundary_equalities.append(
-                    (stage, label, x.zeros_by_index(stage), y0.zero_count,
-                     y1.zero_count, z.zeros_by_index(stage)))
-                newc = open_next(events, stage)
-                cycle = newc
-                records.append(StageRecord(
-                    stage, label, phase,
-                    (("Y0", y0.bits[-1]), ("Y1", y1.bits[-1])), tuple(events)))
-                continue
-        shown = "copy" if phase in ("copy", "next-transition") else phase
-        if phase == "next-transition":
-            phase = "transition"
-        cycle = [label, e, kind, det, phase, opened]
-        records.append(StageRecord(stage, label, shown,
-                                   (("Y0", y0.bits[-1]), ("Y1", y1.bits[-1])),
-                                   tuple(events)))
-
-    if cycle[1] is not None and policy == "once":
-        phase = cycle[4]
-        message = ("transition starved: no further equilibrium point of the pair"
-                   if phase == "transition" else "open cycle at the stage budget")
-        raise StageBudgetExhausted(message, cycle=cycle[0], phase=phase,
-                                   stage=max_stages, trace=Trace(header, records))
-
-    trace = Trace(header, records)
-    result = ConstructionResult("diamond", {"Y0": y0.as_set(), "Y1": y1.as_set()},
-                                trace, counterexamples,
-                                notes={"x": x, "z": z, "normalized": normalized,
-                                       "boundaries": boundary_equalities})
-    _finish(result)
-    return result
+                          [normalized])
+    m = _DiamondMachine(header, family, policy, x, z)
+    return _drive(m, max_stages, policy, cycle_budget,
+                  {"x": x, "z": z, "boundaries": m.boundaries})
 
 
 # ---------------------------------------------------------------------------
@@ -977,65 +886,51 @@ def construct_diamond(x: PrSet, z: PrSet, family, max_stages: int,
 
 
 def _normalize_family(family):
-    """Strictly increasing members, each strictly above the previous one."""
-    members = list(family)
-    val_memo: dict = {}
-    cost_memo: dict = {}
+    """Strictly increasing members, each strictly above the previous one.
 
+    Indices past the family continue as virtual, strictly larger members.
+    """
+    n = len(family)
+
+    @functools.cache
     def val(e, x):
-        key = (e, x)
-        if key not in val_memo:
-            v = members[e].value(x)
-            if x > 0:
-                v = max(v, val(e, x - 1) + 1)
-            if e > 0:
-                v = max(v, val(e - 1, x) + 1)
-            v = max(v, x + 1)
-            val_memo[key] = v
-        return val_memo[key]
+        if e >= n:
+            return (val(n - 1, x) if n else x) + 1 + (e - n + 1)
+        v = max(family[e].value(x), x + 1)
+        if x > 0:
+            v = max(v, val(e, x - 1) + 1)
+        if e > 0:
+            v = max(v, val(e - 1, x) + 1)
+        return v
 
+    @functools.cache
     def cost(e, x):
         # waits dominate values: seeing p(x) takes more steps than p(x) itself
-        key = (e, x)
-        if key not in cost_memo:
-            c = max(1, members[e].cost(x), val(e, x) + 1)
-            if x > 0:
-                c = max(c, cost(e, x - 1) + 1)
-            if e > 0:
-                c = max(c, cost(e - 1, x) + 1)
-            cost_memo[key] = c
-        return cost_memo[key]
+        if e >= n:
+            return (cost(n - 1, x) if n else x + 1) + 1 + (e - n + 1)
+        c = max(1, family[e].cost(x), val(e, x) + 1)
+        if x > 0:
+            c = max(c, cost(e, x - 1) + 1)
+        if e > 0:
+            c = max(c, cost(e - 1, x) + 1)
+        return c
 
     return val, cost
 
 
 def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
-                        anti_certificate: dict | None = None,
                         policy: str = "once") -> ConstructionResult:
     """A set under the dropped version of x that escapes y through every member.
 
     Drives a member index V: each member is abandoned once the built set's
     count provably escapes y through it; the built count is capped one
-    below x's count, which pins it to the dropped profile bracket.
+    below x's count, which pins it to the dropped profile bracket.  The
+    premise, that the dropped x escapes y through every member below
+    max_stages, is checked first and raises NotCertified when it fails.
     """
     family = list(family)
-    if anti_certificate is None:
-        raise NotCertified("separator needs the caller's anti-reducibility evidence")
-    base_val, base_cost = _normalize_family(family)
-
-    def val(e, xx):
-        # indices past the family continue as a virtual, strictly larger member
-        if e < len(family):
-            return base_val(e, xx)
-        base = base_val(len(family) - 1, xx) if family else xx
-        return base + 1 + (e - len(family) + 1)
-
-    def cost(e, xx):
-        if e < len(family):
-            return base_cost(e, xx)
-        base = base_cost(len(family) - 1, xx) if family else xx + 1
-        return base + 1 + (e - len(family) + 1)
-
+    anti_reduction_evidence(drop_least_zero(x), y, family, max_stages)
+    val, cost = _normalize_family(family)
     header = _base_header("separator", [("X", x), ("Y", y)], family, policy,
                           max_stages, None, "stage+1", ["Z"])
     zout = _Output("Z")
@@ -1052,13 +947,6 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
     windows: dict = {0: [0, None]}      # member -> [first input, last input]
     zout.emit(1)
     records.append(StageRecord(0, "V0", "init", (("Z", 1),), ("open:V0",)))
-
-    def bracket_index(kk):
-        # i with marks[i-1] < kk <= marks[i]
-        i = 0
-        while i < len(marks) and marks[i] < kk:
-            i += 1
-        return i
 
     for stage in range(1, max_stages + 1):
         events = []
@@ -1092,7 +980,7 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
         b = 1 if new == zout.zero_count else 0
         zout.emit(b)
         # the built count tracks the dropped-profile bracket at every stage
-        want = bracket_index(k)
+        want = bisect.bisect_left(marks, k)
         if zout.zero_count != want:
             raise AssertionError(
                 f"bracket invariant failed at stage {stage}: "
@@ -1110,15 +998,15 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
     windows.pop(len(family), None)
     trace = Trace(header, records)
     result = ConstructionResult("separator", {"Z": zout.as_set()}, trace, [],
-                                notes={"x": x, "y": y, "escapes": escape_stages,
-                                       "windows": windows, "marks": marks,
-                                       "val": val, "family_size": len(family)})
+                                notes={"x": x, "escapes": escape_stages,
+                                       "windows": windows, "val": val,
+                                       "family_size": len(family)})
     _finish(result)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Validation and replay
+# Validation
 
 
 def validate_result(result: ConstructionResult) -> list:
@@ -1141,188 +1029,201 @@ def validate_result(result: ConstructionResult) -> list:
         if rec.stage > 0 and rec.cycle == "-" and rec.phase != "fallback":
             failures.append(f"no open cycle at stage {rec.stage}")
 
-    fam = [resolve_program(t.split("\t")[1])
-           for t in result.trace.header_all("family")]
-    by_name = {p.name: p for p in fam}
-    finals = {n: result.outputs[n] for n in result.outputs}
+    by_name = {p.name: p for p in _header_family(result.trace)}
     horizon = len(records) - 1
-    prefixes = {n: Prefix(tuple(finals[n].bit(i) for i in range(
-        horizon if convention == "stage" else horizon + 1)))
-        for n in finals}
+    length = horizon if convention == "stage" else horizon + 1
+    prefixes = {n: Prefix(tuple(s.bit(i) for i in range(length)))
+                for n, s in result.outputs.items()}
+    relations = result.notes.get("relations", {})
+    # input sets by name; on a name clash x wins, then z, t, y
+    inputs = {s.name: s for s in map(result.notes.get, "ytzx") if s is not None}
+
+    def side(name):
+        if name in relations:
+            return relations[name]
+        if name in prefixes:
+            return prefixes[name]
+        return inputs[name].prefix(length - 1)
+
     for label, cex, src, tgt in result.counterexamples:
         prog = by_name.get(cex.member)
         if prog is None:
             failures.append(f"unknown member {cex.member} in {label}")
-            continue
-        ok = _revalidate(result, cex, src, tgt, prog, prefixes)
-        if not ok:
+        elif not _still_violates(cex, prog, side(src), side(tgt)):
             failures.append(f"counterexample in {label} no longer violates")
-    failures.extend(_specific_invariants(result, prefixes))
+    failures.extend(CONSTRUCTIONS[result.name].validate(result))
     return failures
 
 
-def _input_set(result, role):
-    return result.notes.get(role.lower())
-
-
-def _revalidate(result, cex, src, tgt, prog, prefixes) -> bool:
-    def prefix_of(name):
-        if name in prefixes:
-            return prefixes[name]
-        s = _input_set(result, name) or _named_input(result, name)
-        length = len(next(iter(prefixes.values())))
-        return s.prefix(length - 1)
-
-    if cex.flavor == "R_to_RY":
-        rel = result.notes.get("relations", {}).get(src)
-        return revalidate_counterexample(cex, prog, source=rel,
-                                         sigma_y=prefix_of(tgt))
-    if cex.flavor == "RY_to_R":
-        rel = result.notes.get("relations", {}).get(tgt)
-        return revalidate_counterexample(cex, prog, sigma_y=prefix_of(src),
-                                         target=rel)
-    return revalidate_counterexample(cex, prog, sigma_x=prefix_of(src),
-                                     sigma_y=prefix_of(tgt))
-
-
-def _named_input(result, name):
-    for role in ("x", "z", "t", "y"):
-        s = result.notes.get(role)
-        if s is not None and s.name == name:
-            return s
-    raise KeyError(name)
+def _closes(result) -> list:
+    """(stage, label) of every closed cycle, in stage order."""
+    return [(rec.stage, e.split(":")[1]) for rec in result.trace.records
+            for e in rec.events if e.startswith("close:")]
 
 
 def _last_close(result) -> int:
-    last = 0
-    for rec in result.trace.records:
-        if any(e.startswith("close:") for e in rec.events):
-            last = rec.stage
-    return last
+    return max((stage for stage, _ in _closes(result)), default=0)
 
 
-def _specific_invariants(result, prefixes) -> list:
+def _validate_immune(result) -> list:
     failures = []
-    name = result.name
-    records = result.trace.records
-    if name == "immune":
-        y = result.outputs["Y"]
-        family = result.notes.get("family", [])
-        for label, e, case, witness in result.notes.get("closed", []):
-            prog = family[e]
-            if case == "case1":
-                l, m, v = witness
-                if l == m or prog.value(l) != prog.value(m):
-                    failures.append(f"{label} non-injectivity witness fails")
-            else:
-                m, v = witness
-                if prog.value(m) != v or y.bit(v) != 1:
-                    failures.append(f"{label} membership witness fails")
-    if name in ("dense", "dense-incomparable"):
-        x, z = result.notes["x"], result.notes["z"]
-        y = result.outputs["Y"]
-        closes = {}
-        for rec in records:
-            for e in rec.events:
-                if e.startswith("close:"):
-                    closes[rec.stage] = e.split(":")[1]
-        for rec in records:
-            s = rec.stage
-            a, b, c = x.zeros_by_index(s), y.zeros_by_index(s), z.zeros_by_index(s)
-            if not a <= b <= c:
-                failures.append(f"chain invariant broken at stage {s}")
-                break
-        for s, label in closes.items():
-            if label.startswith("P") and x.zeros_by_index(s) != y.zeros_by_index(s):
-                failures.append(f"lower counts differ at close of {label}")
-            if label.startswith("Q") and y.zeros_by_index(s) != z.zeros_by_index(s):
-                failures.append(f"upper counts differ at close of {label}")
-        g = result.witnesses["lower_into_new"]
-        h = result.witnesses["new_into_upper"]
-        hor = min(len(g) - 1, len(records) - 2)
-        if check_reduction_prefix(list(g), SetRelation(x), SetRelation(y), hor):
-            failures.append("lower sandwich witness fails")
-        if check_reduction_prefix(list(h), SetRelation(y), SetRelation(z), hor):
-            failures.append("upper sandwich witness fails")
-    elif name in ("join-split", "meet-split"):
-        z = result.notes["z"]
-        mode = result.notes["mode"]
-        last = _last_close(result)
-        y0 = result.outputs["Y0"].prefix(last - 1) if last else None
-        y1 = result.outputs["Y1"].prefix(last - 1) if last else None
-        if last:
-            op = string_join if mode == "join" else string_meet
-            got = op(y0, y1)
-            want = z.prefix(last - 1)
-            if got.bits != want.bits:
-                failures.append(f"{mode} of outputs differs from the input set")
-        for rec in records:
-            for e in rec.events:
-                if e.startswith("close:"):
-                    a = result.outputs["Y0"].zeros_by_index(rec.stage - 1)
-                    b = result.outputs["Y1"].zeros_by_index(rec.stage - 1)
-                    if a != b:
-                        failures.append(f"counts differ at close stage {rec.stage}")
-    elif name == "diamond":
-        x, z = result.notes["x"], result.notes["z"]
-        last = _last_close(result)
-        if last:
-            y0 = result.outputs["Y0"]
-            y1 = result.outputs["Y1"]
-            meet = set_meet(prefix_set("a", [y0.bit(i) for i in range(last + 1)]),
-                            prefix_set("b", [y1.bit(i) for i in range(last + 1)]))
-            join = set_join(prefix_set("a", [y0.bit(i) for i in range(last + 1)]),
-                            prefix_set("b", [y1.bit(i) for i in range(last + 1)]))
-            for i in range(last + 1):
-                if meet.bit(i) != x.bit(i):
-                    failures.append(f"meet side differs at {i}")
-                    break
-                if join.bit(i) != z.bit(i):
-                    failures.append(f"join side differs at {i}")
-                    break
-        for stage, label, a, b, c, d in result.notes["boundaries"]:
-            if label.startswith("Q") or label.startswith("F"):
-                if not (a == b == c == d):
-                    failures.append(f"four-way equality fails at close {stage}")
-            elif not b == c:
-                failures.append(f"output counts differ at close {stage}")
-    elif name == "separator":
-        x, y = result.notes["x"], result.notes["y"]
-        zed = result.outputs["Z"]
-        hor = len(records) - 1
-        for s in range(hor + 1):
-            if zed.zeros_by_index(s) > max(0, x.zeros_by_steps(s) - 1):
-                failures.append(f"separator cap fails at stage {s}")
-                break
-        if len(result.notes["escapes"]) < result.notes["family_size"]:
-            failures.append("separator missed a member escape")
-        val = result.notes["val"]
-        for e, window in result.notes["windows"].items():
-            k0, k1 = window
-            if k1 is None:
-                continue
-            for kk in range(k0 + 1, k1 + 1):
-                stage_val = val(e, kk)
-                # the escape margin needs the source to have shown a zero
-                if stage_val <= hor and x.zeros_by_steps(kk) >= 1:
-                    if zed.zeros_by_index(stage_val) >= x.zeros_by_steps(kk):
-                        failures.append(
-                            f"anti-diamond window fails for member {e} at k={kk}")
+    y = result.outputs["Y"]
+    family = result.notes["family"]
+    for label, e, case, witness in result.notes["closed"]:
+        prog = family[e]
+        if case == "case1":
+            l, m, v = witness
+            if l == m or prog.value(l) != prog.value(m):
+                failures.append(f"{label} non-injectivity witness fails")
+        else:
+            m, v = witness
+            if prog.value(m) != v or y.bit(v) != 1:
+                failures.append(f"{label} membership witness fails")
     return failures
 
 
-def _finish(result: ConstructionResult, relations=None) -> None:
-    if relations is not None:
-        result.notes["relations"] = {r.name: r for r in relations}
-        for i, r in enumerate(relations):
-            result.notes.setdefault("relation_list", []).append(r)
+def _validate_incomparable(result) -> list:
+    # the revalidated counterexamples are the whole claim
+    return []
+
+
+def _validate_dense(result) -> list:
+    failures = []
+    records = result.trace.records
+    x, z = result.notes["x"], result.notes["z"]
+    y = result.outputs["Y"]
+    for rec in records:
+        s = rec.stage
+        a, b, c = x.zeros_by_index(s), y.zeros_by_index(s), z.zeros_by_index(s)
+        if not a <= b <= c:
+            failures.append(f"chain invariant broken at stage {s}")
+            break
+    for s, label in _closes(result):
+        if label.startswith("P") and x.zeros_by_index(s) != y.zeros_by_index(s):
+            failures.append(f"lower counts differ at close of {label}")
+        if label.startswith("Q") and y.zeros_by_index(s) != z.zeros_by_index(s):
+            failures.append(f"upper counts differ at close of {label}")
+    g = result.witnesses["lower_into_new"]
+    h = result.witnesses["new_into_upper"]
+    hor = min(len(g) - 1, len(records) - 2)
+    if check_reduction_prefix(list(g), SetRelation(x), SetRelation(y), hor):
+        failures.append("lower sandwich witness fails")
+    if check_reduction_prefix(list(h), SetRelation(y), SetRelation(z), hor):
+        failures.append("upper sandwich witness fails")
+    return failures
+
+
+def _validate_split(result) -> list:
+    failures = []
+    z = result.notes["z"]
+    mode = result.notes["mode"]
+    last = _last_close(result)
+    if last:
+        op = string_join if mode == "join" else string_meet
+        got = op(result.outputs["Y0"].prefix(last - 1),
+                 result.outputs["Y1"].prefix(last - 1))
+        if got.bits != z.prefix(last - 1).bits:
+            failures.append(f"{mode} of outputs differs from the input set")
+    for stage, _ in _closes(result):
+        a = result.outputs["Y0"].zeros_by_index(stage - 1)
+        b = result.outputs["Y1"].zeros_by_index(stage - 1)
+        if a != b:
+            failures.append(f"counts differ at close stage {stage}")
+    return failures
+
+
+def _validate_diamond(result) -> list:
+    failures = []
+    x, z = result.notes["x"], result.notes["z"]
+    last = _last_close(result)
+    if last:
+        y0 = prefix_set("a", [result.outputs["Y0"].bit(i) for i in range(last + 1)])
+        y1 = prefix_set("b", [result.outputs["Y1"].bit(i) for i in range(last + 1)])
+        meet, join = set_meet(y0, y1), set_join(y0, y1)
+        for i in range(last + 1):
+            if meet.bit(i) != x.bit(i):
+                failures.append(f"meet side differs at {i}")
+                break
+            if join.bit(i) != z.bit(i):
+                failures.append(f"join side differs at {i}")
+                break
+    for stage, label, a, b, c, d in result.notes["boundaries"]:
+        if label.startswith("Q") or label.startswith("F"):
+            if not (a == b == c == d):
+                failures.append(f"four-way equality fails at close {stage}")
+        elif not b == c:
+            failures.append(f"output counts differ at close {stage}")
+    return failures
+
+
+def _validate_separator(result) -> list:
+    failures = []
+    x = result.notes["x"]
+    zed = result.outputs["Z"]
+    hor = len(result.trace.records) - 1
+    for s in range(hor + 1):
+        if zed.zeros_by_index(s) > max(0, x.zeros_by_steps(s) - 1):
+            failures.append(f"separator cap fails at stage {s}")
+            break
+    if len(result.notes["escapes"]) < result.notes["family_size"]:
+        failures.append("separator missed a member escape")
+    val = result.notes["val"]
+    for e, window in result.notes["windows"].items():
+        k0, k1 = window
+        if k1 is None:
+            continue
+        for kk in range(k0 + 1, k1 + 1):
+            stage_val = val(e, kk)
+            # the escape margin needs the source to have shown a zero
+            if stage_val <= hor and x.zeros_by_steps(kk) >= 1:
+                if zed.zeros_by_index(stage_val) >= x.zeros_by_steps(kk):
+                    failures.append(
+                        f"anti-diamond window fails for member {e} at k={kk}")
+    return failures
+
+
+def _finish(result: ConstructionResult) -> None:
     failures = validate_result(result)
     result.trace.footer = [("verdict", "ok" if not failures else "fail")]
     for f in failures:
         result.trace.footer.append(("failure", f))
-    result.trace.footer.append(("closed-cycles", str(sum(
-        1 for r in result.trace.records for e in r.events if e.startswith("close:")))))
+    result.trace.footer.append(("closed-cycles", str(len(_closes(result)))))
     result.trace.footer.append(("counterexamples", str(len(result.counterexamples))))
+
+
+# ---------------------------------------------------------------------------
+# Registry
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How the command line, replay and validation reach one construction.
+
+    ``build`` is called as ``build(*inputs, family=, max_stages=, policy=)``
+    with the input sets in ``inputs`` role order, plus ``cycle_budget=``
+    when the trace header sets one and the command line's ``options``.
+    """
+    build: Callable
+    inputs: tuple = ()             # header input roles, in argument order
+    validate: Optional[Callable] = None     # None: builds no trace of its own
+    options: tuple = ()            # builder keywords taken from the command line
+
+
+CONSTRUCTIONS = {
+    "immune": _Kind(construct_immune, (), _validate_immune),
+    "incomparable": _Kind(construct_incomparable, ("R",), _validate_incomparable),
+    "antichain": _Kind(construct_antichain, (), None, ("count",)),
+    "dense": _Kind(partial(construct_dense, f=None), ("X", "Z"),
+                   _validate_dense, ("f",)),
+    "dense-incomparable": _Kind(partial(construct_dense_incomparable,
+                                        certificates=None),
+                                ("X", "T", "Z"), _validate_dense),
+    "join-split": _Kind(construct_join_split, ("Z",), _validate_split),
+    "meet-split": _Kind(construct_meet_split, ("Z",), _validate_split),
+    "diamond": _Kind(construct_diamond, ("X", "Z"), _validate_diamond,
+                     ("min_equilibria",)),
+    "separator": _Kind(construct_separator, ("X", "Y"), _validate_separator),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1343,7 +1244,7 @@ def load_trace_set(path: str, output: str | None = None) -> PrSet:
             path, name = base, maybe
     with open(path) as fh:
         trace = parse_trace(fh.read())
-    outputs = trace.header_value("outputs").split(",")
+    outputs = trace.required("outputs").split(",")
     pick = output or name or outputs[0]
     bits = []
     for rec in trace.records:
@@ -1354,52 +1255,61 @@ def load_trace_set(path: str, output: str | None = None) -> PrSet:
                       if (output or name) else f"trace {path}")
 
 
+def _header_family(trace: Trace) -> list:
+    return [resolve_program(v.partition("\t")[2]) for v in trace.header_all("family")]
+
+
+def _header_inputs(trace: Trace) -> dict:
+    """Input sets by role; relation lines carry the relation's set, role R."""
+    sets = {}
+    for key, value in trace.header:
+        if key not in ("input", "relation"):
+            continue
+        role, _, dsl = value.partition("\t")
+        role = role if key == "input" else "R"
+        if dsl.startswith("!opaque:"):
+            raise PreconditionFailed(f"{key} {role} is not replayable: {dsl}")
+        sets[role] = parse_set(dsl)
+    return sets
+
+
 def replay_from_trace(trace: Trace) -> ConstructionResult:
     """Re-run a construction from its header alone."""
-    kind = trace.header_value("construction")
-    family = [resolve_program(v.split("\t")[1]) for v in trace.header_all("family")]
-    policy = trace.header_value("policy")
-    max_stages = int(trace.header_value("max-stages"))
-    budget_text = trace.header_value("cycle-budget")
-    cycle_budget = None if budget_text == "-" else int(budget_text)
-    inputs = {}
-    for v in trace.header_all("input"):
-        role, _, dsl = v.partition("\t")
-        if dsl.startswith("!opaque:"):
-            raise PreconditionFailed(f"input {role} is not replayable: {dsl}")
-        inputs[role] = parse_set(dsl)
-    if kind == "immune":
-        return construct_immune(family, max_stages, policy, cycle_budget)
-    if kind == "incomparable":
-        rels = []
-        dsls = []
-        for v in trace.header_all("relation"):
-            _, _, dsl = v.partition("\t")
-            if dsl.startswith("!opaque:"):
-                raise PreconditionFailed(f"relation is not replayable: {dsl}")
-            rels.append(SetRelation(parse_set(dsl)))
-            dsls.append(dsl)
-        return _incomparable_multi(rels, family, max_stages, policy,
-                                   cycle_budget, dsls)
-    if kind == "dense":
-        return _dense_run(inputs["X"], inputs["Z"], family, max_stages, policy,
-                          cycle_budget, None, "dense")
-    if kind == "dense-incomparable":
-        return _dense_run(inputs["X"], inputs["Z"], family, max_stages, policy,
-                          cycle_budget, inputs["T"], "dense-incomparable")
-    if kind == "join-split":
-        return _split_run(inputs["Z"], family, max_stages, policy,
-                          cycle_budget, "join")
-    if kind == "meet-split":
-        return _split_run(inputs["Z"], family, max_stages, policy,
-                          cycle_budget, "meet")
-    if kind == "diamond":
-        return construct_diamond(inputs["X"], inputs["Z"], family, max_stages,
-                                 policy, cycle_budget)
-    if kind == "separator":
-        return construct_separator(inputs["X"], inputs["Y"], family,
-                                   max_stages, anti_certificate={}, policy=policy)
-    raise ParseError(f"unknown construction {kind!r}")
+    kind = trace.required("construction")
+    entry = CONSTRUCTIONS.get(kind)
+    if entry is None or entry.validate is None:
+        raise ParseError(f"unknown construction {kind!r}")
+    family = _header_family(trace)
+    policy = trace.required("policy")
+    budget = trace.required("cycle-budget")
+    try:
+        counts = {"max_stages": int(trace.required("max-stages"))}
+        if budget != "-":
+            counts["cycle_budget"] = int(budget)
+    except ValueError as exc:
+        raise ParseError(f"malformed count in the trace header: {exc}") from None
+    sets = _header_inputs(trace)
+    for role in entry.inputs:
+        if role not in sets:
+            raise ParseError(f"trace header has no input {role}")
+    return entry.build(*(sets[role] for role in entry.inputs), family=family,
+                       policy=policy, **counts)
+
+
+def _divergence(original: bytes, replayed: bytes) -> str:
+    """First differing byte of two traces, with the record's stage and field."""
+    at = next((i for i, (a, b) in enumerate(zip(original, replayed)) if a != b),
+              min(len(original), len(replayed)))
+    lineno = original.count(b"\n", 0, at)
+    lines = original.decode().split("\n")
+    where = f"line {lineno + 1}"
+    if lines[1:lineno].count("---") == 1 and lines[lineno] != "---":
+        mine = lines[lineno].split("\t")
+        theirs = (replayed.decode().split("\n")[lineno:] or [""])[0].split("\t")
+        field = next((f for f, a, b in zip_longest(RECORD_FIELDS, mine, theirs)
+                      if a != b), "record")
+        where = f"stage {mine[0]} field {field}"
+    return f"divergence at byte {at}: {where}"
 
 
 def verify_trace_file(path) -> tuple[bool, str]:
@@ -1410,9 +1320,7 @@ def verify_trace_file(path) -> tuple[bool, str]:
     result = replay_from_trace(trace)
     replayed = result.trace.serialize().encode()
     if original != replayed:
-        n = min(len(original), len(replayed))
-        at = next((i for i in range(n) if original[i] != replayed[i]), n)
-        return False, f"divergence at byte {at} (original) / byte {at} (replay)"
+        return False, _divergence(original, replayed)
     verdict = result.trace.footer[0][1] if result.trace.footer else "unknown"
     if verdict != "ok":
         return False, f"validation verdict: {verdict}"

@@ -140,6 +140,10 @@ def require_reduction(f: Witnessable, source: Relation, target: Relation,
 # Stage detectors.  All three fire exactly when the decided data contradicts
 # the claimed biconditional; eligibility needs converged images inside the
 # decided prefixes, which makes every hit permanent.
+#
+# A side of a claim is either a relation or a decided prefix (any indexable
+# bit sequence).  A prefix source bounds the inputs examined, a prefix
+# target bounds the images; a relation bounds neither.
 
 
 def images_split(sigma: Prefix, a: int, b: int) -> bool:
@@ -147,73 +151,79 @@ def images_split(sigma: Prefix, a: int, b: int) -> bool:
     return (sigma[a] != sigma[b]) or (a != b and sigma[a] == 0 and sigma[b] == 0)
 
 
+def _pair_R_to_RY(source, sigma_y, l, m, vl, vm):
+    return source.related(l, m), images_split(sigma_y, vl, vm)
+
+
+def _pair_RY_to_R(sigma_y, target, l, m, vl, vm):
+    return sigma_y[l] == 1 and sigma_y[m] == 1, not target.related(vl, vm)
+
+
+def _pair_RX_to_RY(sigma_x, sigma_y, l, m, vl, vm):
+    return sigma_x[l] == 1 and sigma_x[m] == 1, images_split(sigma_y, vl, vm)
+
+
+# one pair predicate per flavour: (source, target, l, m, f(l), f(m)) ->
+# (left, right); the pair violates the claim when left == right
+_PAIR_PREDICATES = {"R_to_RY": _pair_R_to_RY, "RY_to_R": _pair_RY_to_R,
+                   "RX_to_RY": _pair_RX_to_RY}
+
+
+def _least_violation(flavor: str, p: ClockedProgram, source, target, s: int,
+                    member: str | None = None) -> Optional[Counterexample]:
+    """Definitional scan: the least pair whose decided data fires at s."""
+    domain = s + 1 if isinstance(source, Relation) else len(source)
+    images = None if isinstance(target, Relation) else len(target)
+    conv = {}
+    for x in range(domain):
+        v = p.converges_within(x, s)
+        if v is not None and (images is None or v < images):
+            conv[x] = v
+    pair = _PAIR_PREDICATES[flavor]
+    for l, vl in conv.items():
+        for m, vm in conv.items():
+            if m != l:
+                left, right = pair(source, target, l, m, vl, vm)
+                if left == right:
+                    return Counterexample(flavor, l, m, s, left, right,
+                                          (vl, vm), member)
+    return None
+
+
 def detect_counterexample_R_to_RY(p: ClockedProgram, source: Relation,
                                   sigma_y: Prefix, s: int,
                                   member: str | None = None) -> Optional[Counterexample]:
     """Permanent violation of `p reduces the source relation to R_Y`."""
-    conv = {}
-    for x in range(s + 1):
-        v = p.converges_within(x, s)
-        if v is not None and v < len(sigma_y):
-            conv[x] = v
-    for l in range(s + 1):
-        if l not in conv:
-            continue
-        for m in range(s + 1):
-            if m == l or m not in conv:
-                continue
-            left = source.related(l, m)
-            right = images_split(sigma_y, conv[l], conv[m])
-            if left == right:
-                return Counterexample("R_to_RY", l, m, s, left, right,
-                                      (conv[l], conv[m]), member)
-    return None
+    return _least_violation("R_to_RY", p, source, sigma_y, s, member)
 
 
 def detect_counterexample_RY_to_R(p: ClockedProgram, sigma_y: Prefix,
                                   target: Relation, s: int,
                                   member: str | None = None) -> Optional[Counterexample]:
     """Permanent violation of `p reduces R_Y to the target relation`."""
-    conv = {}
-    for x in range(len(sigma_y)):
-        v = p.converges_within(x, s)
-        if v is not None:
-            conv[x] = v
-    for l in range(len(sigma_y)):
-        if l not in conv:
-            continue
-        for m in range(len(sigma_y)):
-            if m == l or m not in conv:
-                continue
-            left = sigma_y[l] == 1 and sigma_y[m] == 1
-            right = not target.related(conv[l], conv[m])
-            if left == right:
-                return Counterexample("RY_to_R", l, m, s, left, right,
-                                      (conv[l], conv[m]), member)
-    return None
+    return _least_violation("RY_to_R", p, sigma_y, target, s, member)
 
 
 def detect_counterexample_RX_to_RY(p: ClockedProgram, sigma_x: Prefix,
                                    sigma_y: Prefix, s: int,
                                    member: str | None = None) -> Optional[Counterexample]:
     """Permanent violation of `p reduces R_X to R_Y`, both sets by prefix."""
-    conv = {}
-    for x in range(len(sigma_x)):
-        v = p.converges_within(x, s)
-        if v is not None and v < len(sigma_y):
-            conv[x] = v
-    for l in range(len(sigma_x)):
-        if l not in conv:
-            continue
-        for m in range(len(sigma_x)):
-            if m == l or m not in conv:
-                continue
-            left = sigma_x[l] == 1 and sigma_x[m] == 1
-            right = images_split(sigma_y, conv[l], conv[m])
-            if left == right:
-                return Counterexample("RX_to_RY", l, m, s, left, right,
-                                      (conv[l], conv[m]), member)
-    return None
+    return _least_violation("RX_to_RY", p, sigma_x, sigma_y, s, member)
+
+
+def _still_violates(cex: Counterexample, p: ClockedProgram, source, target) -> bool:
+    """Re-derive the fired condition for the recorded pair on final data."""
+    l, m, s = cex.l, cex.m, cex.stage
+    vl = p.converges_within(l, s)
+    vm = p.converges_within(m, s)
+    if vl is None or vm is None:
+        return False
+    if not isinstance(source, Relation) and max(l, m) >= len(source):
+        return False
+    if not isinstance(target, Relation) and max(vl, vm) >= len(target):
+        return False
+    left, right = _PAIR_PREDICATES[cex.flavor](source, target, l, m, vl, vm)
+    return left == right
 
 
 def revalidate_counterexample(cex: Counterexample, p: ClockedProgram, *,
@@ -222,26 +232,11 @@ def revalidate_counterexample(cex: Counterexample, p: ClockedProgram, *,
                               sigma_y: Prefix | None = None,
                               target: Relation | None = None) -> bool:
     """Re-derive the fired condition for the recorded pair on final data."""
-    l, m, s = cex.l, cex.m, cex.stage
-    vl = p.converges_within(l, s)
-    vm = p.converges_within(m, s)
-    if cex.flavor == "R_to_RY":
-        if vl is None or vm is None or max(vl, vm) >= len(sigma_y):
-            return False
-        return source.related(l, m) == images_split(sigma_y, vl, vm)
-    if cex.flavor == "RY_to_R":
-        if vl is None or vm is None or max(l, m) >= len(sigma_y):
-            return False
-        left = sigma_y[l] == 1 and sigma_y[m] == 1
-        return left == (not target.related(vl, vm))
-    if cex.flavor == "RX_to_RY":
-        if vl is None or vm is None or max(l, m) >= len(sigma_x):
-            return False
-        if max(vl, vm) >= len(sigma_y):
-            return False
-        left = sigma_x[l] == 1 and sigma_x[m] == 1
-        return left == images_split(sigma_y, vl, vm)
-    raise ValueError(f"unknown flavor {cex.flavor}")
+    sides = {"R_to_RY": (source, sigma_y), "RY_to_R": (sigma_y, target),
+             "RX_to_RY": (sigma_x, sigma_y)}
+    if cex.flavor not in sides:
+        raise ValueError(f"unknown flavor {cex.flavor}")
+    return _still_violates(cex, p, *sides[cex.flavor])
 
 
 # ---------------------------------------------------------------------------

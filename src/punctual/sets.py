@@ -321,10 +321,8 @@ def zero_list_set(name: str, next_zero: Callable[[list], int], *,
                 zeros.append(next_zero(list(zeros)))
             return zeros[n]
 
-    s = PrSet(name, bit, cost_fn or (lambda n: n + 1), kind=kind, dsl=dsl,
-              zeros_fast=nth, meta=meta)
-    s.meta["zero_list"] = zeros
-    return s
+    return PrSet(name, bit, cost_fn or (lambda n: n + 1), kind=kind, dsl=dsl,
+                 zeros_fast=nth, meta=meta)
 
 
 def prefix_set(name: str, bits: Sequence[int], *, kind: str = "trace",
@@ -455,13 +453,11 @@ class IdentityRelation(Relation):
 
 
 class PredicateRelation(Relation):
-    """User-supplied equivalence predicate with a declared step bound."""
+    """User-supplied equivalence predicate."""
 
-    def __init__(self, fn: Callable[[int, int], bool], name: str,
-                 step_bound: Callable[[int, int], int] | None = None):
+    def __init__(self, fn: Callable[[int, int], bool], name: str):
         self.fn = fn
         self.name = name
-        self.step_bound = step_bound or (lambda x, y: max(x, y) + 1)
 
     def related(self, x: int, y: int) -> bool:
         return bool(self.fn(x, y))

@@ -22,7 +22,6 @@ from punctual.constructions import (
 )
 from punctual.errors import StageBudgetExhausted
 from punctual.lattice import (
-    anti_reduction_evidence,
     check_slowness,
     diamond_evidence_r,
     equilibrium_points,
@@ -302,8 +301,7 @@ def test_criterion_9_separator():
     fam = [NATIVE_REGISTRY[n] for n in
            ["id", "succ", "plus2", "double", "triple", "const5"]]
     y = make_nondiamond_below(drop_least_zero(evens_set()), fam, 8)
-    anti = anti_reduction_evidence(drop_least_zero(x), y, fam, 2000)
-    r = construct_separator(x, y, fam, 5000, anti_certificate=anti)
+    r = construct_separator(x, y, fam, 5000)
     assert r.trace.footer[0] == ("verdict", "ok")
     assert len(r.notes["escapes"]) == len(fam)
     z = r.output()

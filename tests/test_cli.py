@@ -174,3 +174,27 @@ class TestConstructCli:
 
     def test_missing_trace_is_io_error(self, capsys):
         assert main(["verify", "/nonexistent/path.trace"]) == 3
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda t: t.replace("\n5\tP", "\nbogus\n5\tP", 1), "line 22"),
+    (lambda t: t.replace("construction\timmune\n", ""), "'construction'"),
+    (lambda t: t.replace("max-stages\t30\n", ""), "'max-stages'"),
+    (lambda t: t.replace("construction\timmune", "construction\tnonesuch"),
+     "'nonesuch'"),
+])
+def test_malformed_trace_is_misuse(edit, named, capsys, family_file, tmp_path):
+    trace = tmp_path / "imm.trace"
+    run(["construct", "immune", "--family", family_file, "--max-stages", "30",
+         "--out", str(trace)], capsys)
+    trace.write_text(edit(trace.read_text()))
+    assert main(["verify", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_missing_construct_input_is_misuse(capsys):
+    assert main(["construct", "diamond", "--z", "evens"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: construct diamond needs --x\n"

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from punctual.errors import PreconditionFailed, StageBudgetExhausted
 from punctual.constructions import (
+    _Detector,
     construct_antichain,
     construct_dense,
     construct_dense_incomparable,
@@ -17,20 +20,24 @@ from punctual.constructions import (
     save_trace,
     verify_trace_file,
 )
-from punctual.lattice import (
-    anti_reduction_evidence,
-    equilibrium_points,
-    make_nondiamond_below,
+from punctual.lattice import equilibrium_points, make_nondiamond_below
+from punctual.pr_lang import NATIVE_REGISTRY, NativeProgram, TermProgram, parse_term
+from punctual.reductions import (
+    check_pre_immune,
+    detect_counterexample_R_to_RY,
+    detect_counterexample_RX_to_RY,
+    detect_counterexample_RY_to_R,
+    domination_certificate,
 )
-from punctual.pr_lang import NATIVE_REGISTRY, TermProgram, parse_term
-from punctual.reductions import check_pre_immune, domination_certificate
 from punctual.sets import (
     blocks_set,
     IdentityRelation,
+    Prefix,
     SetRelation,
     drop_least_zero,
     evens_set,
     mod_set,
+    prefix_set,
     set_join,
     set_meet,
     string_join,
@@ -308,8 +315,7 @@ class TestSeparator:
         fam = [NATIVE_REGISTRY[n] for n in ["id", "succ", "plus2", "double",
                                             "triple", "const5"]]
         y = make_nondiamond_below(drop_least_zero(evens_set()), fam, 8)
-        anti = anti_reduction_evidence(drop_least_zero(x), y, fam, 2000)
-        r = construct_separator(x, y, fam, 5000, anti_certificate=anti)
+        r = construct_separator(x, y, fam, 5000)
         assert_ok(r)
         assert len(r.notes["escapes"]) == 6
         zed = r.output()
@@ -317,14 +323,54 @@ class TestSeparator:
             assert zed.zeros_by_index(s) <= max(0, x.zeros_by_steps(s) - 1)
 
     def test_missing_anti_certificate(self):
+        # the dropped evens never escape the evens through the identity
         from punctual.errors import NotCertified
         with pytest.raises(NotCertified):
-            construct_separator(evens_set(), evens_set(), [], 100)
+            construct_separator(evens_set(), evens_set(),
+                                [NATIVE_REGISTRY["id"]], 100)
 
     def test_empty_family_tracks_cap(self):
         r = construct_separator(evens_set(), drop_least_zero(evens_set()), [],
-                                200, anti_certificate={})
+                                200)
         assert_ok(r)
+
+
+class TestDetector:
+    """The incremental detector against the definitional ones."""
+
+    DEFINITIONAL = {"R_to_RY": detect_counterexample_R_to_RY,
+                    "RY_to_R": detect_counterexample_RY_to_R,
+                    "RX_to_RY": detect_counterexample_RX_to_RY}
+
+    @pytest.mark.parametrize("flavor", sorted(DEFINITIONAL))
+    def test_scan_and_extract_match_definitional(self, flavor):
+        rng = random.Random(f"detector-{flavor}")
+        stages = 40
+        first_hits = []
+        for run in range(25):
+            values = [rng.randrange(2 * stages) for _ in range(stages + 2)]
+            costs = [rng.randrange(stages) for _ in range(stages + 2)]
+            prog = NativeProgram(f"r{run}", values.__getitem__, costs.__getitem__)
+            rel = SetRelation(prefix_set("rel", [rng.randrange(2)
+                                                 for _ in range(4 * stages)]))
+            src, tgt = [], []
+            source, target = {"R_to_RY": (rel, tgt), "RY_to_R": (src, rel),
+                              "RX_to_RY": (src, tgt)}[flavor]
+            det = _Detector(flavor, prog)
+            first = None
+            for s in range(stages):
+                src.append(rng.randrange(2))
+                tgt.append(rng.randrange(2))
+                prefixes = [Prefix(tuple(side)) if isinstance(side, list)
+                            else side for side in (source, target)]
+                want = self.DEFINITIONAL[flavor](prog, *prefixes, s, prog.name)
+                assert det.scan(s, source, target) == (want is not None), (run, s)
+                if want is not None:
+                    first = s if first is None else first
+                    assert det.extract(s, source, target) == want
+            first_hits.append(first)
+        # the seeded runs fire at many different stages
+        assert len(set(first_hits)) > 5
 
 
 class TestTraceFiles:
@@ -349,6 +395,7 @@ class TestTraceFiles:
         p.write_text("\n".join(lines) + "\n")
         ok, msg = verify_trace_file(p)
         assert not ok and "divergence at byte" in msg
+        assert msg.endswith(": stage 40 field bits")
 
     def test_edited_header_detected(self, tmp_path):
         r = construct_immune(family6(), 150)

@@ -117,12 +117,11 @@ for _kind, _build in CYCLE_DRIVEN.items():
 CASES["antichain.once"] = (lambda fam, n: construct_antichain(3, fam, n),
                            (family, 400))
 CASES["separator.once"] = (
-    lambda fam, n: construct_separator(parse_set("id"), parse_set(LOW), fam, n, anti_certificate={}),
+    lambda fam, n: construct_separator(parse_set("id"), parse_set(LOW), fam, n),
     (natives, 600))
 CASES["separator.empty"] = (
     lambda fam, n: construct_separator(parse_set("evens"),
-                                       parse_set("drop(evens)"), fam, n,
-                                       anti_certificate={}),
+                                       parse_set("drop(evens)"), fam, n),
     (list, 200))
 
 
@@ -191,6 +190,42 @@ def test_round_robin_golden_wraps(kind):
              if e.startswith("open:")]
     cycles = 2 * len(FAMILY) if kind != "immune" else len(FAMILY)
     assert len(opens) > cycles
+
+
+def _reference_sandwich(x, y_bits, z, horizon):
+    """The definitional sandwich tables: a fresh-zero mu-search from 0."""
+    g, used_g = [], set()
+    h, used_h = [], set()
+    for s in range(horizon + 1):
+        if x.bit(s) == 1:
+            g.append(0)
+        else:
+            pick = next(i for i in range(s + 1)
+                        if y_bits[i] == 0 and i not in used_g)
+            used_g.add(pick)
+            g.append(pick)
+        if y_bits[s] == 1:
+            h.append(0)
+        else:
+            pick = next(i for i in range(s + 1)
+                        if z.bit(i) == 0 and i not in used_h)
+            used_h.add(pick)
+            h.append(pick)
+    return g, h
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(CASES)
+                                  if c.startswith("dense")
+                                  and c.split(".")[1] in ("once", "round-robin",
+                                                          "empty")])
+def test_sandwich_witnesses_match_reference(case):
+    build, (make_family, *args) = CASES[case]
+    r = build(make_family(), *args)
+    y = r.output()
+    horizon = len(r.trace.records) - 1
+    y_bits = [y.bit(i) for i in range(horizon + 1)]
+    g, h = _reference_sandwich(r.notes["x"], y_bits, r.notes["z"], horizon)
+    assert r.witnesses == {"lower_into_new": g, "new_into_upper": h}
 
 
 if __name__ == "__main__":
