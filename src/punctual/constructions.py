@@ -71,7 +71,7 @@ from .sets import (
 )
 
 TRACE_FORMAT = "punctual-trace/1"
-RECORD_FIELDS = ("stage", "cycle", "phase", "bits", "events")
+_RECORD_FIELDS = ("stage", "cycle", "phase", "bits", "events")
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +116,13 @@ class Trace:
     def header_all(self, key: str) -> list:
         return [v for k, v in self.header if k == key]
 
-    def required(self, key: str) -> str:
-        """A header value that must be present; ParseError names the key."""
-        value = self.header_value(key)
-        if value is None:
-            raise ParseError(f"trace header has no {key!r} line")
-        return value
+
+def _required(trace: Trace, key: str) -> str:
+    """A header value that must be present; ParseError names the key."""
+    value = trace.header_value(key)
+    if value is None:
+        raise ParseError(f"trace header has no {key!r} line")
+    return value
 
 
 def _parse_record(line: str, lineno: int) -> StageRecord:
@@ -165,12 +166,6 @@ class ConstructionResult:
         if name is None:
             return next(iter(self.outputs.values()))
         return self.outputs[name]
-
-
-def _cex_event(cex: Counterexample) -> str:
-    il, im = cex.images if cex.images else ("-", "-")
-    return (f"cex:{cex.flavor}:l={cex.l}:m={cex.m}:il={il}:im={im}"
-            f":left={int(cex.left)}:right={int(cex.right)}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,9 @@ class _Machine:
             return False
         cex = cycle.watch.extract(s, source, target)
         self.counterexamples.append((cycle.label, cex) + names)
-        events.append(_cex_event(cex))
+        il, im = cex.images
+        events.append(f"cex:{cex.flavor}:l={cex.l}:m={cex.m}:il={il}:im={im}"
+                      f":left={int(cex.left)}:right={int(cex.right)}")
         return True
 
 
@@ -625,8 +622,11 @@ class _DenseMachine(_Machine):
 
     def witnesses(self, max_stages):
         # the sandwich reductions promised by the construction
-        g, h = _sandwich_witnesses(self.x, self.y.bits, self.z, max_stages)
-        return {"lower_into_new": g, "new_into_upper": h}
+        y_bit = self.y.bits.__getitem__
+        return {"lower_into_new": _fresh_zero_table(self.x.bit, y_bit, max_stages,
+                                                    "the new set"),
+                "new_into_upper": _fresh_zero_table(y_bit, self.z.bit, max_stages,
+                                                    self.z.name)}
 
     def step(self, stage, cycle, events):
         self._track(stage)
@@ -665,36 +665,28 @@ def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
                   {"x": x, "z": z, "t": t_mid})
 
 
-def _sandwich_witnesses(x: PrSet, y_bits, z: PrSet, horizon: int):
-    """Sandwich reductions the density run guarantees: members to 0, fresh zeros in order.
+def _fresh_zero_table(lower_bit, upper_bit, horizon: int, upper: str) -> list:
+    """Reduction table: members of the lower set to 0, its zeros to fresh
+    zeros of the upper set in order.
 
-    The chain invariant guarantees a fresh zero of the middle set below s+1
-    for every zero of the lower set at s, and likewise one level up.  Each
-    pick is the least unused zero, so the used zeros are a prefix of the
-    zeros in order and one cursor per side finds the next one.
+    The density chain invariant guarantees a fresh zero of the upper set
+    below s+1 for every zero of the lower set at s.  Each pick is the least
+    unused zero, so the used zeros are a prefix of the zeros in order and
+    one cursor finds the next one.
     """
-    g, h = [], []
-    next_g = next_h = 0         # every zero below a cursor is used
+    table = []
+    cursor = 0                  # every zero below the cursor is used
     for s in range(horizon + 1):
-        if x.bit(s) == 1:
-            g.append(0)
-        else:
-            while next_g <= s and y_bits[next_g] != 0:
-                next_g += 1
-            if next_g > s:
-                raise AssertionError(f"no fresh zero of the new set below {s + 1}")
-            g.append(next_g)
-            next_g += 1
-        if y_bits[s] == 1:
-            h.append(0)
-        else:
-            while next_h <= s and z.bit(next_h) != 0:
-                next_h += 1
-            if next_h > s:
-                raise AssertionError(f"no fresh zero of {z.name} below {s + 1}")
-            h.append(next_h)
-            next_h += 1
-    return g, h
+        if lower_bit(s) == 1:
+            table.append(0)
+            continue
+        while cursor <= s and upper_bit(cursor) != 0:
+            cursor += 1
+        if cursor > s:
+            raise AssertionError(f"no fresh zero of {upper} below {s + 1}")
+        table.append(cursor)
+        cursor += 1
+    return table
 
 
 def construct_dense(x: PrSet, z: PrSet, f, family, max_stages: int,
@@ -1244,7 +1236,7 @@ def load_trace_set(path: str, output: str | None = None) -> PrSet:
             path, name = base, maybe
     with open(path) as fh:
         trace = parse_trace(fh.read())
-    outputs = trace.required("outputs").split(",")
+    outputs = _required(trace, "outputs").split(",")
     pick = output or name or outputs[0]
     bits = []
     for rec in trace.records:
@@ -1275,15 +1267,15 @@ def _header_inputs(trace: Trace) -> dict:
 
 def replay_from_trace(trace: Trace) -> ConstructionResult:
     """Re-run a construction from its header alone."""
-    kind = trace.required("construction")
+    kind = _required(trace, "construction")
     entry = CONSTRUCTIONS.get(kind)
     if entry is None or entry.validate is None:
         raise ParseError(f"unknown construction {kind!r}")
     family = _header_family(trace)
-    policy = trace.required("policy")
-    budget = trace.required("cycle-budget")
+    policy = _required(trace, "policy")
+    budget = _required(trace, "cycle-budget")
     try:
-        counts = {"max_stages": int(trace.required("max-stages"))}
+        counts = {"max_stages": int(_required(trace, "max-stages"))}
         if budget != "-":
             counts["cycle_budget"] = int(budget)
     except ValueError as exc:
@@ -1306,7 +1298,7 @@ def _divergence(original: bytes, replayed: bytes) -> str:
     if lines[1:lineno].count("---") == 1 and lines[lineno] != "---":
         mine = lines[lineno].split("\t")
         theirs = (replayed.decode().split("\n")[lineno:] or [""])[0].split("\t")
-        field = next((f for f, a, b in zip_longest(RECORD_FIELDS, mine, theirs)
+        field = next((f for f, a, b in zip_longest(_RECORD_FIELDS, mine, theirs)
                       if a != b), "record")
         where = f"stage {mine[0]} field {field}"
     return f"divergence at byte {at}: {where}"

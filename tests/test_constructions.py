@@ -366,8 +366,9 @@ class TestDetector:
                 want = self.DEFINITIONAL[flavor](prog, *prefixes, s, prog.name)
                 assert det.scan(s, source, target) == (want is not None), (run, s)
                 if want is not None:
-                    first = s if first is None else first
                     assert det.extract(s, source, target) == want
+                    if first is None:
+                        first = s
             first_hits.append(first)
         # the seeded runs fire at many different stages
         assert len(set(first_hits)) > 5
