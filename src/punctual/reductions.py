@@ -212,7 +212,7 @@ def detect_counterexample_RX_to_RY(p: ClockedProgram, sigma_x: Prefix,
 
 
 def _still_violates(cex: Counterexample, p: ClockedProgram, source, target) -> bool:
-    """Re-derive the fired condition for the recorded pair on final data."""
+    """revalidate_counterexample with the claim's two sides given directly."""
     l, m, s = cex.l, cex.m, cex.stage
     vl = p.converges_within(l, s)
     vm = p.converges_within(m, s)
