@@ -13,12 +13,14 @@ clocked convergence is monotone, a fired pair stays fired forever.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     NotAReduction,
     NotCertified,
+    ParseError,
     PreconditionFailed,
     WitnessBoundViolated,
 )
@@ -281,31 +283,30 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
 
 def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
                            horizon: int) -> ReductionWitness:
-    """Reduction from a growth bound, by mu-search under h for fresh zeros."""
+    """Reduction from a growth bound: zero v of x takes the least fresh zero
+    of y up to h(v).  The picks are the zeros of y in order, so a cursor
+    scans on from the last pick, never past h(v)."""
     if y.bit(0) != 1:
         raise PreconditionFailed("growth-to-reduction synthesis needs 0 in the target set")
     hp = as_program(h)
-    used: set[int] = set()
+    last = -1
     table: list[int] = []
     for v in range(horizon + 1):
         if x.bit(v) == 1:
             table.append(0)
             continue
         if v == 0:
-            z = y.principal_zero(0)
-            used.add(z)
-            table.append(z)
+            last = y.principal_zero(0)
+            table.append(last)
             continue
         ceiling = hp.value(v)
-        pick = None
-        for cand in range(ceiling + 1):
-            if cand not in used and y.bit(cand) == 0:
-                pick = cand
-                break
-        if pick is None:
+        pick = last + 1
+        while pick <= ceiling and y.bit(pick) == 1:
+            pick += 1
+        if pick > ceiling:
             raise WitnessBoundViolated(
                 f"mu-search under h({v})={ceiling} found no fresh zero of {y.name}")
-        used.add(pick)
+        last = pick
         table.append(pick)
     w = ReductionWitness(TableProgram(table, "g"), "reduction",
                          x.name, y.name, horizon, "index")
@@ -332,10 +333,12 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     prog = _massage_for_growth(f, x, y, k_max)
     table = []
     running = 0
-    for s in range(horizon + 1):
-        if s <= k_max:
-            running = max(running, prog.value(s))
+    for s in range(k_max + 1):
+        running = max(running, prog.value(s))
         table.append(max(s + 1, y.cum_cost(running)))
+    c = y.cum_cost(running)         # past k_max every entry is max(s + 1, c)
+    table += [c] * (min(c, horizon + 1) - k_max - 1)
+    table += range(max(c, k_max + 1) + 1, horizon + 2)
     # the left side only changes where the source reveals a bit, and the
     # right side is nondecreasing, so boundary checks cover every stage
     boundaries = [0] + [x.cum_cost(k) for k in range(k_max + 1)
@@ -408,7 +411,8 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
 
     Output maps members of x to the least member of y and walks the
     complement of y injectively under the bound max{f(i) : i <= x}; it is
-    strictly increasing on the complement of x.
+    strictly increasing on the complement of x.  The picks are the zeros of
+    y in order, so a cursor scans on from the last pick, never past the bound.
     """
     w = respect_normal_form(f, x, y, horizon)
     prog = w.program
@@ -419,7 +423,7 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
             break
     if y0 is None:
         raise PreconditionFailed(f"{y.name} has no member below the horizon")
-    used: set[int] = set()
+    last = -1
     table: list[int] = []
     running = 0
     for v in range(horizon + 1):
@@ -427,15 +431,13 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
         if x.bit(v) == 1:
             table.append(y0)
             continue
-        pick = None
-        for cand in range(running + 1):
-            if cand not in used and y.bit(cand) == 0:
-                pick = cand
-                break
-        if pick is None:
+        pick = last + 1
+        while pick <= running and y.bit(pick) == 1:
+            pick += 1
+        if pick > running:
             raise NotAReduction(
                 f"mu-search under max f on 0..{v} found no fresh zero of {y.name}")
-        used.add(pick)
+        last = pick
         table.append(pick)
     out = ReductionWitness(TableProgram(table, "onto"), "reduction",
                            x.name, y.name, horizon, "index")
@@ -530,32 +532,44 @@ def serialize_witness(w: ReductionWitness) -> str:
     prog = w.program
     if not isinstance(prog, TableProgram):
         raise PreconditionFailed("only table-backed witnesses serialize")
-    lines = [
-        f"claim\t{w.claim}",
-        f"source\t{w.source}",
-        f"target\t{w.target}",
-        f"horizon\t{w.horizon}",
-        f"convention\t{w.convention}",
-        f"verified\t{int(w.verified)}",
-        "---",
-    ]
-    lines.extend(f"{i}\t{v}" for i, v in enumerate(prog.values))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.write(f"claim\t{w.claim}\nsource\t{w.source}\ntarget\t{w.target}\n"
+              f"horizon\t{w.horizon}\nconvention\t{w.convention}\n"
+              f"verified\t{int(w.verified)}\n---\n")
+    # rows go out in joined chunks: one write per row is slower than the
+    # join, and one join over all rows holds every row string at once
+    values, row = prog.values, "{}\t{}\n".format
+    for lo in range(0, len(values), 4096):
+        chunk = values[lo:lo + 4096]
+        out.write("".join(map(row, range(lo, lo + len(chunk)), chunk)))
+    return out.getvalue()
 
 
 def parse_witness(text: str) -> ReductionWitness:
+    """Read a witness file; malformed rows and header keys raise ParseError."""
     head, _, body = text.partition("---\n")
     fields = {}
     for line in head.splitlines():
         key, _, val = line.partition("\t")
         fields[key] = val
     values = []
-    for line in body.splitlines():
+    first_row = len(head.splitlines()) + 2
+    for lineno, line in enumerate(body.splitlines(), first_row):
         i, _, v = line.partition("\t")
-        if int(i) != len(values):
+        try:
+            index, value = int(i), int(v)
+        except ValueError:
+            raise ParseError(f"malformed witness row on line {lineno}: {line!r}") from None
+        if index != len(values):
             raise PreconditionFailed(f"witness table rows out of order at {i}")
-        values.append(int(v))
-    horizon = int(fields["horizon"])
+        values.append(value)
+    for key in ("claim", "source", "target", "horizon", "convention", "verified"):
+        if key not in fields:
+            raise ParseError(f"witness header has no {key!r} line")
+    try:
+        horizon = int(fields["horizon"])
+    except ValueError:
+        raise ParseError(f"malformed witness horizon {fields['horizon']!r}") from None
     if horizon != len(values) - 1:
         raise PreconditionFailed("witness table length does not match its horizon")
     return ReductionWitness(TableProgram(values, "table"), fields["claim"],

@@ -27,9 +27,10 @@ The descriptor DSL understood by the CLI and by test fixtures:
 from __future__ import annotations
 
 import bisect
+import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import pr_lang
 from .errors import (
@@ -144,22 +145,29 @@ class PrSet:
     def __repr__(self):
         return f"<set {self.name}>"
 
-    def _ensure(self, n: int) -> None:
+    def _ensure(self, n: int, steps: int = sys.maxsize, zeros: int = sys.maxsize) -> None:
+        """Materialise bits 0..n; stop early at total cost > steps or at `zeros` zeros."""
         if n < len(self._bits):
             return
         with self._lock:
-            while len(self._bits) <= n:
-                m = len(self._bits)
-                b = 1 if self._bit_fn(m) else 0
-                c = max(1, self._cost_fn(m))
-                self._bits.append(b)
-                prev_z = self._zero_cum[-1] if self._zero_cum else 0
-                prev_c = self._cost_cum[-1] if self._cost_cum else 0
-                self._zero_cum.append(prev_z + (1 - b))
-                self._cost_cum.append(prev_c + c)
+            bits, zero_cum, cost_cum = self._bits, self._zero_cum, self._cost_cum
+            bit_fn, cost_fn = self._bit_fn, self._cost_fn
+            m = len(bits)
+            z = zero_cum[-1] if m else 0
+            c = cost_cum[-1] if m else 0
+            while m <= n and c <= steps and z < zeros:
+                b = 1 if bit_fn(m) else 0
+                k = cost_fn(m)
+                c += k if k > 1 else 1      # max(1, k) without a call per bit
+                z += 1 - b
+                bits.append(b)
+                zero_cum.append(z)
+                cost_cum.append(c)
+                m += 1
 
     def bit(self, n: int) -> int:
-        self._ensure(n)
+        if n >= len(self._bits):
+            self._ensure(n)
         return self._bits[n]
 
     def prefix(self, s: int) -> Prefix:
@@ -184,40 +192,21 @@ class PrSet:
         """Zeros among the bits decidable within s total generator steps."""
         if s <= 0:
             return 0
-        self._ensure(0)
-        if self._cost_cum[0] > s:
-            return 0
-        # grow the memo until the cumulative cost passes s
-        k = len(self._cost_cum) - 1
-        while self._cost_cum[k] <= s:
-            self._ensure(k + 1)
-            k += 1
-        # binary search for the last k with cumulative cost <= s
-        lo, hi = 0, k
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._cost_cum[mid] <= s:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._zero_cum[lo]
-
-    def zeros_up_to(self, ceiling: int) -> Iterator[int]:
-        for n in range(ceiling + 1):
-            if self.bit(n) == 0:
-                yield n
+        # bits 0..s cost at least s + 1 steps, so growth stops by bit s
+        self._ensure(s, steps=s)
+        k = bisect.bisect_right(self._cost_cum, s)
+        return self._zero_cum[k - 1] if k else 0
 
     def principal_zero(self, n: int, ceiling: int = DEFAULT_CEILING) -> int:
         """Position of the (n+1)-st zero, in order of magnitude."""
         if self._zeros_fast is not None:
             return self._zeros_fast(n)
-        seen = 0
-        for pos in self.zeros_up_to(ceiling):
-            if seen == n:
-                return pos
-            seen += 1
-        raise CeilingExceeded(
-            f"{self.name}: fewer than {n + 1} zeros below ceiling {ceiling}")
+        self._ensure(ceiling, zeros=n + 1)
+        pos = bisect.bisect_left(self._zero_cum, n + 1)
+        if pos > ceiling or pos == len(self._zero_cum):
+            raise CeilingExceeded(
+                f"{self.name}: fewer than {n + 1} zeros below ceiling {ceiling}")
+        return pos
 
 
 # Builtins
@@ -301,6 +290,7 @@ def zero_list_set(name: str, next_zero: Callable[[list], int], *,
 
     ``next_zero(zs)`` extends the list of known zeros; positions may be huge,
     so bits and principal zeros are derived from the list, never by scan.
+    ``zs`` is the live list, not a copy: callbacks must not mutate it.
     """
     zeros: list[int] = []
     lock = threading.Lock()
@@ -308,7 +298,7 @@ def zero_list_set(name: str, next_zero: Callable[[list], int], *,
     def ensure_past(n):
         with lock:
             while not zeros or zeros[-1] <= n:
-                zeros.append(next_zero(list(zeros)))
+                zeros.append(next_zero(zeros))
 
     def bit(n):
         ensure_past(n)
@@ -318,7 +308,7 @@ def zero_list_set(name: str, next_zero: Callable[[list], int], *,
     def nth(n):
         with lock:
             while len(zeros) <= n:
-                zeros.append(next_zero(list(zeros)))
+                zeros.append(next_zero(zeros))
             return zeros[n]
 
     return PrSet(name, bit, cost_fn or (lambda n: n + 1), kind=kind, dsl=dsl,

@@ -198,3 +198,33 @@ def test_missing_construct_input_is_misuse(capsys):
     assert main(["construct", "diamond", "--z", "evens"]) == 1
     err = capsys.readouterr().err
     assert err == "error: construct diamond needs --x\n"
+
+
+WITNESS = ("claim\treduction\nsource\tevens\ntarget\tevens\nhorizon\t1\n"
+           "convention\tindex\nverified\t1\n---\n0\t0\n1\t1\n")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda t: t.replace("1\t1\n", "1\tx\n"), "line 9"),
+    (lambda t: t.replace("0\t0\n", "zero\t0\n"), "line 8"),
+    (lambda t: t + "\n", "line 10"),
+    (lambda t: t.replace("horizon\t1\n", ""), "'horizon'"),
+    (lambda t: t.replace("claim\treduction\n", ""), "'claim'"),
+    (lambda t: t.replace("horizon\t1\n", "horizon\tone\n"), "'one'"),
+])
+def test_malformed_witness_is_misuse(edit, named, capsys, tmp_path):
+    wit = tmp_path / "bad.wit"
+    wit.write_text(edit(WITNESS))
+    assert main(["reduce", "check", "evens", "evens", "--witness", str(wit),
+                 "--horizon", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_well_formed_witness_checks(capsys, tmp_path):
+    wit = tmp_path / "good.wit"
+    wit.write_text(WITNESS)
+    code, out = run(["reduce", "check", "evens", "evens", "--witness", str(wit),
+                     "--horizon", "1"], capsys)
+    assert code == 0 and out.endswith("check\tok\n")
