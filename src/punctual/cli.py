@@ -12,10 +12,11 @@ exhaustion, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import constructions, lattice, reductions, sets
-from .errors import MisuseError, PunctualError, StageBudgetExhausted
+from .errors import MisuseError, PunctualError, StageBudgetExhausted, read_text
 from .pr_lang import TableProgram, resolve_program
 from .reductions import (
     check_reduction_prefix,
@@ -33,12 +34,11 @@ from .sets import SetRelation, parse_set
 def load_family(path) -> list:
     """One canonical program text per line; # comments; order fixes indices."""
     members = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            members.append(resolve_program(line))
+    for line in read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        members.append(resolve_program(line))
     return members
 
 
@@ -314,8 +314,14 @@ def _echo_config(args, out):
     out.write(f"# config {rendered}\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process; each parse fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_non_negative(args)
         _echo_config(args, sys.stdout)

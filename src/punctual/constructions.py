@@ -43,6 +43,8 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     StageBudgetExhausted,
+    decode_text,
+    read_text,
 )
 from .lattice import anti_reduction_evidence, family_hash
 from .pr_lang import COST_MODEL, ClockedProgram, cantor_pair, program_text, resolve_program
@@ -57,10 +59,10 @@ from .reductions import (
     verify_claim,
 )
 from .sets import (
-    Prefix,
     PrSet,
     Relation,
     SetRelation,
+    _read_ahead,
     drop_least_zero,
     parse_set,
     prefix_set,
@@ -177,9 +179,10 @@ class _Detector:
 
     Eligibility and the fired condition are monotone in the stage, so each
     input is examined once when it becomes eligible and each unordered pair
-    once, with the flavour's pair predicate; on the first hit the
-    definitional scan extracts the least pair for the record.  Each side of
-    the claim is a relation or a decided bit prefix, as in the detectors.
+    once, with the flavour's pair predicate.  The pass that first fires
+    still runs to its end, so that it knows every input eligible at that
+    stage, and then keeps the least firing pair for the record.  Each side
+    of the claim is a relation or a decided bit prefix, as in the detectors.
     """
 
     def __init__(self, flavor: str, program: ClockedProgram):
@@ -189,11 +192,11 @@ class _Detector:
         self.eligible: list = []
         self.pending: list = []
         self.next_l = 0
-        self.fired = False
+        self.least: Counterexample | None = None
 
     def scan(self, s: int, source, target) -> bool:
         """Advance to stage budget s; True once some eligible pair fires."""
-        if self.fired:
+        if self.least is not None:
             return True
         limit = s + 1 if isinstance(source, Relation) else len(source)
         images = None if isinstance(target, Relation) else len(target)
@@ -201,6 +204,8 @@ class _Detector:
         self.next_l = max(self.next_l, limit)
         prog, pair = self.program, self.pair
         still = []
+        before = len(self.eligible)
+        fired = False
         for l in self.pending:
             if prog.cost(l) >= s:
                 still.append(l)
@@ -209,17 +214,43 @@ class _Detector:
             if images is not None and lv >= images:
                 still.append(l)
                 continue
-            for m, mv in self.eligible:
-                left, right = pair(source, target, l, m, lv, mv)
-                if left == right:
-                    self.fired = True
-                    return True
+            if not fired:
+                for m, mv in self.eligible:
+                    left, right = pair(source, target, l, m, lv, mv)
+                    if left == right:
+                        fired = True
+                        break
             self.eligible.append((l, lv))
         self.pending = still
-        return False
+        if fired:
+            self.least = self._least_pair(s, source, target, before)
+        return fired
+
+    def _least_pair(self, s, source, target, before) -> Counterexample:
+        """Least pair firing at s, in the definitional scan's order.
+
+        Every pair that fires involves an input that became eligible at s
+        (eligible[before:]), since older pairs were checked at earlier
+        stages.  Pair predicates are symmetric, so the pair is the first
+        input that fires with a later one, and its first such partner.
+        """
+        everyone = sorted(self.eligible)
+        fresh = sorted(self.eligible[before:])
+        new = {l for l, _ in fresh}
+        for l, lv in everyone:
+            for m, mv in everyone if l in new else fresh:
+                if m > l:
+                    left, right = self.pair(source, target, l, m, lv, mv)
+                    if left == right:
+                        return Counterexample(self.flavor, l, m, s, left, right,
+                                              (lv, mv), self.program.name)
+        raise AssertionError("incremental detector fired but found no least pair")
 
     def extract(self, s: int, source, target) -> Counterexample:
-        """Definitional least-pair scan at the firing stage."""
+        """The least firing pair at stage s: kept by the pass that fired at
+        s, else found by the definitional scan."""
+        if self.least is not None and self.least.stage == s:
+            return self.least
         cex = _least_violation(self.flavor, self.program, source, target, s,
                                self.program.name)
         if cex is None:
@@ -578,6 +609,8 @@ def construct_antichain(count: int, family, max_stages: int,
 
 def _upper_dominating(x: PrSet, z: PrSet, max_stages: int):
     """z, joined with x if x ever has more zeros; plus its header line."""
+    _read_ahead(x, max_stages)
+    _read_ahead(z, max_stages)
     if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
         return set_join(x, z), ("normalized-z", "1")
     return z, ("normalized-z", "0")
@@ -1024,8 +1057,7 @@ def validate_result(result: ConstructionResult) -> list:
     by_name = {p.name: p for p in _header_family(result.trace)}
     horizon = len(records) - 1
     length = horizon if convention == "stage" else horizon + 1
-    prefixes = {n: Prefix(tuple(s.bit(i) for i in range(length)))
-                for n, s in result.outputs.items()}
+    prefixes = {n: s.prefix(length - 1) for n, s in result.outputs.items()}
     relations = result.notes.get("relations", {})
     # input sets by name; on a name clash x wins, then z, t, y
     inputs = {s.name: s for s in map(result.notes.get, "ytzx") if s is not None}
@@ -1129,14 +1161,14 @@ def _validate_diamond(result) -> list:
     x, z = result.notes["x"], result.notes["z"]
     last = _last_close(result)
     if last:
-        y0 = prefix_set("a", [result.outputs["Y0"].bit(i) for i in range(last + 1)])
-        y1 = prefix_set("b", [result.outputs["Y1"].bit(i) for i in range(last + 1)])
-        meet, join = set_meet(y0, y1), set_join(y0, y1)
+        y0 = prefix_set("a", result.outputs["Y0"].prefix(last).bits)
+        y1 = prefix_set("b", result.outputs["Y1"].prefix(last).bits)
+        meet, join = set_meet(y0, y1).prefix(last), set_join(y0, y1).prefix(last)
         for i in range(last + 1):
-            if meet.bit(i) != x.bit(i):
+            if meet[i] != x.bit(i):
                 failures.append(f"meet side differs at {i}")
                 break
-            if join.bit(i) != z.bit(i):
+            if join[i] != z.bit(i):
                 failures.append(f"join side differs at {i}")
                 break
     for stage, label, a, b, c, d in result.notes["boundaries"]:
@@ -1234,8 +1266,7 @@ def load_trace_set(path: str, output: str | None = None) -> PrSet:
         base, _, maybe = str(path).rpartition(":")
         if maybe.isidentifier():
             path, name = base, maybe
-    with open(path) as fh:
-        trace = parse_trace(fh.read())
+    trace = parse_trace(read_text(path))
     outputs = _required(trace, "outputs").split(",")
     pick = output or name or outputs[0]
     bits = []
@@ -1308,7 +1339,7 @@ def verify_trace_file(path) -> tuple[bool, str]:
     """Byte-identical replay check plus the recorded validation verdict."""
     with open(path, "rb") as fh:
         original = fh.read()
-    trace = parse_trace(original.decode())
+    trace = parse_trace(decode_text(original, path))
     result = replay_from_trace(trace)
     replayed = result.trace.serialize().encode()
     if original != replayed:

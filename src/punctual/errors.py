@@ -1,4 +1,4 @@
-"""Shared exception taxonomy.
+"""Shared exception taxonomy, and the text reader that maps bad bytes into it.
 
 Errors fall into three CLI-visible families: misuse (exit 1), stage budget
 exhaustion (exit 2), and I/O (exit 3, plain OSError).
@@ -89,3 +89,20 @@ class StageBudgetExhausted(PunctualError):
         self.stage = stage
         self.trace = trace
         super().__init__(f"{message} [cycle={cycle} phase={phase} stage={stage}]")
+
+
+def decode_text(data: bytes, path) -> str:
+    """The bytes of the file at path as UTF-8 text; other bytes are
+    malformed input (ParseError naming the file), not a crash."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file, with newlines read as in text mode."""
+    with open(path, "rb") as fh:
+        text = decode_text(fh.read(), path)
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -16,7 +16,15 @@ from typing import Optional, Sequence
 from .errors import CaseUndetermined, NotCertified
 from .pr_lang import ClockedProgram, TableProgram, program_text
 from .reductions import ReductionWitness, as_program, domination_certificate
-from .sets import DEFAULT_CEILING, PrSet, drop_least_zero, evens_set, prefix_set, zero_list_set
+from .sets import (
+    DEFAULT_CEILING,
+    PrSet,
+    _read_ahead,
+    drop_least_zero,
+    evens_set,
+    prefix_set,
+    zero_list_set,
+)
 
 
 def zeros(x: PrSet, s: int, convention: str) -> int:
@@ -50,6 +58,9 @@ class EquilibriumReport:
 def equilibrium_points(x: PrSet, y: PrSet, horizon: int,
                        convention: str = "index") -> EquilibriumReport:
     """All stages below the horizon where the two zero counts agree."""
+    if convention == "index":
+        _read_ahead(x, horizon)
+        _read_ahead(y, horizon)
     pts = tuple(s for s in range(horizon + 1)
                 if zeros(x, s, convention) == zeros(y, s, convention))
     return EquilibriumReport(convention, horizon, pts)

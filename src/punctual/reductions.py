@@ -23,9 +23,10 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     WitnessBoundViolated,
+    read_text,
 )
 from .pr_lang import ClockedProgram, TableProgram
-from .sets import IdentityRelation, Prefix, PrSet, Relation, SetRelation
+from .sets import IdentityRelation, Prefix, PrSet, Relation, SetRelation, _read_ahead
 
 
 @dataclass
@@ -108,6 +109,10 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     rep_s = _rep_fn(source, n)
     rep_t = _rep_fn(target, n)
     values = [prog.value(x) for x in range(n + 1)]
+    if isinstance(source, SetRelation):
+        _read_ahead(source.carrier, n)
+    if isinstance(target, SetRelation) and values:
+        _read_ahead(target.carrier, max(values))
     image_rep = [rep_t(v) for v in values]
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
@@ -289,6 +294,7 @@ def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
     if y.bit(0) != 1:
         raise PreconditionFailed("growth-to-reduction synthesis needs 0 in the target set")
     hp = as_program(h)
+    _read_ahead(x, horizon)
     last = -1
     table: list[int] = []
     for v in range(horizon + 1):
@@ -515,6 +521,9 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
 def domination_certificate(low: PrSet, high: PrSet, horizon: int,
                            convention: str = "index") -> ReductionWitness:
     """Certify low <= high from a pointwise profile comparison (h = identity)."""
+    if convention == "index":
+        _read_ahead(low, horizon)
+        _read_ahead(high, horizon)
     for s in range(horizon + 1):
         a = (low.zeros_by_index(s) if convention == "index"
              else low.zeros_by_steps(s))
@@ -583,5 +592,4 @@ def save_witness(w: ReductionWitness, path) -> None:
 
 
 def load_witness(path) -> ReductionWitness:
-    with open(path) as fh:
-        return parse_witness(fh.read())
+    return parse_witness(read_text(path))

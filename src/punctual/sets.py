@@ -22,6 +22,24 @@ The descriptor DSL understood by the CLI and by test fixtures:
 
 ``id`` denotes the set {0}, whose induced relation is the identity.
 ``drop`` removes the least zero (flips it to membership).
+
+Bits, zero counts and cumulative costs are memoized as prefixes.  A memo
+normally grows one bit at a time, but some descriptors also have a range
+fill that produces the bits and costs of a whole range in one call: the
+builtins (by their periodic pattern), prefix and trace sets with the
+default cost (by slicing), ``drop`` and the zero-member override (from the
+operand's arrays with one bit flipped), and join and meet (the max or min
+of the normalised operands' zero counts).  A descriptor fills only if all
+its operands do, so term-backed sets, normal-form carriers, zero-list sets
+and everything built over them keep the per-bit loop and their evaluator
+work.  Extensions shorter than ``_FILL_MIN`` bits also take the per-bit
+loop, since a fill has a fixed cost.  Step-limited growth
+(``zeros_by_steps``) fills in doubling chunks and cuts the memo back to
+where the per-bit loop stops, through the first bit whose total cost
+exceeds the budget; only a derived set's operands may run ahead, by at most
+the last chunk and never past the last bit the budget could pay for at one
+step a bit.  Zero-limited growth (``principal_zero`` without a closed
+form) stays per-bit.
 """
 
 from __future__ import annotations
@@ -30,6 +48,8 @@ import bisect
 import sys
 import threading
 from dataclasses import dataclass
+from itertools import accumulate, cycle, islice
+from operator import sub
 from typing import Callable, Sequence
 
 from . import pr_lang
@@ -42,6 +62,13 @@ from .errors import (
 )
 
 DEFAULT_CEILING = 200_000
+
+# A fill costs a fixed few microseconds before its first bit, so extensions
+# shorter than this many bits keep the per-bit loop.  Measured on the seed-1
+# benchmark lists (2-CPU machine, two runs each): with 1 (fill every growth)
+# stage_machine read 37 jobs/s and witness_calculus 58-61; with 8, 32 or 128
+# they read 44-47 and 66-72 alike.
+_FILL_MIN = 32
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +155,7 @@ class PrSet:
                  cost_fn: Callable[[int], int] | None = None,
                  *, kind: str = "derived", dsl: str | None = None,
                  zeros_fast: Callable[[int], int] | None = None,
+                 fill: Callable[[int, int], tuple] | None = None,
                  coinfinite: bool = True, meta: dict | None = None):
         self.name = name
         self.kind = kind
@@ -137,6 +165,9 @@ class PrSet:
         self._bit_fn = bit_fn
         self._cost_fn = cost_fn or (lambda n: 1)
         self._zeros_fast = zeros_fast
+        # fill(m, n) -> (bits, per-bit costs) of bits m..n, each cost >= 1;
+        # it must agree with bit_fn and cost_fn
+        self._fill = fill
         self._lock = threading.Lock()
         self._bits: list[int] = []
         self._zero_cum: list[int] = []   # zeros among bits 0..n
@@ -146,7 +177,15 @@ class PrSet:
         return f"<set {self.name}>"
 
     def _ensure(self, n: int, steps: int = sys.maxsize, zeros: int = sys.maxsize) -> None:
-        """Materialise bits 0..n; stop early at total cost > steps or at `zeros` zeros."""
+        """Materialise bits 0..n; stop early at total cost > steps or at `zeros` zeros.
+
+        The memo always ends at n or at the first bit whose total cost
+        passes steps.  With a fill, long extensions run in bulk: all at once,
+        or under a step limit in doubling chunks cut back to that bit.  Only
+        a derived set's operands can then run ahead, by at most one chunk and
+        never past bit m + steps - c, the last one the remaining budget could
+        pay for at one step a bit.
+        """
         if n < len(self._bits):
             return
         with self._lock:
@@ -155,6 +194,22 @@ class PrSet:
             m = len(bits)
             z = zero_cum[-1] if m else 0
             c = cost_cum[-1] if m else 0
+            fill = self._fill if zeros == sys.maxsize else None
+            chunk = _FILL_MIN
+            while fill is not None and c <= steps:
+                # every bit costs at least 1, so bit m + steps - c passes steps
+                top = n if steps == sys.maxsize else min(n, m + steps - c, m + chunk - 1)
+                if top - m + 1 < _FILL_MIN:
+                    break
+                new, costs = fill(m, top)
+                cum = list(accumulate(costs, initial=c))[1:]
+                keep = bisect.bisect_right(cum, steps) + 1    # through the first bit past steps
+                del new[keep:], cum[keep:]
+                bits += new
+                zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
+                cost_cum += cum
+                m, z, c = len(bits), zero_cum[-1], cum[-1]
+                chunk *= 2
             while m <= n and c <= steps and z < zeros:
                 b = 1 if bit_fn(m) else 0
                 k = cost_fn(m)
@@ -209,12 +264,49 @@ class PrSet:
         return pos
 
 
+# Range fills
+
+
+def _pattern_fill(head: tuple, period: tuple, unit_cost: bool = True):
+    """Fill for head[n] below len(head) and then `period` over and over, at
+    unit cost or at cost n + 1 for bit n."""
+    h = len(head)
+
+    def fill(m, n):
+        bits = list(head[m:n + 1])
+        if n >= h:
+            lo = max(m, h) - h              # offsets lo..n-h of the tail
+            r = lo % len(period)
+            bits += islice(cycle(period), r, r + n - h - lo + 1)
+        return bits, [1] * (n - m + 1) if unit_cost else range(m + 1, n + 2)
+
+    return fill
+
+
+def _bit_costs(x: PrSet, m: int, n: int) -> list:
+    """Per-bit costs of bits m..n of x, whose memo reaches n."""
+    cum = x._cost_cum
+    return list(map(sub, cum[m:n + 1], cum[m - 1:n] if m else [0] + cum[:n]))
+
+
+def _flip_fill(x: PrSet, pos: int):
+    """Fill for x with bit pos forced to 1."""
+    def fill(m, n):
+        x._ensure(n)
+        bits = x._bits[m:n + 1]
+        if m <= pos <= n:
+            bits[pos - m] = 1
+        return bits, _bit_costs(x, m, n)
+
+    return fill
+
+
 # Builtins
 
 
 def evens_set() -> PrSet:
     return PrSet("evens", lambda n: 1 - (n % 2), kind="builtin", dsl="evens",
-                 zeros_fast=lambda n: 2 * n + 1)
+                 zeros_fast=lambda n: 2 * n + 1, fill=_pattern_fill((), (1, 0)))
 
 
 def mod_set(k: int) -> PrSet:
@@ -227,12 +319,13 @@ def mod_set(k: int) -> PrSet:
         return block * k + off + 1
 
     return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0, kind="builtin",
-                 dsl=f"mod {k}", zeros_fast=nth_zero)
+                 dsl=f"mod {k}", zeros_fast=nth_zero,
+                 fill=_pattern_fill((), (1,) + (0,) * (k - 1)))
 
 
 def singleton_zero_set() -> PrSet:
     return PrSet("id", lambda n: 1 if n == 0 else 0, kind="builtin", dsl="id",
-                 zeros_fast=lambda n: n + 1)
+                 zeros_fast=lambda n: n + 1, fill=_pattern_fill((1,), (0,)))
 
 
 def blocks_set(k: int) -> PrSet:
@@ -249,7 +342,8 @@ def blocks_set(k: int) -> PrSet:
         return 2 * k * block + k + off
 
     return PrSet(f"blocks{k}", lambda n: 1 if n % (2 * k) < k else 0,
-                 kind="builtin", dsl=f"blocks {k}", zeros_fast=nth_zero)
+                 kind="builtin", dsl=f"blocks {k}", zeros_fast=nth_zero,
+                 fill=_pattern_fill((), (1,) * k + (0,) * k))
 
 
 def term_set(term, bound, name: str | None = None) -> PrSet:
@@ -332,6 +426,7 @@ def prefix_set(name: str, bits: Sequence[int], *, kind: str = "trace",
         return 1 - (n - len(frozen)) % 2
 
     return PrSet(name, bit, cost_fn or (lambda n: n + 1), kind=kind, dsl=dsl,
+                 fill=None if cost_fn else _pattern_fill(frozen, (1, 0), False),
                  meta=meta)
 
 
@@ -350,46 +445,53 @@ def override_zero_member(x: PrSet) -> PrSet:
     """Force 0 into the set (bit 0 becomes 1); identity if already there."""
     if x.bit(0) == 1:
         return x
-    out = PrSet(f"{x.name}+0", lambda n: 1 if n == 0 else x.bit(n),
-                x.bit_cost, kind=x.kind, dsl=x.dsl,
-                meta={**x.meta, "zero_member_override": True})
-    return out
+    return PrSet(f"{x.name}+0", lambda n: 1 if n == 0 else x.bit(n),
+                 x.bit_cost, kind=x.kind, dsl=x.dsl,
+                 fill=_flip_fill(x, 0) if x._fill else None,
+                 meta={**x.meta, "zero_member_override": True})
+
+
+def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
+    """Join (pick=max) or meet (pick=min): its index profile is pick of the
+    normalised operands' profiles, bit by bit, so its fill maps pick over
+    their zero-count arrays."""
+    x = override_zero_member(x)
+    y = override_zero_member(y)
+
+    def bit(n):
+        if n == 0:
+            return 1
+        before = pick(x.zeros_by_index(n - 1), y.zeros_by_index(n - 1))
+        after = pick(x.zeros_by_index(n), y.zeros_by_index(n))
+        return 0 if after > before else 1
+
+    def fill(m, n):
+        x._ensure(n)
+        y._ensure(n)
+        lo = m - 1 if m else 0
+        zc = list(map(pick, x._zero_cum[lo:n + 1], y._zero_cum[lo:n + 1]))
+        if not m:
+            zc.insert(0, 0)
+        # bit i is 1 unless the zero count climbs at i
+        bits = [1 - b + a for a, b in zip(zc, islice(zc, 1, None))]
+        costs = [c + 1 for c in map(max, _bit_costs(x, m, n), _bit_costs(y, m, n))]
+        return bits, costs
+
+    dsl = f"{op}({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
+    return PrSet(f"({x.name} {symbol} {y.name})", bit,
+                 lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1,
+                 kind="derived", dsl=dsl,
+                 fill=fill if x._fill and y._fill else None)
 
 
 def set_join(x: PrSet, y: PrSet) -> PrSet:
     """Supremum carrier: its index profile is the pointwise max of the two."""
-    x = override_zero_member(x)
-    y = override_zero_member(y)
-
-    def bit(n):
-        if n == 0:
-            return 1
-        before = max(x.zeros_by_index(n - 1), y.zeros_by_index(n - 1))
-        after = max(x.zeros_by_index(n), y.zeros_by_index(n))
-        return 0 if after > before else 1
-
-    dsl = f"join({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
-    return PrSet(f"({x.name} v {y.name})", bit,
-                 lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1,
-                 kind="derived", dsl=dsl)
+    return _lattice_op(x, y, max, "join", "v")
 
 
 def set_meet(x: PrSet, y: PrSet) -> PrSet:
     """Infimum carrier: its index profile is the pointwise min of the two."""
-    x = override_zero_member(x)
-    y = override_zero_member(y)
-
-    def bit(n):
-        if n == 0:
-            return 1
-        before = min(x.zeros_by_index(n - 1), y.zeros_by_index(n - 1))
-        after = min(x.zeros_by_index(n), y.zeros_by_index(n))
-        return 0 if after > before else 1
-
-    dsl = f"meet({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
-    return PrSet(f"({x.name} ^ {y.name})", bit,
-                 lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1,
-                 kind="derived", dsl=dsl)
+    return _lattice_op(x, y, min, "meet", "^")
 
 
 def drop_least_zero(x: PrSet, ceiling: int = DEFAULT_CEILING) -> PrSet:
@@ -401,7 +503,17 @@ def drop_least_zero(x: PrSet, ceiling: int = DEFAULT_CEILING) -> PrSet:
     dsl = f"drop({x.dsl})" if x.dsl else None
     return PrSet(f"{x.name}^[-1]", lambda n: 1 if n == z0 else x.bit(n),
                  x.bit_cost, kind="derived", dsl=dsl, zeros_fast=zeros_fast,
+                 fill=_flip_fill(x, z0) if x._fill else None,
                  meta={"dropped_zero": z0})
+
+
+def _read_ahead(x: PrSet, n: int) -> None:
+    """Grow a filling set's memo to n in one call, ahead of a scan that reads
+    bits 0..n upward.  Filling sets cannot raise, so growing one past a
+    scan's early exit shows nowhere; other sets are left to the scan, so no
+    evaluator work moves."""
+    if x._fill is not None and n >= len(x._bits):
+        x._ensure(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import punctual
 from punctual.cli import main
 
 FAMILY_TEXTS = [
@@ -228,3 +233,52 @@ def test_well_formed_witness_checks(capsys, tmp_path):
     code, out = run(["reduce", "check", "evens", "evens", "--witness", str(wit),
                      "--horizon", "1"], capsys)
     assert code == 0 and out.endswith("check\tok\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "immune", "--family", "{bad}", "--max-stages", "5"],
+    ["reduce", "check", "evens", "evens", "--witness", "{bad}", "--horizon", "1"],
+    ["verify", "{bad}"],
+    ["profile", "trace {bad}"],
+])
+def test_non_utf8_input_is_misuse(argv, capsys, tmp_path):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"\xff\xfe\n")
+    assert main([a.format(bad=bad) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} is not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_consecutive_calls_echo_their_own_config(capsys, family_file):
+    calls = [
+        (["profile", "evens", "--horizon", "2", "--convention", "steps"],
+         "command=profile convention=steps descriptor=evens horizon=2 out=None"),
+        (["lattice", "join", "evens", "mod 3", "--horizon", "3"],
+         "a=evens b=mod 3 c=None command=lattice convention=index horizon=3"
+         " lattice_op=join out=None"),
+        (["profile", "mod 3"],
+         "command=profile convention=index descriptor=mod 3 horizon=100 out=None"),
+        (["construct", "immune", "--family", family_file, "--max-stages", "5",
+          "--policy", "round-robin"],
+         f"command=construct construct_op=immune count=2 family={family_file} k=1"
+         " max_stages=5 out=None policy=round-robin r=None t=None target=None"
+         " witness=None x=None y=None z=None"),
+        (["construct", "immune", "--max-stages", "4"],
+         "command=construct construct_op=immune count=2 family=None k=1"
+         " max_stages=4 out=None policy=once r=None t=None target=None"
+         " witness=None x=None y=None z=None"),
+    ]
+    for argv, config in calls:
+        _, out = run(argv, capsys)
+        assert out.splitlines()[0] == f"# config {config}"
+
+
+def test_python_m_punctual_runs_the_cli(capsys):
+    src = str(pathlib.Path(punctual.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["profile", "evens", "--horizon", "10"]
+    proc = subprocess.run([sys.executable, "-m", "punctual", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout == run(argv, capsys)[1]

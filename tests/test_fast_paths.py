@@ -5,13 +5,19 @@ The references below are the earlier, definitional versions: the two
 per-stage step-rate table, the bit-by-bit step-profile count and the
 principal-zero scan.  Each fast path must give the same table or value, or
 raise the same exception class with the same message, and must not
-materialise a bit past the one the reference reads up to.
+materialise a bit past the one the reference reads up to.  Range fills are
+checked against the per-bit memo loop, which stays in ``PrSet._ensure``.
 """
 
+import bisect
+import contextlib
 import random
+import sys
+import threading
 
 import pytest
 
+from punctual import sets
 from punctual.constructions import construct_immune, construct_join_split, save_trace
 from punctual.errors import (
     CeilingExceeded,
@@ -33,9 +39,22 @@ from punctual.reductions import (
     synth_p_from_reduction,
     synth_reduction_from_h,
 )
-from punctual.sets import PrSet, SetRelation, parse_set
+from punctual.sets import (
+    PrSet,
+    SetRelation,
+    drop_least_zero,
+    evens_set,
+    mod_set,
+    normal_form,
+    parse_set,
+    prefix_set,
+    set_join,
+    set_meet,
+    zero_list_set,
+)
 
 from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2
+import test_sets
 
 IDENTITY = NativeProgram("id", lambda x: x)
 
@@ -371,6 +390,173 @@ def test_cursor_reads_no_bit_past_h():
     want = outcome(ref_synth_reduction_from_h, x, PrSet("fragile", bit), h, 19)
     assert want[0] is WitnessBoundViolated
     assert outcome(synth_reduction_from_h, x, PrSet("fragile", bit), h, 19) == want
+
+
+# ---------------------------------------------------------------------------
+# Range fills against the per-bit loop
+
+
+@contextlib.contextmanager
+def per_bit():
+    """Every memo extension inside takes the per-bit loop."""
+    saved = sets._FILL_MIN
+    sets._FILL_MIN = sys.maxsize
+    try:
+        yield
+    finally:
+        sets._FILL_MIN = saved
+
+
+FILLED = [
+    "evens", "mod 3", "mod 7", "id", "blocks 1", "blocks 4", "bits 01100",
+    "trace {imm}", "trace {js}:Y1", "drop(evens)", "drop(trace {imm})",
+    "join(evens, mod 3)", "meet(join(evens, mod 3), mod 5)",
+    "join(trace {imm}, mod 3)", "meet(drop(blocks 2), id)",
+    "meet(trace {js}:Y0, join(trace {js}:Y1, evens))",
+]
+FILL_MINS = [1, 5, sets._FILL_MIN]
+
+
+def make_filled(desc, traces):
+    if desc.startswith("bits "):
+        return prefix_set(desc, [int(c) for c in desc[5:]])
+    return parse_set(desc.format(**traces))
+
+
+def assert_memo_matches(x, ref):
+    """x's memo is a prefix of the reference's, with every bit cost >= 1."""
+    k = len(x._bits)
+    assert x._bits == ref._bits[:k]
+    assert x._zero_cum == ref._zero_cum[:k]
+    assert x._cost_cum == ref._cost_cum[:k]
+    assert all(b > a for a, b in zip([0] + x._cost_cum, x._cost_cum))
+
+
+def read_orders(seed, top):
+    rng = random.Random(seed)
+    ascending, i = [], 0
+    while i <= top:
+        ascending.append(i)
+        i += rng.randint(1, 70)
+    return {"ascending": ascending, "shuffled": rng.sample(range(top + 1), 80),
+            "jump": [top]}
+
+
+@pytest.mark.parametrize("fill_min", FILL_MINS)
+@pytest.mark.parametrize("desc", FILLED)
+def test_fill_matches_per_bit_loop(desc, fill_min, traces, monkeypatch):
+    monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
+    top = 600
+    ref = make_filled(desc, traces)
+    with per_bit():
+        ref.bit(top + 1)
+    for order, reads in read_orders(desc, top).items():
+        x = make_filled(desc, traces)
+        assert x._fill is not None
+        if order == "jump":
+            x._bit_fn = x._cost_fn = None      # only the fill can answer
+        high = -1
+        for i in reads:
+            assert x.zeros_by_index(i) == ref.zeros_by_index(i)
+            assert x.bit(i) == ref.bit(i)
+            high = max(high, i)
+            assert len(x._bits) == high + 1, (order, i)
+            assert_memo_matches(x, ref)
+
+
+@pytest.mark.parametrize("fill_min", FILL_MINS)
+@pytest.mark.parametrize("desc", FILLED)
+def test_fill_zeros_by_steps_matches_per_bit_loop(desc, fill_min, traces, monkeypatch):
+    monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
+    ref = make_filled(desc, traces)
+    with per_bit():
+        top = ref.cum_cost(40) + 1
+        ref.bit(top + 1)
+    steps = list(range(-1, top + 1))
+    shuffled = random.Random(desc).sample(steps, len(steps))
+    for order in (steps, shuffled):
+        x, mirror = make_filled(desc, traces), make_filled(desc, traces)
+        for s in order:
+            with per_bit():
+                want = mirror.zeros_by_steps(s)
+            assert x.zeros_by_steps(s) == want
+            # the memo stops where the per-bit loop stops
+            assert len(x._bits) == len(mirror._bits), s
+            assert_memo_matches(x, ref)
+    for s in random.Random(desc).sample(steps, 12) + [top]:
+        fresh = make_filled(desc, traces)
+        fresh.zeros_by_steps(s)
+        assert len(fresh._bits) == (0 if s <= 0 else
+                                    bisect.bisect_right(ref._cost_cum, s) + 1)
+        assert_memo_matches(fresh, ref)
+
+
+@pytest.mark.parametrize("fill_min", FILL_MINS)
+def test_step_limited_fill_bounds_operand_run_ahead(fill_min, monkeypatch):
+    # operands of a filled join never pass bit m + s - c, the last bit the
+    # budget left over the join's memo (m bits, total cost c) could pay for
+    monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
+    for s in range(1, 600, 7):
+        for read in (-1, 17, 40):
+            a, b = evens_set(), mod_set(3)      # both hold 0: they are the operands
+            j = set_join(a, b)
+            if read >= 0:
+                j.bit(read)
+            m, c = len(j._bits), j._cost_cum[-1] if j._bits else 0
+            ahead = max(len(a._bits), len(b._bits))
+            j.zeros_by_steps(s)
+            assert j.cum_cost(len(j._bits) - 1) > s or len(j._bits) == m
+            assert max(len(a._bits), len(b._bits)) <= max(ahead, m + s - c + 1, 0)
+
+
+def test_term_backed_descriptors_never_fill(traces):
+    term = TERMS["evens"]
+    nf = normal_form(SetRelation(parse_set("mod 3")))[0]
+    listed = zero_list_set("zl", lambda zs: 2 * len(zs) + 1)
+    plain = [parse_set(term), nf, listed, prefix_set("unit", [1, 0], cost_fn=lambda n: 1)]
+    for x in plain:
+        assert x._fill is None
+        for over in (set_join(x, evens_set()), set_meet(mod_set(3), x), drop_least_zero(x),
+                     set_join(set_join(x, evens_set()), mod_set(5))):
+            assert over._fill is None
+    # a term set still evaluates one bit at a time, once per bit
+    seen = []
+    x = parse_set(term)
+    bit_fn = x._bit_fn
+    x._bit_fn = lambda n: seen.append(n) or bit_fn(n)
+    j = set_join(x, parse_set(f"trace {traces['imm']}"))
+    j.bit(300)
+    assert seen == list(range(301))
+
+
+def test_concurrent_readers_under_bulk_fills(traces, monkeypatch):
+    monkeypatch.setattr(sets, "_FILL_MIN", 1)
+    test_sets.TestSetLattice().test_concurrent_readers_observe_identical_bits()
+    desc = "meet(join(trace {imm}, evens), mod 5)"
+    ref = make_filled(desc, traces)
+    with per_bit():
+        ref.bit(2000)
+    shared = make_filled(desc, traces)
+    results = []
+
+    def reader(seed):
+        reads = random.Random(seed).sample(range(2001), 200)
+        results.append([(i, shared.zeros_by_index(i), shared.cum_cost(i)) for i in reads])
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 6
+    for got in results:
+        assert got == [(i, ref.zeros_by_index(i), ref.cum_cost(i)) for i, _, _ in got]
+    assert_memo_matches(shared, ref)
 
 
 # ---------------------------------------------------------------------------
