@@ -62,7 +62,6 @@ from .sets import (
     PrSet,
     Relation,
     SetRelation,
-    _read_ahead,
     drop_least_zero,
     parse_set,
     prefix_set,
@@ -179,10 +178,9 @@ class _Detector:
 
     Eligibility and the fired condition are monotone in the stage, so each
     input is examined once when it becomes eligible and each unordered pair
-    once, with the flavour's pair predicate.  The pass that first fires
-    still runs to its end, so that it knows every input eligible at that
-    stage, and then keeps the least firing pair for the record.  Each side
-    of the claim is a relation or a decided bit prefix, as in the detectors.
+    once, with the flavour's pair predicate; on the first hit the
+    definitional scan extracts the least pair for the record.  Each side of
+    the claim is a relation or a decided bit prefix, as in the detectors.
     """
 
     def __init__(self, flavor: str, program: ClockedProgram):
@@ -192,11 +190,11 @@ class _Detector:
         self.eligible: list = []
         self.pending: list = []
         self.next_l = 0
-        self.least: Counterexample | None = None
+        self.fired = False
 
     def scan(self, s: int, source, target) -> bool:
         """Advance to stage budget s; True once some eligible pair fires."""
-        if self.least is not None:
+        if self.fired:
             return True
         limit = s + 1 if isinstance(source, Relation) else len(source)
         images = None if isinstance(target, Relation) else len(target)
@@ -204,8 +202,6 @@ class _Detector:
         self.next_l = max(self.next_l, limit)
         prog, pair = self.program, self.pair
         still = []
-        before = len(self.eligible)
-        fired = False
         for l in self.pending:
             if prog.cost(l) >= s:
                 still.append(l)
@@ -214,43 +210,17 @@ class _Detector:
             if images is not None and lv >= images:
                 still.append(l)
                 continue
-            if not fired:
-                for m, mv in self.eligible:
-                    left, right = pair(source, target, l, m, lv, mv)
-                    if left == right:
-                        fired = True
-                        break
+            for m, mv in self.eligible:
+                left, right = pair(source, target, l, m, lv, mv)
+                if left == right:
+                    self.fired = True
+                    return True
             self.eligible.append((l, lv))
         self.pending = still
-        if fired:
-            self.least = self._least_pair(s, source, target, before)
-        return fired
-
-    def _least_pair(self, s, source, target, before) -> Counterexample:
-        """Least pair firing at s, in the definitional scan's order.
-
-        Every pair that fires involves an input that became eligible at s
-        (eligible[before:]), since older pairs were checked at earlier
-        stages.  Pair predicates are symmetric, so the pair is the first
-        input that fires with a later one, and its first such partner.
-        """
-        everyone = sorted(self.eligible)
-        fresh = sorted(self.eligible[before:])
-        new = {l for l, _ in fresh}
-        for l, lv in everyone:
-            for m, mv in everyone if l in new else fresh:
-                if m > l:
-                    left, right = self.pair(source, target, l, m, lv, mv)
-                    if left == right:
-                        return Counterexample(self.flavor, l, m, s, left, right,
-                                              (lv, mv), self.program.name)
-        raise AssertionError("incremental detector fired but found no least pair")
+        return False
 
     def extract(self, s: int, source, target) -> Counterexample:
-        """The least firing pair at stage s: kept by the pass that fired at
-        s, else found by the definitional scan."""
-        if self.least is not None and self.least.stage == s:
-            return self.least
+        """Definitional least-pair scan at the firing stage."""
         cex = _least_violation(self.flavor, self.program, source, target, s,
                                self.program.name)
         if cex is None:
@@ -609,8 +579,8 @@ def construct_antichain(count: int, family, max_stages: int,
 
 def _upper_dominating(x: PrSet, z: PrSet, max_stages: int):
     """z, joined with x if x ever has more zeros; plus its header line."""
-    _read_ahead(x, max_stages)
-    _read_ahead(z, max_stages)
+    x.read_ahead(max_stages)
+    z.read_ahead(max_stages)
     if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
         return set_join(x, z), ("normalized-z", "1")
     return z, ("normalized-z", "0")

@@ -19,7 +19,6 @@ from .reductions import ReductionWitness, as_program, domination_certificate
 from .sets import (
     DEFAULT_CEILING,
     PrSet,
-    _read_ahead,
     drop_least_zero,
     evens_set,
     prefix_set,
@@ -59,8 +58,8 @@ def equilibrium_points(x: PrSet, y: PrSet, horizon: int,
                        convention: str = "index") -> EquilibriumReport:
     """All stages below the horizon where the two zero counts agree."""
     if convention == "index":
-        _read_ahead(x, horizon)
-        _read_ahead(y, horizon)
+        x.read_ahead(horizon)
+        y.read_ahead(horizon)
     pts = tuple(s for s in range(horizon + 1)
                 if zeros(x, s, convention) == zeros(y, s, convention))
     return EquilibriumReport(convention, horizon, pts)

@@ -26,7 +26,7 @@ from .errors import (
     read_text,
 )
 from .pr_lang import ClockedProgram, TableProgram
-from .sets import IdentityRelation, Prefix, PrSet, Relation, SetRelation, _read_ahead
+from .sets import IdentityRelation, Prefix, PrSet, Relation, SetRelation
 
 
 @dataclass
@@ -110,9 +110,9 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     rep_t = _rep_fn(target, n)
     values = [prog.value(x) for x in range(n + 1)]
     if isinstance(source, SetRelation):
-        _read_ahead(source.carrier, n)
+        source.carrier.read_ahead(n)
     if isinstance(target, SetRelation) and values:
-        _read_ahead(target.carrier, max(values))
+        target.carrier.read_ahead(max(values))
     image_rep = [rep_t(v) for v in values]
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
@@ -294,7 +294,7 @@ def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
     if y.bit(0) != 1:
         raise PreconditionFailed("growth-to-reduction synthesis needs 0 in the target set")
     hp = as_program(h)
-    _read_ahead(x, horizon)
+    x.read_ahead(horizon)
     last = -1
     table: list[int] = []
     for v in range(horizon + 1):
@@ -522,8 +522,8 @@ def domination_certificate(low: PrSet, high: PrSet, horizon: int,
                            convention: str = "index") -> ReductionWitness:
     """Certify low <= high from a pointwise profile comparison (h = identity)."""
     if convention == "index":
-        _read_ahead(low, horizon)
-        _read_ahead(high, horizon)
+        low.read_ahead(horizon)
+        high.read_ahead(horizon)
     for s in range(horizon + 1):
         a = (low.zeros_by_index(s) if convention == "index"
              else low.zeros_by_steps(s))

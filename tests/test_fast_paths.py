@@ -185,7 +185,11 @@ def traces(tmp_path_factory):
     d = tmp_path_factory.mktemp("traces")
     save_trace(construct_immune(family, 200), str(d / "imm.trace"))
     save_trace(construct_join_split(parse_set("mod 3"), family, 200), str(d / "js.trace"))
-    return {"imm": str(d / "imm.trace"), "js": str(d / "js.trace")}
+    # a trace is read with any integer bit; every nonzero one means a member
+    with open(d / "imm.trace") as fh:
+        (d / "odd.trace").write_text(fh.read().replace("\tY=1\t", "\tY=2\t"))
+    return {"imm": str(d / "imm.trace"), "js": str(d / "js.trace"),
+            "odd": str(d / "odd.trace")}
 
 
 PAIRS = [
@@ -408,10 +412,11 @@ def per_bit():
 
 
 FILLED = [
-    "evens", "mod 3", "mod 7", "id", "blocks 1", "blocks 4", "bits 01100",
-    "trace {imm}", "trace {js}:Y1", "drop(evens)", "drop(trace {imm})",
+    "evens", "mod 3", "mod 7", "id", "blocks 1", "blocks 4", "bits 0,1,1,0,0",
+    "bits 0,2,-1,0,3", "trace {imm}", "trace {odd}", "trace {js}:Y1",
+    "drop(evens)", "drop(trace {imm})",
     "join(evens, mod 3)", "meet(join(evens, mod 3), mod 5)",
-    "join(trace {imm}, mod 3)", "meet(drop(blocks 2), id)",
+    "join(trace {imm}, mod 3)", "join(trace {odd}, mod 3)", "meet(drop(blocks 2), id)",
     "meet(trace {js}:Y0, join(trace {js}:Y1, evens))",
 ]
 FILL_MINS = [1, 5, sets._FILL_MIN]
@@ -419,7 +424,7 @@ FILL_MINS = [1, 5, sets._FILL_MIN]
 
 def make_filled(desc, traces):
     if desc.startswith("bits "):
-        return prefix_set(desc, [int(c) for c in desc[5:]])
+        return prefix_set(desc, [int(c) for c in desc[5:].split(",")])
     return parse_set(desc.format(**traces))
 
 
