@@ -5,8 +5,8 @@ clock, environment, or randomness reaches the output, so two runs with the
 same invocation produce byte-identical results.  Output is decimal,
 tab-separated, LF-terminated.
 
-Exit codes: 0 success, 1 misuse or precondition failure, 2 stage-budget
-exhaustion, 3 I/O error.
+Exit codes: 0 success, 1 misuse (a malformed command line included) or
+precondition failure, 2 stage-budget exhaustion, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -215,17 +215,26 @@ def cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are misuse (exit 1): argparse's own exit 2 would read
+    as stage-budget exhaustion."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MisuseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="punctual",
-                                description="clocked sets, reducibility "
-                                            "calculus, and diagonalization runs")
+    p = _Parser(prog="punctual",
+                description="clocked sets, reducibility calculus, and "
+                            "diagonalization runs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, horizon=True):
-        if horizon:
-            sp.add_argument("--horizon", type=int, default=100)
-        sp.add_argument("--convention", choices=["index", "steps"],
-                        default="index")
+    def common(sp, convention=True):
+        sp.add_argument("--horizon", type=int, default=100)
+        if convention:
+            sp.add_argument("--convention", choices=["index", "steps"],
+                            default="index")
         sp.add_argument("--out")
 
     sp = sub.add_parser("profile", help="zero-count profile in both conventions")
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--witness")
-    common(sp)
+    common(sp, convention=False)
     sp.set_defaults(fn=cmd_reduce)
 
     sp = sub.add_parser("diamond", help="diamond-interval evidence")
@@ -321,8 +330,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _check_non_negative(args)
         _echo_config(args, sys.stdout)
         code = args.fn(args, sys.stdout)

@@ -648,10 +648,16 @@ class TableProgram(ClockedProgram):
         self.name = name
 
     def value(self, x: int) -> int:
-        if x >= len(self.values):
-            raise BudgetExceeded(f"table program {self.name} has horizon {len(self.values) - 1}, "
-                                 f"asked for {x}")
-        return self.values[x]
+        if x >= 0:
+            try:
+                return self.values[x]
+            except IndexError:
+                pass
+        raise self._off_table(x)
+
+    def _off_table(self, x: int) -> BudgetExceeded:
+        return BudgetExceeded(f"table program {self.name} has horizon {self.horizon}, "
+                              f"asked for {x}")
 
     def cost(self, x: int) -> int:
         return 1
@@ -659,6 +665,38 @@ class TableProgram(ClockedProgram):
     @property
     def horizon(self) -> int:
         return len(self.values) - 1
+
+
+class FloorTableProgram(TableProgram):
+    """Table that is a dense prefix, then max(x + 1, floor) up to the horizon.
+
+    This is the shape of a step-rate table past the source's reach; the
+    dense ``values`` tuple is built on demand, never stored.
+    """
+
+    def __init__(self, prefix: Sequence[int], floor: int, horizon: int,
+                 name: str = "table"):
+        self.prefix = tuple(prefix)
+        self.floor = floor
+        self._horizon = max(horizon, len(self.prefix) - 1)
+        self.name = name
+
+    def value(self, x: int) -> int:
+        if not 0 <= x <= self._horizon:
+            raise self._off_table(x)
+        if x < len(self.prefix):
+            return self.prefix[x]
+        return max(x + 1, self.floor)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        start, end = len(self.prefix), self._horizon + 1
+        run = max(0, min(self.floor, end) - start)
+        return (*self.prefix, *[self.floor] * run, *range(start + run + 1, end + 1))
+
+    @property
+    def horizon(self) -> int:
+        return self._horizon
 
 
 NATIVE_REGISTRY: dict[str, NativeProgram] = {

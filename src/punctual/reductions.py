@@ -25,7 +25,7 @@ from .errors import (
     WitnessBoundViolated,
     read_text,
 )
-from .pr_lang import ClockedProgram, TableProgram
+from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
 from .sets import IdentityRelation, Prefix, PrSet, Relation, SetRelation
 
 
@@ -260,8 +260,8 @@ def _massage_for_growth(f: Witnessable, x: PrSet, y: PrSet, horizon: int) -> Clo
     increasing = all(prog.value(a) < prog.value(b) for a, b in zip(comp, comp[1:]))
     if respects and increasing:
         return prog
-    g = respect_normal_form(prog, x, y, horizon)
-    return as_program(surjectivize(g, x, y, horizon))
+    # surjectivize rewrites to the normal form itself
+    return _surjectivize_checked(prog, x, y, horizon).program
 
 
 def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
@@ -337,23 +337,21 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     while x.cum_cost(k_max + 1) <= horizon:
         k_max += 1
     prog = _massage_for_growth(f, x, y, k_max)
-    table = []
+    prefix = []
     running = 0
     for s in range(k_max + 1):
         running = max(running, prog.value(s))
-        table.append(max(s + 1, y.cum_cost(running)))
-    c = y.cum_cost(running)         # past k_max every entry is max(s + 1, c)
-    table += [c] * (min(c, horizon + 1) - k_max - 1)
-    table += range(max(c, k_max + 1) + 1, horizon + 2)
+        prefix.append(max(s + 1, y.cum_cost(running)))
+    # past k_max every entry is max(s + 1, c)
+    table = FloorTableProgram(prefix, y.cum_cost(running), horizon, "p")
     # the left side only changes where the source reveals a bit, and the
     # right side is nondecreasing, so boundary checks cover every stage
     boundaries = [0] + [x.cum_cost(k) for k in range(k_max + 1)
                         if x.cum_cost(k) <= horizon]
     for s in boundaries:
-        if x.zeros_by_steps(s) > y.zeros_by_steps(table[s]):
+        if x.zeros_by_steps(s) > y.zeros_by_steps(table.value(s)):
             raise NotAReduction(f"step-rate synthesis failed its own bound at s={s}")
-    return ReductionWitness(TableProgram(table, "p"), "growth-p",
-                            x.name, y.name, horizon, "steps", True)
+    return ReductionWitness(table, "growth-p", x.name, y.name, horizon, "steps", True)
 
 
 def synth_reduction_from_p(x: PrSet, y: PrSet, p: Witnessable,
@@ -374,12 +372,15 @@ def synth_reduction_from_p(x: PrSet, y: PrSet, p: Witnessable,
 # Witness massaging
 
 
-def respect_normal_form(f: Witnessable, x: PrSet, y: PrSet,
-                        horizon: int) -> ReductionWitness:
-    """Rewrite a verified reduction so members of x land inside y."""
-    prog = as_program(f)
-    rx, ry = SetRelation(x), SetRelation(y)
-    require_reduction(prog, rx, ry, horizon)
+# The rewrites verify every input they take from a caller and every table
+# they return, each once, on 0..horizon.  Tables passed between the steps of
+# one rewrite are not re-verified: the private helpers below take a program
+# already verified on 0..horizon.
+
+
+def _respect_table(prog: ClockedProgram, x: PrSet, y: PrSet,
+                   horizon: int) -> list[int]:
+    """respect_normal_form's table for a program verified on 0..horizon."""
     members = [n for n in range(horizon + 1) if x.bit(n) == 1]
     values = [prog.value(n) for n in range(horizon + 1)]
     stray = [values[n] for n in members if y.bit(values[n]) != 1]
@@ -402,10 +403,20 @@ def respect_normal_form(f: Witnessable, x: PrSet, y: PrSet,
                 table.append(a)
             else:
                 table.append(values[n])
+    return table
+
+
+def respect_normal_form(f: Witnessable, x: PrSet, y: PrSet,
+                        horizon: int) -> ReductionWitness:
+    """Rewrite a verified reduction so members of x land inside y."""
+    prog = as_program(f)
+    rx, ry = SetRelation(x), SetRelation(y)
+    require_reduction(prog, rx, ry, horizon)
+    table = _respect_table(prog, x, y, horizon)
     w = ReductionWitness(TableProgram(table, "respect"), "reduction",
                          x.name, y.name, horizon, "index")
     require_reduction(w, rx, ry, horizon)
-    if any(y.bit(table[n]) != 1 for n in members):
+    if any(y.bit(table[n]) != 1 for n in range(horizon + 1) if x.bit(n) == 1):
         raise NotAReduction("normal-form respecting rewrite failed")
     w.verified = True
     return w
@@ -420,8 +431,15 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
     strictly increasing on the complement of x.  The picks are the zeros of
     y in order, so a cursor scans on from the last pick, never past the bound.
     """
-    w = respect_normal_form(f, x, y, horizon)
-    prog = w.program
+    prog = as_program(f)
+    require_reduction(prog, SetRelation(x), SetRelation(y), horizon)
+    return _surjectivize_checked(prog, x, y, horizon)
+
+
+def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
+                          horizon: int) -> ReductionWitness:
+    """surjectivize for a program verified on 0..horizon."""
+    base = _respect_table(prog, x, y, horizon)
     y0 = None
     for cand in range(horizon + 1):
         if y.bit(cand) == 1:
@@ -433,7 +451,7 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
     table: list[int] = []
     running = 0
     for v in range(horizon + 1):
-        running = max(running, prog.value(v))
+        running = max(running, base[v])
         if x.bit(v) == 1:
             table.append(y0)
             continue
@@ -537,6 +555,45 @@ def domination_certificate(low: PrSet, high: PrSet, horizon: int,
                             claim, low.name, high.name, horizon, convention, True)
 
 
+_ROW = "{}\t{}\n".format
+# Rows i in one aligned block of 1000 indices (i >= 1000) share the decimal
+# prefix str(i // 1000) and differ in a three-digit suffix, so a block of a
+# floor table's tail is one join of these suffixes around that prefix.
+_SUFFIXES = tuple(f"{j:03d}" for j in range(1000))
+# a block of rows "i\ti+1": each suffix closes one row's value and opens the
+# next row's index; the last value carries into the next block's prefix
+_RANGE_PIECES = ("", _SUFFIXES[0] + "\t",
+                 *(s + end for s in _SUFFIXES[1:] for end in ("\n", "\t")))
+
+
+def _write_rows(out, lo: int, hi: int, value, block) -> None:
+    """Rows lo..hi-1 of a table whose entry at i is value(i): aligned blocks
+    at or past 1000 as block(k), the rest one row at a time."""
+    first = min(hi, max(1000, -(-lo // 1000) * 1000))
+    last = max(first, hi // 1000 * 1000)
+    out.write("".join([_ROW(i, value(i)) for i in range(lo, first)]))
+    for k in range(first, last, 1000):
+        out.write(block(k))
+    out.write("".join([_ROW(i, value(i)) for i in range(last, hi)]))
+
+
+def _write_floor_tail(out, prog: FloorTableProgram) -> None:
+    """Rows past the prefix: a run of the floor c, then the range i -> i + 1."""
+    start, end, c = len(prog.prefix), prog.horizon + 1, prog.floor
+    run_end = max(start, min(c, end))
+    close = f"\t{c}\n"
+
+    def run_block(k):
+        p = str(k // 1000)
+        return p + (close + p).join(_SUFFIXES) + close
+
+    def range_block(k):
+        return str(k // 1000).join(_RANGE_PIECES) + f"{k + 1000}\n"
+
+    _write_rows(out, start, run_end, lambda i: c, run_block)
+    _write_rows(out, run_end, end, lambda i: i + 1, range_block)
+
+
 def serialize_witness(w: ReductionWitness) -> str:
     prog = w.program
     if not isinstance(prog, TableProgram):
@@ -547,10 +604,13 @@ def serialize_witness(w: ReductionWitness) -> str:
               f"verified\t{int(w.verified)}\n---\n")
     # rows go out in joined chunks: one write per row is slower than the
     # join, and one join over all rows holds every row string at once
-    values, row = prog.values, "{}\t{}\n".format
+    floor = isinstance(prog, FloorTableProgram)
+    values = prog.prefix if floor else prog.values
     for lo in range(0, len(values), 4096):
         chunk = values[lo:lo + 4096]
-        out.write("".join(map(row, range(lo, lo + len(chunk)), chunk)))
+        out.write("".join(map(_ROW, range(lo, lo + len(chunk)), chunk)))
+    if floor:
+        _write_floor_tail(out, prog)
     return out.getvalue()
 
 

@@ -72,6 +72,35 @@ def test_negative_counts_are_misuse(argv, capsys):
     assert "must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "check", "evens", "evens", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["reduce", "check", "evens", "evens", "--horizon", "x"],
+     "argument --horizon: invalid int value: 'x'"),
+    (["reduce", "check", "evens", "evens", "--convention", "steps"],
+     "unrecognized arguments: --convention steps"),
+    (["profile"], "the following arguments are required: descriptor"),
+    (["nonesuch"], "argument command: invalid choice: 'nonesuch'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_misuse(argv, message, capsys):
+    # exit 2 is reserved for stage-budget exhaustion
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: punctual")
+    assert captured.err.splitlines()[-1].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"],
+                                  ["construct", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: punctual")
+
+
 class TestLattice:
     def test_join(self, capsys):
         code, out = run(["lattice", "join", "evens", "mod 3",
@@ -258,6 +287,9 @@ def test_consecutive_calls_echo_their_own_config(capsys, family_file):
          " lattice_op=join out=None"),
         (["profile", "mod 3"],
          "command=profile convention=index descriptor=mod 3 horizon=100 out=None"),
+        (["reduce", "synth-g", "evens", "mod 3", "--horizon", "4"],
+         "a=evens b=mod 3 command=reduce horizon=4 out=None reduce_op=synth-g"
+         " witness=None"),
         (["construct", "immune", "--family", family_file, "--max-stages", "5",
           "--policy", "round-robin"],
          f"command=construct construct_op=immune count=2 family={family_file} k=1"
@@ -282,3 +314,14 @@ def test_python_m_punctual_runs_the_cli(capsys):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == run(argv, capsys)[1]
+
+
+def test_python_m_punctual_usage_error_exits_1():
+    src = str(pathlib.Path(punctual.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "punctual", "reduce", "check",
+                           "evens", "evens", "--bogus"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.endswith("error: unrecognized arguments: --bogus\n")

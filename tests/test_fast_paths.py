@@ -2,11 +2,12 @@
 
 The references below are the earlier, definitional versions: the two
 "least fresh zero" mu-searches that rescan from 0 for every pick, the
-per-stage step-rate table, the bit-by-bit step-profile count and the
-principal-zero scan.  Each fast path must give the same table or value, or
-raise the same exception class with the same message, and must not
-materialise a bit past the one the reference reads up to.  Range fills are
-checked against the per-bit memo loop, which stays in ``PrSet._ensure``.
+per-stage step-rate table, the bit-by-bit step-profile count, the
+principal-zero scan and the one-row-at-a-time witness writer.  Each fast
+path must give the same table or value, or raise the same exception class
+with the same message, and must not materialise a bit past the one the
+reference reads up to.  Range fills are checked against the per-bit memo
+loop, which stays in ``PrSet._ensure``.
 """
 
 import bisect
@@ -17,16 +18,23 @@ import threading
 
 import pytest
 
-from punctual import sets
+from punctual import reductions, sets
 from punctual.constructions import construct_immune, construct_join_split, save_trace
 from punctual.errors import (
+    BudgetExceeded,
     CeilingExceeded,
     NotAReduction,
     PreconditionFailed,
     PunctualityViolation,
     WitnessBoundViolated,
 )
-from punctual.pr_lang import NativeProgram, TableProgram, TermProgram, parse_term
+from punctual.pr_lang import (
+    FloorTableProgram,
+    NativeProgram,
+    TableProgram,
+    TermProgram,
+    parse_term,
+)
 from punctual.reductions import (
     ReductionWitness,
     _massage_for_growth,
@@ -301,7 +309,9 @@ def test_synth_p_tail_shapes():
         for extra in (0, 1, 31):
             want = ref_synth_p_table(g, make_x(), make_y(), horizon + extra)
             got = synth_p_from_reduction(g, make_x(), make_y(), horizon + extra)
+            assert isinstance(got.program, FloorTableProgram)
             assert list(got.program.values) == want
+            assert [got.value(s) for s in range(len(want))] == want
             tail = want[31:]
             shapes.add((tail[0] == tail[1], tail[-1] == len(want)))
     assert shapes == {(False, True), (True, True), (True, False)}
@@ -579,3 +589,74 @@ def test_serialize_witness_bytes(traces):
         rows = [f"{i}\t{v}" for i, v in enumerate(w.program.values)]
         assert serialize_witness(w) == "\n".join(head + rows) + "\n"
         assert parse_witness(serialize_witness(w)).program.values == w.program.values
+
+
+def ref_witness_text(w):
+    head = [f"claim\t{w.claim}", f"source\t{w.source}", f"target\t{w.target}",
+            f"horizon\t{w.horizon}", f"convention\t{w.convention}",
+            f"verified\t{int(w.verified)}", "---"]
+    return "\n".join(head + [f"{i}\t{v}" for i, v in enumerate(w.program.values)]) + "\n"
+
+
+def floor_triples(seed):
+    """(prefix length, floor c, horizon) at and around the 1000-row blocks:
+    c inside the prefix, c past horizon + 1, horizons under 1000, and
+    seeded draws."""
+    lengths = (0, 1, 999, 1000, 1001)
+    floors = (0, 3, 999, 1000, 1001, 2000, 2500, 5000)
+    horizons = (0, 500, 998, 999, 1000, 1001, 2999, 3000, 3001)
+    rng = random.Random(seed)
+    drawn = [(rng.randint(0, 2100), rng.randint(0, 4500), rng.randint(0, 4500))
+             for _ in range(40)]
+    return [(n, c, h) for n in lengths for c in floors for h in horizons] + drawn
+
+
+def test_floor_table_matches_its_dense_values():
+    rng = random.Random(7)
+    for n, c, h in floor_triples(7):
+        prefix = [rng.randint(0, 10 ** 6) for _ in range(n)]
+        t = FloorTableProgram(prefix, c, h, "p")
+        values = t.values
+        assert len(values) == t.horizon + 1 == max(h, n - 1) + 1
+        assert values[:n] == tuple(prefix)
+        assert all(t.value(x) == v for x, v in enumerate(values)), (n, c, h)
+        assert values[n:] == tuple(max(x + 1, c) for x in range(n, t.horizon + 1))
+        w = ReductionWitness(t, "growth-p", "a", "b", t.horizon, "steps", True)
+        text = serialize_witness(w)
+        assert text == ref_witness_text(w), (n, c, h)
+        assert parse_witness(text).program.values == values
+
+
+@pytest.mark.parametrize("table, values", [(TableProgram([5, 6, 7], "t"), [5, 6, 7]),
+                                           (FloorTableProgram([5, 6], 9, 2, "t"), [5, 6, 9])])
+def test_table_reads_off_the_table_raise(table, values):
+    assert [table.value(x) for x in range(3)] == values
+    for x in (-1, -3, 3, 10):
+        with pytest.raises(BudgetExceeded, match=f"has horizon 2, asked for {x}$"):
+            table.value(x)
+
+
+@pytest.mark.parametrize("pair", SYNTH_PAIRS)
+def test_rewrites_verify_input_and_result_once(pair, traces, monkeypatch):
+    horizon = 60
+    x, y = make_pair(traces, pair)
+    g, stray, _ = reduction_tables(x, y, horizon)
+    seen = []               # the table each check_reduction_prefix call verifies
+    check = reductions.check_reduction_prefix
+
+    def counted(f, source, target, n):
+        seen.append([as_program(f).value(v) for v in range(n + 1)])
+        return check(f, source, target, n)
+    monkeypatch.setattr(reductions, "check_reduction_prefix", counted)
+    for rewrite in (respect_normal_form, surjectivize):
+        for t in (g, stray):
+            seen.clear()
+            out = rewrite(t, x, y, horizon)
+            assert seen == [t, list(out.program.values)]
+    seen.clear()
+    assert _massage_for_growth(g, x, y, horizon).values == tuple(g)
+    assert seen == [g]
+    seen.clear()
+    out = _massage_for_growth(stray, x, y, horizon)
+    assert seen == [stray, list(out.values)]
+    assert out.values == surjectivize(stray, x, y, horizon).program.values
