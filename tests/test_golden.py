@@ -86,6 +86,10 @@ def diamond(fam, n, policy="once", budget=None):
                              budget)
 
 
+def separator(fam, n, policy="once"):
+    return construct_separator(parse_set("id"), parse_set(LOW), fam, n, policy)
+
+
 CYCLE_DRIVEN = {"immune": immune, "incomparable": incomparable, "dense": dense,
                 "dense-incomparable": dense_incomparable,
                 "join-split": join_split, "meet-split": meet_split,
@@ -116,9 +120,10 @@ for _kind, _build in CYCLE_DRIVEN.items():
         CASES[f"{_kind}.empty"] = (_build, (list, EMPTY[_kind]))
 CASES["antichain.once"] = (lambda fam, n: construct_antichain(3, fam, n),
                            (family, 400))
-CASES["separator.once"] = (
-    lambda fam, n: construct_separator(parse_set("id"), parse_set(LOW), fam, n),
-    (natives, 600))
+CASES["separator.once"] = (separator, (natives, 600))
+# the separator exhausts at V0 under either policy: its member list is finite
+CASES["separator.end"] = (separator, (natives, 40))
+CASES["separator.round-robin"] = (separator, (natives, 40, "round-robin"))
 CASES["separator.empty"] = (
     lambda fam, n: construct_separator(parse_set("evens"),
                                        parse_set("drop(evens)"), fam, n),
