@@ -91,26 +91,17 @@ def cmd_reduce(args, out) -> int:
         out.write(f"check\tfail\t{cex.describe()}\n")
         return 1
     if args.reduce_op == "synth-h":
-        w = load_witness(args.witness)
-        h = synth_h_from_reduction(w, x, y, args.horizon)
-        out.write(reductions.serialize_witness(h))
-        if args.out:
-            save_witness(h, args.out)
-        return 0
-    if args.reduce_op == "synth-g":
+        w = synth_h_from_reduction(load_witness(args.witness), x, y, args.horizon)
+    elif args.reduce_op == "synth-g":
         h = (load_witness(args.witness) if args.witness
              else domination_certificate(x, y, args.horizon))
-        g = synth_reduction_from_h(x, y, h, args.horizon)
-        out.write(reductions.serialize_witness(g))
-        if args.out:
-            save_witness(g, args.out)
-        return 0
-    op = surjectivize if args.reduce_op == "surjectivize" else respect_normal_form
-    w = load_witness(args.witness)
-    g = op(w, x, y, args.horizon)
-    out.write(reductions.serialize_witness(g))
+        w = synth_reduction_from_h(x, y, h, args.horizon)
+    else:
+        op = surjectivize if args.reduce_op == "surjectivize" else respect_normal_form
+        w = op(load_witness(args.witness), x, y, args.horizon)
+    out.write(reductions.serialize_witness(w))
     if args.out:
-        save_witness(g, args.out)
+        save_witness(w, args.out)
     return 0
 
 
@@ -235,11 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         if convention:
             sp.add_argument("--convention", choices=["index", "steps"],
                             default="index")
-        sp.add_argument("--out")
 
     sp = sub.add_parser("profile", help="zero-count profile in both conventions")
     sp.add_argument("descriptor")
-    common(sp)
+    common(sp, convention=False)
     sp.set_defaults(fn=cmd_profile)
 
     sp = sub.add_parser("lattice", help="join/meet/distributivity/equilibrium")
@@ -258,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--witness")
+    sp.add_argument("--out")
     common(sp, convention=False)
     sp.set_defaults(fn=cmd_reduce)
 
@@ -280,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("descriptor", nargs="?")
     sp.add_argument("--family")
     sp.add_argument("--window", type=int, default=10)
-    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_slow)
 
     sp = sub.add_parser("construct", help="run a diagonalization construction")

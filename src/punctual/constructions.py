@@ -5,12 +5,11 @@ clocked opponents, opening and closing requirement cycles, and emits one
 bit per output set per stage.  The run is a pure function of its inputs:
 two runs with equal inputs produce byte-identical traces.
 
-One driver, ``_drive``, owns the stage loop of every cycle-driven
-construction: scheduling, cycle open and close, the cycle budget, one
-trace record per stage and exhaustion at the end of the run.  Each
-construction supplies a ``_Machine`` subclass with its per-stage step.
-The separator drives a member index instead of cycles and keeps its own
-loop.
+One driver, ``_drive``, owns the stage loop of every construction, the
+separator's included: scheduling, cycle open, the cycle budget, one trace
+record per stage and exhaustion at the end of the run.  Each construction
+supplies a ``_Machine`` whose ``step`` and ``fallback`` emit a stage's bits
+and append its events, close events included.
 
 Under the ``once`` policy the requirement list is processed in order and,
 after the last cycle closes, emission follows a fixed fallback that keeps
@@ -65,6 +64,7 @@ from .sets import (
     drop_least_zero,
     parse_set,
     prefix_set,
+    sample_window_mixed,
     set_join,
     set_meet,
     string_join,
@@ -307,9 +307,9 @@ class _Machine:
 
     A subclass sets the requirement kinds and the phase a cycle opens in,
     and supplies ``step(stage, cycle, events)``: emit this stage's bits in
-    the open cycle, append any counterexample event, and return the phase
-    to show plus ``None`` while the cycle stays open, or the close event's
-    suffix once it closes.
+    the open cycle, append its events (``close`` appends the close event)
+    and return the phase to show and whether the cycle closed.
+    ``fallback(stage, events)`` does the same for a stage with no cycle.
     """
 
     kinds = ("P", "Q")
@@ -331,13 +331,18 @@ class _Machine:
     def init(self, cycle) -> None:
         """Stage 0: the stage+1 convention emits a bit per output here."""
 
-    def fallback(self, stage) -> None:
+    def fallback(self, stage, events) -> None:
         """No cycle left: an alternating tail keeps the output coinfinite."""
         self.flip = 1 - self.flip
         self.y.emit(self.flip)
 
     def starved(self, cycle) -> str:
         return "open cycle at the stage budget"
+
+    def close(self, cycle, events, detail="") -> bool:
+        """Append the cycle's close event; True, for ``step`` to return."""
+        events.append(f"close:{cycle.label}{detail}")
+        return True
 
     def witnesses(self, max_stages) -> dict:
         """Witness tables the run promises, checked by the validator."""
@@ -386,19 +391,19 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
     records.append(StageRecord(0, cycle.label if cycle else "-", "init",
                                bits(), tuple(events)))
     for stage in range(1, max_stages + 1):
+        events = []
         if cycle is None:
-            m.fallback(stage)
-            records.append(StageRecord(stage, "-", "fallback", bits(), ()))
+            m.fallback(stage, events)
+            records.append(StageRecord(stage, "-", "fallback", bits(),
+                                       tuple(events)))
             continue
         if cycle_budget and stage - cycle.opened > cycle_budget:
             raise StageBudgetExhausted("cycle exceeded its stage budget",
                                        cycle=cycle.label, phase=cycle.phase,
                                        stage=stage, trace=Trace(m.header, records))
-        events = []
         label = cycle.label
-        shown, close = m.step(stage, cycle, events)
-        if close is not None:
-            events.append(f"close:{label}{close}")
+        shown, closed = m.step(stage, cycle, events)
+        if closed:
             cycle = open_cycle(stage, events)
         records.append(StageRecord(stage, label, shown, bits(), tuple(events)))
     if cycle is not None and cycle.member is not None and policy == "once":
@@ -470,15 +475,13 @@ class _ImmuneMachine(_Machine):
                     break
         if witness is None:
             y.emit(1)
-            return "copy", None
+            return "copy", False
         y.emit(0)
         case, *data = witness
         self.closed.append((cycle.label, cycle.member, case, tuple(data)))
-        if case == "case1":
-            l, m, v = data
-            return "copy", f":case1:l={l}:m={m}:v={v}"
-        m, v = data
-        return "copy", f":case2:m={m}:v={v}"
+        names = ("l", "m", "v") if case == "case1" else ("m", "v")
+        detail = "".join(f":{n}={d}" for n, d in zip(names, data))
+        return "copy", self.close(cycle, events, f":{case}{detail}")
 
 
 def construct_immune(family: Sequence[ClockedProgram], max_stages: int,
@@ -523,9 +526,9 @@ class _IncomparableMachine(_Machine):
             sides, names = (y.bits, rel), ("Y", rel.name)
         if self.refute(cycle, stage - 1, *sides, names, events):
             y.emit(0)
-            return "copy", ""
+            return "copy", self.close(cycle, events)
         y.emit(1 if cycle.kind == "P" else 0)
-        return "copy", None
+        return "copy", False
 
 
 def construct_incomparable(relation, family, max_stages: int,
@@ -587,8 +590,7 @@ def _upper_dominating(x: PrSet, z: PrSet, max_stages: int):
 
 
 def _sample_infinite_coinfinite(z: PrSet, window: int) -> None:
-    bits = [z.bit(n) for n in range(window + 1)]
-    if 1 not in bits or 0 not in bits:
+    if not sample_window_mixed(z, 0, window):
         raise PreconditionFailed(
             f"{z.name} is not infinite and coinfinite on the sampled window")
 
@@ -619,7 +621,7 @@ class _DenseMachine(_Machine):
         self.y.emit(1)
         self._track(0)
 
-    def fallback(self, stage):
+    def fallback(self, stage, events):
         self._track(stage)
         self.y.emit(self.z.bit(stage))
 
@@ -649,8 +651,8 @@ class _DenseMachine(_Machine):
         if cycle.phase == "transition":
             target = (self.x if p_side else self.z).zeros_by_index(stage)
             if y.zero_count == target:
-                return "transition", ""
-        return cycle.phase, None
+                return "transition", self.close(cycle, events)
+        return cycle.phase, False
 
 
 def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
@@ -762,7 +764,8 @@ class _SplitMachine(_Machine):
         copier.emit(b)
         if cycle.phase == "transition":
             filler.emit(1 - self.copy_fill)
-            return "transition", "" if y0.zero_count == y1.zero_count else None
+            closed = y0.zero_count == y1.zero_count
+            return "transition", closed and self.close(cycle, events)
         filler.emit(self.copy_fill)
         if cycle.watch is None:
             diverged = copier.zero_count != filler.zero_count
@@ -774,7 +777,7 @@ class _SplitMachine(_Machine):
                                    (filler.name, self.z.name), events)
         if diverged:
             cycle.phase = "transition"
-        return "copy", None
+        return "copy", False
 
 
 def _split_run(z: PrSet, family, max_stages, policy, cycle_budget,
@@ -836,13 +839,13 @@ class _DiamondMachine(_Machine):
             if self.refute(cycle, stage, self.z_bits, x_tracker.bits,
                            (z.name, x_tracker.name), events):
                 cycle.phase = "transition"
-            return "copy", None
+            return "copy", False
         if y0.zero_count != y1.zero_count:
-            return "transition", None
+            return "transition", False
         self.boundaries.append((stage, cycle.label, x.zeros_by_index(stage),
                                 y0.zero_count, y1.zero_count,
                                 z.zeros_by_index(stage)))
-        return "transition", ""
+        return "transition", self.close(cycle, events)
 
     def starved(self, cycle):
         if cycle.phase == "transition":
@@ -913,90 +916,86 @@ def _normalize_family(family):
     return val, cost
 
 
+class _SeparatorMachine(_Machine):
+    """Cycle V<i> waits on member i until the built count provably escapes
+    y through it; the fallback waits on a virtual member past the family.
+    The count is capped one below x's, which pins it to the dropped profile.
+    """
+
+    kinds = ("V",)
+    phase = "wait"
+
+    def __init__(self, header, family, x, y, max_stages):
+        super().__init__(header, family, "once", ["Z"])
+        self.y_steps = y.zeros_by_steps
+        self.val, self.cost = _normalize_family(family)
+        self.zx1 = [max(0, x.zeros_by_steps(s) - 1) for s in range(max_stages + 2)]
+        # bracket marks: budgets at which the dropped profile steps up
+        self.marks = [t for t in range(max_stages + 1)
+                      if self.zx1[t + 1] > self.zx1[t]]
+        self.k = self.progress = 0      # the input awaited, stages spent on it
+        self.escapes: dict = {}         # member -> (t, Z count, y count)
+
+    def init(self, cycle):
+        self.y.emit(1)
+
+    def step(self, stage, cycle, events):
+        n, z, k, zx1 = len(self.family), self.y, self.k, self.zx1
+        e = cycle.member if cycle else n       # n: the fallback's virtual member
+        increment = escaped = False
+        self.progress += 1
+        if self.progress >= self.cost(e, k):
+            value = self.val(e, k)
+            events.append(f"conv:e={e}:k={k}:v={value}")
+            # a new zero of the dropped set is revealed between budgets k, k+1
+            increment = zx1[k] != zx1[k + 1]
+            if e < n:
+                z_count, y_count = z.zeros[k], self.y_steps(value)
+                escaped = z_count > y_count
+                if escaped:
+                    self.escapes[e] = (k, z_count, y_count)
+                    events.append(f"escape:e={e}:t={k}:z={z_count}:y={y_count}")
+                    if e == n - 1:
+                        events.append("done")
+            self.k = k = k + 1
+            self.progress = 0
+        cap = zx1[stage]
+        z.emit(0 if increment and cap > z.zero_count else 1)
+        # the built count tracks the dropped-profile bracket at every stage
+        want = bisect.bisect_left(self.marks, k)
+        if z.zero_count != want:
+            raise AssertionError(f"bracket invariant failed at stage {stage}: "
+                                 f"count={z.zero_count} bracket={want} k={k}")
+        if z.zero_count > cap:
+            raise AssertionError(f"domination cap failed at stage {stage}")
+        return "wait", escaped
+
+    def fallback(self, stage, events):
+        self.step(stage, None, events)
+
+    def starved(self, cycle):
+        return "separator did not pass every member"
+
+
 def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
                         policy: str = "once") -> ConstructionResult:
     """A set under the dropped version of x that escapes y through every member.
 
-    Drives a member index V: each member is abandoned once the built set's
-    count provably escapes y through it; the built count is capped one
-    below x's count, which pins it to the dropped profile bracket.  The
-    premise, that the dropped x escapes y through every member below
-    max_stages, is checked first and raises NotCertified when it fails.
+    The premise, that the dropped x escapes y through every member below
+    max_stages, is checked first and raises NotCertified when it fails.  The
+    member list is finite, so under either policy the run exhausts if a
+    member is still open at max_stages.
     """
     family = list(family)
     anti_reduction_evidence(drop_least_zero(x), y, family, max_stages)
-    val, cost = _normalize_family(family)
     header = _base_header("separator", [("X", x), ("Y", y)], family, policy,
                           max_stages, None, "stage+1", ["Z"])
-    zout = _Output("Z")
-    records = []
-    zx_steps = [x.zeros_by_steps(s) for s in range(max_stages + 2)]
-    zx1_steps = [max(0, v - 1) for v in zx_steps]
-    # bracket marks: budgets at which the dropped profile steps up
-    marks = [t for t in range(max_stages + 1) if zx1_steps[t + 1] > zx1_steps[t]]
-
-    v_idx = 0
-    k = 0
-    progress = 0
-    escape_stages: dict = {}
-    windows: dict = {0: [0, None]}      # member -> [first input, last input]
-    zout.emit(1)
-    records.append(StageRecord(0, "V0", "init", (("Z", 1),), ("open:V0",)))
-
-    for stage in range(1, max_stages + 1):
-        events = []
-        label = f"V{v_idx}" if v_idx < len(family) else "-"
-        phase = "wait" if v_idx < len(family) else "fallback"
-        progress += 1
-        increment = False
-        if progress >= cost(v_idx, k):
-            value = val(v_idx, k)
-            events.append(f"conv:e={v_idx}:k={k}:v={value}")
-            # a new zero of the dropped set is revealed between budgets k, k+1
-            if zx1_steps[k] != zx1_steps[k + 1]:
-                increment = True
-            if v_idx < len(family):
-                z_count = zout.zeros[k]
-                y_count = y.zeros_by_steps(value)
-                if z_count > y_count:
-                    escape_stages[v_idx] = (k, z_count, y_count)
-                    events.append(f"escape:e={v_idx}:t={k}:z={z_count}:y={y_count}")
-                    windows[v_idx][1] = k
-                    v_idx += 1
-                    windows[v_idx] = [k + 1, None]
-                    events.append(f"open:V{v_idx}" if v_idx < len(family) else "done")
-            k += 1
-            progress = 0
-        if increment:
-            cap = max(0, zx_steps[stage] - 1)
-            new = max(zout.zero_count, min(zout.zero_count + 1, cap))
-        else:
-            new = zout.zero_count
-        b = 1 if new == zout.zero_count else 0
-        zout.emit(b)
-        # the built count tracks the dropped-profile bracket at every stage
-        want = bisect.bisect_left(marks, k)
-        if zout.zero_count != want:
-            raise AssertionError(
-                f"bracket invariant failed at stage {stage}: "
-                f"count={zout.zero_count} bracket={want} k={k}")
-        if zout.zero_count > max(0, zx_steps[stage] - 1):
-            raise AssertionError(f"domination cap failed at stage {stage}")
-        records.append(StageRecord(stage, label, phase, (("Z", b),),
-                                   tuple(events)))
-
-    if v_idx < len(family):
-        raise StageBudgetExhausted(
-            "separator did not pass every member", cycle=f"V{v_idx}",
-            phase="wait", stage=max_stages, trace=Trace(header, records))
-
-    windows.pop(len(family), None)
-    trace = Trace(header, records)
-    result = ConstructionResult("separator", {"Z": zout.as_set()}, trace, [],
-                                notes={"x": x, "escapes": escape_stages,
-                                       "windows": windows, "val": val,
-                                       "family_size": len(family)})
-    _finish(result)
+    m = _SeparatorMachine(header, family, x, y, max_stages)
+    result = _drive(m, max_stages, "once", None,
+                    {"x": x, "escapes": m.escapes, "val": m.val})
+    if not family:
+        # no member opens, yet stage 0 shows V0 opening, as it always has
+        result.trace.records[0] = StageRecord(0, "V0", "init", (("Z", 1),), ("open:V0",))
     return result
 
 
@@ -1159,20 +1158,20 @@ def _validate_separator(result) -> list:
         if zed.zeros_by_index(s) > max(0, x.zeros_by_steps(s) - 1):
             failures.append(f"separator cap fails at stage {s}")
             break
-    if len(result.notes["escapes"]) < result.notes["family_size"]:
+    escapes = result.notes["escapes"]
+    if len(escapes) < len(result.trace.header_all("family")):
         failures.append("separator missed a member escape")
     val = result.notes["val"]
-    for e, window in result.notes["windows"].items():
-        k0, k1 = window
-        if k1 is None:
-            continue
-        for kk in range(k0 + 1, k1 + 1):
+    start = 0               # a member's window opens past the previous escape
+    for e, (t, _, _) in escapes.items():
+        for kk in range(start + 1, t + 1):
             stage_val = val(e, kk)
             # the escape margin needs the source to have shown a zero
             if stage_val <= hor and x.zeros_by_steps(kk) >= 1:
                 if zed.zeros_by_index(stage_val) >= x.zeros_by_steps(kk):
                     failures.append(
                         f"anti-diamond window fails for member {e} at k={kk}")
+        start = t + 1
     return failures
 
 
@@ -1239,11 +1238,7 @@ def load_trace_set(path: str, output: str | None = None) -> PrSet:
     trace = parse_trace(read_text(path))
     outputs = _required(trace, "outputs").split(",")
     pick = output or name or outputs[0]
-    bits = []
-    for rec in trace.records:
-        for n, b in rec.bits:
-            if n == pick:
-                bits.append(b)
+    bits = [b for rec in trace.records for n, b in rec.bits if n == pick]
     return prefix_set(f"trace:{path}:{pick}", bits, dsl=f"trace {path}:{pick}"
                       if (output or name) else f"trace {path}")
 
@@ -1281,6 +1276,10 @@ def replay_from_trace(trace: Trace) -> ConstructionResult:
             counts["cycle_budget"] = int(budget)
     except ValueError as exc:
         raise ParseError(f"malformed count in the trace header: {exc}") from None
+    if (policy not in ("once", "round-robin") or counts["max_stages"] < 0
+            or counts.get("cycle_budget", 1) < 1):
+        raise ParseError(f"trace header out of range: policy {policy!r}, max-stages "
+                         f"{counts['max_stages']}, cycle-budget {budget}")
     sets = _header_inputs(trace)
     for role in entry.inputs:
         if role not in sets:

@@ -378,6 +378,14 @@ def synth_reduction_from_p(x: PrSet, y: PrSet, p: Witnessable,
 # already verified on 0..horizon.
 
 
+def _least_member(y: PrSet, horizon: int) -> int:
+    """The least member of y in 0..horizon; PreconditionFailed if none."""
+    y0 = next((n for n in range(horizon + 1) if y.bit(n) == 1), None)
+    if y0 is None:
+        raise PreconditionFailed(f"{y.name} has no member below the horizon")
+    return y0
+
+
 def _respect_table(prog: ClockedProgram, x: PrSet, y: PrSet,
                    horizon: int) -> list[int]:
     """respect_normal_form's table for a program verified on 0..horizon."""
@@ -388,13 +396,7 @@ def _respect_table(prog: ClockedProgram, x: PrSet, y: PrSet,
         table = values
     else:
         a = stray[0]
-        y0 = None
-        for cand in range(horizon + 1):
-            if y.bit(cand) == 1:
-                y0 = cand
-                break
-        if y0 is None:
-            raise PreconditionFailed(f"{y.name} has no member below the horizon")
+        y0 = _least_member(y, horizon)
         table = []
         for n in range(horizon + 1):
             if x.bit(n) == 1:
@@ -440,13 +442,7 @@ def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
                           horizon: int) -> ReductionWitness:
     """surjectivize for a program verified on 0..horizon."""
     base = _respect_table(prog, x, y, horizon)
-    y0 = None
-    for cand in range(horizon + 1):
-        if y.bit(cand) == 1:
-            y0 = cand
-            break
-    if y0 is None:
-        raise PreconditionFailed(f"{y.name} has no member below the horizon")
+    y0 = _least_member(y, horizon)
     last = -1
     table: list[int] = []
     running = 0

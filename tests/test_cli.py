@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import punctual
-from punctual.cli import main
+from punctual.cli import build_parser, main
 
 FAMILY_TEXTS = [
     "P[1,1]",
@@ -228,6 +229,22 @@ def test_malformed_trace_is_misuse(edit, named, capsys, family_file, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("policy\tround-robin", "policy\tbogus", "policy 'bogus'"),
+    ("max-stages\t60", "max-stages\t-1", "max-stages -1"),
+    ("cycle-budget\t-", "cycle-budget\t-4", "cycle-budget -4"),
+    ("cycle-budget\t-", "cycle-budget\t0", "cycle-budget 0"),
+])
+def test_out_of_range_trace_header_is_misuse(old, new, named, capsys, tmp_path):
+    golden = pathlib.Path(__file__).parent / "golden" / "immune.round-robin.trace"
+    trace = tmp_path / "edited.trace"
+    trace.write_text(golden.read_text().replace(old, new, 1))
+    assert main(["verify", str(golden)]) == 0
+    assert main(["verify", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace header") and named in err
+
+
 def test_missing_construct_input_is_misuse(capsys):
     assert main(["construct", "diamond", "--z", "evens"]) == 1
     err = capsys.readouterr().err
@@ -280,13 +297,13 @@ def test_non_utf8_input_is_misuse(argv, capsys, tmp_path):
 
 def test_consecutive_calls_echo_their_own_config(capsys, family_file):
     calls = [
-        (["profile", "evens", "--horizon", "2", "--convention", "steps"],
-         "command=profile convention=steps descriptor=evens horizon=2 out=None"),
+        (["profile", "evens", "--horizon", "2"],
+         "command=profile descriptor=evens horizon=2"),
         (["lattice", "join", "evens", "mod 3", "--horizon", "3"],
          "a=evens b=mod 3 c=None command=lattice convention=index horizon=3"
-         " lattice_op=join out=None"),
+         " lattice_op=join"),
         (["profile", "mod 3"],
-         "command=profile convention=index descriptor=mod 3 horizon=100 out=None"),
+         "command=profile descriptor=mod 3 horizon=100"),
         (["reduce", "synth-g", "evens", "mod 3", "--horizon", "4"],
          "a=evens b=mod 3 command=reduce horizon=4 out=None reduce_op=synth-g"
          " witness=None"),
@@ -325,3 +342,39 @@ def test_python_m_punctual_usage_error_exits_1():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.endswith("error: unrecognized arguments: --bogus\n")
+
+
+# every option each subcommand accepts; a new option must be read by its
+# command, and then it belongs in this table
+OPTION_DESTS = {
+    "profile": ["horizon"],
+    "lattice": ["horizon", "convention"],
+    "reduce": ["witness", "out", "horizon"],
+    "diamond": ["q", "q_program", "k", "relaxed", "horizon", "convention"],
+    "slow": ["family", "window"],
+    "construct": ["z", "family", "max_stages", "policy", "x", "y", "t", "r",
+                  "count", "k", "witness", "out"],
+    "verify": [],
+}
+
+
+def test_cli_option_surface():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [a.dest for a in sp._actions
+                      if a.option_strings and a.dest != "help"]
+               for name, sp in sub.choices.items()}
+    assert surface == OPTION_DESTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "evens", "--out", "x"],
+    ["profile", "evens", "--convention", "steps"],
+    ["lattice", "join", "evens", "mod 3", "--out", "x"],
+    ["diamond", "canonical", "evens", "mod 3", "--out", "x"],
+    ["slow", "make", "--out", "x"],
+])
+def test_unread_options_are_rejected(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -33,6 +33,7 @@ from punctual.sets import (
     blocks_set,
     IdentityRelation,
     Prefix,
+    PrSet,
     SetRelation,
     drop_least_zero,
     evens_set,
@@ -241,6 +242,14 @@ class TestJoinSplit:
         switched = seg.index(0) if 0 in seg else len(seg)
         assert all(b == 1 for b in seg[:switched])
         assert all(b == 0 for b in seg[switched:])
+
+    @pytest.mark.parametrize("z", [PrSet("none", lambda n: 0),
+                                   PrSet("all", lambda n: 1)])
+    def test_rejects_a_flat_window(self, z):
+        # bits 0..window must hold both a member and a non-member
+        msg = f"^{z.name} is not infinite and coinfinite on the sampled window$"
+        with pytest.raises(PreconditionFailed, match=msg):
+            construct_join_split(z, family6(), 30)
 
     def test_empty_family_dummy_cycles(self):
         r = construct_join_split(mod_set(3), [], 100)

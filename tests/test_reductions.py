@@ -1,6 +1,11 @@
 import pytest
 
-from punctual.errors import NotAReduction, NotCertified, WitnessBoundViolated
+from punctual.errors import (
+    NotAReduction,
+    NotCertified,
+    PreconditionFailed,
+    WitnessBoundViolated,
+)
 from punctual.pr_lang import NativeProgram, TableProgram, TermProgram, parse_term
 from punctual.reductions import (
     ReductionWitness,
@@ -23,6 +28,7 @@ from punctual.reductions import (
 from punctual.sets import (
     IdentityRelation,
     Prefix,
+    PrSet,
     SetRelation,
     drop_least_zero,
     evens_set,
@@ -206,6 +212,19 @@ class TestMassaging:
         odds = list(range(1, 61, 2))
         vals = [w.value(x) for x in odds]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_rewrites_need_a_target_member_below_the_horizon(self):
+        late = PrSet("late", lambda n: 1 if n > 30 else 0)
+        # the evens land on the non-member 5, so a member must take them
+        f = TableProgram([5 if n % 2 == 0 else n + 11 for n in range(11)], "f")
+        empty = PrSet("empty", lambda n: 0)
+        cases = [(respect_normal_form, f, evens_set(), late),
+                 (surjectivize, f, evens_set(), late),
+                 (surjectivize, IDENTITY, empty, empty)]
+        for rewrite, prog, x, y in cases:
+            with pytest.raises(PreconditionFailed,
+                               match=f"^{y.name} has no member below the horizon$"):
+                rewrite(prog, x, y, 10)
 
 
 class TestPreImmune:
