@@ -233,13 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_profile)
 
     sp = sub.add_parser("lattice", help="join/meet/distributivity/equilibrium")
-    sp.add_argument("lattice_op",
-                    choices=["join", "meet", "distrib", "equilibrium"])
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("c", nargs="?")
-    common(sp)
     sp.set_defaults(fn=cmd_lattice)
+    ops = sp.add_subparsers(dest="lattice_op", required=True)
+    # only equilibrium reads a convention, and only distrib a third set
+    for op, operands in (("join", "ab"), ("meet", "ab"), ("distrib", "abc"),
+                         ("equilibrium", "ab")):
+        op_parser = ops.add_parser(op)
+        for name in operands:
+            op_parser.add_argument(name)
+        common(op_parser, convention=op == "equilibrium")
 
     sp = sub.add_parser("reduce", help="verify and transform reduction witnesses")
     sp.add_argument("reduce_op",

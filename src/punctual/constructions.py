@@ -929,7 +929,7 @@ class _SeparatorMachine(_Machine):
         super().__init__(header, family, "once", ["Z"])
         self.y_steps = y.zeros_by_steps
         self.val, self.cost = _normalize_family(family)
-        self.zx1 = [max(0, x.zeros_by_steps(s) - 1) for s in range(max_stages + 2)]
+        self.zx1 = [max(0, z - 1) for z in x.profile(range(max_stages + 2), "steps")]
         # bracket marks: budgets at which the dropped profile steps up
         self.marks = [t for t in range(max_stages + 1)
                       if self.zx1[t + 1] > self.zx1[t]]

@@ -26,14 +26,6 @@ from .sets import (
 )
 
 
-def zeros(x: PrSet, s: int, convention: str) -> int:
-    if convention == "index":
-        return x.zeros_by_index(s)
-    if convention == "steps":
-        return x.zeros_by_steps(s)
-    raise ValueError(f"unknown convention {convention!r}")
-
-
 def family_hash(family: Sequence[ClockedProgram]) -> str:
     text = "\n".join(program_text(p) for p in family)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -57,11 +49,9 @@ class EquilibriumReport:
 def equilibrium_points(x: PrSet, y: PrSet, horizon: int,
                        convention: str = "index") -> EquilibriumReport:
     """All stages below the horizon where the two zero counts agree."""
-    if convention == "index":
-        x.read_ahead(horizon)
-        y.read_ahead(horizon)
-    pts = tuple(s for s in range(horizon + 1)
-                if zeros(x, s, convention) == zeros(y, s, convention))
+    stages = range(horizon + 1)
+    pts = tuple(s for s, a, b in zip(stages, x.profile(stages, convention),
+                                     y.profile(stages, convention)) if a == b)
     return EquilibriumReport(convention, horizon, pts)
 
 
@@ -101,12 +91,10 @@ def diamond_evidence_q(x: PrSet, y: PrSet, q, horizon: int, k: int,
     """
     _require_certificate(certificate)
     prog = as_program(q)
-    hits = []
-    for t in range(horizon + 1):
-        a = zeros(y, t, convention)
-        b = zeros(x, prog.value(t), convention)
-        if a == b or (relaxed and a <= b):
-            hits.append(t)
+    stages = range(horizon + 1)
+    zy = y.profile(stages, convention)
+    zx = x.profile([prog.value(t) for t in stages], convention)
+    hits = [t for t, a, b in zip(stages, zy, zx) if a == b or (relaxed and a <= b)]
     verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
     return DiamondEvidence("q-stage", (x.name, y.name), tuple(hits), k, verdict,
                            convention, (0, horizon), relaxed)
@@ -169,8 +157,8 @@ def _smooth_profile(src: PrSet, tgt: PrSet, p_vals: list[int], horizon: int):
     at w or whose p-value undershoots w; d climbs by at most one per stage
     toward the count at c(w).
     """
-    zs = [src.zeros_by_steps(s) for s in range(horizon + 1)]
-    zt = [tgt.zeros_by_steps(s) for s in range(horizon + 1)]
+    zs = list(src.profile(range(horizon + 1), "steps"))
+    zt = list(tgt.profile(range(horizon + 1), "steps"))
     c = []
     best = 0
     for w in range(horizon + 1):
@@ -210,8 +198,8 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
     """
     p_vals, mono_p = _monotonize(as_program(p), horizon)
     q_vals, mono_q = _monotonize(as_program(q), horizon)
-    zx = [x.zeros_by_steps(s) for s in range(horizon + 1)]
-    zy = [y.zeros_by_steps(s) for s in range(horizon + 1)]
+    zx = list(x.profile(range(horizon + 1), "steps"))
+    zy = list(y.profile(range(horizon + 1), "steps"))
     s_good = [s for s in range(horizon + 1)
               if p_vals[s] <= horizon and zx[s] == zy[p_vals[s]]]
     t_good = [t for t in range(horizon + 1)
@@ -295,10 +283,8 @@ def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
     profiles.  Returns the new q table and its evidence report.
     """
     _require_certificate(certificate)
-    zx = [x.zeros_by_steps(s) for s in range(horizon + 1)]
-    zy = [y.zeros_by_steps(s) for s in range(horizon + 1)]
-    zx2 = [x2.zeros_by_steps(s) for s in range(horizon + 1)]
-    zy2 = [y2.zeros_by_steps(s) for s in range(horizon + 1)]
+    zx, zy, zx2, zy2 = (list(z.profile(range(horizon + 1), "steps"))
+                        for z in (x, y, x2, y2))
     if f is None:
         f_vals = []
         for t in range(horizon + 1):
@@ -437,11 +423,12 @@ def x1_bound_check(x: PrSet, y: PrSet, horizon: int,
     dropped = drop_least_zero(x)
     stages = []
     violation = None
-    for s in range(horizon + 1):
-        zy = y.zeros_by_steps(s)
-        if zy >= x.zeros_by_steps(s):
+    span = range(horizon + 1)
+    for s, zy, zx, zd in zip(span, y.profile(span, "steps"), x.profile(span, "steps"),
+                             dropped.profile(span, "steps")):
+        if zy >= zx:
             stages.append(s)
-        if violation is None and zy > dropped.zeros_by_steps(s):
+        if violation is None and zy > zd:
             violation = s
     return DropBoundVerdict((x.name, y.name), horizon, tuple(stages),
                             violation is None, violation)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from itertools import repeat
+from typing import Optional, Sequence, Union
 
 from .errors import (
     NotAReduction,
@@ -75,26 +76,41 @@ def as_program(f: Witnessable) -> ClockedProgram:
     raise TypeError(f"not a program or witness: {f!r}")
 
 
-def _rep_fn(rel: Relation, bound: int) -> Callable[[int], int]:
-    """Canonical class representative on 0..bound (least related element)."""
-    if isinstance(rel, SetRelation):
-        return rel.class_rep
+def _classes(rel: Relation, points: Sequence[int], out: list) -> list:
+    """Append each point's class to out and return it: -1 for the members
+    of a set relation, else the least related element.
+
+    A set relation reads its carrier once, up to the largest point.  If a
+    read fails, out keeps the classes of the points before the failing one
+    (for a set, of 0..k-1 when bit k fails, so points should run upward).
+    """
     if isinstance(rel, IdentityRelation):
-        return lambda x: x
-    memo: dict[int, int] = {}
+        out += points
+    elif isinstance(rel, SetRelation):
+        x = rel.carrier
+        try:
+            bits = x.prefix(max(points, default=-1)).bits
+        except Exception:
+            _classes(rel, range(x.decided), out)
+            raise
+        out += [-1 if bits[p] else p for p in points]
+    else:
+        reps: dict[int, int] = {}
 
-    def rep(x):
-        hit = memo.get(x)
-        if hit is None:
-            hit = x
-            for y in range(x + 1):
-                if rel.related(y, x):
-                    hit = y
-                    break
-            memo[x] = hit
-        return hit
+        def rep(v):
+            hit = reps.get(v)
+            if hit is None:
+                hit = reps[v] = next((u for u in range(v + 1) if rel.related(u, v)), v)
+            return hit
 
-    return rep
+        out.extend(map(rep, points))
+    return out
+
+
+def _one_to_one(classes: list, images: list) -> bool:
+    """The classes of 0..k-1 and of their images correspond one to one."""
+    images = images[:len(classes)]
+    return len(set(zip(classes, images))) == len(set(classes)) == len(set(images))
 
 
 def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
@@ -102,28 +118,24 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     """Verify x ~ y iff f(x) ~ f(y) on all pairs below n.
 
     Returns None when the claim holds, else the lexicographically least
-    violating pair.  The fast path checks that classes map consistently and
-    injectively; only on failure does it rescan for the least pair.
+    violating pair.  The fast path maps 0..n and their images to classes and
+    checks that the classes correspond one to one; only on failure does it
+    rescan for the least pair.
     """
     prog = as_program(f)
-    rep_s = _rep_fn(source, n)
-    rep_t = _rep_fn(target, n)
     values = [prog.value(x) for x in range(n + 1)]
-    if isinstance(source, SetRelation):
-        source.carrier.read_ahead(n)
-    if isinstance(target, SetRelation) and values:
-        target.carrier.read_ahead(max(values))
-    image_rep = [rep_t(v) for v in values]
-    forward: dict[int, int] = {}
-    backward: dict[int, int] = {}
-    clean = True
-    for x in range(n + 1):
-        a, b = rep_s(x), image_rep[x]
-        if forward.setdefault(a, b) != b or backward.setdefault(b, a) != a:
-            clean = False
-            break
-    if clean:
-        return None
+    images = _classes(target, values, [])
+    classes: list = []
+    try:
+        _classes(source, range(n + 1), classes)
+    except Exception:
+        # an upward check stops at its first class clash, so a source that
+        # fails at element k raises only when 0..k-1 is clean
+        if _one_to_one(classes, images):
+            raise
+    else:
+        if _one_to_one(classes, images):
+            return None
     for l in range(n + 1):
         for m in range(n + 1):
             if l == m:
@@ -278,8 +290,9 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
         if x.bit(s) == 0:
             last_zero = s
         table.append(0 if last_zero is None else prog.value(last_zero))
-    for s in range(horizon + 1):
-        if x.zeros_by_index(s) > y.zeros_by_index(table[s]):
+    stages = range(horizon + 1)
+    for s, a, b in zip(stages, x.profile(stages), y.profile(table)):
+        if a > b:
             raise NotAReduction(
                 f"growth synthesis failed its own bound at s={s}")
     return ReductionWitness(TableProgram(table, "h"), "growth-h",
@@ -348,8 +361,10 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     # right side is nondecreasing, so boundary checks cover every stage
     boundaries = [0] + [x.cum_cost(k) for k in range(k_max + 1)
                         if x.cum_cost(k) <= horizon]
-    for s in boundaries:
-        if x.zeros_by_steps(s) > y.zeros_by_steps(table.value(s)):
+    budgets = [table.value(s) for s in boundaries]
+    for s, a, b in zip(boundaries, x.profile(boundaries, "steps"),
+                       y.profile(budgets, "steps")):
+        if a > b:
             raise NotAReduction(f"step-rate synthesis failed its own bound at s={s}")
     return ReductionWitness(table, "growth-p", x.name, y.name, horizon, "steps", True)
 
@@ -521,13 +536,13 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
         if cex is not None:
             raise NotCertified(f"claimed reduction fails: {cex.describe()}")
         return
-    for s in range(horizon + 1):
-        if w.claim == "growth-h":
-            a, b = low.zeros_by_index(s), high.zeros_by_index(w.value(s))
-        elif w.claim == "growth-p":
-            a, b = low.zeros_by_steps(s), high.zeros_by_steps(w.value(s))
-        else:
-            raise NotCertified(f"unknown claim kind {w.claim!r}")
+    convention = {"growth-h": "index", "growth-p": "steps"}.get(w.claim)
+    if convention is None:
+        raise NotCertified(f"unknown claim kind {w.claim!r}")
+    stages = range(horizon + 1)
+    lows = low.profile(stages, convention)
+    highs = high.profile([w.value(s) for s in stages], convention)
+    for s, a, b in zip(stages, lows, highs):
         if a > b:
             raise NotCertified(f"claimed {w.claim} bound fails at s={s}")
 
@@ -535,14 +550,9 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
 def domination_certificate(low: PrSet, high: PrSet, horizon: int,
                            convention: str = "index") -> ReductionWitness:
     """Certify low <= high from a pointwise profile comparison (h = identity)."""
-    if convention == "index":
-        low.read_ahead(horizon)
-        high.read_ahead(horizon)
-    for s in range(horizon + 1):
-        a = (low.zeros_by_index(s) if convention == "index"
-             else low.zeros_by_steps(s))
-        b = (high.zeros_by_index(s) if convention == "index"
-             else high.zeros_by_steps(s))
+    kind = "index" if convention == "index" else "steps"
+    stages = range(horizon + 1)
+    for s, a, b in zip(stages, low.profile(stages, kind), high.profile(stages, kind)):
         if a > b:
             raise NotCertified(
                 f"profile of {low.name} exceeds {high.name} at s={s} ({a} > {b})")
@@ -610,16 +620,11 @@ def serialize_witness(w: ReductionWitness) -> str:
     return out.getvalue()
 
 
-def parse_witness(text: str) -> ReductionWitness:
-    """Read a witness file; malformed rows and header keys raise ParseError."""
-    head, _, body = text.partition("---\n")
-    fields = {}
-    for line in head.splitlines():
-        key, _, val = line.partition("\t")
-        fields[key] = val
+def _parse_rows(rows: list, first_row: int) -> list:
+    """Witness table rows "index<TAB>value", one at a time: the first bad
+    row raises, naming its line."""
     values = []
-    first_row = len(head.splitlines()) + 2
-    for lineno, line in enumerate(body.splitlines(), first_row):
+    for lineno, line in enumerate(rows, first_row):
         i, _, v = line.partition("\t")
         try:
             index, value = int(i), int(v)
@@ -628,6 +633,31 @@ def parse_witness(text: str) -> ReductionWitness:
         if index != len(values):
             raise PreconditionFailed(f"witness table rows out of order at {i}")
         values.append(value)
+    return values
+
+
+def parse_witness(text: str) -> ReductionWitness:
+    """Read a witness file; malformed rows and header keys raise ParseError."""
+    head, _, body = text.partition("---\n")
+    fields = {}
+    for line in head.splitlines():
+        key, _, val = line.partition("\t")
+        fields[key] = val
+    rows = body.splitlines()
+    # the rows in bulk when each holds one tab, so that splitting their
+    # join at every tab gives index, value, index, ...; any other shape or
+    # failure is reported by the per-row pass
+    n = len(rows)
+    in_order = False
+    if list(map(str.count, rows, repeat("\t"))) == [1] * n:
+        cells = "\t".join(rows).split("\t")
+        try:
+            values = list(map(int, cells[1::2]))
+            in_order = list(map(int, cells[0::2])) == list(range(n))
+        except ValueError:
+            pass
+    if not in_order:
+        values = _parse_rows(rows, len(head.splitlines()) + 2)
     for key in ("claim", "source", "target", "horizon", "convention", "verified"):
         if key not in fields:
             raise ParseError(f"witness header has no {key!r} line")

@@ -40,6 +40,11 @@ exceeds the budget; only a derived set's operands may run ahead, by at most
 the last chunk and never past the last bit the budget could pay for at one
 step a bit.  Zero-limited growth (``principal_zero`` without a closed
 form) stays per-bit.
+
+Scans read memos in bulk: ``profile(points, convention)`` answers a whole
+list of index points or step budgets from one growth to the largest, and
+``prefix(n).bits`` hands a scan the bits it maps over, so a scan pays one
+``_ensure`` entry, not one per element.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ import bisect
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, cycle, islice, repeat
 from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import pr_lang
 from .errors import (
@@ -234,6 +239,12 @@ class PrSet:
         if self._fill is not None and n >= len(self._bits):
             self._ensure(n)
 
+    @property
+    def decided(self) -> int:
+        """How many bits the memo holds: bits 0..decided-1 are read without
+        another generator call."""
+        return len(self._bits)
+
     def bit(self, n: int) -> int:
         if n >= len(self._bits):
             self._ensure(n)
@@ -265,6 +276,34 @@ class PrSet:
         self._ensure(s, steps=s)
         k = bisect.bisect_right(self._cost_cum, s)
         return self._zero_cum[k - 1] if k else 0
+
+    def profile(self, points: Iterable[int], convention: str = "index") -> Iterator[int]:
+        """zeros_by_index or zeros_by_steps at each point, in order, from
+        one memo growth to the largest point.
+
+        Points may come in any order; step budgets of 0 and below count no
+        zeros.  If a generator fails during the growth, the counts are read
+        point by point instead, so the failure surfaces at the first point
+        that needs the failing bit, as it would with one read per point.
+        """
+        if convention not in ("index", "steps"):
+            raise ValueError(f"unknown convention {convention!r}")
+        steps = convention == "steps"
+        points = points if isinstance(points, (list, range)) else list(points)
+        top = max(points, default=-1)
+        try:
+            if not steps:
+                self._ensure(top)
+            elif top > 0:
+                # bits 0..top cost at least top + 1 steps, so growth stops by bit top
+                self._ensure(top, steps=top)
+        except Exception:
+            return map(self.zeros_by_steps if steps else self.zeros_by_index, points)
+        zc = self._zero_cum
+        if not steps:
+            return iter([zc[s] for s in points])
+        return iter([zc[k - 1] if k else 0
+                     for k in map(bisect.bisect_right, repeat(self._cost_cum), points)])
 
     def principal_zero(self, n: int, ceiling: int = DEFAULT_CEILING) -> int:
         """Position of the (n+1)-st zero, in order of magnitude."""
@@ -546,10 +585,6 @@ class SetRelation(Relation):
 
     def related(self, x: int, y: int) -> bool:
         return x == y or (self.carrier.bit(x) == 1 and self.carrier.bit(y) == 1)
-
-    def class_rep(self, x: int) -> int:
-        """-1 for the main class, x for a singleton."""
-        return -1 if self.carrier.bit(x) == 1 else x
 
 
 class IdentityRelation(Relation):

@@ -1,7 +1,9 @@
 import argparse
+import collections
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -113,6 +115,18 @@ class TestLattice:
         code, out = run(["lattice", "distrib", "evens", "mod 3", "mod 5",
                          "--horizon", "200"], capsys)
         assert code == 0 and "distributivity\tok" in out
+
+    def test_distrib_needs_three_sets(self, capsys):
+        assert main(["lattice", "distrib", "evens", "mod 3"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: c\n")
+
+    def test_equilibrium_reads_its_convention(self, capsys):
+        _, index = run(["lattice", "equilibrium", "evens", "mod 3",
+                        "--horizon", "30"], capsys)
+        _, steps = run(["lattice", "equilibrium", "evens", "mod 3",
+                        "--horizon", "30", "--convention", "steps"], capsys)
+        assert "convention\tindex\n" in index and "convention\tsteps\n" in steps
 
     def test_equilibrium_self_pair(self, capsys):
         code, out = run(["lattice", "equilibrium", "evens", "evens",
@@ -300,8 +314,12 @@ def test_consecutive_calls_echo_their_own_config(capsys, family_file):
         (["profile", "evens", "--horizon", "2"],
          "command=profile descriptor=evens horizon=2"),
         (["lattice", "join", "evens", "mod 3", "--horizon", "3"],
-         "a=evens b=mod 3 c=None command=lattice convention=index horizon=3"
-         " lattice_op=join"),
+         "a=evens b=mod 3 command=lattice horizon=3 lattice_op=join"),
+        (["lattice", "distrib", "evens", "mod 3", "id", "--horizon", "3"],
+         "a=evens b=mod 3 c=id command=lattice horizon=3 lattice_op=distrib"),
+        (["lattice", "equilibrium", "evens", "mod 3", "--horizon", "3"],
+         "a=evens b=mod 3 command=lattice convention=index horizon=3"
+         " lattice_op=equilibrium"),
         (["profile", "mod 3"],
          "command=profile descriptor=mod 3 horizon=100"),
         (["reduce", "synth-g", "evens", "mod 3", "--horizon", "4"],
@@ -348,7 +366,11 @@ def test_python_m_punctual_usage_error_exits_1():
 # command, and then it belongs in this table
 OPTION_DESTS = {
     "profile": ["horizon"],
-    "lattice": ["horizon", "convention"],
+    "lattice": [],
+    "lattice join": ["horizon"],
+    "lattice meet": ["horizon"],
+    "lattice distrib": ["horizon"],
+    "lattice equilibrium": ["horizon", "convention"],
     "reduce": ["witness", "out", "horizon"],
     "diamond": ["q", "q_program", "k", "relaxed", "horizon", "convention"],
     "slow": ["family", "window"],
@@ -359,12 +381,18 @@ OPTION_DESTS = {
 
 
 def test_cli_option_surface():
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    surface = {name: [a.dest for a in sp._actions
-                      if a.option_strings and a.dest != "help"]
-               for name, sp in sub.choices.items()}
+    surface = {}
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sp in action.choices.items():
+                    path = f"{prefix} {name}".strip()
+                    surface[path] = [a.dest for a in sp._actions
+                                     if a.option_strings and a.dest != "help"]
+                    walk(sp, path)
+
+    walk(build_parser(), "")
     assert surface == OPTION_DESTS
 
 
@@ -372,9 +400,78 @@ def test_cli_option_surface():
     ["profile", "evens", "--out", "x"],
     ["profile", "evens", "--convention", "steps"],
     ["lattice", "join", "evens", "mod 3", "--out", "x"],
+    ["lattice", "join", "evens", "mod 3", "--convention", "steps"],
+    ["lattice", "meet", "evens", "mod 3", "--convention", "index"],
+    ["lattice", "distrib", "evens", "mod 3", "id", "--convention", "steps"],
+    ["lattice", "join", "evens", "mod 3", "id"],
     ["diamond", "canonical", "evens", "mod 3", "--out", "x"],
     ["slow", "make", "--out", "x"],
 ])
 def test_unread_options_are_rejected(argv, capsys):
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+FUZZ_PIECES = [b"0", b"7", b"-", b"x", b"\t", b"\n", b" ", b"(", b";", b"#", b"P[",
+               b"\xff", b"\x00"]
+
+
+def fuzz_mutation(rng, data):
+    """One seeded edit: replace, insert or delete bytes, drop or swap a
+    line, or truncate."""
+    lines = data.split(b"\n")
+    op = rng.randrange(6)
+    i = rng.randrange(len(data))
+    if op == 0:
+        return data[:i] + rng.choice(FUZZ_PIECES) + data[i + 1:]
+    if op == 1:
+        return data[:i] + rng.choice(FUZZ_PIECES) + data[i:]
+    if op == 2:
+        return data[:i] + data[i + rng.randint(1, 8):]
+    if op == 3:
+        del lines[rng.randrange(len(lines))]
+        return b"\n".join(lines)
+    if op == 4:
+        a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[a], lines[b] = lines[b], lines[a]
+        return b"\n".join(lines)
+    return data[:i]
+
+
+def test_fuzzed_input_files_end_in_a_documented_exit(tmp_path, family_file, capsys):
+    trace, witness = str(tmp_path / "t.trace"), str(tmp_path / "w.wit")
+    assert main(["construct", "immune", "--family", family_file, "--max-stages", "40",
+                 "--out", trace]) == 0
+    assert main(["reduce", "synth-g", "evens", "mod 3", "--horizon", "30",
+                 "--out", witness]) == 0
+    mutant = str(tmp_path / "mutant")
+    commands = {
+        trace: ["verify", mutant],
+        witness: ["reduce", "check", "evens", "mod 3", "--witness", mutant,
+                  "--horizon", "30"],
+        family_file: ["construct", "immune", "--family", mutant, "--max-stages", "30"],
+    }
+    rng = random.Random(10)
+    for path, argv in commands.items():
+        with open(path, "rb") as fh:
+            original = fh.read()
+        codes = collections.Counter()
+        for _ in range(150):
+            data = fuzz_mutation(rng, original)
+            if data == original:
+                continue
+            with open(mutant, "wb") as fh:
+                fh.write(data)
+            capsys.readouterr()
+            code = main(argv)      # a traceback would escape main as an exception
+            codes[code] += 1
+            out, err = capsys.readouterr()
+            assert code in (0, 1), (path, data)
+            # a failure is reported as a misuse error or a failed check
+            assert code == 0 or err.startswith("error: ") or "\tfail" in out, (out, err)
+            # a trace verifies byte for byte, so no edit of one passes
+            assert code == 1 or path != trace
+        assert codes[1] >= 50, codes
+        os.remove(mutant)
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")

@@ -3,7 +3,8 @@
 The references below are the earlier, definitional versions: the two
 "least fresh zero" mu-searches that rescan from 0 for every pick, the
 per-stage step-rate table, the bit-by-bit step-profile count, the
-principal-zero scan and the one-row-at-a-time witness writer.  Each fast
+principal-zero scan, the one-row-at-a-time witness writer and reader, one
+profile read per stage, and the all-pairs reduction check.  Each fast
 path must give the same table or value, or raise the same exception class
 with the same message, and must not materialise a bit past the one the
 reference reads up to.  Range fills are checked against the per-bit memo
@@ -24,6 +25,8 @@ from punctual.errors import (
     BudgetExceeded,
     CeilingExceeded,
     NotAReduction,
+    NotCertified,
+    ParseError,
     PreconditionFailed,
     PunctualityViolation,
     WitnessBoundViolated,
@@ -35,10 +38,13 @@ from punctual.pr_lang import (
     TermProgram,
     parse_term,
 )
+from punctual.lattice import equilibrium_points
 from punctual.reductions import (
+    Counterexample,
     ReductionWitness,
     _massage_for_growth,
     as_program,
+    domination_certificate,
     parse_witness,
     require_reduction,
     respect_normal_form,
@@ -48,6 +54,8 @@ from punctual.reductions import (
     synth_reduction_from_h,
 )
 from punctual.sets import (
+    IdentityRelation,
+    PredicateRelation,
     PrSet,
     SetRelation,
     drop_least_zero,
@@ -660,3 +668,313 @@ def test_rewrites_verify_input_and_result_once(pair, traces, monkeypatch):
     out = _massage_for_growth(stray, x, y, horizon)
     assert seen == [stray, list(out.values)]
     assert out.values == surjectivize(stray, x, y, horizon).program.values
+
+
+# ---------------------------------------------------------------------------
+# Whole-profile reads against one read per point
+
+
+PROFILED = FILLED + ["{evens}", "join({evens}, mod 3)", "drop({odds})", "zero-list",
+                     "costly"]
+
+
+def make_profiled(desc, traces):
+    if desc == "zero-list":
+        return zero_list_set("zl", lambda zs: zs[-1] + 3 if zs else 1)
+    if desc == "costly":
+        return prefix_set("costly", [1, 0, 0, 1, 1, 0], cost_fn=lambda n: n % 3 + 1)
+    if "{evens}" in desc or "{odds}" in desc:
+        return parse_set(desc.format(**TERMS))
+    return make_filled(desc, traces)
+
+
+def profile_points(seed, convention, top):
+    """Unsorted points with repeats, 0 and (for budgets) below, and past the
+    memo a caller grew before the read."""
+    rng = random.Random(f"{seed}:{convention}")
+    low = -3 if convention == "steps" else 0
+    points = [rng.randint(low, top) for _ in range(40)] + [0, top, top, 2 * top + 7]
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("convention", ["index", "steps"])
+@pytest.mark.parametrize("desc", PROFILED)
+def test_profile_matches_per_call_reads(desc, convention, traces):
+    top = 120 if "{" in desc else 700
+    read = f"zeros_by_{convention}"
+    for grown in (-1, 0, 37, top):
+        x, ref = make_profiled(desc, traces), make_profiled(desc, traces)
+        if grown >= 0:
+            x.bit(grown)
+            ref.bit(grown)
+        points = profile_points(desc, convention, top)
+        assert list(x.profile(points, convention)) == [getattr(ref, read)(p) for p in points]
+        # the set's own memo ends where one read per point ends it
+        assert x._bits == ref._bits and x._cost_cum == ref._cost_cum
+        assert list(x.profile([], convention)) == []
+        assert list(x.profile(range(top + 1), convention)) == \
+            [getattr(ref, read)(p) for p in range(top + 1)]
+
+
+def test_profile_rejects_an_unknown_convention():
+    with pytest.raises(ValueError, match="unknown convention 'principal'"):
+        evens_set().profile([1, 2], "principal")
+
+
+def fragile(k, name="fragile"):
+    """Members are the multiples of 3; deciding any bit past k raises."""
+    def bit(n):
+        if n > k:
+            raise PunctualityViolation(f"{name}: bit {n} read")
+        return 1 if n % 3 == 0 else 0
+
+    return PrSet(name, bit)
+
+
+def ref_domination(low, high, horizon):
+    """The per-stage comparison domination_certificate makes, one read per stage."""
+    for s in range(horizon + 1):
+        a, b = low.zeros_by_index(s), high.zeros_by_index(s)
+        if a > b:
+            raise NotCertified(f"profile of {low.name} exceeds {high.name} at s={s} ({a} > {b})")
+    return list(range(horizon + 1))
+
+
+def ref_equilibria(x, y, horizon, convention):
+    read = f"zeros_by_{convention}"
+    return tuple(s for s in range(horizon + 1)
+                 if getattr(x, read)(s) == getattr(y, read)(s))
+
+
+@pytest.mark.parametrize("k", [0, 4, 9, 30, 200])
+def test_profile_consumers_fail_where_per_stage_reads_fail(k):
+    # a fragile set next to one whose profile it passes early or late; the
+    # per-stage reads raise at the first stage that needs bit k + 1, unless
+    # the comparison fails first
+    partners = [lambda: parse_set("id"), lambda: parse_set("mod 2"),
+                lambda: parse_set("drop(evens)"), lambda: fragile(k // 2, "other")]
+    for partner in partners:
+        for convention in ("index", "steps"):
+            pair = lambda: (fragile(k), partner())
+            want = outcome(ref_equilibria, *pair(), 60, convention)
+            assert outcome(lambda a, b: equilibrium_points(a, b, 60, convention).points,
+                           *pair()) == want
+            want = outcome(ref_equilibria, *reversed(pair()), 60, convention)
+            assert outcome(lambda a, b: equilibrium_points(a, b, 60, convention).points,
+                           *reversed(pair())) == want
+        for low, high in ((fragile(k), partner()), (partner(), fragile(k))):
+            want = outcome(ref_domination, low, high, 60)
+            low2, high2 = ((fragile(k), partner()) if low.name == "fragile"
+                           else (partner(), fragile(k)))
+            assert outcome(domination_certificate, low2, high2, 60) == want
+    # list consumers see the per-point failure too
+    for convention in ("index", "steps"):
+        read = f"zeros_by_{convention}"
+        points = list(range(80, -1, -3))
+        want = outcome(lambda x: [getattr(x, read)(p) for p in points], fragile(k))
+        assert outcome(lambda x: list(x.profile(points, convention)), fragile(k)) == want
+
+
+# ---------------------------------------------------------------------------
+# Class maps in check_reduction_prefix
+
+
+def ref_check_all_pairs(f, source, target, n):
+    """Definitional check: the least pair (l, m), l != m, whose relatedness
+    the table does not carry over, with every pair compared."""
+    values = [as_program(f).value(x) for x in range(n + 1)]
+    for l in range(n + 1):
+        for m in range(n + 1):
+            if l != m:
+                left = source.related(l, m)
+                right = target.related(values[l], values[m])
+                if left != right:
+                    return Counterexample("reduction", l, m, n, left, right,
+                                          (values[l], values[m]))
+    return None
+
+
+def ref_check_upward(f, source, target, n):
+    """The earlier check: class representatives element by element, upward,
+    stopping at the first class clash, and then the least-pair rescan."""
+    def rep_fn(rel):
+        if isinstance(rel, SetRelation):
+            return lambda x: -1 if rel.carrier.bit(x) == 1 else x
+        if isinstance(rel, IdentityRelation):
+            return lambda x: x
+        return lambda x: next((y for y in range(x + 1) if rel.related(y, x)), x)
+
+    values = [as_program(f).value(x) for x in range(n + 1)]
+    rep_s, rep_t = rep_fn(source), rep_fn(target)
+    image_rep = [rep_t(v) for v in values]
+    forward, backward = {}, {}
+    for x in range(n + 1):
+        a, b = rep_s(x), image_rep[x]
+        if forward.setdefault(a, b) != b or backward.setdefault(b, a) != a:
+            return ref_check_all_pairs(f, source, target, n)
+    return None
+
+
+RELATIONS = {
+    "evens": lambda tr: SetRelation(parse_set("evens")),
+    "mod 3": lambda tr: SetRelation(parse_set("mod 3")),
+    "join": lambda tr: SetRelation(parse_set("join(evens, mod 3)")),
+    "trace": lambda tr: SetRelation(parse_set(f"trace {tr['imm']}")),
+    "term": lambda tr: SetRelation(parse_set(TERMS["evens"])),
+    "id": lambda tr: IdentityRelation(),
+    "cong3": lambda tr: PredicateRelation(lambda a, b: a % 3 == b % 3, "cong3"),
+    "fours": lambda tr: PredicateRelation(lambda a, b: a // 4 == b // 4, "fours"),
+}
+
+
+def check_tables(rng, n):
+    """Seeded tables: the identity, injective and class-collapsing maps,
+    and copies with one entry moved, so both verdicts occur."""
+    perm = rng.sample(range(3 * n), n + 1)
+    tables = [list(range(n + 1)), perm, [v // 2 for v in range(n + 1)],
+              [3 * v for v in range(n + 1)], [0] * (n + 1),
+              [rng.randint(0, 2 * n) for _ in range(n + 1)]]
+    for t in list(tables):
+        moved = list(t)
+        moved[rng.randrange(n + 1)] = rng.randint(0, 3 * n)
+        tables.append(moved)
+    return [TableProgram(t, "t") for t in tables]
+
+
+@pytest.mark.parametrize("source", RELATIONS)
+@pytest.mark.parametrize("target", RELATIONS)
+def test_check_reduction_prefix_matches_all_pairs(source, target, traces):
+    rng = random.Random(f"{source}->{target}")
+    n = 30
+    verdicts = set()
+    for f in check_tables(rng, n):
+        want = ref_check_all_pairs(f, RELATIONS[source](traces), RELATIONS[target](traces), n)
+        got = reductions.check_reduction_prefix(
+            f, RELATIONS[source](traces), RELATIONS[target](traces), n)
+        assert got == want, f.values
+        verdicts.add(got is None)
+    if source == target:
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("pair", SYNTH_PAIRS)
+def test_check_reduction_prefix_on_synthesised_tables(pair, traces):
+    x, y = make_pair(traces, pair)
+    g, stray, _ = reduction_tables(x, y, 60)
+    rng = random.Random(pair)
+    moved = list(g)
+    moved[rng.randrange(61)] += 1
+    for t in (g, stray, moved):
+        x, y = make_pair(traces, pair)
+        want = ref_check_all_pairs(t, SetRelation(x), SetRelation(y), 60)
+        x, y = make_pair(traces, pair)
+        assert reductions.check_reduction_prefix(t, SetRelation(x), SetRelation(y), 60) == want
+
+
+@pytest.mark.parametrize("k", [0, 2, 5, 11, 25, 40])
+def test_check_reduction_prefix_with_a_fragile_carrier(k):
+    # a carrier that raises past bit k, on either side: the verdict or the
+    # exception is the one the upward check gives
+    n = 40
+    rng = random.Random(k)
+    tables = check_tables(rng, n) + [
+        TableProgram([v if v < k else v + 1 for v in range(n + 1)], "late"),
+        TableProgram([1 if v == k // 2 else v for v in range(n + 1)], "early"),
+    ]
+    sides = [lambda: SetRelation(parse_set("mod 3")), lambda: IdentityRelation(),
+             lambda: PredicateRelation(lambda a, b: a % 3 == b % 3 or min(a, b) > 0
+                                       and a % 3 and b % 3, "m3"),
+             lambda: SetRelation(fragile(k // 3, "other"))]
+    kinds = set()
+    for f in tables:
+        for other in sides:
+            for make in ((lambda: (SetRelation(fragile(k)), other())),
+                         (lambda: (other(), SetRelation(fragile(k))))):
+                want = outcome(ref_check_upward, f, *make(), n)
+                assert outcome(reductions.check_reduction_prefix, f, *make(), n) == want
+                kinds.add(want[0] if isinstance(want, tuple) else type(want))
+    assert kinds >= {PunctualityViolation, Counterexample}
+
+
+# ---------------------------------------------------------------------------
+# Witness rows in bulk against the per-row reader
+
+
+def ref_parse_witness(text):
+    """The per-row reader: header fields, then each row split at its first
+    tab, both sides read with int, the index checked against the row count."""
+    head, _, body = text.partition("---\n")
+    fields = dict(line.partition("\t")[::2] for line in head.splitlines())
+    values = []
+    for lineno, line in enumerate(body.splitlines(), len(head.splitlines()) + 2):
+        i, _, v = line.partition("\t")
+        try:
+            index, value = int(i), int(v)
+        except ValueError:
+            raise ParseError(f"malformed witness row on line {lineno}: {line!r}") from None
+        if index != len(values):
+            raise PreconditionFailed(f"witness table rows out of order at {i}")
+        values.append(value)
+    for key in ("claim", "source", "target", "horizon", "convention", "verified"):
+        if key not in fields:
+            raise ParseError(f"witness header has no {key!r} line")
+    try:
+        horizon = int(fields["horizon"])
+    except ValueError:
+        raise ParseError(f"malformed witness horizon {fields['horizon']!r}") from None
+    if horizon != len(values) - 1:
+        raise PreconditionFailed("witness table length does not match its horizon")
+    return (fields["claim"], fields["source"], fields["target"], horizon,
+            fields["convention"], fields["verified"] == "1", values)
+
+
+def parsed(text):
+    w = parse_witness(text)
+    return (w.claim, w.source, w.target, w.horizon, w.convention, w.verified,
+            list(w.program.values))
+
+
+ROW_EDITS = [
+    ("non-integer value", lambda rows, k: rows[k].replace("\t", "\tx", 1)),
+    ("non-integer index", lambda rows, k: "#" + rows[k]),
+    ("no tab", lambda rows, k: rows[k].replace("\t", " ")),
+    ("two tabs", lambda rows, k: rows[k] + "\t7"),
+    ("trailing tab", lambda rows, k: rows[k] + "\t"),
+    ("padded", lambda rows, k: " " + rows[k].replace("\t", " \t ") + " "),
+    ("signed", lambda rows, k: "+" + rows[k].replace("\t", "\t-")),
+    ("underscored", lambda rows, k: rows[k] + "_0"),
+    ("empty", lambda rows, k: ""),
+    ("index off", lambda rows, k: f"{k + 1}\t{rows[k].partition(chr(9))[2]}"),
+    ("index swapped", lambda rows, k: rows[k - 1] if k else rows[-1]),
+    ("leading zero", lambda rows, k: "0" + rows[k]),
+    ("carriage return", lambda rows, k: rows[k] + "\r"),
+]
+
+
+@pytest.mark.parametrize("edit", [name for name, _ in ROW_EDITS])
+def test_parse_witness_rows_match_the_per_row_reader(edit):
+    change = dict(ROW_EDITS)[edit]
+    rng = random.Random(edit)
+    for n in (1, 2, 7, 300):
+        w = ReductionWitness(TableProgram([rng.randint(0, 10 ** 6) for _ in range(n)], "t"),
+                             "reduction", "a", "b", n - 1)
+        text = serialize_witness(w)
+        assert parsed(text) == ref_parse_witness(text)
+        head, _, body = text.partition("---\n")
+        rows = body.splitlines()
+        for k in sorted({0, n - 1, rng.randrange(n)}):
+            edited = rows[:k] + [change(rows, k)] + rows[k + 1:]
+            for tail in ("\n", ""):
+                bad = head + "---\n" + "\n".join(edited) + tail
+                assert outcome(parsed, bad) == outcome(ref_parse_witness, bad), (n, k)
+
+
+def test_parse_witness_headers_match_the_per_row_reader():
+    w = ReductionWitness(TableProgram([4, 5, 6], "t"), "growth-h", "a", "b", 2)
+    text = serialize_witness(w)
+    variants = [text.replace("horizon\t2", "horizon\tx"), text.replace("horizon\t2", "horizon\t3"),
+                text.replace("claim\tgrowth-h\n", ""), text.replace("---\n", ""),
+                text.split("---\n")[0] + "---\n", text + "3\t7\n", "", "---\n"]
+    for bad in variants:
+        assert outcome(parsed, bad) == outcome(ref_parse_witness, bad)

@@ -55,9 +55,10 @@ class TestEquilibrium:
     def test_exhaustive_both_conventions(self):
         for conv in ("index", "steps"):
             rep = equilibrium_points(evens_set(), mod_set(3), 50, conv)
+            read = f"zeros_by_{conv}"
             for s in range(51):
-                from punctual.lattice import zeros
-                want = zeros(evens_set(), s, conv) == zeros(mod_set(3), s, conv)
+                want = (getattr(evens_set(), read)(s)
+                        == getattr(mod_set(3), read)(s))
                 assert (s in rep.points) == want
 
 
