@@ -23,6 +23,10 @@ refute, so exhaustion is a first-class outcome.
 
 ``CONSTRUCTIONS`` maps each kind to its public builder, its header input
 roles and its validator; the command line, replay and validation read it.
+
+Trace records are named tuples.  ``verify_trace_file`` replays from the
+header alone and parses the records only when the replay raises or its
+bytes differ, so a malformed record is still the first error reported.
 To add a construction, write a machine, a builder that runs it through
 ``_drive``, a validator for its own invariants, and one registry entry.
 """
@@ -35,7 +39,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import zip_longest
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     NotCertified,
@@ -79,8 +83,7 @@ _RECORD_FIELDS = ("stage", "cycle", "phase", "bits", "events")
 # Trace plumbing
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     stage: int
     cycle: str
     phase: str
@@ -88,7 +91,7 @@ class StageRecord:
     events: tuple              # strings
 
     def line(self) -> str:
-        bits = ",".join(f"{n}={b}" for n, b in self.bits) or "-"
+        bits = ",".join([f"{n}={b}" for n, b in self.bits]) or "-"
         events = ";".join(self.events) or "-"
         return f"{self.stage}\t{self.cycle}\t{self.phase}\t{bits}\t{events}"
 
@@ -100,12 +103,9 @@ class Trace:
     footer: list = field(default_factory=list)
 
     def serialize(self) -> str:
-        lines = [TRACE_FORMAT]
-        lines.extend(f"{k}\t{v}" for k, v in self.header)
-        lines.append("---")
-        lines.extend(r.line() for r in self.records)
-        lines.append("---")
-        lines.extend(f"{k}\t{v}" for k, v in self.footer)
+        lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in self.header], "---",
+                 *[r.line() for r in self.records], "---",
+                 *[f"{k}\t{v}" for k, v in self.footer]]
         return "\n".join(lines) + "\n"
 
     def header_value(self, key: str) -> Optional[str]:
@@ -130,28 +130,46 @@ def _parse_record(line: str, lineno: int) -> StageRecord:
     try:
         stage, cycle, phase, bits, events = line.split("\t")
         bit_pairs = () if bits == "-" else tuple(
-            (n, int(b)) for n, b in (p.split("=") for p in bits.split(",")))
+            [(n, int(b)) for n, b in [p.split("=") for p in bits.split(",")]])
         return StageRecord(int(stage), cycle, phase, bit_pairs,
                            tuple(events.split(";")) if events != "-" else ())
     except ValueError:
         raise ParseError(f"malformed trace record on line {lineno}: {line!r}") from None
 
 
-def parse_trace(text: str):
+def _split_trace(text: str):
+    """A trace text's header pairs, its record lines with the line number
+    of the first, and its footer pairs.
+
+    The first two ``---`` lines end the header and the records; the footer
+    skips blank lines.  Only a text without the format line raises here.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_FORMAT:
         raise ParseError("not a trace file")
-    header, records, footer = sections = ([], [], [])
-    part = 0
-    for lineno, line in enumerate(lines[1:], 2):
-        if line == "---" and part < 2:
-            part += 1
-        elif part == 1:
-            records.append(_parse_record(line, lineno))
-        elif line or part == 0:
-            k, _, v = line.partition("\t")
-            sections[part].append((k, v))
-    return Trace(header, records, footer)
+
+    def cut(start):
+        try:
+            return lines.index("---", start)
+        except ValueError:
+            return len(lines)
+
+    head = cut(1)
+    body = cut(head + 1)
+    header = [(k, v) for k, _, v in [line.partition("\t") for line in lines[1:head]]]
+    footer = [(k, v) for k, _, v in [line.partition("\t") for line in lines[body + 1:]
+                                     if line]]
+    return header, lines[head + 1:body], head + 2, footer
+
+
+def _parse_records(lines: list, first: int) -> list:
+    """Stage records from their lines; the first malformed one raises."""
+    return [_parse_record(line, lineno) for lineno, line in enumerate(lines, first)]
+
+
+def parse_trace(text: str) -> Trace:
+    header, lines, first, footer = _split_trace(text)
+    return Trace(header, _parse_records(lines, first), footer)
 
 
 @dataclass
@@ -238,16 +256,13 @@ class _Output:
     def __init__(self, name: str):
         self.name = name
         self.bits: list = []
-        self.zeros: list = []
+        self.zeros: list = []      # zeros among bits 0..n
+        self.zero_count = 0
 
     def emit(self, b: int):
         self.bits.append(b)
-        prev = self.zeros[-1] if self.zeros else 0
-        self.zeros.append(prev + (1 - b))
-
-    @property
-    def zero_count(self) -> int:
-        return self.zeros[-1] if self.zeros else 0
+        self.zero_count += 1 - b
+        self.zeros.append(self.zero_count)
 
     def as_set(self) -> PrSet:
         return prefix_set(self.name, self.bits)
@@ -382,8 +397,10 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
         events.append(f"open:{label}")
         return cycle
 
+    outs = [(o.name, o.bits) for o in m.outputs]
+
     def bits():
-        return tuple((o.name, o.bits[-1]) for o in m.outputs if o.bits)
+        return tuple([(name, emitted[-1]) for name, emitted in outs if emitted])
 
     events: list = []
     cycle = open_cycle(0, events)
@@ -581,11 +598,17 @@ def construct_antichain(count: int, family, max_stages: int,
 
 
 def _upper_dominating(x: PrSet, z: PrSet, max_stages: int):
-    """z, joined with x if x ever has more zeros; plus its header line."""
+    """z, joined with x if x ever has more zeros; plus its header line.
+
+    Filling sets among x and the result are read ahead to max_stages, the
+    last stage a machine reads them at, so its per-stage reads hit the memo.
+    """
     x.read_ahead(max_stages)
     z.read_ahead(max_stages)
     if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
-        return set_join(x, z), ("normalized-z", "1")
+        z = set_join(x, z)
+        z.read_ahead(max_stages)
+        return z, ("normalized-z", "1")
     return z, ("normalized-z", "0")
 
 
@@ -662,6 +685,8 @@ def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
         raise PreconditionFailed("density needs 0 in both input sets")
     _sample_infinite_coinfinite(z, min(200, max_stages))
     z, normalized = _upper_dominating(x, z, max_stages)
+    if t_mid is not None:
+        t_mid.read_ahead(max_stages)
     inputs = [("X", x), ("Z", z)] if t_mid is None else [("X", x), ("T", t_mid), ("Z", z)]
     header = _base_header(construction, inputs, family, policy, max_stages,
                           cycle_budget, "stage+1", ["Y"], [normalized])
@@ -784,6 +809,7 @@ def _split_run(z: PrSet, family, max_stages, policy, cycle_budget,
                mode: str) -> ConstructionResult:
     family = list(family)
     _sample_infinite_coinfinite(z, min(200, max_stages))
+    z.read_ahead(max_stages - 1)    # stage s reads bit s - 1
     construction = "join-split" if mode == "join" else "meet-split"
     header = _base_header(construction, [("Z", z)], family, policy, max_stages,
                           cycle_budget, "stage", ["Y0", "Y1"])
@@ -1003,9 +1029,10 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
 # Validation
 
 
-def validate_result(result: ConstructionResult) -> list:
+def validate_result(result: ConstructionResult, closes: list) -> list:
     """Post-hoc validation: structural trace invariants plus the
-    construction's own stated equalities.  Returns human-readable failures."""
+    construction's own stated equalities.  ``closes`` is ``_closes(result)``.
+    Returns human-readable failures."""
     failures = []
     records = result.trace.records
     convention = result.trace.header_value("prefix-convention")
@@ -1044,7 +1071,7 @@ def validate_result(result: ConstructionResult) -> list:
             failures.append(f"unknown member {cex.member} in {label}")
         elif not _still_violates(cex, prog, side(src), side(tgt)):
             failures.append(f"counterexample in {label} no longer violates")
-    failures.extend(CONSTRUCTIONS[result.name].validate(result))
+    failures.extend(CONSTRUCTIONS[result.name].validate(result, closes))
     return failures
 
 
@@ -1054,11 +1081,7 @@ def _closes(result) -> list:
             for e in rec.events if e.startswith("close:")]
 
 
-def _last_close(result) -> int:
-    return max((stage for stage, _ in _closes(result)), default=0)
-
-
-def _validate_immune(result) -> list:
+def _validate_immune(result, closes) -> list:
     failures = []
     y = result.outputs["Y"]
     family = result.notes["family"]
@@ -1075,23 +1098,23 @@ def _validate_immune(result) -> list:
     return failures
 
 
-def _validate_incomparable(result) -> list:
+def _validate_incomparable(result, closes) -> list:
     # the revalidated counterexamples are the whole claim
     return []
 
 
-def _validate_dense(result) -> list:
+def _validate_dense(result, closes) -> list:
     failures = []
     records = result.trace.records
     x, z = result.notes["x"], result.notes["z"]
     y = result.outputs["Y"]
-    for rec in records:
-        s = rec.stage
-        a, b, c = x.zeros_by_index(s), y.zeros_by_index(s), z.zeros_by_index(s)
+    stages = [rec.stage for rec in records]
+    for s, a, b, c in zip(stages, x.profile(stages), y.profile(stages),
+                          z.profile(stages)):
         if not a <= b <= c:
             failures.append(f"chain invariant broken at stage {s}")
             break
-    for s, label in _closes(result):
+    for s, label in closes:
         if label.startswith("P") and x.zeros_by_index(s) != y.zeros_by_index(s):
             failures.append(f"lower counts differ at close of {label}")
         if label.startswith("Q") and y.zeros_by_index(s) != z.zeros_by_index(s):
@@ -1106,18 +1129,18 @@ def _validate_dense(result) -> list:
     return failures
 
 
-def _validate_split(result) -> list:
+def _validate_split(result, closes) -> list:
     failures = []
     z = result.notes["z"]
     mode = result.notes["mode"]
-    last = _last_close(result)
+    last = closes[-1][0] if closes else 0
     if last:
         op = string_join if mode == "join" else string_meet
         got = op(result.outputs["Y0"].prefix(last - 1),
                  result.outputs["Y1"].prefix(last - 1))
         if got.bits != z.prefix(last - 1).bits:
             failures.append(f"{mode} of outputs differs from the input set")
-    for stage, _ in _closes(result):
+    for stage, _ in closes:
         a = result.outputs["Y0"].zeros_by_index(stage - 1)
         b = result.outputs["Y1"].zeros_by_index(stage - 1)
         if a != b:
@@ -1125,10 +1148,10 @@ def _validate_split(result) -> list:
     return failures
 
 
-def _validate_diamond(result) -> list:
+def _validate_diamond(result, closes) -> list:
     failures = []
     x, z = result.notes["x"], result.notes["z"]
-    last = _last_close(result)
+    last = closes[-1][0] if closes else 0
     if last:
         y0 = prefix_set("a", result.outputs["Y0"].prefix(last).bits)
         y1 = prefix_set("b", result.outputs["Y1"].prefix(last).bits)
@@ -1149,7 +1172,7 @@ def _validate_diamond(result) -> list:
     return failures
 
 
-def _validate_separator(result) -> list:
+def _validate_separator(result, closes) -> list:
     failures = []
     x = result.notes["x"]
     zed = result.outputs["Z"]
@@ -1176,11 +1199,12 @@ def _validate_separator(result) -> list:
 
 
 def _finish(result: ConstructionResult) -> None:
-    failures = validate_result(result)
+    closes = _closes(result)
+    failures = validate_result(result, closes)
     result.trace.footer = [("verdict", "ok" if not failures else "fail")]
     for f in failures:
         result.trace.footer.append(("failure", f))
-    result.trace.footer.append(("closed-cycles", str(len(_closes(result)))))
+    result.trace.footer.append(("closed-cycles", str(len(closes))))
     result.trace.footer.append(("counterexamples", str(len(result.counterexamples))))
 
 
@@ -1194,7 +1218,8 @@ class _Kind:
 
     ``build`` is called as ``build(*inputs, family=, max_stages=, policy=)``
     with the input sets in ``inputs`` role order, plus ``cycle_budget=``
-    when the trace header sets one and the command line's ``options``.
+    when the trace header sets one and the command line's ``options``;
+    ``validate(result, closes)`` gets the result's ``_closes``.
     """
     build: Callable
     inputs: tuple = ()             # header input roles, in argument order
@@ -1305,13 +1330,24 @@ def _divergence(original: bytes, replayed: bytes) -> str:
 
 
 def verify_trace_file(path) -> tuple[bool, str]:
-    """Byte-identical replay check plus the recorded validation verdict."""
+    """Byte-identical replay check plus the recorded validation verdict.
+
+    Replay reads the header alone.  Bytes equal to the replay's are well-
+    formed records already, so the records are parsed only when the replay
+    raises or differs: a malformed record is then reported first, as if the
+    whole file had been parsed up front.
+    """
     with open(path, "rb") as fh:
         original = fh.read()
-    trace = parse_trace(decode_text(original, path))
-    result = replay_from_trace(trace)
+    header, lines, first, _ = _split_trace(decode_text(original, path))
+    try:
+        result = replay_from_trace(Trace(header, []))
+    except Exception:
+        _parse_records(lines, first)
+        raise
     replayed = result.trace.serialize().encode()
     if original != replayed:
+        _parse_records(lines, first)
         return False, _divergence(original, replayed)
     verdict = result.trace.footer[0][1] if result.trace.footer else "unknown"
     if verdict != "ok":

@@ -124,6 +124,9 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     """
     prog = as_program(f)
     values = [prog.value(x) for x in range(n + 1)]
+    if min(values, default=0) < 0:
+        x = next(x for x, v in enumerate(values) if v < 0)
+        raise PreconditionFailed(f"witness maps {x} to {values[x]}, not a natural number")
     images = _classes(target, values, [])
     classes: list = []
     try:
@@ -630,6 +633,8 @@ def _parse_rows(rows: list, first_row: int) -> list:
             index, value = int(i), int(v)
         except ValueError:
             raise ParseError(f"malformed witness row on line {lineno}: {line!r}") from None
+        if value < 0:
+            raise ParseError(f"negative witness value on line {lineno}: {line!r}")
         if index != len(values):
             raise PreconditionFailed(f"witness table rows out of order at {i}")
         values.append(value)
@@ -646,17 +651,18 @@ def parse_witness(text: str) -> ReductionWitness:
     rows = body.splitlines()
     # the rows in bulk when each holds one tab, so that splitting their
     # join at every tab gives index, value, index, ...; any other shape or
-    # failure is reported by the per-row pass
+    # failure, a negative value included, is reported by the per-row pass
     n = len(rows)
-    in_order = False
+    clean = False
     if list(map(str.count, rows, repeat("\t"))) == [1] * n:
         cells = "\t".join(rows).split("\t")
         try:
             values = list(map(int, cells[1::2]))
-            in_order = list(map(int, cells[0::2])) == list(range(n))
+            clean = (list(map(int, cells[0::2])) == list(range(n))
+                     and min(values, default=0) >= 0)
         except ValueError:
             pass
-    if not in_order:
+    if not clean:
         values = _parse_rows(rows, len(head.splitlines()) + 2)
     for key in ("claim", "source", "target", "horizon", "convention", "verified"):
         if key not in fields:

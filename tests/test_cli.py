@@ -271,6 +271,7 @@ WITNESS = ("claim\treduction\nsource\tevens\ntarget\tevens\nhorizon\t1\n"
 
 @pytest.mark.parametrize("edit, named", [
     (lambda t: t.replace("1\t1\n", "1\tx\n"), "line 9"),
+    (lambda t: t.replace("1\t1\n", "1\t-1\n"), "negative witness value on line 9"),
     (lambda t: t.replace("0\t0\n", "zero\t0\n"), "line 8"),
     (lambda t: t + "\n", "line 10"),
     (lambda t: t.replace("horizon\t1\n", ""), "'horizon'"),

@@ -1,10 +1,15 @@
+import collections
+import pathlib
 import random
 
 import pytest
+from conftest import BOUND_LINEAR, EVENS_TERM
+from test_cli import fuzz_mutation
 
-from punctual.errors import PreconditionFailed, StageBudgetExhausted
+from punctual.errors import ParseError, PreconditionFailed, StageBudgetExhausted, decode_text
 from punctual.constructions import (
     _Detector,
+    _divergence,
     construct_antichain,
     construct_dense,
     construct_dense_incomparable,
@@ -38,6 +43,7 @@ from punctual.sets import (
     drop_least_zero,
     evens_set,
     mod_set,
+    parse_set,
     prefix_set,
     set_join,
     set_meet,
@@ -432,3 +438,82 @@ class TestTraceFiles:
         s = load_trace_set(f"{p}:Y1")
         for n in range(150):
             assert s.bit(n) == r.outputs["Y1"].bit(n)
+
+
+def _verify_by_definition(path):
+    """The definitional verify: parse every record, replay from the parsed
+    trace, compare the bytes."""
+    with open(path, "rb") as fh:
+        original = fh.read()
+    trace = parse_trace(decode_text(original, path))
+    result = replay_from_trace(trace)
+    replayed = result.trace.serialize().encode()
+    if original != replayed:
+        return False, _divergence(original, replayed)
+    verdict = result.trace.footer[0][1] if result.trace.footer else "unknown"
+    if verdict != "ok":
+        return False, f"validation verdict: {verdict}"
+    return True, "ok"
+
+
+def _outcome(verify, path):
+    try:
+        return verify(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.trace")))
+def test_verify_matches_definition_on_golden_traces(name):
+    path = GOLDEN / name
+    assert _outcome(verify_trace_file, path) == _outcome(_verify_by_definition, path)
+
+
+def test_verify_matches_definition_on_mutants(tmp_path):
+    saved = [construct_immune(family6(), 40),
+             construct_dense(parse_set("meet(evens, blocks 6)"),
+                             parse_set("join(evens, blocks 6)"), None, family6(), 40)]
+    rng = random.Random(20)
+    mutant = tmp_path / "mutant.trace"
+    seen = collections.Counter()
+    for result in saved:
+        original = result.trace.serialize().encode()
+        for _ in range(150):
+            mutant.write_bytes(fuzz_mutation(rng, original))
+            want = _outcome(_verify_by_definition, mutant)
+            assert _outcome(verify_trace_file, mutant) == want, mutant.read_bytes()
+            if want[0] is ParseError and "malformed trace record" in want[1]:
+                seen["malformed record"] += 1
+            else:
+                seen["divergence" if want[0] is False else "other"] += 1
+    # each way out of the new path is taken
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+TERM_EVENS = f'term "{EVENS_TERM}" bound "{BOUND_LINEAR}"'
+
+
+class TestReadAhead:
+    """Filling inputs are read ahead to the last stage; term-backed inputs
+    still grow stage by stage, as far as the run reads them."""
+
+    def test_term_input_of_an_exhausted_split(self):
+        z = parse_set(TERM_EVENS)
+        with pytest.raises(StageBudgetExhausted) as info:
+            construct_join_split(z, family6(), 600, cycle_budget=5)
+        assert (info.value.stage, info.value.cycle) == (23, "P4")
+        # the 200-bit sample window, not the 600 stages
+        assert z.decided == 201
+
+    def test_term_input_of_a_finished_dense_run(self):
+        t, blocks = parse_set(TERM_EVENS), parse_set("blocks 6")
+        result = construct_dense(set_meet(t, blocks), set_join(t, blocks), None,
+                                 family6(), 60, "round-robin")
+        # the 200-point domination check, not the 60 stages
+        assert t.decided == 200
+        # the same run over the builtin evens: its golden trace, bit for bit
+        text = result.trace.serialize().replace(TERM_EVENS, "evens")
+        assert text == (GOLDEN / "dense.round-robin.trace").read_text()

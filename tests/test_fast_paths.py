@@ -903,7 +903,8 @@ def test_check_reduction_prefix_with_a_fragile_carrier(k):
 
 def ref_parse_witness(text):
     """The per-row reader: header fields, then each row split at its first
-    tab, both sides read with int, the index checked against the row count."""
+    tab, both sides read with int, the value checked to be a natural number
+    and the index checked against the row count."""
     head, _, body = text.partition("---\n")
     fields = dict(line.partition("\t")[::2] for line in head.splitlines())
     values = []
@@ -913,6 +914,8 @@ def ref_parse_witness(text):
             index, value = int(i), int(v)
         except ValueError:
             raise ParseError(f"malformed witness row on line {lineno}: {line!r}") from None
+        if value < 0:
+            raise ParseError(f"negative witness value on line {lineno}: {line!r}")
         if index != len(values):
             raise PreconditionFailed(f"witness table rows out of order at {i}")
         values.append(value)

@@ -66,6 +66,13 @@ class TestCheckReduction:
         cex = check_reduction_prefix(bad, IdentityRelation(), IdentityRelation(), 5)
         assert (cex.l, cex.m) == (0, 1)
 
+    def test_negative_image_is_rejected(self):
+        # read as a bit index, -1 would land on the end of the target's memo
+        neg = TableProgram([0, 1, 0, -1, 0, 4], "neg")
+        with pytest.raises(PreconditionFailed, match="maps 3 to -1"):
+            check_reduction_prefix(neg, SetRelation(evens_set()),
+                                   SetRelation(mod_set(3)), 5)
+
 
 class TestDetectors:
     def test_constant_on_identity_fires_least_pair(self):
