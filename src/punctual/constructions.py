@@ -256,13 +256,11 @@ class _Output:
     def __init__(self, name: str):
         self.name = name
         self.bits: list = []
-        self.zeros: list = []      # zeros among bits 0..n
         self.zero_count = 0
 
     def emit(self, b: int):
         self.bits.append(b)
         self.zero_count += 1 - b
-        self.zeros.append(self.zero_count)
 
     def as_set(self) -> PrSet:
         return prefix_set(self.name, self.bits)
@@ -586,8 +584,7 @@ def construct_antichain(count: int, family, max_stages: int,
     members = []
     for i in range(1, count):
         prev = results[i - 1].output()
-        members.append(PrSet(f"S{i - 1}", prev.bit, prev.bit_cost,
-                             kind=prev.kind, dsl=prev.dsl))
+        members.append(PrSet(f"S{i - 1}", prev.bit, prev.bit_cost, dsl=prev.dsl))
         rels = [SetRelation(m) for m in members]
         results.append(_incomparable_multi(rels, family, max_stages, policy))
     return results
@@ -961,9 +958,14 @@ class _SeparatorMachine(_Machine):
                       if self.zx1[t + 1] > self.zx1[t]]
         self.k = self.progress = 0      # the input awaited, stages spent on it
         self.escapes: dict = {}         # member -> (t, Z count, y count)
+        self.counts: list = []          # zeros of Z among bits 0..n
+
+    def emit(self, b):
+        self.y.emit(b)
+        self.counts.append(self.y.zero_count)
 
     def init(self, cycle):
-        self.y.emit(1)
+        self.emit(1)
 
     def step(self, stage, cycle, events):
         n, z, k, zx1 = len(self.family), self.y, self.k, self.zx1
@@ -976,7 +978,7 @@ class _SeparatorMachine(_Machine):
             # a new zero of the dropped set is revealed between budgets k, k+1
             increment = zx1[k] != zx1[k + 1]
             if e < n:
-                z_count, y_count = z.zeros[k], self.y_steps(value)
+                z_count, y_count = self.counts[k], self.y_steps(value)
                 escaped = z_count > y_count
                 if escaped:
                     self.escapes[e] = (k, z_count, y_count)
@@ -986,7 +988,7 @@ class _SeparatorMachine(_Machine):
             self.k = k = k + 1
             self.progress = 0
         cap = zx1[stage]
-        z.emit(0 if increment and cap > z.zero_count else 1)
+        self.emit(0 if increment and cap > z.zero_count else 1)
         # the built count tracks the dropped-profile bracket at every stage
         want = bisect.bisect_left(self.marks, k)
         if z.zero_count != want:

@@ -15,7 +15,12 @@ from typing import Optional, Sequence
 
 from .errors import CaseUndetermined, NotCertified
 from .pr_lang import ClockedProgram, TableProgram, program_text
-from .reductions import ReductionWitness, as_program, domination_certificate
+from .reductions import (
+    ReductionWitness,
+    as_program,
+    domination_certificate,
+    require_index_values,
+)
 from .sets import (
     DEFAULT_CEILING,
     PrSet,
@@ -92,8 +97,11 @@ def diamond_evidence_q(x: PrSet, y: PrSet, q, horizon: int, k: int,
     _require_certificate(certificate)
     prog = as_program(q)
     stages = range(horizon + 1)
+    images = [prog.value(t) for t in stages]
+    if convention == "index":
+        require_index_values(images)
     zy = y.profile(stages, convention)
-    zx = x.profile([prog.value(t) for t in stages], convention)
+    zx = x.profile(images, convention)
     hits = [t for t, a, b in zip(stages, zy, zx) if a == b or (relaxed and a <= b)]
     verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
     return DiamondEvidence("q-stage", (x.name, y.name), tuple(hits), k, verdict,
@@ -181,9 +189,17 @@ def _smooth_profile(src: PrSet, tgt: PrSet, p_vals: list[int], horizon: int):
     return c, d
 
 
+def _first_stages(profile: list[int]) -> dict:
+    """The least stage with each count of a profile."""
+    first: dict[int, int] = {}
+    for u, z in enumerate(profile):
+        first.setdefault(z, u)
+    return first
+
+
 def _profile_set(name: str, d: list[int]) -> PrSet:
     bits = [1 if d[m + 1] == d[m] else 0 for m in range(len(d) - 1)]
-    return prefix_set(name, bits, kind="derived", cost_fn=lambda n: 1)
+    return prefix_set(name, bits, cost_fn=lambda n: 1)
 
 
 def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
@@ -204,19 +220,14 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
               if p_vals[s] <= horizon and zx[s] == zy[p_vals[s]]]
     t_good = [t for t in range(horizon + 1)
               if q_vals[t] <= horizon and zy[t] == zx[q_vals[t]]]
-    by_value_t: dict[int, list[int]] = {}
-    for t in t_good:
-        by_value_t.setdefault(zy[t], []).append(t)
-    good_s = [s for s in s_good if zx[s] in by_value_t]
-    good_t = [t for t in t_good if any(zy[t] == zx[s] for s in s_good)]
+    s_counts, t_counts = {zx[s] for s in s_good}, {zy[t] for t in t_good}
+    good_s = [s for s in s_good if zx[s] in t_counts]
+    good_t = [t for t in t_good if zy[t] in s_counts]
 
     case1_s = [s for s in good_s if p_vals[s] >= s]
     case2_t = [t for t in good_t if q_vals[t] >= t]
     case3_s = [s for s in good_s if p_vals[s] < s]
     case3_t = [t for t in good_t if q_vals[t] < t]
-
-    def first_stage(prof, j):
-        return next((u for u in range(horizon + 1) if prof[u] == j), None)
 
     certificates = {}
     if case1_s and len({p_vals[s] for s in case1_s if p_vals[s] < horizon}) >= min_pairs:
@@ -245,15 +256,14 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
     elif case3_s and case3_t:
         case = 3
         x_star, y_star = x, y
+        first_x, first_y = _first_stages(zx), _first_stages(zy)
         stages = set()
         for s in case3_s:
-            j = zx[s]
-            fx, fy = first_stage(zx, j), first_stage(zy, j)
+            fx, fy = first_x.get(zx[s]), first_y.get(zx[s])
             if fx is not None and fy is not None and fx <= fy:
                 stages.add(p_vals[s])
         for t in case3_t:
-            j = zy[t]
-            fx, fy = first_stage(zx, j), first_stage(zy, j)
+            fx, fy = first_x.get(zy[t]), first_y.get(zy[t])
             if fx is not None and fy is not None and fy <= fx:
                 stages.add(q_vals[t])
         good_stages = sorted(stages)
@@ -286,17 +296,13 @@ def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
     zx, zy, zx2, zy2 = (list(z.profile(range(horizon + 1), "steps"))
                         for z in (x, y, x2, y2))
     if f is None:
-        f_vals = []
-        for t in range(horizon + 1):
-            match = next((u for u in range(horizon + 1) if zx2[u] == zx[t]), t)
-            f_vals.append(match)
+        first = _first_stages(zx2)
+        f_vals = [first.get(zx[t], t) for t in range(horizon + 1)]
     else:
         f_vals = [as_program(f).value(t) for t in range(horizon + 1)]
     if g is None:
-        g_vals = []
-        for t in range(horizon + 1):
-            match = next((u for u in range(horizon + 1) if zy[u] == zy2[t]), t)
-            g_vals.append(match)
+        first = _first_stages(zy)
+        g_vals = [first.get(zy2[t], t) for t in range(horizon + 1)]
     else:
         g_vals = [as_program(g).value(t) for t in range(horizon + 1)]
 
@@ -347,9 +353,7 @@ def make_slow_set(family: Sequence[ClockedProgram], window_length: int) -> PrSet
         return max(prev + 2, max(r.value(prev) for r in members) + 1)
 
     h = family_hash(members)
-    s = zero_list_set(f"slow[{h}]", next_zero,
-                      meta={"family": tuple(program_text(r) for r in members),
-                            "window_length": window_length})
+    s = zero_list_set(f"slow[{h}]", next_zero)
     s.principal_zero(window_length + 1)
     return s
 
@@ -378,10 +382,8 @@ def make_nondiamond_below(y: PrSet, family: Sequence[ClockedProgram],
     in the principal-function form).
     """
     if not family:
-        out = zero_list_set(f"below[{y.name}]",
-                            lambda zs: y.principal_zero(len(zs), ceiling),
-                            meta={"degenerate": True})
-        return out
+        return zero_list_set(f"below[{y.name}]",
+                             lambda zs: y.principal_zero(len(zs), ceiling))
     members = list(family)
 
     def next_zero(zs):
@@ -395,9 +397,7 @@ def make_nondiamond_below(y: PrSet, family: Sequence[ClockedProgram],
         return max(floor, prev + 2, anti)
 
     h = family_hash(members)
-    s = zero_list_set(f"nondiamond[{y.name};{h}]", next_zero,
-                      meta={"family": tuple(program_text(r) for r in members),
-                            "window_length": window_length})
+    s = zero_list_set(f"nondiamond[{y.name};{h}]", next_zero)
     s.principal_zero(window_length)
     return s
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    CeilingExceeded,
     NotAReduction,
     NotCertified,
     ParseError,
@@ -27,7 +27,7 @@ from .errors import (
     read_text,
 )
 from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
-from .sets import IdentityRelation, Prefix, PrSet, Relation, SetRelation
+from .sets import DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation
 
 
 @dataclass
@@ -107,6 +107,15 @@ def _classes(rel: Relation, points: Sequence[int], out: list) -> list:
     return out
 
 
+def require_index_values(values: list) -> None:
+    """Raise CeilingExceeded at the first value past DEFAULT_CEILING: read as
+    a bit index, such a value would materialise the set that far."""
+    if max(values, default=0) > DEFAULT_CEILING:
+        x = next(x for x, v in enumerate(values) if v > DEFAULT_CEILING)
+        raise CeilingExceeded(
+            f"witness maps {x} to {values[x]}, past the index ceiling {DEFAULT_CEILING}")
+
+
 def _one_to_one(classes: list, images: list) -> bool:
     """The classes of 0..k-1 and of their images correspond one to one."""
     images = images[:len(classes)]
@@ -127,6 +136,8 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     if min(values, default=0) < 0:
         x = next(x for x, v in enumerate(values) if v < 0)
         raise PreconditionFailed(f"witness maps {x} to {values[x]}, not a natural number")
+    if not isinstance(target, IdentityRelation):
+        require_index_values(values)
     images = _classes(target, values, [])
     classes: list = []
     try:
@@ -543,8 +554,11 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
     if convention is None:
         raise NotCertified(f"unknown claim kind {w.claim!r}")
     stages = range(horizon + 1)
+    images = [w.value(s) for s in stages]
+    if convention == "index":
+        require_index_values(images)
     lows = low.profile(stages, convention)
-    highs = high.profile([w.value(s) for s in stages], convention)
+    highs = high.profile(images, convention)
     for s, a, b in zip(stages, lows, highs):
         if a > b:
             raise NotCertified(f"claimed {w.claim} bound fails at s={s}")
@@ -648,22 +662,7 @@ def parse_witness(text: str) -> ReductionWitness:
     for line in head.splitlines():
         key, _, val = line.partition("\t")
         fields[key] = val
-    rows = body.splitlines()
-    # the rows in bulk when each holds one tab, so that splitting their
-    # join at every tab gives index, value, index, ...; any other shape or
-    # failure, a negative value included, is reported by the per-row pass
-    n = len(rows)
-    clean = False
-    if list(map(str.count, rows, repeat("\t"))) == [1] * n:
-        cells = "\t".join(rows).split("\t")
-        try:
-            values = list(map(int, cells[1::2]))
-            clean = (list(map(int, cells[0::2])) == list(range(n))
-                     and min(values, default=0) >= 0)
-        except ValueError:
-            pass
-    if not clean:
-        values = _parse_rows(rows, len(head.splitlines()) + 2)
+    values = _parse_rows(body.splitlines(), len(head.splitlines()) + 2)
     for key in ("claim", "source", "target", "horizon", "convention", "verified"):
         if key not in fields:
             raise ParseError(f"witness header has no {key!r} line")

@@ -111,10 +111,6 @@ class Prefix:
         return "".join(str(b) for b in self.bits)
 
     @classmethod
-    def from_bits(cls, bits) -> "Prefix":
-        return cls(tuple(int(b) for b in bits))
-
-    @classmethod
     def from_str(cls, text: str) -> "Prefix":
         return cls(tuple(int(c) for c in text))
 
@@ -127,22 +123,22 @@ def _check_shapes(sigma: Prefix, tau: Prefix):
             f"zero counts differ: {sigma.zero_count} vs {tau.zero_count}")
 
 
+def _string_op(sigma: Prefix, tau: Prefix, pick) -> Prefix:
+    """Join (pick=min) or meet (pick=max): the n-th zero sits at pick of the
+    operands' n-th zeros."""
+    _check_shapes(sigma, tau)
+    marks = set(map(pick, sigma.zero_positions(), tau.zero_positions()))
+    return Prefix(tuple(0 if i in marks else 1 for i in range(len(sigma))))
+
+
 def string_join(sigma: Prefix, tau: Prefix) -> Prefix:
     """Zeros of the join sit at min(p_sigma(n), p_tau(n)) for each n."""
-    _check_shapes(sigma, tau)
-    zs = sigma.zero_positions()
-    zt = tau.zero_positions()
-    marks = {min(a, b) for a, b in zip(zs, zt)}
-    return Prefix(tuple(0 if i in marks else 1 for i in range(len(sigma))))
+    return _string_op(sigma, tau, min)
 
 
 def string_meet(sigma: Prefix, tau: Prefix) -> Prefix:
     """Zeros of the meet sit at max(p_sigma(n), p_tau(n)) for each n."""
-    _check_shapes(sigma, tau)
-    zs = sigma.zero_positions()
-    zt = tau.zero_positions()
-    marks = {max(a, b) for a, b in zip(zs, zt)}
-    return Prefix(tuple(0 if i in marks else 1 for i in range(len(sigma))))
+    return _string_op(sigma, tau, max)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +154,11 @@ class PrSet:
 
     def __init__(self, name: str, bit_fn: Callable[[int], int],
                  cost_fn: Callable[[int], int] | None = None,
-                 *, kind: str = "derived", dsl: str | None = None,
+                 *, dsl: str | None = None,
                  zeros_fast: Callable[[int], int] | None = None,
-                 fill: Callable[[int, int], tuple] | None = None,
-                 coinfinite: bool = True, meta: dict | None = None):
+                 fill: Callable[[int, int], tuple] | None = None):
         self.name = name
-        self.kind = kind
         self.dsl = dsl
-        self.declared_coinfinite = coinfinite
-        self.meta = dict(meta or {})
         self._bit_fn = bit_fn
         self._cost_fn = cost_fn or (lambda n: 1)
         self._zeros_fast = zeros_fast
@@ -358,7 +350,7 @@ def _flip_fill(x: PrSet, pos: int):
 
 
 def evens_set() -> PrSet:
-    return PrSet("evens", lambda n: 1 - (n % 2), kind="builtin", dsl="evens",
+    return PrSet("evens", lambda n: 1 - (n % 2), dsl="evens",
                  zeros_fast=lambda n: 2 * n + 1, fill=_pattern_fill((), (1, 0)))
 
 
@@ -371,13 +363,13 @@ def mod_set(k: int) -> PrSet:
         block, off = divmod(n, k - 1)
         return block * k + off + 1
 
-    return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0, kind="builtin",
+    return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0,
                  dsl=f"mod {k}", zeros_fast=nth_zero,
                  fill=_pattern_fill((), (1,) + (0,) * (k - 1)))
 
 
 def singleton_zero_set() -> PrSet:
-    return PrSet("id", lambda n: 1 if n == 0 else 0, kind="builtin", dsl="id",
+    return PrSet("id", lambda n: 1 if n == 0 else 0, dsl="id",
                  zeros_fast=lambda n: n + 1, fill=_pattern_fill((1,), (0,)))
 
 
@@ -395,7 +387,7 @@ def blocks_set(k: int) -> PrSet:
         return 2 * k * block + k + off
 
     return PrSet(f"blocks{k}", lambda n: 1 if n % (2 * k) < k else 0,
-                 kind="builtin", dsl=f"blocks {k}", zeros_fast=nth_zero,
+                 dsl=f"blocks {k}", zeros_fast=nth_zero,
                  fill=_pattern_fill((), (1,) * k + (0,) * k))
 
 
@@ -425,15 +417,11 @@ def term_set(term, bound, name: str | None = None) -> PrSet:
     return PrSet(name or f"term:{term_text}",
                  lambda n: 1 if run(n).value else 0,
                  lambda n: run(n).steps,
-                 kind="term",
                  dsl=f'term "{term_text}" bound "{bound_text}"')
 
 
-def zero_list_set(name: str, next_zero: Callable[[list], int], *,
-                  kind: str = "trace", dsl: str | None = None,
-                  cost_fn: Callable[[int], int] | None = None,
-                  meta: dict | None = None) -> PrSet:
-    """Set given by its (strictly increasing) zero positions.
+def zero_list_set(name: str, next_zero: Callable[[list], int]) -> PrSet:
+    """Set given by its (strictly increasing) zero positions; bit n costs n + 1.
 
     ``next_zero(zs)`` extends the list of known zeros; positions may be huge,
     so bits and principal zeros are derived from the list, never by scan.
@@ -458,14 +446,11 @@ def zero_list_set(name: str, next_zero: Callable[[list], int], *,
                 zeros.append(next_zero(zeros))
             return zeros[n]
 
-    return PrSet(name, bit, cost_fn or (lambda n: n + 1), kind=kind, dsl=dsl,
-                 zeros_fast=nth, meta=meta)
+    return PrSet(name, bit, lambda n: n + 1, zeros_fast=nth)
 
 
-def prefix_set(name: str, bits: Sequence[int], *, kind: str = "trace",
-               dsl: str | None = None,
-               cost_fn: Callable[[int], int] | None = None,
-               meta: dict | None = None) -> PrSet:
+def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
+               cost_fn: Callable[[int], int] | None = None) -> PrSet:
     """Finite constructed prefix, extended past its end by alternating 1,0.
 
     The alternating tail keeps the set infinite and coinfinite at any
@@ -478,9 +463,8 @@ def prefix_set(name: str, bits: Sequence[int], *, kind: str = "trace",
             return frozen[n]
         return 1 - (n - len(frozen)) % 2
 
-    return PrSet(name, bit, cost_fn or (lambda n: n + 1), kind=kind, dsl=dsl,
-                 fill=None if cost_fn else _pattern_fill(frozen, (1, 0), False),
-                 meta=meta)
+    return PrSet(name, bit, cost_fn or (lambda n: n + 1), dsl=dsl,
+                 fill=None if cost_fn else _pattern_fill(frozen, (1, 0), False))
 
 
 # Derived descriptors
@@ -499,9 +483,7 @@ def override_zero_member(x: PrSet) -> PrSet:
     if x.bit(0) == 1:
         return x
     return PrSet(f"{x.name}+0", lambda n: 1 if n == 0 else x.bit(n),
-                 x.bit_cost, kind=x.kind, dsl=x.dsl,
-                 fill=_flip_fill(x, 0) if x._fill else None,
-                 meta={**x.meta, "zero_member_override": True})
+                 x.bit_cost, dsl=x.dsl, fill=_flip_fill(x, 0) if x._fill else None)
 
 
 def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
@@ -532,8 +514,7 @@ def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
 
     dsl = f"{op}({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
     return PrSet(f"({x.name} {symbol} {y.name})", bit,
-                 lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1,
-                 kind="derived", dsl=dsl,
+                 lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1, dsl=dsl,
                  fill=fill if x._fill and y._fill else None)
 
 
@@ -555,9 +536,8 @@ def drop_least_zero(x: PrSet, ceiling: int = DEFAULT_CEILING) -> PrSet:
         zeros_fast = lambda n: x._zeros_fast(n + 1)
     dsl = f"drop({x.dsl})" if x.dsl else None
     return PrSet(f"{x.name}^[-1]", lambda n: 1 if n == z0 else x.bit(n),
-                 x.bit_cost, kind="derived", dsl=dsl, zeros_fast=zeros_fast,
-                 fill=_flip_fill(x, z0) if x._fill else None,
-                 meta={"dropped_zero": z0})
+                 x.bit_cost, dsl=dsl, zeros_fast=zeros_fast,
+                 fill=_flip_fill(x, z0) if x._fill else None)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +637,7 @@ def normal_form(r: Relation, *, sample_bound: int = 40):
         return hit
 
     x = PrSet(f"nf[{r.name}]", lambda n: 1 if in_main(n) else 0,
-              lambda n: n + 1, kind="derived")
+              lambda n: n + 1)
 
     def f_fn(v):
         for y in range(v + 1):

@@ -11,6 +11,7 @@ import pytest
 
 import punctual
 from punctual.cli import build_parser, main
+from punctual.sets import DEFAULT_CEILING
 
 FAMILY_TEXTS = [
     "P[1,1]",
@@ -294,6 +295,53 @@ def test_well_formed_witness_checks(capsys, tmp_path):
     code, out = run(["reduce", "check", "evens", "evens", "--witness", str(wit),
                      "--horizon", "1"], capsys)
     assert code == 0 and out.endswith("check\tok\n")
+
+
+# each command reads witness row 3 as a bit index: (table, argv, line printed)
+INDEX_READS = [
+    ("g", ["reduce", "check", "evens", "mod 3", "--witness", "{wit}",
+           "--horizon", "5"], "check\tok\n"),
+    ("h", ["construct", "dense", "--x", "evens", "--z", "mod 3", "--witness",
+           "{wit}", "--family", "{fam}", "--max-stages", "400"], "verdict\tok\n"),
+    ("h", ["diamond", "evidence-q", "evens", "mod 3", "--q", "{wit}",
+           "--horizon", "5"], "verdict\tevidence(1)\n"),
+]
+
+
+def index_read_argv(table, argv, value, tmp_path, family_file, capsys):
+    """argv with {wit} a synth-g (g) or synth-h (h) witness for evens ->
+    mod 3 at horizon 5 whose row 3 holds value."""
+    g, h = tmp_path / "g.wit", tmp_path / "h.wit"
+    assert main(["reduce", "synth-g", "evens", "mod 3", "--horizon", "5",
+                 "--out", str(g)]) == 0
+    assert main(["reduce", "synth-h", "evens", "mod 3", "--witness", str(g),
+                 "--horizon", "5", "--out", str(h)]) == 0
+    capsys.readouterr()
+    wit = g if table == "g" else h
+    rows = wit.read_text().splitlines(keepends=True)
+    rows[rows.index("---\n") + 4] = f"3\t{value}\n"
+    wit.write_text("".join(rows))
+    return [a.format(wit=wit, fam=family_file) for a in argv]
+
+
+@pytest.mark.parametrize("table, argv, line", INDEX_READS)
+def test_index_value_past_ceiling_is_misuse(table, argv, line, tmp_path,
+                                            family_file, capsys):
+    value = DEFAULT_CEILING + 1
+    assert main(index_read_argv(table, argv, value, tmp_path, family_file,
+                                capsys)) == 1
+    captured = capsys.readouterr()
+    assert line not in captured.out
+    assert captured.err == (f"error: witness maps 3 to {value}, past the index "
+                            f"ceiling {DEFAULT_CEILING}\n")
+
+
+@pytest.mark.parametrize("table, argv, line", INDEX_READS)
+def test_index_value_at_ceiling_runs(table, argv, line, tmp_path, family_file,
+                                     capsys):
+    code, out = run(index_read_argv(table, argv, DEFAULT_CEILING, tmp_path,
+                                    family_file, capsys), capsys)
+    assert code == 0 and line in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
 from punctual.errors import CaseUndetermined, NotCertified
 from punctual.lattice import (
+    _monotonize,
+    _profile_set,
+    _smooth_profile,
     serialize_evidence,
     shift_top_certificate,
     anti_reduction_evidence,
@@ -16,8 +21,8 @@ from punctual.lattice import (
     x1_bound_check,
 )
 from punctual.pr_lang import NATIVE_REGISTRY, TableProgram
-from punctual.reductions import domination_certificate
-from punctual.sets import drop_least_zero, evens_set, mod_set
+from punctual.reductions import ReductionWitness, as_program, domination_certificate
+from punctual.sets import drop_least_zero, evens_set, mod_set, prefix_set
 
 ID = NATIVE_REGISTRY["id"]
 PLUS2 = NATIVE_REGISTRY["plus2"]
@@ -165,8 +170,8 @@ class TestNondiamond:
     def test_empty_family_degenerate(self):
         y = evens_set()
         x = make_nondiamond_below(y, [], 6)
-        assert x.meta.get("degenerate")
         assert [x.bit(n) for n in range(10)] == [y.bit(n) for n in range(10)]
+        assert all(x.principal_zero(n) == y.principal_zero(n) for n in range(7))
 
 
 class TestCanonicalWitness:
@@ -225,6 +230,176 @@ class TestRestrict:
                                               None, None, ID, 100,
                                               certificate=cert)
         assert report.count <= 101
+
+
+def steps_profile(x, horizon):
+    return [x.zeros_by_steps(s) for s in range(horizon + 1)]
+
+
+def first_stage(prof, j):
+    """Definitional: scan from stage 0 for the first stage with count j."""
+    return next((u for u in range(len(prof)) if prof[u] == j), None)
+
+
+def definitional_restrict_q(x, x2, y2, y, horizon):
+    """restrict_diamond_witness's q table with f and g found by rescans."""
+    zx, zy, zx2, zy2 = (steps_profile(z, horizon) for z in (x, y, x2, y2))
+    span = range(horizon + 1)
+    f_vals = [next((u for u in span if zx2[u] == zx[t]), t) for t in span]
+    g_vals = [next((u for u in span if zy[u] == zy2[t]), t) for t in span]
+    eq_outer = [u for u in span if zx[u] == zy[u]]
+    q_vals = []
+    for t in span:
+        bound = g_vals[t + 1] if t + 1 <= horizon else horizon + 1
+        u = max((e for e in eq_outer if e < bound), default=None)
+        q_vals.append(t if u is None else f_vals[u])
+    return q_vals
+
+
+def definitional_canonical(x, y, p, q, horizon, min_pairs=1):
+    """canonical_diamond_witness's fields, each good stage list and first
+    stage found by a scan from stage 0; CaseUndetermined as the exception."""
+    p_vals, mono_p = _monotonize(as_program(p), horizon)
+    q_vals, mono_q = _monotonize(as_program(q), horizon)
+    zx, zy = steps_profile(x, horizon), steps_profile(y, horizon)
+    span = range(horizon + 1)
+    s_good = [s for s in span if p_vals[s] <= horizon and zx[s] == zy[p_vals[s]]]
+    t_good = [t for t in span if q_vals[t] <= horizon and zy[t] == zx[q_vals[t]]]
+    good_s = [s for s in s_good if any(zx[s] == zy[t] for t in t_good)]
+    good_t = [t for t in t_good if any(zy[t] == zx[s] for s in s_good)]
+    case1 = sorted({p_vals[s] for s in good_s if s <= p_vals[s] < horizon})
+    case2 = sorted({q_vals[t] for t in good_t if t <= q_vals[t] < horizon})
+    case3_s = [s for s in good_s if p_vals[s] < s]
+    case3_t = [t for t in good_t if q_vals[t] < t]
+    out = {"monotonized": mono_p or mono_q, "horizon": horizon, "certificates": {}}
+    if any(p_vals[s] >= s for s in good_s) and len(case1) >= min_pairs:
+        _, d = _smooth_profile(x, y, p_vals, horizon)
+        x_star = _profile_set(f"{x.name}*", d)
+        back = [min(2 * max(s, p_vals[s] + 1), horizon - 1) for s in span]
+        cert_h = max((s for s in span if 2 * max(s, p_vals[s] + 1) <= horizon - 1),
+                     default=0)
+        ok = all(zx[s] <= d[back[s]] for s in range(cert_h + 1))
+        out.update(case=1, x_star=x_star, y_star=y, good=case1, d_table=tuple(d))
+        out["certificates"] = {
+            "x_star<=x": domination_certificate(x_star, x, horizon - 1, "steps"),
+            "x<=x_star": ReductionWitness(TableProgram(back, "back"), "growth-p",
+                                          x.name, x_star.name, cert_h, "steps", ok)}
+    elif any(q_vals[t] >= t for t in good_t) and len(case2) >= min_pairs:
+        _, d = _smooth_profile(y, x, q_vals, horizon)
+        y_star = _profile_set(f"{y.name}*", d)
+        out.update(case=2, x_star=x, y_star=y_star, good=case2, d_table=tuple(d))
+        out["certificates"] = {
+            "y_star<=y": domination_certificate(y_star, y, horizon - 1, "steps")}
+    elif case3_s and case3_t:
+        stages = set()
+        for s in case3_s:
+            fx, fy = first_stage(zx, zx[s]), first_stage(zy, zx[s])
+            if fx is not None and fy is not None and fx <= fy:
+                stages.add(p_vals[s])
+        for t in case3_t:
+            fx, fy = first_stage(zx, zy[t]), first_stage(zy, zy[t])
+            if fx is not None and fy is not None and fy <= fx:
+                stages.add(q_vals[t])
+        if len(stages) < min_pairs:
+            return CaseUndetermined
+        out.update(case=3, x_star=x, y_star=y, good=sorted(stages), d_table=None)
+    else:
+        return CaseUndetermined
+    limit = horizon - 1 if out["d_table"] is not None else horizon
+    eq = [s for s in range(limit + 1)
+          if out["x_star"].zeros_by_steps(s) == out["y_star"].zeros_by_steps(s)]
+    out["good_stage_count"] = len(out.pop("good"))
+    out["equilibrium_count"] = len(eq)
+    return out
+
+
+def witness_fields(w):
+    return (w.claim, w.source, w.target, w.horizon, w.convention, w.verified,
+            w.program.values)
+
+
+def assert_canonical_matches(x, y, p, q, horizon, min_pairs=1):
+    want = definitional_canonical(x, y, p, q, horizon, min_pairs)
+    if want is CaseUndetermined:
+        with pytest.raises(CaseUndetermined):
+            canonical_diamond_witness(x, y, p, q, horizon, min_pairs)
+        return None
+    w = canonical_diamond_witness(x, y, p, q, horizon, min_pairs)
+    for name in ("case", "good_stage_count", "equilibrium_count", "monotonized",
+                 "horizon", "d_table"):
+        assert getattr(w, name) == want[name], name
+    for got, ref in ((w.x_star, want["x_star"]), (w.y_star, want["y_star"])):
+        assert got.name == ref.name
+        assert steps_profile(got, horizon) == steps_profile(ref, horizon)
+        assert got.prefix(horizon) == ref.prefix(horizon)
+    assert {k: witness_fields(c) for k, c in w.certificates.items()} == \
+        {k: witness_fields(c) for k, c in want["certificates"].items()}
+    return w.case
+
+
+def random_set(rng, name, length=60):
+    bits = [rng.random() < 0.5 for _ in range(length)]
+    costs = [rng.randint(1, 3) for _ in range(7)]
+    return prefix_set(name, bits, cost_fn=lambda n: costs[n % 7])
+
+
+def random_rate(rng, horizon):
+    shift = rng.randint(-4, 4)
+    return TableProgram([max(0, s + shift + rng.randint(-2, 2))
+                         for s in range(horizon + 1)], "rate")
+
+
+class TestFirstStageMaps:
+    """The first-occurrence maps answer what the scans from stage 0 did."""
+
+    def test_canonical_fixtures(self):
+        x, y = evens_set(), drop_least_zero(evens_set())
+        assert assert_canonical_matches(x, y, profile_match_table(x, y, 120),
+                                        profile_match_table(y, x, 120), 120) == 1
+        assert_canonical_matches(x, x, profile_match_table(x, x, 80),
+                                 profile_match_table(x, x, 80), 80)
+        assert_canonical_matches(evens_set(), mod_set(3), ID, ID, 100, 80) is None
+
+    def test_canonical_random_pairs(self):
+        rng = random.Random(20211)
+        cases = set()
+        for _ in range(60):
+            horizon = rng.randint(20, 70)
+            x, y = random_set(rng, "x"), random_set(rng, "y")
+            cases.add(assert_canonical_matches(
+                x, y, random_rate(rng, horizon), random_rate(rng, horizon),
+                horizon, rng.randint(1, 3)))
+        # every branch of the trichotomy, and the undetermined end, was taken
+        assert cases == {1, 2, 3, None}
+
+    @pytest.mark.parametrize("sets, horizon", [
+        (lambda: (mod_set(3),) * 4, 60),
+        (lambda: (mod_set(3), drop_least_zero(mod_set(3)),
+                  drop_least_zero(mod_set(3)), mod_set(3)), 80),
+        (lambda: (evens_set(), evens_set(),
+                  make_nondiamond_below(evens_set(), [ID], 6),
+                  make_nondiamond_below(evens_set(), [ID], 6)), 100),
+    ])
+    def test_restrict_fixtures(self, sets, horizon):
+        x, x2, y2, y = sets()
+        cert = domination_certificate(y2, x2, horizon)
+        qw, _ = restrict_diamond_witness(x, x2, y2, y, None, None, ID, horizon,
+                                         certificate=cert)
+        assert list(qw.values) == definitional_restrict_q(x, x2, y2, y, horizon)
+
+    def test_restrict_random_profiles(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            horizon = rng.randint(10, 70)
+            x, x2, y2, y = (random_set(rng, n) for n in ("x", "x2", "y2", "y"))
+            cert = domination_certificate(x, x, horizon, "steps")
+            qw, report = restrict_diamond_witness(x, x2, y2, y, None, None, ID,
+                                                  horizon, certificate=cert)
+            want = definitional_restrict_q(x, x2, y2, y, horizon)
+            assert list(qw.values) == want
+            hits = [t for t in range(horizon + 1) if want[t] <= horizon
+                    and y2.zeros_by_steps(t) == x2.zeros_by_steps(want[t])]
+            assert list(report.hits) == hits
 
 
 class TestDropBound:

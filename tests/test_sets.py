@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -249,7 +250,7 @@ class TestSetLattice:
         for x in [evens_set(), mod_set(3), prefix_set("t", [1, 0, 0])]:
             for horizon in (0, 100, 500):
                 assert sample_window_mixed(x, horizon)
-        all_ones = PrSet("ones", lambda n: 1, coinfinite=False)
+        all_ones = PrSet("ones", lambda n: 1)
         assert not sample_window_mixed(all_ones, 0)
         # the singleton set is coinfinite but finite: windows past 0 are flat
         assert not sample_window_mixed(singleton_zero_set(), 100)
@@ -305,6 +306,20 @@ class TestZeroListSet:
         assert x.bit(2) == 0
         assert x.bit(3) == 1
         assert x.zeros_by_index(11) == 3
+
+
+# every value a caller can set on a descriptor constructor
+DESCRIPTOR_PARAMETERS = {
+    PrSet: ["name", "bit_fn", "cost_fn", "dsl", "zeros_fast", "fill"],
+    prefix_set: ["name", "bits", "dsl", "cost_fn"],
+    zero_list_set: ["name", "next_zero"],
+}
+
+
+def test_descriptor_parameter_surface():
+    surface = {fn: list(inspect.signature(fn).parameters)
+               for fn in DESCRIPTOR_PARAMETERS}
+    assert surface == DESCRIPTOR_PARAMETERS
 
 
 class TestTransversalAndNormalForm:
