@@ -130,7 +130,7 @@ def cmd_diamond(args, out) -> int:
         return 0
     else:
         qw, report = lattice.restrict_diamond_witness(
-            x, parse_set(args.c), parse_set(args.d), y, None, None, None,
+            x, parse_set(args.c), parse_set(args.d), y, None, None,
             args.horizon, certificate=cert)
         ev = report
     out.write(f"kind\t{ev.kind}\n")

@@ -357,8 +357,8 @@ class _Machine:
         events.append(f"close:{cycle.label}{detail}")
         return True
 
-    def witnesses(self, max_stages) -> dict:
-        """Witness tables the run promises, checked by the validator."""
+    def witnesses(self, outputs, max_stages) -> dict:
+        """Witness tables over the output sets by name, checked by the validator."""
         return {}
 
     def refute(self, cycle, s, source, target, names, events) -> bool:
@@ -426,9 +426,9 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
                                    phase=cycle.phase, stage=max_stages,
                                    trace=Trace(m.header, records))
     trace = Trace(m.header, records)
-    result = ConstructionResult(trace.header_value("construction"),
-                                {o.name: o.as_set() for o in m.outputs}, trace,
-                                m.counterexamples, m.witnesses(max_stages), notes)
+    outputs = {o.name: o.as_set() for o in m.outputs}
+    result = ConstructionResult(trace.header_value("construction"), outputs, trace,
+                                m.counterexamples, m.witnesses(outputs, max_stages), notes)
     _finish(result)
     for name, table in result.witnesses.items():
         digest = hashlib.sha256(
@@ -645,13 +645,13 @@ class _DenseMachine(_Machine):
         self._track(stage)
         self.y.emit(self.z.bit(stage))
 
-    def witnesses(self, max_stages):
-        # the sandwich reductions promised by the construction
-        y_bit = self.y.bits.__getitem__
-        return {"lower_into_new": _fresh_zero_table(self.x.bit, y_bit, max_stages,
-                                                    "the new set"),
-                "new_into_upper": _fresh_zero_table(y_bit, self.z.bit, max_stages,
-                                                    self.z.name)}
+    def witnesses(self, outputs, max_stages):
+        # the sandwich reductions promised by the construction; Y grows in
+        # one fill, so the searches in it hit the memo
+        y = outputs["Y"]
+        y.read_ahead(max_stages)
+        return {"lower_into_new": _fresh_zero_table(self.x, y, max_stages),
+                "new_into_upper": _fresh_zero_table(y, self.z, max_stages)}
 
     def step(self, stage, cycle, events):
         self._track(stage)
@@ -692,27 +692,25 @@ def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
                   {"x": x, "z": z, "t": t_mid})
 
 
-def _fresh_zero_table(lower_bit, upper_bit, horizon: int, upper: str) -> list:
+def _fresh_zero_table(lower: PrSet, upper: PrSet, horizon: int) -> list:
     """Reduction table: members of the lower set to 0, its zeros to fresh
     zeros of the upper set in order.
 
     The density chain invariant guarantees a fresh zero of the upper set
     below s+1 for every zero of the lower set at s.  Each pick is the least
     unused zero, so the used zeros are a prefix of the zeros in order and
-    one cursor finds the next one.
+    each search starts past the last pick.
     """
     table = []
-    cursor = 0                  # every zero below the cursor is used
-    for s in range(horizon + 1):
-        if lower_bit(s) == 1:
+    last = -1
+    for s, b in enumerate(lower.prefix(horizon).bits):
+        if b == 1:
             table.append(0)
             continue
-        while cursor <= s and upper_bit(cursor) != 0:
-            cursor += 1
-        if cursor > s:
-            raise AssertionError(f"no fresh zero of {upper} below {s + 1}")
-        table.append(cursor)
-        cursor += 1
+        last = upper.next_zero(last, s)
+        if last is None:
+            raise AssertionError(f"no fresh zero of {upper.name} below {s + 1}")
+        table.append(last)
     return table
 
 
@@ -1255,7 +1253,7 @@ def save_trace(result: ConstructionResult, path) -> None:
         fh.write(result.trace.serialize())
 
 
-def load_trace_set(path: str, output: str | None = None) -> PrSet:
+def load_trace_set(path: str) -> PrSet:
     """Rebuild a constructed set from a trace file (for the DSL)."""
     name = None
     if ":" in str(path) and not str(path).endswith(":"):
@@ -1264,10 +1262,10 @@ def load_trace_set(path: str, output: str | None = None) -> PrSet:
             path, name = base, maybe
     trace = parse_trace(read_text(path))
     outputs = _required(trace, "outputs").split(",")
-    pick = output or name or outputs[0]
+    pick = name or outputs[0]
     bits = [b for rec in trace.records for n, b in rec.bits if n == pick]
-    return prefix_set(f"trace:{path}:{pick}", bits, dsl=f"trace {path}:{pick}"
-                      if (output or name) else f"trace {path}")
+    return prefix_set(f"trace:{path}:{pick}", bits,
+                      dsl=f"trace {path}:{pick}" if name else f"trace {path}")
 
 
 def _header_family(trace: Trace) -> list:

@@ -10,6 +10,7 @@ No verdict claims the limit property.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -180,13 +181,22 @@ def _smooth_profile(src: PrSet, tgt: PrSet, p_vals: list[int], horizon: int):
         cap = zs[c[w]]
         d.append(cap if not d else min(d[-1] + 1, cap))
     # the proof's lower-bound claim, asserted outright
-    reach = 0
-    for w in range(horizon + 1):
-        reach = max(reach, max((zs[u] for u in range(w + 1) if zs[u] <= zt[w]),
-                               default=0))
-        if d[w] < reach:
+    for w, r in enumerate(_reach(zs, zt)):
+        if d[w] < r:
             raise AssertionError(f"smoothed profile undershoots its claim at w={w}")
     return c, d
+
+
+def _reach(zs: list[int], zt: list[int]) -> list[int]:
+    """For each w, the running max of zs[u] over u <= w with zs[u] <= zt[w];
+    zs is a profile, so nondecreasing, and bisection finds the largest u."""
+    out, reach = [], 0
+    for w, t in enumerate(zt):
+        u = min(w, bisect_right(zs, t) - 1)
+        if u >= 0:
+            reach = max(reach, zs[u])
+        out.append(reach)
+    return out
 
 
 def _first_stages(profile: list[int]) -> dict:
@@ -284,7 +294,7 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
 
 
 def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
-                             f=None, g=None, q=None, horizon: int = 1000,
+                             f=None, g=None, horizon: int = 1000,
                              certificate: ReductionWitness | None = None) -> tuple:
     """Push diamond evidence for an outer pair into a subinterval.
 
@@ -310,8 +320,8 @@ def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
     q_vals = []
     for t in range(horizon + 1):
         bound = g_vals[t + 1] if t + 1 <= horizon else horizon + 1
-        u = max((e for e in eq_outer if e < bound), default=None)
-        q_vals.append(t if u is None else f_vals[u])
+        i = bisect_left(eq_outer, bound)     # eq_outer[i - 1] is the last below
+        q_vals.append(f_vals[eq_outer[i - 1]] if i else t)
     qw = TableProgram(q_vals, "restricted-q")
     inner_cert = ReductionWitness(qw, "growth-p", x2.name, y2.name, horizon,
                                   "steps", True)
@@ -359,22 +369,21 @@ def make_slow_set(family: Sequence[ClockedProgram], window_length: int) -> PrSet
 
 
 def check_slowness(x: PrSet, family: Sequence[ClockedProgram],
-                   window: tuple, ceiling: int = DEFAULT_CEILING) -> SlownessCertificate:
+                   window: tuple) -> SlownessCertificate:
     """Recompute the slowness verdicts on a window, member by member."""
     n0, n1 = window
     verdicts = []
     for r in family:
         for n in range(n0, n1 + 1):
-            a = x.principal_zero(n + 1, ceiling)
-            b = r.value(x.principal_zero(n, ceiling))
+            a = x.principal_zero(n + 1)
+            b = r.value(x.principal_zero(n))
             verdicts.append((r.name, n, a > b))
     return SlownessCertificate(x.name, tuple(program_text(r) for r in family),
                                window, tuple(verdicts))
 
 
 def make_nondiamond_below(y: PrSet, family: Sequence[ClockedProgram],
-                          window_length: int,
-                          ceiling: int = DEFAULT_CEILING) -> PrSet:
+                          window_length: int) -> PrSet:
     """A set reducible to y whose zeros dodge every family rate on the window.
 
     The n-th zero clears both the n-th zero of y (profile domination, hence
@@ -383,16 +392,16 @@ def make_nondiamond_below(y: PrSet, family: Sequence[ClockedProgram],
     """
     if not family:
         return zero_list_set(f"below[{y.name}]",
-                             lambda zs: y.principal_zero(len(zs), ceiling))
+                             lambda zs: y.principal_zero(len(zs)))
     members = list(family)
 
     def next_zero(zs):
         n = len(zs)
-        floor = y.principal_zero(n, ceiling)
+        floor = y.principal_zero(n)
         prev = zs[-1] if zs else 0
         anti = 0
         if n < window_length:
-            nxt = y.principal_zero(n + 1, ceiling)
+            nxt = y.principal_zero(n + 1)
             anti = max(r.value(nxt) for r in members) + 1
         return max(floor, prev + 2, anti)
 
@@ -434,8 +443,7 @@ def x1_bound_check(x: PrSet, y: PrSet, horizon: int,
                             violation is None, violation)
 
 
-def shift_top_certificate(g, x: PrSet, horizon: int,
-                          ceiling: int = DEFAULT_CEILING):
+def shift_top_certificate(g, x: PrSet, horizon: int):
     """Rebase an identity-into-set certificate under the dropped set.
 
     Given a program carrying the identity relation into the relation of x,
@@ -443,7 +451,7 @@ def shift_top_certificate(g, x: PrSet, horizon: int,
     the set with that zero flipped to membership.
     """
     prog = as_program(g)
-    z0 = x.principal_zero(0, ceiling)
+    z0 = x.principal_zero(0)
     hit = next((m for m in range(horizon + 1) if prog.value(m) == z0), None)
     if hit is None:
         table = [prog.value(k) for k in range(horizon + 1)]

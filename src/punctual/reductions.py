@@ -316,8 +316,8 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
 def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
                            horizon: int) -> ReductionWitness:
     """Reduction from a growth bound: zero v of x takes the least fresh zero
-    of y up to h(v).  The picks are the zeros of y in order, so a cursor
-    scans on from the last pick, never past h(v)."""
+    of y up to h(v).  The picks are the zeros of y in order, so each search
+    starts past the last pick."""
     if y.bit(0) != 1:
         raise PreconditionFailed("growth-to-reduction synthesis needs 0 in the target set")
     hp = as_program(h)
@@ -328,19 +328,12 @@ def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
         if x.bit(v) == 1:
             table.append(0)
             continue
-        if v == 0:
-            last = y.principal_zero(0)
-            table.append(last)
-            continue
         ceiling = hp.value(v)
-        pick = last + 1
-        while pick <= ceiling and y.bit(pick) == 1:
-            pick += 1
-        if pick > ceiling:
+        last = y.next_zero(last, ceiling)
+        if last is None:
             raise WitnessBoundViolated(
                 f"mu-search under h({v})={ceiling} found no fresh zero of {y.name}")
-        last = pick
-        table.append(pick)
+        table.append(last)
     w = ReductionWitness(TableProgram(table, "g"), "reduction",
                          x.name, y.name, horizon, "index")
     require_reduction(w, SetRelation(x), SetRelation(y), horizon)
@@ -460,7 +453,7 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
     Output maps members of x to the least member of y and walks the
     complement of y injectively under the bound max{f(i) : i <= x}; it is
     strictly increasing on the complement of x.  The picks are the zeros of
-    y in order, so a cursor scans on from the last pick, never past the bound.
+    y in order, so each search starts past the last pick.
     """
     prog = as_program(f)
     require_reduction(prog, SetRelation(x), SetRelation(y), horizon)
@@ -480,14 +473,11 @@ def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
         if x.bit(v) == 1:
             table.append(y0)
             continue
-        pick = last + 1
-        while pick <= running and y.bit(pick) == 1:
-            pick += 1
-        if pick > running:
+        last = y.next_zero(last, running)
+        if last is None:
             raise NotAReduction(
                 f"mu-search under max f on 0..{v} found no fresh zero of {y.name}")
-        last = pick
-        table.append(pick)
+        table.append(last)
     out = ReductionWitness(TableProgram(table, "onto"), "reduction",
                            x.name, y.name, horizon, "index")
     require_reduction(out, SetRelation(x), SetRelation(y), horizon)
@@ -512,8 +502,11 @@ class PreImmuneVerdict:
     witnesses_top_reduction: bool      # injective and never hit x on the window
 
 
-def check_pre_immune(x: PrSet, family: Sequence[ClockedProgram], horizon: int,
-                     ceiling: int = 10_000) -> list[PreImmuneVerdict]:
+_PRE_IMMUNE_CEILING = 10_000     # check_pre_immune reads no bit of x past it
+
+
+def check_pre_immune(x: PrSet, family: Sequence[ClockedProgram],
+                     horizon: int) -> list[PreImmuneVerdict]:
     """Desk-scale contrapositive evidence for immunity of the complement.
 
     A member that is injective and lands entirely inside the complement on
@@ -531,7 +524,7 @@ def check_pre_immune(x: PrSet, family: Sequence[ClockedProgram], horizon: int,
             if collision is None and v in seen:
                 collision = (seen[v], n)
             seen.setdefault(v, n)
-            if hit is None and v <= ceiling and x.bit(v) == 1:
+            if hit is None and v <= _PRE_IMMUNE_CEILING and x.bit(v) == 1:
                 hit = (n, v)
         out.append(PreImmuneVerdict(r.name, collision is None, collision, hit,
                                     collision is None and hit is None))

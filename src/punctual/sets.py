@@ -38,8 +38,9 @@ loop, since a fill has a fixed cost.  Step-limited growth
 where the per-bit loop stops, through the first bit whose total cost
 exceeds the budget; only a derived set's operands may run ahead, by at most
 the last chunk and never past the last bit the budget could pay for at one
-step a bit.  Zero-limited growth (``principal_zero`` without a closed
-form) stays per-bit.
+step a bit.  Zero-limited growth (the zero searches ``principal_zero`` and
+``next_zero``) stays per-bit; only zero-list sets answer ``principal_zero``
+by a closed form, from their list of zeros.
 
 Scans read memos in bulk: ``profile(points, convention)`` answers a whole
 list of index points or step budgets from one growth to the largest, and
@@ -99,10 +100,6 @@ class Prefix:
 
     def zero_positions(self) -> tuple:
         return tuple(i for i, b in enumerate(self.bits) if b == 0)
-
-    def principal(self, n: int) -> int:
-        """Position of the (n+1)-st zero, in order of magnitude."""
-        return self.zero_positions()[n]
 
     def concat(self, other: "Prefix") -> "Prefix":
         return Prefix(self.bits + other.bits)
@@ -248,7 +245,8 @@ class PrSet:
         return Prefix(tuple(self._bits[:s + 1]))
 
     def zeros_by_index(self, s: int) -> int:
-        self._ensure(s)
+        if s >= len(self._bits):
+            self._ensure(s)
         return self._zero_cum[s]
 
     def bit_cost(self, n: int) -> int:
@@ -297,13 +295,28 @@ class PrSet:
         return iter([zc[k - 1] if k else 0
                      for k in map(bisect.bisect_right, repeat(self._cost_cum), points)])
 
+    def _kth_zero(self, k: int, ceiling: int) -> int | None:
+        """Position of the k-th zero (k >= 1) if it is at most ceiling,
+        reading no bit past the ceiling; else None."""
+        self._ensure(ceiling, zeros=k)
+        # the memo now holds the k-th zero or runs past the ceiling
+        pos = bisect.bisect_left(self._zero_cum, k)
+        return pos if pos <= ceiling else None
+
+    def next_zero(self, after: int, ceiling: int) -> int | None:
+        """The least zero past `after` and at most `ceiling`, or None."""
+        if after >= ceiling:
+            return None
+        return self._kth_zero(self.zeros_by_index(after) + 1 if after >= 0 else 1,
+                              ceiling)
+
     def principal_zero(self, n: int, ceiling: int = DEFAULT_CEILING) -> int:
-        """Position of the (n+1)-st zero, in order of magnitude."""
+        """Position of the (n+1)-st zero; CeilingExceeded if it lies past the
+        ceiling, except on zero-list sets, which answer from their list."""
         if self._zeros_fast is not None:
             return self._zeros_fast(n)
-        self._ensure(ceiling, zeros=n + 1)
-        pos = bisect.bisect_left(self._zero_cum, n + 1)
-        if pos > ceiling or pos == len(self._zero_cum):
+        pos = self._kth_zero(n + 1, ceiling)
+        if pos is None:
             raise CeilingExceeded(
                 f"{self.name}: fewer than {n + 1} zeros below ceiling {ceiling}")
         return pos
@@ -351,26 +364,19 @@ def _flip_fill(x: PrSet, pos: int):
 
 def evens_set() -> PrSet:
     return PrSet("evens", lambda n: 1 - (n % 2), dsl="evens",
-                 zeros_fast=lambda n: 2 * n + 1, fill=_pattern_fill((), (1, 0)))
+                 fill=_pattern_fill((), (1, 0)))
 
 
 def mod_set(k: int) -> PrSet:
     if k < 2:
         raise ParseError(f"mod K needs K >= 2, got {k}")
-
-    def nth_zero(n):
-        # zeros are the non-multiples of k, i.e. k-1 of every k numbers
-        block, off = divmod(n, k - 1)
-        return block * k + off + 1
-
-    return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0,
-                 dsl=f"mod {k}", zeros_fast=nth_zero,
+    return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0, dsl=f"mod {k}",
                  fill=_pattern_fill((), (1,) + (0,) * (k - 1)))
 
 
 def singleton_zero_set() -> PrSet:
     return PrSet("id", lambda n: 1 if n == 0 else 0, dsl="id",
-                 zeros_fast=lambda n: n + 1, fill=_pattern_fill((1,), (0,)))
+                 fill=_pattern_fill((1,), (0,)))
 
 
 def blocks_set(k: int) -> PrSet:
@@ -381,14 +387,8 @@ def blocks_set(k: int) -> PrSet:
     """
     if k < 1:
         raise ParseError(f"blocks K needs K >= 1, got {k}")
-
-    def nth_zero(n):
-        block, off = divmod(n, k)
-        return 2 * k * block + k + off
-
     return PrSet(f"blocks{k}", lambda n: 1 if n % (2 * k) < k else 0,
-                 dsl=f"blocks {k}", zeros_fast=nth_zero,
-                 fill=_pattern_fill((), (1,) * k + (0,) * k))
+                 dsl=f"blocks {k}", fill=_pattern_fill((), (1,) * k + (0,) * k))
 
 
 def term_set(term, bound, name: str | None = None) -> PrSet:
@@ -528,9 +528,9 @@ def set_meet(x: PrSet, y: PrSet) -> PrSet:
     return _lattice_op(x, y, min, "meet", "^")
 
 
-def drop_least_zero(x: PrSet, ceiling: int = DEFAULT_CEILING) -> PrSet:
+def drop_least_zero(x: PrSet) -> PrSet:
     """Flip the least zero of x to membership; profile drops by exactly one."""
-    z0 = x.principal_zero(0, ceiling)
+    z0 = x.principal_zero(0)
     zeros_fast = None
     if x._zeros_fast is not None:
         zeros_fast = lambda n: x._zeros_fast(n + 1)

@@ -89,11 +89,6 @@ def ref_synth_reduction_from_h(x, y, h, horizon):
         if x.bit(v) == 1:
             table.append(0)
             continue
-        if v == 0:
-            z = y.principal_zero(0)
-            used.add(z)
-            table.append(z)
-            continue
         ceiling = hp.value(v)
         pick = None
         for cand in range(ceiling + 1):
@@ -169,6 +164,10 @@ def ref_zeros_by_steps(x, s):
             return zeros
         zeros += 1 - x.bit(n)
         n += 1
+
+
+def ref_next_zero(x, after, ceiling):
+    return next((p for p in range(after + 1, ceiling + 1) if x.bit(p) == 0), None)
 
 
 def ref_principal_zero(x, n, ceiling):
@@ -398,6 +397,47 @@ def test_principal_zero_reads_no_bit_past_ceiling():
     with pytest.raises(CeilingExceeded):
         x.principal_zero(20, ceiling=12)
     assert x.principal_zero(3, ceiling=12) == 5
+
+
+ZERO_SEARCH_KINDS = dict(SET_KINDS, **{
+    d: (lambda t, d=d: parse_set(d))
+    for d in ("evens", "id", "blocks 3", "drop(evens)")},
+    zero_list=lambda t: zero_list_set("gaps", lambda zs: zs[-1] * 2 + 1 if zs else 2),
+    costly=lambda t: PrSet("costly", lambda n: 1 if n % 3 == 0 else 0, lambda n: 2 * n + 1))
+
+
+@pytest.mark.parametrize("kind", ZERO_SEARCH_KINDS)
+def test_next_zero_matches_scan(kind, traces):
+    make = ZERO_SEARCH_KINDS[kind]
+    ref = make(traces)
+    span = [ref.bit(n) for n in range(60)]
+    zero, member = span.index(0, 2), 59 - span[::-1].index(1)    # last member
+    cases = 0
+    for after in (-1, 0, zero, member):
+        answer = ref_next_zero(ref, after, 10_000)
+        for ceiling in (answer - 1, answer, answer + 7, after, after - 1):
+            want = ref_next_zero(ref, after, ceiling)
+            fresh = make(traces)
+            assert fresh.next_zero(after, ceiling) == want, (after, ceiling)
+            # a fresh memo ends at the zero found, or at the ceiling
+            read = -1 if after >= ceiling else ceiling if want is None else want
+            assert len(fresh._bits) == read + 1
+            grown = make(traces)
+            grown.bit(answer + 20)
+            assert grown.next_zero(after, ceiling) == want
+            cases += want is None
+    assert cases                                # some ceilings hid the zero
+
+
+def test_next_zero_reads_no_bit_past_ceiling():
+    x = PrSet("fragile", lambda n: 1 if n % 4 == 0 or n > 10 else 0,
+              lambda n: 1 if n <= 12 else 1 // 0)
+    assert x.next_zero(-1, 12) == 1
+    assert x.next_zero(8, 12) == 9
+    assert x.next_zero(10, 12) is None
+    assert x.next_zero(13, 12) is None
+    assert x.next_zero(12, 12) is None
+    assert len(x._bits) == 13
 
 
 def test_cursor_reads_no_bit_past_h():

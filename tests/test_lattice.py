@@ -6,6 +6,7 @@ from punctual.errors import CaseUndetermined, NotCertified
 from punctual.lattice import (
     _monotonize,
     _profile_set,
+    _reach,
     _smooth_profile,
     serialize_evidence,
     shift_top_certificate,
@@ -209,7 +210,7 @@ class TestRestrict:
     def test_trivial_subinterval(self):
         m = mod_set(3)
         cert = domination_certificate(m, m, 60)
-        qw, report = restrict_diamond_witness(m, m, m, m, None, None, ID, 60,
+        qw, report = restrict_diamond_witness(m, m, m, m, None, None, 60,
                                               certificate=cert)
         # one hit per distinct count value reached at an outer equilibrium
         values = {m.zeros_by_steps(s) for s in range(61)}
@@ -219,7 +220,7 @@ class TestRestrict:
         m = mod_set(3)
         d = drop_least_zero(m)
         cert = domination_certificate(d, m, 80)
-        qw, report = restrict_diamond_witness(m, d, d, m, None, None, ID, 80,
+        qw, report = restrict_diamond_witness(m, d, d, m, None, None, 80,
                                               certificate=cert)
         assert report.count >= 40
 
@@ -227,7 +228,7 @@ class TestRestrict:
         x = make_nondiamond_below(evens_set(), [ID], 6)
         cert = domination_certificate(x, evens_set(), 100)
         qw, report = restrict_diamond_witness(evens_set(), evens_set(), x, x,
-                                              None, None, ID, 100,
+                                              None, None, 100,
                                               certificate=cert)
         assert report.count <= 101
 
@@ -383,7 +384,7 @@ class TestFirstStageMaps:
     def test_restrict_fixtures(self, sets, horizon):
         x, x2, y2, y = sets()
         cert = domination_certificate(y2, x2, horizon)
-        qw, _ = restrict_diamond_witness(x, x2, y2, y, None, None, ID, horizon,
+        qw, _ = restrict_diamond_witness(x, x2, y2, y, None, None, horizon,
                                          certificate=cert)
         assert list(qw.values) == definitional_restrict_q(x, x2, y2, y, horizon)
 
@@ -393,13 +394,46 @@ class TestFirstStageMaps:
             horizon = rng.randint(10, 70)
             x, x2, y2, y = (random_set(rng, n) for n in ("x", "x2", "y2", "y"))
             cert = domination_certificate(x, x, horizon, "steps")
-            qw, report = restrict_diamond_witness(x, x2, y2, y, None, None, ID,
+            qw, report = restrict_diamond_witness(x, x2, y2, y, None, None,
                                                   horizon, certificate=cert)
             want = definitional_restrict_q(x, x2, y2, y, horizon)
             assert list(qw.values) == want
             hits = [t for t in range(horizon + 1) if want[t] <= horizon
                     and y2.zeros_by_steps(t) == x2.zeros_by_steps(want[t])]
             assert list(report.hits) == hits
+
+
+def quadratic_reach(zs, zt):
+    """_smooth_profile's lower bound as the proof states it, rescanning
+    every u <= w at each w."""
+    out, reach = [], 0
+    for w in range(len(zt)):
+        reach = max(reach, max((zs[u] for u in range(w + 1) if zs[u] <= zt[w]),
+                               default=0))
+        out.append(reach)
+    return out
+
+
+def random_profile(rng, length):
+    """Nondecreasing, climbing by at most one per stage, as profiles do."""
+    out, z = [], rng.randint(0, 2)
+    for _ in range(length):
+        z += rng.random() < rng.choice((0.2, 0.5, 0.9))
+        out.append(z)
+    return out
+
+
+def test_reach_matches_quadratic_scan():
+    rng = random.Random(4080)
+    for _ in range(200):
+        n = rng.randint(1, 80)
+        zs, zt = random_profile(rng, n), random_profile(rng, n)
+        assert _reach(zs, zt) == quadratic_reach(zs, zt)
+    # the smoothing fixture's own profiles
+    x, y = evens_set(), drop_least_zero(evens_set())
+    zs, zt = (list(s.profile(range(301), "steps")) for s in (x, y))
+    assert _reach(zs, zt) == quadratic_reach(zs, zt)
+    assert _reach(zt, zs) == quadratic_reach(zt, zs)
 
 
 class TestDropBound:

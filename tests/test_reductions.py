@@ -34,6 +34,7 @@ from punctual.sets import (
     evens_set,
     mod_set,
     normal_form,
+    prefix_set,
     set_join,
     set_meet,
 )
@@ -163,6 +164,15 @@ class TestGrowthSynthesis:
         # pointwise profile of mod 3 outgrows evens, so the identity bound fails
         with pytest.raises(WitnessBoundViolated):
             synth_reduction_from_h(mod_set(3), evens_set(), IDENTITY, 40)
+
+    def test_zero_at_zero_honours_the_bound(self):
+        # 0 is a zero of x, and h(0) = 0 leaves no zero of evens to pick;
+        # every zero v of x is bounded by h(v), v = 0 included
+        x = prefix_set("x", [0, 1, 1, 1, 1, 1])
+        with pytest.raises(WitnessBoundViolated, match=r"h\(0\)=0"):
+            synth_reduction_from_h(x, evens_set(), TableProgram([0] * 6, "zero"), 5)
+        g = synth_reduction_from_h(x, evens_set(), TableProgram([1] * 6, "one"), 5)
+        assert list(g.program.values) == [1, 0, 0, 0, 0, 0]
 
 
 class TestStepSynthesis:

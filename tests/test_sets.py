@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from punctual import constructions, lattice, reductions
 from punctual.errors import CeilingExceeded, NotEquivalence, ParseError, ShapeMismatch
 from punctual.sets import (
     IdentityRelation,
@@ -113,6 +114,22 @@ class TestProfiles:
         nearly_full = PrSet("dense", lambda n: 0 if n == 2 else 1)
         with pytest.raises(CeilingExceeded):
             nearly_full.principal_zero(1, ceiling=500)
+
+    @pytest.mark.parametrize("dsl", ["evens", "mod 3", "blocks 6", "id",
+                                     "drop(evens)", "join(evens, mod 3)"])
+    def test_ceiling_holds_on_every_descriptor(self, dsl):
+        x = parse_set(dsl)
+        with pytest.raises(CeilingExceeded):
+            x.principal_zero(10, 5)
+        assert len(x._bits) == 6            # bits 0..5, none past the ceiling
+        want = [n for n in range(100) if x.bit(n) == 0][10]
+        assert parse_set(dsl).principal_zero(10, want) == want
+
+    def test_zero_list_answers_past_the_ceiling(self):
+        # a zero-list set's zeros may lie past any memo, so its list answers
+        x = zero_list_set("gaps", lambda zs: (zs[-1] * 2 + 1) if zs else 2)
+        assert x.principal_zero(10, 5) == 3071
+        assert drop_least_zero(x).principal_zero(9, 5) == 3071
 
 
 class TestTermKind:
@@ -320,6 +337,25 @@ def test_descriptor_parameter_surface():
     surface = {fn: list(inspect.signature(fn).parameters)
                for fn in DESCRIPTOR_PARAMETERS}
     assert surface == DESCRIPTOR_PARAMETERS
+
+
+# functions that once took a value no caller set or no code read
+TRIMMED_PARAMETERS = {
+    drop_least_zero: ["x"],
+    lattice.shift_top_certificate: ["g", "x", "horizon"],
+    lattice.make_nondiamond_below: ["y", "family", "window_length"],
+    lattice.check_slowness: ["x", "family", "window"],
+    lattice.restrict_diamond_witness: ["x", "x2", "y2", "y", "f", "g", "horizon",
+                                       "certificate"],
+    constructions.load_trace_set: ["path"],
+    reductions.check_pre_immune: ["x", "family", "horizon"],
+}
+
+
+def test_trimmed_parameter_surface():
+    surface = {fn: list(inspect.signature(fn).parameters)
+               for fn in TRIMMED_PARAMETERS}
+    assert surface == TRIMMED_PARAMETERS
 
 
 class TestTransversalAndNormalForm:
