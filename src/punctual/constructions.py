@@ -24,9 +24,11 @@ refute, so exhaustion is a first-class outcome.
 ``CONSTRUCTIONS`` maps each kind to its public builder, its header input
 roles and its validator; the command line, replay and validation read it.
 
-Trace records are named tuples.  ``verify_trace_file`` replays from the
-header alone and parses the records only when the replay raises or its
-bytes differ, so a malformed record is still the first error reported.
+Trace records are named tuples of stage, cycle, phase and events; their
+bits come from the trace's output columns, the machines' own bit lists.
+``verify_trace_file`` replays from the header alone and parses the records
+only when the replay raises or its bytes differ, so a malformed record is
+still the first error reported.
 To add a construction, write a machine, a builder that runs it through
 ``_drive``, a validator for its own invariants, and one registry entry.
 """
@@ -38,7 +40,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -87,25 +89,32 @@ class StageRecord(NamedTuple):
     stage: int
     cycle: str
     phase: str
-    bits: tuple                # ((output name, bit), ...)
     events: tuple              # strings
-
-    def line(self) -> str:
-        bits = ",".join([f"{n}={b}" for n, b in self.bits]) or "-"
-        events = ";".join(self.events) or "-"
-        return f"{self.stage}\t{self.cycle}\t{self.phase}\t{bits}\t{events}"
 
 
 @dataclass
 class Trace:
     header: list               # ordered (key, value) pairs; keys may repeat
     records: list
+    columns: dict = field(default_factory=dict)     # output name -> bits
     footer: list = field(default_factory=list)
 
+    def first_bit_stage(self) -> int:
+        """Stage showing bit 0: 1 under the ``stage`` convention, else 0."""
+        return 1 if self.header_value("prefix-convention") == "stage" else 0
+
     def serialize(self) -> str:
+        # record i shows bit i - first of each column; one line per record
+        first = self.first_bit_stage()
+        shown = [[""] * first + [f"{name}={b}" for b in bits]
+                 for name, bits in self.columns.items()]
+        rows = islice(zip_longest(self.records, *shown, fillvalue=""),
+                      len(self.records))
         lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in self.header], "---",
-                 *[r.line() for r in self.records], "---",
-                 *[f"{k}\t{v}" for k, v in self.footer]]
+                 *[f"{stage}\t{cycle}\t{phase}\t{','.join(filter(None, bits)) or '-'}"
+                   f"\t{';'.join(events) or '-'}"
+                   for (stage, cycle, phase, events), *bits in rows],
+                 "---", *[f"{k}\t{v}" for k, v in self.footer]]
         return "\n".join(lines) + "\n"
 
     def header_value(self, key: str) -> Optional[str]:
@@ -126,12 +135,13 @@ def _required(trace: Trace, key: str) -> str:
     return value
 
 
-def _parse_record(line: str, lineno: int) -> StageRecord:
+def _parse_record(line: str, lineno: int, columns: dict) -> StageRecord:
+    """One stage record; its bits go to the end of their output columns."""
     try:
         stage, cycle, phase, bits, events = line.split("\t")
-        bit_pairs = () if bits == "-" else tuple(
-            [(n, int(b)) for n, b in [p.split("=") for p in bits.split(",")]])
-        return StageRecord(int(stage), cycle, phase, bit_pairs,
+        for n, b in [p.split("=") for p in bits.split(",")] if bits != "-" else []:
+            columns.setdefault(n, []).append(int(b))
+        return StageRecord(int(stage), cycle, phase,
                            tuple(events.split(";")) if events != "-" else ())
     except ValueError:
         raise ParseError(f"malformed trace record on line {lineno}: {line!r}") from None
@@ -162,14 +172,17 @@ def _split_trace(text: str):
     return header, lines[head + 1:body], head + 2, footer
 
 
-def _parse_records(lines: list, first: int) -> list:
-    """Stage records from their lines; the first malformed one raises."""
-    return [_parse_record(line, lineno) for lineno, line in enumerate(lines, first)]
+def _parse_records(lines: list, first: int) -> tuple:
+    """Stage records and bit columns from their lines; the first bad one raises."""
+    columns: dict = {}
+    records = [_parse_record(line, lineno, columns)
+               for lineno, line in enumerate(lines, first)]
+    return records, columns
 
 
 def parse_trace(text: str) -> Trace:
     header, lines, first, footer = _split_trace(text)
-    return Trace(header, _parse_records(lines, first), footer)
+    return Trace(header, *_parse_records(lines, first), footer)
 
 
 @dataclass
@@ -395,37 +408,31 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
         events.append(f"open:{label}")
         return cycle
 
-    outs = [(o.name, o.bits) for o in m.outputs]
-
-    def bits():
-        return tuple([(name, emitted[-1]) for name, emitted in outs if emitted])
-
+    trace = Trace(m.header, records, {o.name: o.bits for o in m.outputs})
     events: list = []
     cycle = open_cycle(0, events)
     m.init(cycle)
     records.append(StageRecord(0, cycle.label if cycle else "-", "init",
-                               bits(), tuple(events)))
+                               tuple(events)))
     for stage in range(1, max_stages + 1):
         events = []
         if cycle is None:
             m.fallback(stage, events)
-            records.append(StageRecord(stage, "-", "fallback", bits(),
-                                       tuple(events)))
+            records.append(StageRecord(stage, "-", "fallback", tuple(events)))
             continue
         if cycle_budget and stage - cycle.opened > cycle_budget:
             raise StageBudgetExhausted("cycle exceeded its stage budget",
                                        cycle=cycle.label, phase=cycle.phase,
-                                       stage=stage, trace=Trace(m.header, records))
+                                       stage=stage, trace=trace)
         label = cycle.label
         shown, closed = m.step(stage, cycle, events)
         if closed:
             cycle = open_cycle(stage, events)
-        records.append(StageRecord(stage, label, shown, bits(), tuple(events)))
+        records.append(StageRecord(stage, label, shown, tuple(events)))
     if cycle is not None and cycle.member is not None and policy == "once":
         raise StageBudgetExhausted(m.starved(cycle), cycle=cycle.label,
                                    phase=cycle.phase, stage=max_stages,
-                                   trace=Trace(m.header, records))
-    trace = Trace(m.header, records)
+                                   trace=trace)
     outputs = {o.name: o.as_set() for o in m.outputs}
     result = ConstructionResult(trace.header_value("construction"), outputs, trace,
                                 m.counterexamples, m.witnesses(outputs, max_stages), notes)
@@ -1021,7 +1028,7 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
                     {"x": x, "escapes": m.escapes, "val": m.val})
     if not family:
         # no member opens, yet stage 0 shows V0 opening, as it always has
-        result.trace.records[0] = StageRecord(0, "V0", "init", (("Z", 1),), ("open:V0",))
+        result.trace.records[0] = StageRecord(0, "V0", "init", ("open:V0",))
     return result
 
 
@@ -1033,26 +1040,16 @@ def validate_result(result: ConstructionResult, closes: list) -> list:
     """Post-hoc validation: structural trace invariants plus the
     construction's own stated equalities.  ``closes`` is ``_closes(result)``.
     Returns human-readable failures."""
-    failures = []
-    records = result.trace.records
-    convention = result.trace.header_value("prefix-convention")
-    outputs = result.trace.header_value("outputs").split(",")
-    emitted = {name: 0 for name in outputs}
-    for rec in records:
-        for name, _ in rec.bits:
-            emitted[name] += 1
-        expect = rec.stage if convention == "stage" else rec.stage + 1
-        for name in outputs:
-            if emitted[name] != expect:
-                failures.append(
-                    f"prefix length {emitted[name]} != {expect} at stage {rec.stage}")
-                break
-        if rec.stage > 0 and rec.cycle == "-" and rec.phase != "fallback":
-            failures.append(f"no open cycle at stage {rec.stage}")
+    trace = result.trace
+    records = trace.records
+    # one bit per stage from the first stage that shows one
+    length = len(records) - trace.first_bit_stage()
+    failures = [f"output {name} holds {len(bits)} bits, not {length}"
+                for name, bits in trace.columns.items() if len(bits) != length]
+    failures.extend(f"no open cycle at stage {rec.stage}" for rec in records[1:]
+                    if rec.cycle == "-" and rec.phase != "fallback")
 
-    by_name = {p.name: p for p in _header_family(result.trace)}
-    horizon = len(records) - 1
-    length = horizon if convention == "stage" else horizon + 1
+    by_name = {p.name: p for p in _header_family(trace)}
     prefixes = {n: s.prefix(length - 1) for n, s in result.outputs.items()}
     relations = result.notes.get("relations", {})
     # input sets by name; on a name clash x wins, then z, t, y
@@ -1153,8 +1150,7 @@ def _validate_diamond(result, closes) -> list:
     x, z = result.notes["x"], result.notes["z"]
     last = closes[-1][0] if closes else 0
     if last:
-        y0 = prefix_set("a", result.outputs["Y0"].prefix(last).bits)
-        y1 = prefix_set("b", result.outputs["Y1"].prefix(last).bits)
+        y0, y1 = result.outputs["Y0"], result.outputs["Y1"]
         meet, join = set_meet(y0, y1).prefix(last), set_join(y0, y1).prefix(last)
         for i in range(last + 1):
             if meet[i] != x.bit(i):
@@ -1263,8 +1259,10 @@ def load_trace_set(path: str) -> PrSet:
     trace = parse_trace(read_text(path))
     outputs = _required(trace, "outputs").split(",")
     pick = name or outputs[0]
-    bits = [b for rec in trace.records for n, b in rec.bits if n == pick]
-    return prefix_set(f"trace:{path}:{pick}", bits,
+    if pick not in outputs:
+        raise ParseError(f"trace {path} has no output {pick!r}; "
+                         f"its outputs are {', '.join(outputs)}")
+    return prefix_set(f"trace:{path}:{pick}", trace.columns.get(pick, []),
                       dsl=f"trace {path}:{pick}" if name else f"trace {path}")
 
 

@@ -358,6 +358,14 @@ def test_non_utf8_input_is_misuse(argv, capsys, tmp_path):
     assert err == f"error: {bad} is not UTF-8 text (invalid start byte at byte 0)\n"
 
 
+def test_trace_descriptor_unknown_output_is_misuse(capsys):
+    golden = pathlib.Path(__file__).parent / "golden" / "join-split.once.trace"
+    assert main(["profile", f"trace {golden}:Y1", "--horizon", "4"]) == 0
+    assert main(["profile", f"trace {golden}:Nope", "--horizon", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: trace {golden} has no output 'Nope'; its outputs are Y0, Y1\n"
+
+
 def test_consecutive_calls_echo_their_own_config(capsys, family_file):
     calls = [
         (["profile", "evens", "--horizon", "2"],

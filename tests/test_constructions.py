@@ -8,7 +8,9 @@ from test_cli import fuzz_mutation
 
 from punctual.errors import ParseError, PreconditionFailed, StageBudgetExhausted, decode_text
 from punctual.constructions import (
+    _DenseMachine,
     _Detector,
+    _IncomparableMachine,
     _divergence,
     construct_antichain,
     construct_dense,
@@ -114,8 +116,10 @@ class TestImmune:
 
 
 def _fallback_zeros(result):
+    # the immune run's stage s emits bit s - 1 of Y
+    y = result.trace.columns["Y"]
     return sum(1 for rec in result.trace.records
-               if rec.phase == "fallback" and rec.bits and rec.bits[0][1] == 0)
+               if rec.phase == "fallback" and y[rec.stage - 1] == 0)
 
 
 class TestIncomparable:
@@ -438,6 +442,67 @@ class TestTraceFiles:
         s = load_trace_set(f"{p}:Y1")
         for n in range(150):
             assert s.bit(n) == r.outputs["Y1"].bit(n)
+
+    def test_unknown_output_is_misuse(self, tmp_path):
+        p = tmp_path / "js.trace"
+        save_trace(construct_join_split(mod_set(3), family6()[:2], 200), p)
+        with pytest.raises(ParseError, match=r"no output 'Nope'; its outputs are Y0, Y1$"):
+            load_trace_set(f"{p}:Nope")
+
+    def test_output_without_bits_loads(self, tmp_path):
+        # stage 0 of the stage convention emits nothing
+        r = construct_immune([], 0)
+        assert r.trace.columns == {"Y": []}
+        p = tmp_path / "imm0.trace"
+        save_trace(r, p)
+        s = load_trace_set(f"{p}:Y")
+        assert [s.bit(n) for n in range(4)] == [1, 0, 1, 0]
+
+
+def _with_fault(monkeypatch, machine, fault, at):
+    """Make ``machine`` emit one extra bit of Y at stage ``at``, or skip one."""
+    def wrap(method):
+        def faulty(self, stage, *rest):
+            shown = method(self, stage, *rest)
+            if stage == at:
+                if fault == "extra":
+                    self.y.emit(1)
+                else:
+                    self.y.zero_count -= 1 - self.y.bits.pop()
+            return shown
+        return faulty
+
+    for name in ("step", "fallback"):
+        monkeypatch.setattr(machine, name, wrap(getattr(machine, name)))
+
+
+# machine, fault stage, 60-stage run; a dense fault before the last stage
+# breaks the density chain, and the sandwich tables' search asserts first
+FAULTY_RUNS = {
+    "incomparable": (_IncomparableMachine, 5, lambda: construct_incomparable(
+        parse_set("evens"), family6()[:2], 60)),
+    "dense": (_DenseMachine, 60, lambda: construct_dense(
+        parse_set("meet(evens, blocks 6)"), parse_set("join(evens, blocks 6)"),
+        None, family6()[:2], 60)),
+}
+
+
+@pytest.mark.parametrize("fault", ["extra", "skip"])
+@pytest.mark.parametrize("kind", sorted(FAULTY_RUNS))
+def test_miscounted_emission_fails_validation(kind, fault, monkeypatch, tmp_path):
+    machine, at, build = FAULTY_RUNS[kind]
+    assert_ok(build())
+    _with_fault(monkeypatch, machine, fault, at)
+    r = build()
+    assert r.trace.footer[0] == ("verdict", "fail")
+    assert any(k == "failure" and v.startswith("output Y holds ")
+               for k, v in r.trace.footer), r.trace.footer
+    text = r.trace.serialize()
+    records = text.split("\n---\n")[1].splitlines()
+    assert [int(line.split("\t")[0]) for line in records] == list(range(61))
+    p = tmp_path / f"{kind}.trace"
+    save_trace(r, p)
+    assert verify_trace_file(p) == (False, "validation verdict: fail")
 
 
 def _verify_by_definition(path):

@@ -28,6 +28,7 @@ from punctual.constructions import (
     construct_join_split,
     construct_meet_split,
     construct_separator,
+    load_trace_set,
     parse_trace,
     verify_trace_file,
 )
@@ -186,6 +187,39 @@ def _finished_and_replayable():
 def test_golden_verifies(name):
     ok, msg = verify_trace_file(os.path.join(GOLDEN, name))
     assert ok, msg
+
+
+@pytest.mark.parametrize("name", _golden_names())
+def test_golden_round_trip(name):
+    text = _read(name).decode()
+    assert parse_trace(text).serialize() == text
+
+
+def _bits_by_output(text) -> dict:
+    """Each output's bits as the record lines list them, in record order."""
+    records = text.split("\n---\n")[1].splitlines()
+    bits = {}
+    for line in records:
+        field = line.split("\t")[3]
+        for pair in field.split(",") if field != "-" else []:
+            name, _, b = pair.partition("=")
+            bits.setdefault(name, []).append(int(b))
+    return bits
+
+
+@pytest.mark.parametrize("name", _golden_names())
+def test_golden_columns_match_record_bits(name):
+    path = os.path.join(GOLDEN, name)
+    text = _read(name).decode()
+    listed = _bits_by_output(text)
+    trace = parse_trace(text)
+    outputs = trace.header_value("outputs").split(",")
+    assert set(listed) <= set(outputs)
+    for output in outputs:
+        want = listed.get(output, [])
+        assert trace.columns.get(output, []) == want, output
+        s = load_trace_set(f"{path}:{output}")
+        assert [s.bit(n) for n in range(len(want))] == want, output
 
 
 @pytest.mark.parametrize("kind", sorted(ROUND_ROBIN))
