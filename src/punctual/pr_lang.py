@@ -23,14 +23,13 @@ recursion on argument y performs one base evaluation plus y step
 evaluations.  A clocked evaluation converges iff its total cost is strictly
 below the given budget, which makes convergence monotone in the budget.
 
-Evaluation compiles each term to Python source, kept in a bounded cache
-keyed by the term.  Recursion-free subterms fold into affine expressions,
-each recursion becomes a generated function with one loop, and visits are
-counted per straight-line block: one addition of the block's static cost
-followed by one budget check, per block and per loop iteration.  The
-counter never runs ahead of the true visit count and the last check sees
-the exact total, so values, step counts and budget outcomes are exactly
-those of the ``visits/1`` model above.
+Evaluation compiles each term to Python source once and keeps the code on
+the term object, so evaluating that object again finds it in O(1); a
+bounded cache keyed by the term serves equal terms built afresh.  A term
+is validated when it is compiled.  Visits are counted per straight-line
+block, and a loop that never reads its counter runs in closed form or
+skips whole periods (see the notes on compilation below); values, step
+counts and budget outcomes are exactly those of the ``visits/1`` model.
 
 The Goedel coding is a direct total coding of terms via Cantor pairing:
 every natural number decodes to a well-formed term and ``decode(encode(t))``
@@ -78,8 +77,9 @@ class Proj:
 def _hash_once(t, fields: tuple) -> int:
     """Hash of a composite term, computed on first use and kept.
 
-    The compile cache hashes its key on every evaluation; terms are
-    immutable, so a deep hash is needed only once per node.
+    The compile cache hashes every new term object it is asked for, and a
+    compile hashes each recursion it meets; terms are immutable, so a deep
+    hash is needed only once per node.
     """
     h = t.__dict__.get("_hash")
     if h is None:
@@ -322,6 +322,33 @@ class _Abort(Exception):
 # added with one ``c += k`` and the budget is checked right after, so the
 # counter never runs ahead of the true visit count and the last check sees
 # the exact total.
+#
+# A loop body that never reads the counter ``i`` is a fixed map on ``acc``,
+# since ``y`` and the ``x``s do not change.  If it is ``acc + k`` with no
+# nested recursion, the loop adds ``y`` times its cost and returns
+# ``acc + k*y``.  Otherwise it records each ``acc`` with its iteration and
+# count for its first ``_PERIOD_WINDOW`` iterations, and ``_skip`` ends it
+# once one repeats.  Either way one budget check stands for many
+# iterations; the count only grows, so the run aborts exactly when its
+# final total reaches the budget, as the per-iteration checks would.
+
+_PERIOD_WINDOW = 64   # iterations a counter-free loop records its states for
+
+
+def _skip(seen: dict, acc: int, i: int, y: int, c: int, b) -> tuple[int, int]:
+    """Finish a counter-free loop whose state ``acc`` at iteration i repeats.
+
+    ``seen`` maps each earlier state, in order, to (iteration, count before
+    it); from ``acc``'s first visit j, states and costs repeat every i - j.
+    """
+    j, cj = seen[acc]
+    periods, rest = divmod(y - i, i - j)
+    acc = list(seen)[j + rest]
+    c += periods * (c - cj) + seen[acc][1] - cj
+    if c >= b:
+        raise _Abort
+    return acc, c
+
 
 def _expr(val) -> str:
     name, offset = val
@@ -337,6 +364,7 @@ class _Block:
         self.unit = unit
         self.lines: list[str] = []
         self.cost = 0
+        self.reads: set = set()     # names the emitted lines read
 
     def value(self, t: PrTerm, args: Sequence[tuple]) -> tuple:
         """Emit t applied to affine args; return its affine value."""
@@ -357,6 +385,7 @@ class _Block:
             acc = self.value(t.base, args[1:])
             loop = self.unit.loop(t, len(args))
             temp = f"t{len(self.lines) + 1}"
+            self.reads.update(name for name, _ in (*args, acc))
             self.lines.append(
                 f"{temp}, c = {loop}(c, b, {', '.join(_expr(v) for v in (*args, acc))})")
             return (temp, 0)
@@ -379,13 +408,22 @@ class _Unit:
         xs = [f"x{j}" for j in range(1, n)]
         body = _Block(self)
         acc = body.value(t.step, [(p, 0) for p in ("y", *xs, "i", "acc")])
+        if not body.lines and acc[0] == "acc":     # affine: closed form
+            run = [f"c += {body.cost} * y", "if c >= b: raise _Abort", f"acc += {acc[1]} * y"]
+        else:
+            run = ["for i in range(y):",
+                   f"    c += {body.cost}",
+                   "    if c >= b: raise _Abort",
+                   *(f"    {line}" for line in body.lines),
+                   *([f"    acc = {_expr(acc)}"] if acc != ("acc", 0) else [])]
+            if "i" not in body.reads and acc[0] != "i":    # counter-free
+                run[1:1] = [f"    if i < {_PERIOD_WINDOW}:",
+                            "        if acc in seen: return _skip(seen, acc, i, y, c, b)",
+                            "        seen[acc] = i, c"]
+                run.insert(0, "seen = {}")
         self.sources.append("\n".join([
             f"def {name}(c, b, {', '.join(('y', *xs, 'acc'))}):",
-            "    for i in range(y):",
-            f"        c += {body.cost}",
-            "        if c >= b: raise _Abort",
-            *(f"        {line}" for line in body.lines),
-            *([f"        acc = {_expr(acc)}"] if acc != ("acc", 0) else []),
+            *(f"    {line}" for line in run),
             "    return acc, c",
         ]))
         return name
@@ -411,11 +449,12 @@ def _compiled(t: PrTerm) -> tuple[int, Callable]:
     """(arity, entry) of t; ``entry(0, budget, *args)`` returns (value, visits).
 
     The entry raises ``_Abort`` as soon as the visit count reaches the budget.
+    A term that is not well formed raises ArityError here.
     """
-    n = arity(t)
+    n = _checked_arity(t, None)
     unit = _Unit()
     unit.entry(t, n)
-    namespace = {"_Abort": _Abort}
+    namespace = {"_Abort": _Abort, "_skip": _skip}
     exec(compile("\n\n".join(unit.sources), "<pr_lang term>", "exec"), namespace)
     return n, namespace["entry"]
 
@@ -424,7 +463,12 @@ _UNBOUNDED = float("inf")
 
 
 def _compiled_for(t: PrTerm, args: Sequence[int]) -> Callable:
-    n, fn = _compiled(t)
+    """The entry of t, kept on the term object after its first lookup."""
+    code = t.__dict__.get("_code")
+    if code is None:
+        code = _compiled(t)
+        object.__setattr__(t, "_code", code)
+    n, fn = code
     if len(args) != n:
         raise ArityError(f"term of arity {n} applied to {len(args)} arguments")
     return fn
@@ -472,7 +516,7 @@ def coerce_arity(t: PrTerm, n: int) -> PrTerm:
         raise ArityError("cannot coerce to arity 0")
     if k == 0:
         return zero_of_arity(n)
-    return Comp(t, tuple(Proj(n, 1) for _ in range(k)))
+    return Comp(t, (Proj(n, 1),) * k)
 
 
 def unary_wrap(t: PrTerm) -> PrTerm:
@@ -603,14 +647,11 @@ class TermProgram(ClockedProgram):
         self.term = unary_wrap(term)
         self.name = name if name is not None else serialize(term)
         self._memo: dict[int, tuple[int, int]] = {}
-        self._fn: Callable | None = None
 
     def _run(self, x: int) -> tuple[int, int]:
         hit = self._memo.get(x)
         if hit is None:
-            if self._fn is None:
-                self._fn = _compiled(self.term)[1]
-            hit = self._memo[x] = self._fn(0, _UNBOUNDED, x)
+            hit = self._memo[x] = _compiled_for(self.term, (x,))(0, _UNBOUNDED, x)
         return hit
 
     def value(self, x: int) -> int:

@@ -213,6 +213,24 @@ class TestEval:
         assert eval_total(const_term(0), [3]) == 0
 
 
+PRED = "R(Z; P[3,2])"                            # reads its counter
+MSUB = f"R(P[1,1]; C({PRED}; P[4,4]))"           # MSUB(y, x) = x monus y
+CONST1 = "C(S; R(Z; P[3,3]))"
+NOT = f"C({MSUB}; P[1,1], {CONST1})"
+MOD2 = f"R(Z; C({NOT}; P[3,3]))"                 # states 0, 1, 0, ...
+FLIP_FROM_X = f"R(P[1,1]; C({NOT}; P[4,4]))"     # states x, 0, 1, 0, ...
+UNARY_ID = "R(Z; C(S; P[3,3]))"
+GROWING = f"R(Z; C(S; C({UNARY_ID}; P[3,3])))"   # nested loop, states 0, 1, 2, ...
+
+
+def loop_sources(text):
+    """The generated loop functions of a term, without its entry."""
+    unit = pr_lang._Unit()
+    t = parse_term(text)
+    unit.entry(t, arity(t))
+    return [src for src in unit.sources if not src.startswith("def entry")]
+
+
 class TestCompiledAgainstOracle:
     """The generated code against the definitional oracle, budget by budget."""
 
@@ -237,6 +255,68 @@ class TestCompiledAgainstOracle:
                 assert converges_within(e, x, cost) is None
                 assert converges_within(e, x, cost + 1) == value
 
+    def check_budgets(self, text, args):
+        t = parse_term(text)
+        cost = reference_cost(t, args)
+        assert eval_cost(t, args) == cost
+        assert eval_total(t, args) == reference_value(t, args)
+        for budget in (0, 1, cost - 1, cost, cost + 1):
+            assert eval_clocked(t, args, budget) == oracle_outcome(t, args, budget)
+
+    @pytest.mark.parametrize("text", [
+        "R(Z; P[3,3])",                            # k = 0
+        "R(Z; C(S; C(S; C(S; P[3,3]))))",          # k = 3
+        "C(S; C(S; R(Z; C(S; P[3,3]))))",          # linear_bound(1, 2)
+        "R(P[1,1]; C(S; C(S; P[4,4])))",           # with a fixed argument
+    ])
+    def test_affine_steps(self, text):
+        (src,) = loop_sources(text)
+        assert "range" not in src
+        for y in range(6):
+            self.check_budgets(text, [y] if arity(parse_term(text)) == 1 else [y, 3])
+
+    @pytest.mark.parametrize("text, x", [
+        (MSUB, 3),              # transient 3, then period 1 at 0
+        (MOD2, None),           # period 2 from the start
+        (FLIP_FROM_X, 5),       # transient 1, then period 2
+        (NOT, None),            # the MSUB loop inside, from x = 1
+    ])
+    def test_periods_after_a_transient(self, text, x):
+        assert any("_skip" in src for src in loop_sources(text))
+        for y in range(13):
+            self.check_budgets(text, [y] if x is None else [y, x])
+
+    def test_state_never_repeats_in_the_window(self):
+        assert any("_skip" in src for src in loop_sources(GROWING))
+        for y in (0, 1, pr_lang._PERIOD_WINDOW - 1, pr_lang._PERIOD_WINDOW + 6):
+            self.check_budgets(GROWING, [y])
+
+    @pytest.mark.parametrize("text", [
+        PRED,
+        "R(Z; C(S; P[3,2]))",
+        f"R(Z; C({UNARY_ID}; P[3,2]))",            # the counter feeds a nested loop
+    ])
+    def test_loops_that_read_the_counter(self, text):
+        assert not any("_skip" in src for src in loop_sources(text))
+        assert "range" in loop_sources(text)[-1]     # inner loops come first
+        for y in range(8):
+            self.check_budgets(text, [y])
+
+    def test_huge_recursion_argument_returns_at_once(self):
+        y = 10 ** 12
+        mod2 = parse_term(MOD2)
+        assert eval_total(mod2, [y]) == 0
+        assert eval_total(mod2, [y + 1]) == 1
+        assert eval_cost(mod2, [y + 2]) - eval_cost(mod2, [y]) == (
+            eval_cost(mod2, [12]) - eval_cost(mod2, [10]))
+        bound = parse_term("C(S; R(Z; C(S; C(S; P[3,3]))))")
+        base = reference_cost(bound, [0])
+        cost = base + (reference_cost(bound, [1]) - base) * y
+        assert eval_total(bound, [y]) == 2 * y + 1
+        assert eval_cost(bound, [y]) == cost
+        assert eval_clocked(bound, [y], cost) == OUT_OF_BUDGET
+        assert eval_clocked(bound, [y], cost + 1) == Converged(2 * y + 1, cost)
+
 
 class TestCompileCache:
     def test_distinct_programs_keep_cache_bounded(self):
@@ -259,12 +339,40 @@ class TestCompileCache:
             converges_within(e, 6, s)
         assert pr_lang._compiled.cache_info().misses == 1
 
+    def test_equal_term_object_reuses_the_entry(self):
+        first, second = parse_term(ADD_SHAPED), parse_term(ADD_SHAPED)
+        assert first == second and first is not second
+        pr_lang._compiled.cache_clear()
+        assert eval_clocked(first, [3], 100) == Converged(3, 11)
+        assert eval_clocked(second, [4], 100) == Converged(4, 14)
+        assert pr_lang._compiled.cache_info().misses == 1
+        assert second.__dict__["_code"] is first.__dict__["_code"]
+        pr_lang._compiled.cache_clear()
+        assert eval_total(second, [5]) == 5
+        assert pr_lang._compiled.cache_info().misses == 0
+
     def test_term_program_keeps_its_code(self):
         p = TermProgram(parse_term(ADD_SHAPED))
         assert p.cost(3) == 11
         pr_lang._compiled.cache_clear()
         assert (p.value(4), p.cost(4)) == (4, 14)
         assert pr_lang._compiled.cache_info().misses == 0
+
+
+class TestMalformedTerms:
+    """Every public evaluation validates its term when it compiles it."""
+
+    @pytest.mark.parametrize("t, args", [
+        (Proj(1, 3), [5]),
+        (Comp(Succ(), ()), []),
+        (Comp(Succ(), (Proj(1, 1), Proj(1, 1))), [3]),
+        (PrimRec(Zero(), Proj(2, 1)), [2]),
+    ], ids=["projection-index", "empty-composition", "outer-arity", "step-arity"])
+    def test_rejected_before_running(self, t, args):
+        for run in (lambda: eval_clocked(t, args, 100), lambda: eval_total(t, args),
+                    lambda: eval_cost(t, args)):
+            with pytest.raises(ArityError):
+                run()
 
 
 class TestCoding:
