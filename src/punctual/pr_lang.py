@@ -25,11 +25,16 @@ below the given budget, which makes convergence monotone in the budget.
 
 Evaluation compiles each term to Python source once and keeps the code on
 the term object, so evaluating that object again finds it in O(1); a
-bounded cache keyed by the term serves equal terms built afresh.  A term
-is validated when it is compiled.  Visits are counted per straight-line
-block, and a loop that never reads its counter runs in closed form or
-skips whole periods (see the notes on compilation below); values, step
-counts and budget outcomes are exactly those of the ``visits/1`` model.
+bounded cache keyed by the term serves equal terms built afresh.  Terms
+are immutable, so they are shared: ``parse_term`` returns the same object
+for a repeated text (it keeps the 512 texts used last), ``unary_wrap``
+keeps a non-unary term's wrap on the term, and ``serialize`` keeps each
+composite node's text, so a repeated text, wrap or decoded program finds
+its code without a parse or a lookup.  A term is validated when it is
+compiled.  Visits are counted per straight-line block, and a loop that
+never reads its counter runs in closed form or skips whole periods (see
+the notes on compilation below); values, step counts and budget outcomes
+are exactly those of the ``visits/1`` model.
 
 The Goedel coding is a direct total coding of terms via Cantor pairing:
 every natural number decodes to a well-formed term and ``decode(encode(t))``
@@ -184,17 +189,22 @@ def validate(t: PrTerm, position: int | None = None) -> None:
 
 
 def serialize(t: PrTerm) -> str:
+    """Canonical text of t; a composite node keeps its text after the first call."""
+    if isinstance(t, (Comp, PrimRec)):
+        text = t.__dict__.get("_text")
+        if text is None:
+            if isinstance(t, Comp):
+                text = f"C({serialize(t.outer)}; {', '.join(map(serialize, t.inners))})"
+            else:
+                text = f"R({serialize(t.base)}; {serialize(t.step)})"
+            object.__setattr__(t, "_text", text)
+        return text
     if isinstance(t, Zero):
         return "Z"
     if isinstance(t, Succ):
         return "S"
     if isinstance(t, Proj):
         return f"P[{t.n},{t.i}]"
-    if isinstance(t, Comp):
-        inner = ", ".join(serialize(g) for g in t.inners)
-        return f"C({serialize(t.outer)}; {inner})"
-    if isinstance(t, PrimRec):
-        return f"R({serialize(t.base)}; {serialize(t.step)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -276,7 +286,17 @@ class _Parser:
                          self.pos)
 
 
+# Bound of the parse memo and of the compile cache (entries each).
+_COMPILE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def parse_term(text: str) -> PrTerm:
+    """The term a text denotes.
+
+    A repeated text returns the same immutable object, so the code, wrap
+    and text kept on it serve every caller; a bad text raises afresh.
+    """
     if not text.isascii():
         raise ParseError("term text must be ASCII")
     p = _Parser(text)
@@ -441,9 +461,6 @@ class _Unit:
         ]))
 
 
-_COMPILE_CACHE_SIZE = 512
-
-
 @lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def _compiled(t: PrTerm) -> tuple[int, Callable]:
     """(arity, entry) of t; ``entry(0, budget, *args)`` returns (value, visits).
@@ -520,7 +537,13 @@ def coerce_arity(t: PrTerm, n: int) -> PrTerm:
 
 
 def unary_wrap(t: PrTerm) -> PrTerm:
-    return coerce_arity(t, 1)
+    """t at arity 1; a non-unary t keeps its wrap, so each call returns it."""
+    wrapped = t.__dict__.get("_unary")
+    if wrapped is None:
+        wrapped = coerce_arity(t, 1)
+        if wrapped is not t:
+            object.__setattr__(t, "_unary", wrapped)
+    return wrapped
 
 
 def const_term(c: int) -> PrTerm:

@@ -241,7 +241,8 @@ class PrSet:
 
     def prefix(self, s: int) -> Prefix:
         """Initial segment of length s+1 (bits 0..s)."""
-        self._ensure(s)
+        if s >= len(self._bits):
+            self._ensure(s)
         return Prefix(tuple(self._bits[:s + 1]))
 
     def zeros_by_index(self, s: int) -> int:
@@ -250,12 +251,14 @@ class PrSet:
         return self._zero_cum[s]
 
     def bit_cost(self, n: int) -> int:
-        self._ensure(n)
+        if n >= len(self._bits):
+            self._ensure(n)
         return self._cost_cum[n] - (self._cost_cum[n - 1] if n else 0)
 
     def cum_cost(self, n: int) -> int:
         """Total generator cost of producing bits 0..n."""
-        self._ensure(n)
+        if n >= len(self._bits):
+            self._ensure(n)
         return self._cost_cum[n]
 
     def zeros_by_steps(self, s: int) -> int:

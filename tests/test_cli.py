@@ -260,6 +260,28 @@ def test_out_of_range_trace_header_is_misuse(old, new, named, capsys, tmp_path):
     assert err.startswith("error: trace header") and named in err
 
 
+def test_malformed_record_costs_no_replay(monkeypatch, capsys, tmp_path):
+    golden = pathlib.Path(__file__).parent / "golden" / "immune.round-robin.trace"
+    text = golden.read_text().replace("max-stages\t60", "max-stages\t1000000000", 1)
+    text = text.replace("\n17\t", "\n17\tgarbled\t", 1)
+    trace = tmp_path / "edited.trace"
+    trace.write_text(text)
+    with pytest.raises(punctual.errors.ParseError) as parsed:
+        punctual.constructions.parse_trace(text)
+    assert "malformed trace record" in str(parsed.value)
+
+    replays = []
+
+    def no_replay(trace):
+        replays.append(trace)
+        raise AssertionError("replayed a trace with a malformed record")
+
+    monkeypatch.setattr(punctual.constructions, "replay_from_trace", no_replay)
+    assert main(["verify", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {parsed.value}\n"
+    assert replays == []
+
+
 def test_missing_construct_input_is_misuse(capsys):
     assert main(["construct", "diamond", "--z", "evens"]) == 1
     err = capsys.readouterr().err

@@ -476,14 +476,18 @@ def _with_fault(monkeypatch, machine, fault, at):
         monkeypatch.setattr(machine, name, wrap(getattr(machine, name)))
 
 
+def _dense60():
+    return construct_dense(parse_set("meet(evens, blocks 6)"),
+                           parse_set("join(evens, blocks 6)"), None, family6()[:2], 60)
+
+
 # machine, fault stage, 60-stage run; a dense fault before the last stage
-# breaks the density chain, and the sandwich tables' search asserts first
+# also breaks the density chain, which cuts the sandwich tables short
 FAULTY_RUNS = {
     "incomparable": (_IncomparableMachine, 5, lambda: construct_incomparable(
         parse_set("evens"), family6()[:2], 60)),
-    "dense": (_DenseMachine, 60, lambda: construct_dense(
-        parse_set("meet(evens, blocks 6)"), parse_set("join(evens, blocks 6)"),
-        None, family6()[:2], 60)),
+    "dense": (_DenseMachine, 60, _dense60),
+    "dense-early": (_DenseMachine, 5, _dense60),
 }
 
 

@@ -320,6 +320,7 @@ class TestCompiledAgainstOracle:
 
 class TestCompileCache:
     def test_distinct_programs_keep_cache_bounded(self):
+        decode.cache_clear()
         pr_lang._compiled.cache_clear()
         wrapped = set()
         e = 0
@@ -334,13 +335,17 @@ class TestCompileCache:
 
     def test_repeat_calls_compile_once(self):
         e = encode(Comp(Succ(), (Proj(2, 2),)))
+        decode.cache_clear()
         pr_lang._compiled.cache_clear()
         for s in range(20):
             converges_within(e, 6, s)
         assert pr_lang._compiled.cache_info().misses == 1
 
     def test_equal_term_object_reuses_the_entry(self):
-        first, second = parse_term(ADD_SHAPED), parse_term(ADD_SHAPED)
+        parse_term.cache_clear()
+        first = parse_term(ADD_SHAPED)
+        parse_term.cache_clear()
+        second = parse_term(ADD_SHAPED)
         assert first == second and first is not second
         pr_lang._compiled.cache_clear()
         assert eval_clocked(first, [3], 100) == Converged(3, 11)
@@ -357,6 +362,81 @@ class TestCompileCache:
         pr_lang._compiled.cache_clear()
         assert (p.value(4), p.cost(4)) == (4, 14)
         assert pr_lang._compiled.cache_info().misses == 0
+
+
+def reference_text(t):
+    """Canonical text by plain recursion, keeping nothing."""
+    if isinstance(t, Zero):
+        return "Z"
+    if isinstance(t, Succ):
+        return "S"
+    if isinstance(t, Proj):
+        return f"P[{t.n},{t.i}]"
+    if isinstance(t, Comp):
+        return f"C({reference_text(t.outer)}; {', '.join(reference_text(g) for g in t.inners)})"
+    return f"R({reference_text(t.base)}; {reference_text(t.step)})"
+
+
+ROUND_TRIP_TEXTS = ["P[1,1]", "C(S; P[1,1])", ADD_SHAPED, "P[3,2]",
+                    "C(P[2,2]; S, C(S; P[1,1]))"]
+
+
+class TestSharedTerms:
+    """The parse memo, the kept wrap and the kept text against building afresh."""
+
+    def test_repeated_text_is_the_same_object(self):
+        assert parse_term(ADD_SHAPED) is parse_term(ADD_SHAPED)
+        spaced = parse_term(" R( Z ;C(S;  P[3,3]) ) ")
+        assert spaced == parse_term(ADD_SHAPED)
+        assert spaced is not parse_term(ADD_SHAPED)
+
+    @pytest.mark.parametrize("text, error", [
+        ("C(S; P[1,1]", ParseError), ("P[1,x]", ParseError),
+        ("R(Z; S)", ArityError), ("C(S; P[1,1], P[1,1])", ArityError)])
+    def test_bad_text_raises_afresh(self, text, error):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                parse_term(text)
+            raised.append((str(exc.value), exc.value.position))
+        assert raised[0][1] is not None and raised == raised[:1] * 3
+
+    def test_parse_memo_stays_bounded(self):
+        parse_term.cache_clear()
+        texts = [f"P[{n},1]" for n in range(1, 2 * pr_lang._COMPILE_CACHE_SIZE + 1)]
+        assert [parse_term(t) for t in texts] == [Proj(n, 1) for n in range(1, len(texts) + 1)]
+        info = parse_term.cache_info()
+        assert info.misses == len(texts)
+        assert info.currsize <= pr_lang._COMPILE_CACHE_SIZE
+
+    def test_kept_wrap_evaluates_as_a_fresh_one(self):
+        rng = random.Random(11)
+        checked = 0
+        for e in range(3000):
+            t = decode(e)
+            if arity(t) == 1:
+                assert unary_wrap(t) is t
+                continue
+            kept, fresh = unary_wrap(t), coerce_arity(t, 1)
+            assert kept is unary_wrap(t) and kept == fresh and kept is not fresh
+            x = rng.randrange(6)
+            cost = eval_cost(fresh, [x])
+            for b in (cost - 1, cost, cost + 1):
+                assert eval_clocked(kept, [x], b) == eval_clocked(fresh, [x], b)
+            if cost < 2000:
+                assert eval_clocked(kept, [x], cost + 1) == oracle_outcome(fresh, [x], cost + 1)
+            checked += 1
+        assert checked > 1000
+
+    def test_kept_text_matches_plain_recursion(self):
+        rng = random.Random(7)
+        terms = [decode(e) for e in range(2000)]
+        terms += [parse_term(text) for text in ROUND_TRIP_TEXTS]
+        terms += [random_term(rng, 3, rng.randint(1, 3)) for _ in range(300)]
+        for t in terms:
+            assert serialize(t) == reference_text(t)
+            assert serialize(t) == reference_text(t)    # now read from the node
+            assert parse_term(serialize(t)) == t
 
 
 class TestMalformedTerms:
@@ -381,8 +461,7 @@ class TestCoding:
         assert decode(1) == Succ()
 
     def test_round_trip(self):
-        for text in ["P[1,1]", "C(S; P[1,1])", ADD_SHAPED, "P[3,2]",
-                     "C(P[2,2]; S, C(S; P[1,1]))"]:
+        for text in ROUND_TRIP_TEXTS:
             t = parse_term(text)
             assert decode(encode(t)) == t
 
