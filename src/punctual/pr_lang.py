@@ -167,16 +167,22 @@ def _node_arity(t: PrTerm, child_arities: Sequence[int], position: int | None) -
 
 
 def _checked_arity(t: PrTerm, position: int | None) -> int:
+    """Arity of t, checked at every node.  A composite node keeps its arity
+    once checked, so a shared term is walked once; an error is never kept."""
     if isinstance(t, Comp):
         children = (t.outer, *t.inners)
     elif isinstance(t, PrimRec):
         children = (t.base, t.step)
     else:
-        children = ()
-    child_arities = []
-    for g in children:  # a plain loop keeps one frame per term level
-        child_arities.append(_checked_arity(g, position))
-    return _node_arity(t, child_arities, position)
+        return _node_arity(t, (), position)
+    n = t.__dict__.get("_arity")
+    if n is None:
+        child_arities = []
+        for g in children:  # a plain loop keeps one frame per term level
+            child_arities.append(_checked_arity(g, position))
+        n = _node_arity(t, child_arities, position)
+        object.__setattr__(t, "_arity", n)
+    return n
 
 
 def validate(t: PrTerm, position: int | None = None) -> None:

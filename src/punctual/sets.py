@@ -27,20 +27,21 @@ Bits, zero counts and cumulative costs are memoized as prefixes.  A memo
 normally grows one bit at a time, but some descriptors also have a range
 fill that produces the bits and costs of a whole range in one call: the
 builtins (by their periodic pattern), prefix and trace sets with the
-default cost (by slicing), ``drop`` and the zero-member override (from the
-operand's arrays with one bit flipped), and join and meet (the max or min
-of the normalised operands' zero counts).  A descriptor fills only if all
-its operands do, so term-backed sets, normal-form carriers, zero-list sets
-and everything built over them keep the per-bit loop and their evaluator
-work.  Extensions shorter than ``_FILL_MIN`` bits also take the per-bit
-loop, since a fill has a fixed cost.  Step-limited growth
-(``zeros_by_steps``) fills in doubling chunks and cuts the memo back to
-where the per-bit loop stops, through the first bit whose total cost
-exceeds the budget; only a derived set's operands may run ahead, by at most
-the last chunk and never past the last bit the budget could pay for at one
-step a bit.  Zero-limited growth (the zero searches ``principal_zero`` and
-``next_zero``) stays per-bit; only zero-list sets answer ``principal_zero``
-by a closed form, from their list of zeros.
+default cost (by their pattern: the constructed head, then 1,0 at cost
+n + 1), ``drop`` and the zero-member override (from the operand's arrays
+with one bit flipped), and join and meet (the max or min of the normalised
+operands' zero counts).  A descriptor fills only if all its operands do, so
+term-backed sets, normal-form carriers, zero-list sets and everything built
+over them keep the per-bit loop and their evaluator work.  Only unlimited
+growth fills, and only for extensions of at least ``_FILL_MIN`` bits, since
+a fill has a fixed cost; step-limited growth (``zeros_by_steps``) and
+zero-limited growth (the zero searches ``principal_zero`` and
+``next_zero``) take the per-bit loop, so a memo, and its operands' memos,
+stop exactly at the bit where the limit is met.  A set built from a pattern
+answers ``zeros_by_steps`` and steps profiles by arithmetic on the pattern
+and grows no memo for them; bit, index and cost reads still grow its memo.
+Only zero-list sets answer ``principal_zero`` by a closed form, from their
+list of zeros.
 
 Scans read memos in bulk: ``profile(points, convention)`` answers a whole
 list of index points or step budgets from one growth to the largest, and
@@ -51,6 +52,7 @@ list of index points or step budgets from one growth to the largest, and
 from __future__ import annotations
 
 import bisect
+import math
 import sys
 import threading
 from dataclasses import dataclass
@@ -160,8 +162,10 @@ class PrSet:
         self._cost_fn = cost_fn or (lambda n: 1)
         self._zeros_fast = zeros_fast
         # fill(m, n) -> (bits, per-bit costs) of bits m..n, each cost >= 1;
-        # it must agree with bit_fn and cost_fn
+        # it must agree with bit_fn and cost_fn.  A _Pattern fill also
+        # answers step queries.
         self._fill = fill
+        self._pattern = fill if isinstance(fill, _Pattern) else None
         self._lock = threading.Lock()
         self._bits: list[int] = []
         self._zero_cum: list[int] = []   # zeros among bits 0..n
@@ -173,43 +177,27 @@ class PrSet:
     def _ensure(self, n: int, steps: int = sys.maxsize, zeros: int = sys.maxsize) -> None:
         """Materialise bits 0..n; stop early at total cost > steps or at `zeros` zeros.
 
-        The memo always ends at n or at the first bit whose total cost
-        passes steps.  With a fill, long extensions run in bulk: all at once,
-        or under a step limit in doubling chunks cut back to that bit.  Only
-        a derived set's operands can then run ahead, by at most one chunk and
-        never past bit m + steps - c, the last one the remaining budget could
-        pay for at one step a bit.
+        The memo always ends at n, at the first bit whose total cost passes
+        steps, or at the `zeros`-th zero.  With a fill, an unlimited
+        extension of at least ``_FILL_MIN`` bits runs in one call; limited
+        growth takes the per-bit loop, so it reads no bit, and no operand
+        bit, past the one where it stops.
         """
         if n < len(self._bits):
             return
         with self._lock:
             bits, zero_cum, cost_cum = self._bits, self._zero_cum, self._cost_cum
-            bit_fn, cost_fn = self._bit_fn, self._cost_fn
             m = len(bits)
             z = zero_cum[-1] if m else 0
             c = cost_cum[-1] if m else 0
-            # Step-limited fills are kept for witness_calculus, whose steps-
-            # convention scans read fresh sets far ahead: seed 1, 10 rotating
-            # rounds on a 2-CPU machine, jobs/s median [quartiles] 68.8
-            # [67.7, 71.4] with them, 65.4 [63.9, 68.3] with fills only for
-            # unlimited growth, 62.0 [59.9, 63.1] with no fills; stage_machine
-            # read 48.6 [46.8, 49.7] and 47.8 [47.2, 48.4] alike.
-            fill = self._fill if zeros == sys.maxsize else None
-            chunk = _FILL_MIN
-            while fill is not None and c <= steps:
-                # every bit costs at least 1, so bit m + steps - c passes steps
-                top = n if steps == sys.maxsize else min(n, m + steps - c, m + chunk - 1)
-                if top - m + 1 < _FILL_MIN:
-                    break
-                new, costs = fill(m, top)
-                cum = list(accumulate(costs, initial=c))[1:]
-                keep = bisect.bisect_right(cum, steps) + 1    # through the first bit past steps
-                del new[keep:], cum[keep:]
+            if (self._fill is not None and steps == zeros == sys.maxsize
+                    and n - m + 1 >= _FILL_MIN):
+                new, costs = self._fill(m, n)
                 bits += new
                 zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
-                cost_cum += cum
-                m, z, c = len(bits), zero_cum[-1], cum[-1]
-                chunk *= 2
+                cost_cum += islice(accumulate(costs, initial=c), 1, None)
+                return
+            bit_fn, cost_fn = self._bit_fn, self._cost_fn
             while m <= n and c <= steps and z < zeros:
                 b = 1 if bit_fn(m) else 0
                 k = cost_fn(m)
@@ -263,6 +251,8 @@ class PrSet:
 
     def zeros_by_steps(self, s: int) -> int:
         """Zeros among the bits decidable within s total generator steps."""
+        if self._pattern is not None:
+            return self._pattern.zeros_by_steps(s)
         if s <= 0:
             return 0
         # bits 0..s cost at least s + 1 steps, so growth stops by bit s
@@ -278,10 +268,13 @@ class PrSet:
         zeros.  If a generator fails during the growth, the counts are read
         point by point instead, so the failure surfaces at the first point
         that needs the failing bit, as it would with one read per point.
+        A pattern set counts step budgets by arithmetic and grows no memo.
         """
         if convention not in ("index", "steps"):
             raise ValueError(f"unknown convention {convention!r}")
         steps = convention == "steps"
+        if steps and self._pattern is not None:
+            return map(self._pattern.zeros_by_steps, points)
         points = points if isinstance(points, (list, range)) else list(points)
         top = max(points, default=-1)
         try:
@@ -328,20 +321,43 @@ class PrSet:
 # Range fills
 
 
-def _pattern_fill(head: tuple, period: tuple, unit_cost: bool = True):
-    """Fill for head[n] below len(head) and then `period` over and over, at
-    unit cost or at cost n + 1 for bit n."""
-    h = len(head)
+class _Pattern:
+    """head[n] below len(head), then `period` over and over, at unit cost or
+    at cost n + 1 for bit n.
 
-    def fill(m, n):
+    Called as ``fill(m, n)`` it gives the bits and costs of bits m..n.
+    ``zeros_by_steps(s)`` counts the zeros among the bits decided within s
+    steps by arithmetic, so a step query grows no memo.
+    """
+
+    def __init__(self, head: tuple, period: tuple, unit_cost: bool = True):
+        self.head, self.period, self.unit_cost = head, period, unit_cost
+        self._ones = None   # member counts below each head and period offset
+
+    def __call__(self, m: int, n: int) -> tuple:
+        head, period = self.head, self.period
+        h = len(head)
         bits = list(head[m:n + 1])
         if n >= h:
             lo = max(m, h) - h              # offsets lo..n-h of the tail
             r = lo % len(period)
             bits += islice(cycle(period), r, r + n - h - lo + 1)
-        return bits, [1] * (n - m + 1) if unit_cost else range(m + 1, n + 2)
+        return bits, [1] * (n - m + 1) if self.unit_cost else range(m + 1, n + 2)
 
-    return fill
+    def zeros_by_steps(self, s: int) -> int:
+        if s <= 0:
+            return 0
+        # k bits cost k steps, or k(k+1)/2 at cost n + 1 for bit n
+        k = s if self.unit_cost else (math.isqrt(8 * s + 1) - 1) // 2
+        if self._ones is None:
+            self._ones = (list(accumulate(self.head, initial=0)),
+                          list(accumulate(self.period, initial=0)))
+        head_ones, period_ones = self._ones
+        h = len(self.head)
+        if k <= h:
+            return k - head_ones[k]
+        q, r = divmod(k - h, len(self.period))
+        return k - head_ones[h] - q * period_ones[-1] - period_ones[r]
 
 
 def _bit_costs(x: PrSet, m: int, n: int) -> list:
@@ -367,19 +383,19 @@ def _flip_fill(x: PrSet, pos: int):
 
 def evens_set() -> PrSet:
     return PrSet("evens", lambda n: 1 - (n % 2), dsl="evens",
-                 fill=_pattern_fill((), (1, 0)))
+                 fill=_Pattern((), (1, 0)))
 
 
 def mod_set(k: int) -> PrSet:
     if k < 2:
         raise ParseError(f"mod K needs K >= 2, got {k}")
     return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0, dsl=f"mod {k}",
-                 fill=_pattern_fill((), (1,) + (0,) * (k - 1)))
+                 fill=_Pattern((), (1,) + (0,) * (k - 1)))
 
 
 def singleton_zero_set() -> PrSet:
     return PrSet("id", lambda n: 1 if n == 0 else 0, dsl="id",
-                 fill=_pattern_fill((1,), (0,)))
+                 fill=_Pattern((1,), (0,)))
 
 
 def blocks_set(k: int) -> PrSet:
@@ -391,7 +407,7 @@ def blocks_set(k: int) -> PrSet:
     if k < 1:
         raise ParseError(f"blocks K needs K >= 1, got {k}")
     return PrSet(f"blocks{k}", lambda n: 1 if n % (2 * k) < k else 0,
-                 dsl=f"blocks {k}", fill=_pattern_fill((), (1,) * k + (0,) * k))
+                 dsl=f"blocks {k}", fill=_Pattern((), (1,) * k + (0,) * k))
 
 
 def term_set(term, bound, name: str | None = None) -> PrSet:
@@ -467,7 +483,7 @@ def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
         return 1 - (n - len(frozen)) % 2
 
     return PrSet(name, bit, cost_fn or (lambda n: n + 1), dsl=dsl,
-                 fill=None if cost_fn else _pattern_fill(frozen, (1, 0), False))
+                 fill=None if cost_fn else _Pattern(frozen, (1, 0), False))
 
 
 # Derived descriptors

@@ -1,8 +1,17 @@
+import sys
+
 import pytest
 
 from punctual.constructions import construct_immune, construct_join_split
 from punctual.pr_lang import TermProgram, parse_term
-from punctual.sets import blocks_set, evens_set, mod_set, singleton_zero_set, term_set
+from punctual.sets import (
+    PrSet,
+    blocks_set,
+    evens_set,
+    mod_set,
+    singleton_zero_set,
+    term_set,
+)
 
 FAMILY_TEXTS = [
     "P[1,1]",
@@ -31,6 +40,18 @@ for _ in range(40):
 
 def basic_family():
     return [TermProgram(parse_term(t)) for t in FAMILY_TEXTS]
+
+
+@pytest.fixture
+def no_step_growth(monkeypatch):
+    """PrSet._ensure refuses any step-limited call, so a step count that
+    grows a memo fails at once instead of allocating without bound."""
+    ensure = PrSet._ensure
+
+    def refuse(self, n, steps=sys.maxsize, zeros=sys.maxsize):
+        assert steps == sys.maxsize, f"{self.name} grew under a step budget"
+        return ensure(self, n, steps, zeros)
+    monkeypatch.setattr(PrSet, "_ensure", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -366,6 +366,17 @@ def test_index_value_at_ceiling_runs(table, argv, line, tmp_path, family_file,
     assert code == 0 and line in out
 
 
+def test_step_budget_on_pattern_sets_grows_no_memo(tmp_path, family_file, capsys,
+                                                 no_step_growth):
+    # q maps stage 3 to a budget of 900000000 steps; evens and mod 3 count it
+    # by arithmetic, so any memo growth under a step budget is a regression
+    argv = ["diamond", "evidence-q", "evens", "mod 3", "--q", "{wit}", "--horizon", "5",
+            "--convention", "steps"]
+    argv = index_read_argv("h", argv, 900_000_000, tmp_path, family_file, capsys)
+    code, out = run(argv, capsys)
+    assert code == 0 and "verdict\tevidence(1)\n" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "immune", "--family", "{bad}", "--max-stages", "5"],
     ["reduce", "check", "evens", "evens", "--witness", "{bad}", "--horizon", "1"],

@@ -13,6 +13,7 @@ loop, which stays in ``PrSet._ensure``.
 
 import bisect
 import contextlib
+import math
 import random
 import sys
 import threading
@@ -200,11 +201,12 @@ def traces(tmp_path_factory):
     d = tmp_path_factory.mktemp("traces")
     save_trace(construct_immune(family, 200), str(d / "imm.trace"))
     save_trace(construct_join_split(parse_set("mod 3"), family, 200), str(d / "js.trace"))
+    save_trace(construct_immune(family, 30), str(d / "short.trace"))
     # a trace is read with any integer bit; every nonzero one means a member
     with open(d / "imm.trace") as fh:
         (d / "odd.trace").write_text(fh.read().replace("\tY=1\t", "\tY=2\t"))
     return {"imm": str(d / "imm.trace"), "js": str(d / "js.trace"),
-            "odd": str(d / "odd.trace")}
+            "odd": str(d / "odd.trace"), "short": str(d / "short.trace")}
 
 
 PAIRS = [
@@ -351,11 +353,15 @@ def test_zeros_by_steps_matches_brute_force(kind, traces):
     random.Random(kind).shuffle(order)
     mixed = make(traces)
     assert {s: mixed.zeros_by_steps(s) for s in order} == dict(zip(range(-1, top + 1), want))
-    # a fresh memo stops at the first bit whose cost passes s
+    # a fresh memo stops at the first bit whose cost passes s; a pattern
+    # set counts by arithmetic and leaves its memo unchanged
     for s in (1, 2, top // 3, top):
         fresh = make(traces)
         fresh.zeros_by_steps(s)
         k = len(fresh._bits)
+        if fresh._pattern is not None:
+            assert k == 0
+            continue
         assert fresh.cum_cost(k - 1) > s and (k == 1 or fresh.cum_cost(k - 2) <= s)
 
 
@@ -539,19 +545,92 @@ def test_fill_zeros_by_steps_matches_per_bit_loop(desc, fill_min, traces, monkey
     shuffled = random.Random(desc).sample(steps, len(steps))
     for order in (steps, shuffled):
         x, mirror = make_filled(desc, traces), make_filled(desc, traces)
+        mirror._pattern = None              # the mirror counts from its memo
         for s in order:
             with per_bit():
                 want = mirror.zeros_by_steps(s)
             assert x.zeros_by_steps(s) == want
-            # the memo stops where the per-bit loop stops
-            assert len(x._bits) == len(mirror._bits), s
+            # the memo stops where the per-bit loop stops; a pattern set's
+            # memo is unchanged by the query
+            assert len(x._bits) == (0 if x._pattern else len(mirror._bits)), s
             assert_memo_matches(x, ref)
     for s in random.Random(desc).sample(steps, 12) + [top]:
         fresh = make_filled(desc, traces)
         fresh.zeros_by_steps(s)
-        assert len(fresh._bits) == (0 if s <= 0 else
+        assert len(fresh._bits) == (0 if s <= 0 or fresh._pattern else
                                     bisect.bisect_right(ref._cost_cum, s) + 1)
         assert_memo_matches(fresh, ref)
+
+
+# descriptors built from a pattern, which count step budgets by arithmetic;
+# every builtin period ends in a non-member, so two raw patterns end in one
+PATTERNED = ["evens", "id", *(f"mod {k}" for k in range(2, 10)),
+             *(f"blocks {k}" for k in range(1, 5)), "bits 0,2,-1,0,3", "bits 0,1,1,0,0",
+             "trace {imm}", "trace {odd}", "trace {js}:Y1", "trace {short}",
+             "pattern 1,1,0 0,1,1 unit", "pattern - 1,1,0,1 n+1"]
+
+
+def make_patterned(desc, traces):
+    """make_filled, or a raw "pattern <head or -> <period> <unit or n+1>"."""
+    if not desc.startswith("pattern "):
+        return make_filled(desc, traces)
+    _, head, period, cost = desc.split()
+    fill = sets._Pattern(tuple(map(int, head.split(","))) if head != "-" else (),
+                         tuple(map(int, period.split(","))), cost == "unit")
+    return PrSet(desc, lambda n: fill(n, n)[0][0],
+                 None if cost == "unit" else lambda n: n + 1, fill=fill)
+
+
+def memo_zeros_by_steps(x, s):
+    """Zeros within s steps, read off x's memo grown under that budget."""
+    if s <= 0:
+        return 0
+    x._ensure(s, steps=s)
+    k = bisect.bisect_right(x._cost_cum, s)
+    return x._zero_cum[k - 1] if k else 0
+
+
+@pytest.mark.parametrize("desc", PATTERNED)
+def test_pattern_steps_count_matches_memo_read(desc, traces):
+    ref = make_patterned(desc, traces)
+    assert ref._pattern is not None
+    rng = random.Random(desc)
+    # seeded budgets that decide up to 50,000 bits
+    cap = 50_000 if ref._pattern.unit_cost else 50_000 * 50_001 // 2
+    ascending = sorted([*range(-1, 2001), *(rng.randrange(2001, cap) for _ in range(8))])
+    want = {s: memo_zeros_by_steps(ref, s) for s in ascending}
+    assert ref.decided > len(ref._pattern.head)      # the budgets reach the tail
+    shuffled = rng.sample(ascending, len(ascending))
+    repeated = [s for s in ascending[::37] for _ in range(3)]
+    for points in (ascending, shuffled, repeated):
+        x = make_patterned(desc, traces)
+        read = rng.randrange(300)
+        for grown in (0, read + 1):
+            # a steps query leaves the memo as it was
+            assert [x.zeros_by_steps(s) for s in points] == [want[s] for s in points]
+            assert list(x.profile(points, "steps")) == [want[s] for s in points]
+            assert list(x.profile(iter(points), "steps")) == [want[s] for s in points]
+            assert x.decided == grown
+            # a later bit read grows the memo exactly as on a set never asked
+            x.bit(read)
+            plain = make_patterned(desc, traces)
+            plain.bit(read)
+            assert (x._bits, x._zero_cum, x._cost_cum) == (
+                plain._bits, plain._zero_cum, plain._cost_cum)
+
+
+def test_pattern_steps_count_needs_no_memo(traces, no_step_growth):
+    big = 10 ** 12
+    k = (math.isqrt(8 * big + 1) - 1) // 2           # bits decided at cost n + 1
+    assert k * (k + 1) // 2 <= big < (k + 1) * (k + 2) // 2
+    known = {"evens": big // 2, "mod 3": big - (big + 2) // 3, "id": big - 1,
+             "blocks 4": big // 2, "bits 0,2,-1,0,3": 2 + (k - 5) // 2}
+    for desc in PATTERNED:
+        x = make_patterned(desc, traces)
+        got = x.zeros_by_steps(big)
+        assert list(x.profile([big, 0, big], "steps")) == [got, 0, got]
+        assert got == known.get(desc, got) and 0 < got < big
+        assert x.decided == 0
 
 
 @pytest.mark.parametrize("fill_min", FILL_MINS)

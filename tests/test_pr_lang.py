@@ -439,6 +439,28 @@ class TestSharedTerms:
             assert parse_term(serialize(t)) == t
 
 
+    def test_shared_term_is_validated_once(self, monkeypatch):
+        calls = []
+        node_arity = pr_lang._node_arity
+        monkeypatch.setattr(pr_lang, "_node_arity",
+                            lambda t, *rest: calls.append(t) or node_arity(t, *rest))
+        shared = PrimRec(Zero(), Comp(Succ(), (Proj(3, 3),)))
+        top = Comp(Succ(), (shared,))
+        for _ in range(3):
+            TermProgram(top)
+        assert len(calls) == 7                          # one walk of seven nodes
+        calls.clear()
+        TermProgram(Comp(Succ(), (Comp(Succ(), (shared,)),)))
+        assert len(calls) == 4                          # shared is not walked again
+        # a malformed term raises afresh, with no arity kept above the error
+        bad = Comp(Succ(), (shared, shared))
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(ArityError, match="outer arity 1 != 2 inner terms"):
+                TermProgram(bad)
+            assert calls == [Succ(), bad] and "_arity" not in bad.__dict__
+
+
 class TestMalformedTerms:
     """Every public evaluation validates its term when it compiles it."""
 
