@@ -300,13 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NON_NEGATIVE = ("horizon", "max_stages", "window", "k", "count")
+# the bounds that size a run: past the index ceiling they fill memos past it
+_CEILED = ("horizon", "max_stages", "window")
 
 
-def _check_non_negative(args):
+def _check_bounds(args):
     for name in _NON_NEGATIVE:
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise MisuseError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+        if value is None:
+            continue
+        flag = f"--{name.replace('_', '-')}"
+        if value < 0:
+            raise MisuseError(f"{flag} must be >= 0, got {value}")
+        if name in _CEILED and value > sets.DEFAULT_CEILING:
+            raise MisuseError(f"{flag} must be <= the index ceiling "
+                              f"{sets.DEFAULT_CEILING}, got {value}")
 
 
 def _echo_config(args, out):
@@ -324,7 +332,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _check_non_negative(args)
+        _check_bounds(args)
         _echo_config(args, sys.stdout)
         code = args.fn(args, sys.stdout)
     except StageBudgetExhausted as exc:

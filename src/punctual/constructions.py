@@ -24,8 +24,8 @@ refute, so exhaustion is a first-class outcome.
 ``CONSTRUCTIONS`` maps each kind to its public builder, its header input
 roles and its validator; the command line, replay and validation read it.
 
-Trace records are named tuples of stage, cycle, phase and events; their
-bits come from the trace's output columns, the machines' own bit lists.
+A trace keeps its records as columns (stage, cycle, phase, sparse events)
+and its bits as the machines' own output lists, written column by column.
 ``verify_trace_file`` replays from the header alone and parses the records
 only when the replay raises or its bytes differ, so a malformed record is
 still the first error reported.
@@ -95,25 +95,43 @@ class StageRecord(NamedTuple):
 @dataclass
 class Trace:
     header: list               # ordered (key, value) pairs; keys may repeat
-    records: list
+    stages: list = field(default_factory=list)
+    cycles: list = field(default_factory=list)
+    phases: list = field(default_factory=list)
+    events: dict = field(default_factory=dict)      # record index -> events; none empty
     columns: dict = field(default_factory=dict)     # output name -> bits
     footer: list = field(default_factory=list)
+
+    @property
+    def records(self) -> list:
+        """The records as ``StageRecord``s, a read-only view of the columns."""
+        return [StageRecord(s, c, p, self.events.get(i, ()))
+                for i, (s, c, p) in enumerate(zip(self.stages, self.cycles, self.phases))]
 
     def first_bit_stage(self) -> int:
         """Stage showing bit 0: 1 under the ``stage`` convention, else 0."""
         return 1 if self.header_value("prefix-convention") == "stage" else 0
 
+    def _bits_field(self) -> list:
+        """Each record's bits field; records past a column show none of it."""
+        skip = ["-"] * min(self.first_bit_stage(), len(self.stages))
+        shown = len(self.stages) - len(skip)
+        # name=b by table lookup, unless a parsed trace holds another integer
+        fields = [list(map((f"{k}=0", f"{k}=1").__getitem__, bits[:shown]))
+                  if {0, 1}.issuperset(bits) else [f"{k}={b}" for b in bits[:shown]]
+                  for k, bits in self.columns.items()]
+        if fields and all(len(f) == shown for f in fields):
+            return skip + list(map(",".join, zip(*fields)))
+        return skip + [",".join(filter(None, parts)) or "-"
+                       for parts in zip_longest([""] * shown, *fields, fillvalue="")]
+
     def serialize(self) -> str:
-        # record i shows bit i - first of each column; one line per record
-        first = self.first_bit_stage()
-        shown = [[""] * first + [f"{name}={b}" for b in bits]
-                 for name, bits in self.columns.items()]
-        rows = islice(zip_longest(self.records, *shown, fillvalue=""),
-                      len(self.records))
+        events = ["-"] * len(self.stages)
+        for i, evs in self.events.items():
+            events[i] = ";".join(evs) or "-"
         lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in self.header], "---",
-                 *[f"{stage}\t{cycle}\t{phase}\t{','.join(filter(None, bits)) or '-'}"
-                   f"\t{';'.join(events) or '-'}"
-                   for (stage, cycle, phase, events), *bits in rows],
+                 *map("{}\t{}\t{}\t{}\t{}".format, self.stages, self.cycles,
+                      self.phases, self._bits_field(), events),
                  "---", *[f"{k}\t{v}" for k, v in self.footer]]
         return "\n".join(lines) + "\n"
 
@@ -133,18 +151,6 @@ def _required(trace: Trace, key: str) -> str:
     if value is None:
         raise ParseError(f"trace header has no {key!r} line")
     return value
-
-
-def _parse_record(line: str, lineno: int, columns: dict) -> StageRecord:
-    """One stage record; its bits go to the end of their output columns."""
-    try:
-        stage, cycle, phase, bits, events = line.split("\t")
-        for n, b in [p.split("=") for p in bits.split(",")] if bits != "-" else []:
-            columns.setdefault(n, []).append(int(b))
-        return StageRecord(int(stage), cycle, phase,
-                           tuple(events.split(";")) if events != "-" else ())
-    except ValueError:
-        raise ParseError(f"malformed trace record on line {lineno}: {line!r}") from None
 
 
 def _split_trace(text: str):
@@ -173,11 +179,21 @@ def _split_trace(text: str):
 
 
 def _parse_records(lines: list, first: int) -> tuple:
-    """Stage records and bit columns from their lines; the first bad one raises."""
-    columns: dict = {}
-    records = [_parse_record(line, lineno, columns)
-               for lineno, line in enumerate(lines, first)]
-    return records, columns
+    """The record lines' columns, bits by output; the first bad line raises."""
+    stages, cycles, phases, events, columns = [], [], [], {}, {}
+    try:
+        for i, line in enumerate(lines):
+            stage, cycle, phase, bits, evs = line.split("\t")
+            for n, b in [p.split("=") for p in bits.split(",")] if bits != "-" else []:
+                columns.setdefault(n, []).append(int(b))
+            stages.append(int(stage))
+            cycles.append(cycle)
+            phases.append(phase)
+            if evs != "-":
+                events[i] = tuple(evs.split(";"))
+    except ValueError:
+        raise ParseError(f"malformed trace record on line {first + i}: {line!r}") from None
+    return stages, cycles, phases, events, columns
 
 
 def parse_trace(text: str) -> Trace:
@@ -389,7 +405,6 @@ class _Machine:
 def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
            notes: dict) -> ConstructionResult:
     """Run a machine for max_stages stages and return its validated result."""
-    records: list = []
     fillers = 0
 
     def open_cycle(stage, events):
@@ -408,27 +423,32 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
         events.append(f"open:{label}")
         return cycle
 
-    trace = Trace(m.header, records, {o.name: o.bits for o in m.outputs})
+    trace = Trace(m.header, columns={o.name: o.bits for o in m.outputs})
+    stages, cycles, phases = trace.stages, trace.cycles, trace.phases
     events: list = []
     cycle = open_cycle(0, events)
     m.init(cycle)
-    records.append(StageRecord(0, cycle.label if cycle else "-", "init",
-                               tuple(events)))
-    for stage in range(1, max_stages + 1):
-        events = []
-        if cycle is None:
-            m.fallback(stage, events)
-            records.append(StageRecord(stage, "-", "fallback", tuple(events)))
-            continue
-        if cycle_budget and stage - cycle.opened > cycle_budget:
-            raise StageBudgetExhausted("cycle exceeded its stage budget",
-                                       cycle=cycle.label, phase=cycle.phase,
-                                       stage=stage, trace=trace)
-        label = cycle.label
-        shown, closed = m.step(stage, cycle, events)
-        if closed:
-            cycle = open_cycle(stage, events)
-        records.append(StageRecord(stage, label, shown, tuple(events)))
+    label, shown = (cycle.label if cycle else "-"), "init"
+    for stage in range(max(max_stages, 0) + 1):
+        if stage:           # stage 0 shows the init above
+            events = []
+            if cycle is None:
+                m.fallback(stage, events)
+                label, shown = "-", "fallback"
+            elif cycle_budget and stage - cycle.opened > cycle_budget:
+                raise StageBudgetExhausted("cycle exceeded its stage budget",
+                                           cycle=cycle.label, phase=cycle.phase,
+                                           stage=stage, trace=trace)
+            else:
+                label = cycle.label
+                shown, closed = m.step(stage, cycle, events)
+                if closed:
+                    cycle = open_cycle(stage, events)
+        stages.append(stage)
+        cycles.append(label)
+        phases.append(shown)
+        if events:
+            trace.events[stage] = tuple(events)
     if cycle is not None and cycle.member is not None and policy == "once":
         raise StageBudgetExhausted(m.starved(cycle), cycle=cycle.label,
                                    phase=cycle.phase, stage=max_stages,
@@ -1030,7 +1050,8 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
                     {"x": x, "escapes": m.escapes, "val": m.val})
     if not family:
         # no member opens, yet stage 0 shows V0 opening, as it always has
-        result.trace.records[0] = StageRecord(0, "V0", "init", ("open:V0",))
+        trace = result.trace
+        trace.cycles[0], trace.events = "V0", {0: ("open:V0",), **trace.events}
     return result
 
 
@@ -1043,13 +1064,13 @@ def validate_result(result: ConstructionResult, closes: list) -> list:
     construction's own stated equalities.  ``closes`` is ``_closes(result)``.
     Returns human-readable failures."""
     trace = result.trace
-    records = trace.records
     # one bit per stage from the first stage that shows one
-    length = len(records) - trace.first_bit_stage()
+    length = len(trace.stages) - trace.first_bit_stage()
     failures = [f"output {name} holds {len(bits)} bits, not {length}"
                 for name, bits in trace.columns.items() if len(bits) != length]
-    failures.extend(f"no open cycle at stage {rec.stage}" for rec in records[1:]
-                    if rec.cycle == "-" and rec.phase != "fallback")
+    failures.extend(f"no open cycle at stage {stage}" for stage, cycle, phase
+                    in islice(zip(trace.stages, trace.cycles, trace.phases), 1, None)
+                    if cycle == "-" and phase != "fallback")
 
     by_name = {p.name: p for p in _header_family(trace)}
     prefixes = {n: s.prefix(length - 1) for n, s in result.outputs.items()}
@@ -1076,8 +1097,8 @@ def validate_result(result: ConstructionResult, closes: list) -> list:
 
 def _closes(result) -> list:
     """(stage, label) of every closed cycle, in stage order."""
-    return [(rec.stage, e.split(":")[1]) for rec in result.trace.records
-            for e in rec.events if e.startswith("close:")]
+    return [(result.trace.stages[i], e.split(":")[1]) for i, evs in result.trace.events.items()
+            for e in evs if e.startswith("close:")]
 
 
 def _validate_immune(result, closes) -> list:
@@ -1104,10 +1125,9 @@ def _validate_incomparable(result, closes) -> list:
 
 def _validate_dense(result, closes) -> list:
     failures = []
-    records = result.trace.records
+    stages = result.trace.stages
     x, z = result.notes["x"], result.notes["z"]
     y = result.outputs["Y"]
-    stages = [rec.stage for rec in records]
     for s, a, b, c in zip(stages, x.profile(stages), y.profile(stages),
                           z.profile(stages)):
         if not a <= b <= c:
@@ -1120,7 +1140,7 @@ def _validate_dense(result, closes) -> list:
             failures.append(f"upper counts differ at close of {label}")
     g = result.witnesses["lower_into_new"]
     h = result.witnesses["new_into_upper"]
-    hor = min(len(g), len(h), len(records) - 1) - 1
+    hor = min(len(g), len(h), len(stages) - 1) - 1
     if check_reduction_prefix(list(g), SetRelation(x), SetRelation(y), hor):
         failures.append("lower sandwich witness fails")
     if check_reduction_prefix(list(h), SetRelation(y), SetRelation(z), hor):
@@ -1174,9 +1194,11 @@ def _validate_separator(result, closes) -> list:
     failures = []
     x = result.notes["x"]
     zed = result.outputs["Z"]
-    hor = len(result.trace.records) - 1
+    hor = len(result.trace.stages) - 1
+    x_steps = list(x.profile(range(hor + 1), "steps"))
+    z_index = list(zed.profile(range(hor + 1)))
     for s in range(hor + 1):
-        if zed.zeros_by_index(s) > max(0, x.zeros_by_steps(s) - 1):
+        if z_index[s] > max(0, x_steps[s] - 1):
             failures.append(f"separator cap fails at stage {s}")
             break
     escapes = result.notes["escapes"]
@@ -1188,10 +1210,8 @@ def _validate_separator(result, closes) -> list:
         for kk in range(start + 1, t + 1):
             stage_val = val(e, kk)
             # the escape margin needs the source to have shown a zero
-            if stage_val <= hor and x.zeros_by_steps(kk) >= 1:
-                if zed.zeros_by_index(stage_val) >= x.zeros_by_steps(kk):
-                    failures.append(
-                        f"anti-diamond window fails for member {e} at k={kk}")
+            if stage_val <= hor and 1 <= x_steps[kk] <= z_index[stage_val]:
+                failures.append(f"anti-diamond window fails for member {e} at k={kk}")
         start = t + 1
     return failures
 
@@ -1343,7 +1363,7 @@ def verify_trace_file(path) -> tuple[bool, str]:
     with open(path, "rb") as fh:
         original = fh.read()
     header, lines, first, _ = _split_trace(decode_text(original, path))
-    trace = Trace(header, [])
+    trace = Trace(header)
     if trace.header_value("max-stages") != str(len(lines) - 1):
         _parse_records(lines, first)
     try:

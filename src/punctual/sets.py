@@ -193,9 +193,10 @@ class PrSet:
             if (self._fill is not None and steps == zeros == sys.maxsize
                     and n - m + 1 >= _FILL_MIN):
                 new, costs = self._fill(m, n)
-                bits += new
+                # readers test len(bits) without the lock, so bits grow last
                 zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
                 cost_cum += islice(accumulate(costs, initial=c), 1, None)
+                bits += new
                 return
             bit_fn, cost_fn = self._bit_fn, self._cost_fn
             while m <= n and c <= steps and z < zeros:
@@ -203,9 +204,9 @@ class PrSet:
                 k = cost_fn(m)
                 c += k if k > 1 else 1      # max(1, k) without a call per bit
                 z += 1 - b
-                bits.append(b)
                 zero_cum.append(z)
                 cost_cum.append(c)
+                bits.append(b)
                 m += 1
 
     def read_ahead(self, n: int) -> None:

@@ -1,8 +1,9 @@
 import sys
+from itertools import islice, zip_longest
 
 import pytest
 
-from punctual.constructions import construct_immune, construct_join_split
+from punctual.constructions import TRACE_FORMAT, construct_immune, construct_join_split
 from punctual.pr_lang import TermProgram, parse_term
 from punctual.sets import (
     PrSet,
@@ -36,6 +37,23 @@ for _ in range(17):
 BOUND_LINEAR = f"R(Z; {STEP17})"
 for _ in range(40):
     BOUND_LINEAR = f"C(S; {BOUND_LINEAR})"
+
+
+def serialize_by_records(trace) -> str:
+    """The definitional trace writer, one formatted line per ``StageRecord``:
+    record i shows bit i - first of each output column, and nothing past a
+    column's end; bits past the last record are not shown."""
+    first = trace.first_bit_stage()
+    shown = [[""] * first + [f"{name}={b}" for b in bits]
+             for name, bits in trace.columns.items()]
+    records = trace.records
+    rows = islice(zip_longest(records, *shown, fillvalue=""), len(records))
+    lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in trace.header], "---",
+             *[f"{stage}\t{cycle}\t{phase}\t{','.join(filter(None, bits)) or '-'}"
+               f"\t{';'.join(events) or '-'}"
+               for (stage, cycle, phase, events), *bits in rows],
+             "---", *[f"{k}\t{v}" for k, v in trace.footer]]
+    return "\n".join(lines) + "\n"
 
 
 def basic_family():

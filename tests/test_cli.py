@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import punctual
-from punctual.cli import build_parser, main
+from punctual.cli import _check_bounds, build_parser, main
 from punctual.sets import DEFAULT_CEILING
 
 FAMILY_TEXTS = [
@@ -74,6 +74,25 @@ def test_negative_counts_are_misuse(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: --")
     assert "must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lattice", "join", "evens", "mod 3", "--horizon", "900000000"], "--horizon"),
+    (["profile", "evens", "--horizon", "900000000"], "--horizon"),
+    (["construct", "immune", "--max-stages", "200001"], "--max-stages"),
+    (["slow", "make", "--window", "200001"], "--window"),
+])
+def test_bounds_past_the_ceiling_are_misuse(argv, flag, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} must be <= the index ceiling 200000, "
+                            f"got {argv[-1]}\n")
+
+
+def test_bounds_at_the_ceiling_pass():
+    limits = dict.fromkeys(("horizon", "max_stages", "window"), DEFAULT_CEILING)
+    _check_bounds(argparse.Namespace(**limits))
 
 
 @pytest.mark.parametrize("argv, message", [

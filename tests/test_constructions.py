@@ -3,7 +3,7 @@ import pathlib
 import random
 
 import pytest
-from conftest import BOUND_LINEAR, EVENS_TERM
+from conftest import BOUND_LINEAR, EVENS_TERM, serialize_by_records
 from test_cli import fuzz_mutation
 
 from punctual.errors import ParseError, PreconditionFailed, StageBudgetExhausted, decode_text
@@ -21,6 +21,7 @@ from punctual.constructions import (
     construct_join_split,
     construct_meet_split,
     construct_separator,
+    StageRecord,
     load_trace_set,
     parse_trace,
     replay_from_trace,
@@ -560,6 +561,45 @@ def test_verify_matches_definition_on_mutants(tmp_path):
                 seen["divergence" if want[0] is False else "other"] += 1
     # each way out of the new path is taken
     assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def test_parsed_mutants_write_as_their_records():
+    """The column writer equals the per-record writer on parsed mutants,
+    whose stages need not count up and whose bit columns may be shorter or
+    longer than the records, or hold integers other than 0 and 1."""
+    saved = [construct_immune(family6(), 40),
+             construct_join_split(mod_set(3), family6()[:2], 40),
+             construct_dense(parse_set("meet(evens, blocks 6)"),
+                             parse_set("join(evens, blocks 6)"), None, family6(), 40)]
+    rng = random.Random(30)
+    seen = collections.Counter()
+    for result in saved:
+        original = result.trace.serialize().encode()
+        for _ in range(300):
+            try:
+                trace = parse_trace(decode_text(fuzz_mutation(rng, original), "mutant"))
+            except ParseError:
+                continue
+            assert trace.serialize() == serialize_by_records(trace)
+            shown = len(trace.stages) - trace.first_bit_stage()
+            seen["parsed"] += 1
+            seen["stages out of order"] += trace.stages != list(range(len(trace.stages)))
+            seen["short column"] += any(len(b) < shown for b in trace.columns.values())
+            seen["long column"] += any(len(b) > shown for b in trace.columns.values())
+    assert len(seen) == 4 and min(seen.values()) >= 3, seen
+    odd = parse_trace(original.decode().replace("\tY=1\t", "\tY=7\t", 1)
+                      .replace("\tY=0\t", "\tY=-1\t", 1))
+    assert {7, -1} <= set(odd.columns["Y"])
+    assert odd.serialize() == serialize_by_records(odd)
+
+
+def test_trace_events_hold_only_stages_with_events():
+    # the empty-family separator sets stage 0's events after the run
+    trace = construct_separator(parse_set("evens"), parse_set("drop(evens)"), [], 30).trace
+    assert trace.events[0] == ("open:V0",) and list(trace.events) == sorted(trace.events)
+    assert all(trace.events.values())
+    assert [rec.events for rec in trace.records if rec.events] == list(trace.events.values())
+    assert trace.records[0] == StageRecord(0, "V0", "init", ("open:V0",))
 
 
 TERM_EVENS = f'term "{EVENS_TERM}" bound "{BOUND_LINEAR}"'

@@ -1100,3 +1100,35 @@ def test_parse_witness_headers_match_the_per_row_reader():
                 text.split("---\n")[0] + "---\n", text + "3\t7\n", "", "---\n"]
     for bad in variants:
         assert outcome(parsed, bad) == outcome(ref_parse_witness, bad)
+
+
+def test_a_reader_racing_a_fill_waits_for_its_counts(monkeypatch):
+    """Readers test the memo's length without the lock, so a fill publishes
+    its bits after their counts: a reader that arrives mid-fill waits on the
+    lock instead of finding bit 10 without its cost."""
+    monkeypatch.setattr(sets, "_FILL_MIN", 1)
+    mid, done = threading.Event(), threading.Event()
+
+    def costs(count):
+        for i in range(count):
+            if i == count // 2:
+                mid.set()
+                done.wait(0.2)      # the reader blocks on the lock until this times out
+            yield 1
+
+    s = PrSet("paused", lambda n: 1, fill=lambda m, n: ([1] * (n - m + 1), costs(n - m + 1)))
+    seen = []
+
+    def reader():
+        mid.wait(10)
+        try:
+            seen.append((s.zeros_by_index(10), s.cum_cost(10), s.bit_cost(10)))
+        except IndexError as exc:
+            seen.append(exc)
+        done.set()
+
+    t = threading.Thread(target=reader)
+    t.start()
+    s.bit(10)
+    t.join(timeout=10)
+    assert not t.is_alive() and seen == [(0, 11, 1)]

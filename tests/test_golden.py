@@ -17,6 +17,7 @@ import os
 import sys
 
 import pytest
+from conftest import serialize_by_records
 
 from punctual.constructions import (
     construct_antichain,
@@ -131,19 +132,28 @@ CASES["separator.empty"] = (
     (list, 200))
 
 
-def render(case) -> dict:
-    """Golden file name -> bytes for one case."""
+def traces(case) -> dict:
+    """Golden file name -> (trace, StageBudgetExhausted or None) for one case."""
     build, (make_family, *args) = CASES[case]
     try:
         built = build(make_family(), *args)
     except StageBudgetExhausted as exc:
-        tail = (f"exhausted\t{exc}\ncycle\t{exc.cycle}\nphase\t{exc.phase}\n"
-                f"stage\t{exc.stage}\n")
-        return {f"{case}.trace": (exc.trace.serialize() + tail).encode()}
+        return {f"{case}.trace": (exc.trace, exc)}
     if isinstance(built, list):
-        return {f"{case}.{i}.trace": r.trace.serialize().encode()
-                for i, r in enumerate(built)}
-    return {f"{case}.trace": built.trace.serialize().encode()}
+        return {f"{case}.{i}.trace": (r.trace, None) for i, r in enumerate(built)}
+    return {f"{case}.trace": (built.trace, None)}
+
+
+def render(case) -> dict:
+    """Golden file name -> bytes for one case."""
+    out = {}
+    for name, (trace, exc) in traces(case).items():
+        text = trace.serialize()
+        if exc is not None:
+            text += (f"exhausted\t{exc}\ncycle\t{exc.cycle}\nphase\t{exc.phase}\n"
+                     f"stage\t{exc.stage}\n")
+        out[name] = text.encode()
+    return out
 
 
 def _read(name) -> bytes:
@@ -220,6 +230,26 @@ def test_golden_columns_match_record_bits(name):
         assert trace.columns.get(output, []) == want, output
         s = load_trace_set(f"{path}:{output}")
         assert [s.bit(n) for n in range(len(want))] == want, output
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_columnar_traces_match_their_records(case):
+    """Each built trace, partial ones included, writes what the definitional
+    per-record writer writes; its records are the golden file's, one per
+    stage written: max-stages + 1, or the stages before the exhausting one."""
+    for name, (trace, exc) in traces(case).items():
+        assert trace.serialize() == serialize_by_records(trace), name
+        assert trace.records == parse_trace(_read(name).decode()).records, name
+        want = int(trace.header_value("max-stages")) + 1
+        if exc is not None and str(exc).startswith("cycle exceeded its stage budget"):
+            want = exc.stage
+        assert [rec.stage for rec in trace.records] == list(range(want)), name
+
+
+@pytest.mark.parametrize("name", _golden_names())
+def test_golden_parse_writes_as_records(name):
+    trace = parse_trace(_read(name).decode())
+    assert trace.serialize() == serialize_by_records(trace)
 
 
 @pytest.mark.parametrize("kind", sorted(ROUND_ROBIN))

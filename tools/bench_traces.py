@@ -1,0 +1,101 @@
+"""Trace harness: build, write, parse and verify the golden trace cases.
+
+    PYTHONPATH=src python tools/bench_traces.py --label after
+
+Each of ``REPEATS`` (21) repeats runs four phases over the cases of
+``tests/test_golden.py``: build (every construction, an exhausted run
+keeping its partial trace), serialize (each built trace), parse
+(``parse_trace`` of each written text) and verify (``verify_trace_file``
+of each finished, replayable golden file).  It reports each phase's
+median wall time over the repeats next to deterministic counters: records, trace bytes, and full (generation-2)
+garbage collections, from ``gc.get_stats()``, over all repeats.  The
+result is stored under ``--label`` in ``BENCH_traces.json`` at the root of
+the checkout, keeping the other labels there, so that two commits can be
+compared by running this file against each one's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+import test_golden as G  # noqa: E402  (the golden cases and how each is run)
+
+from punctual.constructions import parse_trace, verify_trace_file  # noqa: E402
+
+PHASES = ("build", "serialize", "parse", "verify")
+REPEATS = 21
+
+
+def one_pass(names: list) -> tuple:
+    """Wall time and full collections of each phase, and the counters."""
+    walls, full = {}, {}
+
+    def run(phase, fn):
+        gen2 = gc.get_stats()[2]["collections"]
+        start = time.perf_counter()
+        result = fn()
+        walls[phase] = time.perf_counter() - start
+        full[phase] = gc.get_stats()[2]["collections"] - gen2
+        return result
+
+    built = run("build", lambda: [trace for case in sorted(G.CASES)
+                                  for trace, _ in G.traces(case).values()])
+    texts = run("serialize", lambda: [trace.serialize() for trace in built])
+    parsed = run("parse", lambda: [parse_trace(text) for text in texts])
+    outcomes = run("verify", lambda: [verify_trace_file(os.path.join(G.GOLDEN, name))
+                                      for name in names])
+    if not all(ok for ok, _ in outcomes):
+        raise SystemExit(f"a golden trace failed to verify: {outcomes}")
+    counters = {"traces": len(built),
+                "records": sum(len(trace.records) for trace in parsed),
+                "trace_bytes": sum(len(text.encode()) for text in texts),
+                "verified": len(outcomes)}
+    return walls, full, counters
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", default="after")
+    args = ap.parse_args()
+    names = G._finished_and_replayable()
+    runs = [one_pass(names) for _ in range(REPEATS)]
+    counters = runs[0][2]
+    if any(c != counters for _, _, c in runs):
+        raise SystemExit("counters differ between repeats")
+    result = {
+        "phases": {p: {"median_s": round(statistics.median(w[p] for w, _, _ in runs), 4),
+                       "gen2_collections": sum(f[p] for _, f, _ in runs)}
+                   for p in PHASES},
+        "total_median_s": round(statistics.median(sum(w.values()) for w, _, _ in runs), 4),
+        "repeats": REPEATS,
+        **counters,
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                   f"Python {platform.python_version()}",
+    }
+    path = os.path.join(ROOT, "BENCH_traces.json")
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+    except FileNotFoundError:
+        stored = {"harness": "tools/bench_traces.py", "runs": {}}
+    stored["runs"][args.label] = result
+    with open(path, "w") as fh:
+        json.dump(stored, fh, indent=2)
+        fh.write("\n")
+    json.dump({args.label: result}, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
