@@ -57,6 +57,7 @@ from .reductions import (
     _PAIR_PREDICATES,
     Counterexample,
     ReductionWitness,
+    _fresh_pick_table,
     _least_violation,
     _still_violates,
     check_reduction_prefix,
@@ -64,6 +65,7 @@ from .reductions import (
     verify_claim,
 )
 from .sets import (
+    DEFAULT_CEILING,
     PrSet,
     Relation,
     SetRelation,
@@ -724,23 +726,13 @@ def _fresh_zero_table(lower: PrSet, upper: PrSet, horizon: int) -> list:
     zeros of the upper set in order.
 
     Each pick is the least unused zero, so the used zeros are a prefix of
-    the zeros in order and each search starts past the last pick.  A zero
-    at s has a fresh partner below s+1 exactly when the upper set has at
-    least as many zeros through s, the density chain invariant; where a
+    the zeros in order, found in one pass over the upper set's memo.  A
+    zero at s has a fresh partner below s+1 exactly when the upper set has
+    at least as many zeros through s, the density chain invariant; where a
     faulty run breaks it the table ends, and validation, which checks the
     chain at every stage, reports the failure.
     """
-    table = []
-    last = -1
-    for s, b in enumerate(lower.prefix(horizon).bits):
-        if b == 1:
-            table.append(0)
-            continue
-        last = upper.next_zero(last, s)
-        if last is None:
-            break
-        table.append(last)
-    return table
+    return _fresh_pick_table(lower.prefix(horizon).bits, upper, lambda s: s, 0)
 
 
 def construct_dense(x: PrSet, z: PrSet, f, family, max_stages: int,
@@ -1321,7 +1313,8 @@ def replay_from_trace(trace: Trace) -> ConstructionResult:
             counts["cycle_budget"] = int(budget)
     except ValueError as exc:
         raise ParseError(f"malformed count in the trace header: {exc}") from None
-    if (policy not in ("once", "round-robin") or counts["max_stages"] < 0
+    if (policy not in ("once", "round-robin")
+            or not 0 <= counts["max_stages"] <= DEFAULT_CEILING
             or counts.get("cycle_budget", 1) < 1):
         raise ParseError(f"trace header out of range: policy {policy!r}, max-stages "
                          f"{counts['max_stages']}, cycle-budget {budget}")

@@ -663,6 +663,10 @@ class ClockedProgram:
             return self.value(x)
         return None
 
+    def values_upto(self, n: int) -> Sequence[int]:
+        """value(0), ..., value(n), raising where the first failing value does."""
+        return [self.value(x) for x in range(n + 1)]
+
     def __repr__(self):
         return f"<program {self.name}>"
 
@@ -731,6 +735,11 @@ class TableProgram(ClockedProgram):
 
     def cost(self, x: int) -> int:
         return 1
+
+    def values_upto(self, n: int) -> Sequence[int]:
+        if n > self.horizon:
+            return super().values_upto(n)
+        return self.values[:n + 1]
 
     @property
     def horizon(self) -> int:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import lt
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -132,7 +134,7 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     rescan for the least pair.
     """
     prog = as_program(f)
-    values = [prog.value(x) for x in range(n + 1)]
+    values = prog.values_upto(n)
     if min(values, default=0) < 0:
         x = next(x for x, v in enumerate(values) if v < 0)
         raise PreconditionFailed(f"witness maps {x} to {values[x]}, not a natural number")
@@ -281,10 +283,11 @@ def _massage_for_growth(f: Witnessable, x: PrSet, y: PrSet, horizon: int) -> Clo
     prog = as_program(f)
     rx, ry = SetRelation(x), SetRelation(y)
     require_reduction(prog, rx, ry, horizon)
-    comp = [n for n in range(horizon + 1) if x.bit(n) == 0]
-    respects = all(y.bit(prog.value(n)) == 1 for n in range(horizon + 1) if x.bit(n) == 1)
-    increasing = all(prog.value(a) < prog.value(b) for a, b in zip(comp, comp[1:]))
-    if respects and increasing:
+    values = prog.values_upto(horizon)
+    xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
+    comp = [v for v, b in zip(values, xbits) if not b]
+    respects = all(ybits[v] for v, b in zip(values, xbits) if b)
+    if respects and all(map(lt, comp, comp[1:])):
         return prog
     # surjectivize rewrites to the normal form itself
     return _surjectivize_checked(prog, x, y, horizon).program
@@ -299,11 +302,11 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     """
     prog = _massage_for_growth(f, x, y, horizon)
     table = []
-    last_zero = None
-    for s in range(horizon + 1):
-        if x.bit(s) == 0:
-            last_zero = s
-        table.append(0 if last_zero is None else prog.value(last_zero))
+    image = 0
+    for v, b in zip(prog.values_upto(horizon), x.prefix(horizon).bits):
+        if not b:
+            image = v
+        table.append(image)
     stages = range(horizon + 1)
     for s, a, b in zip(stages, x.profile(stages), y.profile(table)):
         if a > b:
@@ -313,27 +316,40 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
                             x.name, y.name, horizon, "index", True)
 
 
+def _fresh_pick_table(xbits: Sequence[int], y: PrSet, ceiling, member: int) -> list:
+    """Members (bit 1) to `member`, and the j-th zero v of x to the j-th zero
+    of y, found under ceiling(v) by one ``fresh_zeros`` pass.  The table
+    ends at the first zero of x whose ceiling hides its pick."""
+    zeros = [v for v, b in enumerate(xbits) if not b]
+    picks = list(y.fresh_zeros(map(ceiling, zeros)))
+    table = [member] * (zeros[len(picks)] if len(picks) < len(zeros) else len(xbits))
+    for v, pick in zip(zeros, picks):
+        table[v] = pick
+    return table
+
+
 def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
                            horizon: int) -> ReductionWitness:
     """Reduction from a growth bound: zero v of x takes the least fresh zero
-    of y up to h(v).  The picks are the zeros of y in order, so each search
-    starts past the last pick."""
+    of y up to h(v).  The picks are the zeros of y in order, found in one
+    pass that reads y's memo on from the last pick.  If bit k of x fails,
+    the zeros below k still take their picks first, as in an upward scan."""
     if y.bit(0) != 1:
         raise PreconditionFailed("growth-to-reduction synthesis needs 0 in the target set")
     hp = as_program(h)
     x.read_ahead(horizon)
-    last = -1
-    table: list[int] = []
-    for v in range(horizon + 1):
-        if x.bit(v) == 1:
-            table.append(0)
-            continue
-        ceiling = hp.value(v)
-        last = y.next_zero(last, ceiling)
-        if last is None:
-            raise WitnessBoundViolated(
-                f"mu-search under h({v})={ceiling} found no fresh zero of {y.name}")
-        table.append(last)
+    y.read_ahead(horizon)
+    try:
+        xbits, failure = x.prefix(horizon).bits, None
+    except Exception as exc:
+        xbits, failure = x.prefix(x.decided - 1).bits, exc
+    table = _fresh_pick_table(xbits, y, hp.value, 0)
+    if len(table) < len(xbits):
+        v = len(table)
+        raise WitnessBoundViolated(
+            f"mu-search under h({v})={hp.value(v)} found no fresh zero of {y.name}")
+    if failure is not None:
+        raise failure
     w = ReductionWitness(TableProgram(table, "g"), "reduction",
                          x.name, y.name, horizon, "index")
     require_reduction(w, SetRelation(x), SetRelation(y), horizon)
@@ -409,25 +425,15 @@ def _least_member(y: PrSet, horizon: int) -> int:
 
 
 def _respect_table(prog: ClockedProgram, x: PrSet, y: PrSet,
-                   horizon: int) -> list[int]:
+                   horizon: int) -> Sequence[int]:
     """respect_normal_form's table for a program verified on 0..horizon."""
-    members = [n for n in range(horizon + 1) if x.bit(n) == 1]
-    values = [prog.value(n) for n in range(horizon + 1)]
-    stray = [values[n] for n in members if y.bit(values[n]) != 1]
+    values = prog.values_upto(horizon)
+    xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
+    stray = [v for v, b in zip(values, xbits) if b and not ybits[v]]
     if not stray:
-        table = values
-    else:
-        a = stray[0]
-        y0 = _least_member(y, horizon)
-        table = []
-        for n in range(horizon + 1):
-            if x.bit(n) == 1:
-                table.append(y0)
-            elif y.bit(values[n]) == 1:
-                table.append(a)
-            else:
-                table.append(values[n])
-    return table
+        return values
+    a, y0 = stray[0], _least_member(y, horizon)
+    return [y0 if b else a if ybits[v] else v for v, b in zip(values, xbits)]
 
 
 def respect_normal_form(f: Witnessable, x: PrSet, y: PrSet,
@@ -440,7 +446,8 @@ def respect_normal_form(f: Witnessable, x: PrSet, y: PrSet,
     w = ReductionWitness(TableProgram(table, "respect"), "reduction",
                          x.name, y.name, horizon, "index")
     require_reduction(w, rx, ry, horizon)
-    if any(y.bit(table[n]) != 1 for n in range(horizon + 1) if x.bit(n) == 1):
+    ybits = y.prefix(max(table, default=-1)).bits
+    if not all(ybits[v] for v, b in zip(table, x.prefix(horizon).bits) if b):
         raise NotAReduction("normal-form respecting rewrite failed")
     w.verified = True
     return w
@@ -453,7 +460,7 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
     Output maps members of x to the least member of y and walks the
     complement of y injectively under the bound max{f(i) : i <= x}; it is
     strictly increasing on the complement of x.  The picks are the zeros of
-    y in order, so each search starts past the last pick.
+    y in order, found in one pass that reads y's memo on from the last pick.
     """
     prog = as_program(f)
     require_reduction(prog, SetRelation(x), SetRelation(y), horizon)
@@ -463,28 +470,18 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
 def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
                           horizon: int) -> ReductionWitness:
     """surjectivize for a program verified on 0..horizon."""
-    base = _respect_table(prog, x, y, horizon)
-    y0 = _least_member(y, horizon)
-    last = -1
-    table: list[int] = []
-    running = 0
-    for v in range(horizon + 1):
-        running = max(running, base[v])
-        if x.bit(v) == 1:
-            table.append(y0)
-            continue
-        last = y.next_zero(last, running)
-        if last is None:
-            raise NotAReduction(
-                f"mu-search under max f on 0..{v} found no fresh zero of {y.name}")
-        table.append(last)
+    running = list(accumulate(_respect_table(prog, x, y, horizon), max))
+    xbits = x.prefix(horizon).bits
+    table = _fresh_pick_table(xbits, y, running.__getitem__, _least_member(y, horizon))
+    if len(table) < len(xbits):
+        raise NotAReduction(f"mu-search under max f on 0..{len(table)} "
+                            f"found no fresh zero of {y.name}")
     out = ReductionWitness(TableProgram(table, "onto"), "reduction",
                            x.name, y.name, horizon, "index")
     require_reduction(out, SetRelation(x), SetRelation(y), horizon)
-    comp = [n for n in range(horizon + 1) if x.bit(n) == 0]
-    for a, b in zip(comp, comp[1:]):
-        if not table[a] < table[b]:
-            raise NotAReduction("surjectivized table is not increasing on the complement")
+    comp = [v for v, b in zip(table, xbits) if not b]
+    if not all(map(lt, comp, comp[1:])):
+        raise NotAReduction("surjectivized table is not increasing on the complement")
     out.verified = True
     return out
 

@@ -35,13 +35,15 @@ term-backed sets, normal-form carriers, zero-list sets and everything built
 over them keep the per-bit loop and their evaluator work.  Only unlimited
 growth fills, and only for extensions of at least ``_FILL_MIN`` bits, since
 a fill has a fixed cost; step-limited growth (``zeros_by_steps``) and
-zero-limited growth (the zero searches ``principal_zero`` and
-``next_zero``) take the per-bit loop, so a memo, and its operands' memos,
-stop exactly at the bit where the limit is met.  A set built from a pattern
-answers ``zeros_by_steps`` and steps profiles by arithmetic on the pattern
-and grows no memo for them; bit, index and cost reads still grow its memo.
-Only zero-list sets answer ``principal_zero`` by a closed form, from their
-list of zeros.
+zero-limited growth (``fresh_zeros``, the one zero search, which
+``next_zero`` and ``principal_zero`` call) take the per-bit loop, so a
+memo, and its operands' memos, stop exactly at the bit where the limit is
+met.  ``fresh_zeros`` picks a run of zeros in one pass: it reads the memo
+by bisection on from the last pick and grows it only for a pick it lacks.  A
+set built from a pattern answers ``zeros_by_steps`` and steps profiles by
+arithmetic on the pattern and grows no memo for them; bit, index and cost
+reads still grow its memo.  Only zero-list sets answer ``principal_zero`` by
+a closed form, from their list of zeros.
 
 Scans read memos in bulk: ``profile(points, convention)`` answers a whole
 list of index points or step budgets from one growth to the largest, and
@@ -292,27 +294,37 @@ class PrSet:
         return iter([zc[k - 1] if k else 0
                      for k in map(bisect.bisect_right, repeat(self._cost_cum), points)])
 
-    def _kth_zero(self, k: int, ceiling: int) -> int | None:
-        """Position of the k-th zero (k >= 1) if it is at most ceiling,
-        reading no bit past the ceiling; else None."""
-        self._ensure(ceiling, zeros=k)
-        # the memo now holds the k-th zero or runs past the ceiling
-        pos = bisect.bisect_left(self._zero_cum, k)
-        return pos if pos <= ceiling else None
+    def fresh_zeros(self, ceilings: Iterable[int], first: int = 1) -> Iterator[int]:
+        """The zeros from the `first`-th on (counting from 1), the j-th while
+        it is at most the j-th ceiling, read one per pick; stops at the first
+        ceiling that hides its zero.  The memo grows only when it holds too
+        few zeros, so it ends where one search per pick would end it."""
+        zero_cum, last, k = self._zero_cum, -1, first
+        for ceiling in ceilings:
+            if last >= ceiling:
+                return
+            if not zero_cum or zero_cum[-1] < k:
+                # the memo then holds the k-th zero or runs past the ceiling
+                self._ensure(ceiling, zeros=k)
+            last = bisect.bisect_left(zero_cum, k, last + 1)
+            if last > ceiling:
+                return
+            yield last
+            k += 1
 
     def next_zero(self, after: int, ceiling: int) -> int | None:
         """The least zero past `after` and at most `ceiling`, or None."""
         if after >= ceiling:
             return None
-        return self._kth_zero(self.zeros_by_index(after) + 1 if after >= 0 else 1,
-                              ceiling)
+        k = self.zeros_by_index(after) + 1 if after >= 0 else 1
+        return next(self.fresh_zeros((ceiling,), k), None)
 
     def principal_zero(self, n: int, ceiling: int = DEFAULT_CEILING) -> int:
         """Position of the (n+1)-st zero; CeilingExceeded if it lies past the
         ceiling, except on zero-list sets, which answer from their list."""
         if self._zeros_fast is not None:
             return self._zeros_fast(n)
-        pos = self._kth_zero(n + 1, ceiling)
+        pos = next(self.fresh_zeros((ceiling,), n + 1), None)
         if pos is None:
             raise CeilingExceeded(
                 f"{self.name}: fewer than {n + 1} zeros below ceiling {ceiling}")
@@ -476,7 +488,10 @@ def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
     The alternating tail keeps the set infinite and coinfinite at any
     horizon beyond the constructed part.
     """
-    frozen = tuple(1 if int(b) else 0 for b in bits)
+    if not (isinstance(bits, (list, tuple)) and {*map(type, bits)} <= {int}
+            and {*bits} <= {0, 1}):
+        bits = tuple(1 if int(b) else 0 for b in bits)
+    frozen = tuple(bits)
 
     def bit(n):
         if n < len(frozen):

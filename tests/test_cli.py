@@ -279,6 +279,21 @@ def test_out_of_range_trace_header_is_misuse(old, new, named, capsys, tmp_path):
     assert err.startswith("error: trace header") and named in err
 
 
+@pytest.mark.parametrize("count", [DEFAULT_CEILING + 1, 900000000])
+def test_max_stages_past_the_ceiling_costs_no_replay(count, monkeypatch, capsys, tmp_path):
+    golden = pathlib.Path(__file__).parent / "golden" / "immune.round-robin.trace"
+    trace = tmp_path / "edited.trace"
+    trace.write_text(golden.read_text().replace("max-stages\t60", f"max-stages\t{count}", 1))
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("replayed a trace whose max-stages is past the ceiling")
+
+    monkeypatch.setattr(punctual.constructions, "_drive", no_replay)
+    assert main(["verify", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace header out of range") and f"max-stages {count}" in err
+
+
 def test_malformed_record_costs_no_replay(monkeypatch, capsys, tmp_path):
     golden = pathlib.Path(__file__).parent / "golden" / "immune.round-robin.trace"
     text = golden.read_text().replace("max-stages\t60", "max-stages\t1000000000", 1)

@@ -21,7 +21,12 @@ import threading
 import pytest
 
 from punctual import reductions, sets
-from punctual.constructions import construct_immune, construct_join_split, save_trace
+from punctual.constructions import (
+    _fresh_zero_table,
+    construct_immune,
+    construct_join_split,
+    save_trace,
+)
 from punctual.errors import (
     BudgetExceeded,
     CeilingExceeded,
@@ -444,6 +449,168 @@ def test_next_zero_reads_no_bit_past_ceiling():
     assert x.next_zero(13, 12) is None
     assert x.next_zero(12, 12) is None
     assert len(x._bits) == 13
+
+
+def next_zero_loop(x, ceilings):
+    """One next_zero search per ceiling, each from the last pick."""
+    picks, last = [], -1
+    for ceiling in ceilings:
+        last = x.next_zero(last, ceiling)
+        if last is None:
+            break
+        picks.append(last)
+    return picks
+
+
+def ref_fresh_zeros(x, ceilings):
+    picks, last = [], -1
+    for ceiling in ceilings:
+        last = ref_next_zero(x, last, ceiling)
+        if last is None:
+            break
+        picks.append(last)
+    return picks
+
+
+@pytest.mark.parametrize("kind", ZERO_SEARCH_KINDS)
+def test_fresh_zeros_matches_next_zero_loop(kind, traces):
+    make = ZERO_SEARCH_KINDS[kind]
+    ref = make(traces)
+    zeros = [n for n in range(200) if ref.bit(n) == 0][:12]
+    hide = len(zeros) // 2
+    ceilings = {
+        "tight": zeros,
+        "loose": [z + 40 for z in zeros],
+        "non-monotone": [z + 30 * (j % 2) for j, z in enumerate(zeros)],
+        "falling": [zeros[-1] + 50 - j for j in range(len(zeros))],
+        "hides": zeros[:hide] + [zeros[hide] - 1] + zeros[hide + 1:],
+        "at the last pick": zeros[:hide] + [zeros[hide - 1]] + zeros[hide:],
+        "none": [],
+    }
+    stopped = 0
+    for name, cs in ceilings.items():
+        want = ref_fresh_zeros(ref, cs)
+        loop = make(traces)
+        assert next_zero_loop(loop, cs) == want, name
+        fresh = make(traces)
+        assert list(fresh.fresh_zeros(cs)) == want, name
+        # a fresh memo ends where the loop of searches ends it
+        assert len(fresh._bits) == len(loop._bits), name
+        grown = make(traces)
+        grown.bit(zeros[-1] + 60)
+        assert list(grown.fresh_zeros(cs)) == want, name
+        stopped += len(want) < len(cs)
+    assert stopped >= 2                         # some ceilings hid their zero
+
+
+def test_fresh_zeros_reads_one_ceiling_per_pick():
+    read = []
+
+    def ceilings():
+        for c in (5, 5, 5, 1, 9):
+            read.append(c)
+            yield c
+
+    assert list(parse_set("mod 3").fresh_zeros(ceilings())) == [1, 2, 4]
+    assert read == [5, 5, 5, 1]
+
+
+@pytest.mark.parametrize("k", [0, 4, 9, 30])
+def test_fresh_zeros_fails_where_the_next_zero_loop_fails(k):
+    kinds = set()
+    for cs in ([1, 2, 4, 5, 7, 8, 10, 11], [40] * 8, [3, 2, 40, 40], [50, 50, 3], [12] * 9,
+               [0, 5], [60] * 30):
+        loop = fragile(k)
+        want = outcome(next_zero_loop, loop, cs)
+        fresh = fragile(k)
+        assert outcome(lambda x: list(x.fresh_zeros(cs)), fresh) == want, cs
+        assert len(fresh._bits) == len(loop._bits), cs
+        kinds.add(want[0] if isinstance(want, tuple) else "picks")
+    assert kinds == {PunctualityViolation, "picks"}
+
+
+@pytest.mark.parametrize("k", [0, 5, 20, 50])
+def test_synth_reduction_from_h_with_a_fragile_source(k):
+    # the source raises past bit k: a failed pick or a failing target below
+    # k is reported first, else the source's own failure
+    horizon = 60
+    bounds = [IDENTITY, BIG, TableProgram([v // 2 for v in range(horizon + 1)], "half"),
+              TableProgram([v + 1 for v in range(12)], "short")]
+    targets = [lambda: parse_set("mod 3"), lambda: parse_set("evens"),
+               lambda: fragile(k // 2 + 3, "target")]
+    seen = set()
+    for h in bounds:
+        for make_y in targets:
+            want = outcome(ref_synth_reduction_from_h, fragile(k), make_y(), h, horizon)
+            assert outcome(synth_reduction_from_h, fragile(k), make_y(), h, horizon) == want
+            if want[0] is PunctualityViolation:
+                seen.add(want[1].split(":")[0])     # which set failed
+            else:
+                seen.add(want[0])
+    assert "fragile" in seen
+
+
+def test_synth_reduction_from_h_failures_before_the_source_fails():
+    # the pick for zero 1 fails, or the target fails, long before bit 51 of x
+    cases = [(TableProgram([v // 2 for v in range(61)], "half"), lambda: parse_set("mod 3"),
+              WitnessBoundViolated),
+             (IDENTITY, lambda: fragile(10, "target"), PunctualityViolation)]
+    for h, make_y, kind in cases:
+        want = outcome(ref_synth_reduction_from_h, fragile(50), make_y(), h, 60)
+        assert want[0] is kind
+        assert outcome(synth_reduction_from_h, fragile(50), make_y(), h, 60) == want
+
+
+@pytest.mark.parametrize("prog", [
+    TableProgram([5, 6, 7], "t"),
+    FloorTableProgram([5, 6], 9, 12, "f"),
+    TermProgram(parse_term(FAMILY_TEXTS[1])),
+    NativeProgram("double", lambda v: 2 * v),
+], ids=["table", "floor", "term", "native"])
+def test_values_upto_matches_value(prog):
+    for n in (-1, 0, 1, 2, 3, 5, 12, 13, 20):
+        want = outcome(lambda: [prog.value(x) for x in range(n + 1)])
+        assert outcome(lambda: list(prog.values_upto(n))) == want, n
+
+
+def ref_fresh_zero_table(lower, upper, horizon):
+    table, last = [], -1
+    for s in range(horizon + 1):
+        if lower.bit(s) == 1:
+            table.append(0)
+            continue
+        last = ref_next_zero(upper, last, s)
+        if last is None:
+            break
+        table.append(last)
+    return table
+
+
+def test_fresh_zero_table_ends_at_the_first_zero_without_a_partner():
+    # zeros of the lower set at 1, 3, 4, 6; of the upper set at 1, 2, 6
+    lower = prefix_set("lower", [1, 0, 1, 0, 0, 1, 0])
+    upper = prefix_set("upper", [1, 0, 0, 1, 1, 1, 0])
+    assert _fresh_zero_table(lower, upper, 6) == [0, 1, 0, 2]
+    pairs = [("meet(evens, blocks 6)", "evens"), ("evens", "join(evens, blocks 6)"),
+             ("evens", "meet(evens, blocks 3)"), ("mod 3", "evens")]
+    ended = 0
+    for low, high in pairs:
+        want = ref_fresh_zero_table(parse_set(low), parse_set(high), 300)
+        assert _fresh_zero_table(parse_set(low), parse_set(high), 300) == want
+        ended += len(want) < 301
+    assert ended == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [1, 0, 0, 1], lambda: (0, 1, 1), lambda: [], lambda: [True, False, True],
+    lambda: [1, 0, True], lambda: ("1", "0", "0"), lambda: [2, 0, -1, 1],
+    lambda: [1.0, 0, 1], lambda: range(3), lambda: (b for b in (1, 0, 1)),
+], ids=["list", "tuple", "empty", "bools", "mixed", "strings", "ints", "floats",
+        "range", "generator"])
+def test_prefix_set_normalises_like_the_generator(make):
+    want = tuple(1 if int(b) else 0 for b in make())
+    head = prefix_set("t", make())._pattern.head
+    assert head == want and [type(b) for b in head] == [int] * len(want)
 
 
 def test_cursor_reads_no_bit_past_h():
