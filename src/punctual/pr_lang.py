@@ -31,10 +31,14 @@ for a repeated text (it keeps the 512 texts used last), ``unary_wrap``
 keeps a non-unary term's wrap on the term, and ``serialize`` keeps each
 composite node's text, so a repeated text, wrap or decoded program finds
 its code without a parse or a lookup.  A term is validated when it is
-compiled.  Visits are counted per straight-line block, and a loop that
-never reads its counter runs in closed form or skips whole periods (see
-the notes on compilation below); values, step counts and budget outcomes
-are exactly those of the ``visits/1`` model.
+compiled.  Visits are counted per straight-line block.  A recursion whose
+step holds no recursion needs no loop: its caller computes it in closed
+form.  Every other recursion is compiled once per process into a loop
+function that every term holding it shares, so a new term compiles only
+its entry; a loop that never reads its counter skips whole periods (see
+the notes on compilation below).  Values, step counts and budget outcomes
+are exactly those of the ``visits/1`` model.  A term text nests at most
+``MAX_TERM_DEPTH`` compositions and recursions.
 
 The Goedel coding is a direct total coding of terms via Cantor pairing:
 every natural number decodes to a well-formed term and ``decode(encode(t))``
@@ -214,10 +218,20 @@ def serialize(t: PrTerm) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+# Deepest nesting of compositions and recursions a term text may have.
+# Walks over a term recurse once per level: hashing, the code generator and
+# evaluation take about three Python frames a level, the parser, the arity
+# check and ``serialize`` one or two.  From the top of a fresh interpreter,
+# at CPython's default recursion limit of 1000, every walk handled 330
+# levels and none 333; 250 leaves about 250 frames for the caller's stack.
+MAX_TERM_DEPTH = 250
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0      # compositions and recursions open at pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -267,6 +281,10 @@ class _Parser:
             self.expect("]")
             t = Proj(n, i)
             return t, _node_arity(t, (), start)
+        if ch == "C" or ch == "R":
+            if self.depth == MAX_TERM_DEPTH:
+                raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", start)
+            self.depth += 1
         if ch == "C":
             self.pos += 1
             self.expect("(")
@@ -278,6 +296,7 @@ class _Parser:
                 parsed.append(self.term())
             self.expect(")")
             t = Comp(outer, tuple(g for g, _ in parsed))
+            self.depth -= 1
             return t, _node_arity(t, [k, *(a for _, a in parsed)], start)
         if ch == "R":
             self.pos += 1
@@ -287,12 +306,13 @@ class _Parser:
             step, m = self.term()
             self.expect(")")
             t = PrimRec(base, step)
+            self.depth -= 1
             return t, _node_arity(t, (n, m), start)
         raise ParseError(f"expected a term, got {ch!r}" if ch else "unexpected end of input",
                          self.pos)
 
 
-# Bound of the parse memo and of the compile cache (entries each).
+# Bound of the parse memo, the compile cache and the loop cache (entries each).
 _COMPILE_CACHE_SIZE = 512
 
 
@@ -340,23 +360,33 @@ class _Abort(Exception):
 # Compilation to Python source.  A recursion-free term computes a constant
 # or an argument plus a constant, so its value is an affine expression
 # ``(name, offset)`` (name ``None`` for a constant) that needs no statement,
-# and its cost, one visit per node, is static.  Only recursions emit code:
-# each PrimRec becomes a generated function with one ``for`` loop, called
-# from a flat temp-variable statement; with no nested loops or expressions in
+# and its cost, one visit per node, is static.  Only recursions emit code,
+# as flat temp-variable statements; with no nested loops or expressions in
 # one code object, deep terms stay within CPython's compile limits.  Every
 # function body and loop body is a straight-line block; its static cost is
 # added with one ``c += k`` and the budget is checked right after, so the
 # counter never runs ahead of the true visit count and the last check sees
 # the exact total.
 #
+# A recursion whose step holds no recursion is flat: its step block emits
+# no lines, so y iterations cost y times the block's cost and the result
+# is affine in the caller's names.  It gets no loop; the caller writes
+# ``c += k * (y)``, one budget check and one temp: ``acc + off*y`` for a
+# step ``acc + off``, otherwise the last step's value (``i`` is ``y - 1``
+# there) or the base when ``y == 0``.  Every other recursion is compiled
+# once per process by ``_loop``, keyed by (term, arity), into a function
+# with one ``for`` loop, in its own namespace that binds the loops it
+# calls; a term then compiles only its entry.  A generated function is
+# taken out of its namespace after the ``exec``, so no namespace is a
+# reference cycle and dropped code is freed as soon as nothing holds it.
+#
 # A loop body that never reads the counter ``i`` is a fixed map on ``acc``,
-# since ``y`` and the ``x``s do not change.  If it is ``acc + k`` with no
-# nested recursion, the loop adds ``y`` times its cost and returns
-# ``acc + k*y``.  Otherwise it records each ``acc`` with its iteration and
-# count for its first ``_PERIOD_WINDOW`` iterations, and ``_skip`` ends it
-# once one repeats.  Either way one budget check stands for many
-# iterations; the count only grows, so the run aborts exactly when its
-# final total reaches the budget, as the per-iteration checks would.
+# since ``y`` and the ``x``s do not change.  The loop records each ``acc``
+# with its iteration and count for its first ``_PERIOD_WINDOW`` iterations,
+# and ``_skip`` ends it once one repeats.  Like the closed form, one budget
+# check then stands for many iterations; the count only grows, so the run
+# aborts exactly when its final total reaches the budget, as the
+# per-iteration checks would.
 
 _PERIOD_WINDOW = 64   # iterations a counter-free loop records its states for
 
@@ -386,11 +416,11 @@ def _expr(val) -> str:
 class _Block:
     """Straight-line statements of one generated function or loop body."""
 
-    def __init__(self, unit: "_Unit"):
-        self.unit = unit
+    def __init__(self):
         self.lines: list[str] = []
         self.cost = 0
         self.reads: set = set()     # names the emitted lines read
+        self.callees: dict = {}     # loop function -> its name in the namespace
 
     def value(self, t: PrTerm, args: Sequence[tuple]) -> tuple:
         """Emit t applied to affine args; return its affine value."""
@@ -409,62 +439,78 @@ class _Block:
             return self.value(t.outer, inner)
         if isinstance(t, PrimRec):
             acc = self.value(t.base, args[1:])
-            loop = self.unit.loop(t, len(args))
-            temp = f"t{len(self.lines) + 1}"
-            self.reads.update(name for name, _ in (*args, acc))
+            loop = _loop(t, len(args))
+            if isinstance(loop, tuple):
+                return self.closed_form(*loop, args, acc)
+            name = self.callees.setdefault(loop, f"r{len(self.callees)}")
+            temp = self.temp((*args, acc))
             self.lines.append(
-                f"{temp}, c = {loop}(c, b, {', '.join(_expr(v) for v in (*args, acc))})")
+                f"{temp}, c = {name}(c, b, {', '.join(_expr(v) for v in (*args, acc))})")
             return (temp, 0)
         raise TypeError(f"not a term: {t!r}")
 
+    def closed_form(self, cost: int, step: tuple, args: Sequence[tuple], acc: tuple) -> tuple:
+        """Emit a flat recursion on args whose step costs ``cost`` and
+        returns the affine ``step`` of the loop's names; return its value."""
+        y = args[0]
+        self.reads.add(y[0])
+        self.lines += [f"c += {cost} * ({_expr(y)})", "if c >= b: raise _Abort"]
+        name, offset = step
+        if name == "acc":
+            if not offset:
+                return acc
+            line, reads = f"{_expr(acc)} + {offset} * ({_expr(y)})", (acc,)
+        else:   # a flat step's other names are i, y and the x's: never a constant
+            last = (y[0], y[1] - 1) if name == "i" else args[0 if name == "y" else int(name[1:])]
+            last = (last[0], last[1] + offset)
+            line, reads = f"{_expr(last)} if {_expr(y)} else {_expr(acc)}", (acc, last)
+        temp = self.temp(reads)
+        self.lines.append(f"{temp} = {line}")
+        return (temp, 0)
 
-class _Unit:
-    """The generated source of one term: an entry function and its loops."""
+    def temp(self, reads: Sequence[tuple]) -> str:
+        """Name for the next line's result; that line reads ``reads``."""
+        self.reads.update(name for name, _ in reads)
+        return f"t{len(self.lines) + 1}"
 
-    def __init__(self):
-        self.loops: dict = {}
-        self.sources: list[str] = []
 
-    def loop(self, t: PrimRec, n: int) -> str:
-        """Name of the function running the recursion t at arity n."""
-        name = self.loops.get((t, n))
-        if name is not None:
-            return name
-        name = self.loops[(t, n)] = f"r{len(self.loops)}"
-        xs = [f"x{j}" for j in range(1, n)]
-        body = _Block(self)
-        acc = body.value(t.step, [(p, 0) for p in ("y", *xs, "i", "acc")])
-        if not body.lines and acc[0] == "acc":     # affine: closed form
-            run = [f"c += {body.cost} * y", "if c >= b: raise _Abort", f"acc += {acc[1]} * y"]
-        else:
-            run = ["for i in range(y):",
-                   f"    c += {body.cost}",
-                   "    if c >= b: raise _Abort",
-                   *(f"    {line}" for line in body.lines),
-                   *([f"    acc = {_expr(acc)}"] if acc != ("acc", 0) else [])]
-            if "i" not in body.reads and acc[0] != "i":    # counter-free
-                run[1:1] = [f"    if i < {_PERIOD_WINDOW}:",
-                            "        if acc in seen: return _skip(seen, acc, i, y, c, b)",
-                            "        seen[acc] = i, c"]
-                run.insert(0, "seen = {}")
-        self.sources.append("\n".join([
-            f"def {name}(c, b, {', '.join(('y', *xs, 'acc'))}):",
-            *(f"    {line}" for line in run),
-            "    return acc, c",
-        ]))
-        return name
+def _define(name: str, lines: list, callees: dict) -> Callable:
+    """Compile the function ``name`` from lines, in a namespace of its own
+    that binds its callees; the function is not left in that namespace."""
+    namespace = {"_Abort": _Abort, "_skip": _skip}
+    namespace.update((callee, fn) for fn, callee in callees.items())
+    exec(compile("\n".join(lines), "<pr_lang term>", "exec"), namespace)
+    return namespace.pop(name)
 
-    def entry(self, t: PrTerm, n: int) -> None:
-        params = [f"a{j}" for j in range(n)]
-        body = _Block(self)
-        value = body.value(t, [(p, 0) for p in params])
-        self.sources.append("\n".join([
-            f"def entry(c, b, {', '.join(params)}):",
-            f"    c += {body.cost}",
-            "    if c >= b: raise _Abort",
-            *(f"    {line}" for line in body.lines),
-            f"    return {_expr(value)}, c",
-        ]))
+
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _loop(t: PrimRec, n: int) -> Union[tuple, Callable]:
+    """How the recursion t runs at arity n.
+
+    A flat step gives ``(cost, value)``: its block's cost and its affine
+    value in the loop's names ``y, x1, ..., i, acc``.  Any other step gives
+    the compiled ``loop(c, b, y, x1, ..., acc)``, which returns (acc, c).
+    """
+    xs = [f"x{j}" for j in range(1, n)]
+    body = _Block()
+    acc = body.value(t.step, [(p, 0) for p in ("y", *xs, "i", "acc")])
+    if not body.lines:
+        return body.cost, acc
+    run = ["for i in range(y):",
+           f"    c += {body.cost}",
+           "    if c >= b: raise _Abort",
+           *(f"    {line}" for line in body.lines),
+           *([f"    acc = {_expr(acc)}"] if acc != ("acc", 0) else [])]
+    if "i" not in body.reads and acc[0] != "i":    # counter-free
+        run[1:1] = [f"    if i < {_PERIOD_WINDOW}:",
+                    "        if acc in seen: return _skip(seen, acc, i, y, c, b)",
+                    "        seen[acc] = i, c"]
+        run.insert(0, "seen = {}")
+    return _define("loop", [
+        f"def loop(c, b, {', '.join(('y', *xs, 'acc'))}):",
+        *(f"    {line}" for line in run),
+        "    return acc, c",
+    ], body.callees)
 
 
 @lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -475,11 +521,16 @@ def _compiled(t: PrTerm) -> tuple[int, Callable]:
     A term that is not well formed raises ArityError here.
     """
     n = _checked_arity(t, None)
-    unit = _Unit()
-    unit.entry(t, n)
-    namespace = {"_Abort": _Abort, "_skip": _skip}
-    exec(compile("\n\n".join(unit.sources), "<pr_lang term>", "exec"), namespace)
-    return n, namespace["entry"]
+    params = [f"a{j}" for j in range(n)]
+    body = _Block()
+    value = body.value(t, [(p, 0) for p in params])
+    return n, _define("entry", [
+        f"def entry(c, b, {', '.join(params)}):",
+        f"    c += {body.cost}",
+        "    if c >= b: raise _Abort",
+        *(f"    {line}" for line in body.lines),
+        f"    return {_expr(value)}, c",
+    ], body.callees)
 
 
 _UNBOUNDED = float("inf")

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import punctual
+from punctual import pr_lang
 from punctual.cli import _check_bounds, build_parser, main
 from punctual.sets import DEFAULT_CEILING
 
@@ -423,6 +424,22 @@ def test_non_utf8_input_is_misuse(argv, capsys, tmp_path):
     assert main([a.format(bad=bad) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad} is not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("levels", [400, 1000])
+@pytest.mark.parametrize("where", ["descriptor", "family"])
+def test_deeply_nested_term_is_misuse(levels, where, capsys, tmp_path):
+    text = "C(S; " * levels + "P[1,1]" + ")" * levels
+    if where == "descriptor":
+        argv = ["profile", f'term "{text}" bound "C(S; P[1,1])"', "--horizon", "3"]
+    else:
+        family = tmp_path / "deep.fam"
+        family.write_text(text + "\n")
+        argv = ["construct", "immune", "--family", str(family), "--max-stages", "5"]
+    assert main(argv) == 1
+    limit = pr_lang.MAX_TERM_DEPTH
+    err = capsys.readouterr().err
+    assert err == f"error: term nested deeper than {limit} levels (at position {5 * limit})\n"
 
 
 def test_trace_descriptor_unknown_output_is_misuse(capsys):

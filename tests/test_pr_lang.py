@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -223,12 +225,30 @@ UNARY_ID = "R(Z; C(S; P[3,3]))"
 GROWING = f"R(Z; C(S; C({UNARY_ID}; P[3,3])))"   # nested loop, states 0, 1, 2, ...
 
 
+def compiled_sources(text):
+    """The source of every function compiled for a term, in compile order:
+    the loops it holds, inner loops first, then its entry last.  Every
+    compile cache is cleared first, so each loop is compiled afresh."""
+    sources = []
+    define = pr_lang._define
+
+    def recording(name, lines, callees):
+        sources.append("\n".join(lines))
+        return define(name, lines, callees)
+
+    for cache in (parse_term, pr_lang._loop, pr_lang._compiled):
+        cache.cache_clear()
+    pr_lang._define = recording
+    try:
+        pr_lang._compiled(parse_term(text))
+    finally:
+        pr_lang._define = define
+    return sources
+
+
 def loop_sources(text):
     """The generated loop functions of a term, without its entry."""
-    unit = pr_lang._Unit()
-    t = parse_term(text)
-    unit.entry(t, arity(t))
-    return [src for src in unit.sources if not src.startswith("def entry")]
+    return compiled_sources(text)[:-1]
 
 
 class TestCompiledAgainstOracle:
@@ -270,8 +290,8 @@ class TestCompiledAgainstOracle:
         "R(P[1,1]; C(S; C(S; P[4,4])))",           # with a fixed argument
     ])
     def test_affine_steps(self, text):
-        (src,) = loop_sources(text)
-        assert "range" not in src
+        assert loop_sources(text) == []            # written inline in the entry
+        assert "c += " in compiled_sources(text)[-1].split("\n", 3)[3]
         for y in range(6):
             self.check_budgets(text, [y] if arity(parse_term(text)) == 1 else [y, 3])
 
@@ -292,15 +312,38 @@ class TestCompiledAgainstOracle:
             self.check_budgets(GROWING, [y])
 
     @pytest.mark.parametrize("text", [
-        PRED,
+        PRED,                                      # the last counter, inline
         "R(Z; C(S; P[3,2]))",
-        f"R(Z; C({UNARY_ID}; P[3,2]))",            # the counter feeds a nested loop
+        f"R(Z; C({UNARY_ID}; P[3,2]))",            # the counter feeds a nested recursion
     ])
     def test_loops_that_read_the_counter(self, text):
-        assert not any("_skip" in src for src in loop_sources(text))
-        assert "range" in loop_sources(text)[-1]     # inner loops come first
+        loops = 1 if UNARY_ID in text else 0
+        sources = loop_sources(text)
+        assert len(sources) == loops
+        assert not any("_skip" in src for src in sources)
+        assert all("range" in src for src in sources)
+        if not loops:
+            assert " if a0 else " in compiled_sources(text)[-1]
         for y in range(8):
             self.check_budgets(text, [y])
+
+    @pytest.mark.parametrize("text, xs", [
+        ("R(Z; C(S; C(S; P[3,3])))", []),          # acc + k
+        ("R(P[1,1]; C(S; P[4,4]))", [4]),          # acc + k from a fixed argument
+        ("R(Z; P[3,3])", []),                      # acc + 0: the base, a constant
+        ("R(Z; C(S; C(S; P[3,2])))", []),          # i + k
+        ("R(P[1,1]; P[4,3])", [4]),                # i
+        ("R(Z; P[3,1])", []),                      # y
+        ("R(P[2,1]; C(S; P[5,1]))", [4, 7]),       # y + k
+        ("R(P[2,2]; C(S; P[5,3]))", [4, 7]),       # x_j + k
+        ("R(P[2,1]; P[5,2])", [4, 7]),             # x_j
+        ("C(R(Z; C(S; P[3,2])); R(Z; P[3,3]))", []),   # y is the constant 0
+        ("C(R(P[1,1]; C(S; P[4,3])); C(S; P[1,1]), C(S; R(Z; P[3,3])))", []),  # x is 1
+    ])
+    def test_flat_step_kinds(self, text, xs):
+        assert loop_sources(text) == []
+        for y in (0, 1, 2, 5):
+            self.check_budgets(text, [y, *xs])
 
     def test_huge_recursion_argument_returns_at_once(self):
         y = 10 ** 12
@@ -318,20 +361,95 @@ class TestCompiledAgainstOracle:
         assert eval_clocked(bound, [y], cost + 1) == Converged(2 * y + 1, cost)
 
 
+def nested(levels):
+    """A unary term that nests ``levels`` compositions."""
+    return "C(S; " * levels + "P[1,1]" + ")" * levels
+
+
+def nested_recursions(levels):
+    """A unary term that nests ``levels`` compositions and recursions, the
+    recursions each inside the step of the one above."""
+    text = "P[3,3]"
+    for _ in range((levels - 1) // 2):
+        text = f"C(R(Z; {text}); P[3,3])"
+    text = f"R(Z; {text})"
+    return text if levels % 2 else f"C(S; {text})"
+
+
+class TestNestingLimit:
+    """A term text nests at most MAX_TERM_DEPTH levels, and every walk over
+    a term at the limit runs inside the test runner's stack."""
+
+    def test_terms_at_the_limit_run(self):
+        limit = pr_lang.MAX_TERM_DEPTH
+        for cache in (parse_term, pr_lang._loop, pr_lang._compiled):
+            cache.cache_clear()
+        t = parse_term(nested(limit))
+        assert serialize(t) == nested(limit) and arity(t) == 1
+        assert eval_clocked(t, [3], 2 * limit + 2) == Converged(3 + limit, 2 * limit + 1)
+        assert eval_clocked(t, [3], 2 * limit + 1) == OUT_OF_BUDGET
+        binary = parse_term("C(S; " * limit + "P[2,2]" + ")" * limit)
+        assert eval_total(unary_wrap(binary), [3]) == 3 + limit     # the wrap is one level more
+        deep = nested_recursions(limit)
+        assert deep.count("R(") + deep.count("C(") == limit
+        t = parse_term(deep)
+        for y in (0, 1, 4):
+            assert eval_clocked(t, [y], 10 ** 6) == oracle_outcome(t, [y], 10 ** 6)
+
+    @pytest.mark.parametrize("text", [nested(pr_lang.MAX_TERM_DEPTH + 1), nested(400),
+                                      nested(1000), nested_recursions(1000)])
+    def test_deeper_texts_raise_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"nested deeper than {pr_lang.MAX_TERM_DEPTH}") as exc:
+            parse_term(text)
+        opens = [i - 1 for i, ch in enumerate(text) if ch == "("]   # each one level deeper
+        assert exc.value.position == opens[pr_lang.MAX_TERM_DEPTH]
+
+
 class TestCompileCache:
     def test_distinct_programs_keep_cache_bounded(self):
         decode.cache_clear()
         pr_lang._compiled.cache_clear()
+        pr_lang._loop.cache_clear()
         wrapped = set()
         e = 0
-        while len(wrapped) <= 2 * pr_lang._COMPILE_CACHE_SIZE:
+        while (len(wrapped) <= 2 * pr_lang._COMPILE_CACHE_SIZE
+               or pr_lang._loop.cache_info().misses <= pr_lang._COMPILE_CACHE_SIZE):
             if arity(decode(e)) != 1:
                 wrapped.add(unary_wrap(decode(e)))
                 converges_within(e, 3, 50)
             e += 1
-        info = pr_lang._compiled.cache_info()
-        assert info.misses > pr_lang._COMPILE_CACHE_SIZE
-        assert info.currsize <= pr_lang._COMPILE_CACHE_SIZE
+        for cache in (pr_lang._compiled, pr_lang._loop):
+            info = cache.cache_info()
+            assert info.misses > pr_lang._COMPILE_CACHE_SIZE
+            assert info.currsize <= pr_lang._COMPILE_CACHE_SIZE
+
+    def test_shared_recursion_is_compiled_once(self, monkeypatch):
+        for cache in (parse_term, pr_lang._loop, pr_lang._compiled):
+            cache.cache_clear()
+        defined = []
+        define = pr_lang._define
+        monkeypatch.setattr(pr_lang, "_define",
+                            lambda name, *rest: defined.append(name) or define(name, *rest))
+        assert eval_total(parse_term(NOT), [0]) == 1
+        assert eval_total(parse_term(f"C(S; {MSUB})"), [2, 7]) == 6
+        assert defined == ["loop", "entry", "entry"]   # MSUB's loop serves both
+        assert pr_lang._loop.cache_info().currsize == 3     # MSUB, and the flat PRED and R(Z; P[3,3])
+
+    def test_dropped_code_is_freed_without_the_cycle_collector(self):
+        for cache in (parse_term, pr_lang._loop, pr_lang._compiled):
+            cache.cache_clear()
+        t = parse_term(MOD2)
+        assert eval_total(t, [5]) == 1
+        entry = weakref.ref(t.__dict__["_code"][1])
+        loop = weakref.ref(pr_lang._loop(parse_term(MSUB), 2))  # called from MOD2's loop
+        gc.disable()
+        try:
+            for cache in (parse_term, pr_lang._loop, pr_lang._compiled):
+                cache.cache_clear()
+            del t
+            assert entry() is None and loop() is None
+        finally:
+            gc.enable()
 
     def test_repeat_calls_compile_once(self):
         e = encode(Comp(Succ(), (Proj(2, 2),)))
