@@ -80,6 +80,8 @@ def cmd_lattice(args, out) -> int:
 
 
 def cmd_reduce(args, out) -> int:
+    if args.reduce_op != "synth-g" and args.witness is None:
+        raise MisuseError(f"reduce {args.reduce_op} needs --witness")
     x, y = parse_set(args.a), parse_set(args.b)
     if args.reduce_op == "check":
         w = load_witness(args.witness)
@@ -129,6 +131,10 @@ def cmd_diamond(args, out) -> int:
         out.write(f"equilibria\t{w.equilibrium_count}\n")
         return 0
     else:
+        missing = [name for name in ("c", "d") if getattr(args, name) is None]
+        if missing:
+            raise MisuseError(f"diamond restrict needs the operands c and d, "
+                              f"missing {' and '.join(missing)}")
         qw, report = lattice.restrict_diamond_witness(
             x, parse_set(args.c), parse_set(args.d), y, None, None,
             args.horizon, certificate=cert)
@@ -149,6 +155,8 @@ def cmd_slow(args, out) -> int:
         for n in range(args.window + 1):
             out.write(f"zero\t{n}\t{s.principal_zero(n)}\n")
         return 0
+    if args.descriptor is None:
+        raise MisuseError("slow check needs a descriptor")
     x = parse_set(args.descriptor)
     cert = lattice.check_slowness(x, family, (0, args.window))
     out.write(f"slow-on-window\t{'yes' if cert.slow_on_window else 'no'}\n")

@@ -172,7 +172,9 @@ def _node_arity(t: PrTerm, child_arities: Sequence[int], position: int | None) -
 
 def _checked_arity(t: PrTerm, position: int | None) -> int:
     """Arity of t, checked at every node.  A composite node keeps its arity
-    once checked, so a shared term is walked once; an error is never kept."""
+    once checked, and a child object repeated in one node (the k copies of
+    one projection in a coerced wrapper) is checked once, so a shared term
+    is walked once; an error is never kept."""
     if isinstance(t, Comp):
         children = (t.outer, *t.inners)
     elif isinstance(t, PrimRec):
@@ -181,9 +183,12 @@ def _checked_arity(t: PrTerm, position: int | None) -> int:
         return _node_arity(t, (), position)
     n = t.__dict__.get("_arity")
     if n is None:
-        child_arities = []
+        child_arities, seen = [], {}
         for g in children:  # a plain loop keeps one frame per term level
-            child_arities.append(_checked_arity(g, position))
+            a = seen.get(id(g))
+            if a is None:
+                a = seen[id(g)] = _checked_arity(g, position)
+            child_arities.append(a)
         n = _node_arity(t, child_arities, position)
         object.__setattr__(t, "_arity", n)
     return n

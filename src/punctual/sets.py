@@ -30,20 +30,25 @@ builtins (by their periodic pattern), prefix and trace sets with the
 default cost (by their pattern: the constructed head, then 1,0 at cost
 n + 1), ``drop`` and the zero-member override (from the operand's arrays
 with one bit flipped), and join and meet (the max or min of the normalised
-operands' zero counts).  A descriptor fills only if all its operands do, so
-term-backed sets, normal-form carriers, zero-list sets and everything built
-over them keep the per-bit loop and their evaluator work.  Only unlimited
-growth fills, and only for extensions of at least ``_FILL_MIN`` bits, since
-a fill has a fixed cost; step-limited growth (``zeros_by_steps``) and
-zero-limited growth (``fresh_zeros``, the one zero search, which
-``next_zero`` and ``principal_zero`` call) take the per-bit loop, so a
-memo, and its operands' memos, stop exactly at the bit where the limit is
-met.  ``fresh_zeros`` picks a run of zeros in one pass: it reads the memo
-by bisection on from the last pick and grows it only for a pick it lacks.  A
-set built from a pattern answers ``zeros_by_steps`` and steps profiles by
-arithmetic on the pattern and grows no memo for them; bit, index and cost
-reads still grow its memo.  Only zero-list sets answer ``principal_zero`` by
-a closed form, from their list of zeros.
+operands' zero counts).  Term-backed sets, normal-form carriers and
+zero-list sets have no fill and keep the per-bit loop and their evaluator
+work.  A derived descriptor over such a set keeps its fill, bounded by the
+memos: it runs as far as its operands reach (a filling operand without end,
+a derived one to the further of its memo and its own operands' reach, any
+other one to its memo), where it only slices memos, calls no generator and
+cannot raise.  So one unlimited read catches its memo up to that reach,
+past the bit read, and the per-bit loop goes on from there, failing where
+it failed before.  Only unlimited growth fills, and only for extensions of
+at least ``_FILL_MIN`` bits, since a fill has a fixed cost; step-limited
+growth (``zeros_by_steps``) and zero-limited growth (``fresh_zeros``, the
+one zero search, which ``next_zero`` and ``principal_zero`` call) take the
+per-bit loop, so a memo, and its operands' memos, stop exactly at the bit
+where the limit is met.  ``fresh_zeros`` picks a run of zeros in one pass:
+it reads the memo by bisection on from the last pick and grows it only for
+a pick it lacks.  A set built from a pattern answers ``zeros_by_steps`` and
+steps profiles by arithmetic on the pattern and grows no memo for them;
+bit, index and cost reads still grow its memo.  Only zero-list sets answer
+``principal_zero`` by a closed form, from their list of zeros.
 
 Scans read memos in bulk: ``profile(points, convention)`` answers a whole
 list of index points or step budgets from one growth to the largest, and
@@ -165,8 +170,12 @@ class PrSet:
         self._zeros_fast = zeros_fast
         # fill(m, n) -> (bits, per-bit costs) of bits m..n, each cost >= 1;
         # it must agree with bit_fn and cost_fn.  A _Pattern fill also
-        # answers step queries.
-        self._fill = fill
+        # answers step queries; a _MemoFill runs only as far as its
+        # operands' memos reach, so it is kept apart from a fill that runs
+        # anywhere.
+        bounded = isinstance(fill, _MemoFill)
+        self._fill = None if bounded else fill
+        self._memo_fill = fill if bounded else None
         self._pattern = fill if isinstance(fill, _Pattern) else None
         self._lock = threading.Lock()
         self._bits: list[int] = []
@@ -179,27 +188,39 @@ class PrSet:
     def _ensure(self, n: int, steps: int = sys.maxsize, zeros: int = sys.maxsize) -> None:
         """Materialise bits 0..n; stop early at total cost > steps or at `zeros` zeros.
 
-        The memo always ends at n, at the first bit whose total cost passes
-        steps, or at the `zeros`-th zero.  With a fill, an unlimited
-        extension of at least ``_FILL_MIN`` bits runs in one call; limited
-        growth takes the per-bit loop, so it reads no bit, and no operand
-        bit, past the one where it stops.
+        Limited growth ends the memo at n, at the first bit whose total cost
+        passes steps, or at the `zeros`-th zero, and takes the per-bit loop,
+        so it reads no bit, and no operand bit, past the one where it stops.
+        With a fill, an unlimited extension of at least ``_FILL_MIN`` bits
+        runs in one call.  A memo-bounded fill runs on to its operands'
+        reach, so the memo may end past n; past the reach the per-bit loop
+        goes on to n.
         """
         if n < len(self._bits):
             return
+        cost_cum = self._cost_cum
+        if cost_cum and (cost_cum[-1] > steps or self._zero_cum[-1] >= zeros):
+            return      # the limit is met: the loop would add no bit
         with self._lock:
-            bits, zero_cum, cost_cum = self._bits, self._zero_cum, self._cost_cum
+            bits, zero_cum = self._bits, self._zero_cum
             m = len(bits)
+            if steps == zeros == sys.maxsize:
+                fill, top = self._fill, n
+                if fill is None and self._memo_fill is not None:
+                    fill, top = self._memo_fill.fill, self._memo_fill.reach()
+                if fill is not None and top - m + 1 >= _FILL_MIN:
+                    new, costs = fill(m, top)
+                    z = zero_cum[-1] if m else 0
+                    c = cost_cum[-1] if m else 0
+                    # readers test len(bits) without the lock, so bits grow last
+                    zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
+                    cost_cum += islice(accumulate(costs, initial=c), 1, None)
+                    bits += new
+                    if top >= n:
+                        return
+                    m = len(bits)
             z = zero_cum[-1] if m else 0
             c = cost_cum[-1] if m else 0
-            if (self._fill is not None and steps == zeros == sys.maxsize
-                    and n - m + 1 >= _FILL_MIN):
-                new, costs = self._fill(m, n)
-                # readers test len(bits) without the lock, so bits grow last
-                zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
-                cost_cum += islice(accumulate(costs, initial=c), 1, None)
-                bits += new
-                return
             bit_fn, cost_fn = self._bit_fn, self._cost_fn
             while m <= n and c <= steps and z < zeros:
                 b = 1 if bit_fn(m) else 0
@@ -213,9 +234,10 @@ class PrSet:
 
     def read_ahead(self, n: int) -> None:
         """Grow the memo to n in one fill, ahead of a scan that reads bits
-        0..n upward.  Filling sets cannot raise, so growing one past a
-        scan's early exit shows nowhere; other sets are left to the scan,
-        so no evaluator work moves."""
+        0..n upward.  Sets whose fill runs anywhere cannot raise, so growing
+        one past a scan's early exit shows nowhere; other sets, those with a
+        memo-bounded fill included, are left to the scan, so no evaluator
+        work moves."""
         if self._fill is not None and n >= len(self._bits):
             self._ensure(n)
 
@@ -379,6 +401,32 @@ def _bit_costs(x: PrSet, m: int, n: int) -> list:
     return list(map(sub, cum[m:n + 1], cum[m - 1:n] if m else [0] + cum[:n]))
 
 
+class _MemoFill:
+    """The fill of a derived descriptor some of whose operands cannot fill.
+
+    ``fill(m, n)`` reads the operands' memos, so it runs only as far as
+    ``reach()``: the least reach of an operand, where a filling operand
+    reaches without end, a derived one to the further of its memo and its
+    own operands' reach, and any other one to the end of its memo.  Within
+    the reach the fill calls no generator, so it cannot raise.
+    """
+
+    def __init__(self, fill: Callable[[int, int], tuple], *operands: PrSet):
+        self.fill, self.operands = fill, operands
+
+    def reach(self) -> int:
+        return min(map(_reach, self.operands))
+
+
+def _reach(x: PrSet) -> int:
+    """The last bit of x that is read without a generator call."""
+    if x._fill is not None:
+        return sys.maxsize
+    if x._memo_fill is not None:
+        return max(len(x._bits) - 1, x._memo_fill.reach())
+    return len(x._bits) - 1
+
+
 def _flip_fill(x: PrSet, pos: int):
     """Fill for x with bit pos forced to 1."""
     def fill(m, n):
@@ -517,8 +565,9 @@ def override_zero_member(x: PrSet) -> PrSet:
     """Force 0 into the set (bit 0 becomes 1); identity if already there."""
     if x.bit(0) == 1:
         return x
+    fill = _flip_fill(x, 0)
     return PrSet(f"{x.name}+0", lambda n: 1 if n == 0 else x.bit(n),
-                 x.bit_cost, dsl=x.dsl, fill=_flip_fill(x, 0) if x._fill else None)
+                 x.bit_cost, dsl=x.dsl, fill=fill if x._fill else _MemoFill(fill, x))
 
 
 def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
@@ -550,7 +599,7 @@ def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
     dsl = f"{op}({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
     return PrSet(f"({x.name} {symbol} {y.name})", bit,
                  lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1, dsl=dsl,
-                 fill=fill if x._fill and y._fill else None)
+                 fill=fill if x._fill and y._fill else _MemoFill(fill, x, y))
 
 
 def set_join(x: PrSet, y: PrSet) -> PrSet:
@@ -570,9 +619,10 @@ def drop_least_zero(x: PrSet) -> PrSet:
     if x._zeros_fast is not None:
         zeros_fast = lambda n: x._zeros_fast(n + 1)
     dsl = f"drop({x.dsl})" if x.dsl else None
+    fill = _flip_fill(x, z0)
     return PrSet(f"{x.name}^[-1]", lambda n: 1 if n == z0 else x.bit(n),
                  x.bit_cost, dsl=dsl, zeros_fast=zeros_fast,
-                 fill=_flip_fill(x, z0) if x._fill else None)
+                 fill=fill if x._fill else _MemoFill(fill, x))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,22 @@ def test_usage_errors_are_misuse(argv, message, capsys):
     assert captured.err.splitlines()[-1].startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    *((["reduce", op, "evens", "mod 3"], f"reduce {op} needs --witness")
+      for op in ("check", "synth-h", "surjectivize", "respect")),
+    (["slow", "check"], "slow check needs a descriptor"),
+    (["diamond", "restrict", "evens", "evens"],
+     "diamond restrict needs the operands c and d, missing c and d"),
+    (["diamond", "restrict", "evens", "evens", "mod 3"],
+     "diamond restrict needs the operands c and d, missing d"),
+])
+def test_missing_inputs_are_misuse(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# config ") and len(captured.out.splitlines()) == 1
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"],
                                   ["construct", "-h"]])
 def test_help_exits_0(argv, capsys):

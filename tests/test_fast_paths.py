@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from punctual import reductions, sets
+from punctual import pr_lang, reductions, sets
 from punctual.constructions import (
     _fresh_zero_table,
     construct_immune,
@@ -64,10 +64,12 @@ from punctual.sets import (
     PredicateRelation,
     PrSet,
     SetRelation,
+    blocks_set,
     drop_least_zero,
     evens_set,
     mod_set,
     normal_form,
+    override_zero_member,
     parse_set,
     prefix_set,
     set_join,
@@ -838,18 +840,13 @@ def test_term_backed_descriptors_never_fill(traces):
     assert seen == list(range(301))
 
 
-def test_concurrent_readers_under_bulk_fills(traces, monkeypatch):
-    monkeypatch.setattr(sets, "_FILL_MIN", 1)
-    test_sets.TestSetLattice().test_concurrent_readers_observe_identical_bits()
-    desc = "meet(join(trace {imm}, evens), mod 5)"
-    ref = make_filled(desc, traces)
-    with per_bit():
-        ref.bit(2000)
-    shared = make_filled(desc, traces)
+def assert_concurrent_reads_match(shared, ref, top, count):
+    """Six threads, under a 1 us switch interval, each read `count` seeded
+    points of 0..top from shared; every read and the memo match ref's."""
     results = []
 
     def reader(seed):
-        reads = random.Random(seed).sample(range(2001), 200)
+        reads = random.Random(seed).sample(range(top + 1), count)
         results.append([(i, shared.zeros_by_index(i), shared.cum_cost(i)) for i in reads])
 
     threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
@@ -866,6 +863,170 @@ def test_concurrent_readers_under_bulk_fills(traces, monkeypatch):
     for got in results:
         assert got == [(i, ref.zeros_by_index(i), ref.cum_cost(i)) for i, _, _ in got]
     assert_memo_matches(shared, ref)
+
+
+def test_concurrent_readers_under_bulk_fills(traces, monkeypatch):
+    monkeypatch.setattr(sets, "_FILL_MIN", 1)
+    test_sets.TestSetLattice().test_concurrent_readers_observe_identical_bits()
+    desc = "meet(join(trace {imm}, evens), mod 5)"
+    ref = make_filled(desc, traces)
+    with per_bit():
+        ref.bit(2000)
+    assert_concurrent_reads_match(make_filled(desc, traces), ref, 2000, 200)
+
+
+# ---------------------------------------------------------------------------
+# Derived descriptors over term sets: one catch-up over the operands' memos
+
+
+def linear_bound(slope, offset):
+    """Bound term text computing slope * n + offset."""
+    step = "P[3,3]"
+    for _ in range(slope):
+        step = f"C(S; {step})"
+    bound = f"R(Z; {step})"
+    for _ in range(offset):
+        bound = f"C(S; {bound})"
+    return bound
+
+
+def term_pair(bound=BOUND_LINEAR):
+    """Fresh term sets: "ev" holds 0, "od" does not, so joins normalise it."""
+    return {"ev": parse_set(f'term "{EVENS_TERM}" bound "{bound}"'),
+            "od": parse_set(f'term "{MOD2}" bound "{bound}"')}
+
+
+# each derived descriptor with the term sets it reads
+OVER_TERMS = {
+    "join": ("od", lambda ev, od: set_join(od, mod_set(3))),
+    "meet": ("ev", lambda ev, od: set_meet(ev, blocks_set(2))),
+    "override": ("od", lambda ev, od: override_zero_member(od)),
+    "drop": ("ev", lambda ev, od: drop_least_zero(ev)),
+    "nested": ("ev od", lambda ev, od: set_meet(set_join(od, mod_set(3)),
+                                                drop_least_zero(ev))),
+}
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """Every evaluator call a term set makes, as its argument."""
+    calls = []
+    total, clocked = pr_lang.eval_total, pr_lang.eval_clocked
+    monkeypatch.setattr(pr_lang, "eval_total",
+                        lambda t, args: calls.append(args[0]) or total(t, args))
+    monkeypatch.setattr(pr_lang, "eval_clocked",
+                        lambda t, args, b: calls.append(args[0]) or clocked(t, args, b))
+    return calls
+
+
+def read_over_terms(desc, reads, ahead, calls, bound=BOUND_LINEAR):
+    """Build desc over fresh term sets read up to `ahead`, then read it at
+    each point: (point, answer or failure text, evaluator calls) per read."""
+    terms = term_pair(bound)
+    for name, n in ahead.items():
+        terms[name].bit(n)
+    d = OVER_TERMS[desc][1](terms["ev"], terms["od"])
+    log = []
+    for i in reads:
+        calls.clear()
+        try:
+            got = (d.zeros_by_index(i), d.bit(i), d.cum_cost(i))
+        except PunctualityViolation as exc:
+            got = str(exc)
+        log.append((i, got, len(calls)))
+    return d, terms, log
+
+
+def over_terms_orders(seed, top):
+    rng = random.Random(seed)
+    ascending = sorted(rng.sample(range(top + 1), 50))
+    return {"ascending": ascending, "shuffled": rng.sample(range(top + 1), 50),
+            "repeated": [i for i in rng.sample(range(top + 1), 15) for _ in range(3)]}
+
+
+@pytest.mark.parametrize("fill_min", [1, sets._FILL_MIN])
+@pytest.mark.parametrize("desc", OVER_TERMS)
+def test_catch_up_matches_per_bit_growth(desc, fill_min, monkeypatch, eval_calls):
+    monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
+    ahead = {"ev": 150, "od": 230}      # reads past both take the per-bit loop
+    for order, reads in over_terms_orders(desc, 300).items():
+        d, terms, log = read_over_terms(desc, reads, ahead, eval_calls)
+        with per_bit():
+            ref, ref_terms, ref_log = read_over_terms(desc, reads, ahead, eval_calls)
+        # the same answers, and the same evaluator calls at each read
+        assert log == ref_log, order
+        assert [t.decided for t in terms.values()] == [t.decided for t in ref_terms.values()]
+        assert d.decided >= ref.decided
+        with per_bit():
+            ref.bit(d.decided)
+        assert_memo_matches(d, ref)
+
+
+@pytest.mark.parametrize("desc", OVER_TERMS)
+def test_catch_up_reads_only_term_memos(desc, eval_calls):
+    terms = term_pair()
+    terms["ev"].bit(150)
+    terms["od"].bit(230)
+    uses, build = OVER_TERMS[desc]
+    d = build(terms["ev"], terms["od"])
+    held = {name: t.decided for name, t in terms.items()}
+    reach = min(held[name] for name in uses.split()) - 1
+    for t in terms.values():
+        t._bit_fn = t._cost_fn = None      # a term generator call would raise
+    eval_calls.clear()
+    d.bit(0)
+    # one read catches the memo up to the term sets' reach, past the bit read
+    assert d.decided == reach + 1
+    assert {name: t.decided for name, t in terms.items()} == held
+    assert eval_calls == []
+    ref = build(*term_pair().values())
+    with per_bit():
+        ref.bit(reach)
+    assert (d._bits, d._zero_cum, d._cost_cum) == (ref._bits, ref._zero_cum, ref._cost_cum)
+
+
+@pytest.mark.parametrize("fill_min", [1, sets._FILL_MIN])
+@pytest.mark.parametrize("desc", OVER_TERMS)
+def test_catch_up_fails_where_per_bit_growth_fails(desc, fill_min, monkeypatch, eval_calls):
+    monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
+    bound = linear_bound(12, 100)
+    stops = {}
+    for name, t in term_pair(bound).items():
+        with pytest.raises(PunctualityViolation) as info:
+            t.bit(200)
+        stops[name] = t.decided
+        assert str(info.value).endswith(f"at n={t.decided}")
+    assert stops == {"ev": 87, "od": 98}
+    k = min(stops[name] for name in OVER_TERMS[desc][0].split())
+    ahead = {"ev": 70, "od": 80}
+    orders = over_terms_orders(desc, 130)
+    orders["repeated"] += [k - 1, k, k, 60, k + 5]
+    for order, reads in orders.items():
+        assert max(reads) >= k
+        d, _, log = read_over_terms(desc, reads, ahead, eval_calls, bound)
+        with per_bit():
+            ref, _, ref_log = read_over_terms(desc, reads, ahead, eval_calls, bound)
+        # the same read fails with the same message, and the memo stops at k
+        assert log == ref_log, order
+        assert any(isinstance(got, str) for _, got, _ in log)
+        assert d.decided == ref.decided == k
+        assert (d._bits, d._zero_cum, d._cost_cum) == (ref._bits, ref._zero_cum, ref._cost_cum)
+
+
+def test_concurrent_readers_over_a_term_set(eval_calls):
+    terms = term_pair()
+    terms["od"].bit(300)
+    shared = OVER_TERMS["nested"][1](terms["ev"], terms["od"])
+    ref = OVER_TERMS["nested"][1](*term_pair().values())
+    with per_bit():
+        ref.bit(600)
+    eval_calls.clear()
+    # reads past bit 300 grow the term sets per bit, under the catch-up
+    assert_concurrent_reads_match(shared, ref, 600, 150)
+    # each term bit not read before (the drop read bits 0 and 1) is
+    # evaluated once: one bound and one clocked run
+    top = shared.decided
+    assert sorted(eval_calls) == sorted(2 * [*range(2, top), *range(301, top)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -577,6 +578,31 @@ class TestSharedTerms:
             with pytest.raises(ArityError, match="outer arity 1 != 2 inner terms"):
                 TermProgram(bad)
             assert calls == [Succ(), bad] and "_arity" not in bad.__dict__
+
+    def test_repeated_child_is_checked_once(self, monkeypatch):
+        calls = []
+        node_arity = pr_lang._node_arity
+        monkeypatch.setattr(pr_lang, "_node_arity",
+                            lambda t, *rest: calls.append(t) or node_arity(t, *rest))
+        # a wide coerce wrapper holds 40 copies of one projection object
+        wide = coerce_arity(Proj(40, 40), 1)
+        assert len({id(g) for g in wide.inners}) == 1
+        validate(wide)
+        assert calls == [Proj(40, 40), Proj(1, 1), wide]
+        assert eval_total(wide, [7]) == 7
+        # ill-formed compositions with repeated inners raise as with distinct copies
+        p1, p2, bad_proj = Proj(1, 1), Proj(2, 1), Proj(1, 3)
+        for outer, inners, message in [
+                (Proj(3, 1), (p2, p2), "outer arity 3 != 2 inner terms"),
+                (Proj(3, 1), (p2, p1, p2), r"mixed arities \[1, 2\]"),
+                (Proj(2, 1), (bad_proj, bad_proj), r"P\[1,3\] needs 1 <= i <= n"),
+                (Proj(2, 1), (Zero(), Zero()), "inners cannot be 0-ary")]:
+            distinct = tuple(map(dataclasses.replace, inners))
+            for kids in (inners, distinct):
+                with pytest.raises(ArityError, match=message) as info:
+                    validate(Comp(outer, kids), 11)
+                assert info.value.position == 11
+                assert str(info.value).endswith("(at position 11)")
 
 
 class TestMalformedTerms:

@@ -18,7 +18,11 @@ deterministic counters from one extra, untimed interpreter per list:
   * ``loop_functions``: generated functions other than an ``entry``;
   * ``source_bytes``: the length of the compiled source texts;
   * ``visits``: evaluator visits, counted as ``perfbench/tracer.py``
-    counts ``pr_lang.visits`` (a converged run's steps, else its budget).
+    counts ``pr_lang.visits`` (a converged run's steps, else its budget);
+  * ``ensure_entries``: calls of ``PrSet._ensure``, the descriptor memo's
+    one way in, hits that return at once included;
+  * ``memo_bits``: the bits held, after the list, by the memos of every
+    set its jobs built.
 
 The result is stored under ``--label`` in ``BENCH_compile.json`` at the
 root of the checkout, keeping the other labels there, so that two commits
@@ -55,9 +59,10 @@ def jobs(kind: str):
     return [k for k in keys if k[0] == kind], run, lambda k, out: W.check(k, out, expected)
 
 
-def install_counters(counts: dict) -> None:
-    """Wrap the evaluator's compile() and its clocked entry points."""
-    from punctual import pr_lang
+def install_counters(counts: dict) -> list:
+    """Wrap the evaluator's compile() and its clocked entry points, and the
+    descriptor memo's growth; return the list every new set is added to."""
+    from punctual import pr_lang, sets
 
     def counting_compile(source, *args, **kwargs):
         counts["compile_calls"] += 1
@@ -82,15 +87,28 @@ def install_counters(counts: dict) -> None:
     pr_lang.compile = counting_compile
     pr_lang.eval_clocked, pr_lang.eval_cost = counting_clocked, counting_cost
 
+    made, init, ensure = [], sets.PrSet.__init__, sets.PrSet._ensure
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def counting_ensure(self, *args, **kwargs):
+        counts["ensure_entries"] += 1
+        return ensure(self, *args, **kwargs)
+
+    sets.PrSet.__init__, sets.PrSet._ensure = counting_init, counting_ensure
+    return made
+
 
 def child(kind: str, counted: bool) -> int:
     """Run one list in this interpreter; print its wall time or counters."""
     sys.path.insert(0, PERFBENCH)
     import speed
     keys, run, check = jobs(kind)
-    counts = dict(compile_calls=0, loop_functions=0, source_bytes=0, visits=0)
-    if counted:
-        install_counters(counts)
+    counts = dict(compile_calls=0, loop_functions=0, source_bytes=0, visits=0,
+                  ensure_entries=0, memo_bits=0)
+    made = install_counters(counts) if counted else []
     outputs, durations, probes = [], [], []
     for k in keys:
         probes.append(speed.probe())
@@ -98,6 +116,7 @@ def child(kind: str, counted: bool) -> int:
         outputs.append(run(k))
         durations.append(time.perf_counter() - start)
     probes.append(speed.probe())
+    counts["memo_bits"] = sum(x.decided for x in made)
     failed = sum(not check(k, out) for k, out in zip(keys, outputs))
     json.dump({"wall_s": sum(durations), "ref_s": sum(speed.scaled(durations, probes)),
                "jobs": len(keys), "failed": failed, **counts}, sys.stdout)
@@ -129,7 +148,8 @@ def main() -> int:
                         "median_ref_s": round(statistics.median(r["ref_s"] for r in runs), 4),
                         "jobs": counters["jobs"], "failed": failed,
                         **{k: counters[k] for k in
-                           ("compile_calls", "loop_functions", "source_bytes", "visits")}}
+                           ("compile_calls", "loop_functions", "source_bytes", "visits",
+                            "ensure_entries", "memo_bits")}}
     result.update({
         "repeats": REPEATS,
         "seed": SEED,
