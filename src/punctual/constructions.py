@@ -612,8 +612,7 @@ def construct_antichain(count: int, family, max_stages: int,
     results = [construct_immune(family, max_stages, policy)]
     members = []
     for i in range(1, count):
-        prev = results[i - 1].output()
-        members.append(PrSet(f"S{i - 1}", prev.bit, prev.bit_cost, dsl=prev.dsl))
+        members.append(prefix_set(f"S{i - 1}", results[i - 1].trace.columns["Y"]))
         rels = [SetRelation(m) for m in members]
         results.append(_incomparable_multi(rels, family, max_stages, policy))
     return results

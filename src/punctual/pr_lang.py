@@ -4,7 +4,7 @@ Concrete syntax (whitespace insignificant, ASCII only):
 
     Z                      constant zero, arity 0
     S                      successor, arity 1
-    P[n,i]                 projection, arity n, 1 <= i <= n
+    P[n,i]                 projection, arity n, 1 <= i <= n <= MAX_ARITY
     C(f; g1, ..., gk)      composition; k = arity(f), the g's share one arity
     R(base; step)          primitive recursion on the first argument
 
@@ -40,10 +40,12 @@ the notes on compilation below).  Values, step counts and budget outcomes
 are exactly those of the ``visits/1`` model.  A term text nests at most
 ``MAX_TERM_DEPTH`` compositions and recursions.
 
-The Goedel coding is a direct total coding of terms via Cantor pairing:
-every natural number decodes to a well-formed term and ``decode(encode(t))``
-is ``t``.  Non-unary terms enter the public unary enumeration through
-``unary_wrap``, which feeds the single argument to every slot.
+The Goedel coding is a direct coding of terms via Cantor pairing: every
+natural number decodes to a well-formed term, except one that holds a
+projection wider than ``MAX_ARITY`` (4096), which raises ``ArityError``;
+``decode(encode(t))`` is ``t``.  Non-unary terms enter the public unary
+enumeration through ``unary_wrap``, which feeds the single argument to
+every slot.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ class PrimRec:
 
 PrTerm = Union[Zero, Succ, Proj, Comp, PrimRec]
 
+# Widest projection a term may hold.  Wrapping a term at another arity
+# builds one projection per slot, so an unbounded arity exhausts memory;
+# codes below 2**18 decode to projections of arity at most 418.
+MAX_ARITY = 4096
+
 
 def arity(t: PrTerm) -> int:
     if isinstance(t, Zero):
@@ -147,6 +154,8 @@ def _node_arity(t: PrTerm, child_arities: Sequence[int], position: int | None) -
     if isinstance(t, Proj):
         if t.n < 1 or not (1 <= t.i <= t.n):
             raise ArityError(f"projection P[{t.n},{t.i}] needs 1 <= i <= n", position)
+        if t.n > MAX_ARITY:
+            raise ArityError(f"projection P[{t.n},{t.i}] needs n <= {MAX_ARITY}", position)
         return t.n
     if isinstance(t, Comp):
         if not t.inners:
@@ -617,7 +626,7 @@ def const_term(c: int) -> PrTerm:
 
 
 # ---------------------------------------------------------------------------
-# Goedel coding: total decode, injective encode, decode(encode(t)) == t.
+# Goedel coding: decode up to MAX_ARITY, injective encode, decode(encode(t)) == t.
 
 
 def cantor_pair(a: int, b: int) -> int:
@@ -663,7 +672,8 @@ def encode(t: PrTerm) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def decode(e: int) -> PrTerm:
-    """Total decoding: every natural denotes a well-formed term."""
+    """Every natural denotes a well-formed term, unless it holds a projection
+    wider than ``MAX_ARITY``: then ArityError."""
     if e == 0:
         return Zero()
     if e == 1:
@@ -672,6 +682,8 @@ def decode(e: int) -> PrTerm:
     if tag == 0:
         a, b = cantor_unpair(m)
         n = a + 1
+        if n > MAX_ARITY:
+            raise ArityError(f"code {e} decodes to a projection of arity {n} > {MAX_ARITY}")
         return Proj(n, (b % n) + 1)
     if tag == 1:
         a, b = cantor_unpair(m)

@@ -54,6 +54,9 @@ Scans read memos in bulk: ``profile(points, convention)`` answers a whole
 list of index points or step budgets from one growth to the largest, and
 ``prefix(n).bits`` hands a scan the bits it maps over, so a scan pays one
 ``_ensure`` entry, not one per element.
+
+Descriptors are single-threaded: memos grow unguarded, so no descriptor may
+be read from two threads at once.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from itertools import accumulate, cycle, islice, repeat
 from operator import sub
@@ -154,8 +156,9 @@ def string_meet(sigma: Prefix, tau: Prefix) -> Prefix:
 class PrSet:
     """Clocked bit-generator for a coinfinite primitive recursive set.
 
-    Immutable from the outside; bits and costs are memoized behind a lock so
-    concurrent readers observe identical values.
+    Immutable from the outside; bits and costs are memoized.  Descriptors
+    are single-threaded: a memo grows unguarded, so one descriptor, and the
+    descriptors built over it, must not be read from two threads at once.
     """
 
     def __init__(self, name: str, bit_fn: Callable[[int], int],
@@ -177,7 +180,6 @@ class PrSet:
         self._fill = None if bounded else fill
         self._memo_fill = fill if bounded else None
         self._pattern = fill if isinstance(fill, _Pattern) else None
-        self._lock = threading.Lock()
         self._bits: list[int] = []
         self._zero_cum: list[int] = []   # zeros among bits 0..n
         self._cost_cum: list[int] = []   # total cost of bits 0..n
@@ -198,39 +200,34 @@ class PrSet:
         """
         if n < len(self._bits):
             return
-        cost_cum = self._cost_cum
-        if cost_cum and (cost_cum[-1] > steps or self._zero_cum[-1] >= zeros):
-            return      # the limit is met: the loop would add no bit
-        with self._lock:
-            bits, zero_cum = self._bits, self._zero_cum
-            m = len(bits)
-            if steps == zeros == sys.maxsize:
-                fill, top = self._fill, n
-                if fill is None and self._memo_fill is not None:
-                    fill, top = self._memo_fill.fill, self._memo_fill.reach()
-                if fill is not None and top - m + 1 >= _FILL_MIN:
-                    new, costs = fill(m, top)
-                    z = zero_cum[-1] if m else 0
-                    c = cost_cum[-1] if m else 0
-                    # readers test len(bits) without the lock, so bits grow last
-                    zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
-                    cost_cum += islice(accumulate(costs, initial=c), 1, None)
-                    bits += new
-                    if top >= n:
-                        return
-                    m = len(bits)
-            z = zero_cum[-1] if m else 0
-            c = cost_cum[-1] if m else 0
-            bit_fn, cost_fn = self._bit_fn, self._cost_fn
-            while m <= n and c <= steps and z < zeros:
-                b = 1 if bit_fn(m) else 0
-                k = cost_fn(m)
-                c += k if k > 1 else 1      # max(1, k) without a call per bit
-                z += 1 - b
-                zero_cum.append(z)
-                cost_cum.append(c)
-                bits.append(b)
-                m += 1
+        bits, zero_cum, cost_cum = self._bits, self._zero_cum, self._cost_cum
+        m = len(bits)
+        if steps == zeros == sys.maxsize:
+            fill, top = self._fill, n
+            if fill is None and self._memo_fill is not None:
+                fill, top = self._memo_fill.fill, self._memo_fill.reach()
+            if fill is not None and top - m + 1 >= _FILL_MIN:
+                new, costs = fill(m, top)
+                z = zero_cum[-1] if m else 0
+                c = cost_cum[-1] if m else 0
+                bits += new
+                zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
+                cost_cum += islice(accumulate(costs, initial=c), 1, None)
+                if top >= n:
+                    return
+                m = len(bits)
+        z = zero_cum[-1] if m else 0
+        c = cost_cum[-1] if m else 0
+        bit_fn, cost_fn = self._bit_fn, self._cost_fn
+        while m <= n and c <= steps and z < zeros:
+            b = 1 if bit_fn(m) else 0
+            k = cost_fn(m)
+            c += k if k > 1 else 1      # max(1, k) without a call per bit
+            z += 1 - b
+            bits.append(b)
+            zero_cum.append(z)
+            cost_cum.append(c)
+            m += 1
 
     def read_ahead(self, n: int) -> None:
         """Grow the memo to n in one fill, ahead of a scan that reads bits
@@ -450,6 +447,8 @@ def evens_set() -> PrSet:
 def mod_set(k: int) -> PrSet:
     if k < 2:
         raise ParseError(f"mod K needs K >= 2, got {k}")
+    if k > DEFAULT_CEILING:     # a longer period never shows in full
+        raise ParseError(f"mod K needs K <= the index ceiling {DEFAULT_CEILING}, got {k}")
     return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0, dsl=f"mod {k}",
                  fill=_Pattern((), (1,) + (0,) * (k - 1)))
 
@@ -467,6 +466,8 @@ def blocks_set(k: int) -> PrSet:
     """
     if k < 1:
         raise ParseError(f"blocks K needs K >= 1, got {k}")
+    if k > DEFAULT_CEILING:
+        raise ParseError(f"blocks K needs K <= the index ceiling {DEFAULT_CEILING}, got {k}")
     return PrSet(f"blocks{k}", lambda n: 1 if n % (2 * k) < k else 0,
                  dsl=f"blocks {k}", fill=_Pattern((), (1,) * k + (0,) * k))
 
@@ -508,23 +509,17 @@ def zero_list_set(name: str, next_zero: Callable[[list], int]) -> PrSet:
     ``zs`` is the live list, not a copy: callbacks must not mutate it.
     """
     zeros: list[int] = []
-    lock = threading.Lock()
-
-    def ensure_past(n):
-        with lock:
-            while not zeros or zeros[-1] <= n:
-                zeros.append(next_zero(zeros))
 
     def bit(n):
-        ensure_past(n)
+        while not zeros or zeros[-1] <= n:
+            zeros.append(next_zero(zeros))
         i = bisect.bisect_left(zeros, n)
         return 0 if i < len(zeros) and zeros[i] == n else 1
 
     def nth(n):
-        with lock:
-            while len(zeros) <= n:
-                zeros.append(next_zero(zeros))
-            return zeros[n]
+        while len(zeros) <= n:
+            zeros.append(next_zero(zeros))
+        return zeros[n]
 
     return PrSet(name, bit, lambda n: n + 1, zeros_fast=nth)
 
@@ -800,7 +795,7 @@ class _DslParser:
         if word in ("mod", "blocks"):
             self.skip_ws()
             j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
+            while j < len(self.text) and "0" <= self.text[j] <= "9":
                 j += 1
             if j == self.pos:
                 raise ParseError(f"{word} needs a number", self.pos)

@@ -4,6 +4,7 @@ import io
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 
@@ -456,6 +457,40 @@ def test_deeply_nested_term_is_misuse(levels, where, capsys, tmp_path):
     limit = pr_lang.MAX_TERM_DEPTH
     err = capsys.readouterr().err
     assert err == f"error: term nested deeper than {limit} levels (at position {5 * limit})\n"
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ("mod ²", "mod needs a number (at position 4)"),
+    ("blocks ³", "blocks needs a number (at position 7)"),
+    ("mod 99999999999999999999999",
+     "mod K needs K <= the index ceiling 200000, got 99999999999999999999999"),
+    ("mod 1000000000", "mod K needs K <= the index ceiling 200000, got 1000000000"),
+    ('term "P[100000000000000000000,1]" bound "S"',
+     "projection P[100000000000000000000,1] needs n <= 4096 (at position 0)"),
+    ('term "P[1000000000,1]" bound "S"',
+     "projection P[1000000000,1] needs n <= 4096 (at position 0)"),
+])
+def test_oversized_descriptor_numbers_are_misuse(descriptor, message, capsys):
+    assert main(["profile", descriptor, "--horizon", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def readme_block(readme, heading):
+    """The first fenced block after a README heading, as lines."""
+    body = readme.split(f"\n{heading}\n", 1)[1]
+    return body.split("```\n", 2)[1].splitlines()
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    (tmp_path / "basic.fam").write_text(
+        "\n".join(readme_block(readme, "### Family files")) + "\n")
+    monkeypatch.chdir(tmp_path)
+    lines = readme_block(readme, "## Command-line usage")
+    assert len(lines) == 11 and all(line.startswith("punctual ") for line in lines)
+    # in order: the --out files of earlier lines feed later ones
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 def test_trace_descriptor_unknown_output_is_misuse(capsys):

@@ -16,7 +16,6 @@ import contextlib
 import math
 import random
 import sys
-import threading
 
 import pytest
 
@@ -78,7 +77,6 @@ from punctual.sets import (
 )
 
 from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2
-import test_sets
 
 IDENTITY = NativeProgram("id", lambda x: x)
 
@@ -651,6 +649,7 @@ FILLED = [
     "join(evens, mod 3)", "meet(join(evens, mod 3), mod 5)",
     "join(trace {imm}, mod 3)", "join(trace {odd}, mod 3)", "meet(drop(blocks 2), id)",
     "meet(trace {js}:Y0, join(trace {js}:Y1, evens))",
+    "meet(join(trace {imm}, evens), mod 5)",
 ]
 FILL_MINS = [1, 5, sets._FILL_MIN]
 
@@ -840,41 +839,6 @@ def test_term_backed_descriptors_never_fill(traces):
     assert seen == list(range(301))
 
 
-def assert_concurrent_reads_match(shared, ref, top, count):
-    """Six threads, under a 1 us switch interval, each read `count` seeded
-    points of 0..top from shared; every read and the memo match ref's."""
-    results = []
-
-    def reader(seed):
-        reads = random.Random(seed).sample(range(top + 1), count)
-        results.append([(i, shared.zeros_by_index(i), shared.cum_cost(i)) for i in reads])
-
-    threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(results) == 6
-    for got in results:
-        assert got == [(i, ref.zeros_by_index(i), ref.cum_cost(i)) for i, _, _ in got]
-    assert_memo_matches(shared, ref)
-
-
-def test_concurrent_readers_under_bulk_fills(traces, monkeypatch):
-    monkeypatch.setattr(sets, "_FILL_MIN", 1)
-    test_sets.TestSetLattice().test_concurrent_readers_observe_identical_bits()
-    desc = "meet(join(trace {imm}, evens), mod 5)"
-    ref = make_filled(desc, traces)
-    with per_bit():
-        ref.bit(2000)
-    assert_concurrent_reads_match(make_filled(desc, traces), ref, 2000, 200)
-
-
 # ---------------------------------------------------------------------------
 # Derived descriptors over term sets: one catch-up over the operands' memos
 
@@ -948,18 +912,20 @@ def over_terms_orders(seed, top):
 @pytest.mark.parametrize("desc", OVER_TERMS)
 def test_catch_up_matches_per_bit_growth(desc, fill_min, monkeypatch, eval_calls):
     monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
-    ahead = {"ev": 150, "od": 230}      # reads past both take the per-bit loop
-    for order, reads in over_terms_orders(desc, 300).items():
-        d, terms, log = read_over_terms(desc, reads, ahead, eval_calls)
-        with per_bit():
-            ref, ref_terms, ref_log = read_over_terms(desc, reads, ahead, eval_calls)
-        # the same answers, and the same evaluator calls at each read
-        assert log == ref_log, order
-        assert [t.decided for t in terms.values()] == [t.decided for t in ref_terms.values()]
-        assert d.decided >= ref.decided
-        with per_bit():
-            ref.bit(d.decided)
-        assert_memo_matches(d, ref)
+    # term memos read ahead, and the top read: reads past them take the per-bit loop
+    for ahead, top in [({"ev": 150, "od": 230}, 300), ({"od": 300}, 600)]:
+        for order, reads in over_terms_orders(desc, top).items():
+            d, terms, log = read_over_terms(desc, reads, ahead, eval_calls)
+            with per_bit():
+                ref, ref_terms, ref_log = read_over_terms(desc, reads, ahead, eval_calls)
+            # the same answers, and the same evaluator calls at each read
+            assert log == ref_log, (ahead, order)
+            assert ([t.decided for t in terms.values()]
+                    == [t.decided for t in ref_terms.values()])
+            assert d.decided >= ref.decided
+            with per_bit():
+                ref.bit(d.decided)
+            assert_memo_matches(d, ref)
 
 
 @pytest.mark.parametrize("desc", OVER_TERMS)
@@ -1011,22 +977,6 @@ def test_catch_up_fails_where_per_bit_growth_fails(desc, fill_min, monkeypatch, 
         assert any(isinstance(got, str) for _, got, _ in log)
         assert d.decided == ref.decided == k
         assert (d._bits, d._zero_cum, d._cost_cum) == (ref._bits, ref._zero_cum, ref._cost_cum)
-
-
-def test_concurrent_readers_over_a_term_set(eval_calls):
-    terms = term_pair()
-    terms["od"].bit(300)
-    shared = OVER_TERMS["nested"][1](terms["ev"], terms["od"])
-    ref = OVER_TERMS["nested"][1](*term_pair().values())
-    with per_bit():
-        ref.bit(600)
-    eval_calls.clear()
-    # reads past bit 300 grow the term sets per bit, under the catch-up
-    assert_concurrent_reads_match(shared, ref, 600, 150)
-    # each term bit not read before (the drop read bits 0 and 1) is
-    # evaluated once: one bound and one clocked run
-    top = shared.decided
-    assert sorted(eval_calls) == sorted(2 * [*range(2, top), *range(301, top)])
 
 
 # ---------------------------------------------------------------------------
@@ -1428,35 +1378,3 @@ def test_parse_witness_headers_match_the_per_row_reader():
                 text.split("---\n")[0] + "---\n", text + "3\t7\n", "", "---\n"]
     for bad in variants:
         assert outcome(parsed, bad) == outcome(ref_parse_witness, bad)
-
-
-def test_a_reader_racing_a_fill_waits_for_its_counts(monkeypatch):
-    """Readers test the memo's length without the lock, so a fill publishes
-    its bits after their counts: a reader that arrives mid-fill waits on the
-    lock instead of finding bit 10 without its cost."""
-    monkeypatch.setattr(sets, "_FILL_MIN", 1)
-    mid, done = threading.Event(), threading.Event()
-
-    def costs(count):
-        for i in range(count):
-            if i == count // 2:
-                mid.set()
-                done.wait(0.2)      # the reader blocks on the lock until this times out
-            yield 1
-
-    s = PrSet("paused", lambda n: 1, fill=lambda m, n: ([1] * (n - m + 1), costs(n - m + 1)))
-    seen = []
-
-    def reader():
-        mid.wait(10)
-        try:
-            seen.append((s.zeros_by_index(10), s.cum_cost(10), s.bit_cost(10)))
-        except IndexError as exc:
-            seen.append(exc)
-        done.set()
-
-    t = threading.Thread(target=reader)
-    t.start()
-    s.bit(10)
-    t.join(timeout=10)
-    assert not t.is_alive() and seen == [(0, 11, 1)]

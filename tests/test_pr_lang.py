@@ -613,7 +613,9 @@ class TestMalformedTerms:
         (Comp(Succ(), ()), []),
         (Comp(Succ(), (Proj(1, 1), Proj(1, 1))), [3]),
         (PrimRec(Zero(), Proj(2, 1)), [2]),
-    ], ids=["projection-index", "empty-composition", "outer-arity", "step-arity"])
+        (Proj(10 ** 20, 1), [1]),
+    ], ids=["projection-index", "empty-composition", "outer-arity", "step-arity",
+            "projection-width"])
     def test_rejected_before_running(self, t, args):
         for run in (lambda: eval_clocked(t, args, 100), lambda: eval_total(t, args),
                     lambda: eval_cost(t, args)):
@@ -637,6 +639,12 @@ class TestCoding:
             validate(t)
         t = decode(10 ** 6)
         validate(t)
+
+    @pytest.mark.parametrize("e", [10 ** 80, 10 ** 100])
+    def test_projection_past_max_arity_is_rejected(self, e):
+        # one slot per arity would exhaust memory, or overflow a tuple size
+        with pytest.raises(ArityError, match=f"> {pr_lang.MAX_ARITY}$"):
+            decode(e)
 
     def test_injectivity_window(self):
         rng = random.Random(3)

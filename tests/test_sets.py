@@ -272,22 +272,6 @@ class TestSetLattice:
         # the singleton set is coinfinite but finite: windows past 0 are flat
         assert not sample_window_mixed(singleton_zero_set(), 100)
 
-    def test_concurrent_readers_observe_identical_bits(self):
-        import threading
-
-        trace_like = prefix_set("shared", [1, 0, 1, 1, 0, 0, 1, 0, 1])
-        results = []
-
-        def reader():
-            results.append([trace_like.bit(n) for n in range(500)])
-
-        threads = [threading.Thread(target=reader) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
-
 
 class TestDropLeastZero:
     def test_evens_shift(self):
