@@ -174,18 +174,22 @@ _OPTIONS = {
 
 
 def cmd_construct(args, out) -> int:
-    family = load_family(args.family) if args.family else []
     kind = args.construct_op
     entry = constructions.CONSTRUCTIONS[kind]
+    dests = [role.lower() for role in entry.inputs]
+    if len(dests) == 1 and args.target is not None and getattr(args, dests[0]) is None:
+        dests = ["target"]      # the positional descriptor stands for the only input
+    reads = {*dests, "witness"} if "f" in entry.options else set(dests)
+    for name in ("target", "witness", "x", "y", "z", "t", "r"):
+        if getattr(args, name) is not None and name not in reads:
+            flag = name if name == "target" else f"--{name}"
+            raise MisuseError(f"construct {kind} does not read {flag}")
+    family = load_family(args.family) if args.family else []
     inputs = []
-    for role in entry.inputs:
-        # the positional descriptor stands for a kind's only input
-        text = getattr(args, role.lower())
-        if text is None and len(entry.inputs) == 1:
-            text = args.target
-        if text is None:
-            raise MisuseError(f"construct {kind} needs --{role.lower()}")
-        inputs.append(parse_set(text))
+    for name in dests:
+        if getattr(args, name) is None:
+            raise MisuseError(f"construct {kind} needs --{name}")
+        inputs.append(parse_set(getattr(args, name)))
     options = {kw: _OPTIONS[kw](args) for kw in entry.options}
     built = entry.build(*inputs, family=family, max_stages=args.max_stages,
                         policy=args.policy, **options)

@@ -38,7 +38,9 @@ function that every term holding it shares, so a new term compiles only
 its entry; a loop that never reads its counter skips whole periods (see
 the notes on compilation below).  Values, step counts and budget outcomes
 are exactly those of the ``visits/1`` model.  A term text nests at most
-``MAX_TERM_DEPTH`` compositions and recursions.
+``MAX_TERM_DEPTH`` compositions and recursions.  The parser reads through a
+scanner that the descriptor DSL of ``sets`` shares; a number too long for
+``int()`` is a ``ParseError`` at its first digit.
 
 The Goedel coding is a direct coding of terms via Cantor pairing: every
 natural number decodes to a well-formed term, except one that holds a
@@ -51,6 +53,7 @@ every slot.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -241,35 +244,64 @@ def serialize(t: PrTerm) -> str:
 MAX_TERM_DEPTH = 250
 
 
-class _Parser:
+class _Scanner:
+    """A text and a position, with the reads that both text grammars share:
+    terms here and descriptors in ``sets``.  Each read skips blanks first."""
+
+    expected = "expected {ch!r}, got {got!r}"   # expect()'s message
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.depth = 0      # compositions and recursions open at pos
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next non-blank character, '' at the end; moves up to it."""
+        ch = self.text[self.pos:self.pos + 1]
+        if ch.isspace():    # most reads start at a token: skip the match then
+            self.pos = _BLANKS.match(self.text, self.pos).end()
+            ch = self.text[self.pos:self.pos + 1]
+        return ch
+
+    def read(self, pattern: re.Pattern) -> str:
+        """The run that ``pattern`` (blanks, then one group) matches here:
+        the group, maybe empty; moves past it."""
+        m = pattern.match(self.text, self.pos)
+        self.pos = m.end()
+        return m[1]
 
     def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise ParseError(f"expected {ch!r}, got {got!r}", self.pos)
+        got = self.peek()
+        if got != ch:
+            raise ParseError(self.expected.format(ch=ch, got=got or "end of input"), self.pos)
         self.pos += 1
 
-    def number(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start:self.pos])
+    def word(self) -> str:
+        return self.read(_WORD)
+
+    def number(self, missing: str = "expected a number") -> int:
+        """A run of ASCII digits; ``missing`` is the message when none follows."""
+        run = self.read(_DIGITS)
+        start = self.pos - len(run)
+        if not run:
+            raise ParseError(missing, start)
+        try:
+            return int(run)
+        except ValueError:      # past int()'s limit on digits
+            raise ParseError(f"number of {len(run)} digits is too long", start) from None
+
+    def end(self, trailing: str):
+        """Raise ``trailing`` unless only blanks are left."""
+        if self.peek():
+            raise ParseError(trailing, self.pos)
+
+
+_BLANKS = re.compile(r"\s*")
+_WORD = re.compile(r"\s*(\w*)")       # \w: what isalnum() accepts, and '_'
+_DIGITS = re.compile(r"\s*([0-9]*)")
+
+
+class _Parser(_Scanner):
+    depth = 0       # compositions and recursions open at pos
 
     def term(self) -> tuple[PrTerm, int]:
         """Parse one term; return it with its arity.
@@ -277,17 +309,14 @@ class _Parser:
         Children are checked when they are built, so each node checks only
         itself and the whole parse stays linear in the text.
         """
-        self.skip_ws()
-        start = self.pos
         ch = self.peek()
+        start = self.pos
+        self.pos += 1
         if ch == "Z":
-            self.pos += 1
             return Zero(), 0
         if ch == "S":
-            self.pos += 1
             return Succ(), 1
         if ch == "P":
-            self.pos += 1
             self.expect("[")
             n = self.number()
             self.expect(",")
@@ -300,7 +329,6 @@ class _Parser:
                 raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", start)
             self.depth += 1
         if ch == "C":
-            self.pos += 1
             self.expect("(")
             outer, k = self.term()
             self.expect(";")
@@ -313,7 +341,6 @@ class _Parser:
             self.depth -= 1
             return t, _node_arity(t, [k, *(a for _, a in parsed)], start)
         if ch == "R":
-            self.pos += 1
             self.expect("(")
             base, n = self.term()
             self.expect(";")
@@ -323,7 +350,7 @@ class _Parser:
             self.depth -= 1
             return t, _node_arity(t, (n, m), start)
         raise ParseError(f"expected a term, got {ch!r}" if ch else "unexpected end of input",
-                         self.pos)
+                         start)
 
 
 # Bound of the parse memo, the compile cache and the loop cache (entries each).
@@ -341,9 +368,7 @@ def parse_term(text: str) -> PrTerm:
         raise ParseError("term text must be ASCII")
     p = _Parser(text)
     t, _ = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError("trailing input after term", p.pos)
+    p.end("trailing input after term")
     return t
 
 

@@ -16,12 +16,16 @@ one per unit.
 
 The descriptor DSL understood by the CLI and by test fixtures:
 
-    evens | mod K | id | term "<unary term>" bound "<unary term>"
-    | trace <path> | join(<expr>, <expr>) | meet(<expr>, <expr>)
-    | drop(<expr>)
+    evens | mod K | blocks K | id
+    term "<unary term>" bound "<unary term>"
+    trace <path>[:<output>]
+    join(<expr>, <expr>) | meet(<expr>, <expr>) | drop(<expr>)
 
 ``id`` denotes the set {0}, whose induced relation is the identity.
-``drop`` removes the least zero (flips it to membership).
+``blocks K`` alternates K members with K non-members.  ``drop`` removes the
+least zero (flips it to membership).  The DSL reads through the scanner of
+the term grammar (``pr_lang``), so blanks between tokens are skipped alike
+and an error names its position in the text stripped of outer blanks.
 
 Bits, zero counts and cumulative costs are memoized as prefixes.  A memo
 normally grows one bit at a time, but some descriptors also have a range
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, cycle, islice, repeat
@@ -735,36 +740,14 @@ def normal_form(r: Relation, *, sample_bound: int = 40):
 # Descriptor DSL
 
 
-class _DslParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_PATH = re.compile(r"\s*([^\s,()]*)")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek_word(self) -> str:
-        self.skip_ws()
-        j = self.pos
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            j += 1
-        return self.text[self.pos:j]
-
-    def take_word(self) -> str:
-        w = self.peek_word()
-        self.pos += len(w)
-        return w
-
-    def expect(self, ch):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r} in descriptor", self.pos)
-        self.pos += 1
+class _DslParser(pr_lang._Scanner):
+    expected = "expected {ch!r} in descriptor"
 
     def quoted(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
+        if self.peek() != '"':
             raise ParseError("expected a quoted string", self.pos)
         end = self.text.find('"', self.pos + 1)
         if end < 0:
@@ -774,37 +757,25 @@ class _DslParser:
         return out
 
     def path(self) -> str:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == '"':
+        if self.peek() == '"':
             return self.quoted()
-        j = self.pos
-        while j < len(self.text) and not self.text[j].isspace() and self.text[j] not in ",()":
-            j += 1
-        if j == self.pos:
+        out = self.read(_PATH)
+        if not out:
             raise ParseError("expected a path", self.pos)
-        out = self.text[self.pos:j]
-        self.pos = j
         return out
 
     def expr(self) -> PrSet:
-        word = self.take_word()
+        word = self.word()
         if word == "evens":
             return evens_set()
         if word == "id":
             return singleton_zero_set()
         if word in ("mod", "blocks"):
-            self.skip_ws()
-            j = self.pos
-            while j < len(self.text) and "0" <= self.text[j] <= "9":
-                j += 1
-            if j == self.pos:
-                raise ParseError(f"{word} needs a number", self.pos)
-            k = int(self.text[self.pos:j])
-            self.pos = j
+            k = self.number(f"{word} needs a number")
             return mod_set(k) if word == "mod" else blocks_set(k)
         if word == "term":
             t = self.quoted()
-            if self.take_word() != "bound":
+            if self.word() != "bound":
                 raise ParseError("term descriptor needs a bound", self.pos)
             b = self.quoted()
             return term_set(t, b)
@@ -830,7 +801,5 @@ class _DslParser:
 def parse_set(text: str) -> PrSet:
     p = _DslParser(text.strip())
     s = p.expr()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise ParseError("trailing input after descriptor", p.pos)
+    p.end("trailing input after descriptor")
     return s

@@ -340,6 +340,26 @@ def test_missing_construct_input_is_misuse(capsys):
     assert err == "error: construct diamond needs --x\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["immune", "--witness", "nonexist.wit"], "--witness"),
+    (["immune", "evens"], "target"),
+    (["immune", "--z", "mod 3"], "--z"),
+    (["antichain", "--x", "evens"], "--x"),
+    (["join-split", "evens", "--z", "mod 3"], "target"),
+    (["meet-split", "--z", "evens", "--r", "evens"], "--r"),
+    (["incomparable", "--r", "evens", "--witness", "nonexist.wit"], "--witness"),
+    (["dense", "--x", "evens", "--z", "mod 3", "--t", "evens"], "--t"),
+    (["dense", "evens", "--x", "evens", "--z", "mod 3"], "target"),
+    (["dense-incomparable", "--x", "evens", "--t", "evens", "--z", "mod 3", "--y", "id"],
+     "--y"),
+    (["diamond", "--x", "evens", "--z", "mod 3", "--witness", "nonexist.wit"], "--witness"),
+    (["separator", "--x", "id", "--y", "evens", "--z", "mod 3"], "--z"),
+])
+def test_unread_construct_inputs_are_misuse(argv, flag, capsys):
+    assert main(["construct", *argv, "--max-stages", "5"]) == 1
+    assert capsys.readouterr().err == f"error: construct {argv[0]} does not read {flag}\n"
+
+
 WITNESS = ("claim\treduction\nsource\tevens\ntarget\tevens\nhorizon\t1\n"
            "convention\tindex\nverified\t1\n---\n0\t0\n1\t1\n")
 
@@ -469,6 +489,13 @@ def test_deeply_nested_term_is_misuse(levels, where, capsys, tmp_path):
      "projection P[100000000000000000000,1] needs n <= 4096 (at position 0)"),
     ('term "P[1000000000,1]" bound "S"',
      "projection P[1000000000,1] needs n <= 4096 (at position 0)"),
+    # past int()'s 4,300-digit limit: the digit run's start
+    pytest.param("mod " + "1" * 5000, "number of 5000 digits is too long (at position 4)",
+                 id="mod-5000-digits"),
+    pytest.param("blocks " + "1" * 4301, "number of 4301 digits is too long (at position 7)",
+                 id="blocks-4301-digits"),
+    pytest.param(f'term "P[{"1" * 5000},1]" bound "S"',
+                 "number of 5000 digits is too long (at position 2)", id="projection-5000-digits"),
 ])
 def test_oversized_descriptor_numbers_are_misuse(descriptor, message, capsys):
     assert main(["profile", descriptor, "--horizon", "3"]) == 1

@@ -500,6 +500,46 @@ ROUND_TRIP_TEXTS = ["P[1,1]", "C(S; P[1,1])", ADD_SHAPED, "P[3,2]",
                     "C(P[2,2]; S, C(S; P[1,1]))"]
 
 
+# Every raise site of the term grammar: (text, type, exact message, position).
+BAD_TERM_TEXTS = [
+    ("", ParseError, "unexpected end of input (at position 0)", 0),
+    ("   ", ParseError, "unexpected end of input (at position 3)", 3),
+    ("X", ParseError, "expected a term, got 'X' (at position 0)", 0),
+    ("p[1,1]", ParseError, "expected a term, got 'p' (at position 0)", 0),
+    ("C(S; P[1,1]", ParseError, "expected ')', got 'end of input' (at position 11)", 11),
+    ("C(S; P[1,1] P[1,1])", ParseError, "expected ')', got 'P' (at position 12)", 12),
+    ("R(Z, S)", ParseError, "expected ';', got ',' (at position 3)", 3),
+    ("C S", ParseError, "expected '(', got 'S' (at position 2)", 2),
+    ("P(1,1)", ParseError, "expected '[', got '(' (at position 1)", 1),
+    ("P", ParseError, "expected '[', got 'end of input' (at position 1)", 1),
+    ("P[1,x]", ParseError, "expected a number (at position 4)", 4),
+    ("P[,1]", ParseError, "expected a number (at position 2)", 2),
+    ("P[1;1]", ParseError, "expected ',', got ';' (at position 3)", 3),
+    ("P[1,1", ParseError, "expected ']', got 'end of input' (at position 5)", 5),
+    ("S S", ParseError, "trailing input after term (at position 2)", 2),
+    ("P[1,1]]", ParseError, "trailing input after term (at position 6)", 6),
+    ("\tZ\n x", ParseError, "trailing input after term (at position 4)", 4),
+    ("P[1,2]", ArityError, "projection P[1,2] needs 1 <= i <= n (at position 0)", 0),
+    ("P[0,0]", ArityError, "projection P[0,0] needs 1 <= i <= n (at position 0)", 0),
+    ("P[5000,1]", ArityError, "projection P[5000,1] needs n <= 4096 (at position 0)", 0),
+    ("C(S; P[1,1], P[1,1])", ArityError,
+     "composition outer arity 1 != 2 inner terms (at position 0)", 0),
+    ("C(P[2,1]; P[1,1], P[2,1])", ArityError,
+     "composition inners have mixed arities [1, 2] (at position 0)", 0),
+    ("C(P[1,1]; Z)", ArityError, "composition inners cannot be 0-ary (at position 0)", 0),
+    ("R(Z; S)", ArityError, "recursion step arity 1 != base arity 0 + 3 (at position 0)", 0),
+    ("R(P[1,1]; P[3,3])", ArityError,
+     "recursion step arity 3 != base arity 1 + 3 (at position 0)", 0),
+    ("  P[ 12 , x ]", ParseError, "expected a number (at position 10)", 10),
+    (" C( S ;  P[ 1 , 1 ]  x", ParseError, "expected ')', got 'x' (at position 21)", 21),
+    (" P[ 12 , 13 ] ", ArityError,
+     "projection P[12,13] needs 1 <= i <= n (at position 1)", 1),
+    ("Z\u00e9", ParseError, "term text must be ASCII", None),
+    ("C(S; " * 251 + "Z" + ")" * 251, ParseError,
+     "term nested deeper than 250 levels (at position 1250)", 1250),
+]
+
+
 class TestSharedTerms:
     """The parse memo, the kept wrap and the kept text against building afresh."""
 
@@ -509,16 +549,15 @@ class TestSharedTerms:
         assert spaced == parse_term(ADD_SHAPED)
         assert spaced is not parse_term(ADD_SHAPED)
 
-    @pytest.mark.parametrize("text, error", [
-        ("C(S; P[1,1]", ParseError), ("P[1,x]", ParseError),
-        ("R(Z; S)", ArityError), ("C(S; P[1,1], P[1,1])", ArityError)])
-    def test_bad_text_raises_afresh(self, text, error):
+    @pytest.mark.parametrize("text, error, message, position", BAD_TERM_TEXTS,
+                             ids=[f"{t[:40]}-{e.__name__}" for t, e, _, _ in BAD_TERM_TEXTS])
+    def test_bad_text_raises_afresh(self, text, error, message, position):
         raised = []
         for _ in range(3):
             with pytest.raises(error) as exc:
                 parse_term(text)
-            raised.append((str(exc.value), exc.value.position))
-        assert raised[0][1] is not None and raised == raised[:1] * 3
+            raised.append((type(exc.value), str(exc.value), exc.value.position))
+        assert raised == [(error, message, position)] * 3
 
     def test_parse_memo_stays_bounded(self):
         parse_term.cache_clear()

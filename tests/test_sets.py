@@ -5,7 +5,13 @@ import random
 import pytest
 
 from punctual import constructions, lattice, reductions
-from punctual.errors import CeilingExceeded, NotEquivalence, ParseError, ShapeMismatch
+from punctual.errors import (
+    ArityError,
+    CeilingExceeded,
+    NotEquivalence,
+    ParseError,
+    ShapeMismatch,
+)
 from punctual.sets import (
     IdentityRelation,
     Prefix,
@@ -391,6 +397,49 @@ class TestTransversalAndNormalForm:
             assert f.value(n) <= n
 
 
+# Every raise site of the descriptor DSL: (text, type, exact message,
+# position).  Positions count from the first non-blank character.
+BAD_DESCRIPTORS = [
+    ("", ParseError, "unknown descriptor '' (at position 0)", 0),
+    ("   ", ParseError, "unknown descriptor '' (at position 0)", 0),
+    ("sevens", ParseError, "unknown descriptor 'sevens' (at position 6)", 6),
+    ("mod3", ParseError, "unknown descriptor 'mod3' (at position 4)", 4),
+    ("\u00e9vens", ParseError, "unknown descriptor '\u00e9vens' (at position 5)", 5),
+    ("mod x", ParseError, "mod needs a number (at position 4)", 4),
+    ("mod", ParseError, "mod needs a number (at position 3)", 3),
+    ("blocks", ParseError, "blocks needs a number (at position 6)", 6),
+    ("mod \u00b2", ParseError, "mod needs a number (at position 4)", 4),
+    ("mod 3x", ParseError, "trailing input after descriptor (at position 5)", 5),
+    ("evens extra", ParseError, "trailing input after descriptor (at position 6)", 6),
+    ("  evens  x", ParseError, "trailing input after descriptor (at position 7)", 7),
+    ("join(evens, mod 3))", ParseError,
+     "trailing input after descriptor (at position 18)", 18),
+    ("join evens", ParseError, "expected '(' in descriptor (at position 5)", 5),
+    ("join(evens mod 3)", ParseError, "expected ',' in descriptor (at position 11)", 11),
+    ("drop(evens", ParseError, "expected ')' in descriptor (at position 10)", 10),
+    ("join(evens, mod 3", ParseError, "expected ')' in descriptor (at position 17)", 17),
+    ("meet(evens,)", ParseError, "unknown descriptor '' (at position 11)", 11),
+    ("term S bound S", ParseError, "expected a quoted string (at position 5)", 5),
+    ('term "S', ParseError, "unterminated quote (at position 5)", 5),
+    ('term "S" bind "S"', ParseError, "term descriptor needs a bound (at position 13)", 13),
+    ('term "S"', ParseError, "term descriptor needs a bound (at position 8)", 8),
+    ('term "S" bound S', ParseError, "expected a quoted string (at position 15)", 15),
+    ('term "S" bound "S', ParseError, "unterminated quote (at position 15)", 15),
+    ('term "X" bound "S"', ParseError, "expected a term, got 'X' (at position 0)", 0),
+    ('term "R(Z; S)" bound "S"', ArityError,
+     "recursion step arity 1 != base arity 0 + 3 (at position 0)", 0),
+    ("trace", ParseError, "expected a path (at position 5)", 5),
+    ("trace ,", ParseError, "expected a path (at position 6)", 6),
+    ("drop(trace)", ParseError, "expected a path (at position 10)", 10),
+    ("join (evens , mod x )", ParseError, "mod needs a number (at position 18)", 18),
+    ("join (evens , mod 3 ) )", ParseError,
+     "trailing input after descriptor (at position 22)", 22),
+    ("mod 1", ParseError, "mod K needs K >= 2, got 1", None),
+    ("blocks 0", ParseError, "blocks K needs K >= 1, got 0", None),
+    ("mod 200001", ParseError, "mod K needs K <= the index ceiling 200000, got 200001", None),
+]
+
+
 class TestDsl:
     def test_builtins(self):
         assert parse_set("evens").bit(2) == 1
@@ -405,9 +454,8 @@ class TestDsl:
         assert d.bit(1) == 1 and d.bit(3) == 0
 
     def test_rejects_garbage(self):
-        with pytest.raises(ParseError):
-            parse_set("sevens")
-        with pytest.raises(ParseError):
-            parse_set("mod x")
-        with pytest.raises(ParseError):
-            parse_set("evens extra")
+        for text, error, message, position in BAD_DESCRIPTORS:
+            with pytest.raises(error) as exc:
+                parse_set(text)
+            assert (type(exc.value), str(exc.value), exc.value.position) == (
+                error, message, position), text
