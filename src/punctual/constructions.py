@@ -132,8 +132,8 @@ class Trace:
         for i, evs in self.events.items():
             events[i] = ";".join(evs) or "-"
         lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in self.header], "---",
-                 *map("{}\t{}\t{}\t{}\t{}".format, self.stages, self.cycles,
-                      self.phases, self._bits_field(), events),
+                 *[f"{s}\t{c}\t{p}\t{b}\t{e}" for s, c, p, b, e in zip(
+                     self.stages, self.cycles, self.phases, self._bits_field(), events)],
                  "---", *[f"{k}\t{v}" for k, v in self.footer]]
         return "\n".join(lines) + "\n"
 

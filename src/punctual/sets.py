@@ -27,32 +27,42 @@ least zero (flips it to membership).  The DSL reads through the scanner of
 the term grammar (``pr_lang``), so blanks between tokens are skipped alike
 and an error names its position in the text stripped of outer blanks.
 
-Bits, zero counts and cumulative costs are memoized as prefixes.  A memo
-normally grows one bit at a time, but some descriptors also have a range
-fill that produces the bits and costs of a whole range in one call: the
-builtins (by their periodic pattern), prefix and trace sets with the
-default cost (by their pattern: the constructed head, then 1,0 at cost
-n + 1), ``drop`` and the zero-member override (from the operand's arrays
-with one bit flipped), and join and meet (the max or min of the normalised
-operands' zero counts).  Term-backed sets, normal-form carriers and
-zero-list sets have no fill and keep the per-bit loop and their evaluator
-work.  A derived descriptor over such a set keeps its fill, bounded by the
-memos: it runs as far as its operands reach (a filling operand without end,
-a derived one to the further of its memo and its own operands' reach, any
-other one to its memo), where it only slices memos, calls no generator and
-cannot raise.  So one unlimited read catches its memo up to that reach,
-past the bit read, and the per-bit loop goes on from there, failing where
-it failed before.  Only unlimited growth fills, and only for extensions of
-at least ``_FILL_MIN`` bits, since a fill has a fixed cost; step-limited
-growth (``zeros_by_steps``) and zero-limited growth (``fresh_zeros``, the
-one zero search, which ``next_zero`` and ``principal_zero`` call) take the
-per-bit loop, so a memo, and its operands' memos, stop exactly at the bit
-where the limit is met.  ``fresh_zeros`` picks a run of zeros in one pass:
-it reads the memo by bisection on from the last pick and grows it only for
-a pick it lacks.  A set built from a pattern answers ``zeros_by_steps`` and
-steps profiles by arithmetic on the pattern and grows no memo for them;
-bit, index and cost reads still grow its memo.  Only zero-list sets answer
-``principal_zero`` by a closed form, from their list of zeros.
+Bits, zero counts and cumulative costs are memoized as prefixes; below
+bit 0, ``zeros_by_index`` and ``cum_cost`` read 0, ``prefix(-1)`` is
+empty, and ``bit``, ``bit_cost`` and a shorter prefix raise ``ValueError``.
+A memo normally grows one bit at a time, but some descriptors also have a
+range fill that produces the bits and costs of a whole range in one call.
+A set built from a pattern (a head, then a period, each bit costing a
+constant or n + 1 plus a constant) fills from it: the builtins, prefix and
+trace sets with the default cost (the constructed head, then 1,0 at cost
+n + 1), and ``drop``, the zero-member override, join and meet over pattern
+sets.  Those are built as patterns when their head plus period stays
+within ``_PATTERN_MAX`` bits: ``drop`` and the override flip one bit of the
+operand's pattern, and join and meet read one pass over the operands'
+patterns (``_lattice_pattern``); a join or meet whose unit-cost operand
+costs more than its n + 1 operand keeps the generic fill, as does any
+derived set past the cap.  The generic fills are ``drop`` and the override
+from the operand's arrays with one bit flipped, and join and meet from the
+max or min of the normalised operands' zero counts.  Term-backed sets,
+normal-form carriers and zero-list sets have no fill and keep the per-bit
+loop and their evaluator work.  A derived descriptor over such a set keeps
+its generic fill, bounded by the memos: it runs as far as its operands
+reach (a filling operand without end, a derived one to the further of its
+memo and its own operands' reach, any other one to its memo), where it
+only slices memos, calls no generator and cannot raise.  So one unlimited
+read catches its memo up to that reach, past the bit read, and the per-bit
+loop goes on from there, failing where it failed before.  Only unlimited
+growth fills, and only for extensions of at least ``_FILL_MIN`` bits, since
+a fill has a fixed cost; step-limited growth (``zeros_by_steps``) and
+zero-limited growth (``fresh_zeros``, the one zero search, which
+``next_zero`` and ``principal_zero`` call) take the per-bit loop, so a
+memo, and its operands' memos, stop exactly at the bit where the limit is
+met.  ``fresh_zeros`` picks a run of zeros in one pass: it reads the memo
+by bisection on from the last pick and grows it only for a pick it lacks.
+A pattern set answers ``zeros_by_steps`` and steps profiles by arithmetic
+on the pattern and grows no memo for them; bit, index and cost reads still
+grow its memo.  Only zero-list sets answer ``principal_zero`` by a closed
+form, from their list of zeros.
 
 Scans read memos in bulk: ``profile(points, convention)`` answers a whole
 list of index points or step budgets from one growth to the largest, and
@@ -84,6 +94,20 @@ from .errors import (
 )
 
 DEFAULT_CEILING = 200_000
+
+# A set derived from pattern sets is built as a pattern while its head plus
+# period stays within this many bits; a longer one keeps the generic fill.
+# A join or meet built as a pattern costs about 0.55 us per bit of head plus
+# span before its first read, the generic fill about 1.2 us per bit read, so
+# a pattern pays back once reads pass about half its span (step reads pay
+# back at once).  Build plus read of a fresh join or meet, pattern/generic
+# (2-CPU x86-64, Python 3.11.7, medians of 31): span 1,984 read to bit 10
+# 1.16/0.12 ms, to bit 1,999 1.55/2.11 ms; span 4,140 to bit 10 2.41/0.08,
+# to bit 1,999 2.72/2.49, to bit 3,999 3.05/4.62; span 8,190 to bit 1,999
+# 4.88/2.29; span 64,507 to bit 10 18.5/0.11, to bit 130,000 43/151.  The
+# benchmark lists read these sets to bit 2,001 at most, over spans of at
+# most 2,003, so the cap sits where a 2,000-bit read breaks even.
+_PATTERN_MAX = 1 << 12
 
 # A fill costs a fixed few microseconds before its first bit, so extensions
 # shorter than this many bits keep the per-bit loop.  Measured on the seed-1
@@ -252,28 +276,39 @@ class PrSet:
     def bit(self, n: int) -> int:
         if n >= len(self._bits):
             self._ensure(n)
+        elif n < 0:
+            raise ValueError(f"{self.name}: no bit {n}")
         return self._bits[n]
 
     def prefix(self, s: int) -> Prefix:
-        """Initial segment of length s+1 (bits 0..s)."""
+        """Initial segment of length s+1 (bits 0..s); empty at s = -1."""
         if s >= len(self._bits):
             self._ensure(s)
+        elif s < -1:
+            raise ValueError(f"{self.name}: no prefix through bit {s}")
         return Prefix(tuple(self._bits[:s + 1]))
 
     def zeros_by_index(self, s: int) -> int:
+        """Zeros among bits 0..s; 0 for s < 0."""
         if s >= len(self._bits):
             self._ensure(s)
+        elif s < 0:
+            return 0
         return self._zero_cum[s]
 
     def bit_cost(self, n: int) -> int:
         if n >= len(self._bits):
             self._ensure(n)
+        elif n < 0:
+            raise ValueError(f"{self.name}: no bit {n}")
         return self._cost_cum[n] - (self._cost_cum[n - 1] if n else 0)
 
     def cum_cost(self, n: int) -> int:
-        """Total generator cost of producing bits 0..n."""
+        """Total generator cost of producing bits 0..n; 0 for n < 0."""
         if n >= len(self._bits):
             self._ensure(n)
+        elif n < 0:
+            return 0
         return self._cost_cum[n]
 
     def zeros_by_steps(self, s: int) -> int:
@@ -291,10 +326,11 @@ class PrSet:
         """zeros_by_index or zeros_by_steps at each point, in order, from
         one memo growth to the largest point.
 
-        Points may come in any order; step budgets of 0 and below count no
-        zeros.  If a generator fails during the growth, the counts are read
-        point by point instead, so the failure surfaces at the first point
-        that needs the failing bit, as it would with one read per point.
+        Points may come in any order; index points below 0 and step budgets
+        of 0 and below count no zeros.  If a generator fails during the
+        growth, the counts are read point by point instead, so the failure
+        surfaces at the first point that needs the failing bit, as it would
+        with one read per point.
         A pattern set counts step budgets by arithmetic and grows no memo.
         """
         if convention not in ("index", "steps"):
@@ -314,7 +350,7 @@ class PrSet:
             return map(self.zeros_by_steps if steps else self.zeros_by_index, points)
         zc = self._zero_cum
         if not steps:
-            return iter([zc[s] for s in points])
+            return iter([zc[s] if s >= 0 else 0 for s in points])
         return iter([zc[k - 1] if k else 0
                      for k in map(bisect.bisect_right, repeat(self._cost_cum), points)])
 
@@ -359,19 +395,27 @@ class PrSet:
 
 
 class _Pattern:
-    """head[n] below len(head), then `period` over and over, at unit cost or
-    at cost n + 1 for bit n.
+    """head[n] below len(head), then `period` over and over; bit n costs
+    1 + extra steps at unit cost, else n + 1 + extra.
 
-    Called as ``fill(m, n)`` it gives the bits and costs of bits m..n.
-    ``zeros_by_steps(s)`` counts the zeros among the bits decided within s
-    steps by arithmetic, so a step query grows no memo.
+    ``bit`` and ``cost`` are the per-bit generator of a set built from the
+    pattern; called as ``fill(m, n)`` it gives the bits and costs of bits
+    m..n.  ``zeros_by_steps(s)`` counts the zeros among the bits decided
+    within s steps by arithmetic, so a step query grows no memo.
     """
 
-    def __init__(self, head: tuple, period: tuple, unit_cost: bool = True):
-        self.head, self.period, self.unit_cost = head, period, unit_cost
+    def __init__(self, head: tuple, period: tuple, unit_cost: bool = True, extra: int = 0):
+        self.head, self.period, self.unit_cost, self.extra = head, period, unit_cost, extra
         self._ones = None   # member counts below each head and period offset
 
-    def __call__(self, m: int, n: int) -> tuple:
+    def bit(self, n: int) -> int:
+        h = len(self.head)
+        return self.head[n] if n < h else self.period[(n - h) % len(self.period)]
+
+    def cost(self, n: int) -> int:
+        return 1 + self.extra if self.unit_cost else n + 1 + self.extra
+
+    def bits(self, m: int, n: int) -> list:
         head, period = self.head, self.period
         h = len(head)
         bits = list(head[m:n + 1])
@@ -379,13 +423,23 @@ class _Pattern:
             lo = max(m, h) - h              # offsets lo..n-h of the tail
             r = lo % len(period)
             bits += islice(cycle(period), r, r + n - h - lo + 1)
-        return bits, [1] * (n - m + 1) if self.unit_cost else range(m + 1, n + 2)
+        return bits
+
+    def __call__(self, m: int, n: int) -> tuple:
+        e = self.extra
+        return self.bits(m, n), ([1 + e] * (n - m + 1) if self.unit_cost
+                                 else range(m + 1 + e, n + 2 + e))
 
     def zeros_by_steps(self, s: int) -> int:
         if s <= 0:
             return 0
-        # k bits cost k steps, or k(k+1)/2 at cost n + 1 for bit n
-        k = s if self.unit_cost else (math.isqrt(8 * s + 1) - 1) // 2
+        e = self.extra
+        if self.unit_cost:
+            k = s // (1 + e)
+        else:
+            # k bits cost k(k+1)/2 + k*e steps at cost n + 1 + e for bit n
+            b = 2 * e + 1
+            k = (math.isqrt(b * b + 8 * s) - b) // 2
         if self._ones is None:
             self._ones = (list(accumulate(self.head, initial=0)),
                           list(accumulate(self.period, initial=0)))
@@ -395,6 +449,86 @@ class _Pattern:
             return k - head_ones[k]
         q, r = divmod(k - h, len(self.period))
         return k - head_ones[h] - q * period_ones[-1] - period_ones[r]
+
+
+def _rotated(period: tuple, r: int) -> tuple:
+    r %= len(period)
+    return period[r:] + period[:r]
+
+
+def _zero_counts(p: _Pattern, n: int) -> list:
+    """Zeros among the first j bits of p, for j = 0..n."""
+    return list(accumulate((1 - b for b in p.bits(0, n - 1)), initial=0))
+
+
+def _flipped(p: _Pattern | None, pos: int) -> _Pattern | None:
+    """p with bit pos forced to 1; None without p or past ``_PATTERN_MAX`` bits."""
+    if p is None:
+        return None
+    h = max(len(p.head), pos + 1)
+    if h + len(p.period) > _PATTERN_MAX:
+        return None
+    head = p.bits(0, h - 1)
+    head[pos] = 1
+    return _Pattern(tuple(head), _rotated(p.period, h - len(p.head)), p.unit_cost, p.extra)
+
+
+def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern | None:
+    """The pattern of the join (pick=max) or meet (pick=min) of two
+    normalised pattern sets, or None where the generic fill stays: an
+    operand without a pattern, a unit cost side that costs more than an
+    n + 1 side, or a pattern past ``_PATTERN_MAX`` bits.
+
+    Past the longer head h, both zero counts gain a fixed number of zeros
+    every span (the lcm of the periods).  With equal gains their difference
+    repeats, so the bits repeat every span from bit h.  Otherwise the
+    difference grows by the gap each span; from the first span past which
+    it keeps its sign, pick keeps one operand's count, so the bits are that
+    operand's.
+    """
+    if px is None or py is None:
+        return None
+    unit, other = (px, py) if px.unit_cost else (py, px)
+    if unit.unit_cost and not other.unit_cost and unit.extra > other.extra:
+        return None
+    h = max(len(px.head), len(py.head))
+    span = math.lcm(len(px.period), len(py.period))
+    n = h + span
+    if n > _PATTERN_MAX:
+        return None
+    zx, zy = _zero_counts(px, n), _zero_counts(py, n)
+    gx = px.period.count(0) * (span // len(px.period))
+    gy = py.period.count(0) * (span // len(py.period))
+    if gx == gy:
+        bits = _climbs(list(map(pick, zx, zy)))
+        head, period = bits[:h], tuple(bits[h:])
+    else:
+        more, fewer = (zx, zy) if gx > gy else (zy, zx)
+        gap = abs(gx - gy)
+        low = min(map(sub, more[h:n], fewer[h:n]))
+        # past `top`, more - fewer stays >= 0: max keeps `more`, min `fewer`
+        top = h + max(0, gap - 1 - low) // gap * span
+        kept = px if (gx > gy) == (pick is max) else py
+        if top + len(kept.period) > _PATTERN_MAX:
+            return None
+        if top > n:
+            zx, zy = _zero_counts(px, top), _zero_counts(py, top)
+        head = _climbs(list(map(pick, zx[:top + 1], zy[:top + 1])))
+        period = _rotated(kept.period, top - len(kept.head))
+    # the shortest period, then the shortest head, that give the same bits
+    b = bytes(period)
+    p = (b + b).find(b, 1)
+    period = period[:p]
+    k = len(head)
+    while k and head[k - 1] == period[(k - 1 - len(head)) % p]:
+        k -= 1
+    return _Pattern(tuple(head[:k]), _rotated(period, k - len(head)),
+                    px.unit_cost and py.unit_cost, max(px.extra, py.extra) + 1)
+
+
+def _climbs(zc: list) -> list:
+    """The bits between consecutive zero counts: 1 unless the count climbs."""
+    return [1 - b + a for a, b in zip(zc, islice(zc, 1, None))]
 
 
 def _bit_costs(x: PrSet, m: int, n: int) -> list:
@@ -444,9 +578,12 @@ def _flip_fill(x: PrSet, pos: int):
 # Builtins
 
 
+def _pattern_set(name: str, pattern: _Pattern, dsl: str | None) -> PrSet:
+    return PrSet(name, pattern.bit, pattern.cost, dsl=dsl, fill=pattern)
+
+
 def evens_set() -> PrSet:
-    return PrSet("evens", lambda n: 1 - (n % 2), dsl="evens",
-                 fill=_Pattern((), (1, 0)))
+    return _pattern_set("evens", _Pattern((), (1, 0)), "evens")
 
 
 def mod_set(k: int) -> PrSet:
@@ -454,13 +591,11 @@ def mod_set(k: int) -> PrSet:
         raise ParseError(f"mod K needs K >= 2, got {k}")
     if k > DEFAULT_CEILING:     # a longer period never shows in full
         raise ParseError(f"mod K needs K <= the index ceiling {DEFAULT_CEILING}, got {k}")
-    return PrSet(f"mod{k}", lambda n: 1 if n % k == 0 else 0, dsl=f"mod {k}",
-                 fill=_Pattern((), (1,) + (0,) * (k - 1)))
+    return _pattern_set(f"mod{k}", _Pattern((), (1,) + (0,) * (k - 1)), f"mod {k}")
 
 
 def singleton_zero_set() -> PrSet:
-    return PrSet("id", lambda n: 1 if n == 0 else 0, dsl="id",
-                 fill=_Pattern((1,), (0,)))
+    return _pattern_set("id", _Pattern((1,), (0,)), "id")
 
 
 def blocks_set(k: int) -> PrSet:
@@ -473,8 +608,7 @@ def blocks_set(k: int) -> PrSet:
         raise ParseError(f"blocks K needs K >= 1, got {k}")
     if k > DEFAULT_CEILING:
         raise ParseError(f"blocks K needs K <= the index ceiling {DEFAULT_CEILING}, got {k}")
-    return PrSet(f"blocks{k}", lambda n: 1 if n % (2 * k) < k else 0,
-                 dsl=f"blocks {k}", fill=_Pattern((), (1,) * k + (0,) * k))
+    return _pattern_set(f"blocks{k}", _Pattern((), (1,) * k + (0,) * k), f"blocks {k}")
 
 
 def term_set(term, bound, name: str | None = None) -> PrSet:
@@ -539,15 +673,10 @@ def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
     if not (isinstance(bits, (list, tuple)) and {*map(type, bits)} <= {int}
             and {*bits} <= {0, 1}):
         bits = tuple(1 if int(b) else 0 for b in bits)
-    frozen = tuple(bits)
-
-    def bit(n):
-        if n < len(frozen):
-            return frozen[n]
-        return 1 - (n - len(frozen)) % 2
-
-    return PrSet(name, bit, cost_fn or (lambda n: n + 1), dsl=dsl,
-                 fill=None if cost_fn else _Pattern(frozen, (1, 0), False))
+    pattern = _Pattern(tuple(bits), (1, 0), False)
+    if cost_fn:
+        return PrSet(name, pattern.bit, cost_fn, dsl=dsl)
+    return _pattern_set(name, pattern, dsl)
 
 
 # Derived descriptors
@@ -565,17 +694,27 @@ def override_zero_member(x: PrSet) -> PrSet:
     """Force 0 into the set (bit 0 becomes 1); identity if already there."""
     if x.bit(0) == 1:
         return x
+    name = f"{x.name}+0"
+    pattern = _flipped(x._pattern, 0)
+    if pattern:
+        return _pattern_set(name, pattern, x.dsl)
     fill = _flip_fill(x, 0)
-    return PrSet(f"{x.name}+0", lambda n: 1 if n == 0 else x.bit(n),
+    return PrSet(name, lambda n: 1 if n == 0 else x.bit(n),
                  x.bit_cost, dsl=x.dsl, fill=fill if x._fill else _MemoFill(fill, x))
 
 
 def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
     """Join (pick=max) or meet (pick=min): its index profile is pick of the
-    normalised operands' profiles, bit by bit, so its fill maps pick over
-    their zero-count arrays."""
+    normalised operands' profiles, bit by bit.  Over two pattern sets it is
+    a pattern set where ``_lattice_pattern`` finds one; otherwise its fill
+    maps pick over the operands' zero-count arrays."""
     x = override_zero_member(x)
     y = override_zero_member(y)
+    name = f"({x.name} {symbol} {y.name})"
+    dsl = f"{op}({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
+    pattern = _lattice_pattern(x._pattern, y._pattern, pick)
+    if pattern:
+        return _pattern_set(name, pattern, dsl)
 
     def bit(n):
         if n == 0:
@@ -591,13 +730,11 @@ def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
         zc = list(map(pick, x._zero_cum[lo:n + 1], y._zero_cum[lo:n + 1]))
         if not m:
             zc.insert(0, 0)
-        # bit i is 1 unless the zero count climbs at i
-        bits = [1 - b + a for a, b in zip(zc, islice(zc, 1, None))]
+        bits = _climbs(zc)
         costs = [c + 1 for c in map(max, _bit_costs(x, m, n), _bit_costs(y, m, n))]
         return bits, costs
 
-    dsl = f"{op}({x.dsl}, {y.dsl})" if x.dsl and y.dsl else None
-    return PrSet(f"({x.name} {symbol} {y.name})", bit,
+    return PrSet(name, bit,
                  lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1, dsl=dsl,
                  fill=fill if x._fill and y._fill else _MemoFill(fill, x, y))
 
@@ -618,9 +755,12 @@ def drop_least_zero(x: PrSet) -> PrSet:
     zeros_fast = None
     if x._zeros_fast is not None:
         zeros_fast = lambda n: x._zeros_fast(n + 1)
-    dsl = f"drop({x.dsl})" if x.dsl else None
+    name, dsl = f"{x.name}^[-1]", f"drop({x.dsl})" if x.dsl else None
+    pattern = _flipped(x._pattern, z0)
+    if pattern:
+        return _pattern_set(name, pattern, dsl)
     fill = _flip_fill(x, z0)
-    return PrSet(f"{x.name}^[-1]", lambda n: 1 if n == z0 else x.bit(n),
+    return PrSet(name, lambda n: 1 if n == z0 else x.bit(n),
                  x.bit_cost, dsl=dsl, zeros_fast=zeros_fast,
                  fill=fill if x._fill else _MemoFill(fill, x))
 

@@ -8,11 +8,13 @@ profile read per stage, and the all-pairs reduction check.  Each fast
 path must give the same table or value, or raise the same exception class
 with the same message, and must not materialise a bit past the one the
 reference reads up to.  Range fills are checked against the per-bit memo
-loop, which stays in ``PrSet._ensure``.
+loop, which stays in ``PrSet._ensure``, and sets built as patterns from
+pattern operands against the lattice and flip fills they replace.
 """
 
 import bisect
 import contextlib
+import itertools
 import math
 import random
 import sys
@@ -632,14 +634,25 @@ def test_cursor_reads_no_bit_past_h():
 
 
 @contextlib.contextmanager
-def per_bit():
-    """Every memo extension inside takes the per-bit loop."""
-    saved = sets._FILL_MIN
-    sets._FILL_MIN = sys.maxsize
+def setting(name, value):
+    """The module constant sets.<name> is `value` inside."""
+    saved = getattr(sets, name)
+    setattr(sets, name, value)
     try:
         yield
     finally:
-        sets._FILL_MIN = saved
+        setattr(sets, name, saved)
+
+
+def per_bit():
+    """Every memo extension inside takes the per-bit loop."""
+    return setting("_FILL_MIN", sys.maxsize)
+
+
+def generic_fills():
+    """Every derived set built inside keeps the generic fill: the lattice
+    closures and ``_flip_fill``, over its operands' memos."""
+    return setting("_PATTERN_MAX", 0)
 
 
 FILLED = [
@@ -745,8 +758,7 @@ def make_patterned(desc, traces):
     _, head, period, cost = desc.split()
     fill = sets._Pattern(tuple(map(int, head.split(","))) if head != "-" else (),
                          tuple(map(int, period.split(","))), cost == "unit")
-    return PrSet(desc, lambda n: fill(n, n)[0][0],
-                 None if cost == "unit" else lambda n: n + 1, fill=fill)
+    return PrSet(desc, fill.bit, fill.cost, fill=fill)
 
 
 def memo_zeros_by_steps(x, s):
@@ -804,19 +816,143 @@ def test_pattern_steps_count_needs_no_memo(traces, no_step_growth):
 @pytest.mark.parametrize("fill_min", FILL_MINS)
 def test_step_limited_fill_bounds_operand_run_ahead(fill_min, monkeypatch):
     # operands of a filled join never pass bit m + s - c, the last bit the
-    # budget left over the join's memo (m bits, total cost c) could pay for
+    # budget left over the join's memo (m bits, total cost c) could pay for;
+    # a pattern join reads no operand bit once built
     monkeypatch.setattr(sets, "_FILL_MIN", fill_min)
-    for s in range(1, 600, 7):
-        for read in (-1, 17, 40):
-            a, b = evens_set(), mod_set(3)      # both hold 0: they are the operands
+    for s, read, generic in itertools.product(range(1, 600, 7), (-1, 17, 40), (False, True)):
+        a, b = evens_set(), mod_set(3)      # both hold 0: they are the operands
+        with generic_fills() if generic else contextlib.nullcontext():
             j = set_join(a, b)
-            if read >= 0:
-                j.bit(read)
-            m, c = len(j._bits), j._cost_cum[-1] if j._bits else 0
-            ahead = max(len(a._bits), len(b._bits))
-            j.zeros_by_steps(s)
-            assert j.cum_cost(len(j._bits) - 1) > s or len(j._bits) == m
-            assert max(len(a._bits), len(b._bits)) <= max(ahead, m + s - c + 1, 0)
+        assert (j._pattern is None) == generic
+        if read >= 0:
+            j.bit(read)
+        m, c = len(j._bits), j._cost_cum[-1] if j._bits else 0
+        ahead = max(len(a._bits), len(b._bits))
+        j.zeros_by_steps(s)
+        assert j.cum_cost(len(j._bits) - 1) > s or len(j._bits) == m
+        assert max(len(a._bits), len(b._bits)) <= max(ahead, m + s - c + 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Derived pattern sets against the lattice definition
+
+
+def assert_defined_alike(build):
+    """build() gives the set it gives under generic_fills(): the same bits,
+    zero counts, costs and step counts, past the head plus three periods of
+    its pattern.  Returns both builds."""
+    x = build()
+    with generic_fills():
+        ref = build()
+    p = x._pattern
+    top = max(64, len(p.head) + 3 * len(p.period) if p is not None else 0)
+    assert x.prefix(top) == ref.prefix(top)
+    assert list(x.profile(range(top + 1))) == list(ref.profile(range(top + 1)))
+    costs = [ref.cum_cost(i) for i in range(top + 1)]
+    assert [x.cum_cost(i) for i in range(top + 1)] == costs
+    # the step count changes only where a bit's total cost is reached
+    budgets = sorted({-1, 0, *(c + d for c in costs for d in (-1, 0, 1))})
+    assert ([x.zeros_by_steps(s) for s in budgets]
+            == [memo_zeros_by_steps(ref, s) for s in budgets])
+    return x, ref
+
+
+@pytest.mark.parametrize("desc", FILLED)
+def test_pattern_build_matches_the_lattice_definition(desc, traces):
+    x, ref = assert_defined_alike(lambda: make_filled(desc, traces))
+    if desc.startswith(("join", "meet", "drop")):
+        assert x._pattern is not None and ref._pattern is None
+
+
+@pytest.mark.parametrize("desc, span", [
+    ("join(mod 31, mod 33)", 1_023), ("meet(blocks 31, blocks 32)", 1_984),
+    ("meet(blocks 45, blocks 46)", 4_140), ("join(mod 251, mod 257)", 64_507),
+])
+def test_pattern_cap_bounds_the_build_span(desc, span, monkeypatch):
+    # past the cap the generic fill stays; above it the build still holds
+    assert (parse_set(desc)._pattern is None) == (span > sets._PATTERN_MAX)
+    monkeypatch.setattr(sets, "_PATTERN_MAX", span)
+    x, _ = assert_defined_alike(lambda: parse_set(desc))
+    assert x._pattern is not None
+
+
+def random_pattern_set(rng, name, period=None, head=None):
+    """A pattern set with a random cost, a random head and a random period
+    holding a zero, unless a head or period is given."""
+    if head is None:
+        head = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 12)))
+    if period is None:
+        period = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 7))) + (0,)
+        period = tuple(rng.sample(period, len(period)))
+    fill = sets._Pattern(head, period, rng.random() < 0.5, rng.randint(0, 2))
+    return PrSet(name, fill.bit, fill.cost, fill=fill)
+
+
+def zero_rate(x):
+    return x._pattern.period.count(0) / len(x._pattern.period)
+
+
+def costly_unit_side(a, b):
+    """Whether one operand costs unit steps, the other n + 1, and the unit
+    side costs more at bit 0: then max of the costs is of neither form."""
+    unit, other = (a, b) if a._pattern.unit_cost else (b, a)
+    return (unit._pattern.unit_cost and not other._pattern.unit_cost
+            and unit.bit_cost(0) > other.bit_cost(0))
+
+
+def random_operands(rng, case):
+    """Two pattern sets whose join and meet fall in the given case."""
+    while True:
+        # a head of zeros puts a ahead for many spans of a lower rate
+        a = random_pattern_set(rng, "a", head=(0,) * rng.randint(20, 40)
+                               if case == "late lead" else None)
+        if case == "equal rates":
+            # the same bits in another order, once or twice over
+            period = a._pattern.period * rng.randint(1, 2)
+            b = random_pattern_set(rng, "b", tuple(rng.sample(period, len(period))))
+        else:
+            b = random_pattern_set(rng, "b")
+        if case == "dominating" and zero_rate(a) == zero_rate(b):
+            continue
+        if case == "late lead" and zero_rate(a) >= zero_rate(b):
+            continue
+        if costly_unit_side(a, b) == (case == "costly unit side"):
+            return a, b
+
+
+DERIVED_OVER = {
+    "join": lambda a, b: set_join(a, b),
+    "meet": lambda a, b: set_meet(b, a),
+    "drop": lambda a, b: drop_least_zero(a),
+    "override": lambda a, b: override_zero_member(b),
+    "nested": lambda a, b: set_meet(set_join(a, b), drop_least_zero(b)),
+    "deep": lambda a, b: set_join(set_meet(a, drop_least_zero(a)), set_join(b, a)),
+}
+CASES = ["equal rates", "dominating", "late lead", "over the cap", "costly unit side"]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("seed", range(15))
+def test_random_pattern_builds_match_the_lattice_definition(case, seed, monkeypatch):
+    rng = random.Random(f"{case}-{seed}")
+    a, b = random_operands(rng, case)
+    if case == "over the cap":
+        # below either operand's head plus period: no pattern is built
+        cap = min(len(x._pattern.head) + len(x._pattern.period) for x in (a, b)) - 1
+        monkeypatch.setattr(sets, "_PATTERN_MAX", cap)
+    built = {}
+    for name, derive in DERIVED_OVER.items():
+        # fresh operands for each build, as the generic build reads their memos
+        built[name], _ = assert_defined_alike(lambda: derive(*random_operands(
+            random.Random(f"{case}-{seed}"), case)))
+    patterned = {name for name, x in built.items() if x._pattern is not None}
+    if case in ("equal rates", "dominating", "late lead"):
+        # a nested build may meet a costly unit side
+        assert {"join", "meet", "drop", "override"} <= patterned
+    elif case == "over the cap":
+        assert patterned == ({"override"} if b.bit(0) == 1 else set())
+    else:
+        assert patterned == {"drop", "override"}
 
 
 def test_term_backed_descriptors_never_fill(traces):

@@ -110,6 +110,35 @@ class TestProfiles:
         assert p.bits == (1, 0, 1, 0, 1)
         assert e.prefix(5).bits[:5] == p.bits
 
+    # a read below bit 0: counts and costs of no bits are 0, the empty
+    # prefix is the one of length 0, and no bit lies below 0
+    NEGATIVE_READS = [
+        ("zeros_by_index", -1, 0), ("zeros_by_index", -3, 0),
+        ("cum_cost", -1, 0), ("cum_cost", -4, 0),
+        ("prefix", -1, Prefix(())),
+        ("prefix", -2, ValueError), ("prefix", -3, ValueError),
+        ("bit", -1, ValueError), ("bit", -2, ValueError),
+        ("bit_cost", -1, ValueError), ("bit_cost", -2, ValueError),
+    ]
+
+    @pytest.mark.parametrize("dsl", ["evens", "join(evens, mod 3)",
+                                     f'term "{EVENS_TERM}" bound "{BOUND64}"'],
+                             ids=["evens", "join", "term"])
+    @pytest.mark.parametrize("grown", [None, 5])
+    @pytest.mark.parametrize("read, s, want", NEGATIVE_READS)
+    def test_negative_reads(self, read, s, want, grown, dsl):
+        x = parse_set(dsl)
+        if grown is not None:
+            x.bit(grown)
+        held = x.decided
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                getattr(x, read)(s)
+        else:
+            assert getattr(x, read)(s) == want
+        assert x.decided == held
+        assert list(x.profile([s, 3, s])) == [0, x.zeros_by_index(3), 0]
+
     def test_principal_zero(self):
         e = evens_set()
         assert e.principal_zero(0) == 1

@@ -7,8 +7,10 @@ Each of ``REPEATS`` (21) repeats runs four phases over the cases of
 keeping its partial trace), serialize (each built trace), parse
 (``parse_trace`` of each written text) and verify (``verify_trace_file``
 of each finished, replayable golden file).  It reports each phase's
-median wall time over the repeats next to deterministic counters: records, trace bytes, and full (generation-2)
-garbage collections, from ``gc.get_stats()``, over all repeats.  The
+median wall time over the repeats next to deterministic counters:
+records, trace bytes, full (generation-2) garbage collections from
+``gc.get_stats()`` over all repeats, and, from one extra, untimed pass,
+each phase's ``PrSet._ensure`` entries and memo bits grown.  The
 result is stored under ``--label`` in ``BENCH_traces.json`` at the root of
 the checkout, keeping the other labels there, so that two commits can be
 compared by running this file against each one's ``src``.
@@ -30,14 +32,16 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import test_golden as G  # noqa: E402  (the golden cases and how each is run)
 
+from punctual import sets  # noqa: E402
 from punctual.constructions import parse_trace, verify_trace_file  # noqa: E402
 
 PHASES = ("build", "serialize", "parse", "verify")
 REPEATS = 21
 
 
-def one_pass(names: list) -> tuple:
-    """Wall time and full collections of each phase, and the counters."""
+def one_pass(names: list, after_phase=lambda phase: None) -> tuple:
+    """Wall time and full collections of each phase, and the counters;
+    `after_phase` is called with each phase's name as it ends."""
     walls, full = {}, {}
 
     def run(phase, fn):
@@ -46,6 +50,7 @@ def one_pass(names: list) -> tuple:
         result = fn()
         walls[phase] = time.perf_counter() - start
         full[phase] = gc.get_stats()[2]["collections"] - gen2
+        after_phase(phase)
         return result
 
     built = run("build", lambda: [trace for case in sorted(G.CASES)
@@ -63,18 +68,46 @@ def one_pass(names: list) -> tuple:
     return walls, full, counters
 
 
+def counted_pass(names: list) -> dict:
+    """Memo work of each phase: _ensure entries and memo bits grown."""
+    cls = sets.PrSet
+    ensure = cls._ensure
+    counts = dict(ensure_entries=0, memo_bits=0)
+
+    def counting_ensure(self, *args, **kwargs):
+        counts["ensure_entries"] += 1
+        before = len(self._bits)
+        try:
+            return ensure(self, *args, **kwargs)
+        finally:
+            counts["memo_bits"] += len(self._bits) - before
+
+    def after_phase(phase):
+        out[phase] = dict(counts)
+        counts.update(ensure_entries=0, memo_bits=0)
+
+    out = {}
+    cls._ensure = counting_ensure
+    try:
+        one_pass(names, after_phase)
+    finally:
+        cls._ensure = ensure
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", default="after")
     args = ap.parse_args()
     names = G._finished_and_replayable()
     runs = [one_pass(names) for _ in range(REPEATS)]
+    memo = counted_pass(names)      # after the timed repeats, which it would warm
     counters = runs[0][2]
     if any(c != counters for _, _, c in runs):
         raise SystemExit("counters differ between repeats")
     result = {
         "phases": {p: {"median_s": round(statistics.median(w[p] for w, _, _ in runs), 4),
-                       "gen2_collections": sum(f[p] for _, f, _ in runs)}
+                       "gen2_collections": sum(f[p] for _, f, _ in runs), **memo[p]}
                    for p in PHASES},
         "total_median_s": round(statistics.median(sum(w.values()) for w, _, _ in runs), 4),
         "repeats": REPEATS,
