@@ -23,7 +23,6 @@ from .reductions import (
     domination_certificate,
     load_witness,
     respect_normal_form,
-    save_witness,
     surjectivize,
     synth_h_from_reduction,
     synth_reduction_from_h,
@@ -101,9 +100,11 @@ def cmd_reduce(args, out) -> int:
     else:
         op = surjectivize if args.reduce_op == "surjectivize" else respect_normal_form
         w = op(load_witness(args.witness), x, y, args.horizon)
-    out.write(reductions.serialize_witness(w))
+    text = reductions.serialize_witness(w)
+    out.write(text)
     if args.out:
-        save_witness(w, args.out)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     return 0
 
 

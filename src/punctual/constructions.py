@@ -40,7 +40,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -57,6 +57,7 @@ from .reductions import (
     _PAIR_PREDICATES,
     Counterexample,
     ReductionWitness,
+    _decimals,
     _fresh_pick_table,
     _least_violation,
     _still_violates,
@@ -132,8 +133,8 @@ class Trace:
         for i, evs in self.events.items():
             events[i] = ";".join(evs) or "-"
         lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in self.header], "---",
-                 *[f"{s}\t{c}\t{p}\t{b}\t{e}" for s, c, p, b, e in zip(
-                     self.stages, self.cycles, self.phases, self._bits_field(), events)],
+                 *map("\t".join, zip(_decimals(self.stages), self.cycles, self.phases,
+                                     self._bits_field(), events)),
                  "---", *[f"{k}\t{v}" for k, v in self.footer]]
         return "\n".join(lines) + "\n"
 
@@ -181,7 +182,33 @@ def _split_trace(text: str):
 
 
 def _parse_records(lines: list, first: int) -> tuple:
-    """The record lines' columns, bits by output; the first bad line raises."""
+    """The record lines' columns, bits by output; the first bad line raises.
+
+    When every line has the five fields, the lines are read by column: one
+    split of all of them, ``int`` over the stage column, and each distinct
+    bits field parsed once.  Any other lines (no lines at all included),
+    and a ValueError in a column, go through _parse_record_lines, which
+    names the first bad line."""
+    if set(map(str.count, lines, repeat("\t"))) != {4}:  # five fields a line
+        return _parse_record_lines(lines, first)
+    flat = "\t".join(lines).split("\t")
+    stage, cycles, phases, bits, evs = (flat[i::5] for i in range(5))
+    try:
+        fields = {f: [p.split("=") for p in f.split(",")] if f != "-" else []
+                  for f in dict.fromkeys(bits)}
+        columns = {}
+        for n in dict.fromkeys(n for pairs in fields.values() for n, _ in pairs):
+            cells = {f: [int(b) for m, b in pairs if m == n] for f, pairs in fields.items()}
+            columns[n] = list(chain.from_iterable(map(cells.__getitem__, bits)))
+        stages = list(map(int, stage))
+    except ValueError:
+        return _parse_record_lines(lines, first)
+    events = {i: tuple(e.split(";")) for i, e in enumerate(evs) if e != "-"}
+    return stages, cycles, phases, events, columns
+
+
+def _parse_record_lines(lines: list, first: int) -> tuple:
+    """_parse_records one line at a time; the first bad line raises."""
     stages, cycles, phases, events, columns = [], [], [], {}, {}
     try:
         for i, line in enumerate(lines):
@@ -460,8 +487,7 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
                                 m.counterexamples, m.witnesses(outputs, max_stages), notes)
     _finish(result)
     for name, table in result.witnesses.items():
-        digest = hashlib.sha256(
-            "\n".join(str(v) for v in table).encode()).hexdigest()[:16]
+        digest = hashlib.sha256("\n".join(_decimals(table)).encode()).hexdigest()[:16]
         trace.footer.append((f"witness-{name}", digest))
     return result
 

@@ -13,6 +13,7 @@ clocked convergence is monotone, a fired pair stays fired forever.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from itertools import accumulate
@@ -569,6 +570,41 @@ def domination_certificate(low: PrSet, high: PrSet, horizon: int,
 
 
 _ROW = "{}\t{}\n".format
+# The decimal strings of 0 .. _DECIMAL_CAP - 1 and their reverse map, built
+# on first use (about 0.5 MB).  Rows, trace stage columns and witness
+# digests whose integers all lie under the cap are written by lookup, and a
+# witness body that the lookup writer reproduces is read by lookup.
+_DECIMAL_CAP = 4096
+
+
+@functools.cache
+def _decimal_table() -> tuple:
+    strs = tuple(map(str, range(_DECIMAL_CAP)))
+    return strs, dict(zip(strs, range(_DECIMAL_CAP)))
+
+
+def _under_cap(ints) -> bool:
+    return not ints or 0 <= min(ints) and max(ints) < _DECIMAL_CAP
+
+
+def _decimals(ints) -> list:
+    """str of each integer of ints, by lookup when all lie under the cap."""
+    return list(map(_decimal_table()[0].__getitem__ if _under_cap(ints) else str, ints))
+
+
+def _rows(lo: int, values) -> str:
+    """Rows "i<TAB>v" for i = lo, lo + 1, ... and v in values: by lookup
+    when every index and value lies under the cap, else by _ROW."""
+    hi = lo + len(values)
+    if hi > _DECIMAL_CAP or not _under_cap(values):
+        return "".join(map(_ROW, range(lo, hi), values))
+    strs = _decimal_table()[0]
+    cells = ["", "\t", "", "\n"] * len(values)
+    cells[0::4] = strs[lo:hi]
+    cells[2::4] = map(strs.__getitem__, values)
+    return "".join(cells)
+
+
 # Rows i in one aligned block of 1000 indices (i >= 1000) share the decimal
 # prefix str(i // 1000) and differ in a three-digit suffix, so a block of a
 # floor table's tail is one join of these suffixes around that prefix.
@@ -579,15 +615,16 @@ _RANGE_PIECES = ("", _SUFFIXES[0] + "\t",
                  *(s + end for s in _SUFFIXES[1:] for end in ("\n", "\t")))
 
 
-def _write_rows(out, lo: int, hi: int, value, block) -> None:
-    """Rows lo..hi-1 of a table whose entry at i is value(i): aligned blocks
-    at or past 1000 as block(k), the rest one row at a time."""
+def _write_rows(out, lo: int, hi: int, values, block) -> None:
+    """Rows lo..hi-1 of a table whose entries from i to j - 1 are
+    values(i, j): aligned blocks at or past 1000 as block(k), the rest
+    through _rows."""
     first = min(hi, max(1000, -(-lo // 1000) * 1000))
     last = max(first, hi // 1000 * 1000)
-    out.write("".join([_ROW(i, value(i)) for i in range(lo, first)]))
+    out.write(_rows(lo, values(lo, first)))
     for k in range(first, last, 1000):
         out.write(block(k))
-    out.write("".join([_ROW(i, value(i)) for i in range(last, hi)]))
+    out.write(_rows(last, values(last, hi)))
 
 
 def _write_floor_tail(out, prog: FloorTableProgram) -> None:
@@ -603,11 +640,16 @@ def _write_floor_tail(out, prog: FloorTableProgram) -> None:
     def range_block(k):
         return str(k // 1000).join(_RANGE_PIECES) + f"{k + 1000}\n"
 
-    _write_rows(out, start, run_end, lambda i: c, run_block)
-    _write_rows(out, run_end, end, lambda i: i + 1, range_block)
+    _write_rows(out, start, run_end, lambda i, j: [c] * (j - i), run_block)
+    _write_rows(out, run_end, end, lambda i, j: range(i + 1, j + 1), range_block)
 
 
 def serialize_witness(w: ReductionWitness) -> str:
+    """A table witness as text: the header, ``---``, then one row
+    "index<TAB>value" per entry.  Rows are written in chunks of 4096 (and a
+    floor table's tail in aligned blocks of 1000); a chunk whose indices and
+    values all lie under _DECIMAL_CAP is written from the decimal table,
+    any other with the same bytes one row at a time."""
     prog = w.program
     if not isinstance(prog, TableProgram):
         raise PreconditionFailed("only table-backed witnesses serialize")
@@ -620,8 +662,7 @@ def serialize_witness(w: ReductionWitness) -> str:
     floor = isinstance(prog, FloorTableProgram)
     values = prog.prefix if floor else prog.values
     for lo in range(0, len(values), 4096):
-        chunk = values[lo:lo + 4096]
-        out.write("".join(map(_ROW, range(lo, lo + len(chunk)), chunk)))
+        out.write(_rows(lo, values[lo:lo + 4096]))
     if floor:
         _write_floor_tail(out, prog)
     return out.getvalue()
@@ -645,14 +686,34 @@ def _parse_rows(rows: list, first_row: int) -> list:
     return values
 
 
+def _table_values(body: str) -> Optional[list]:
+    """The values of a witness body of at most _DECIMAL_CAP rows, read by
+    lookup, when _rows writes that body back byte for byte; else None."""
+    if body.count("\n") > _DECIMAL_CAP:
+        return None
+    try:
+        values = list(map(_decimal_table()[1].__getitem__,
+                          body.replace("\n", "\t").split("\t")[1::2]))
+    except KeyError:
+        return None
+    return values if _rows(0, values) == body else None
+
+
 def parse_witness(text: str) -> ReductionWitness:
-    """Read a witness file; malformed rows and header keys raise ParseError."""
+    """Read a witness file; malformed rows and header keys raise ParseError.
+
+    A body that serialize_witness's table path writes back byte for byte
+    (at most _DECIMAL_CAP rows, every value under the cap) is read by
+    lookup; any other body goes through _parse_rows, so every error keeps
+    its message and line number."""
     head, _, body = text.partition("---\n")
     fields = {}
     for line in head.splitlines():
         key, _, val = line.partition("\t")
         fields[key] = val
-    values = _parse_rows(body.splitlines(), len(head.splitlines()) + 2)
+    values = _table_values(body)
+    if values is None:
+        values = _parse_rows(body.splitlines(), len(head.splitlines()) + 2)
     for key in ("claim", "source", "target", "horizon", "convention", "verified"):
         if key not in fields:
             raise ParseError(f"witness header has no {key!r} line")
@@ -665,11 +726,6 @@ def parse_witness(text: str) -> ReductionWitness:
     return ReductionWitness(TableProgram(values, "table"), fields["claim"],
                             fields["source"], fields["target"], horizon,
                             fields["convention"], fields["verified"] == "1")
-
-
-def save_witness(w: ReductionWitness, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(serialize_witness(w))
 
 
 def load_witness(path) -> ReductionWitness:

@@ -189,6 +189,24 @@ class TestReduce:
                          "--witness", g_path, "--horizon", "60"], capsys)
         assert code == 0 and "check\tok" in out
 
+    @pytest.mark.parametrize("op", ["synth-g", "synth-h", "surjectivize"])
+    def test_out_file_is_the_printed_witness(self, op, capsys, tmp_path, monkeypatch):
+        g_path, out_path = tmp_path / "g.wit", tmp_path / "out.wit"
+        assert main(["reduce", "synth-g", "evens", "mod 3", "--horizon", "40",
+                     "--out", str(g_path)]) == 0
+        capsys.readouterr()
+        calls = []
+        write = punctual.reductions.serialize_witness
+        monkeypatch.setattr(punctual.reductions, "serialize_witness",
+                            lambda w: calls.append(w) or write(w))
+        witness = [] if op == "synth-g" else ["--witness", str(g_path)]
+        code, out = run(["reduce", op, "evens", "mod 3", "--horizon", "40",
+                         "--out", str(out_path)] + witness, capsys)
+        assert code == 0 and len(calls) == 1
+        config, _, printed = out.partition("\n")
+        assert config.startswith("# config ")
+        assert out_path.read_bytes() == printed.encode()
+
     def test_surjectivize_round_trip(self, capsys, tmp_path):
         g_path = str(tmp_path / "g.wit")
         run(["reduce", "synth-g", "evens", "mod 3", "--horizon", "40",

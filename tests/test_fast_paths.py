@@ -3,8 +3,10 @@
 The references below are the earlier, definitional versions: the two
 "least fresh zero" mu-searches that rescan from 0 for every pick, the
 per-stage step-rate table, the bit-by-bit step-profile count, the
-principal-zero scan, the one-row-at-a-time witness writer and reader, one
-profile read per stage, and the all-pairs reduction check.  Each fast
+principal-zero scan, the one-row-at-a-time witness writer and reader
+(which the decimal-table writer and reader replace under its cap), the
+per-line trace record loop, one profile read per stage, and the all-pairs
+reduction check.  Each fast
 path must give the same table or value, or raise the same exception class
 with the same message, and must not materialise a bit past the one the
 reference reads up to.  Range fills are checked against the per-bit memo
@@ -13,17 +15,23 @@ pattern operands against the lattice and flip fills they replace.
 """
 
 import bisect
+import collections
 import contextlib
 import itertools
 import math
+import pathlib
 import random
 import sys
 
 import pytest
 
-from punctual import pr_lang, reductions, sets
+from punctual import constructions, pr_lang, reductions, sets
 from punctual.constructions import (
     _fresh_zero_table,
+    _parse_record_lines,
+    _parse_records,
+    _split_trace,
+    construct_dense,
     construct_immune,
     construct_join_split,
     save_trace,
@@ -37,6 +45,7 @@ from punctual.errors import (
     PreconditionFailed,
     PunctualityViolation,
     WitnessBoundViolated,
+    decode_text,
 )
 from punctual.pr_lang import (
     FloorTableProgram,
@@ -79,6 +88,7 @@ from punctual.sets import (
 )
 
 from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2
+from test_cli import fuzz_mutation
 
 IDENTITY = NativeProgram("id", lambda x: x)
 
@@ -1168,6 +1178,74 @@ def test_floor_table_matches_its_dense_values():
         assert parse_witness(text).program.values == values
 
 
+CAP = reductions._DECIMAL_CAP
+
+
+def ref_rows(lo, values):
+    return "".join(f"{i}\t{v}\n" for i, v in zip(itertools.count(lo), values))
+
+
+@pytest.mark.parametrize("lo", [0, 1, CAP - 3, CAP - 2, CAP - 1, CAP, CAP + 1])
+def test_table_rows_match_the_row_writer(lo, monkeypatch):
+    row_calls = []
+    row = reductions._ROW
+    monkeypatch.setattr(reductions, "_ROW", lambda i, v: row_calls.append(i) or row(i, v))
+    cases = [[], [0], [CAP - 1], [CAP], [CAP + 1], [CAP - 1, 0, CAP - 1], [0, CAP, 1],
+             [-1, 3], [5, -2], list(range(CAP - 3, CAP + 2))[:3], [7] * 5]
+    for values in cases:
+        row_calls.clear()
+        assert reductions._rows(lo, values) == ref_rows(lo, values), values
+        table_path = lo + len(values) <= CAP and all(0 <= v < CAP for v in values)
+        assert not row_calls if table_path else len(row_calls) == len(values)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, CAP - 1, CAP, CAP + 1])
+@pytest.mark.parametrize("top", [CAP - 1, CAP, CAP + 1])
+def test_table_witness_text_matches_the_row_writer(n, top):
+    """Tables of n rows (n = 0 is empty, n = 1 is horizon 0) whose values
+    reach top: their text is the per-row text, and it reads back."""
+    rng = random.Random(n * 7 + top)
+    values = [rng.randint(0, top) for _ in range(n)]
+    if n:
+        values[rng.randrange(n)] = top
+    w = ReductionWitness(TableProgram(values, "t"), "reduction", "a", "b", n - 1)
+    text = serialize_witness(w)
+    assert text == ref_witness_text(w)
+    assert outcome(parsed, text) == outcome(ref_parse_witness, text) == (
+        "reduction", "a", "b", n - 1, "index", False, values)
+
+
+def test_floor_table_text_at_the_cap():
+    rng = random.Random(11)
+    for n in (0, 1, CAP - 1, CAP, CAP + 1):
+        for c in (0, 5, CAP - 1, CAP, CAP + 1):
+            for h in (0, CAP - 2, CAP - 1, CAP, CAP + 1):
+                for top in (CAP - 1, CAP + 1):
+                    prefix = [rng.randint(0, top) for _ in range(n)]
+                    t = FloorTableProgram(prefix, c, h, "p")
+                    w = ReductionWitness(t, "growth-p", "a", "b", t.horizon, "steps", True)
+                    assert serialize_witness(w) == ref_witness_text(w), (n, c, h, top)
+
+
+def test_decimals_match_str():
+    for ints in ([], [0], list(range(CAP)), [CAP - 1, CAP], [CAP], [CAP + 1, 0], [-1],
+                 [3, -1, 2], list(range(CAP + 2)), [10 ** 30, 5], (4, 4, 0)):
+        assert reductions._decimals(ints) == list(map(str, ints))
+
+
+def test_decimal_table_stays_at_its_cap():
+    reductions._decimal_table.cache_clear()
+    n = 200_000
+    for prog in (TableProgram(range(n), "t"), TableProgram([7] * n, "t"),
+                 FloorTableProgram([3, 1], 5, n - 1, "p")):
+        w = ReductionWitness(prog, "growth-p", "a", "b", n - 1, "steps", True)
+        text = serialize_witness(w)
+        assert parse_witness(text).program.values == prog.values
+        strs, index = reductions._decimal_table()
+        assert len(strs) == len(index) == CAP
+        assert strs == tuple(map(str, range(CAP))) and list(index.values()) == list(range(CAP))
+
+
 @pytest.mark.parametrize("table, values", [(TableProgram([5, 6, 7], "t"), [5, 6, 7]),
                                            (FloorTableProgram([5, 6], 9, 2, "t"), [5, 6, 9])])
 def test_table_reads_off_the_table_raise(table, values):
@@ -1488,22 +1566,45 @@ ROW_EDITS = [
 ]
 
 
-@pytest.mark.parametrize("edit", [name for name, _ in ROW_EDITS])
-def test_parse_witness_rows_match_the_per_row_reader(edit):
+def check_row_edits(edit, top, sizes, parse=parsed):
+    """Each edit of one row of tables drawn from 0..top reads as the per-row
+    reader reads it; the unedited tables round-trip."""
     change = dict(ROW_EDITS)[edit]
     rng = random.Random(edit)
-    for n in (1, 2, 7, 300):
-        w = ReductionWitness(TableProgram([rng.randint(0, 10 ** 6) for _ in range(n)], "t"),
+    for n in sizes:
+        w = ReductionWitness(TableProgram([rng.randint(0, top) for _ in range(n)], "t"),
                              "reduction", "a", "b", n - 1)
         text = serialize_witness(w)
-        assert parsed(text) == ref_parse_witness(text)
+        assert parse(text) == ref_parse_witness(text)
         head, _, body = text.partition("---\n")
+        if top < CAP:   # the table path reads every unedited table of at most CAP rows
+            assert (reductions._table_values(body) is None) == (n > CAP)
         rows = body.splitlines()
         for k in sorted({0, n - 1, rng.randrange(n)}):
             edited = rows[:k] + [change(rows, k)] + rows[k + 1:]
             for tail in ("\n", ""):
                 bad = head + "---\n" + "\n".join(edited) + tail
-                assert outcome(parsed, bad) == outcome(ref_parse_witness, bad), (n, k)
+                assert outcome(parse, bad) == outcome(ref_parse_witness, bad), (n, k)
+
+
+@pytest.mark.parametrize("edit", [name for name, _ in ROW_EDITS])
+def test_parse_witness_rows_match_the_per_row_reader(edit):
+    check_row_edits(edit, 10 ** 6, (1, 2, 7, 300))
+
+
+def parsed_cold(text):
+    reductions._decimal_table.cache_clear()
+    return parsed(text)
+
+
+@pytest.mark.parametrize("table", ["cold", "warm"])
+@pytest.mark.parametrize("edit", [name for name, _ in ROW_EDITS])
+def test_parse_witness_table_path_matches_the_per_row_reader(edit, table):
+    """Values under the cap reach the table path first, with the table
+    built inside the parse (cold) or before it (warm)."""
+    reductions._decimal_table()
+    check_row_edits(edit, CAP - 1, (1, 2, 7, 300, CAP, CAP + 1),
+                    parsed_cold if table == "cold" else parsed)
 
 
 def test_parse_witness_headers_match_the_per_row_reader():
@@ -1514,3 +1615,100 @@ def test_parse_witness_headers_match_the_per_row_reader():
                 text.split("---\n")[0] + "---\n", text + "3\t7\n", "", "---\n"]
     for bad in variants:
         assert outcome(parsed, bad) == outcome(ref_parse_witness, bad)
+
+
+# ---------------------------------------------------------------------------
+# Trace records by column against the per-line loop
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Each call from _parse_records to the per-line loop, recorded."""
+    calls = []
+    monkeypatch.setattr(constructions, "_parse_record_lines",
+                        lambda *args: calls.append(args) or _parse_record_lines(*args))
+    return calls
+
+
+def family6():
+    return [TermProgram(parse_term(t)) for t in FAMILY_TEXTS]
+
+
+def record_lines(text):
+    _, lines, first, _ = _split_trace(text)
+    return lines, first
+
+
+def test_record_columns_match_the_per_line_loop_on_golden_traces(fallbacks):
+    names = sorted(GOLDEN.glob("*.trace"))
+    assert len(names) == 40
+    for path in names:
+        lines, first = record_lines(decode_text(path.read_bytes(), path))
+        assert _parse_records(lines, first) == _parse_record_lines(lines, first), path.name
+    assert not fallbacks
+
+
+# one record line edited: a name order, a name repeated or added, integers
+# other than 0 and 1, and lines the per-line loop rejects
+RECORD_EDITS = [
+    lambda line: line.replace("Y0=0,Y1=1", "Y1=1,Y0=0"),
+    lambda line: line.replace("Y0=", "Y1=", 1),
+    lambda line: line.replace("Y1=1", "Y1=1,Z=0"),
+    lambda line: line.replace("\tY0=1,Y1=0\t", "\t-\t"),
+    lambda line: line.replace("Y0=1", "Y0=7").replace("Y1=0", "Y1=-1"),
+    lambda line: line.replace("Y0=", " Y0="),
+    lambda line: line.replace("Y0=1", "Y0=1=2"),
+    lambda line: line.replace("Y0=1", "Y0"),
+    lambda line: line.replace("Y1=0", "Y1=x"),
+    lambda line: line.replace("Y1=", "Y1=\u0663", 1),
+    lambda line: " " + line,
+    lambda line: "+" + line,
+    lambda line: "x" + line,
+    lambda line: line + "\t-",
+    lambda line: line.rpartition("\t")[0],
+    lambda line: "",
+]
+
+
+def test_record_columns_match_the_per_line_loop_on_edits(fallbacks):
+    lines, first = record_lines(construct_join_split(mod_set(3), family6()[:2], 40)
+                                .trace.serialize())
+    assert outcome(_parse_records, [], first) == outcome(_parse_record_lines, [], first)
+    seen = collections.Counter()
+    for edit in RECORD_EDITS:
+        for k in (0, 1, 5, 17, len(lines) - 1):
+            edited = lines[:k] + [edit(lines[k])] + lines[k + 1:]
+            before = len(fallbacks)
+            want = outcome(_parse_record_lines, edited, first)
+            assert outcome(_parse_records, edited, first) == want, (k, edited[k])
+            # the columns read the good lines, and every bad line falls back
+            assert (len(fallbacks) > before) == (want[0] is ParseError)
+            seen[want[0] is ParseError] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 2, seen
+
+
+def test_record_columns_match_the_per_line_loop_on_mutants(fallbacks):
+    saved = [construct_immune(family6(), 40),
+             construct_join_split(mod_set(3), family6()[:2], 40),
+             construct_dense(parse_set("meet(evens, blocks 6)"),
+                             parse_set("join(evens, blocks 6)"), None, family6(), 40)]
+    rng = random.Random(20)
+    seen = collections.Counter()
+    for result in saved:
+        original = result.trace.serialize().encode()
+        for _ in range(300):
+            try:
+                lines, first = record_lines(decode_text(fuzz_mutation(rng, original), "m"))
+            except ParseError:
+                continue
+            before = len(fallbacks)
+            want = outcome(_parse_record_lines, lines, first)
+            assert outcome(_parse_records, lines, first) == want, lines
+            # only a malformed line or no records at all leaves the columns
+            error = want[0] is ParseError
+            assert (len(fallbacks) > before) == (error or not lines)
+            seen["malformed" if error else "records" if lines else "no records"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen

@@ -5,17 +5,22 @@
 The pairs are the 12 of ``perfbench/workloads.py`` (``PAIRS``), whose
 trace inputs its ``setup`` writes into a temporary directory.  Each of
 ``REPEATS`` (11) repeats runs every pair at each horizon of ``HORIZONS``
-through four phases, each on descriptors parsed fresh before the phase
+through six phases, each on descriptors parsed fresh before the phase
 starts, as a command-line call would:
 
   * synth-g-from-h: ``synth_reduction_from_h`` under the identity bound;
   * synth-h: ``synth_h_from_reduction`` of that table;
   * surjectivize: ``surjectivize`` of that table;
-  * check: ``check_reduction_prefix`` of that table.
+  * check: ``check_reduction_prefix`` of that table;
+  * serialize: ``serialize_witness`` of that table and of its synth-h
+    table;
+  * parse: ``parse_witness`` of those two texts.
 
 It reports each phase's median wall time over the repeats next to
 deterministic counters from one extra, untimed pass: ``PrSet._ensure``
-entries, ``PrSet.bit`` calls and memo bits grown.  The result is stored
+entries, ``PrSet.bit`` calls, memo bits grown and calls of the per-row
+witness reader ``_parse_rows`` (``fallbacks``); the two text phases also
+count table rows and text bytes.  The result is stored
 under ``--label`` in ``BENCH_witness.json`` at the root of the checkout,
 keeping the other labels there, so that two commits can be compared by
 running this file against each one's ``src``.
@@ -37,7 +42,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads as W  # noqa: E402  (the pairs and the inputs they read)
 
-from punctual import reductions, sets  # noqa: E402
+from punctual import pr_lang, reductions, sets  # noqa: E402
 
 HORIZONS = (200, 600, 1000)
 REPEATS = 11
@@ -52,33 +57,45 @@ def horizons() -> list:
     return [h for _ in W.PAIRS for h in HORIZONS]
 
 
-# each phase's function of one (x, y, horizon, table)
+def witnesses(x, y, h, g) -> list:
+    """The synth-g table g and its synth-h table as reduction witnesses."""
+    gh = reductions.synth_h_from_reduction(g, x, y, h).program.values
+    return [reductions.ReductionWitness(pr_lang.TableProgram(t), "reduction",
+                                        x.name, y.name, h) for t in (g, gh)]
+
+
+# each phase's function of one (x, y, horizon, table, its witnesses, their texts)
 PHASES = {
-    "synth-g-from-h": lambda x, y, h, t: reductions.synth_reduction_from_h(x, y, IDENTITY, h),
-    "synth-h": lambda x, y, h, t: reductions.synth_h_from_reduction(t, x, y, h),
-    "surjectivize": lambda x, y, h, t: reductions.surjectivize(t, x, y, h),
-    "check": lambda x, y, h, t: reductions.check_reduction_prefix(
+    "synth-g-from-h": lambda x, y, h, t, ws, texts: reductions.synth_reduction_from_h(
+        x, y, IDENTITY, h),
+    "synth-h": lambda x, y, h, t, ws, texts: reductions.synth_h_from_reduction(t, x, y, h),
+    "surjectivize": lambda x, y, h, t, ws, texts: reductions.surjectivize(t, x, y, h),
+    "check": lambda x, y, h, t, ws, texts: reductions.check_reduction_prefix(
         t, sets.SetRelation(x), sets.SetRelation(y), h),
+    "serialize": lambda x, y, h, t, ws, texts: list(map(reductions.serialize_witness, ws)),
+    "parse": lambda x, y, h, t, ws, texts: list(map(reductions.parse_witness, texts)),
 }
+TEXT_PHASES = ("serialize", "parse")
 
 
-def one_pass(tables: list) -> dict:
+def one_pass(items: list) -> dict:
     """Wall time of each phase over every pair and horizon."""
     walls = {}
     for name, fn in PHASES.items():
         pairs = fresh_pairs()
         start = time.perf_counter()
-        for (x, y), h, t in zip(pairs, horizons(), tables):
-            fn(x, y, h, t)
+        for (x, y), h, item in zip(pairs, horizons(), items):
+            fn(x, y, h, *item)
         walls[name] = time.perf_counter() - start
     return walls
 
 
-def counted_pass(tables: list) -> dict:
-    """Memo work of each phase: _ensure entries, bit calls, memo growth."""
+def counted_pass(items: list) -> dict:
+    """Memo work of each phase: _ensure entries, bit calls, memo growth,
+    per-row reader calls; rows and text bytes of the text phases."""
     cls = sets.PrSet
-    ensure, bit = cls._ensure, cls.bit
-    counts = dict(ensure_entries=0, bit_calls=0, memo_bits=0)
+    ensure, bit, parse_rows = cls._ensure, cls.bit, reductions._parse_rows
+    counts = dict(ensure_entries=0, bit_calls=0, memo_bits=0, fallbacks=0)
 
     def counting_ensure(self, *args, **kwargs):
         counts["ensure_entries"] += 1
@@ -92,17 +109,27 @@ def counted_pass(tables: list) -> dict:
         counts["bit_calls"] += 1
         return bit(self, n)
 
+    def counting_parse_rows(*args):
+        counts["fallbacks"] += 1
+        return parse_rows(*args)
+
     out = {}
     cls._ensure, cls.bit = counting_ensure, counting_bit
+    reductions._parse_rows = counting_parse_rows
     try:
         for name, fn in PHASES.items():
             pairs = fresh_pairs()
-            counts.update(ensure_entries=0, bit_calls=0, memo_bits=0)
-            for (x, y), h, t in zip(pairs, horizons(), tables):
-                fn(x, y, h, t)
+            counts.update(ensure_entries=0, bit_calls=0, memo_bits=0, fallbacks=0)
+            for (x, y), h, item in zip(pairs, horizons(), items):
+                fn(x, y, h, *item)
             out[name] = dict(counts)
+            if name in TEXT_PHASES:
+                out[name].update(
+                    rows=sum(w.horizon + 1 for _, ws, _ in items for w in ws),
+                    text_bytes=sum(len(text) for _, _, texts in items for text in texts))
     finally:
         cls._ensure, cls.bit = ensure, bit
+        reductions._parse_rows = parse_rows
     return out
 
 
@@ -115,10 +142,13 @@ def main() -> int:
         os.chdir(workdir)           # set-up and the pairs name files relative to it
         try:
             W.setup(workdir)
-            tables = [list(reductions.synth_reduction_from_h(x, y, IDENTITY, h).program.values)
-                      for (x, y), h in zip(fresh_pairs(), horizons())]
-            counters = counted_pass(tables)
-            runs = [one_pass(tables) for _ in range(REPEATS)]
+            items = []
+            for (x, y), h in zip(fresh_pairs(), horizons()):
+                t = list(reductions.synth_reduction_from_h(x, y, IDENTITY, h).program.values)
+                ws = witnesses(x, y, h, t)
+                items.append((t, ws, [reductions.serialize_witness(w) for w in ws]))
+            counters = counted_pass(items)
+            runs = [one_pass(items) for _ in range(REPEATS)]
         finally:
             os.chdir(here)
     result = {
