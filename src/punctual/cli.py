@@ -16,7 +16,8 @@ import functools
 import sys
 
 from . import constructions, lattice, reductions, sets
-from .errors import MisuseError, PunctualError, StageBudgetExhausted, read_text
+from ._text import pair_lines, read_text, write_text
+from .errors import MisuseError, PunctualError, StageBudgetExhausted
 from .pr_lang import TableProgram, resolve_program
 from .reductions import (
     check_reduction_prefix,
@@ -71,10 +72,8 @@ def cmd_lattice(args, out) -> int:
         return 0 if ok else 1
     x, y = parse_set(args.a), parse_set(args.b)
     rep = lattice.equilibrium_points(x, y, args.horizon, args.convention)
-    out.write(f"convention\t{rep.convention}\n")
-    out.write(f"count\t{rep.count}\n")
-    for s in rep.points:
-        out.write(f"point\t{s}\n")
+    out.write(pair_lines([("convention", rep.convention), ("count", rep.count),
+                          *(("point", s) for s in rep.points)]))
     return 0
 
 
@@ -103,8 +102,7 @@ def cmd_reduce(args, out) -> int:
     text = reductions.serialize_witness(w)
     out.write(text)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     return 0
 
 
@@ -127,9 +125,8 @@ def cmd_diamond(args, out) -> int:
         pw = TableProgram(
             [min(s, args.horizon) for s in range(args.horizon + 1)], "p")
         w = lattice.canonical_diamond_witness(x, y, pw, pw, args.horizon, args.k)
-        out.write(f"case\t{w.case}\n")
-        out.write(f"good-stages\t{w.good_stage_count}\n")
-        out.write(f"equilibria\t{w.equilibrium_count}\n")
+        out.write(pair_lines([("case", w.case), ("good-stages", w.good_stage_count),
+                              ("equilibria", w.equilibrium_count)]))
         return 0
     else:
         missing = [name for name in ("c", "d") if getattr(args, name) is None]
@@ -140,12 +137,8 @@ def cmd_diamond(args, out) -> int:
             x, parse_set(args.c), parse_set(args.d), y, None, None,
             args.horizon, certificate=cert)
         ev = report
-    out.write(f"kind\t{ev.kind}\n")
-    out.write(f"convention\t{ev.convention}\n")
-    out.write(f"count\t{ev.count}\n")
-    out.write(f"verdict\t{ev.verdict}\n")
-    for h in ev.hits:
-        out.write(f"hit\t{h}\n")
+    out.write(pair_lines([("kind", ev.kind), ("convention", ev.convention), ("count", ev.count),
+                          ("verdict", ev.verdict), *(("hit", h) for h in ev.hits)]))
     return 0
 
 
@@ -207,9 +200,7 @@ def cmd_construct(args, out) -> int:
         constructions.save_trace(built, args.out)
         out.write(f"trace\t{args.out}\n")
     verdict = built.trace.footer[0][1]
-    out.write(f"verdict\t{verdict}\n")
-    for name in built.outputs:
-        out.write(f"output\t{name}\n")
+    out.write(pair_lines([("verdict", verdict), *(("output", n) for n in built.outputs)]))
     return 0 if verdict == "ok" else 1
 
 

@@ -25,10 +25,10 @@ refute, so exhaustion is a first-class outcome.
 roles and its validator; the command line, replay and validation read it.
 
 A trace keeps its records as columns (stage, cycle, phase, sparse events)
-and its bits as the machines' own output lists, written column by column.
-``verify_trace_file`` replays from the header alone and parses the records
-only when the replay raises or its bytes differ, so a malformed record is
-still the first error reported.
+and its bits as the machines' own output lists; ``_text`` writes and
+reads them as text.  ``verify_trace_file`` replays from the header alone
+and parses the records only when the replay raises or its bytes differ,
+so a malformed record is still the first error reported.
 To add a construction, write a machine, a builder that runs it through
 ``_drive``, a validator for its own invariants, and one registry entry.
 """
@@ -37,27 +37,19 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat, zip_longest
+from itertools import chain, islice, zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import (
-    NotCertified,
-    ParseError,
-    PreconditionFailed,
-    StageBudgetExhausted,
-    decode_text,
-    read_text,
-)
+from . import _text
+from .errors import NotCertified, ParseError, PreconditionFailed, StageBudgetExhausted
 from .lattice import anti_reduction_evidence, family_hash
 from .pr_lang import COST_MODEL, ClockedProgram, cantor_pair, program_text, resolve_program
 from .reductions import (
     _PAIR_PREDICATES,
     Counterexample,
     ReductionWitness,
-    _decimals,
     _fresh_pick_table,
     _least_violation,
     _still_violates,
@@ -132,11 +124,10 @@ class Trace:
         events = ["-"] * len(self.stages)
         for i, evs in self.events.items():
             events[i] = ";".join(evs) or "-"
-        lines = [TRACE_FORMAT, *[f"{k}\t{v}" for k, v in self.header], "---",
-                 *map("\t".join, zip(_decimals(self.stages), self.cycles, self.phases,
-                                     self._bits_field(), events)),
-                 "---", *[f"{k}\t{v}" for k, v in self.footer]]
-        return "\n".join(lines) + "\n"
+        records = _text.rows([_text.decimals(self.stages), self.cycles, self.phases,
+                              self._bits_field(), events])
+        return (f"{TRACE_FORMAT}\n{_text.pair_lines(self.header)}---\n{records}"
+                f"---\n{_text.pair_lines(self.footer)}")
 
     def header_value(self, key: str) -> Optional[str]:
         for k, v in self.header:
@@ -167,44 +158,34 @@ def _split_trace(text: str):
     if not lines or lines[0] != TRACE_FORMAT:
         raise ParseError("not a trace file")
 
-    def cut(start):
-        try:
-            return lines.index("---", start)
-        except ValueError:
-            return len(lines)
-
-    head = cut(1)
-    body = cut(head + 1)
-    header = [(k, v) for k, _, v in [line.partition("\t") for line in lines[1:head]]]
-    footer = [(k, v) for k, _, v in [line.partition("\t") for line in lines[body + 1:]
-                                     if line]]
-    return header, lines[head + 1:body], head + 2, footer
+    marks = lines + ["---", "---"]      # a missing ``---`` ends the text
+    head = marks.index("---", 1)
+    body = marks.index("---", head + 1)
+    footer = _text.pairs(filter(None, lines[body + 1:]))
+    return _text.pairs(lines[1:head]), lines[head + 1:body], head + 2, footer
 
 
 def _parse_records(lines: list, first: int) -> tuple:
-    """The record lines' columns, bits by output; the first bad line raises.
-
-    When every line has the five fields, the lines are read by column: one
-    split of all of them, ``int`` over the stage column, and each distinct
-    bits field parsed once.  Any other lines (no lines at all included),
-    and a ValueError in a column, go through _parse_record_lines, which
-    names the first bad line."""
-    if set(map(str.count, lines, repeat("\t"))) != {4}:  # five fields a line
+    """The record lines' columns, bits by output, read by column: ``int``
+    over the stage column, each distinct bits field parsed once.  Lines
+    that ``_text.columns`` declines, and a ValueError in a column, go
+    through _parse_record_lines, which names the first bad line."""
+    read = _text.columns("\n".join([*lines, ""]), len(_RECORD_FIELDS))
+    if read is None:
         return _parse_record_lines(lines, first)
-    flat = "\t".join(lines).split("\t")
-    stage, cycles, phases, bits, evs = (flat[i::5] for i in range(5))
+    stage, cycles, phases, bits, evs = read
     try:
         fields = {f: [p.split("=") for p in f.split(",")] if f != "-" else []
                   for f in dict.fromkeys(bits)}
-        columns = {}
-        for n in dict.fromkeys(n for pairs in fields.values() for n, _ in pairs):
-            cells = {f: [int(b) for m, b in pairs if m == n] for f, pairs in fields.items()}
-            columns[n] = list(chain.from_iterable(map(cells.__getitem__, bits)))
+        outputs = {}
+        for n in dict.fromkeys(n for named in fields.values() for n, _ in named):
+            cells = {f: [int(b) for m, b in named if m == n] for f, named in fields.items()}
+            outputs[n] = list(chain.from_iterable(map(cells.__getitem__, bits)))
         stages = list(map(int, stage))
     except ValueError:
         return _parse_record_lines(lines, first)
     events = {i: tuple(e.split(";")) for i, e in enumerate(evs) if e != "-"}
-    return stages, cycles, phases, events, columns
+    return stages, cycles, phases, events, outputs
 
 
 def _parse_record_lines(lines: list, first: int) -> tuple:
@@ -487,8 +468,7 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
                                 m.counterexamples, m.witnesses(outputs, max_stages), notes)
     _finish(result)
     for name, table in result.witnesses.items():
-        digest = hashlib.sha256("\n".join(_decimals(table)).encode()).hexdigest()[:16]
-        trace.footer.append((f"witness-{name}", digest))
+        trace.footer.append((f"witness-{name}", _text.digest(_text.decimals(table))))
     return result
 
 
@@ -1284,8 +1264,7 @@ CONSTRUCTIONS = {
 
 
 def save_trace(result: ConstructionResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(result.trace.serialize())
+    _text.write_text(path, result.trace.serialize())
 
 
 def load_trace_set(path: str) -> PrSet:
@@ -1295,7 +1274,7 @@ def load_trace_set(path: str) -> PrSet:
         base, _, maybe = str(path).rpartition(":")
         if maybe.isidentifier():
             path, name = base, maybe
-    trace = parse_trace(read_text(path))
+    trace = parse_trace(_text.read_text(path))
     outputs = _required(trace, "outputs").split(",")
     pick = name or outputs[0]
     if pick not in outputs:
@@ -1380,7 +1359,7 @@ def verify_trace_file(path) -> tuple[bool, str]:
     """
     with open(path, "rb") as fh:
         original = fh.read()
-    header, lines, first, _ = _split_trace(decode_text(original, path))
+    header, lines, first, _ = _split_trace(_text.decode_text(original, path))
     trace = Trace(header)
     if trace.header_value("max-stages") != str(len(lines) - 1):
         _parse_records(lines, first)

@@ -1,4 +1,4 @@
-"""Shared exception taxonomy, and the text reader that maps bad bytes into it.
+"""Shared exception taxonomy.
 
 Errors fall into three CLI-visible families: misuse (exit 1), stage budget
 exhaustion (exit 2), and I/O (exit 3, plain OSError).
@@ -15,24 +15,22 @@ class MisuseError(PunctualError):
     """Bad input, violated precondition, or malformed data (CLI exit 1)."""
 
 
-class ParseError(MisuseError):
+class _AtPosition(MisuseError):
+    """An error that may name a position in the text it was raised on."""
+
+    def __init__(self, message: str, position: int | None = None):
+        self.reason, self.position = message, position
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
+
+
+class ParseError(_AtPosition):
     """Malformed term or descriptor text; carries the offending position."""
 
-    def __init__(self, message: str, position: int | None = None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
 
-
-class ArityError(MisuseError):
+class ArityError(_AtPosition):
     """Arity mismatch in a term, detected at parse or build time."""
-
-    def __init__(self, message: str, position: int | None = None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
 
 
 class PunctualityViolation(MisuseError):
@@ -90,19 +88,3 @@ class StageBudgetExhausted(PunctualError):
         self.trace = trace
         super().__init__(f"{message} [cycle={cycle} phase={phase} stage={stage}]")
 
-
-def decode_text(data: bytes, path) -> str:
-    """The bytes of the file at path as UTF-8 text; other bytes are
-    malformed input (ParseError naming the file), not a crash."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-def read_text(path) -> str:
-    """A UTF-8 text file, with newlines read as in text mode."""
-    with open(path, "rb") as fh:
-        text = decode_text(fh.read(), path)
-    return text.replace("\r\n", "\n").replace("\r", "\n")

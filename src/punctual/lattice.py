@@ -9,11 +9,11 @@ No verdict claims the limit property.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._text import digest, pair_lines
 from .errors import CaseUndetermined, NotCertified
 from .pr_lang import ClockedProgram, TableProgram, program_text
 from .reductions import (
@@ -33,8 +33,7 @@ from .sets import (
 
 
 def family_hash(family: Sequence[ClockedProgram]) -> str:
-    text = "\n".join(program_text(p) for p in family)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digest(map(program_text, family))
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +462,12 @@ def shift_top_certificate(g, x: PrSet, horizon: int):
 
 def serialize_evidence(ev: DiamondEvidence, family=()) -> str:
     """Line-oriented evidence report; a replayed run reproduces it exactly."""
-    lines = [
-        f"kind\t{ev.kind}",
-        f"pair\t{ev.pair[0]}\t{ev.pair[1]}",
-        f"convention\t{ev.convention}",
-        f"span\t{ev.span[0]}\t{ev.span[1]}",
-        f"threshold\t{ev.threshold}",
-        f"relaxed\t{int(ev.relaxed)}",
-        f"family-hash\t{family_hash(family) if family else '-'}",
-        f"verdict\t{ev.verdict}",
-        "---",
-    ]
-    lines.extend(f"hit\t{h}" for h in ev.hits)
-    return "\n".join(lines) + "\n"
+    head = pair_lines([
+        ("kind", ev.kind), ("pair", f"{ev.pair[0]}\t{ev.pair[1]}"),
+        ("convention", ev.convention), ("span", f"{ev.span[0]}\t{ev.span[1]}"),
+        ("threshold", ev.threshold), ("relaxed", int(ev.relaxed)),
+        ("family-hash", family_hash(family) if family else "-"), ("verdict", ev.verdict)])
+    return head + "---\n" + pair_lines(("hit", h) for h in ev.hits)
 
 
 def anti_reduction_evidence(x: PrSet, y: PrSet,

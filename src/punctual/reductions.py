@@ -13,13 +13,13 @@ clocked convergence is monotone, a fired pair stays fired forever.
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import lt
 from typing import Optional, Sequence, Union
 
+from ._text import columns, decimals, integers, pair_lines, pairs, read_text, rows
 from .errors import (
     CeilingExceeded,
     NotAReduction,
@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     WitnessBoundViolated,
-    read_text,
 )
 from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
 from .sets import DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation
@@ -569,42 +568,7 @@ def domination_certificate(low: PrSet, high: PrSet, horizon: int,
                             claim, low.name, high.name, horizon, convention, True)
 
 
-_ROW = "{}\t{}\n".format
-# The decimal strings of 0 .. _DECIMAL_CAP - 1 and their reverse map, built
-# on first use (about 0.5 MB).  Rows, trace stage columns and witness
-# digests whose integers all lie under the cap are written by lookup, and a
-# witness body that the lookup writer reproduces is read by lookup.
-_DECIMAL_CAP = 4096
-
-
-@functools.cache
-def _decimal_table() -> tuple:
-    strs = tuple(map(str, range(_DECIMAL_CAP)))
-    return strs, dict(zip(strs, range(_DECIMAL_CAP)))
-
-
-def _under_cap(ints) -> bool:
-    return not ints or 0 <= min(ints) and max(ints) < _DECIMAL_CAP
-
-
-def _decimals(ints) -> list:
-    """str of each integer of ints, by lookup when all lie under the cap."""
-    return list(map(_decimal_table()[0].__getitem__ if _under_cap(ints) else str, ints))
-
-
-def _rows(lo: int, values) -> str:
-    """Rows "i<TAB>v" for i = lo, lo + 1, ... and v in values: by lookup
-    when every index and value lies under the cap, else by _ROW."""
-    hi = lo + len(values)
-    if hi > _DECIMAL_CAP or not _under_cap(values):
-        return "".join(map(_ROW, range(lo, hi), values))
-    strs = _decimal_table()[0]
-    cells = ["", "\t", "", "\n"] * len(values)
-    cells[0::4] = strs[lo:hi]
-    cells[2::4] = map(strs.__getitem__, values)
-    return "".join(cells)
-
-
+_HEADER = ("claim", "source", "target", "horizon", "convention", "verified")
 # Rows i in one aligned block of 1000 indices (i >= 1000) share the decimal
 # prefix str(i // 1000) and differ in a three-digit suffix, so a block of a
 # floor table's tail is one join of these suffixes around that prefix.
@@ -615,20 +579,20 @@ _RANGE_PIECES = ("", _SUFFIXES[0] + "\t",
                  *(s + end for s in _SUFFIXES[1:] for end in ("\n", "\t")))
 
 
-def _write_rows(out, lo: int, hi: int, values, block) -> None:
-    """Rows lo..hi-1 of a table whose entries from i to j - 1 are
-    values(i, j): aligned blocks at or past 1000 as block(k), the rest
-    through _rows."""
-    first = min(hi, max(1000, -(-lo // 1000) * 1000))
-    last = max(first, hi // 1000 * 1000)
-    out.write(_rows(lo, values(lo, first)))
-    for k in range(first, last, 1000):
-        out.write(block(k))
-    out.write(_rows(last, values(last, hi)))
+def _write_rows(out, lo: int, values) -> None:
+    """Rows "i<TAB>v" for i = lo, lo + 1, ... and v in values, in joined
+    chunks of 4096: one write per row is slower than the join, and one
+    join over all rows holds every row string at once."""
+    for at in range(0, len(values), 4096):
+        chunk = values[at:at + 4096]
+        out.write(rows([decimals(range(lo + at, lo + at + len(chunk))), decimals(chunk)]))
 
 
 def _write_floor_tail(out, prog: FloorTableProgram) -> None:
-    """Rows past the prefix: a run of the floor c, then the range i -> i + 1."""
+    """Rows past the prefix: a run of the floor c, then the range i -> i + 1.
+    Each part's rows from lo to hi - 1, whose entries from i to j - 1 are
+    values(i, j), go out as aligned blocks of 1000 past 1000, block(k),
+    and the rest through _write_rows."""
     start, end, c = len(prog.prefix), prog.horizon + 1, prog.floor
     run_end = max(start, min(c, end))
     close = f"\t{c}\n"
@@ -640,39 +604,37 @@ def _write_floor_tail(out, prog: FloorTableProgram) -> None:
     def range_block(k):
         return str(k // 1000).join(_RANGE_PIECES) + f"{k + 1000}\n"
 
-    _write_rows(out, start, run_end, lambda i, j: [c] * (j - i), run_block)
-    _write_rows(out, run_end, end, lambda i, j: range(i + 1, j + 1), range_block)
+    for lo, hi, values, block in ((start, run_end, lambda i, j: [c] * (j - i), run_block),
+                                  (run_end, end, lambda i, j: range(i + 1, j + 1), range_block)):
+        first = min(hi, max(1000, -(-lo // 1000) * 1000))
+        last = max(first, hi // 1000 * 1000)
+        _write_rows(out, lo, values(lo, first))
+        out.writelines(map(block, range(first, last, 1000)))
+        _write_rows(out, last, values(last, hi))
 
 
 def serialize_witness(w: ReductionWitness) -> str:
     """A table witness as text: the header, ``---``, then one row
-    "index<TAB>value" per entry.  Rows are written in chunks of 4096 (and a
-    floor table's tail in aligned blocks of 1000); a chunk whose indices and
-    values all lie under _DECIMAL_CAP is written from the decimal table,
-    any other with the same bytes one row at a time."""
+    "index<TAB>value" per entry, a floor table's tail in aligned blocks
+    of 1000."""
     prog = w.program
     if not isinstance(prog, TableProgram):
         raise PreconditionFailed("only table-backed witnesses serialize")
     out = io.StringIO()
-    out.write(f"claim\t{w.claim}\nsource\t{w.source}\ntarget\t{w.target}\n"
-              f"horizon\t{w.horizon}\nconvention\t{w.convention}\n"
-              f"verified\t{int(w.verified)}\n---\n")
-    # rows go out in joined chunks: one write per row is slower than the
-    # join, and one join over all rows holds every row string at once
+    out.write(pair_lines(zip(_HEADER, (w.claim, w.source, w.target, w.horizon,
+                                       w.convention, int(w.verified)))) + "---\n")
     floor = isinstance(prog, FloorTableProgram)
-    values = prog.prefix if floor else prog.values
-    for lo in range(0, len(values), 4096):
-        out.write(_rows(lo, values[lo:lo + 4096]))
+    _write_rows(out, 0, prog.prefix if floor else prog.values)
     if floor:
         _write_floor_tail(out, prog)
     return out.getvalue()
 
 
-def _parse_rows(rows: list, first_row: int) -> list:
+def _parse_rows(lines: list, first_row: int) -> list:
     """Witness table rows "index<TAB>value", one at a time: the first bad
     row raises, naming its line."""
     values = []
-    for lineno, line in enumerate(rows, first_row):
+    for lineno, line in enumerate(lines, first_row):
         i, _, v = line.partition("\t")
         try:
             index, value = int(i), int(v)
@@ -686,35 +648,19 @@ def _parse_rows(rows: list, first_row: int) -> list:
     return values
 
 
-def _table_values(body: str) -> Optional[list]:
-    """The values of a witness body of at most _DECIMAL_CAP rows, read by
-    lookup, when _rows writes that body back byte for byte; else None."""
-    if body.count("\n") > _DECIMAL_CAP:
-        return None
-    try:
-        values = list(map(_decimal_table()[1].__getitem__,
-                          body.replace("\n", "\t").split("\t")[1::2]))
-    except KeyError:
-        return None
-    return values if _rows(0, values) == body else None
-
-
 def parse_witness(text: str) -> ReductionWitness:
     """Read a witness file; malformed rows and header keys raise ParseError.
 
-    A body that serialize_witness's table path writes back byte for byte
-    (at most _DECIMAL_CAP rows, every value under the cap) is read by
-    lookup; any other body goes through _parse_rows, so every error keeps
-    its message and line number."""
+    A body that ``columns`` reads, with indices 0, 1, ... and every value
+    under the decimal cap, is read by lookup; any other body goes through
+    _parse_rows, which names the first bad line."""
     head, _, body = text.partition("---\n")
-    fields = {}
-    for line in head.splitlines():
-        key, _, val = line.partition("\t")
-        fields[key] = val
-    values = _table_values(body)
-    if values is None:
+    fields = dict(pairs(head.splitlines()))
+    table = columns(body, 2)
+    values = integers(table[1]) if table else None
+    if values is None or table[0] != decimals(range(len(values))):
         values = _parse_rows(body.splitlines(), len(head.splitlines()) + 2)
-    for key in ("claim", "source", "target", "horizon", "convention", "verified"):
+    for key in _HEADER:
         if key not in fields:
             raise ParseError(f"witness header has no {key!r} line")
     try:

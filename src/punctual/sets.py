@@ -25,7 +25,7 @@ The descriptor DSL understood by the CLI and by test fixtures:
 ``blocks K`` alternates K members with K non-members.  ``drop`` removes the
 least zero (flips it to membership).  The DSL reads through the scanner of
 the term grammar (``pr_lang``), so blanks between tokens are skipped alike
-and an error names its position in the text stripped of outer blanks.
+and an error names its position in the descriptor, inside a quoted term too.
 
 Bits, zero counts and cumulative costs are memoized as prefixes; below
 bit 0, ``zeros_by_index`` and ``cum_cost`` read 0, ``prefix(-1)`` is
@@ -86,6 +86,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import pr_lang
 from .errors import (
+    ArityError,
     CeilingExceeded,
     NotEquivalence,
     ParseError,
@@ -896,6 +897,17 @@ class _DslParser(pr_lang._Scanner):
         self.pos = end + 1
         return out
 
+    def term(self) -> pr_lang.PrTerm:
+        """A quoted term; an error in it names its position in the descriptor."""
+        text = self.quoted()
+        try:
+            return pr_lang.parse_term(text)
+        except (ParseError, ArityError) as exc:
+            if exc.position is None:
+                raise
+            start = self.pos - 1 - len(text)    # the term text's first character
+            raise type(exc)(exc.reason, start + exc.position) from None
+
     def path(self) -> str:
         if self.peek() == '"':
             return self.quoted()
@@ -914,11 +926,10 @@ class _DslParser(pr_lang._Scanner):
             k = self.number(f"{word} needs a number")
             return mod_set(k) if word == "mod" else blocks_set(k)
         if word == "term":
-            t = self.quoted()
+            t = self.term()
             if self.word() != "bound":
                 raise ParseError("term descriptor needs a bound", self.pos)
-            b = self.quoted()
-            return term_set(t, b)
+            return term_set(t, self.term())
         if word == "trace":
             p = self.path()
             from . import constructions
@@ -939,7 +950,7 @@ class _DslParser(pr_lang._Scanner):
 
 
 def parse_set(text: str) -> PrSet:
-    p = _DslParser(text.strip())
+    p = _DslParser(text)
     s = p.expr()
     p.end("trailing input after descriptor")
     return s

@@ -494,7 +494,8 @@ def test_deeply_nested_term_is_misuse(levels, where, capsys, tmp_path):
     assert main(argv) == 1
     limit = pr_lang.MAX_TERM_DEPTH
     err = capsys.readouterr().err
-    assert err == f"error: term nested deeper than {limit} levels (at position {5 * limit})\n"
+    at = 5 * limit + (6 if where == "descriptor" else 0)   # past 'term "'
+    assert err == f"error: term nested deeper than {limit} levels (at position {at})\n"
 
 
 @pytest.mark.parametrize("descriptor, message", [
@@ -504,16 +505,16 @@ def test_deeply_nested_term_is_misuse(levels, where, capsys, tmp_path):
      "mod K needs K <= the index ceiling 200000, got 99999999999999999999999"),
     ("mod 1000000000", "mod K needs K <= the index ceiling 200000, got 1000000000"),
     ('term "P[100000000000000000000,1]" bound "S"',
-     "projection P[100000000000000000000,1] needs n <= 4096 (at position 0)"),
+     "projection P[100000000000000000000,1] needs n <= 4096 (at position 6)"),
     ('term "P[1000000000,1]" bound "S"',
-     "projection P[1000000000,1] needs n <= 4096 (at position 0)"),
+     "projection P[1000000000,1] needs n <= 4096 (at position 6)"),
     # past int()'s 4,300-digit limit: the digit run's start
     pytest.param("mod " + "1" * 5000, "number of 5000 digits is too long (at position 4)",
                  id="mod-5000-digits"),
     pytest.param("blocks " + "1" * 4301, "number of 4301 digits is too long (at position 7)",
                  id="blocks-4301-digits"),
     pytest.param(f'term "P[{"1" * 5000},1]" bound "S"',
-                 "number of 5000 digits is too long (at position 2)", id="projection-5000-digits"),
+                 "number of 5000 digits is too long (at position 8)", id="projection-5000-digits"),
 ])
 def test_oversized_descriptor_numbers_are_misuse(descriptor, message, capsys):
     assert main(["profile", descriptor, "--horizon", "3"]) == 1

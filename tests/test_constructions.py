@@ -6,7 +6,8 @@ import pytest
 from conftest import BOUND_LINEAR, EVENS_TERM, serialize_by_records
 from test_cli import fuzz_mutation
 
-from punctual.errors import ParseError, PreconditionFailed, StageBudgetExhausted, decode_text
+from punctual._text import decode_text
+from punctual.errors import ParseError, PreconditionFailed, StageBudgetExhausted
 from punctual.constructions import (
     _DenseMachine,
     _Detector,

@@ -4,7 +4,8 @@ The references below are the earlier, definitional versions: the two
 "least fresh zero" mu-searches that rescan from 0 for every pick, the
 per-stage step-rate table, the bit-by-bit step-profile count, the
 principal-zero scan, the one-row-at-a-time witness writer and reader
-(which the decimal-table writer and reader replace under its cap), the
+(which the column writer and, under the decimal cap, the column reader
+replace), the
 per-line trace record loop, one profile read per stage, and the all-pairs
 reduction check.  Each fast
 path must give the same table or value, or raise the same exception class
@@ -25,7 +26,8 @@ import sys
 
 import pytest
 
-from punctual import constructions, pr_lang, reductions, sets
+from punctual import _text, constructions, pr_lang, reductions, sets
+from punctual._text import decode_text
 from punctual.constructions import (
     _fresh_zero_table,
     _parse_record_lines,
@@ -45,7 +47,6 @@ from punctual.errors import (
     PreconditionFailed,
     PunctualityViolation,
     WitnessBoundViolated,
-    decode_text,
 )
 from punctual.pr_lang import (
     FloorTableProgram,
@@ -1178,7 +1179,7 @@ def test_floor_table_matches_its_dense_values():
         assert parse_witness(text).program.values == values
 
 
-CAP = reductions._DECIMAL_CAP
+CAP = _text._DECIMAL_CAP
 
 
 def ref_rows(lo, values):
@@ -1186,17 +1187,12 @@ def ref_rows(lo, values):
 
 
 @pytest.mark.parametrize("lo", [0, 1, CAP - 3, CAP - 2, CAP - 1, CAP, CAP + 1])
-def test_table_rows_match_the_row_writer(lo, monkeypatch):
-    row_calls = []
-    row = reductions._ROW
-    monkeypatch.setattr(reductions, "_ROW", lambda i, v: row_calls.append(i) or row(i, v))
+def test_table_rows_match_the_row_writer(lo):
     cases = [[], [0], [CAP - 1], [CAP], [CAP + 1], [CAP - 1, 0, CAP - 1], [0, CAP, 1],
              [-1, 3], [5, -2], list(range(CAP - 3, CAP + 2))[:3], [7] * 5]
     for values in cases:
-        row_calls.clear()
-        assert reductions._rows(lo, values) == ref_rows(lo, values), values
-        table_path = lo + len(values) <= CAP and all(0 <= v < CAP for v in values)
-        assert not row_calls if table_path else len(row_calls) == len(values)
+        index = _text.decimals(range(lo, lo + len(values)))
+        assert _text.rows([index, _text.decimals(values)]) == ref_rows(lo, values), values
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, CAP - 1, CAP, CAP + 1])
@@ -1230,20 +1226,59 @@ def test_floor_table_text_at_the_cap():
 def test_decimals_match_str():
     for ints in ([], [0], list(range(CAP)), [CAP - 1, CAP], [CAP], [CAP + 1, 0], [-1],
                  [3, -1, 2], list(range(CAP + 2)), [10 ** 30, 5], (4, 4, 0)):
-        assert reductions._decimals(ints) == list(map(str, ints))
+        assert _text.decimals(ints) == list(map(str, ints))
+
+
+def ref_columns(text, width):
+    """The columns of text read line by line: None unless every line ends
+    in a newline and has exactly width tab-separated cells."""
+    if text and not text.endswith("\n"):
+        return None
+    lines = [line.split("\t") for line in text.split("\n")[:-1]]
+    if any(len(cells) != width for cells in lines):
+        return None
+    return [[cells[k] for cells in lines] for k in range(width)]
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_columns_read_exactly_the_blocks_rows_writes(width):
+    # every text of up to 9 characters over a cell character and both separators
+    seen = collections.Counter()
+    for n in range(10):
+        for chars in itertools.product("a\t\n", repeat=n):
+            text = "".join(chars)
+            want = ref_columns(text, width)
+            assert _text.columns(text, width) == want, text
+            if want is not None:
+                assert _text.rows(want) == text
+            seen[want is None] += 1
+    assert seen[False] >= 20, seen
+    # written blocks of random cells read back, and one line off by a cell does not
+    rng = random.Random(width)
+    for n in (0, 1, 2, 7, 300):
+        cols = [[rng.choice(["", "0", "x=1", "a;b", "12345"]) for _ in range(n)]
+                for _ in range(width)]
+        text = _text.rows(cols)
+        assert _text.columns(text, width) == cols
+        lines = text.split("\n")
+        for k in range(n):
+            for line in (lines[k] + "\t", lines[k].rpartition("\t")[0]):
+                bad = "\n".join(lines[:k] + [line] + lines[k + 1:])
+                assert _text.columns(bad, width) is None, (n, k, line)
 
 
 def test_decimal_table_stays_at_its_cap():
-    reductions._decimal_table.cache_clear()
+    _text._decimal_table.cache_clear()
     n = 200_000
     for prog in (TableProgram(range(n), "t"), TableProgram([7] * n, "t"),
                  FloorTableProgram([3, 1], 5, n - 1, "p")):
         w = ReductionWitness(prog, "growth-p", "a", "b", n - 1, "steps", True)
         text = serialize_witness(w)
         assert parse_witness(text).program.values == prog.values
-        strs, index = reductions._decimal_table()
+        strs, index = _text._decimal_table()
         assert len(strs) == len(index) == CAP
-        assert strs == tuple(map(str, range(CAP))) and list(index.values()) == list(range(CAP))
+        assert strs == dict(zip(range(CAP), map(str, range(CAP))))
+        assert index == dict(zip(map(str, range(CAP)), range(CAP)))
 
 
 @pytest.mark.parametrize("table, values", [(TableProgram([5, 6, 7], "t"), [5, 6, 7]),
@@ -1577,8 +1612,10 @@ def check_row_edits(edit, top, sizes, parse=parsed):
         text = serialize_witness(w)
         assert parse(text) == ref_parse_witness(text)
         head, _, body = text.partition("---\n")
-        if top < CAP:   # the table path reads every unedited table of at most CAP rows
-            assert (reductions._table_values(body) is None) == (n > CAP)
+        if top < CAP:   # the table path reads every unedited table: no per-row reader
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reductions, "_parse_rows", None)
+                assert parse(text) == ref_parse_witness(text)
         rows = body.splitlines()
         for k in sorted({0, n - 1, rng.randrange(n)}):
             edited = rows[:k] + [change(rows, k)] + rows[k + 1:]
@@ -1593,7 +1630,7 @@ def test_parse_witness_rows_match_the_per_row_reader(edit):
 
 
 def parsed_cold(text):
-    reductions._decimal_table.cache_clear()
+    _text._decimal_table.cache_clear()
     return parsed(text)
 
 
@@ -1602,7 +1639,7 @@ def parsed_cold(text):
 def test_parse_witness_table_path_matches_the_per_row_reader(edit, table):
     """Values under the cap reach the table path first, with the table
     built inside the parse (cold) or before it (warm)."""
-    reductions._decimal_table()
+    _text._decimal_table()
     check_row_edits(edit, CAP - 1, (1, 2, 7, 300, CAP, CAP + 1),
                     parsed_cold if table == "cold" else parsed)
 
@@ -1707,8 +1744,8 @@ def test_record_columns_match_the_per_line_loop_on_mutants(fallbacks):
             before = len(fallbacks)
             want = outcome(_parse_record_lines, lines, first)
             assert outcome(_parse_records, lines, first) == want, lines
-            # only a malformed line or no records at all leaves the columns
+            # only a malformed line leaves the columns
             error = want[0] is ParseError
-            assert (len(fallbacks) > before) == (error or not lines)
+            assert (len(fallbacks) > before) == error
             seen["malformed" if error else "records" if lines else "no records"] += 1
     assert min(seen.values()) >= 20 and len(seen) == 3, seen

@@ -427,10 +427,11 @@ class TestTransversalAndNormalForm:
 
 
 # Every raise site of the descriptor DSL: (text, type, exact message,
-# position).  Positions count from the first non-blank character.
+# position).  Positions count in the descriptor as given, a quoted term's
+# included.
 BAD_DESCRIPTORS = [
     ("", ParseError, "unknown descriptor '' (at position 0)", 0),
-    ("   ", ParseError, "unknown descriptor '' (at position 0)", 0),
+    ("   ", ParseError, "unknown descriptor '' (at position 3)", 3),
     ("sevens", ParseError, "unknown descriptor 'sevens' (at position 6)", 6),
     ("mod3", ParseError, "unknown descriptor 'mod3' (at position 4)", 4),
     ("\u00e9vens", ParseError, "unknown descriptor '\u00e9vens' (at position 5)", 5),
@@ -440,7 +441,7 @@ BAD_DESCRIPTORS = [
     ("mod \u00b2", ParseError, "mod needs a number (at position 4)", 4),
     ("mod 3x", ParseError, "trailing input after descriptor (at position 5)", 5),
     ("evens extra", ParseError, "trailing input after descriptor (at position 6)", 6),
-    ("  evens  x", ParseError, "trailing input after descriptor (at position 7)", 7),
+    ("  evens  x", ParseError, "trailing input after descriptor (at position 9)", 9),
     ("join(evens, mod 3))", ParseError,
      "trailing input after descriptor (at position 18)", 18),
     ("join evens", ParseError, "expected '(' in descriptor (at position 5)", 5),
@@ -454,9 +455,9 @@ BAD_DESCRIPTORS = [
     ('term "S"', ParseError, "term descriptor needs a bound (at position 8)", 8),
     ('term "S" bound S', ParseError, "expected a quoted string (at position 15)", 15),
     ('term "S" bound "S', ParseError, "unterminated quote (at position 15)", 15),
-    ('term "X" bound "S"', ParseError, "expected a term, got 'X' (at position 0)", 0),
+    ('term "X" bound "S"', ParseError, "expected a term, got 'X' (at position 6)", 6),
     ('term "R(Z; S)" bound "S"', ArityError,
-     "recursion step arity 1 != base arity 0 + 3 (at position 0)", 0),
+     "recursion step arity 1 != base arity 0 + 3 (at position 6)", 6),
     ("trace", ParseError, "expected a path (at position 5)", 5),
     ("trace ,", ParseError, "expected a path (at position 6)", 6),
     ("drop(trace)", ParseError, "expected a path (at position 10)", 10),
