@@ -29,6 +29,10 @@ and its bits as the machines' own output lists; ``_text`` writes and
 reads them as text.  ``verify_trace_file`` replays from the header alone
 and parses the records only when the replay raises or its bytes differ,
 so a malformed record is still the first error reported.
+Validators compare zero-count columns: each reads every set's index
+profile once, as a list, and checks whole columns (a meet or join of
+outputs is their pointwise min or max, as in the lattice); only a failing
+check looks for the first index that differs, to name it.
 To add a construction, write a machine, a builder that runs it through
 ``_drive``, a validator for its own invariants, and one registry entry.
 """
@@ -40,11 +44,12 @@ import functools
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, zip_longest
+from operator import le
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import _text
 from .errors import NotCertified, ParseError, PreconditionFailed, StageBudgetExhausted
-from .lattice import anti_reduction_evidence, family_hash
+from .lattice import anti_reduction_evidence, equilibrium_points, family_hash
 from .pr_lang import COST_MODEL, ClockedProgram, cantor_pair, program_text, resolve_program
 from .reductions import (
     _PAIR_PREDICATES,
@@ -63,13 +68,11 @@ from .sets import (
     Relation,
     SetRelation,
     drop_least_zero,
+    override_zero_member,
     parse_set,
     prefix_set,
     sample_window_mixed,
     set_join,
-    set_meet,
-    string_join,
-    string_meet,
 )
 
 TRACE_FORMAT = "punctual-trace/1"
@@ -867,13 +870,11 @@ class _DiamondMachine(_Machine):
         super().__init__(header, family, policy, ["Y0", "Y1"])
         self.x, self.z = x, z
         self.z_bits: list = []
-        self.boundaries: list = []
 
     def init(self, cycle):
         for out in self.outputs:
             out.emit(1)
         self.z_bits.append(self.z.bit(0))
-        self.boundaries.append((0, cycle.label, 0, 0, 0, 0))
 
     def step(self, stage, cycle, events):
         x, z = self.x, self.z
@@ -887,12 +888,7 @@ class _DiamondMachine(_Machine):
                            (z.name, x_tracker.name), events):
                 cycle.phase = "transition"
             return "copy", False
-        if y0.zero_count != y1.zero_count:
-            return "transition", False
-        self.boundaries.append((stage, cycle.label, x.zeros_by_index(stage),
-                                y0.zero_count, y1.zero_count,
-                                z.zeros_by_index(stage)))
-        return "transition", self.close(cycle, events)
+        return "transition", y0.zero_count == y1.zero_count and self.close(cycle, events)
 
     def starved(self, cycle):
         if cycle.phase == "transition":
@@ -913,17 +909,14 @@ def construct_diamond(x: PrSet, z: PrSet, family, max_stages: int,
     if x.bit(0) != 1 or z.bit(0) != 1:
         raise PreconditionFailed("diamond needs 0 in both input sets")
     z, normalized = _upper_dominating(x, z, max_stages)
-    eq = [s for s in range(max_stages + 1)
-          if x.zeros_by_index(s) == z.zeros_by_index(s)]
-    if len(eq) < min_equilibria:
-        raise PreconditionFailed(
-            f"only {len(eq)} equilibrium points below {max_stages}")
+    count = equilibrium_points(x, z, max_stages).count
+    if count < min_equilibria:
+        raise PreconditionFailed(f"only {count} equilibrium points below {max_stages}")
     header = _base_header("diamond", [("X", x), ("Z", z)], family, policy,
                           max_stages, cycle_budget, "stage+1", ["Y0", "Y1"],
                           [normalized])
     m = _DiamondMachine(header, family, policy, x, z)
-    return _drive(m, max_stages, policy, cycle_budget,
-                  {"x": x, "z": z, "boundaries": m.boundaries})
+    return _drive(m, max_stages, policy, cycle_budget, {"x": x, "z": z})
 
 
 # ---------------------------------------------------------------------------
@@ -1123,17 +1116,15 @@ def _validate_incomparable(result, closes) -> list:
 def _validate_dense(result, closes) -> list:
     failures = []
     stages = result.trace.stages
-    x, z = result.notes["x"], result.notes["z"]
-    y = result.outputs["Y"]
-    for s, a, b, c in zip(stages, x.profile(stages), y.profile(stages),
-                          z.profile(stages)):
-        if not a <= b <= c:
-            failures.append(f"chain invariant broken at stage {s}")
-            break
+    x, y, z = result.notes["x"], result.outputs["Y"], result.notes["z"]
+    xs, ys, zs = (list(v.profile(stages)) for v in (x, y, z))
+    if not (all(map(le, xs, ys)) and all(map(le, ys, zs))):
+        s = next(s for s, a, b, c in zip(stages, xs, ys, zs) if not a <= b <= c)
+        failures.append(f"chain invariant broken at stage {s}")
     for s, label in closes:
-        if label.startswith("P") and x.zeros_by_index(s) != y.zeros_by_index(s):
+        if label.startswith("P") and xs[s] != ys[s]:
             failures.append(f"lower counts differ at close of {label}")
-        if label.startswith("Q") and y.zeros_by_index(s) != z.zeros_by_index(s):
+        if label.startswith("Q") and ys[s] != zs[s]:
             failures.append(f"upper counts differ at close of {label}")
     g = result.witnesses["lower_into_new"]
     h = result.witnesses["new_into_upper"]
@@ -1146,43 +1137,36 @@ def _validate_dense(result, closes) -> list:
 
 
 def _validate_split(result, closes) -> list:
-    failures = []
-    z = result.notes["z"]
     mode = result.notes["mode"]
     last = closes[-1][0] if closes else 0
-    if last:
-        op = string_join if mode == "join" else string_meet
-        got = op(result.outputs["Y0"].prefix(last - 1),
-                 result.outputs["Y1"].prefix(last - 1))
-        if got.bits != z.prefix(last - 1).bits:
-            failures.append(f"{mode} of outputs differs from the input set")
-    for stage, _ in closes:
-        a = result.outputs["Y0"].zeros_by_index(stage - 1)
-        b = result.outputs["Y1"].zeros_by_index(stage - 1)
-        if a != b:
-            failures.append(f"counts differ at close stage {stage}")
+    # stage s emits bit s - 1; the join's zero counts are the max of the
+    # outputs', the meet's the min
+    y0, y1, z = (list(v.profile(range(last))) for v in (
+        result.outputs["Y0"], result.outputs["Y1"], result.notes["z"]))
+    failures = []
+    if list(map(max if mode == "join" else min, y0, y1)) != z:
+        failures.append(f"{mode} of outputs differs from the input set")
+    failures.extend(f"counts differ at close stage {stage}"
+                    for stage, _ in closes if y0[stage - 1] != y1[stage - 1])
     return failures
 
 
 def _validate_diamond(result, closes) -> list:
-    failures = []
-    x, z = result.notes["x"], result.notes["z"]
     last = closes[-1][0] if closes else 0
-    if last:
-        y0, y1 = result.outputs["Y0"], result.outputs["Y1"]
-        meet, join = set_meet(y0, y1).prefix(last), set_join(y0, y1).prefix(last)
-        for i in range(last + 1):
-            if meet[i] != x.bit(i):
-                failures.append(f"meet side differs at {i}")
-                break
-            if join[i] != z.bit(i):
-                failures.append(f"join side differs at {i}")
-                break
-    for stage, label, a, b, c, d in result.notes["boundaries"]:
-        if label.startswith("Q") or label.startswith("F"):
-            if not (a == b == c == d):
+    # meet and join read the outputs with 0 forced in, as the lattice does
+    x, y0, y1, z = (list(v.profile(range(last + 1))) for v in (
+        result.notes["x"], override_zero_member(result.outputs["Y0"]),
+        override_zero_member(result.outputs["Y1"]), result.notes["z"]))
+    meet, join = list(map(min, y0, y1)), list(map(max, y0, y1))
+    failures = []
+    if last and (meet != x or join != z):
+        i = next(i for i in range(last + 1) if meet[i] != x[i] or join[i] != z[i])
+        failures.append(f"{'meet' if meet[i] != x[i] else 'join'} side differs at {i}")
+    for stage, label in closes:
+        if label.startswith(("Q", "F")):
+            if not x[stage] == y0[stage] == y1[stage] == z[stage]:
                 failures.append(f"four-way equality fails at close {stage}")
-        elif not b == c:
+        elif y0[stage] != y1[stage]:
             failures.append(f"output counts differ at close {stage}")
     return failures
 
@@ -1280,7 +1264,11 @@ def load_trace_set(path: str) -> PrSet:
     if pick not in outputs:
         raise ParseError(f"trace {path} has no output {pick!r}; "
                          f"its outputs are {', '.join(outputs)}")
-    return prefix_set(f"trace:{path}:{pick}", trace.columns.get(pick, []),
+    bits = trace.columns.get(pick, [])
+    if not {0, 1}.issuperset(bits):
+        i = next(i for i, b in enumerate(bits) if b not in (0, 1))
+        raise ParseError(f"trace {path} output {pick} bit {i} is {bits[i]}, not 0 or 1")
+    return prefix_set(f"trace:{path}:{pick}", bits,
                       dsl=f"trace {path}:{pick}" if name else f"trace {path}")
 
 

@@ -57,7 +57,8 @@ a fill has a fixed cost; step-limited growth (``zeros_by_steps``) and
 zero-limited growth (``fresh_zeros``, the one zero search, which
 ``next_zero`` and ``principal_zero`` call) take the per-bit loop, so a
 memo, and its operands' memos, stop exactly at the bit where the limit is
-met.  ``fresh_zeros`` picks a run of zeros in one pass: it reads the memo
+met; a limit not met by bit ``DEFAULT_CEILING`` raises CeilingExceeded.
+``fresh_zeros`` picks a run of zeros in one pass: it reads the memo
 by bisection on from the last pick and grows it only for a pick it lacks.
 A pattern set answers ``zeros_by_steps`` and steps profiles by arithmetic
 on the pattern and grows no memo for them; bit, index and cost reads still
@@ -139,9 +140,6 @@ class Prefix:
     def zero_count(self) -> int:
         return len(self.bits) - sum(self.bits)
 
-    def zero_positions(self) -> tuple:
-        return tuple(i for i, b in enumerate(self.bits) if b == 0)
-
     def concat(self, other: "Prefix") -> "Prefix":
         return Prefix(self.bits + other.bits)
 
@@ -162,21 +160,21 @@ def _check_shapes(sigma: Prefix, tau: Prefix):
 
 
 def _string_op(sigma: Prefix, tau: Prefix, pick) -> Prefix:
-    """Join (pick=min) or meet (pick=max): the n-th zero sits at pick of the
-    operands' n-th zeros."""
+    """Join (pick=max) or meet (pick=min): the bits between pick of the
+    operands' zero counts, as for sets."""
     _check_shapes(sigma, tau)
-    marks = set(map(pick, sigma.zero_positions(), tau.zero_positions()))
-    return Prefix(tuple(0 if i in marks else 1 for i in range(len(sigma))))
+    zc = map(pick, _zero_counts(sigma.bits), _zero_counts(tau.bits))
+    return Prefix(tuple(_climbs(list(zc))))
 
 
 def string_join(sigma: Prefix, tau: Prefix) -> Prefix:
     """Zeros of the join sit at min(p_sigma(n), p_tau(n)) for each n."""
-    return _string_op(sigma, tau, min)
+    return _string_op(sigma, tau, max)
 
 
 def string_meet(sigma: Prefix, tau: Prefix) -> Prefix:
     """Zeros of the meet sit at max(p_sigma(n), p_tau(n)) for each n."""
-    return _string_op(sigma, tau, max)
+    return _string_op(sigma, tau, min)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,8 @@ class PrSet:
 
         Limited growth ends the memo at n, at the first bit whose total cost
         passes steps, or at the `zeros`-th zero, and takes the per-bit loop,
-        so it reads no bit, and no operand bit, past the one where it stops.
+        so it reads no bit, and no operand bit, past the one where it stops;
+        a limit not met by bit ``DEFAULT_CEILING`` raises CeilingExceeded.
         With a fill, an unlimited extension of at least ``_FILL_MIN`` bits
         runs in one call.  A memo-bounded fill runs on to its operands'
         reach, so the memo may end past n; past the reach the per-bit loop
@@ -246,6 +245,14 @@ class PrSet:
                 if top >= n:
                     return
                 m = len(bits)
+        elif n > DEFAULT_CEILING:
+            self._ensure(DEFAULT_CEILING, steps, zeros)
+            if cost_cum[-1] <= steps and zero_cum[-1] < zeros:
+                limit = (f"a budget of {steps} steps" if zeros == sys.maxsize
+                         else f"a search for zero number {zeros}")
+                raise CeilingExceeded(f"{self.name}: {limit} reads past bit "
+                                      f"{DEFAULT_CEILING}, the index ceiling")
+            return
         z = zero_cum[-1] if m else 0
         c = cost_cum[-1] if m else 0
         bit_fn, cost_fn = self._bit_fn, self._cost_fn
@@ -457,9 +464,9 @@ def _rotated(period: tuple, r: int) -> tuple:
     return period[r:] + period[:r]
 
 
-def _zero_counts(p: _Pattern, n: int) -> list:
-    """Zeros among the first j bits of p, for j = 0..n."""
-    return list(accumulate((1 - b for b in p.bits(0, n - 1)), initial=0))
+def _zero_counts(bits: Sequence[int]) -> list:
+    """Zeros among the first j bits, for j = 0..len(bits)."""
+    return list(accumulate((1 - b for b in bits), initial=0))
 
 
 def _flipped(p: _Pattern | None, pos: int) -> _Pattern | None:
@@ -497,7 +504,7 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
     n = h + span
     if n > _PATTERN_MAX:
         return None
-    zx, zy = _zero_counts(px, n), _zero_counts(py, n)
+    zx, zy = _zero_counts(px.bits(0, n - 1)), _zero_counts(py.bits(0, n - 1))
     gx = px.period.count(0) * (span // len(px.period))
     gy = py.period.count(0) * (span // len(py.period))
     if gx == gy:
@@ -513,7 +520,7 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
         if top + len(kept.period) > _PATTERN_MAX:
             return None
         if top > n:
-            zx, zy = _zero_counts(px, top), _zero_counts(py, top)
+            zx, zy = _zero_counts(px.bits(0, top - 1)), _zero_counts(py.bits(0, top - 1))
         head = _climbs(list(map(pick, zx[:top + 1], zy[:top + 1])))
         period = _rotated(kept.period, top - len(kept.head))
     # the shortest period, then the shortest head, that give the same bits

@@ -467,6 +467,43 @@ def test_step_budget_on_pattern_sets_grows_no_memo(tmp_path, family_file, capsys
     assert code == 0 and "verdict\tevidence(1)\n" in out
 
 
+ONES = 'term "S" bound "C(S; C(S; P[1,1]))"'     # every n a member, no zero
+
+
+def test_step_budget_stops_at_the_index_ceiling(tmp_path, family_file, capsys):
+    # a term set grows its memo under a step budget, up to the ceiling
+    argv = ["diamond", "evidence-q", ONES, "mod 3", "--q", "{wit}", "--horizon", "5",
+            "--convention", "steps"]
+    argv = index_read_argv("h", argv, 900_000_000_000_000, tmp_path, family_file, capsys)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: term:S: a budget of 900000000000000 steps reads past bit "
+        f"{DEFAULT_CEILING}, the index ceiling\n")
+
+
+def test_zero_search_stops_at_the_index_ceiling(tmp_path, capsys):
+    wit = tmp_path / "h.wit"
+    wit.write_text("claim\tgrowth-h\nsource\tevens\ntarget\tterm:S\nhorizon\t3\n"
+                   "convention\tindex\nverified\t1\n---\n"
+                   + "".join(f"{x}\t1000000\n" for x in range(4)))
+    argv = ["reduce", "synth-g", "evens", ONES, "--witness", str(wit), "--horizon", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: term:S: a search for zero number 1 reads past bit {DEFAULT_CEILING}, "
+        f"the index ceiling\n")
+
+
+def test_trace_bit_other_than_0_or_1_is_misuse(tmp_path, capsys):
+    trace = tmp_path / "b.trace"
+    assert main(["construct", "join-split", "--z", "mod 3", "--max-stages", "20",
+                 "--out", str(trace)]) == 0
+    trace.write_text(trace.read_text().replace("\tY0=0,", "\tY0=7,", 1))
+    capsys.readouterr()
+    assert main(["profile", f"trace {trace}", "--horizon", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: trace {trace} output Y0 bit 1 is 7, not 0 or 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "immune", "--family", "{bad}", "--max-stages", "5"],
     ["reduce", "check", "evens", "evens", "--witness", "{bad}", "--horizon", "1"],

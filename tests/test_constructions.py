@@ -12,6 +12,7 @@ from punctual.constructions import (
     _DenseMachine,
     _Detector,
     _IncomparableMachine,
+    _closes,
     _divergence,
     construct_antichain,
     construct_dense,
@@ -27,6 +28,7 @@ from punctual.constructions import (
     parse_trace,
     replay_from_trace,
     save_trace,
+    validate_result,
     verify_trace_file,
 )
 from punctual.lattice import equilibrium_points, make_nondiamond_below
@@ -509,6 +511,86 @@ def test_miscounted_emission_fails_validation(kind, fault, monkeypatch, tmp_path
     p = tmp_path / f"{kind}.trace"
     save_trace(r, p)
     assert verify_trace_file(p) == (False, "validation verdict: fail")
+
+
+def _diamond120():
+    return construct_diamond(parse_set("meet(evens, blocks 6)"),
+                             parse_set("join(evens, blocks 6)"), family6()[:2], 120)
+
+
+def _flip(names, *at):
+    """Flip bits ``at`` of each output in ``names`` in its trace column and
+    its set."""
+    def mutate(result):
+        for name in names.split():
+            bits = result.trace.columns[name]
+            for i in at:
+                bits[i] = 1 - bits[i]
+            result.outputs[name] = prefix_set(name, bits)
+    return mutate
+
+
+def _join60():
+    return construct_join_split(mod_set(3), family6()[:2], 60)
+
+
+def _meet60():
+    return construct_meet_split(evens_set(), family6()[:2], 60)
+
+
+def _mode(mode):
+    return lambda result: result.notes.update(mode=mode)
+
+
+# run, mutation, the validators' failures; a validator that raises fails its
+# row.  The closes are: diamond Q0 10, P0 22, Q1 24, P1 34, then fillers to
+# 120; join-split at bits 3, 6, 9, ...; meet-split at bits 5, 7, 9, ...;
+# dense P0 6, Q0 10, P1 11, Q1 12.
+VALIDATOR_MUTANTS = {
+    "diamond meet side": (_diamond120, _flip("Y0", 119), [
+        "meet side differs at 119", "four-way equality fails at close 119",
+        "four-way equality fails at close 120"]),
+    "diamond join side": (_diamond120, _flip("Y1", 118), [
+        "join side differs at 118", "four-way equality fails at close 118",
+        "four-way equality fails at close 119", "four-way equality fails at close 120"]),
+    "diamond four-way": (_diamond120, _flip("Y0 Y1", 120), [
+        "meet side differs at 120", "four-way equality fails at close 120"]),
+    "diamond output counts": (_diamond120, _flip("Y0", 22, 23), [
+        "join side differs at 22", "output counts differ at close 22"]),
+    "join-split mode differs": (_join60, _mode("meet"),
+                                ["meet of outputs differs from the input set"]),
+    "join-split counts at close": (_join60, _flip("Y0", 4, 7), [
+        "counterexample in Q0 no longer violates",
+        "join of outputs differs from the input set",
+        "counts differ at close stage 7"]),
+    "join-split one flip": (_join60, _flip("Y0", 56), [
+        "join of outputs differs from the input set", "counts differ at close stage 58"]),
+    "meet-split mode differs": (_meet60, _mode("join"),
+                                ["join of outputs differs from the input set"]),
+    "meet-split counts at close": (_meet60, _flip("Y0", 6, 8), [
+        "counterexample in Q0 no longer violates",
+        "meet of outputs differs from the input set",
+        "counts differ at close stage 8"]),
+    "meet-split one flip": (_meet60, _flip("Y1", 58), [
+        "meet of outputs differs from the input set", "counts differ at close stage 60"]),
+    "dense chain": (_dense60, _flip("Y", 30), [
+        "chain invariant broken at stage 30", "upper sandwich witness fails"]),
+    "dense lower counts": (_dense60, _flip("Y", 11, 12), [
+        "chain invariant broken at stage 11", "lower counts differ at close of P1",
+        "lower sandwich witness fails", "upper sandwich witness fails"]),
+    "dense upper counts": (_dense60, _flip("Y", 12), [
+        "chain invariant broken at stage 12", "upper counts differ at close of Q1",
+        "upper sandwich witness fails"]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(VALIDATOR_MUTANTS))
+def test_validators_report_mutated_results(row):
+    build, mutate, want = VALIDATOR_MUTANTS[row]
+    result = build()
+    assert validate_result(result, _closes(result)) == []
+    mutate(result)
+    assert _outcome(lambda r: validate_result(r, _closes(r)), result) == want
 
 
 def _verify_by_definition(path):

@@ -220,9 +220,9 @@ def traces(tmp_path_factory):
     save_trace(construct_immune(family, 200), str(d / "imm.trace"))
     save_trace(construct_join_split(parse_set("mod 3"), family, 200), str(d / "js.trace"))
     save_trace(construct_immune(family, 30), str(d / "short.trace"))
-    # a trace is read with any integer bit; every nonzero one means a member
+    # an edited trace, whose bits no run emitted: every member made a non-member
     with open(d / "imm.trace") as fh:
-        (d / "odd.trace").write_text(fh.read().replace("\tY=1\t", "\tY=2\t"))
+        (d / "odd.trace").write_text(fh.read().replace("\tY=1\t", "\tY=0\t"))
     return {"imm": str(d / "imm.trace"), "js": str(d / "js.trace"),
             "odd": str(d / "odd.trace"), "short": str(d / "short.trace")}
 

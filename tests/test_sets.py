@@ -13,6 +13,7 @@ from punctual.errors import (
     ShapeMismatch,
 )
 from punctual.sets import (
+    DEFAULT_CEILING,
     IdentityRelation,
     Prefix,
     PrSet,
@@ -149,6 +150,22 @@ class TestProfiles:
         nearly_full = PrSet("dense", lambda n: 0 if n == 2 else 1)
         with pytest.raises(CeilingExceeded):
             nearly_full.principal_zero(1, ceiling=500)
+
+    @pytest.mark.parametrize("read", [
+        lambda x: x.zeros_by_steps(DEFAULT_CEILING + 2),
+        lambda x: list(x.profile([3, DEFAULT_CEILING + 2], "steps")),
+        lambda x: list(x.fresh_zeros([DEFAULT_CEILING + 2])),
+    ], ids=["zeros_by_steps", "profile", "fresh_zeros"])
+    def test_limited_growth_stops_at_the_index_ceiling(self, read):
+        # unit cost and no pattern: a step budget of s reads s bits
+        x = prefix_set("ones", [1] * (DEFAULT_CEILING + 2), cost_fn=lambda n: 1)
+        with pytest.raises(CeilingExceeded, match=rf"past bit {DEFAULT_CEILING}, the index"):
+            read(x)
+        assert x.decided == DEFAULT_CEILING + 1
+        # within the ceiling, and unlimited, reads answer as before
+        assert x.zeros_by_steps(DEFAULT_CEILING) == 0
+        assert list(x.fresh_zeros([DEFAULT_CEILING])) == []
+        assert x.zeros_by_index(DEFAULT_CEILING + 3) == 1
 
     @pytest.mark.parametrize("dsl", ["evens", "mod 3", "blocks 6", "id",
                                      "drop(evens)", "join(evens, mod 3)"])

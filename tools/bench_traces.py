@@ -62,7 +62,7 @@ def one_pass(names: list, after_phase=lambda phase: None) -> tuple:
     if not all(ok for ok, _ in outcomes):
         raise SystemExit(f"a golden trace failed to verify: {outcomes}")
     counters = {"traces": len(built),
-                "records": sum(len(trace.records) for trace in parsed),
+                "records": sum(len(trace.stages) for trace in parsed),
                 "trace_bytes": sum(len(text.encode()) for text in texts),
                 "verified": len(outcomes)}
     return walls, full, counters
