@@ -134,8 +134,8 @@ def cmd_diamond(args, out) -> int:
             raise MisuseError(f"diamond restrict needs the operands c and d, "
                               f"missing {' and '.join(missing)}")
         qw, report = lattice.restrict_diamond_witness(
-            x, parse_set(args.c), parse_set(args.d), y, None, None,
-            args.horizon, certificate=cert)
+            x, parse_set(args.c), parse_set(args.d), y, args.horizon,
+            certificate=cert)
         ev = report
     out.write(pair_lines([("kind", ev.kind), ("convention", ev.convention), ("count", ev.count),
                           ("verdict", ev.verdict), *(("hit", h) for h in ev.hits)]))

@@ -33,8 +33,12 @@ Validators compare zero-count columns: each reads every set's index
 profile once, as a list, and checks whole columns (a meet or join of
 outputs is their pointwise min or max, as in the lattice); only a failing
 check looks for the first index that differs, to name it.
-To add a construction, write a machine, a builder that runs it through
-``_drive``, a validator for its own invariants, and one registry entry.
+To add a construction, write a machine that declares its output names
+and prefix convention, a builder that hands ``_drive`` its name and its
+input sets by role, a validator that reads ``result.inputs`` and
+``result.outputs``, and one registry entry.  ``_drive`` writes the header
+from the machine and the inputs; a result's ``notes`` hold only evidence
+the validator re-checks against the family and the outputs.
 """
 
 from __future__ import annotations
@@ -219,14 +223,14 @@ class ConstructionResult:
     name: str
     outputs: dict
     trace: Trace
-    counterexamples: list      # (cycle, Counterexample, source name, target name)
+    counterexamples: list      # (cycle, Counterexample, source role, target role)
+    inputs: dict = field(default_factory=dict)      # role -> set, as the header lists them
     witnesses: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict)       # evidence the validator re-checks
 
-    def output(self, name: str | None = None) -> PrSet:
-        if name is None:
-            return next(iter(self.outputs.values()))
-        return self.outputs[name]
+    def output(self) -> PrSet:
+        """The first output set."""
+        return next(iter(self.outputs.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +312,6 @@ class _Output:
         return prefix_set(self.name, self.bits)
 
 
-def _base_header(construction, inputs, family, policy, max_stages, cycle_budget,
-                 prefix_convention, outputs, extra=()):
-    header = [
-        ("construction", construction),
-        ("cost-model", COST_MODEL),
-        ("policy", policy),
-        ("max-stages", str(max_stages)),
-        ("cycle-budget", str(cycle_budget) if cycle_budget else "-"),
-        ("prefix-convention", prefix_convention),
-        ("outputs", ",".join(outputs)),
-    ]
-    for role, s in inputs:
-        header.append(("input", f"{role}\t{s.dsl if s.dsl else '!opaque:' + s.name}"))
-    header.extend(("family", f"{i}\t{program_text(p)}") for i, p in enumerate(family))
-    header.append(("family-hash", family_hash(family) if family else "-"))
-    header.extend(extra)
-    return header
-
-
 def _schedule(kinds: Sequence[str], family_size: int, policy: str,
               relation_count: int = 1):
     """Requirement cycles as (label, member index, relation index, kind).
@@ -360,24 +345,30 @@ class _Cycle:
 class _Machine:
     """The per-construction half of a stage run; ``_drive`` owns the loop.
 
-    A subclass sets the requirement kinds and the phase a cycle opens in,
-    and supplies ``step(stage, cycle, events)``: emit this stage's bits in
+    A subclass declares its output names, its prefix convention, the
+    requirement kinds and the phase a cycle opens in.  It is built as
+    ``cls(family, policy, max_stages, inputs)``, inputs by role, and
+    supplies ``step(stage, cycle, events)``: emit this stage's bits in
     the open cycle, append its events (``close`` appends the close event)
     and return the phase to show and whether the cycle closed.
     ``fallback(stage, events)`` does the same for a stage with no cycle.
+    A counterexample names its sides by input role, output name or
+    relation name; ``notes`` keeps the evidence the validator re-checks.
     """
 
+    names = ("Y",)             # output names, in header order
+    convention = "stage"       # stage s shows bit s - 1; "stage+1": bit s
     kinds = ("P", "Q")
     phase = "copy"             # phase a scheduled cycle opens in
     filler_phase = None        # phase of filler cycles F<i>; None: fall back
 
-    def __init__(self, header, family, policy, outputs, relation_count=1):
-        self.header = header
-        self.family = family
-        self.outputs = [_Output(n) for n in outputs]
+    def __init__(self, family, policy, max_stages, inputs, relation_count=1):
+        self.family, self.policy = family, policy
+        self.outputs = [_Output(n) for n in self.names]
         self.y = self.outputs[0]
         self.slots = _schedule(self.kinds, len(family), policy, relation_count)
         self.counterexamples: list = []
+        self.notes: dict = {}
         self.flip = 0
 
     def watch(self, kind, member, relation):
@@ -415,9 +406,21 @@ class _Machine:
         return True
 
 
-def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
-           notes: dict) -> ConstructionResult:
-    """Run a machine for max_stages stages and return its validated result."""
+def _drive(construction: str, machine: Callable, inputs: dict, family,
+           max_stages: int, policy: str, cycle_budget: int | None,
+           extra=()) -> ConstructionResult:
+    """Build the machine, run it for max_stages stages and return the
+    validated result; the header ends with the ``extra`` lines."""
+    family = list(family)
+    m = machine(family, policy, max_stages, inputs)
+    header = [("construction", construction), ("cost-model", COST_MODEL),
+              ("policy", policy), ("max-stages", str(max_stages)),
+              ("cycle-budget", str(cycle_budget) if cycle_budget else "-"),
+              ("prefix-convention", m.convention), ("outputs", ",".join(m.names)),
+              *(("input", f"{role}\t{s.dsl or '!opaque:' + s.name}")
+                for role, s in inputs.items()),
+              *(("family", f"{i}\t{program_text(p)}") for i, p in enumerate(family)),
+              ("family-hash", family_hash(family) if family else "-"), *extra]
     fillers = 0
 
     def open_cycle(stage, events):
@@ -436,7 +439,7 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
         events.append(f"open:{label}")
         return cycle
 
-    trace = Trace(m.header, columns={o.name: o.bits for o in m.outputs})
+    trace = Trace(header, columns={o.name: o.bits for o in m.outputs})
     stages, cycles, phases = trace.stages, trace.cycles, trace.phases
     events: list = []
     cycle = open_cycle(0, events)
@@ -462,13 +465,13 @@ def _drive(m: _Machine, max_stages: int, policy: str, cycle_budget: int | None,
         phases.append(shown)
         if events:
             trace.events[stage] = tuple(events)
-    if cycle is not None and cycle.member is not None and policy == "once":
+    if cycle is not None and cycle.member is not None and m.policy == "once":
         raise StageBudgetExhausted(m.starved(cycle), cycle=cycle.label,
                                    phase=cycle.phase, stage=max_stages,
                                    trace=trace)
     outputs = {o.name: o.as_set() for o in m.outputs}
-    result = ConstructionResult(trace.header_value("construction"), outputs, trace,
-                                m.counterexamples, m.witnesses(outputs, max_stages), notes)
+    result = ConstructionResult(construction, outputs, trace, m.counterexamples,
+                                inputs, m.witnesses(outputs, max_stages), m.notes)
     _finish(result)
     for name, table in result.witnesses.items():
         trace.footer.append((f"witness-{name}", _text.digest(_text.decimals(table))))
@@ -490,11 +493,12 @@ def _immune_schedule(family_size: int, policy: str):
 class _ImmuneMachine(_Machine):
     phase = "wait"
 
-    def __init__(self, header, family, policy):
-        super().__init__(header, family, policy, ["Y"])
+    def __init__(self, family, policy, max_stages, inputs):
+        super().__init__(family, policy, max_stages, inputs)
         self.slots = _immune_schedule(len(family), policy)
         self.next_input = 1
         self.closed: list = []
+        self.notes = {"closed": self.closed, "family": family}
 
     def watch(self, kind, member, relation):
         # values seen so far, and the inputs not yet converged
@@ -546,12 +550,8 @@ def construct_immune(family: Sequence[ClockedProgram], max_stages: int,
     already inside the set; the closing stage contributes one fresh
     complement element.
     """
-    family = list(family)
-    header = _base_header("immune", [], family, policy, max_stages,
-                          cycle_budget, "stage", ["Y"])
-    m = _ImmuneMachine(header, family, policy)
-    return _drive(m, max_stages, policy, cycle_budget,
-                  {"closed": m.closed, "family": family})
+    return _drive("immune", _ImmuneMachine, {}, family, max_stages, policy,
+                  cycle_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +562,10 @@ class _IncomparableMachine(_Machine):
     """P cycles refute reductions of a relation into the new set's relation
     by keeping members; Q cycles refute the reverse by keeping zeros."""
 
-    def __init__(self, header, family, policy, relations):
-        super().__init__(header, family, policy, ["Y"], len(relations))
+    def __init__(self, family, policy, max_stages, inputs, relations):
+        super().__init__(family, policy, max_stages, inputs, len(relations))
         self.relations = relations
+        self.notes = {"relations": {r.name: r for r in relations}}
 
     def watch(self, kind, member, relation):
         return _Detector("R_to_RY" if kind == "P" else "RY_to_R",
@@ -586,31 +587,27 @@ class _IncomparableMachine(_Machine):
 
 def construct_incomparable(relation, family, max_stages: int,
                            policy: str = "once",
-                           cycle_budget: int | None = None,
-                           relation_dsl: str | None = None) -> ConstructionResult:
+                           cycle_budget: int | None = None) -> ConstructionResult:
     """Build a set whose relation is family-incomparable with the given one.
 
     A set given in place of the relation stands for the relation it
     induces, and its descriptor goes into the trace header.
     """
+    dsl = None
     if isinstance(relation, PrSet):
-        relation, relation_dsl = SetRelation(relation), relation.dsl
+        relation, dsl = SetRelation(relation), relation.dsl
     return _incomparable_multi([relation], family, max_stages, policy,
-                               cycle_budget, [relation_dsl])
+                               cycle_budget, [dsl])
 
 
 def _incomparable_multi(relations: Sequence[Relation], family, max_stages,
                         policy="once", cycle_budget=None,
                         relation_dsls=None) -> ConstructionResult:
-    family = list(family)
     relation_dsls = relation_dsls or [None] * len(relations)
     extra = [("relation", f"{i}\t{relation_dsls[i] or '!opaque:' + r.name}")
              for i, r in enumerate(relations)]
-    header = _base_header("incomparable", [], family, policy, max_stages,
-                          cycle_budget, "stage", ["Y"], extra)
-    m = _IncomparableMachine(header, family, policy, relations)
-    return _drive(m, max_stages, policy, cycle_budget,
-                  {"relations": {r.name: r for r in relations}})
+    return _drive("incomparable", partial(_IncomparableMachine, relations=relations),
+                  {}, family, max_stages, policy, cycle_budget, extra)
 
 
 def construct_antichain(count: int, family, max_stages: int,
@@ -662,11 +659,13 @@ class _DenseMachine(_Machine):
     target it instead, in both directions.
     """
 
-    def __init__(self, header, family, policy, x, z, t_mid):
-        super().__init__(header, family, policy, ["Y"])
-        self.x, self.z = x, z
-        self.t_for_p = t_mid if t_mid is not None else x
-        self.t_for_q = t_mid if t_mid is not None else z
+    convention = "stage+1"
+
+    def __init__(self, family, policy, max_stages, inputs):
+        super().__init__(family, policy, max_stages, inputs)
+        self.x, self.z = inputs["X"], inputs["Z"]
+        self.p_role, self.q_role = ("T", "T") if "T" in inputs else ("X", "Z")
+        self.t_for_p, self.t_for_q = inputs[self.p_role], inputs[self.q_role]
         self.tp_bits: list = []     # prefix of the P-side detector target
         self.tq_bits: list = []     # prefix of the Q-side detector source
 
@@ -696,11 +695,9 @@ class _DenseMachine(_Machine):
         if cycle.phase == "copy":
             y.emit((self.z if p_side else self.x).bit(stage))
             if p_side:
-                sides = (y.bits, self.tp_bits)
-                names = ("Y", self.t_for_p.name)
+                sides, names = (y.bits, self.tp_bits), ("Y", self.p_role)
             else:
-                sides = (self.tq_bits, y.bits)
-                names = (self.t_for_q.name, "Y")
+                sides, names = (self.tq_bits, y.bits), (self.q_role, "Y")
             if self.refute(cycle, stage, *sides, names, events):
                 cycle.phase = "transition"
         else:
@@ -712,21 +709,17 @@ class _DenseMachine(_Machine):
         return cycle.phase, False
 
 
-def _dense_run(x: PrSet, z: PrSet, family, max_stages, policy, cycle_budget,
-               t_mid: PrSet | None, construction: str) -> ConstructionResult:
-    family = list(family)
+def _dense_run(construction: str, inputs: dict, family, max_stages, policy,
+               cycle_budget) -> ConstructionResult:
+    x, z = inputs["X"], inputs["Z"]
     if x.bit(0) != 1 or z.bit(0) != 1:
         raise PreconditionFailed("density needs 0 in both input sets")
     _sample_infinite_coinfinite(z, min(200, max_stages))
     z, normalized = _upper_dominating(x, z, max_stages)
-    if t_mid is not None:
-        t_mid.read_ahead(max_stages)
-    inputs = [("X", x), ("Z", z)] if t_mid is None else [("X", x), ("T", t_mid), ("Z", z)]
-    header = _base_header(construction, inputs, family, policy, max_stages,
-                          cycle_budget, "stage+1", ["Y"], [normalized])
-    m = _DenseMachine(header, family, policy, x, z, t_mid)
-    return _drive(m, max_stages, policy, cycle_budget,
-                  {"x": x, "z": z, "t": t_mid})
+    if "T" in inputs:
+        inputs["T"].read_ahead(max_stages)
+    return _drive(construction, _DenseMachine, {**inputs, "Z": z}, family,
+                  max_stages, policy, cycle_budget, [normalized])
 
 
 def _fresh_zero_table(lower: PrSet, upper: PrSet, horizon: int) -> list:
@@ -744,23 +737,24 @@ def _fresh_zero_table(lower: PrSet, upper: PrSet, horizon: int) -> list:
 
 
 def construct_dense(x: PrSet, z: PrSet, f, family, max_stages: int,
-                    policy: str = "once", cycle_budget: int | None = None,
-                    f_horizon: int = 200) -> ConstructionResult:
-    """A set strictly between two comparable sets, family-relative."""
+                    policy: str = "once", cycle_budget: int | None = None) -> ConstructionResult:
+    """A set strictly between two comparable sets, family-relative.
+
+    The reduction f of x to z, or without one profile domination, is
+    checked up to 200.
+    """
     if f is not None:
         if isinstance(f, ReductionWitness):
-            verify_claim(f, x, z, min(f_horizon, f.horizon))
+            verify_claim(f, x, z, min(200, f.horizon))
         else:
-            cex = check_reduction_prefix(f, SetRelation(x), SetRelation(z),
-                                         f_horizon)
+            cex = check_reduction_prefix(f, SetRelation(x), SetRelation(z), 200)
             if cex is not None:
                 raise NotCertified(
                     f"supplied witness is not a reduction: {cex.describe()}")
-    elif not all(x.zeros_by_index(s) <= z.zeros_by_index(s)
-                 for s in range(f_horizon)):
+    elif not all(x.zeros_by_index(s) <= z.zeros_by_index(s) for s in range(200)):
         raise NotCertified("no reduction witness and no profile domination")
-    return _dense_run(x, z, family, max_stages, policy, cycle_budget, None,
-                      "dense")
+    return _dense_run("dense", {"X": x, "Z": z}, family, max_stages, policy,
+                      cycle_budget)
 
 
 def construct_dense_incomparable(x: PrSet, t: PrSet, z: PrSet, certificates,
@@ -780,8 +774,8 @@ def construct_dense_incomparable(x: PrSet, t: PrSet, z: PrSet, certificates,
             raise NotCertified(f"missing verified certificate {key}")
     if t.bit(0) != 1:
         raise PreconditionFailed("the middle set must contain 0")
-    return _dense_run(x, z, family, max_stages, policy, cycle_budget, t,
-                      "dense-incomparable")
+    return _dense_run("dense-incomparable", {"X": x, "T": t, "Z": z}, family,
+                      max_stages, policy, cycle_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +791,12 @@ class _SplitMachine(_Machine):
     cycles rebalance as soon as the counts diverge.
     """
 
+    names = ("Y0", "Y1")
     filler_phase = "copy"
 
-    def __init__(self, header, family, policy, z, mode):
-        super().__init__(header, family, policy, ["Y0", "Y1"])
-        self.z, self.mode = z, mode
+    def __init__(self, family, policy, max_stages, inputs, mode):
+        super().__init__(family, policy, max_stages, inputs)
+        self.z, self.mode = inputs["Z"], mode
         self.z_bits: list = []
         self.copy_fill = 1 if mode == "join" else 0
 
@@ -820,37 +815,33 @@ class _SplitMachine(_Machine):
             diverged = copier.zero_count != filler.zero_count
         elif self.mode == "join":
             diverged = self.refute(cycle, stage, self.z_bits, filler.bits,
-                                   (self.z.name, filler.name), events)
+                                   ("Z", filler.name), events)
         else:
             diverged = self.refute(cycle, stage, filler.bits, self.z_bits,
-                                   (filler.name, self.z.name), events)
+                                   (filler.name, "Z"), events)
         if diverged:
             cycle.phase = "transition"
         return "copy", False
 
 
-def _split_run(z: PrSet, family, max_stages, policy, cycle_budget,
-               mode: str) -> ConstructionResult:
-    family = list(family)
+def _split_run(mode: str, z: PrSet, family, max_stages, policy,
+               cycle_budget) -> ConstructionResult:
     _sample_infinite_coinfinite(z, min(200, max_stages))
     z.read_ahead(max_stages - 1)    # stage s reads bit s - 1
-    construction = "join-split" if mode == "join" else "meet-split"
-    header = _base_header(construction, [("Z", z)], family, policy, max_stages,
-                          cycle_budget, "stage", ["Y0", "Y1"])
-    m = _SplitMachine(header, family, policy, z, mode)
-    return _drive(m, max_stages, policy, cycle_budget, {"z": z, "mode": mode})
+    return _drive(f"{mode}-split", partial(_SplitMachine, mode=mode), {"Z": z},
+                  family, max_stages, policy, cycle_budget)
 
 
 def construct_join_split(z: PrSet, family, max_stages: int,
                          policy: str = "once",
                          cycle_budget: int | None = None) -> ConstructionResult:
-    return _split_run(z, family, max_stages, policy, cycle_budget, "join")
+    return _split_run("join", z, family, max_stages, policy, cycle_budget)
 
 
 def construct_meet_split(z: PrSet, family, max_stages: int,
                          policy: str = "once",
                          cycle_budget: int | None = None) -> ConstructionResult:
-    return _split_run(z, family, max_stages, policy, cycle_budget, "meet")
+    return _split_run("meet", z, family, max_stages, policy, cycle_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -863,12 +854,14 @@ class _DiamondMachine(_Machine):
     the cycle closes at the next equilibrium of the output counts.  Filler
     cycles wait for an equilibrium straight away."""
 
+    names = ("Y0", "Y1")
+    convention = "stage+1"
     kinds = ("Q", "P")
     filler_phase = "transition"
 
-    def __init__(self, header, family, policy, x, z):
-        super().__init__(header, family, policy, ["Y0", "Y1"])
-        self.x, self.z = x, z
+    def __init__(self, family, policy, max_stages, inputs):
+        super().__init__(family, policy, max_stages, inputs)
+        self.x, self.z = inputs["X"], inputs["Z"]
         self.z_bits: list = []
 
     def init(self, cycle):
@@ -885,7 +878,7 @@ class _DiamondMachine(_Machine):
         z_tracker.emit(z.bit(stage))
         if cycle.phase == "copy":
             if self.refute(cycle, stage, self.z_bits, x_tracker.bits,
-                           (z.name, x_tracker.name), events):
+                           ("Z", x_tracker.name), events):
                 cycle.phase = "transition"
             return "copy", False
         return "transition", y0.zero_count == y1.zero_count and self.close(cycle, events)
@@ -905,18 +898,14 @@ def construct_diamond(x: PrSet, z: PrSet, family, max_stages: int,
     transition (no further equilibrium) exhausts the stage budget with the
     transition phase named.
     """
-    family = list(family)
     if x.bit(0) != 1 or z.bit(0) != 1:
         raise PreconditionFailed("diamond needs 0 in both input sets")
     z, normalized = _upper_dominating(x, z, max_stages)
     count = equilibrium_points(x, z, max_stages).count
     if count < min_equilibria:
         raise PreconditionFailed(f"only {count} equilibrium points below {max_stages}")
-    header = _base_header("diamond", [("X", x), ("Z", z)], family, policy,
-                          max_stages, cycle_budget, "stage+1", ["Y0", "Y1"],
-                          [normalized])
-    m = _DiamondMachine(header, family, policy, x, z)
-    return _drive(m, max_stages, policy, cycle_budget, {"x": x, "z": z})
+    return _drive("diamond", _DiamondMachine, {"X": x, "Z": z}, family, max_stages,
+                  policy, cycle_budget, [normalized])
 
 
 # ---------------------------------------------------------------------------
@@ -962,12 +951,16 @@ class _SeparatorMachine(_Machine):
     The count is capped one below x's, which pins it to the dropped profile.
     """
 
+    names = ("Z",)
+    convention = "stage+1"
     kinds = ("V",)
     phase = "wait"
 
-    def __init__(self, header, family, x, y, max_stages):
-        super().__init__(header, family, "once", ["Z"])
-        self.y_steps = y.zeros_by_steps
+    def __init__(self, family, policy, max_stages, inputs):
+        # the member list is finite: it runs once under either policy
+        super().__init__(family, "once", max_stages, inputs)
+        x = inputs["X"]
+        self.y_steps = inputs["Y"].zeros_by_steps
         self.val, self.cost = _normalize_family(family)
         self.zx1 = [max(0, z - 1) for z in x.profile(range(max_stages + 2), "steps")]
         # bracket marks: budgets at which the dropped profile steps up
@@ -976,6 +969,7 @@ class _SeparatorMachine(_Machine):
         self.k = self.progress = 0      # the input awaited, stages spent on it
         self.escapes: dict = {}         # member -> (t, Z count, y count)
         self.counts: list = []          # zeros of Z among bits 0..n
+        self.notes = {"escapes": self.escapes, "val": self.val}
 
     def emit(self, b):
         self.y.emit(b)
@@ -1033,11 +1027,8 @@ def construct_separator(x: PrSet, y: PrSet, family, max_stages: int,
     """
     family = list(family)
     anti_reduction_evidence(drop_least_zero(x), y, family, max_stages)
-    header = _base_header("separator", [("X", x), ("Y", y)], family, policy,
-                          max_stages, None, "stage+1", ["Z"])
-    m = _SeparatorMachine(header, family, x, y, max_stages)
-    result = _drive(m, max_stages, "once", None,
-                    {"x": x, "escapes": m.escapes, "val": m.val})
+    result = _drive("separator", _SeparatorMachine, {"X": x, "Y": y}, family,
+                    max_stages, policy, None)
     if not family:
         # no member opens, yet stage 0 shows V0 opening, as it always has
         trace = result.trace
@@ -1063,17 +1054,15 @@ def validate_result(result: ConstructionResult, closes: list) -> list:
                     if cycle == "-" and phase != "fallback")
 
     by_name = {p.name: p for p in _header_family(trace)}
-    prefixes = {n: s.prefix(length - 1) for n, s in result.outputs.items()}
-    relations = result.notes.get("relations", {})
-    # input sets by name; on a name clash x wins, then z, t, y
-    inputs = {s.name: s for s in map(result.notes.get, "ytzx") if s is not None}
+    # each side by input role, output name or relation name; an input's
+    # prefix is read only when a counterexample names it
+    sides = {**result.inputs,
+             **{n: s.prefix(length - 1) for n, s in result.outputs.items()},
+             **result.notes.get("relations", {})}
 
-    def side(name):
-        if name in relations:
-            return relations[name]
-        if name in prefixes:
-            return prefixes[name]
-        return inputs[name].prefix(length - 1)
+    def side(role):
+        s = sides[role]
+        return s.prefix(length - 1) if isinstance(s, PrSet) else s
 
     for label, cex, src, tgt in result.counterexamples:
         prog = by_name.get(cex.member)
@@ -1116,7 +1105,7 @@ def _validate_incomparable(result, closes) -> list:
 def _validate_dense(result, closes) -> list:
     failures = []
     stages = result.trace.stages
-    x, y, z = result.notes["x"], result.outputs["Y"], result.notes["z"]
+    x, y, z = result.inputs["X"], result.outputs["Y"], result.inputs["Z"]
     xs, ys, zs = (list(v.profile(stages)) for v in (x, y, z))
     if not (all(map(le, xs, ys)) and all(map(le, ys, zs))):
         s = next(s for s, a, b, c in zip(stages, xs, ys, zs) if not a <= b <= c)
@@ -1137,12 +1126,12 @@ def _validate_dense(result, closes) -> list:
 
 
 def _validate_split(result, closes) -> list:
-    mode = result.notes["mode"]
+    mode = result.name.partition("-")[0]
     last = closes[-1][0] if closes else 0
     # stage s emits bit s - 1; the join's zero counts are the max of the
     # outputs', the meet's the min
     y0, y1, z = (list(v.profile(range(last))) for v in (
-        result.outputs["Y0"], result.outputs["Y1"], result.notes["z"]))
+        result.outputs["Y0"], result.outputs["Y1"], result.inputs["Z"]))
     failures = []
     if list(map(max if mode == "join" else min, y0, y1)) != z:
         failures.append(f"{mode} of outputs differs from the input set")
@@ -1152,13 +1141,14 @@ def _validate_split(result, closes) -> list:
 
 
 def _validate_diamond(result, closes) -> list:
+    failures = [f"output {name} does not hold 0" for name, y in result.outputs.items()
+                if y.bit(0) != 1]
     last = closes[-1][0] if closes else 0
     # meet and join read the outputs with 0 forced in, as the lattice does
     x, y0, y1, z = (list(v.profile(range(last + 1))) for v in (
-        result.notes["x"], override_zero_member(result.outputs["Y0"]),
-        override_zero_member(result.outputs["Y1"]), result.notes["z"]))
+        result.inputs["X"], override_zero_member(result.outputs["Y0"]),
+        override_zero_member(result.outputs["Y1"]), result.inputs["Z"]))
     meet, join = list(map(min, y0, y1)), list(map(max, y0, y1))
-    failures = []
     if last and (meet != x or join != z):
         i = next(i for i in range(last + 1) if meet[i] != x[i] or join[i] != z[i])
         failures.append(f"{'meet' if meet[i] != x[i] else 'join'} side differs at {i}")
@@ -1173,7 +1163,7 @@ def _validate_diamond(result, closes) -> list:
 
 def _validate_separator(result, closes) -> list:
     failures = []
-    x = result.notes["x"]
+    x = result.inputs["X"]
     zed = result.outputs["Z"]
     hor = len(result.trace.stages) - 1
     x_steps = list(x.profile(range(hor + 1), "steps"))

@@ -293,27 +293,21 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
 
 
 def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
-                             f=None, g=None, horizon: int = 1000,
+                             horizon: int = 1000,
                              certificate: ReductionWitness | None = None) -> tuple:
     """Push diamond evidence for an outer pair into a subinterval.
 
     The outer pair must have literal equilibrium stages (smooth it first if
-    not); f and g default to the least stage-matching maps between the
-    profiles.  Returns the new q table and its evidence report.
+    not); f and g are the least stage-matching maps between the profiles.
+    Returns the new q table and its evidence report.
     """
     _require_certificate(certificate)
     zx, zy, zx2, zy2 = (list(z.profile(range(horizon + 1), "steps"))
                         for z in (x, y, x2, y2))
-    if f is None:
-        first = _first_stages(zx2)
-        f_vals = [first.get(zx[t], t) for t in range(horizon + 1)]
-    else:
-        f_vals = [as_program(f).value(t) for t in range(horizon + 1)]
-    if g is None:
-        first = _first_stages(zy)
-        g_vals = [first.get(zy2[t], t) for t in range(horizon + 1)]
-    else:
-        g_vals = [as_program(g).value(t) for t in range(horizon + 1)]
+    first = _first_stages(zx2)
+    f_vals = [first.get(zx[t], t) for t in range(horizon + 1)]
+    first = _first_stages(zy)
+    g_vals = [first.get(zy2[t], t) for t in range(horizon + 1)]
 
     eq_outer = [u for u in range(horizon + 1) if zx[u] == zy[u]]
     q_vals = []

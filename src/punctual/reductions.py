@@ -226,24 +226,21 @@ def _least_violation(flavor: str, p: ClockedProgram, source, target, s: int,
 
 
 def detect_counterexample_R_to_RY(p: ClockedProgram, source: Relation,
-                                  sigma_y: Prefix, s: int,
-                                  member: str | None = None) -> Optional[Counterexample]:
+                                  sigma_y: Prefix, s: int) -> Optional[Counterexample]:
     """Permanent violation of `p reduces the source relation to R_Y`."""
-    return _least_violation("R_to_RY", p, source, sigma_y, s, member)
+    return _least_violation("R_to_RY", p, source, sigma_y, s)
 
 
 def detect_counterexample_RY_to_R(p: ClockedProgram, sigma_y: Prefix,
-                                  target: Relation, s: int,
-                                  member: str | None = None) -> Optional[Counterexample]:
+                                  target: Relation, s: int) -> Optional[Counterexample]:
     """Permanent violation of `p reduces R_Y to the target relation`."""
-    return _least_violation("RY_to_R", p, sigma_y, target, s, member)
+    return _least_violation("RY_to_R", p, sigma_y, target, s)
 
 
 def detect_counterexample_RX_to_RY(p: ClockedProgram, sigma_x: Prefix,
-                                   sigma_y: Prefix, s: int,
-                                   member: str | None = None) -> Optional[Counterexample]:
+                                   sigma_y: Prefix, s: int) -> Optional[Counterexample]:
     """Permanent violation of `p reduces R_X to R_Y`, both sets by prefix."""
-    return _least_violation("RX_to_RY", p, sigma_x, sigma_y, s, member)
+    return _least_violation("RX_to_RY", p, sigma_x, sigma_y, s)
 
 
 def _still_violates(cex: Counterexample, p: ClockedProgram, source, target) -> bool:

@@ -852,14 +852,14 @@ def principal_transversal(r: Relation, bound: int) -> Prefix:
                         for y in range(bound + 1)))
 
 
-def normal_form(r: Relation, *, sample_bound: int = 40):
+def normal_form(r: Relation):
     """Carrier of the normal form plus the two reduction programs.
 
     Returns (X, f, g) where X is the complement of the principal
     transversal, f reduces r to the relation of X by least representatives,
     and g maps the main class back to 0 and keeps transversal points fixed.
     """
-    check_equivalence_sampled(r, sample_bound)
+    check_equivalence_sampled(r, 40)
 
     memo: dict[int, bool] = {}
 

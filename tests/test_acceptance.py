@@ -198,8 +198,7 @@ def test_criterion_6_construction_traces(family6, tmp_path):
     z = set_join(evens_set(), blocks_set(6))
     runs = {
         "immune": lambda: construct_immune(family6, 5000),
-        "incomparable": lambda: construct_incomparable(
-            SetRelation(evens_set()), family6, 5000, relation_dsl="evens"),
+        "incomparable": lambda: construct_incomparable(evens_set(), family6, 5000),
         "dense": lambda: construct_dense(
             x, z, domination_certificate(x, z, 400), family6, 5000),
         "join-split": lambda: construct_join_split(mod_set(3), family6, 5000),

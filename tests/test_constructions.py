@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import pathlib
 import random
+from functools import partial
 
 import pytest
 from conftest import BOUND_LINEAR, EVENS_TERM, serialize_by_records
@@ -128,8 +130,7 @@ def _fallback_zeros(result):
 
 class TestIncomparable:
     def test_against_evens(self):
-        r = construct_incomparable(SetRelation(evens_set()), family6(), 400,
-                                   relation_dsl="evens")
+        r = construct_incomparable(evens_set(), family6(), 400)
         assert_ok(r)
         labels = [c[0] for c in r.counterexamples]
         assert len(labels) == 12
@@ -138,8 +139,7 @@ class TestIncomparable:
 
     def test_counterexamples_validated_against_final(self):
         # the ok verdict includes permanence revalidation; spot-check one pair
-        r = construct_incomparable(SetRelation(evens_set()), family6(), 400,
-                                   relation_dsl="evens")
+        r = construct_incomparable(evens_set(), family6(), 400)
         label, cex, src, tgt = r.counterexamples[0]
         assert cex.stage <= 400
 
@@ -221,7 +221,7 @@ class TestDenseIncomparable:
         r = construct_dense_incomparable(x, t, z, certs, family6(), 800)
         assert_ok(r)
         for label, cex, src, tgt in r.counterexamples:
-            assert "evens" in (src, tgt)
+            assert "T" in (src, tgt)
 
     def test_missing_certificate_rejected(self):
         from punctual.errors import NotCertified
@@ -386,10 +386,12 @@ class TestDetector:
                 tgt.append(rng.randrange(2))
                 prefixes = [Prefix(tuple(side)) if isinstance(side, list)
                             else side for side in (source, target)]
-                want = self.DEFINITIONAL[flavor](prog, *prefixes, s, prog.name)
+                want = self.DEFINITIONAL[flavor](prog, *prefixes, s)
                 assert det.scan(s, source, target) == (want is not None), (run, s)
                 if want is not None:
-                    assert det.extract(s, source, target) == want
+                    # the detector names the member; the public scan does not
+                    assert det.extract(s, source, target) == dataclasses.replace(
+                        want, member=prog.name)
                     if first is None:
                         first = s
             first_hits.append(first)
@@ -513,9 +515,10 @@ def test_miscounted_emission_fails_validation(kind, fault, monkeypatch, tmp_path
     assert verify_trace_file(p) == (False, "validation verdict: fail")
 
 
-def _diamond120():
+def _diamond120(family=None):
     return construct_diamond(parse_set("meet(evens, blocks 6)"),
-                             parse_set("join(evens, blocks 6)"), family6()[:2], 120)
+                             parse_set("join(evens, blocks 6)"),
+                             family6()[:2] if family is None else family, 120)
 
 
 def _flip(names, *at):
@@ -539,7 +542,7 @@ def _meet60():
 
 
 def _mode(mode):
-    return lambda result: result.notes.update(mode=mode)
+    return lambda result: setattr(result, "name", f"{mode}-split")
 
 
 # run, mutation, the validators' failures; a validator that raises fails its
@@ -557,6 +560,12 @@ VALIDATOR_MUTANTS = {
         "meet side differs at 120", "four-way equality fails at close 120"]),
     "diamond output counts": (_diamond120, _flip("Y0", 22, 23), [
         "join side differs at 22", "output counts differ at close 22"]),
+    "diamond Y0 bit 0": (_diamond120, _flip("Y0", 0), [
+        "counterexample in Q0 no longer violates", "output Y0 does not hold 0"]),
+    "diamond Y1 bit 0": (_diamond120, _flip("Y1", 0), [
+        "counterexample in P0 no longer violates", "output Y1 does not hold 0"]),
+    "diamond empty family bit 0": (partial(_diamond120, []), _flip("Y0 Y1", 0), [
+        "output Y0 does not hold 0", "output Y1 does not hold 0"]),
     "join-split mode differs": (_join60, _mode("meet"),
                                 ["meet of outputs differs from the input set"]),
     "join-split counts at close": (_join60, _flip("Y0", 4, 7), [

@@ -20,6 +20,8 @@ import pytest
 from conftest import serialize_by_records
 
 from punctual.constructions import (
+    CONSTRUCTIONS,
+    Trace,
     construct_antichain,
     construct_dense,
     construct_dense_incomparable,
@@ -31,12 +33,13 @@ from punctual.constructions import (
     construct_separator,
     load_trace_set,
     parse_trace,
+    replay_from_trace,
     verify_trace_file,
 )
 from punctual.errors import StageBudgetExhausted
 from punctual.pr_lang import resolve_program
 from punctual.reductions import domination_certificate
-from punctual.sets import SetRelation, parse_set
+from punctual.sets import parse_set
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -59,8 +62,7 @@ def immune(fam, n, policy="once", budget=None):
 
 
 def incomparable(fam, n, policy="once", budget=None):
-    return construct_incomparable(SetRelation(parse_set("evens")), fam, n,
-                                  policy, budget, relation_dsl="evens")
+    return construct_incomparable(parse_set("evens"), fam, n, policy, budget)
 
 
 def dense(fam, n, policy="once", budget=None):
@@ -293,8 +295,20 @@ def test_sandwich_witnesses_match_reference(case):
     y = r.output()
     horizon = len(r.trace.records) - 1
     y_bits = [y.bit(i) for i in range(horizon + 1)]
-    g, h = _reference_sandwich(r.notes["x"], y_bits, r.notes["z"], horizon)
+    g, h = _reference_sandwich(r.inputs["X"], y_bits, r.inputs["Z"], horizon)
     assert r.witnesses == {"lower_into_new": g, "new_into_upper": h}
+
+
+@pytest.mark.parametrize("kind", sorted(k for k, e in CONSTRUCTIONS.items() if e.validate))
+def test_result_inputs_are_the_header_input_lines(kind):
+    build, (make_family, *args) = CASES[f"{kind}.once"]
+    r = build(make_family(), *args)
+    lines = [tuple(v.split("\t")) for v in r.trace.header_all("input")]
+    assert [(role, s.dsl) for role, s in r.inputs.items()] == lines
+    replayed = replay_from_trace(Trace(r.trace.header))
+    assert [(role, s.dsl) for role, s in replayed.inputs.items()] == lines
+    roles = set(r.inputs) | set(CONSTRUCTIONS[kind].inputs)
+    assert not roles & set(r.outputs), (roles, list(r.outputs))
 
 
 if __name__ == "__main__":

@@ -210,7 +210,7 @@ class TestRestrict:
     def test_trivial_subinterval(self):
         m = mod_set(3)
         cert = domination_certificate(m, m, 60)
-        qw, report = restrict_diamond_witness(m, m, m, m, None, None, 60,
+        qw, report = restrict_diamond_witness(m, m, m, m, 60,
                                               certificate=cert)
         # one hit per distinct count value reached at an outer equilibrium
         values = {m.zeros_by_steps(s) for s in range(61)}
@@ -220,15 +220,14 @@ class TestRestrict:
         m = mod_set(3)
         d = drop_least_zero(m)
         cert = domination_certificate(d, m, 80)
-        qw, report = restrict_diamond_witness(m, d, d, m, None, None, 80,
+        qw, report = restrict_diamond_witness(m, d, d, m, 80,
                                               certificate=cert)
         assert report.count >= 40
 
     def test_evidence_free_outer_pair(self):
         x = make_nondiamond_below(evens_set(), [ID], 6)
         cert = domination_certificate(x, evens_set(), 100)
-        qw, report = restrict_diamond_witness(evens_set(), evens_set(), x, x,
-                                              None, None, 100,
+        qw, report = restrict_diamond_witness(evens_set(), evens_set(), x, x, 100,
                                               certificate=cert)
         assert report.count <= 101
 
@@ -384,7 +383,7 @@ class TestFirstStageMaps:
     def test_restrict_fixtures(self, sets, horizon):
         x, x2, y2, y = sets()
         cert = domination_certificate(y2, x2, horizon)
-        qw, _ = restrict_diamond_witness(x, x2, y2, y, None, None, horizon,
+        qw, _ = restrict_diamond_witness(x, x2, y2, y, horizon,
                                          certificate=cert)
         assert list(qw.values) == definitional_restrict_q(x, x2, y2, y, horizon)
 
@@ -394,8 +393,8 @@ class TestFirstStageMaps:
             horizon = rng.randint(10, 70)
             x, x2, y2, y = (random_set(rng, n) for n in ("x", "x2", "y2", "y"))
             cert = domination_certificate(x, x, horizon, "steps")
-            qw, report = restrict_diamond_witness(x, x2, y2, y, None, None,
-                                                  horizon, certificate=cert)
+            qw, report = restrict_diamond_witness(x, x2, y2, y, horizon,
+                                                  certificate=cert)
             want = definitional_restrict_q(x, x2, y2, y, horizon)
             assert list(qw.values) == want
             hits = [t for t in range(horizon + 1) if want[t] <= horizon

@@ -381,10 +381,18 @@ TRIMMED_PARAMETERS = {
     lattice.shift_top_certificate: ["g", "x", "horizon"],
     lattice.make_nondiamond_below: ["y", "family", "window_length"],
     lattice.check_slowness: ["x", "family", "window"],
-    lattice.restrict_diamond_witness: ["x", "x2", "y2", "y", "f", "g", "horizon",
-                                       "certificate"],
+    lattice.restrict_diamond_witness: ["x", "x2", "y2", "y", "horizon", "certificate"],
     constructions.load_trace_set: ["path"],
+    constructions.construct_dense: ["x", "z", "f", "family", "max_stages", "policy",
+                                    "cycle_budget"],
+    constructions.construct_incomparable: ["relation", "family", "max_stages", "policy",
+                                           "cycle_budget"],
+    constructions.ConstructionResult.output: ["self"],
+    normal_form: ["r"],
     reductions.check_pre_immune: ["x", "family", "horizon"],
+    reductions.detect_counterexample_R_to_RY: ["p", "source", "sigma_y", "s"],
+    reductions.detect_counterexample_RY_to_R: ["p", "sigma_y", "target", "s"],
+    reductions.detect_counterexample_RX_to_RY: ["p", "sigma_x", "sigma_y", "s"],
 }
 
 
