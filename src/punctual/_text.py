@@ -12,19 +12,26 @@ import hashlib
 
 from .errors import ParseError
 
-# The decimal strings of 0 .. _DECIMAL_CAP - 1 by integer and the reverse
-# map, built on first use (about 0.6 MB).
+# The decimal strings of 0 .. _DECIMAL_CAP - 1 as a list, by integer and
+# the reverse map, built on first use (about 0.6 MB).
 _DECIMAL_CAP = 4096
 
 
 @functools.cache
+def _decimal_strs() -> list:
+    return list(map(str, range(_DECIMAL_CAP)))
+
+
+@functools.cache
 def _decimal_table() -> tuple:
-    strs = dict(zip(range(_DECIMAL_CAP), map(str, range(_DECIMAL_CAP))))
-    return strs, dict(zip(strs.values(), strs))
+    return dict(enumerate(_decimal_strs())), dict(zip(_decimal_strs(), range(_DECIMAL_CAP)))
 
 
 def decimals(ints) -> list:
-    """str of each integer of ints (a sequence), by lookup when all lie under the cap."""
+    """str of each integer of ints (a sequence): a range from 0 up by 1 under
+    the cap is one slice, other integers are looked up when all lie under it."""
+    if isinstance(ints, range) and ints.step == 1 and 0 <= ints.start <= ints.stop <= _DECIMAL_CAP:
+        return _decimal_strs()[ints.start:ints.stop]
     try:
         return list(map(_decimal_table()[0].__getitem__, ints))
     except KeyError:

@@ -832,7 +832,7 @@ class TableProgram(ClockedProgram):
     def values_upto(self, n: int) -> Sequence[int]:
         if n > self.horizon:
             return super().values_upto(n)
-        return self.values[:n + 1]
+        return self.values[:max(n + 1, 0)]
 
     @property
     def horizon(self) -> int:
@@ -860,11 +860,14 @@ class FloorTableProgram(TableProgram):
             return self.prefix[x]
         return max(x + 1, self.floor)
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        start, end = len(self.prefix), self._horizon + 1
+    def values_upto(self, n: int) -> Sequence[int]:
+        if n > self._horizon:
+            return super().values_upto(n)
+        start, end = len(self.prefix), max(n + 1, 0)
         run = max(0, min(self.floor, end) - start)
-        return (*self.prefix, *[self.floor] * run, *range(start + run + 1, end + 1))
+        return (*self.prefix[:end], *[self.floor] * run, *range(start + run + 1, end + 1))
+
+    values = property(lambda self: self.values_upto(self._horizon))
 
     @property
     def horizon(self) -> int:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import lt
+from itertools import accumulate, compress, count
+from operator import gt, lt, mul, not_
 from typing import Optional, Sequence, Union
 
 from ._text import columns, decimals, integers, pair_lines, pairs, read_text, rows
@@ -80,21 +80,12 @@ def as_program(f: Witnessable) -> ClockedProgram:
 
 def _classes(rel: Relation, points: Sequence[int], out: list) -> list:
     """Append each point's class to out and return it: -1 for the members
-    of a set relation, else the least related element.
-
-    A set relation reads its carrier once, up to the largest point.  If a
-    read fails, out keeps the classes of the points before the failing one
-    (for a set, of 0..k-1 when bit k fails, so points should run upward).
-    """
+    of a set relation, else the least related element.  A set relation
+    reads its carrier once, up to the largest point."""
     if isinstance(rel, IdentityRelation):
         out += points
     elif isinstance(rel, SetRelation):
-        x = rel.carrier
-        try:
-            bits = x.prefix(max(points, default=-1)).bits
-        except Exception:
-            _classes(rel, range(x.decided), out)
-            raise
+        bits = rel.carrier.prefix(max(points, default=-1)).bits
         out += [-1 if bits[p] else p for p in points]
     else:
         reps: dict[int, int] = {}
@@ -129,9 +120,10 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     """Verify x ~ y iff f(x) ~ f(y) on all pairs below n.
 
     Returns None when the claim holds, else the lexicographically least
-    violating pair.  The fast path maps 0..n and their images to classes and
-    checks that the classes correspond one to one; only on failure does it
-    rescan for the least pair.
+    violating pair.  The fast path checks that the classes of 0..n and of
+    their images correspond one to one, for a set source from its bits read
+    once (members on one image class, non-members on distinct others); only
+    on failure does it rescan for the least pair.
     """
     prog = as_program(f)
     values = prog.values_upto(n)
@@ -143,14 +135,21 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     images = _classes(target, values, [])
     classes: list = []
     try:
-        _classes(source, range(n + 1), classes)
+        if isinstance(source, SetRelation):
+            bits = source.carrier.prefix(max(n, -1)).bits
+            members, rest = set(compress(images, bits)), list(compress(images, map(not_, bits)))
+            holds = len(members) < 2 and len(members.union(rest)) == len(members) + len(rest)
+        else:
+            holds = _one_to_one(_classes(source, range(n + 1), classes), images)
     except Exception:
         # an upward check stops at its first class clash, so a source that
         # fails at element k raises only when 0..k-1 is clean
+        if isinstance(source, SetRelation):
+            _classes(source, range(source.carrier.decided), classes)
         if _one_to_one(classes, images):
             raise
     else:
-        if _one_to_one(classes, images):
+        if holds:
             return None
     for l in range(n + 1):
         for m in range(n + 1):
@@ -278,13 +277,11 @@ def revalidate_counterexample(cex: Counterexample, p: ClockedProgram, *,
 def _massage_for_growth(f: Witnessable, x: PrSet, y: PrSet, horizon: int) -> ClockedProgram:
     """Verified, class-respecting, nondecreasing-on-complement form of f."""
     prog = as_program(f)
-    rx, ry = SetRelation(x), SetRelation(y)
-    require_reduction(prog, rx, ry, horizon)
+    require_reduction(prog, SetRelation(x), SetRelation(y), horizon)
     values = prog.values_upto(horizon)
     xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
-    comp = [v for v, b in zip(values, xbits) if not b]
-    respects = all(ybits[v] for v, b in zip(values, xbits) if b)
-    if respects and all(map(lt, comp, comp[1:])):
+    comp = list(compress(values, map(not_, xbits)))
+    if all(map(ybits.__getitem__, compress(values, xbits))) and all(map(lt, comp, comp[1:])):
         return prog
     # surjectivize rewrites to the normal form itself
     return _surjectivize_checked(prog, x, y, horizon).program
@@ -298,12 +295,9 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     zero there; then zeros_by_index(x, s) <= zeros_by_index(y, h(s)).
     """
     prog = _massage_for_growth(f, x, y, horizon)
-    table = []
-    image = 0
-    for v, b in zip(prog.values_upto(horizon), x.prefix(horizon).bits):
-        if not b:
-            image = v
-        table.append(image)
+    # prog rises on the zeros of x: the greatest zero's image is their maximum
+    zero_images = map(mul, prog.values_upto(horizon), map(not_, x.prefix(horizon).bits))
+    table = list(accumulate(zero_images, max))
     stages = range(horizon + 1)
     for s, a, b in zip(stages, x.profile(stages), y.profile(table)):
         if a > b:
@@ -314,11 +308,21 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
 
 
 def _fresh_pick_table(xbits: Sequence[int], y: PrSet, ceiling, member: int) -> list:
-    """Members (bit 1) to `member`, and the j-th zero v of x to the j-th zero
-    of y, found under ceiling(v) by one ``fresh_zeros`` pass.  The table
-    ends at the first zero of x whose ceiling hides its pick."""
-    zeros = [v for v, b in enumerate(xbits) if not b]
-    picks = list(y.fresh_zeros(map(ceiling, zeros)))
+    """Members (bit 1) to `member`, the j-th zero v of x to the j-th zero of y
+    while it is at most ceiling(v), up to the first zero of x without one.
+    The picks are y's memo zeros then a ``fresh_zeros`` pass, or, if a
+    ceiling raises, one ``fresh_zeros`` pass that reads the ceilings lazily."""
+    zeros = list(compress(count(), map(not_, xbits)))
+    try:
+        ceilings = list(map(ceiling, zeros))
+    except Exception:
+        picks = list(y.fresh_zeros(map(ceiling, zeros)))
+    else:
+        top = min(y.decided - 1, max(ceilings, default=-1))
+        held = list(compress(count(), map(not_, y.prefix(max(top, -1)).bits)))
+        picks = held[:next(compress(count(), map(gt, held, ceilings)), len(ceilings))]
+        if len(picks) == len(held):
+            picks += y.fresh_zeros(ceilings[len(picks):], len(picks) + 1)
     table = [member] * (zeros[len(picks)] if len(picks) < len(zeros) else len(xbits))
     for v, pick in zip(zeros, picks):
         table[v] = pick
@@ -366,21 +370,19 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     can reveal within the step horizon matter, so the running maximum
     freezes at that index range and f need not extend past it.
     """
-    k_max = 0
-    while x.cum_cost(k_max + 1) <= horizon:
-        k_max += 1
+    if x.decided < 2 or x.cum_cost(x.decided - 1) <= horizon:
+        x.cum_cost(max(1, x.decided))   # the growth of the first read past the memo
+    reach = x.bits_within(horizon)
+    k_max = max(reach - 1, 0)
     prog = _massage_for_growth(f, x, y, k_max)
-    prefix = []
-    running = 0
-    for s in range(k_max + 1):
-        running = max(running, prog.value(s))
-        prefix.append(max(s + 1, y.cum_cost(running)))
+    running = list(accumulate(prog.values_upto(k_max), max))
+    costs = list(y.cum_costs(running))
+    prefix = list(map(max, range(1, k_max + 2), costs))
     # past k_max every entry is max(s + 1, c)
-    table = FloorTableProgram(prefix, y.cum_cost(running), horizon, "p")
+    table = FloorTableProgram(prefix, costs[-1], horizon, "p")
     # the left side only changes where the source reveals a bit, and the
     # right side is nondecreasing, so boundary checks cover every stage
-    boundaries = [0] + [x.cum_cost(k) for k in range(k_max + 1)
-                        if x.cum_cost(k) <= horizon]
+    boundaries = [0, *x.cum_costs(range(reach))]
     budgets = [table.value(s) for s in boundaries]
     for s, a, b in zip(boundaries, x.profile(boundaries, "steps"),
                        y.profile(budgets, "steps")):
@@ -397,7 +399,7 @@ def synth_reduction_from_p(x: PrSet, y: PrSet, p: Witnessable,
     cost at the horizon.
     """
     pp = as_program(p)
-    table = [pp.value(x.cum_cost(m)) for m in range(horizon + 1)]
+    table = list(map(pp.value, x.cum_costs(range(horizon + 1))))
     w = synth_reduction_from_h(x, y, TableProgram(table, "h-from-p"), horizon)
     w.convention = "steps"
     return w
@@ -541,7 +543,7 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
     if convention is None:
         raise NotCertified(f"unknown claim kind {w.claim!r}")
     stages = range(horizon + 1)
-    images = [w.value(s) for s in stages]
+    images = w.program.values_upto(horizon)
     if convention == "index":
         require_index_values(images)
     lows = low.profile(stages, convention)

@@ -53,7 +53,7 @@ only slices memos, calls no generator and cannot raise.  So one unlimited
 read catches its memo up to that reach, past the bit read, and the per-bit
 loop goes on from there, failing where it failed before.  Only unlimited
 growth fills, and only for extensions of at least ``_FILL_MIN`` bits, since
-a fill has a fixed cost; step-limited growth (``zeros_by_steps``) and
+a fill has a fixed cost; step-limited growth (``bits_within``) and
 zero-limited growth (``fresh_zeros``, the one zero search, which
 ``next_zero`` and ``principal_zero`` call) take the per-bit loop, so a
 memo, and its operands' memos, stop exactly at the bit where the limit is
@@ -65,10 +65,11 @@ on the pattern and grows no memo for them; bit, index and cost reads still
 grow its memo.  Only zero-list sets answer ``principal_zero`` by a closed
 form, from their list of zeros.
 
-Scans read memos in bulk: ``profile(points, convention)`` answers a whole
-list of index points or step budgets from one growth to the largest, and
+Scans read memos as whole columns: ``profile(points, convention)`` and
+``cum_costs(points)`` answer a list of points from one growth to the
+largest, an index range from 0 up by 1 as one slice of the memo, and
 ``prefix(n).bits`` hands a scan the bits it maps over, so a scan pays one
-``_ensure`` entry, not one per element.
+``_ensure`` entry, not one per element (README, "Scans read memos whole").
 
 Descriptors are single-threaded: memos grow unguarded, so no descriptor may
 be read from two threads at once.
@@ -323,12 +324,16 @@ class PrSet:
         """Zeros among the bits decidable within s total generator steps."""
         if self._pattern is not None:
             return self._pattern.zeros_by_steps(s)
-        if s <= 0:
-            return 0
-        # bits 0..s cost at least s + 1 steps, so growth stops by bit s
-        self._ensure(s, steps=s)
-        k = bisect.bisect_right(self._cost_cum, s)
+        k = self.bits_within(s)
         return self._zero_cum[k - 1] if k else 0
+
+    def bits_within(self, s: int) -> int:
+        """How many bits, from bit 0 on, are decided within s total steps;
+        the memo grows by the budget, bit by bit, to the first bit past s."""
+        if s > 0:
+            # bits 0..s cost at least s + 1 steps, so growth stops by bit s
+            self._ensure(s, steps=s)
+        return bisect.bisect_right(self._cost_cum, s)
 
     def profile(self, points: Iterable[int], convention: str = "index") -> Iterator[int]:
         """zeros_by_index or zeros_by_steps at each point, in order, from
@@ -343,24 +348,32 @@ class PrSet:
         """
         if convention not in ("index", "steps"):
             raise ValueError(f"unknown convention {convention!r}")
-        steps = convention == "steps"
-        if steps and self._pattern is not None:
+        if convention == "index":
+            return self._column(points, self._zero_cum, self.zeros_by_index)
+        if self._pattern is not None:
             return map(self._pattern.zeros_by_steps, points)
-        points = points if isinstance(points, (list, range)) else list(points)
-        top = max(points, default=-1)
+        points = points if isinstance(points, (list, tuple, range)) else list(points)
         try:
-            if not steps:
-                self._ensure(top)
-            elif top > 0:
-                # bits 0..top cost at least top + 1 steps, so growth stops by bit top
-                self._ensure(top, steps=top)
+            self.bits_within(max(points, default=-1))
         except Exception:
-            return map(self.zeros_by_steps if steps else self.zeros_by_index, points)
+            return map(self.zeros_by_steps, points)
         zc = self._zero_cum
-        if not steps:
-            return iter([zc[s] if s >= 0 else 0 for s in points])
         return iter([zc[k - 1] if k else 0
                      for k in map(bisect.bisect_right, repeat(self._cost_cum), points)])
+
+    def cum_costs(self, points: Iterable[int]) -> Iterator[int]:
+        """cum_cost at each point, read as ``profile`` reads zeros_by_index."""
+        return self._column(points, self._cost_cum, self.cum_cost)
+
+    def _column(self, points, memo: list, read) -> Iterator[int]:
+        whole = isinstance(points, range) and points.step == 1 and 0 <= points.start < points.stop
+        points = points if isinstance(points, (list, tuple, range)) else list(points)
+        try:
+            self._ensure(points[-1] if whole else max(points, default=-1))
+        except Exception:
+            return map(read, points)
+        return iter(memo[points.start:points.stop] if whole
+                    else [memo[s] if s >= 0 else 0 for s in points])
 
     def fresh_zeros(self, ceilings: Iterable[int], first: int = 1) -> Iterator[int]:
         """The zeros from the `first`-th on (counting from 1), the j-th while

@@ -6,8 +6,9 @@ per-stage step-rate table, the bit-by-bit step-profile count, the
 principal-zero scan, the one-row-at-a-time witness writer and reader
 (which the column writer and, under the decimal cap, the column reader
 replace), the
-per-line trace record loop, one profile read per stage, and the all-pairs
-reduction check.  Each fast
+per-line trace record loop, one profile read per stage, the all-pairs
+reduction check, one cost read per index in the step-rate syntheses, and
+one zero search per fresh pick.  Each fast
 path must give the same table or value, or raise the same exception class
 with the same message, and must not materialise a bit past the one the
 reference reads up to.  Range fills are checked against the per-bit memo
@@ -344,6 +345,163 @@ def test_synth_p_tail_shapes():
     assert shapes == {(False, True), (True, True), (True, False)}
 
 
+def ref_synth_p(f, x, y, horizon):
+    """ref_synth_p_table, then the self-check at the boundaries where the
+    source reveals a bit, every cost read one index at a time."""
+    table = ref_synth_p_table(f, x, y, horizon)
+    k_max = 0
+    while x.cum_cost(k_max + 1) <= horizon:
+        k_max += 1
+    boundaries = [0] + [x.cum_cost(k) for k in range(k_max + 1) if x.cum_cost(k) <= horizon]
+    for s in boundaries:
+        if x.zeros_by_steps(s) > y.zeros_by_steps(table[s]):
+            raise NotAReduction(f"step-rate synthesis failed its own bound at s={s}")
+    return table
+
+
+def ref_synth_reduction_from_p(x, y, p, horizon):
+    """synth_reduction_from_h under h(m) = p(cum_cost(m)), one read per m."""
+    pp = as_program(p)
+    table = [pp.value(x.cum_cost(m)) for m in range(horizon + 1)]
+    return synth_reduction_from_h(x, y, TableProgram(table, "h-from-p"), horizon)
+
+
+def ahead_of_its_memo(traces):
+    """drop of a term set whose memo runs 150 bits past the drop's, so that
+    the first read past the drop's memo catches up in one fill."""
+    t = parse_set(TERMS["evens"])
+    t.bit(150)
+    return drop_least_zero(t)
+
+
+def step_rate_pairs(traces):
+    """Fresh-pair makers: the synthesis pairs, and a source whose memo-bounded
+    fill can catch up."""
+    return [lambda i=i: make_pair(traces, i) for i in SYNTH_PAIRS] + [
+        lambda: (ahead_of_its_memo(traces), parse_set(TERMS["evens"]))]
+
+
+def test_step_rate_syntheses_match_per_index_reads(traces):
+    """Tables, errors and memo lengths of the column reads against one
+    cost read per index, at budgets from 0 past the horizon's cost, on
+    fresh sources and on sources grown past some of those budgets."""
+    seen = set()
+    for make in step_rate_pairs(traces):
+        x, y = make()
+        g = synth_reduction_from_h(x, y, BIG, 60)
+        top = x.cum_cost(60)
+        for f in (g, [0] * 61):
+            for horizon in (0, 1, 2, 17, top - 1, top, top + 1, top + 40):
+                for grown in (70, 0, -1):
+                    runs = []
+                    for synth in (ref_synth_p, synth_p_from_reduction):
+                        x, y = make()
+                        if grown >= 0:
+                            x.bit(grown)
+                        runs.append((outcome(synth, f, x, y, horizon), x.decided, y.decided))
+                    assert runs[0] == runs[1], (make()[0].name, horizon, grown)
+                seen.add(type(runs[0][0]))
+                if type(runs[0][0]) is not list:
+                    continue
+                for h in (0, 1, 60):
+                    p = TableProgram(runs[0][0], "p")
+                    short = TableProgram(runs[0][0][:top // 2], "short")
+                    for q in (p, short):
+                        got = []
+                        for synth in (ref_synth_reduction_from_p, reductions.synth_reduction_from_p):
+                            x, y = make()
+                            got.append((outcome(synth, x, y, q, h), x.decided, y.decided))
+                        if type(got[0][0]) is not list:
+                            # the column read may grow the source past the
+                            # index whose cost the table does not cover
+                            got = [run[0] for run in got]
+                        assert got[0] == got[1], (make()[0].name, horizon, h, q.name)
+    assert seen == {list, tuple}
+
+
+def test_bits_within_matches_per_index_reads(traces):
+    """The count of bits within a budget, and a memo grown to the first bit
+    past it and no further (none for budgets of 0 and below)."""
+    makers = [*(lambda k=k: SET_KINDS[k](traces) for k in SET_KINDS),
+              lambda: ahead_of_its_memo(traces),
+              lambda: prefix_set("costly", [1, 0, 0, 1], cost_fn=lambda n: 5 * n + 9)]
+    for make in makers:
+        for grown in (-1, 0, 1, 30):
+            for s in (-3, 0, 1, 8, 9, 10, 100, 2000):
+                x, ref = make(), make()
+                if grown >= 0:
+                    x.bit(grown)
+                before = x.decided
+                past = next(j for j in itertools.count() if ref.cum_cost(j) > s)
+                assert x.bits_within(s) == past, (x.name, s)
+                assert x.decided == (before if s <= 0 else max(before, past + 1)), (x.name, s)
+
+
+def test_synth_p_stops_at_the_index_ceiling():
+    x, y = parse_set("evens"), parse_set("join(evens, mod 3)")
+    g = synth_reduction_from_h(x, y, IDENTITY, 50)
+    for horizon in (250_000, 10 ** 9):
+        x, y = parse_set("evens"), parse_set("join(evens, mod 3)")
+        with pytest.raises(CeilingExceeded, match=(
+                f"^evens: a budget of {horizon} steps reads past bit 200000, "
+                "the index ceiling$")):
+            synth_p_from_reduction(g, x, y, horizon)
+        assert x.decided == sets.DEFAULT_CEILING + 1
+    # a budget met by bit 200,000 passes the ceiling, to fail on g's horizon
+    x, y = parse_set("evens"), parse_set("join(evens, mod 3)")
+    assert outcome(synth_p_from_reduction, g, x, y, 200_000)[0] is BudgetExceeded
+
+
+def ref_pick_table(xbits, y, ceiling, member):
+    """Members to member, the j-th zero v of x to the least zero of y past
+    the last pick and at most ceiling(v), read one bit at a time; the table
+    ends at the first zero of x without one."""
+    table, last = [], -1
+    for v, b in enumerate(xbits):
+        if b:
+            table.append(member)
+            continue
+        last = ref_next_zero(y, last, ceiling(v))
+        if last is None:
+            break
+        table.append(last)
+    return table
+
+
+def raising_after(k, ceiling):
+    def read(v):
+        if v > k:
+            raise BudgetExceeded(f"ceiling read at {v}")
+        return ceiling(v)
+
+    return read
+
+
+def test_fresh_picks_match_the_per_pick_search(traces):
+    """The picks from y's memo and one fresh_zeros pass against a search
+    per pick, on fresh y and on y grown before the picks, under ceilings
+    that stop the table, let it run, or raise part-way."""
+    kinds = collections.Counter()
+    for low, high in [(0, 4), (3, 2), (5, 1), (6, 0), (12, 12), (13, 12)]:
+        xbits = make_pair(traces, low)[0].prefix(120).bits
+        ceilings = [lambda v: v, lambda v: 2 * v + 3, lambda v: v // 2, lambda v: 400,
+                    lambda v: -1]
+        ceilings += [raising_after(k, c) for k in (0, 9, 40, 119) for c in ceilings[:3]]
+        for ceiling in ceilings:
+            for grown in (-1, 5, 60, 500):
+                runs = []
+                for pick in (ref_pick_table, reductions._fresh_pick_table):
+                    y = make_pair(traces, high)[1]
+                    if grown >= 0:
+                        y.bit(grown)
+                    runs.append((outcome(pick, xbits, y, ceiling, 7), y.decided))
+                assert runs[0] == runs[1], (low, high, grown)
+                got = runs[0][0]
+                kinds["raised" if isinstance(got, tuple) else
+                      "ended" if len(got) < len(xbits) else "full"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 20, kinds
+
+
 # ---------------------------------------------------------------------------
 # Descriptor memo
 
@@ -581,9 +739,27 @@ def test_synth_reduction_from_h_failures_before_the_source_fails():
     NativeProgram("double", lambda v: 2 * v),
 ], ids=["table", "floor", "term", "native"])
 def test_values_upto_matches_value(prog):
-    for n in (-1, 0, 1, 2, 3, 5, 12, 13, 20):
+    for n in (-3, -1, 0, 1, 2, 3, 5, 12, 13, 20):
         want = outcome(lambda: [prog.value(x) for x in range(n + 1)])
         assert outcome(lambda: list(prog.values_upto(n))) == want, n
+
+
+def test_floor_values_upto_reads_no_dense_table(monkeypatch):
+    def dense(self):
+        raise AssertionError("the dense values were read")
+
+    monkeypatch.setattr(FloorTableProgram, "values", property(dense))
+    for prefix, floor, horizon in [([5, 6], 9, 12), ([], 3, 7), ([4, 1, 8], 0, 501_500),
+                                   ([2] * 6, 2, 5)]:
+        prog = FloorTableProgram(prefix, floor, horizon, "f")
+        for n in (-3, -1, 0, 1, 2, 3, 5, 10, 12, 13, 20, 501_500):
+            want = outcome(lambda: [prog.value(x) for x in range(min(n, 30) + 1)])
+            if n <= 30 or n > prog.horizon:
+                assert outcome(lambda: list(prog.values_upto(n))) == want, n
+            else:
+                got = prog.values_upto(n)
+                assert len(got) == n + 1 and list(got[:31]) == want
+                assert got[-1] == prog.value(n)
 
 
 def ref_fresh_zero_table(lower, upper, horizon):
@@ -1225,7 +1401,8 @@ def test_floor_table_text_at_the_cap():
 
 def test_decimals_match_str():
     for ints in ([], [0], list(range(CAP)), [CAP - 1, CAP], [CAP], [CAP + 1, 0], [-1],
-                 [3, -1, 2], list(range(CAP + 2)), [10 ** 30, 5], (4, 4, 0)):
+                 [3, -1, 2], list(range(CAP + 2)), [10 ** 30, 5], (4, 4, 0),
+                 *column_ranges(CAP)):
         assert _text.decimals(ints) == list(map(str, ints))
 
 
@@ -1361,6 +1538,38 @@ def test_profile_matches_per_call_reads(desc, convention, traces):
         assert list(x.profile([], convention)) == []
         assert list(x.profile(range(top + 1), convention)) == \
             [getattr(ref, read)(p) for p in range(top + 1)]
+
+
+def column_ranges(top):
+    """Ranges of index points: empty, step 3, a negative start, falling,
+    and stops around top (the decimal cap)."""
+    return [range(0), range(5, 5), range(7, 3), range(0, -4), range(0, 50, 3),
+            range(4, 61, 3), range(-4, 20), range(-4, -1), range(40, 3, -3),
+            range(0, top - 1), range(0, top), range(0, top + 5), range(3, top + 5),
+            range(top - 2, top + 5)]
+
+
+@pytest.mark.parametrize("desc", PROFILED)
+def test_index_columns_match_per_call_reads(desc, traces):
+    """profile and cum_costs over ranges, slices of the memo where they
+    start at 0 or above with step 1, against one read per point."""
+    for grown in (-1, 37):
+        for points in column_ranges(CAP if "{" not in desc else 120):
+            x, ref = make_profiled(desc, traces), make_profiled(desc, traces)
+            if grown >= 0:
+                x.bit(grown)
+                ref.bit(grown)
+            assert list(x.profile(points)) == [ref.zeros_by_index(p) for p in points], points
+            assert list(x.cum_costs(points)) == [ref.cum_cost(p) for p in points], points
+            assert x._bits == ref._bits and x._cost_cum == ref._cost_cum
+
+
+def test_cost_columns_fail_where_per_point_reads_fail():
+    for k in (0, 4, 30):
+        for points in (range(80), list(range(80, -1, -3)), range(2, 50, 2)):
+            want = outcome(lambda x: [x.cum_cost(p) for p in points], fragile(k))
+            assert outcome(lambda x: list(x.cum_costs(points)), fragile(k)) == want
+            assert want[0] is PunctualityViolation
 
 
 def test_profile_rejects_an_unknown_convention():
@@ -1541,6 +1750,65 @@ def test_check_reduction_prefix_with_a_fragile_carrier(k):
                 assert outcome(reductions.check_reduction_prefix, f, *make(), n) == want
                 kinds.add(want[0] if isinstance(want, tuple) else type(want))
     assert kinds >= {PunctualityViolation, Counterexample}
+
+
+def class_test_tables(x, y, n):
+    """A reduction of the set relation of x to that of y on 0..n (members
+    to a member of y, non-members to the zeros of y in order), and one
+    edit of it for each way the set class test can fail."""
+    bits = x.prefix(n).bits
+    members = [v for v, b in enumerate(bits) if b]
+    rest = [v for v, b in enumerate(bits) if not b]
+    inside = [v for v in range(4 * n) if y.bit(v)][:2]
+    zeros = [y.principal_zero(j) for j in range(len(rest) + 1)]
+    good = [inside[0]] * (n + 1)
+    for v, z in zip(rest, zeros):
+        good[v] = z
+    tables = {"reduction": good}
+
+    def edit(name, v, value):
+        tables[name] = good[:v] + [value] + good[v + 1:]
+
+    if len(members) > 1:
+        edit("members over two classes", members[-1], zeros[-1])
+    if members and rest:
+        edit("a non-member on the members' class", rest[-1], inside[0])
+        if len(inside) > 1:
+            edit("a non-member on another member of y", rest[len(rest) // 2], inside[1])
+    if len(rest) > 1:
+        edit("two non-members on one image", rest[-1], good[rest[0]])
+    return tables
+
+
+CLASS_TEST_SOURCES = {
+    "no member": lambda: prefix_set("none", [0] * 301),
+    "one member": lambda: prefix_set("one", [0] * 150 + [1] + [0] * 150),
+}
+
+
+def class_test_pairs(traces):
+    """Fresh-pair makers: the set pairs, and sources with no member and
+    with one member below 300 against a builtin and a trace-backed target."""
+    makers = [lambda i=i: make_pair(traces, i) for i in range(len(PAIRS))]
+    for make_x in CLASS_TEST_SOURCES.values():
+        for target in ("evens", f"trace {traces['imm']}"):
+            makers.append(lambda make_x=make_x, target=target: (make_x(), parse_set(target)))
+    return makers
+
+
+def test_set_class_test_matches_all_pairs(traces):
+    n = 300
+    kinds = collections.Counter()
+    for make in class_test_pairs(traces):
+        for name, table in class_test_tables(*make(), n).items():
+            x, y = make()
+            want = ref_check_all_pairs(table, SetRelation(x), SetRelation(y), n)
+            assert (want is None) == (name == "reduction"), (x.name, name)
+            x, y = make()
+            assert reductions.check_reduction_prefix(
+                table, SetRelation(x), SetRelation(y), n) == want, (x.name, name)
+            kinds[name] += 1
+    assert len(kinds) == 5 and min(kinds.values()) >= 10, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,26 @@
 
 The pairs are the 12 of ``perfbench/workloads.py`` (``PAIRS``), whose
 trace inputs its ``setup`` writes into a temporary directory.  Each of
-``REPEATS`` (11) repeats runs every pair at each horizon of ``HORIZONS``
-through six phases, each on descriptors parsed fresh before the phase
+``REPEATS`` (11) repeats runs every pair at each horizon h of ``HORIZONS``
+through eight phases, each on descriptors parsed fresh before the phase
 starts, as a command-line call would:
 
   * synth-g-from-h: ``synth_reduction_from_h`` under the identity bound;
   * synth-h: ``synth_h_from_reduction`` of that table;
   * surjectivize: ``surjectivize`` of that table;
   * check: ``check_reduction_prefix`` of that table;
-  * serialize: ``serialize_witness`` of that table and of its synth-h
-    table;
+  * synth-p: ``synth_p_from_reduction`` of that table at the step budget
+    ``x.cum_cost(h)``;
+  * from-p: ``synth_reduction_from_p`` of that step-rate table;
+  * serialize: ``serialize_witness`` of the synth-g table and of its
+    synth-h table;
   * parse: ``parse_witness`` of those two texts.
 
 It reports each phase's median wall time over the repeats next to
 deterministic counters from one extra, untimed pass: ``PrSet._ensure``
-entries, ``PrSet.bit`` calls, memo bits grown and calls of the per-row
-witness reader ``_parse_rows`` (``fallbacks``); the two text phases also
-count table rows and text bytes.  The result is stored
+entries, ``PrSet.bit`` and ``PrSet.cum_cost`` calls, memo bits grown and
+calls of the per-row witness reader ``_parse_rows`` (``fallbacks``); the
+two text phases also count table rows and text bytes.  The result is stored
 under ``--label`` in ``BENCH_witness.json`` at the root of the checkout,
 keeping the other labels there, so that two commits can be compared by
 running this file against each one's ``src``.
@@ -36,6 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -64,16 +68,27 @@ def witnesses(x, y, h, g) -> list:
                                         x.name, y.name, h) for t in (g, gh)]
 
 
-# each phase's function of one (x, y, horizon, table, its witnesses, their texts)
+class Item(NamedTuple):
+    """One pair and horizon's inputs: its synth-g table, that table and its
+    synth-h table as witnesses, their texts, and its synth-p witness."""
+    table: list
+    witnesses: list
+    texts: list
+    p: reductions.ReductionWitness
+
+
+# each phase's function of one (x, y, horizon, Item)
 PHASES = {
-    "synth-g-from-h": lambda x, y, h, t, ws, texts: reductions.synth_reduction_from_h(
-        x, y, IDENTITY, h),
-    "synth-h": lambda x, y, h, t, ws, texts: reductions.synth_h_from_reduction(t, x, y, h),
-    "surjectivize": lambda x, y, h, t, ws, texts: reductions.surjectivize(t, x, y, h),
-    "check": lambda x, y, h, t, ws, texts: reductions.check_reduction_prefix(
-        t, sets.SetRelation(x), sets.SetRelation(y), h),
-    "serialize": lambda x, y, h, t, ws, texts: list(map(reductions.serialize_witness, ws)),
-    "parse": lambda x, y, h, t, ws, texts: list(map(reductions.parse_witness, texts)),
+    "synth-g-from-h": lambda x, y, h, it: reductions.synth_reduction_from_h(x, y, IDENTITY, h),
+    "synth-h": lambda x, y, h, it: reductions.synth_h_from_reduction(it.table, x, y, h),
+    "surjectivize": lambda x, y, h, it: reductions.surjectivize(it.table, x, y, h),
+    "check": lambda x, y, h, it: reductions.check_reduction_prefix(
+        it.table, sets.SetRelation(x), sets.SetRelation(y), h),
+    "synth-p": lambda x, y, h, it: reductions.synth_p_from_reduction(
+        it.table, x, y, x.cum_cost(h)),
+    "from-p": lambda x, y, h, it: reductions.synth_reduction_from_p(x, y, it.p, h),
+    "serialize": lambda x, y, h, it: list(map(reductions.serialize_witness, it.witnesses)),
+    "parse": lambda x, y, h, it: list(map(reductions.parse_witness, it.texts)),
 }
 TEXT_PHASES = ("serialize", "parse")
 
@@ -85,17 +100,19 @@ def one_pass(items: list) -> dict:
         pairs = fresh_pairs()
         start = time.perf_counter()
         for (x, y), h, item in zip(pairs, horizons(), items):
-            fn(x, y, h, *item)
+            fn(x, y, h, item)
         walls[name] = time.perf_counter() - start
     return walls
 
 
 def counted_pass(items: list) -> dict:
-    """Memo work of each phase: _ensure entries, bit calls, memo growth,
-    per-row reader calls; rows and text bytes of the text phases."""
+    """Memo work of each phase: _ensure entries, bit and cum_cost calls,
+    memo growth, per-row reader calls; rows and text bytes of the text
+    phases."""
     cls = sets.PrSet
-    ensure, bit, parse_rows = cls._ensure, cls.bit, reductions._parse_rows
-    counts = dict(ensure_entries=0, bit_calls=0, memo_bits=0, fallbacks=0)
+    ensure, bit, cum_cost, parse_rows = cls._ensure, cls.bit, cls.cum_cost, reductions._parse_rows
+    zero = dict(ensure_entries=0, bit_calls=0, cum_cost_calls=0, memo_bits=0, fallbacks=0)
+    counts = dict(zero)
 
     def counting_ensure(self, *args, **kwargs):
         counts["ensure_entries"] += 1
@@ -109,26 +126,30 @@ def counted_pass(items: list) -> dict:
         counts["bit_calls"] += 1
         return bit(self, n)
 
+    def counting_cum_cost(self, n):
+        counts["cum_cost_calls"] += 1
+        return cum_cost(self, n)
+
     def counting_parse_rows(*args):
         counts["fallbacks"] += 1
         return parse_rows(*args)
 
     out = {}
-    cls._ensure, cls.bit = counting_ensure, counting_bit
+    cls._ensure, cls.bit, cls.cum_cost = counting_ensure, counting_bit, counting_cum_cost
     reductions._parse_rows = counting_parse_rows
     try:
         for name, fn in PHASES.items():
             pairs = fresh_pairs()
-            counts.update(ensure_entries=0, bit_calls=0, memo_bits=0, fallbacks=0)
+            counts.update(zero)
             for (x, y), h, item in zip(pairs, horizons(), items):
-                fn(x, y, h, *item)
+                fn(x, y, h, item)
             out[name] = dict(counts)
             if name in TEXT_PHASES:
                 out[name].update(
-                    rows=sum(w.horizon + 1 for _, ws, _ in items for w in ws),
-                    text_bytes=sum(len(text) for _, _, texts in items for text in texts))
+                    rows=sum(w.horizon + 1 for item in items for w in item.witnesses),
+                    text_bytes=sum(map(len, (text for item in items for text in item.texts))))
     finally:
-        cls._ensure, cls.bit = ensure, bit
+        cls._ensure, cls.bit, cls.cum_cost = ensure, bit, cum_cost
         reductions._parse_rows = parse_rows
     return out
 
@@ -146,7 +167,8 @@ def main() -> int:
             for (x, y), h in zip(fresh_pairs(), horizons()):
                 t = list(reductions.synth_reduction_from_h(x, y, IDENTITY, h).program.values)
                 ws = witnesses(x, y, h, t)
-                items.append((t, ws, [reductions.serialize_witness(w) for w in ws]))
+                p = reductions.synth_p_from_reduction(t, x, y, x.cum_cost(h))
+                items.append(Item(t, ws, [reductions.serialize_witness(w) for w in ws], p))
             counters = counted_pass(items)
             runs = [one_pass(items) for _ in range(REPEATS)]
         finally:
