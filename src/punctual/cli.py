@@ -145,7 +145,15 @@ def cmd_diamond(args, out) -> int:
 def cmd_slow(args, out) -> int:
     family = load_family(args.family) if args.family else []
     if args.slow_op == "make":
+        if args.descriptor is not None:
+            raise MisuseError("slow make does not read a descriptor")
         s = lattice.make_slow_set(family, args.window)
+        # zeros increase, so the window's last zero is its longest; only a
+        # family's slow set, a zero-list set, has zeros past the index ceiling
+        digits = sys.get_int_max_str_digits()
+        if family and digits and s.principal_zero(args.window) >= 10 ** digits:
+            raise MisuseError(f"slow make: zero number {args.window} has more than "
+                              f"{digits} digits, the interpreter's limit for printing")
         for n in range(args.window + 1):
             out.write(f"zero\t{n}\t{s.principal_zero(n)}\n")
         return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from ._text import digest, pair_lines
@@ -146,16 +147,11 @@ class CanonicalWitness:
 
 
 def _monotonize(prog: ClockedProgram, horizon: int) -> tuple[list[int], bool]:
-    vals = []
-    running = 0
-    changed = False
-    for s in range(horizon + 1):
-        v = prog.value(s)
-        if v < running:
-            changed = True
-        running = max(running, v)
-        vals.append(running)
-    return vals, changed
+    """The running maximum of prog's values from 0, and whether it differs
+    from them: it does where a value falls below the maximum before it."""
+    raw = [prog.value(s) for s in range(horizon + 1)]
+    vals = list(accumulate(raw, max, initial=0))[1:]
+    return vals, vals != raw
 
 
 def _smooth_profile(src: PrSet, tgt: PrSet, p_vals: list[int], horizon: int):

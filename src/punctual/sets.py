@@ -30,40 +30,37 @@ and an error names its position in the descriptor, inside a quoted term too.
 Bits, zero counts and cumulative costs are memoized as prefixes; below
 bit 0, ``zeros_by_index`` and ``cum_cost`` read 0, ``prefix(-1)`` is
 empty, and ``bit``, ``bit_cost`` and a shorter prefix raise ``ValueError``.
-A memo normally grows one bit at a time, but some descriptors also have a
-range fill that produces the bits and costs of a whole range in one call.
-A set built from a pattern (a head, then a period, each bit costing a
-constant or n + 1 plus a constant) fills from it: the builtins, prefix and
+A memo grows one bit at a time, or by a range fill that gives the bits
+and costs of a whole range in one call and reads nothing past its reach.
+A pattern (a head, then a period, each bit costing a constant or n + 1
+plus a constant) reaches without end.  It fills the builtins, prefix and
 trace sets with the default cost (the constructed head, then 1,0 at cost
 n + 1), and ``drop``, the zero-member override, join and meet over pattern
-sets.  Those are built as patterns when their head plus period stays
-within ``_PATTERN_MAX`` bits: ``drop`` and the override flip one bit of the
-operand's pattern, and join and meet read one pass over the operands'
-patterns (``_lattice_pattern``); a join or meet whose unit-cost operand
-costs more than its n + 1 operand keeps the generic fill, as does any
-derived set past the cap.  The generic fills are ``drop`` and the override
-from the operand's arrays with one bit flipped, and join and meet from the
-max or min of the normalised operands' zero counts.  Term-backed sets,
-normal-form carriers and zero-list sets have no fill and keep the per-bit
-loop and their evaluator work.  A derived descriptor over such a set keeps
-its generic fill, bounded by the memos: it runs as far as its operands
-reach (a filling operand without end, a derived one to the further of its
-memo and its own operands' reach, any other one to its memo), where it
-only slices memos, calls no generator and cannot raise.  So one unlimited
-read catches its memo up to that reach, past the bit read, and the per-bit
-loop goes on from there, failing where it failed before.  Only unlimited
-growth fills, and only for extensions of at least ``_FILL_MIN`` bits, since
-a fill has a fixed cost; step-limited growth (``bits_within``) and
-zero-limited growth (``fresh_zeros``, the one zero search, which
-``next_zero`` and ``principal_zero`` call) take the per-bit loop, so a
-memo, and its operands' memos, stop exactly at the bit where the limit is
-met; a limit not met by bit ``DEFAULT_CEILING`` raises CeilingExceeded.
-``fresh_zeros`` picks a run of zeros in one pass: it reads the memo
-by bisection on from the last pick and grows it only for a pick it lacks.
-A pattern set answers ``zeros_by_steps`` and steps profiles by arithmetic
-on the pattern and grows no memo for them; bit, index and cost reads still
-grow its memo.  Only zero-list sets answer ``principal_zero`` by a closed
-form, from their list of zeros.
+sets while their head plus period stays within ``_PATTERN_MAX`` bits:
+``drop`` and the override flip one bit of the operand's pattern, and join
+and meet read one pass over the operands' patterns (``_lattice_pattern``),
+unless a unit-cost operand costs more than the n + 1 one.  Every other
+``drop``, override, join and meet fills from its operands' memos (one bit
+flipped, or the max or min of the normalised zero counts) and reaches as
+far as its least operand, where a set reaches to the further of its memo
+and its fill.  Term-backed sets, normal-form carriers and zero-list sets
+have no fill, so a set derived over one has a bounded reach.  Within its
+reach a fill cannot raise, and a bounded one only slices memos.
+
+The one reach rule: an unlimited read that grows a memo by at least
+``_FILL_MIN`` bits fills to the bit read when the reach is unbounded and
+to the reach otherwise, which may lie past the bit read, and the per-bit
+loop goes on from there, failing where it failed before.  ``read_ahead``
+grows only sets whose reach is unbounded.  Step-limited growth
+(``bits_within``) and zero-limited growth (``fresh_zeros``, the one zero
+search, which ``next_zero`` and ``principal_zero`` call) take the per-bit
+loop, so a memo, and its operands' memos, stop exactly at the bit where
+the limit is met; a limit not met by bit ``DEFAULT_CEILING`` raises
+CeilingExceeded.  ``fresh_zeros`` picks a run of zeros in one pass: it
+reads the memo by bisection on from the last pick and grows it only for a
+pick it lacks.  A pattern set answers ``zeros_by_steps`` and steps
+profiles by arithmetic and grows no memo for them.  Zero-list sets answer
+``principal_zero`` from their list of zeros, past any ceiling.
 
 Scans read memos as whole columns: ``profile(points, convention)`` and
 ``cum_costs(points)`` answer a list of points from one growth to the
@@ -192,22 +189,15 @@ class PrSet:
 
     def __init__(self, name: str, bit_fn: Callable[[int], int],
                  cost_fn: Callable[[int], int] | None = None,
-                 *, dsl: str | None = None,
-                 zeros_fast: Callable[[int], int] | None = None,
-                 fill: Callable[[int, int], tuple] | None = None):
+                 *, dsl: str | None = None, fill: _Pattern | _MemoFill | None = None):
         self.name = name
         self.dsl = dsl
         self._bit_fn = bit_fn
         self._cost_fn = cost_fn or (lambda n: 1)
-        self._zeros_fast = zeros_fast
-        # fill(m, n) -> (bits, per-bit costs) of bits m..n, each cost >= 1;
-        # it must agree with bit_fn and cost_fn.  A _Pattern fill also
-        # answers step queries; a _MemoFill runs only as far as its
-        # operands' memos reach, so it is kept apart from a fill that runs
-        # anywhere.
-        bounded = isinstance(fill, _MemoFill)
-        self._fill = None if bounded else fill
-        self._memo_fill = fill if bounded else None
+        # fill(m, n) -> (bits, per-bit costs) of bits m..n for n up to
+        # fill.reach(), each cost >= 1, agreeing with bit_fn and cost_fn;
+        # a _Pattern fill also answers step queries
+        self._fill = fill
         self._pattern = fill if isinstance(fill, _Pattern) else None
         self._bits: list[int] = []
         self._zero_cum: list[int] = []   # zeros among bits 0..n
@@ -223,21 +213,19 @@ class PrSet:
         passes steps, or at the `zeros`-th zero, and takes the per-bit loop,
         so it reads no bit, and no operand bit, past the one where it stops;
         a limit not met by bit ``DEFAULT_CEILING`` raises CeilingExceeded.
-        With a fill, an unlimited extension of at least ``_FILL_MIN`` bits
-        runs in one call.  A memo-bounded fill runs on to its operands'
-        reach, so the memo may end past n; past the reach the per-bit loop
-        goes on to n.
+        An unlimited extension of at least ``_FILL_MIN`` bits fills to n
+        when the fill's reach is unbounded and to the reach otherwise, so
+        the memo may end past n; past the reach the per-bit loop goes on.
         """
         if n < len(self._bits):
             return
         bits, zero_cum, cost_cum = self._bits, self._zero_cum, self._cost_cum
         m = len(bits)
         if steps == zeros == sys.maxsize:
-            fill, top = self._fill, n
-            if fill is None and self._memo_fill is not None:
-                fill, top = self._memo_fill.fill, self._memo_fill.reach()
-            if fill is not None and top - m + 1 >= _FILL_MIN:
-                new, costs = fill(m, top)
+            reach = self._fill.reach() if self._fill else -1
+            top = n if reach == sys.maxsize else reach
+            if top - m + 1 >= _FILL_MIN:
+                new, costs = self._fill(m, top)
                 z = zero_cum[-1] if m else 0
                 c = cost_cum[-1] if m else 0
                 bits += new
@@ -269,11 +257,10 @@ class PrSet:
 
     def read_ahead(self, n: int) -> None:
         """Grow the memo to n in one fill, ahead of a scan that reads bits
-        0..n upward.  Sets whose fill runs anywhere cannot raise, so growing
-        one past a scan's early exit shows nowhere; other sets, those with a
-        memo-bounded fill included, are left to the scan, so no evaluator
-        work moves."""
-        if self._fill is not None and n >= len(self._bits):
+        0..n upward, if the fill's reach is unbounded: such a set cannot
+        raise, so growing it past a scan's early exit shows nowhere.  Other
+        sets are left to the scan, so no evaluator work moves."""
+        if n >= len(self._bits) and self._fill and self._fill.reach() == sys.maxsize:
             self._ensure(n)
 
     @property
@@ -403,8 +390,6 @@ class PrSet:
     def principal_zero(self, n: int, ceiling: int = DEFAULT_CEILING) -> int:
         """Position of the (n+1)-st zero; CeilingExceeded if it lies past the
         ceiling, except on zero-list sets, which answer from their list."""
-        if self._zeros_fast is not None:
-            return self._zeros_fast(n)
         pos = next(self.fresh_zeros((ceiling,), n + 1), None)
         if pos is None:
             raise CeilingExceeded(
@@ -421,8 +406,9 @@ class _Pattern:
 
     ``bit`` and ``cost`` are the per-bit generator of a set built from the
     pattern; called as ``fill(m, n)`` it gives the bits and costs of bits
-    m..n.  ``zeros_by_steps(s)`` counts the zeros among the bits decided
-    within s steps by arithmetic, so a step query grows no memo.
+    m..n, and it reaches without end.  ``zeros_by_steps(s)`` counts the
+    zeros among the bits decided within s steps by arithmetic, so a step
+    query grows no memo.
     """
 
     def __init__(self, head: tuple, period: tuple, unit_cost: bool = True, extra: int = 0):
@@ -445,6 +431,9 @@ class _Pattern:
             r = lo % len(period)
             bits += islice(cycle(period), r, r + n - h - lo + 1)
         return bits
+
+    def reach(self) -> int:
+        return sys.maxsize
 
     def __call__(self, m: int, n: int) -> tuple:
         e = self.extra
@@ -559,32 +548,23 @@ def _bit_costs(x: PrSet, m: int, n: int) -> list:
 
 
 class _MemoFill:
-    """The fill of a derived descriptor some of whose operands cannot fill.
+    """The fill of a derived set from its operands' memos: ``fn(m, n)``
+    grows each operand to n and reads its arrays.  It reaches as far as its
+    least operand, where a set reaches to the further of its memo and its
+    fill, so without end when every operand does."""
 
-    ``fill(m, n)`` reads the operands' memos, so it runs only as far as
-    ``reach()``: the least reach of an operand, where a filling operand
-    reaches without end, a derived one to the further of its memo and its
-    own operands' reach, and any other one to the end of its memo.  Within
-    the reach the fill calls no generator, so it cannot raise.
-    """
+    def __init__(self, fn: Callable[[int, int], tuple], *operands: PrSet):
+        self.fn, self.operands = fn, operands
 
-    def __init__(self, fill: Callable[[int, int], tuple], *operands: PrSet):
-        self.fill, self.operands = fill, operands
+    def __call__(self, m: int, n: int) -> tuple:
+        return self.fn(m, n)
 
     def reach(self) -> int:
-        return min(map(_reach, self.operands))
+        return min(max(len(x._bits) - 1, x._fill.reach() if x._fill else -1)
+                   for x in self.operands)
 
 
-def _reach(x: PrSet) -> int:
-    """The last bit of x that is read without a generator call."""
-    if x._fill is not None:
-        return sys.maxsize
-    if x._memo_fill is not None:
-        return max(len(x._bits) - 1, x._memo_fill.reach())
-    return len(x._bits) - 1
-
-
-def _flip_fill(x: PrSet, pos: int):
+def _flip_fill(x: PrSet, pos: int) -> _MemoFill:
     """Fill for x with bit pos forced to 1."""
     def fill(m, n):
         x._ensure(n)
@@ -593,7 +573,7 @@ def _flip_fill(x: PrSet, pos: int):
             bits[pos - m] = 1
         return bits, _bit_costs(x, m, n)
 
-    return fill
+    return _MemoFill(fill, x)
 
 
 # Builtins
@@ -661,6 +641,27 @@ def term_set(term, bound, name: str | None = None) -> PrSet:
                  dsl=f'term "{term_text}" bound "{bound_text}"')
 
 
+class _ZeroListSet(PrSet):
+    """A set given by its zeros, which answers ``principal_zero`` from them."""
+
+    def __init__(self, name: str, next_zero: Callable[[list], int]):
+        self._zeros, self._next_zero = [], next_zero
+        super().__init__(name, self._member, lambda n: n + 1)
+
+    def _member(self, n: int) -> int:
+        zeros = self._zeros
+        while not zeros or zeros[-1] <= n:
+            zeros.append(self._next_zero(zeros))
+        i = bisect.bisect_left(zeros, n)
+        return 0 if i < len(zeros) and zeros[i] == n else 1
+
+    def principal_zero(self, n: int, ceiling: int = DEFAULT_CEILING) -> int:
+        zeros = self._zeros
+        while len(zeros) <= n:
+            zeros.append(self._next_zero(zeros))
+        return zeros[n]
+
+
 def zero_list_set(name: str, next_zero: Callable[[list], int]) -> PrSet:
     """Set given by its (strictly increasing) zero positions; bit n costs n + 1.
 
@@ -668,20 +669,7 @@ def zero_list_set(name: str, next_zero: Callable[[list], int]) -> PrSet:
     so bits and principal zeros are derived from the list, never by scan.
     ``zs`` is the live list, not a copy: callbacks must not mutate it.
     """
-    zeros: list[int] = []
-
-    def bit(n):
-        while not zeros or zeros[-1] <= n:
-            zeros.append(next_zero(zeros))
-        i = bisect.bisect_left(zeros, n)
-        return 0 if i < len(zeros) and zeros[i] == n else 1
-
-    def nth(n):
-        while len(zeros) <= n:
-            zeros.append(next_zero(zeros))
-        return zeros[n]
-
-    return PrSet(name, bit, lambda n: n + 1, zeros_fast=nth)
+    return _ZeroListSet(name, next_zero)
 
 
 def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
@@ -719,9 +707,8 @@ def override_zero_member(x: PrSet) -> PrSet:
     pattern = _flipped(x._pattern, 0)
     if pattern:
         return _pattern_set(name, pattern, x.dsl)
-    fill = _flip_fill(x, 0)
     return PrSet(name, lambda n: 1 if n == 0 else x.bit(n),
-                 x.bit_cost, dsl=x.dsl, fill=fill if x._fill else _MemoFill(fill, x))
+                 x.bit_cost, dsl=x.dsl, fill=_flip_fill(x, 0))
 
 
 def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
@@ -757,7 +744,7 @@ def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
 
     return PrSet(name, bit,
                  lambda n: max(x.bit_cost(n), y.bit_cost(n)) + 1, dsl=dsl,
-                 fill=fill if x._fill and y._fill else _MemoFill(fill, x, y))
+                 fill=_MemoFill(fill, x, y))
 
 
 def set_join(x: PrSet, y: PrSet) -> PrSet:
@@ -771,19 +758,17 @@ def set_meet(x: PrSet, y: PrSet) -> PrSet:
 
 
 def drop_least_zero(x: PrSet) -> PrSet:
-    """Flip the least zero of x to membership; profile drops by exactly one."""
+    """Flip the least zero of x to membership; profile drops by exactly one.
+    Over a zero-list set it is the zero-list set of x's later zeros."""
     z0 = x.principal_zero(0)
-    zeros_fast = None
-    if x._zeros_fast is not None:
-        zeros_fast = lambda n: x._zeros_fast(n + 1)
     name, dsl = f"{x.name}^[-1]", f"drop({x.dsl})" if x.dsl else None
+    if isinstance(x, _ZeroListSet):
+        return zero_list_set(name, lambda zs: x.principal_zero(len(zs) + 1))
     pattern = _flipped(x._pattern, z0)
     if pattern:
         return _pattern_set(name, pattern, dsl)
-    fill = _flip_fill(x, z0)
     return PrSet(name, lambda n: 1 if n == z0 else x.bit(n),
-                 x.bit_cost, dsl=dsl, zeros_fast=zeros_fast,
-                 fill=fill if x._fill else _MemoFill(fill, x))
+                 x.bit_cost, dsl=dsl, fill=_flip_fill(x, z0))
 
 
 # ---------------------------------------------------------------------------

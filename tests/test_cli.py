@@ -237,6 +237,23 @@ class TestSlowCli:
         assert code == 0
         assert out.count("zero\t") == 7
 
+    def test_make_past_the_print_limit_is_misuse(self, capsys, tmp_path):
+        # squared zeros pass the interpreter's 4,300-digit limit at zero 14
+        fam = tmp_path / "sq.fam"
+        fam.write_text("@square\n")
+        code, out = run(["slow", "make", "--family", str(fam), "--window", "13"], capsys)
+        assert code == 0 and out.count("zero\t") == 14
+        assert main(["slow", "make", "--family", str(fam), "--window", "14"]) == 1
+        captured = capsys.readouterr()
+        assert "zero\t" not in captured.out
+        assert captured.err.startswith("error: slow make: zero number 14 has more than 4300")
+
+    def test_make_reads_no_descriptor(self, capsys, family_file):
+        assert main(["slow", "make", "mod -1", "--family", family_file, "--window", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "zero\t" not in captured.out
+        assert captured.err == "error: slow make does not read a descriptor\n"
+
 
 class TestConstructCli:
     def test_join_split(self, capsys, family_file, tmp_path):

@@ -182,6 +182,7 @@ class TestProfiles:
         x = zero_list_set("gaps", lambda zs: (zs[-1] * 2 + 1) if zs else 2)
         assert x.principal_zero(10, 5) == 3071
         assert drop_least_zero(x).principal_zero(9, 5) == 3071
+        assert drop_least_zero(drop_least_zero(x)).principal_zero(8, 5) == 3071
 
 
 class TestTermKind:
@@ -363,7 +364,7 @@ class TestZeroListSet:
 
 # every value a caller can set on a descriptor constructor
 DESCRIPTOR_PARAMETERS = {
-    PrSet: ["name", "bit_fn", "cost_fn", "dsl", "zeros_fast", "fill"],
+    PrSet: ["name", "bit_fn", "cost_fn", "dsl", "fill"],
     prefix_set: ["name", "bits", "dsl", "cost_fn"],
     zero_list_set: ["name", "next_zero"],
 }

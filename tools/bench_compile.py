@@ -22,7 +22,9 @@ deterministic counters from one extra, untimed interpreter per list:
   * ``ensure_entries``: calls of ``PrSet._ensure``, the descriptor memo's
     one way in, hits that return at once included;
   * ``memo_bits``: the bits held, after the list, by the memos of every
-    set its jobs built.
+    set its jobs built, split by the generator that grew them
+    (``memo_split.py``): ``pattern_fill_bits``, ``operand_fill_bits`` and
+    ``per_bit_bits``.
 
 The result is stored under ``--label`` in ``BENCH_compile.json`` at the
 root of the checkout, keeping the other labels there, so that two commits
@@ -62,6 +64,7 @@ def jobs(kind: str):
 def install_counters(counts: dict) -> list:
     """Wrap the evaluator's compile() and its clocked entry points, and the
     descriptor memo's growth; return the list every new set is added to."""
+    import memo_split
     from punctual import pr_lang, sets
 
     def counting_compile(source, *args, **kwargs):
@@ -98,16 +101,18 @@ def install_counters(counts: dict) -> list:
         return ensure(self, *args, **kwargs)
 
     sets.PrSet.__init__, sets.PrSet._ensure = counting_init, counting_ensure
+    memo_split.count_fills(counts)
     return made
 
 
 def child(kind: str, counted: bool) -> int:
     """Run one list in this interpreter; print its wall time or counters."""
     sys.path.insert(0, PERFBENCH)
+    import memo_split
     import speed
     keys, run, check = jobs(kind)
     counts = dict(compile_calls=0, loop_functions=0, source_bytes=0, visits=0,
-                  ensure_entries=0, memo_bits=0)
+                  ensure_entries=0, memo_bits=0, pattern_fill_bits=0, operand_fill_bits=0)
     made = install_counters(counts) if counted else []
     outputs, durations, probes = [], [], []
     for k in keys:
@@ -117,6 +122,7 @@ def child(kind: str, counted: bool) -> int:
         durations.append(time.perf_counter() - start)
     probes.append(speed.probe())
     counts["memo_bits"] = sum(x.decided for x in made)
+    counts = memo_split.with_per_bit(counts)
     failed = sum(not check(k, out) for k, out in zip(keys, outputs))
     json.dump({"wall_s": sum(durations), "ref_s": sum(speed.scaled(durations, probes)),
                "jobs": len(keys), "failed": failed, **counts}, sys.stdout)
@@ -149,7 +155,8 @@ def main() -> int:
                         "jobs": counters["jobs"], "failed": failed,
                         **{k: counters[k] for k in
                            ("compile_calls", "loop_functions", "source_bytes", "visits",
-                            "ensure_entries", "memo_bits")}}
+                            "ensure_entries", "memo_bits", "pattern_fill_bits",
+                            "operand_fill_bits", "per_bit_bits")}}
     result.update({
         "repeats": REPEATS,
         "seed": SEED,

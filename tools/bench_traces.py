@@ -10,10 +10,11 @@ of each finished, replayable golden file).  It reports each phase's
 median wall time over the repeats next to deterministic counters:
 records, trace bytes, full (generation-2) garbage collections from
 ``gc.get_stats()`` over all repeats, and, from one extra, untimed pass,
-each phase's ``PrSet._ensure`` entries and memo bits grown.  The
-result is stored under ``--label`` in ``BENCH_traces.json`` at the root of
-the checkout, keeping the other labels there, so that two commits can be
-compared by running this file against each one's ``src``.
+each phase's ``PrSet._ensure`` entries and memo bits grown, split by the
+generator that grew them (``memo_split.py``).  The result is stored under
+``--label`` in ``BENCH_traces.json`` at the root of the checkout, keeping
+the other labels there, so that two commits can be compared by running
+this file against each one's ``src``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+import memo_split  # noqa: E402
 import test_golden as G  # noqa: E402  (the golden cases and how each is run)
 
 from punctual import sets  # noqa: E402
@@ -69,10 +71,12 @@ def one_pass(names: list, after_phase=lambda phase: None) -> tuple:
 
 
 def counted_pass(names: list) -> dict:
-    """Memo work of each phase: _ensure entries and memo bits grown."""
+    """Memo work of each phase: _ensure entries and memo bits grown, by
+    generator."""
     cls = sets.PrSet
     ensure = cls._ensure
-    counts = dict(ensure_entries=0, memo_bits=0)
+    zero = dict(ensure_entries=0, memo_bits=0, pattern_fill_bits=0, operand_fill_bits=0)
+    counts = dict(zero)
 
     def counting_ensure(self, *args, **kwargs):
         counts["ensure_entries"] += 1
@@ -83,15 +87,17 @@ def counted_pass(names: list) -> dict:
             counts["memo_bits"] += len(self._bits) - before
 
     def after_phase(phase):
-        out[phase] = dict(counts)
-        counts.update(ensure_entries=0, memo_bits=0)
+        out[phase] = memo_split.with_per_bit(counts)
+        counts.update(zero)
 
     out = {}
     cls._ensure = counting_ensure
+    restore_fills = memo_split.count_fills(counts)
     try:
         one_pass(names, after_phase)
     finally:
         cls._ensure = ensure
+        restore_fills()
     return out
 
 

@@ -21,12 +21,13 @@ starts, as a command-line call would:
 
 It reports each phase's median wall time over the repeats next to
 deterministic counters from one extra, untimed pass: ``PrSet._ensure``
-entries, ``PrSet.bit`` and ``PrSet.cum_cost`` calls, memo bits grown and
-calls of the per-row witness reader ``_parse_rows`` (``fallbacks``); the
-two text phases also count table rows and text bytes.  The result is stored
-under ``--label`` in ``BENCH_witness.json`` at the root of the checkout,
-keeping the other labels there, so that two commits can be compared by
-running this file against each one's ``src``.
+entries, ``PrSet.bit`` and ``PrSet.cum_cost`` calls, memo bits grown, split
+by the generator that grew them (``memo_split.py``), and calls of the
+per-row witness reader ``_parse_rows`` (``fallbacks``); the two text
+phases also count table rows and text bytes.  The result is stored under
+``--label`` in ``BENCH_witness.json`` at the root of the checkout, keeping
+the other labels there, so that two commits can be compared by running
+this file against each one's ``src``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import memo_split  # noqa: E402
 import workloads as W  # noqa: E402  (the pairs and the inputs they read)
 
 from punctual import pr_lang, reductions, sets  # noqa: E402
@@ -107,11 +109,12 @@ def one_pass(items: list) -> dict:
 
 def counted_pass(items: list) -> dict:
     """Memo work of each phase: _ensure entries, bit and cum_cost calls,
-    memo growth, per-row reader calls; rows and text bytes of the text
-    phases."""
+    memo growth by generator, per-row reader calls; rows and text bytes of
+    the text phases."""
     cls = sets.PrSet
     ensure, bit, cum_cost, parse_rows = cls._ensure, cls.bit, cls.cum_cost, reductions._parse_rows
-    zero = dict(ensure_entries=0, bit_calls=0, cum_cost_calls=0, memo_bits=0, fallbacks=0)
+    zero = dict(ensure_entries=0, bit_calls=0, cum_cost_calls=0, memo_bits=0,
+                pattern_fill_bits=0, operand_fill_bits=0, fallbacks=0)
     counts = dict(zero)
 
     def counting_ensure(self, *args, **kwargs):
@@ -137,13 +140,14 @@ def counted_pass(items: list) -> dict:
     out = {}
     cls._ensure, cls.bit, cls.cum_cost = counting_ensure, counting_bit, counting_cum_cost
     reductions._parse_rows = counting_parse_rows
+    restore_fills = memo_split.count_fills(counts)
     try:
         for name, fn in PHASES.items():
             pairs = fresh_pairs()
             counts.update(zero)
             for (x, y), h, item in zip(pairs, horizons(), items):
                 fn(x, y, h, item)
-            out[name] = dict(counts)
+            out[name] = memo_split.with_per_bit(counts)
             if name in TEXT_PHASES:
                 out[name].update(
                     rows=sum(w.horizon + 1 for item in items for w in item.witnesses),
@@ -151,6 +155,7 @@ def counted_pass(items: list) -> dict:
     finally:
         cls._ensure, cls.bit, cls.cum_cost = ensure, bit, cum_cost
         reductions._parse_rows = parse_rows
+        restore_fills()
     return out
 
 
