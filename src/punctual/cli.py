@@ -148,14 +148,13 @@ def cmd_slow(args, out) -> int:
         if args.descriptor is not None:
             raise MisuseError("slow make does not read a descriptor")
         s = lattice.make_slow_set(family, args.window)
-        # zeros increase, so the window's last zero is its longest; only a
-        # family's slow set, a zero-list set, has zeros past the index ceiling
+        # every zero is read before the first line; the last is the longest
+        zeros = [s.principal_zero(n) for n in range(args.window + 1)]
         digits = sys.get_int_max_str_digits()
-        if family and digits and s.principal_zero(args.window) >= 10 ** digits:
+        if digits and zeros[-1] >= 10 ** digits:
             raise MisuseError(f"slow make: zero number {args.window} has more than "
                               f"{digits} digits, the interpreter's limit for printing")
-        for n in range(args.window + 1):
-            out.write(f"zero\t{n}\t{s.principal_zero(n)}\n")
+        out.writelines(f"zero\t{n}\t{z}\n" for n, z in enumerate(zeros))
         return 0
     if args.descriptor is None:
         raise MisuseError("slow check needs a descriptor")

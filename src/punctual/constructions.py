@@ -51,7 +51,7 @@ from itertools import chain, islice, zip_longest
 from operator import le
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import _text
+from . import _text, pr_lang
 from .errors import NotCertified, ParseError, PreconditionFailed, StageBudgetExhausted
 from .lattice import anti_reduction_evidence, equilibrium_points, family_hash
 from .pr_lang import COST_MODEL, ClockedProgram, cantor_pair, program_text, resolve_program
@@ -733,7 +733,7 @@ def _fresh_zero_table(lower: PrSet, upper: PrSet, horizon: int) -> list:
     faulty run breaks it the table ends, and validation, which checks the
     chain at every stage, reports the failure.
     """
-    return _fresh_pick_table(lower.prefix(horizon).bits, upper, lambda s: s, 0)
+    return _fresh_pick_table(lower.prefix(horizon).bits, upper, pr_lang.NATIVE_REGISTRY["id"], 0)
 
 
 def construct_dense(x: PrSet, z: PrSet, f, family, max_stages: int,

@@ -98,7 +98,7 @@ def diamond_evidence_q(x: PrSet, y: PrSet, q, horizon: int, k: int,
     _require_certificate(certificate)
     prog = as_program(q)
     stages = range(horizon + 1)
-    images = [prog.value(t) for t in stages]
+    images = prog.values_at(stages)
     if convention == "index":
         require_index_values(images)
     zy = y.profile(stages, convention)
@@ -442,10 +442,7 @@ def shift_top_certificate(g, x: PrSet, horizon: int):
     prog = as_program(g)
     z0 = x.principal_zero(0)
     hit = next((m for m in range(horizon + 1) if prog.value(m) == z0), None)
-    if hit is None:
-        table = [prog.value(k) for k in range(horizon + 1)]
-    else:
-        table = [prog.value(k + hit + 1) for k in range(horizon - hit)]
+    table = prog.values_at(range(0 if hit is None else hit + 1, horizon + 1))
     return ReductionWitness(TableProgram(table, "shifted"), "reduction",
                             "Id", f"{x.name}^[-1]", len(table) - 1, "index")
 

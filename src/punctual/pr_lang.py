@@ -56,7 +56,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import ArityError, BudgetExceeded, ParseError
 
@@ -741,6 +741,9 @@ class ClockedProgram:
 
     value(x) is total; cost(x) is the number of steps needed, so
     converges_within(x, s) returns the value exactly when cost(x) < s.
+    values_at(points) is value at each point, in order, read point by point
+    here; native programs map their function, tables read the column whole.
+    A column fails where its first failing point does, with that error.
     """
 
     name: str
@@ -756,9 +759,8 @@ class ClockedProgram:
             return self.value(x)
         return None
 
-    def values_upto(self, n: int) -> Sequence[int]:
-        """value(0), ..., value(n), raising where the first failing value does."""
-        return [self.value(x) for x in range(n + 1)]
+    def values_at(self, points: Iterable[int]) -> Sequence[int]:
+        return list(map(self.value, points))
 
     def __repr__(self):
         return f"<program {self.name}>"
@@ -803,6 +805,9 @@ class NativeProgram(ClockedProgram):
     def value(self, x: int) -> int:
         return self.fn(x)
 
+    def values_at(self, points: Iterable[int]) -> Sequence[int]:
+        return list(map(self.fn, points))
+
     def cost(self, x: int) -> int:
         return self.cost_fn(x)
 
@@ -815,11 +820,8 @@ class TableProgram(ClockedProgram):
         self.name = name
 
     def value(self, x: int) -> int:
-        if x >= 0:
-            try:
-                return self.values[x]
-            except IndexError:
-                pass
+        if 0 <= x < len(self.values):
+            return self.values[x]
         raise self._off_table(x)
 
     def _off_table(self, x: int) -> BudgetExceeded:
@@ -829,10 +831,12 @@ class TableProgram(ClockedProgram):
     def cost(self, x: int) -> int:
         return 1
 
-    def values_upto(self, n: int) -> Sequence[int]:
-        if n > self.horizon:
-            return super().values_upto(n)
-        return self.values[:max(n + 1, 0)]
+    def values_at(self, points: Iterable[int]) -> Sequence[int]:
+        values, end = self.values, len(self.values)
+        r = points if isinstance(points, range) and points.step == 1 else range(-1)
+        if 0 <= r.start <= r.stop <= end:
+            return values[r.start:r.stop]
+        return [values[x] if 0 <= x < end else self.value(x) for x in points]
 
     @property
     def horizon(self) -> int:
@@ -856,18 +860,19 @@ class FloorTableProgram(TableProgram):
     def value(self, x: int) -> int:
         if not 0 <= x <= self._horizon:
             raise self._off_table(x)
-        if x < len(self.prefix):
-            return self.prefix[x]
-        return max(x + 1, self.floor)
+        return self.prefix[x] if x < len(self.prefix) else max(x + 1, self.floor)
 
-    def values_upto(self, n: int) -> Sequence[int]:
-        if n > self._horizon:
-            return super().values_upto(n)
-        start, end = len(self.prefix), max(n + 1, 0)
-        run = max(0, min(self.floor, end) - start)
-        return (*self.prefix[:end], *[self.floor] * run, *range(start + run + 1, end + 1))
+    def values_at(self, points: Iterable[int]) -> Sequence[int]:
+        """A range up by 1 from 0 is built as prefix, floor run and climb."""
+        prefix, floor, n, top = self.prefix, self.floor, len(self.prefix), self._horizon
+        r = points if isinstance(points, range) and points.step == 1 else range(-1)
+        if r.start == 0 <= r.stop <= top + 1:
+            run = max(0, min(floor, r.stop) - n)
+            return (*prefix[:r.stop], *[floor] * run, *range(n + run + 1, r.stop + 1))
+        return [(prefix[x] if x < n else floor if x < floor else x + 1) if 0 <= x <= top
+                else self.value(x) for x in points]
 
-    values = property(lambda self: self.values_upto(self._horizon))
+    values = property(lambda self: self.values_at(range(self._horizon + 1)))
 
     @property
     def horizon(self) -> int:

@@ -126,7 +126,7 @@ def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
     on failure does it rescan for the least pair.
     """
     prog = as_program(f)
-    values = prog.values_upto(n)
+    values = prog.values_at(range(n + 1))
     if min(values, default=0) < 0:
         x = next(x for x, v in enumerate(values) if v < 0)
         raise PreconditionFailed(f"witness maps {x} to {values[x]}, not a natural number")
@@ -278,7 +278,7 @@ def _massage_for_growth(f: Witnessable, x: PrSet, y: PrSet, horizon: int) -> Clo
     """Verified, class-respecting, nondecreasing-on-complement form of f."""
     prog = as_program(f)
     require_reduction(prog, SetRelation(x), SetRelation(y), horizon)
-    values = prog.values_upto(horizon)
+    values = prog.values_at(range(horizon + 1))
     xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
     comp = list(compress(values, map(not_, xbits)))
     if all(map(ybits.__getitem__, compress(values, xbits))) and all(map(lt, comp, comp[1:])):
@@ -296,9 +296,9 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     """
     prog = _massage_for_growth(f, x, y, horizon)
     # prog rises on the zeros of x: the greatest zero's image is their maximum
-    zero_images = map(mul, prog.values_upto(horizon), map(not_, x.prefix(horizon).bits))
-    table = list(accumulate(zero_images, max))
     stages = range(horizon + 1)
+    zero_images = map(mul, prog.values_at(stages), map(not_, x.prefix(horizon).bits))
+    table = list(accumulate(zero_images, max))
     for s, a, b in zip(stages, x.profile(stages), y.profile(table)):
         if a > b:
             raise NotAReduction(
@@ -309,14 +309,14 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
 
 def _fresh_pick_table(xbits: Sequence[int], y: PrSet, ceiling, member: int) -> list:
     """Members (bit 1) to `member`, the j-th zero v of x to the j-th zero of y
-    while it is at most ceiling(v), up to the first zero of x without one.
+    while it is at most ceiling.value(v), up to the first zero of x without one.
     The picks are y's memo zeros then a ``fresh_zeros`` pass, or, if a
     ceiling raises, one ``fresh_zeros`` pass that reads the ceilings lazily."""
     zeros = list(compress(count(), map(not_, xbits)))
     try:
-        ceilings = list(map(ceiling, zeros))
+        ceilings = ceiling.values_at(zeros)
     except Exception:
-        picks = list(y.fresh_zeros(map(ceiling, zeros)))
+        picks = list(y.fresh_zeros(map(ceiling.value, zeros)))
     else:
         top = min(y.decided - 1, max(ceilings, default=-1))
         held = list(compress(count(), map(not_, y.prefix(max(top, -1)).bits)))
@@ -344,7 +344,7 @@ def synth_reduction_from_h(x: PrSet, y: PrSet, h: Witnessable,
         xbits, failure = x.prefix(horizon).bits, None
     except Exception as exc:
         xbits, failure = x.prefix(x.decided - 1).bits, exc
-    table = _fresh_pick_table(xbits, y, hp.value, 0)
+    table = _fresh_pick_table(xbits, y, hp, 0)
     if len(table) < len(xbits):
         v = len(table)
         raise WitnessBoundViolated(
@@ -375,7 +375,7 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     reach = x.bits_within(horizon)
     k_max = max(reach - 1, 0)
     prog = _massage_for_growth(f, x, y, k_max)
-    running = list(accumulate(prog.values_upto(k_max), max))
+    running = list(accumulate(prog.values_at(range(k_max + 1)), max))
     costs = list(y.cum_costs(running))
     prefix = list(map(max, range(1, k_max + 2), costs))
     # past k_max every entry is max(s + 1, c)
@@ -383,7 +383,7 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     # the left side only changes where the source reveals a bit, and the
     # right side is nondecreasing, so boundary checks cover every stage
     boundaries = [0, *x.cum_costs(range(reach))]
-    budgets = [table.value(s) for s in boundaries]
+    budgets = table.values_at(boundaries)
     for s, a, b in zip(boundaries, x.profile(boundaries, "steps"),
                        y.profile(budgets, "steps")):
         if a > b:
@@ -399,7 +399,7 @@ def synth_reduction_from_p(x: PrSet, y: PrSet, p: Witnessable,
     cost at the horizon.
     """
     pp = as_program(p)
-    table = list(map(pp.value, x.cum_costs(range(horizon + 1))))
+    table = pp.values_at(x.cum_costs(range(horizon + 1)))
     w = synth_reduction_from_h(x, y, TableProgram(table, "h-from-p"), horizon)
     w.convention = "steps"
     return w
@@ -426,7 +426,7 @@ def _least_member(y: PrSet, horizon: int) -> int:
 def _respect_table(prog: ClockedProgram, x: PrSet, y: PrSet,
                    horizon: int) -> Sequence[int]:
     """respect_normal_form's table for a program verified on 0..horizon."""
-    values = prog.values_upto(horizon)
+    values = prog.values_at(range(horizon + 1))
     xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
     stray = [v for v, b in zip(values, xbits) if b and not ybits[v]]
     if not stray:
@@ -471,7 +471,7 @@ def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
     """surjectivize for a program verified on 0..horizon."""
     running = list(accumulate(_respect_table(prog, x, y, horizon), max))
     xbits = x.prefix(horizon).bits
-    table = _fresh_pick_table(xbits, y, running.__getitem__, _least_member(y, horizon))
+    table = _fresh_pick_table(xbits, y, TableProgram(running), _least_member(y, horizon))
     if len(table) < len(xbits):
         raise NotAReduction(f"mu-search under max f on 0..{len(table)} "
                             f"found no fresh zero of {y.name}")
@@ -543,7 +543,7 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
     if convention is None:
         raise NotCertified(f"unknown claim kind {w.claim!r}")
     stages = range(horizon + 1)
-    images = w.program.values_upto(horizon)
+    images = w.program.values_at(stages)
     if convention == "index":
         require_index_values(images)
     lows = low.profile(stages, convention)

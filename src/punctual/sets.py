@@ -59,8 +59,10 @@ the limit is met; a limit not met by bit ``DEFAULT_CEILING`` raises
 CeilingExceeded.  ``fresh_zeros`` picks a run of zeros in one pass: it
 reads the memo by bisection on from the last pick and grows it only for a
 pick it lacks.  A pattern set answers ``zeros_by_steps`` and steps
-profiles by arithmetic and grows no memo for them.  Zero-list sets answer
-``principal_zero`` from their list of zeros, past any ceiling.
+profiles by arithmetic and grows no memo for them: a steps column is read
+off one pass over the bits its largest budget decides, and only a sparser
+column (over 8 such bits a budget) counts budget by budget.  Zero-list
+sets answer ``principal_zero`` from their list of zeros, past any ceiling.
 
 Scans read memos as whole columns: ``profile(points, convention)`` and
 ``cum_costs(points)`` answer a list of points from one growth to the
@@ -310,7 +312,7 @@ class PrSet:
     def zeros_by_steps(self, s: int) -> int:
         """Zeros among the bits decidable within s total generator steps."""
         if self._pattern is not None:
-            return self._pattern.zeros_by_steps(s)
+            return self._pattern.steps_column((s,))[0]
         k = self.bits_within(s)
         return self._zero_cum[k - 1] if k else 0
 
@@ -338,7 +340,7 @@ class PrSet:
         if convention == "index":
             return self._column(points, self._zero_cum, self.zeros_by_index)
         if self._pattern is not None:
-            return map(self._pattern.zeros_by_steps, points)
+            return iter(self._pattern.steps_column(points))
         points = points if isinstance(points, (list, tuple, range)) else list(points)
         try:
             self.bits_within(max(points, default=-1))
@@ -406,14 +408,14 @@ class _Pattern:
 
     ``bit`` and ``cost`` are the per-bit generator of a set built from the
     pattern; called as ``fill(m, n)`` it gives the bits and costs of bits
-    m..n, and it reaches without end.  ``zeros_by_steps(s)`` counts the
-    zeros among the bits decided within s steps by arithmetic, so a step
-    query grows no memo.
+    m..n, and it reaches without end.  ``steps_column(points)`` counts the
+    zeros among the bits decided within each step budget by arithmetic, so
+    a step query grows no memo.
     """
 
     def __init__(self, head: tuple, period: tuple, unit_cost: bool = True, extra: int = 0):
         self.head, self.period, self.unit_cost, self.extra = head, period, unit_cost, extra
-        self._ones = None   # member counts below each head and period offset
+        self._ones = None   # members among the first j bits, j up to head + period
 
     def bit(self, n: int) -> int:
         h = len(self.head)
@@ -440,25 +442,33 @@ class _Pattern:
         return self.bits(m, n), ([1 + e] * (n - m + 1) if self.unit_cost
                                  else range(m + 1 + e, n + 2 + e))
 
-    def zeros_by_steps(self, s: int) -> int:
-        if s <= 0:
-            return 0
+    def steps_column(self, points: Iterable[int]) -> list:
+        """Zeros among the k bits decided within each step budget: one pass
+        over bits 0..k - 1 for the largest k up to 8 bits a point, where it
+        costs as much as counting k by k, as a sparser column does."""
         e = self.extra
         if self.unit_cost:
-            k = s // (1 + e)
+            ks = [s // (1 + e) if s > 0 else 0 for s in points]
         else:
             # k bits cost k(k+1)/2 + k*e steps at cost n + 1 + e for bit n
             b = 2 * e + 1
-            k = (math.isqrt(b * b + 8 * s) - b) // 2
+            ks = [(math.isqrt(b * b + 8 * s) - b) // 2 if s > 0 else 0 for s in points]
+        top = max(ks, default=0)
+        if top > 8 * len(ks):
+            return list(map(self._zeros_below, ks))
+        ones = list(accumulate(self.bits(0, top - 1), initial=0))
+        return [k - ones[k] for k in ks]
+
+    def _zeros_below(self, k: int) -> int:
+        """Zeros among bits 0..k - 1, from the members of the head and one period."""
+        h, p = len(self.head), len(self.period)
         if self._ones is None:
-            self._ones = (list(accumulate(self.head, initial=0)),
-                          list(accumulate(self.period, initial=0)))
-        head_ones, period_ones = self._ones
-        h = len(self.head)
+            self._ones = list(accumulate(self.bits(0, h + p - 1), initial=0))
+        ones = self._ones
         if k <= h:
-            return k - head_ones[k]
-        q, r = divmod(k - h, len(self.period))
-        return k - head_ones[h] - q * period_ones[-1] - period_ones[r]
+            return k - ones[k]
+        q, r = divmod(k - h, p)
+        return k - ones[h + r] - q * (ones[h + p] - ones[h])
 
 
 def _rotated(period: tuple, r: int) -> tuple:

@@ -248,6 +248,16 @@ class TestSlowCli:
         assert "zero\t" not in captured.out
         assert captured.err.startswith("error: slow make: zero number 14 has more than 4300")
 
+    def test_make_past_the_ceiling_writes_no_zero(self, capsys):
+        # the slow set of no family is evens, whose zero 100,000 lies at 200,001
+        code, out = run(["slow", "make", "--window", "99999"], capsys)
+        assert code == 0 and out.count("zero\t") == 100_000
+        assert out.endswith("zero\t99999\t199999\n")
+        assert main(["slow", "make", "--window", "150000"]) == 1
+        captured = capsys.readouterr()
+        assert "zero\t" not in captured.out
+        assert captured.err == "error: evens: fewer than 100001 zeros below ceiling 200000\n"
+
     def test_make_reads_no_descriptor(self, capsys, family_file):
         assert main(["slow", "make", "mod -1", "--family", family_file, "--window", "3"]) == 1
         captured = capsys.readouterr()

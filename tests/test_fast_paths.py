@@ -7,8 +7,10 @@ principal-zero scan, the one-row-at-a-time witness writer and reader
 (which the column writer and, under the decimal cap, the column reader
 replace), the
 per-line trace record loop, one profile read per stage, the all-pairs
-reduction check, one cost read per index in the step-rate syntheses, and
-one zero search per fresh pick.  Each fast
+reduction check, one cost read per index in the step-rate syntheses,
+one zero search per fresh pick, one step count per budget of a pattern
+set's steps column, and one ``value`` read per point of a program's
+column.  Each fast
 path must give the same table or value, or raise the same exception class
 with the same message, and must not materialise a bit past the one the
 reference reads up to.  Range fills are checked against the per-bit memo
@@ -477,6 +479,18 @@ def raising_after(k, ceiling):
     return read
 
 
+def ceiling_programs():
+    """Ceilings as the programs the pick table reads them from: natives
+    that stop the table, let it run, or raise part-way, and tables whose
+    horizon ends part-way, at the start, or past every zero."""
+    natives = [lambda v: v, lambda v: 2 * v + 3, lambda v: v // 2, lambda v: 400,
+               lambda v: -1]
+    natives += [raising_after(k, c) for k in (0, 9, 40, 119) for c in natives[:3]]
+    tables = [TableProgram([2 * v + 3 for v in range(n)], f"c{n}") for n in (0, 1, 41, 121)]
+    return [NativeProgram("c", fn) for fn in natives] + tables + [
+        FloorTableProgram([5, 1, 9], 30, n, "f") for n in (2, 60, 120)]
+
+
 def test_fresh_picks_match_the_per_pick_search(traces):
     """The picks from y's memo and one fresh_zeros pass against a search
     per pick, on fresh y and on y grown before the picks, under ceilings
@@ -484,18 +498,16 @@ def test_fresh_picks_match_the_per_pick_search(traces):
     kinds = collections.Counter()
     for low, high in [(0, 4), (3, 2), (5, 1), (6, 0), (12, 12), (13, 12)]:
         xbits = make_pair(traces, low)[0].prefix(120).bits
-        ceilings = [lambda v: v, lambda v: 2 * v + 3, lambda v: v // 2, lambda v: 400,
-                    lambda v: -1]
-        ceilings += [raising_after(k, c) for k in (0, 9, 40, 119) for c in ceilings[:3]]
-        for ceiling in ceilings:
+        for ceiling in ceiling_programs():
             for grown in (-1, 5, 60, 500):
                 runs = []
-                for pick in (ref_pick_table, reductions._fresh_pick_table):
+                for pick, c in ((ref_pick_table, ceiling.value),
+                                (reductions._fresh_pick_table, ceiling)):
                     y = make_pair(traces, high)[1]
                     if grown >= 0:
                         y.bit(grown)
-                    runs.append((outcome(pick, xbits, y, ceiling, 7), y.decided))
-                assert runs[0] == runs[1], (low, high, grown)
+                    runs.append((outcome(pick, xbits, y, c, 7), y.decided))
+                assert runs[0] == runs[1], (low, high, grown, ceiling.name)
                 got = runs[0][0]
                 kinds["raised" if isinstance(got, tuple) else
                       "ended" if len(got) < len(xbits) else "full"] += 1
@@ -732,16 +744,54 @@ def test_synth_reduction_from_h_failures_before_the_source_fails():
         assert outcome(synth_reduction_from_h, fragile(50), make_y(), h, 60) == want
 
 
-@pytest.mark.parametrize("prog", [
+PROGRAMS = [
     TableProgram([5, 6, 7], "t"),
     FloorTableProgram([5, 6], 9, 12, "f"),
     TermProgram(parse_term(FAMILY_TEXTS[1])),
     NativeProgram("double", lambda v: 2 * v),
-], ids=["table", "floor", "term", "native"])
+]
+PROGRAM_IDS = ["table", "floor", "term", "native"]
+
+
+@pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
 def test_values_upto_matches_value(prog):
+    """The values up to n, read as the column values_at(range(n + 1))."""
     for n in (-3, -1, 0, 1, 2, 3, 5, 12, 13, 20):
         want = outcome(lambda: [prog.value(x) for x in range(n + 1)])
-        assert outcome(lambda: list(prog.values_upto(n))) == want, n
+        assert outcome(lambda: list(prog.values_at(range(n + 1)))) == want, n
+
+
+def point_columns(top):
+    """Points around a horizon of top: empty, ranges from 0 and from k > 0
+    (up by 1 and by 3), falling, sorted and unsorted lists with repeats,
+    negative points and 0, points past the top, and a huge one."""
+    rng = random.Random(top)
+    unsorted = [rng.randint(0, top) for _ in range(30)]
+    return [[], range(0), range(top + 1), range(top + 2), range(3, top + 1), range(3, top + 9),
+            range(0, top + 1, 3), range(top, -1, -1), range(5, 2), range(0, -3),
+            sorted(unsorted), unsorted, [0, 0, top], [-1], [2, -1, 0], [0, 1, -5, top + 1],
+            [top, top + 1, 0], [1, 10 ** 12]]
+
+
+def test_values_at_matches_value():
+    """values_at against one value read per point, on all four program
+    classes (tables of each kind at several horizons, natives that raise
+    part-way), for the same values or the same error at the same point,
+    reading an iterator no further than the per-point loop reads it."""
+    progs = PROGRAMS + [TableProgram(range(40), "t40"), TableProgram([], "empty"),
+                        FloorTableProgram([], 3, 7, "f7"),
+                        FloorTableProgram([4, 1, 8], 0, 2, "f2"),
+                        NativeProgram("upto 9", raising_after(9, lambda v: v * v))]
+    for prog in progs:
+        for points in point_columns(12) + point_columns(40):
+            want = outcome(lambda: [prog.value(x) for x in points])
+            assert outcome(lambda: list(prog.values_at(points))) == want, (prog, points)
+            read = []
+            logged = (read.append(x) or x for x in points)
+            assert outcome(lambda: list(prog.values_at(logged))) == want, (prog, points)
+            first_bad = next((i for i, x in enumerate(points)
+                              if isinstance(outcome(prog.value, x), tuple)), len(points) - 1)
+            assert len(read) == first_bad + 1, (prog, points)
 
 
 def test_floor_values_upto_reads_no_dense_table(monkeypatch):
@@ -755,9 +805,9 @@ def test_floor_values_upto_reads_no_dense_table(monkeypatch):
         for n in (-3, -1, 0, 1, 2, 3, 5, 10, 12, 13, 20, 501_500):
             want = outcome(lambda: [prog.value(x) for x in range(min(n, 30) + 1)])
             if n <= 30 or n > prog.horizon:
-                assert outcome(lambda: list(prog.values_upto(n))) == want, n
+                assert outcome(lambda: list(prog.values_at(range(n + 1)))) == want, n
             else:
-                got = prog.values_upto(n)
+                got = prog.values_at(range(n + 1))
                 assert len(got) == n + 1 and list(got[:31]) == want
                 assert got[-1] == prog.value(n)
 
@@ -998,6 +1048,71 @@ def test_pattern_steps_count_needs_no_memo(traces, no_step_growth):
         assert list(x.profile([big, 0, big], "steps")) == [got, 0, got]
         assert got == known.get(desc, got) and 0 < got < big
         assert x.decided == 0
+
+
+def budget_columns(rng, top):
+    """Step budgets: empty, ranges from 0 and from k > 0 (up by 1 and by 7),
+    falling, sorted and unsorted lists with repeats, negative budgets and
+    0, and sparse columns reaching 10^12."""
+    unsorted = [rng.randint(-3, top) for _ in range(60)]
+    return [[], range(0), range(1), range(top + 1), range(17, top + 1), range(0, top + 1, 7),
+            range(top, -4, -1), range(-5, 3), sorted(unsorted), unsorted, unsorted * 2,
+            [0], [-7], [5], [top], [10 ** 12], [3, 10 ** 12, 0, -1, 10 ** 6],
+            [rng.randrange(10 ** 12) for _ in range(20)]]
+
+
+def assert_steps_columns(x, rng, top=3000):
+    """Every budget column of pattern set x, as steps_column and as steps
+    profile of a list and of an iterator, against one zeros_by_steps call
+    per budget and, for budgets up to 10^4, against a memo grown under the
+    budget; no column grows the memo."""
+    p = x._pattern
+    ref = PrSet("ref", p.bit, p.cost)
+    for points in budget_columns(rng, top):
+        want = [x.zeros_by_steps(s) for s in points]
+        assert p.steps_column(points) == want, (x.name, points)
+        assert list(x.profile(points, "steps")) == want, (x.name, points)
+        assert list(x.profile(iter(points), "steps")) == want, (x.name, points)
+        if max(points, default=0) <= 10 ** 4:
+            assert want == [memo_zeros_by_steps(ref, s) for s in points], (x.name, points)
+    assert x.decided == 0
+
+
+@pytest.mark.parametrize("desc", [*FILLED, *(d for d in PATTERNED if d not in FILLED)])
+def test_steps_column_matches_per_point_counts(desc, traces):
+    """Builtin, lattice, drop and trace-backed pattern sets."""
+    x = make_patterned(desc, traces)
+    assert x._pattern is not None
+    assert_steps_columns(x, random.Random(desc))
+
+
+def test_random_steps_columns_match_per_point_counts():
+    """Random heads and periods, at unit cost or n + 1, with 0 to 3 extra steps."""
+    rng = random.Random(31)
+    for i in range(60):
+        head = tuple(rng.randint(0, 1) for _ in range(rng.choice([0, 1, 5, 40, 300])))
+        period = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 9))) + (0,)
+        fill = sets._Pattern(head, period, rng.random() < 0.5, rng.randint(0, 3))
+        assert_steps_columns(PrSet(f"p{i}", fill.bit, fill.cost, fill=fill), rng,
+                             rng.choice([1, 40, 3000]))
+
+
+def test_dense_steps_column_makes_no_per_point_call(monkeypatch):
+    """A dense steps column makes a fixed few calls into the pattern; a
+    sparse one, with huge budgets, counts point by point."""
+    calls = collections.Counter()
+    for name in ("steps_column", "_zeros_below", "bits", "bit", "cost", "__call__"):
+        def counted(*args, _name=name, _fn=getattr(sets._Pattern, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sets._Pattern, name, counted)
+    for x in (parse_set("evens"), parse_set("join(evens, mod 3)"), prefix_set("b", [0, 1, 1])):
+        calls.clear()
+        assert len(list(x.profile(range(2001), "steps"))) == 2001
+        assert calls == {"steps_column": 1, "bits": 1}, (x.name, calls)
+        calls.clear()
+        list(x.profile([10 ** 12, 5, 10 ** 9], "steps"))
+        assert calls["steps_column"] == 1 and calls["_zeros_below"] == 3, (x.name, calls)
 
 
 @pytest.mark.parametrize("fill_min", FILL_MINS)

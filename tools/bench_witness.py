@@ -5,7 +5,7 @@
 The pairs are the 12 of ``perfbench/workloads.py`` (``PAIRS``), whose
 trace inputs its ``setup`` writes into a temporary directory.  Each of
 ``REPEATS`` (11) repeats runs every pair at each horizon h of ``HORIZONS``
-through eight phases, each on descriptors parsed fresh before the phase
+through ten phases, each on descriptors parsed fresh before the phase
 starts, as a command-line call would:
 
   * synth-g-from-h: ``synth_reduction_from_h`` under the identity bound;
@@ -15,6 +15,10 @@ starts, as a command-line call would:
   * synth-p: ``synth_p_from_reduction`` of that table at the step budget
     ``x.cum_cost(h)``;
   * from-p: ``synth_reduction_from_p`` of that step-rate table;
+  * verify-p: ``verify_claim`` of that step-rate table at h;
+  * lattice: ``equilibrium_points`` under the step convention, and
+    ``diamond_evidence_q`` under the identity with the domination
+    certificate of the pair;
   * serialize: ``serialize_witness`` of the synth-g table and of its
     synth-h table;
   * parse: ``parse_witness`` of those two texts.
@@ -22,9 +26,13 @@ starts, as a command-line call would:
 It reports each phase's median wall time over the repeats next to
 deterministic counters from one extra, untimed pass: ``PrSet._ensure``
 entries, ``PrSet.bit`` and ``PrSet.cum_cost`` calls, memo bits grown, split
-by the generator that grew them (``memo_split.py``), and calls of the
-per-row witness reader ``_parse_rows`` (``fallbacks``); the two text
-phases also count table rows and text bytes.  The result is stored under
+by the generator that grew them (``memo_split.py``), calls of the
+per-row witness reader ``_parse_rows`` (``fallbacks``), and the reads
+made one Python call per point: ``pattern_point_reads``, the per-point
+step counts of a pattern set (``_Pattern._zeros_below``, or
+``_Pattern.zeros_by_steps`` in a source without steps columns), and
+``program_point_reads``, the ``value`` calls of each program class.  The
+two text phases also count table rows and text bytes.  The result is stored under
 ``--label`` in ``BENCH_witness.json`` at the root of the checkout, keeping
 the other labels there, so that two commits can be compared by running
 this file against each one's ``src``.
@@ -33,6 +41,7 @@ this file against each one's ``src``.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import platform
@@ -48,11 +57,16 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import memo_split  # noqa: E402
 import workloads as W  # noqa: E402  (the pairs and the inputs they read)
 
-from punctual import pr_lang, reductions, sets  # noqa: E402
+from punctual import lattice, pr_lang, reductions, sets  # noqa: E402
 
 HORIZONS = (200, 600, 1000)
 REPEATS = 11
 IDENTITY = W.IDENTITY
+PROGRAMS = (pr_lang.NativeProgram, pr_lang.TableProgram, pr_lang.FloorTableProgram,
+            pr_lang.TermProgram)
+# the per-point step count of a pattern: a column's sparse case, or every
+# point in a source without steps columns
+PATTERN_POINT = "_zeros_below" if "_zeros_below" in vars(sets._Pattern) else "zeros_by_steps"
 
 
 def fresh_pairs() -> list:
@@ -72,11 +86,13 @@ def witnesses(x, y, h, g) -> list:
 
 class Item(NamedTuple):
     """One pair and horizon's inputs: its synth-g table, that table and its
-    synth-h table as witnesses, their texts, and its synth-p witness."""
+    synth-h table as witnesses, their texts, its synth-p witness and its
+    domination certificate."""
     table: list
     witnesses: list
     texts: list
     p: reductions.ReductionWitness
+    cert: reductions.ReductionWitness
 
 
 # each phase's function of one (x, y, horizon, Item)
@@ -89,6 +105,9 @@ PHASES = {
     "synth-p": lambda x, y, h, it: reductions.synth_p_from_reduction(
         it.table, x, y, x.cum_cost(h)),
     "from-p": lambda x, y, h, it: reductions.synth_reduction_from_p(x, y, it.p, h),
+    "verify-p": lambda x, y, h, it: reductions.verify_claim(it.p, x, y, h),
+    "lattice": lambda x, y, h, it: (lattice.equilibrium_points(x, y, h, "steps"),
+                                    lattice.diamond_evidence_q(x, y, IDENTITY, h, 1, it.cert)),
     "serialize": lambda x, y, h, it: list(map(reductions.serialize_witness, it.witnesses)),
     "parse": lambda x, y, h, it: list(map(reductions.parse_witness, it.texts)),
 }
@@ -109,13 +128,16 @@ def one_pass(items: list) -> dict:
 
 def counted_pass(items: list) -> dict:
     """Memo work of each phase: _ensure entries, bit and cum_cost calls,
-    memo growth by generator, per-row reader calls; rows and text bytes of
-    the text phases."""
+    memo growth by generator, per-row reader calls, per-point pattern and
+    program reads; rows and text bytes of the text phases."""
     cls = sets.PrSet
     ensure, bit, cum_cost, parse_rows = cls._ensure, cls.bit, cls.cum_cost, reductions._parse_rows
     zero = dict(ensure_entries=0, bit_calls=0, cum_cost_calls=0, memo_bits=0,
-                pattern_fill_bits=0, operand_fill_bits=0, fallbacks=0)
+                pattern_fill_bits=0, operand_fill_bits=0, fallbacks=0, pattern_point_reads=0)
     counts = dict(zero)
+    program_reads = collections.Counter()
+    pattern_point = getattr(sets._Pattern, PATTERN_POINT)
+    values = {prog: vars(prog)["value"] for prog in PROGRAMS}
 
     def counting_ensure(self, *args, **kwargs):
         counts["ensure_entries"] += 1
@@ -137,17 +159,33 @@ def counted_pass(items: list) -> dict:
         counts["fallbacks"] += 1
         return parse_rows(*args)
 
+    def counting_pattern_point(self, s):
+        counts["pattern_point_reads"] += 1
+        return pattern_point(self, s)
+
+    def counting_value(prog):
+        def value(self, x):
+            program_reads[prog.__name__] += 1
+            return values[prog](self, x)
+        return value
+
     out = {}
     cls._ensure, cls.bit, cls.cum_cost = counting_ensure, counting_bit, counting_cum_cost
     reductions._parse_rows = counting_parse_rows
+    setattr(sets._Pattern, PATTERN_POINT, counting_pattern_point)
+    for prog in PROGRAMS:
+        prog.value = counting_value(prog)
     restore_fills = memo_split.count_fills(counts)
     try:
         for name, fn in PHASES.items():
             pairs = fresh_pairs()
             counts.update(zero)
+            program_reads.clear()
             for (x, y), h, item in zip(pairs, horizons(), items):
                 fn(x, y, h, item)
             out[name] = memo_split.with_per_bit(counts)
+            out[name]["program_point_reads"] = {p.__name__: program_reads[p.__name__]
+                                                for p in PROGRAMS}
             if name in TEXT_PHASES:
                 out[name].update(
                     rows=sum(w.horizon + 1 for item in items for w in item.witnesses),
@@ -155,6 +193,9 @@ def counted_pass(items: list) -> dict:
     finally:
         cls._ensure, cls.bit, cls.cum_cost = ensure, bit, cum_cost
         reductions._parse_rows = parse_rows
+        setattr(sets._Pattern, PATTERN_POINT, pattern_point)
+        for prog in PROGRAMS:
+            prog.value = values[prog]
         restore_fills()
     return out
 
@@ -173,7 +214,8 @@ def main() -> int:
                 t = list(reductions.synth_reduction_from_h(x, y, IDENTITY, h).program.values)
                 ws = witnesses(x, y, h, t)
                 p = reductions.synth_p_from_reduction(t, x, y, x.cum_cost(h))
-                items.append(Item(t, ws, [reductions.serialize_witness(w) for w in ws], p))
+                cert = reductions.domination_certificate(x, y, h)
+                items.append(Item(t, ws, [reductions.serialize_witness(w) for w in ws], p, cert))
             counters = counted_pass(items)
             runs = [one_pass(items) for _ in range(REPEATS)]
         finally:
