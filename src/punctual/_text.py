@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 
 from .errors import ParseError
 
@@ -100,6 +101,13 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Replace the file at path by text, newlines written as given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Replace the file at path by text, newlines written as given.  An
+    existing regular file is rewritten in place and cut to the new length,
+    which costs a fraction of truncating it on open; a new path, and one
+    that cannot be cut (``/dev/stdout``, a FIFO), is opened for writing."""
+    data = text.encode("utf-8")
+    in_place = os.path.isfile(path)
+    with open(path, "r+b" if in_place else "wb") as fh:
+        fh.write(data)
+        if in_place:
+            fh.truncate()

@@ -9,7 +9,9 @@ One driver, ``_drive``, owns the stage loop of every construction, the
 separator's included: scheduling, cycle open, the cycle budget, one trace
 record per stage and exhaustion at the end of the run.  Each construction
 supplies a ``_Machine`` whose ``step`` and ``fallback`` emit a stage's bits
-and append its events, close events included.
+and append its events, close events included.  A machine reads each input
+through ``PrSet.reader``, the memo list's own lookup once the builder has
+read the input ahead, and appends output bits and zero counts inline.
 
 Under the ``once`` policy the requirement list is processed in order and,
 after the last cycle closes, emission follows a fixed fallback that keeps
@@ -47,8 +49,8 @@ import bisect
 import functools
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, zip_longest
-from operator import le
+from itertools import chain, islice, product, zip_longest
+from operator import gt, le
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import _text, pr_lang
@@ -97,7 +99,7 @@ class StageRecord(NamedTuple):
 @dataclass
 class Trace:
     header: list               # ordered (key, value) pairs; keys may repeat
-    stages: list = field(default_factory=list)
+    stages: Sequence = field(default_factory=list)  # range(n) for a run, else a list
     cycles: list = field(default_factory=list)
     phases: list = field(default_factory=list)
     events: dict = field(default_factory=dict)      # record index -> events; none empty
@@ -118,12 +120,20 @@ class Trace:
         """Each record's bits field; records past a column show none of it."""
         skip = ["-"] * min(self.first_bit_stage(), len(self.stages))
         shown = len(self.stages) - len(skip)
-        # name=b by table lookup, unless a parsed trace holds another integer
-        fields = [list(map((f"{k}=0", f"{k}=1").__getitem__, bits[:shown]))
-                  if {0, 1}.issuperset(bits) else [f"{k}={b}" for b in bits[:shown]]
-                  for k, bits in self.columns.items()]
-        if fields and all(len(f) == shown for f in fields):
-            return skip + list(map(",".join, zip(*fields)))
+        names, columns = list(self.columns), list(self.columns.values())
+        # one lookup per record in a table of every 0/1 field (2^k entries for
+        # k columns, so at most three), by the bit or the record's tuple of
+        # bits, unless a column runs short or a parsed trace holds another int
+        if 0 < len(columns) <= 3 and all(len(bits) >= shown for bits in columns):
+            one = len(columns) == 1
+            table = {bits[0] if one else bits: ",".join(map("{}={}".format, names, bits))
+                     for bits in product((0, 1), repeat=len(names))}
+            keys = columns[0] if one else zip(*columns)
+            try:
+                return skip + list(map(table.__getitem__, islice(keys, shown)))
+            except KeyError:
+                pass
+        fields = [[f"{k}={b}" for b in bits[:shown]] for k, bits in self.columns.items()]
         return skip + [",".join(filter(None, parts)) or "-"
                        for parts in zip_longest([""] * shown, *fields, fillvalue="")]
 
@@ -379,8 +389,9 @@ class _Machine:
 
     def fallback(self, stage, events) -> None:
         """No cycle left: an alternating tail keeps the output coinfinite."""
-        self.flip = 1 - self.flip
-        self.y.emit(self.flip)
+        y, self.flip = self.y, 1 - self.flip
+        y.bits.append(self.flip)
+        y.zero_count += 1 - self.flip
 
     def starved(self, cycle) -> str:
         return "open cycle at the stage budget"
@@ -439,32 +450,43 @@ def _drive(construction: str, machine: Callable, inputs: dict, family,
         events.append(f"open:{label}")
         return cycle
 
-    trace = Trace(header, columns={o.name: o.bits for o in m.outputs})
-    stages, cycles, phases = trace.stages, trace.cycles, trace.phases
+    trace = Trace(header, range(max(max_stages, 0) + 1),
+                  columns={o.name: o.bits for o in m.outputs})
+    cycles, phases, records = trace.cycles, trace.phases, trace.events
+    step, fallback = m.step, m.fallback
     events: list = []
     cycle = open_cycle(0, events)
     m.init(cycle)
     label, shown = (cycle.label if cycle else "-"), "init"
-    for stage in range(max(max_stages, 0) + 1):
+    stages = iter(trace.stages)
+    for stage in stages:
         if stage:           # stage 0 shows the init above
-            events = []
-            if cycle is None:
-                m.fallback(stage, events)
-                label, shown = "-", "fallback"
-            elif cycle_budget and stage - cycle.opened > cycle_budget:
+            if cycle_budget and stage - cycle.opened > cycle_budget:
+                trace.stages = range(stage)     # the stages run
                 raise StageBudgetExhausted("cycle exceeded its stage budget",
                                            cycle=cycle.label, phase=cycle.phase,
                                            stage=stage, trace=trace)
-            else:
-                label = cycle.label
-                shown, closed = m.step(stage, cycle, events)
-                if closed:
-                    cycle = open_cycle(stage, events)
-        stages.append(stage)
+            label = cycle.label
+            shown, closed = step(stage, cycle, events)
+            if closed:
+                cycle = open_cycle(stage, events)
         cycles.append(label)
         phases.append(shown)
+        if events:          # an empty list goes on to the next stage
+            records[stage] = tuple(events)
+            events = []
+        if cycle is None:
+            break
+    # a cycle opens only as one closes, so with none open every later stage
+    # falls back
+    tail = len(trace.stages) - len(cycles)
+    cycles += ["-"] * tail
+    phases += ["fallback"] * tail
+    for stage in stages:
+        fallback(stage, events)
         if events:
-            trace.events[stage] = tuple(events)
+            records[stage] = tuple(events)
+            events = []
     if cycle is not None and cycle.member is not None and m.policy == "once":
         raise StageBudgetExhausted(m.starved(cycle), cycle=cycle.label,
                                    phase=cycle.phase, stage=max_stages,
@@ -636,7 +658,11 @@ def _upper_dominating(x: PrSet, z: PrSet, max_stages: int):
     """
     x.read_ahead(max_stages)
     z.read_ahead(max_stages)
-    if any(x.zeros_by_index(s) > z.zeros_by_index(s) for s in range(max_stages + 1)):
+    # a set read ahead compares as a memo column, any other index by index,
+    # so it grows no further than the first index where x has more zeros
+    r = range(max_stages + 1)
+    if any(map(gt, *(s.profile(r) if s.decided > max_stages else map(s.zeros_by_index, r)
+                     for s in (x, z)))):
         z = set_join(x, z)
         z.read_ahead(max_stages)
         return z, ("normalized-z", "1")
@@ -665,13 +691,15 @@ class _DenseMachine(_Machine):
         super().__init__(family, policy, max_stages, inputs)
         self.x, self.z = inputs["X"], inputs["Z"]
         self.p_role, self.q_role = ("T", "T") if "T" in inputs else ("X", "Z")
-        self.t_for_p, self.t_for_q = inputs[self.p_role], inputs[self.q_role]
+        self.x_bit, self.z_bit, self.tp_bit, self.tq_bit = (
+            s.reader(max_stages) for s in (self.x, self.z, inputs[self.p_role],
+                                           inputs[self.q_role]))
         self.tp_bits: list = []     # prefix of the P-side detector target
         self.tq_bits: list = []     # prefix of the Q-side detector source
 
     def _track(self, stage):
-        self.tp_bits.append(self.t_for_p.bit(stage))
-        self.tq_bits.append(self.t_for_q.bit(stage))
+        self.tp_bits.append(self.tp_bit(stage))
+        self.tq_bits.append(self.tq_bit(stage))
 
     def init(self, cycle):
         self.y.emit(1)
@@ -679,7 +707,9 @@ class _DenseMachine(_Machine):
 
     def fallback(self, stage, events):
         self._track(stage)
-        self.y.emit(self.z.bit(stage))
+        y, b = self.y, self.z_bit(stage)
+        y.bits.append(b)
+        y.zero_count += 1 - b
 
     def witnesses(self, outputs, max_stages):
         # the sandwich reductions promised by the construction; Y grows in
@@ -691,17 +721,17 @@ class _DenseMachine(_Machine):
 
     def step(self, stage, cycle, events):
         self._track(stage)
-        y, p_side = self.y, cycle.kind == "P"
-        if cycle.phase == "copy":
-            y.emit((self.z if p_side else self.x).bit(stage))
+        y, p_side, copy = self.y, cycle.kind == "P", cycle.phase == "copy"
+        b = (self.z_bit if p_side else self.x_bit)(stage) if copy else 1 if p_side else 0
+        y.bits.append(b)
+        y.zero_count += 1 - b
+        if copy:
             if p_side:
                 sides, names = (y.bits, self.tp_bits), ("Y", self.p_role)
             else:
                 sides, names = (self.tq_bits, y.bits), (self.q_role, "Y")
             if self.refute(cycle, stage, *sides, names, events):
                 cycle.phase = "transition"
-        else:
-            y.emit(1 if p_side else 0)
         if cycle.phase == "transition":
             target = (self.x if p_side else self.z).zeros_by_index(stage)
             if y.zero_count == target:
@@ -796,21 +826,25 @@ class _SplitMachine(_Machine):
 
     def __init__(self, family, policy, max_stages, inputs, mode):
         super().__init__(family, policy, max_stages, inputs)
-        self.z, self.mode = inputs["Z"], mode
+        self.mode = mode
+        self.z_bit = inputs["Z"].reader(max_stages - 1)     # stage s reads bit s - 1
         self.z_bits: list = []
         self.copy_fill = 1 if mode == "join" else 0
 
     def step(self, stage, cycle, events):
-        b = self.z.bit(stage - 1)
+        b = self.z_bit(stage - 1)
         self.z_bits.append(b)
         y0, y1 = self.outputs
         copier, filler = (y0, y1) if cycle.kind == "P" else (y1, y0)
-        copier.emit(b)
-        if cycle.phase == "transition":
-            filler.emit(1 - self.copy_fill)
+        copier.bits.append(b)
+        copier.zero_count += 1 - b
+        transition = cycle.phase == "transition"
+        f = 1 - self.copy_fill if transition else self.copy_fill
+        filler.bits.append(f)
+        filler.zero_count += 1 - f
+        if transition:
             closed = y0.zero_count == y1.zero_count
             return "transition", closed and self.close(cycle, events)
-        filler.emit(self.copy_fill)
         if cycle.watch is None:
             diverged = copier.zero_count != filler.zero_count
         elif self.mode == "join":
@@ -861,21 +895,24 @@ class _DiamondMachine(_Machine):
 
     def __init__(self, family, policy, max_stages, inputs):
         super().__init__(family, policy, max_stages, inputs)
-        self.x, self.z = inputs["X"], inputs["Z"]
+        self.x_bit, self.z_bit = inputs["X"].reader(max_stages), inputs["Z"].reader(max_stages)
         self.z_bits: list = []
 
     def init(self, cycle):
         for out in self.outputs:
             out.emit(1)
-        self.z_bits.append(self.z.bit(0))
+        self.z_bits.append(self.z_bit(0))
 
     def step(self, stage, cycle, events):
-        x, z = self.x, self.z
-        self.z_bits.append(z.bit(stage))
+        zb = self.z_bit(stage)
+        self.z_bits.append(zb)
+        xb = self.x_bit(stage)
         y0, y1 = self.outputs
         x_tracker, z_tracker = (y0, y1) if cycle.kind == "Q" else (y1, y0)
-        x_tracker.emit(x.bit(stage))
-        z_tracker.emit(z.bit(stage))
+        x_tracker.bits.append(xb)
+        x_tracker.zero_count += 1 - xb
+        z_tracker.bits.append(zb)
+        z_tracker.zero_count += 1 - zb
         if cycle.phase == "copy":
             if self.refute(cycle, stage, self.z_bits, x_tracker.bits,
                            ("Z", x_tracker.name), events):
@@ -962,21 +999,19 @@ class _SeparatorMachine(_Machine):
         x = inputs["X"]
         self.y_steps = inputs["Y"].zeros_by_steps
         self.val, self.cost = _normalize_family(family)
-        self.zx1 = [max(0, z - 1) for z in x.profile(range(max_stages + 2), "steps")]
+        self.zx1 = [z - 1 if z else 0 for z in x.profile(range(max_stages + 2), "steps")]
         # bracket marks: budgets at which the dropped profile steps up
         self.marks = [t for t in range(max_stages + 1)
                       if self.zx1[t + 1] > self.zx1[t]]
         self.k = self.progress = 0      # the input awaited, stages spent on it
+        self.bracket = 0                # bisect_left(marks, k)
         self.escapes: dict = {}         # member -> (t, Z count, y count)
         self.counts: list = []          # zeros of Z among bits 0..n
         self.notes = {"escapes": self.escapes, "val": self.val}
 
-    def emit(self, b):
-        self.y.emit(b)
-        self.counts.append(self.y.zero_count)
-
     def init(self, cycle):
-        self.emit(1)
+        self.y.emit(1)
+        self.counts.append(0)
 
     def step(self, stage, cycle, events):
         n, z, k, zx1 = len(self.family), self.y, self.k, self.zx1
@@ -998,13 +1033,16 @@ class _SeparatorMachine(_Machine):
                         events.append("done")
             self.k = k = k + 1
             self.progress = 0
+            self.bracket = bisect.bisect_left(self.marks, k)
         cap = zx1[stage]
-        self.emit(0 if increment and cap > z.zero_count else 1)
+        b = 0 if increment and cap > z.zero_count else 1
+        z.bits.append(b)
+        z.zero_count += 1 - b
+        self.counts.append(z.zero_count)
         # the built count tracks the dropped-profile bracket at every stage
-        want = bisect.bisect_left(self.marks, k)
-        if z.zero_count != want:
+        if z.zero_count != self.bracket:
             raise AssertionError(f"bracket invariant failed at stage {stage}: "
-                                 f"count={z.zero_count} bracket={want} k={k}")
+                                 f"count={z.zero_count} bracket={self.bracket} k={k}")
         if z.zero_count > cap:
             raise AssertionError(f"domination cap failed at stage {stage}")
         return "wait", escaped
@@ -1049,16 +1087,22 @@ def validate_result(result: ConstructionResult, closes: list) -> list:
     length = len(trace.stages) - trace.first_bit_stage()
     failures = [f"output {name} holds {len(bits)} bits, not {length}"
                 for name, bits in trace.columns.items() if len(bits) != length]
-    failures.extend(f"no open cycle at stage {stage}" for stage, cycle, phase
-                    in islice(zip(trace.stages, trace.cycles, trace.phases), 1, None)
-                    if cycle == "-" and phase != "fallback")
+    # past stage 0 a stage without a cycle falls back: in a run such stages
+    # form a tail, from the first one on, which two counts check; any other
+    # layout is read stage by stage
+    cycles, phases = trace.cycles, trace.phases
+    k = (cycles + ["-"]).index("-", 1)
+    if cycles[k:].count("-") + phases[k:].count("fallback") != 2 * (len(cycles) - k):
+        failures.extend(f"no open cycle at stage {stage}" for stage, cycle, phase
+                        in islice(zip(trace.stages, cycles, phases), 1, None)
+                        if cycle == "-" and phase != "fallback")
 
     by_name = {p.name: p for p in _header_family(trace)}
-    # each side by input role, output name or relation name; an input's
-    # prefix is read only when a counterexample names it
-    sides = {**result.inputs,
-             **{n: s.prefix(length - 1) for n, s in result.outputs.items()},
-             **result.notes.get("relations", {})}
+    # each side by input role, output name or relation name; an output is
+    # its trace column when that holds every bit, and a prefix is read
+    # only when a counterexample names it
+    sides = {**result.inputs, **result.outputs, **result.notes.get("relations", {}),
+             **{n: bits for n, bits in trace.columns.items() if len(bits) == length}}
 
     def side(role):
         s = sides[role]
@@ -1133,7 +1177,10 @@ def _validate_split(result, closes) -> list:
     y0, y1, z = (list(v.profile(range(last))) for v in (
         result.outputs["Y0"], result.outputs["Y1"], result.inputs["Z"]))
     failures = []
-    if list(map(max if mode == "join" else min, y0, y1)) != z:
+    # comprehensions: a max or min call per index costs about four times as much
+    both = ([a if a > b else b for a, b in zip(y0, y1)] if mode == "join"
+            else [a if a < b else b for a, b in zip(y0, y1)])
+    if both != z:
         failures.append(f"{mode} of outputs differs from the input set")
     failures.extend(f"counts differ at close stage {stage}"
                     for stage, _ in closes if y0[stage - 1] != y1[stage - 1])
@@ -1148,7 +1195,8 @@ def _validate_diamond(result, closes) -> list:
     x, y0, y1, z = (list(v.profile(range(last + 1))) for v in (
         result.inputs["X"], override_zero_member(result.outputs["Y0"]),
         override_zero_member(result.outputs["Y1"]), result.inputs["Z"]))
-    meet, join = list(map(min, y0, y1)), list(map(max, y0, y1))
+    meet = [a if a < b else b for a, b in zip(y0, y1)]
+    join = [a if a > b else b for a, b in zip(y0, y1)]
     if last and (meet != x or join != z):
         i = next(i for i in range(last + 1) if meet[i] != x[i] or join[i] != z[i])
         failures.append(f"{'meet' if meet[i] != x[i] else 'join'} side differs at {i}")
@@ -1168,10 +1216,10 @@ def _validate_separator(result, closes) -> list:
     hor = len(result.trace.stages) - 1
     x_steps = list(x.profile(range(hor + 1), "steps"))
     z_index = list(zed.profile(range(hor + 1)))
-    for s in range(hor + 1):
-        if z_index[s] > max(0, x_steps[s] - 1):
-            failures.append(f"separator cap fails at stage {s}")
-            break
+    # the cap is max(0, x_steps[s] - 1)
+    over = next((s for s, (z, c) in enumerate(zip(z_index, x_steps)) if z > 0 and z >= c), None)
+    if over is not None:
+        failures.append(f"separator cap fails at stage {over}")
     escapes = result.notes["escapes"]
     if len(escapes) < len(result.trace.header_all("family")):
         failures.append("separator missed a member escape")

@@ -53,6 +53,7 @@ every slot.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -880,7 +881,7 @@ class FloorTableProgram(TableProgram):
 
 
 NATIVE_REGISTRY: dict[str, NativeProgram] = {
-    "id": NativeProgram("id", lambda x: x),
+    "id": NativeProgram("id", operator.index),    # the identity on ints, in C
     "succ": NativeProgram("succ", lambda x: x + 1, lambda x: 3),
     "plus2": NativeProgram("plus2", lambda x: x + 2, lambda x: 5),
     "double": NativeProgram("double", lambda x: 2 * x, lambda x: 2 + 5 * x),

@@ -68,7 +68,8 @@ Scans read memos as whole columns: ``profile(points, convention)`` and
 ``cum_costs(points)`` answer a list of points from one growth to the
 largest, an index range from 0 up by 1 as one slice of the memo, and
 ``prefix(n).bits`` hands a scan the bits it maps over, so a scan pays one
-``_ensure`` entry, not one per element (README, "Scans read memos whole").
+``_ensure`` entry, not one per element (README, "Scans read memos whole");
+``reader(n)`` hands a stage loop the memo list's lookup for bits 0..n.
 
 Descriptors are single-threaded: memos grow unguarded, so no descriptor may
 be read from two threads at once.
@@ -277,6 +278,11 @@ class PrSet:
         elif n < 0:
             raise ValueError(f"{self.name}: no bit {n}")
         return self._bits[n]
+
+    def reader(self, n: int) -> Callable[[int], int]:
+        """``bit`` for a scan of bits 0..n: the memo list's own lookup when
+        the memo holds them all (it only grows in place), else ``bit``."""
+        return self._bits.__getitem__ if n < len(self._bits) else self.bit
 
     def prefix(self, s: int) -> Prefix:
         """Initial segment of length s+1 (bits 0..s); empty at s = -1."""
@@ -689,10 +695,13 @@ def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
     The alternating tail keeps the set infinite and coinfinite at any
     horizon beyond the constructed part.
     """
-    if not (isinstance(bits, (list, tuple)) and {*map(type, bits)} <= {int}
-            and {*bits} <= {0, 1}):
-        bits = tuple(1 if int(b) else 0 for b in bits)
-    pattern = _Pattern(tuple(bits), (1, 0), False)
+    try:    # bytes() takes ints 0..255 only, so a list of 0s and 1s converts in C
+        data = bytes(bits) if isinstance(bits, (list, tuple)) else b"\2"
+    except (TypeError, ValueError):
+        data = b"\2"
+    bits = (tuple(data) if not data.translate(None, b"\0\1")
+            else tuple(1 if int(b) else 0 for b in bits))
+    pattern = _Pattern(bits, (1, 0), False)
     if cost_fn:
         return PrSet(name, pattern.bit, cost_fn, dsl=dsl)
     return _pattern_set(name, pattern, dsl)
@@ -705,7 +714,7 @@ def sample_window_mixed(x: PrSet, horizon: int, window: int = 64) -> bool:
     """Sampled coinfiniteness check: the window past the horizon holds both
     a member and a non-member.  Descriptors are user-supplied, so this is
     evidence, not proof."""
-    bits = [x.bit(n) for n in range(horizon, horizon + window + 1)]
+    bits = x.prefix(horizon + window).bits[horizon:] if window >= 0 else ()
     return 0 in bits and 1 in bits
 
 

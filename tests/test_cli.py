@@ -307,6 +307,34 @@ class TestConstructCli:
     def test_missing_trace_is_io_error(self, capsys):
         assert main(["verify", "/nonexistent/path.trace"]) == 3
 
+    def test_out_rewrites_a_longer_file_without_a_tail(self, capsys, family_file, tmp_path):
+        trace, fresh = tmp_path / "imm.trace", tmp_path / "fresh.trace"
+        argv = ["construct", "immune", "--family", family_file, "--max-stages"]
+        run(argv + ["300", "--out", str(trace)], capsys)
+        run(argv + ["40", "--out", str(trace)], capsys)      # rewritten in place
+        run(argv + ["40", "--out", str(fresh)], capsys)
+        assert trace.read_bytes() == fresh.read_bytes()
+        code, out = run(["verify", str(trace)], capsys)
+        assert code == 0 and "verify\tok" in out
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_out_to_a_fifo(self, capsys, family_file, tmp_path):
+        import threading
+        fifo, plain = tmp_path / "out.fifo", tmp_path / "plain.trace"
+        os.mkfifo(fifo)
+        got = []
+        # a daemon, so that a run that never opens the FIFO fails the test
+        # instead of hanging it
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        argv = ["construct", "join-split", "mod 3", "--family", family_file,
+                "--max-stages", "400", "--out"]
+        code, _ = run(argv + [str(fifo)], capsys)
+        reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        run(argv + [str(plain)], capsys)
+        assert got == [plain.read_bytes()]
+
 
 @pytest.mark.parametrize("edit, named", [
     (lambda t: t.replace("\n5\tP", "\nbogus\n5\tP", 1), "line 22"),

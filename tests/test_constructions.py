@@ -9,8 +9,9 @@ from conftest import BOUND_LINEAR, EVENS_TERM, serialize_by_records
 from test_cli import fuzz_mutation
 
 from punctual._text import decode_text
-from punctual.errors import ParseError, PreconditionFailed, StageBudgetExhausted
+from punctual.errors import ParseError, PreconditionFailed, PunctualError, StageBudgetExhausted
 from punctual.constructions import (
+    CONSTRUCTIONS,
     _DenseMachine,
     _Detector,
     _IncomparableMachine,
@@ -602,6 +603,32 @@ def test_validators_report_mutated_results(row):
     assert _outcome(lambda r: validate_result(r, _closes(r)), result) == want
 
 
+def test_stages_without_a_cycle_must_fall_back():
+    """The gap check against its definition, one stage at a time, on edits
+    before the fallback tail, inside it and at its ends."""
+    result = construct_immune(family6(), 120)
+    trace = result.trace
+    cycles, phases = list(trace.cycles), list(trace.phases)
+    tail = phases.index("fallback")
+
+    def by_definition():
+        return [f"no open cycle at stage {s}" for s in range(1, len(cycles))
+                if trace.cycles[s] == "-" and trace.phases[s] != "fallback"]
+
+    edits = [(), (("cycles", 0, "P0"),), (("cycles", 5, "-"),), (("phases", tail, "copy"),),
+             (("phases", 120, "copy"),), (("cycles", tail, "P0"),),
+             (("cycles", tail - 1, "-"), ("phases", tail - 1, "fallback")),
+             (("cycles", 3, "-"), ("phases", 119, "wait"))]
+    for edit in edits:
+        trace.cycles, trace.phases = list(cycles), list(phases)
+        for column, s, value in edit:
+            getattr(trace, column)[s] = value
+        gaps = [f for f in validate_result(result, _closes(result))
+                if f.startswith("no open cycle")]
+        assert gaps == by_definition(), edit
+    assert by_definition() == ["no open cycle at stage 3", "no open cycle at stage 119"]
+
+
 def _verify_by_definition(path):
     """The definitional verify: parse every record, replay from the parsed
     trace, compare the bytes."""
@@ -718,3 +745,94 @@ class TestReadAhead:
         # the same run over the builtin evens: its golden trace, bit for bit
         text = result.trace.serialize().replace(TERM_EVENS, "evens")
         assert text == (GOLDEN / "dense.round-robin.trace").read_text()
+
+    @pytest.mark.parametrize("kind, decided", [
+        ("meet-split", 400), ("diamond", 401), ("dense-incomparable", 401)])
+    def test_term_input_of_a_finished_run(self, kind, decided):
+        t, blocks = parse_set(TERM_EVENS), parse_set("blocks 6")
+        x, z = parse_set("meet(evens, mod 3)"), parse_set("join(evens, mod 3)")
+        build = {"meet-split": lambda: construct_meet_split(t, family6(), 400),
+                 "diamond": lambda: construct_diamond(set_meet(t, blocks), set_join(t, blocks),
+                                                      family6(), 400),
+                 "dense-incomparable": lambda: construct_dense_incomparable(
+                     x, t, z, None, family6(), 400)}[kind]
+        assert_ok(build())
+        # the last bit a stage reads (meet-split: bit 399) or a precondition
+        # scan reads up to (the others: bit 400)
+        assert t.decided == decided
+
+
+# The inputs of every kind by flavour: builtin, derived, drop, trace-backed
+# ({js}: a join-split trace) and term-backed descriptors.  Some runs exhaust
+# or fail a precondition; the outcome is compared either way.
+READER_CASES = {
+    "immune": {"none": ()},
+    "antichain": {"none": ()},
+    "incomparable": {"builtin": ("mod 3",), "derived": ("join(evens, mod 3)",),
+                     "drop": ("drop(evens)",), "trace": ("trace {js}:Y1",),
+                     "term": (TERM_EVENS,)},
+    "dense": {"builtin": ("evens", "evens"),
+              "derived": ("meet(evens, blocks 6)", "join(evens, blocks 6)"),
+              "drop": ("meet(drop(evens), mod 3)", "join(drop(evens), mod 3)"),
+              "trace": ("meet(trace {js}:Y0, evens)", "join(trace {js}:Y0, evens)"),
+              "term": (f"meet({TERM_EVENS}, blocks 6)", f"join({TERM_EVENS}, blocks 6)")},
+    "dense-incomparable": {
+        "builtin": ("evens", "evens", "evens"),
+        "derived": ("meet(evens, mod 3)", "evens", "join(evens, mod 3)"),
+        "drop": ("meet(drop(evens), mod 3)", "drop(evens)", "join(drop(evens), mod 3)"),
+        "trace": ("meet(trace {js}:Y0, evens)", "evens", "join(trace {js}:Y0, evens)"),
+        "term": ("meet(evens, mod 3)", TERM_EVENS, "join(evens, mod 3)")},
+    "join-split": {"builtin": ("mod 3",), "derived": ("join(evens, mod 3)",),
+                   "drop": ("drop(evens)",), "trace": ("trace {js}:Y1",),
+                   "term": (TERM_EVENS,)},
+    "meet-split": {"builtin": ("evens",), "derived": ("meet(evens, mod 3)",),
+                   "drop": ("drop(mod 3)",), "trace": ("trace {js}:Y0",),
+                   "term": (TERM_EVENS,)},
+    "diamond": {"builtin": ("id", "evens"),
+                "derived": ("meet(evens, blocks 6)", "join(evens, blocks 6)"),
+                "drop": ("meet(drop(evens), mod 3)", "join(drop(evens), mod 3)"),
+                "trace": ("meet(trace {js}:Y0, evens)", "join(trace {js}:Y0, evens)"),
+                "term": (f"meet({TERM_EVENS}, blocks 6)", f"join({TERM_EVENS}, blocks 6)")},
+    "separator": {"builtin": ("id", "evens"), "derived": ("id", "meet(evens, blocks 6)"),
+                  "drop": ("id", "drop(evens)"), "trace": ("id", "trace {js}:Y1"),
+                  "term": ("id", TERM_EVENS)},
+}
+
+
+@pytest.fixture(scope="module")
+def js_trace(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("reader") / "js.trace")
+    save_trace(construct_join_split(parse_set("mod 3"), family6(), 200), path)
+    return path
+
+
+def _run_outcome(kind, descriptors, js, budget):
+    """Every trace a run writes, a partial one included, its error, and how
+    far each input's memo grew."""
+    inputs = [parse_set(d.format(js=js)) for d in descriptors]
+    options = {"count": 3} if kind == "antichain" else {}
+    if kind not in ("antichain", "separator"):
+        options["cycle_budget"] = budget
+    family = ([NATIVE_REGISTRY["id"], NATIVE_REGISTRY["succ"]] if kind == "separator"
+              else family6())
+    try:
+        built = CONSTRUCTIONS[kind].build(*inputs, family=family, max_stages=200,
+                                          policy="once", **options)
+        out = [r.trace.serialize() for r in (built if isinstance(built, list) else [built])]
+    except StageBudgetExhausted as exc:
+        out = [str(exc), exc.trace.serialize()]
+    except PunctualError as exc:
+        out = [repr(exc)]
+    return out, [s.decided for s in inputs]
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+@pytest.mark.parametrize("kind, flavor", [(k, f) for k, flavors in READER_CASES.items()
+                                          for f in flavors])
+def test_memo_column_reads_match_per_stage_bit_reads(kind, flavor, budget, js_trace,
+                                                     monkeypatch):
+    descriptors = READER_CASES[kind][flavor]
+    columns = _run_outcome(kind, descriptors, js_trace, budget)
+    # the definitional path: every machine reads each input bit by bit
+    monkeypatch.setattr(PrSet, "reader", lambda self, n: self.bit)
+    assert _run_outcome(kind, descriptors, js_trace, budget) == columns

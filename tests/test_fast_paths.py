@@ -794,6 +794,19 @@ def test_values_at_matches_value():
             assert len(read) == first_bad + 1, (prog, points)
 
 
+def test_native_identity_is_the_identity():
+    """``@id`` runs a C function; on ints it is the plain identity, through
+    ``value`` and ``values_at`` alike, and it still prints as ``@id``."""
+    ident = pr_lang.NATIVE_REGISTRY["id"]
+    assert pr_lang.program_text(ident) == "@id"
+    for points in point_columns(12) + [[-10 ** 12, -1, 0, 10 ** 12], range(-5, 6)]:
+        want = [x for x in points]
+        assert [ident.value(x) for x in points] == want, points
+        assert list(ident.values_at(points)) == want, points
+        assert list(ident.values_at(iter(points))) == want, points
+    assert ident.cost(10 ** 12) == 1
+
+
 def test_floor_values_upto_reads_no_dense_table(monkeypatch):
     def dense(self):
         raise AssertionError("the dense values were read")
@@ -980,6 +993,27 @@ def test_fill_zeros_by_steps_matches_per_bit_loop(desc, fill_min, traces, monkey
         assert_memo_matches(fresh, ref)
 
 
+@pytest.mark.parametrize("desc", FILLED)
+def test_reader_matches_bit_and_grows_no_memo(desc, traces):
+    """``reader(n)`` is ``bit`` on bits 0..n: the memo list's lookup once the
+    memo holds them, else ``bit`` itself; asking for it grows no memo."""
+    top = 300
+    ref = make_filled(desc, traces)
+    want = [ref.bit(i) for i in range(top + 1)]
+    ref.bit(top + 40)
+    for ahead in (-1, top - 1, top, top + 40):
+        x = make_filled(desc, traces)
+        if ahead >= 0:
+            x.read_ahead(ahead)
+        before = x.decided
+        read = x.reader(top)
+        assert x.decided == before
+        # a memo that holds bits 0..top reads them from the list itself
+        assert (read == x._bits.__getitem__) == (before > top), ahead
+        assert [read(i) for i in range(top + 1)] == want, ahead
+        assert_memo_matches(x, ref)
+
+
 # descriptors built from a pattern, which count step budgets by arithmetic;
 # every builtin period ends in a non-member, so two raw patterns end in one
 PATTERNED = ["evens", "id", *(f"mod {k}" for k in range(2, 10)),
@@ -1076,6 +1110,16 @@ def assert_steps_columns(x, rng, top=3000):
         if max(points, default=0) <= 10 ** 4:
             assert want == [memo_zeros_by_steps(ref, s) for s in points], (x.name, points)
     assert x.decided == 0
+
+
+@pytest.mark.parametrize("desc", [d for d in PATTERNED if d not in FILLED])
+def test_reader_of_a_pattern_set_matches_bit(desc, traces):
+    x, ref = make_patterned(desc, traces), make_patterned(desc, traces)
+    x.read_ahead(200)
+    read = x.reader(200)
+    assert x.decided == 201 and read == x._bits.__getitem__
+    assert [read(i) for i in range(201)] == [ref.bit(i) for i in range(201)]
+    assert x.reader(201) == x.bit and x.decided == 201
 
 
 @pytest.mark.parametrize("desc", [*FILLED, *(d for d in PATTERNED if d not in FILLED)])

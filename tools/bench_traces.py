@@ -11,7 +11,9 @@ median wall time over the repeats next to deterministic counters:
 records, trace bytes, full (generation-2) garbage collections from
 ``gc.get_stats()`` over all repeats, and, from one extra, untimed pass,
 each phase's ``PrSet._ensure`` entries and memo bits grown, split by the
-generator that grew them (``memo_split.py``).  The result is stored under
+generator that grew them (``memo_split.py``), and its calls of
+``PrSet.bit`` and of ``_Output.emit``, the per-bit input reads and output
+appends that stage machines reading memo columns avoid.  The result is stored under
 ``--label`` in ``BENCH_traces.json`` at the root of the checkout, keeping
 the other labels there, so that two commits can be compared by running
 this file against each one's ``src``.
@@ -34,7 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 import memo_split  # noqa: E402
 import test_golden as G  # noqa: E402  (the golden cases and how each is run)
 
-from punctual import sets  # noqa: E402
+from punctual import constructions, sets  # noqa: E402
 from punctual.constructions import parse_trace, verify_trace_file  # noqa: E402
 
 PHASES = ("build", "serialize", "parse", "verify")
@@ -72,11 +74,22 @@ def one_pass(names: list, after_phase=lambda phase: None) -> tuple:
 
 def counted_pass(names: list) -> dict:
     """Memo work of each phase: _ensure entries and memo bits grown, by
-    generator."""
+    generator, and the per-bit calls of PrSet.bit and _Output.emit."""
     cls = sets.PrSet
     ensure = cls._ensure
-    zero = dict(ensure_entries=0, memo_bits=0, pattern_fill_bits=0, operand_fill_bits=0)
+    zero = dict(ensure_entries=0, memo_bits=0, pattern_fill_bits=0, operand_fill_bits=0,
+                bit_calls=0, emit_calls=0)
     counts = dict(zero)
+    calls = {"bit_calls": (cls, "bit"), "emit_calls": (constructions._Output, "emit")}
+    saved = {key: getattr(owner, name) for key, (owner, name) in calls.items()}
+
+    def counting(key):
+        method = saved[key]
+
+        def call(self, *args):
+            counts[key] += 1
+            return method(self, *args)
+        return call
 
     def counting_ensure(self, *args, **kwargs):
         counts["ensure_entries"] += 1
@@ -92,11 +105,15 @@ def counted_pass(names: list) -> dict:
 
     out = {}
     cls._ensure = counting_ensure
+    for key, (owner, name) in calls.items():
+        setattr(owner, name, counting(key))
     restore_fills = memo_split.count_fills(counts)
     try:
         one_pass(names, after_phase)
     finally:
         cls._ensure = ensure
+        for key, (owner, name) in calls.items():
+            setattr(owner, name, saved[key])
         restore_fills()
     return out
 
