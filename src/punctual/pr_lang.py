@@ -34,8 +34,10 @@ its code without a parse or a lookup.  A term is validated when it is
 compiled.  Visits are counted per straight-line block.  A recursion whose
 step holds no recursion needs no loop: its caller computes it in closed
 form.  Every other recursion is compiled once per process into a loop
-function that every term holding it shares, so a new term compiles only
-its entry; a loop that never reads its counter skips whole periods (see
+function that every term holding it shares, so a new term generates only
+its entry.  The constants of the code are names bound per function, so
+terms that differ only in constants share one code object, compiled once
+per shape; a loop that never reads its counter skips whole periods (see
 the notes on compilation below).  Values, step counts and budget outcomes
 are exactly those of the ``visits/1`` model.  A term text nests at most
 ``MAX_TERM_DEPTH`` compositions and recursions.  The parser reads through a
@@ -57,7 +59,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArityError, BudgetExceeded, ParseError
 
@@ -354,7 +356,7 @@ class _Parser(_Scanner):
                          start)
 
 
-# Bound of the parse memo, the compile cache and the loop cache (entries each).
+# Bound of the parse memo and the compile, loop and shape caches (entries each).
 _COMPILE_CACHE_SIZE = 512
 
 
@@ -377,8 +379,9 @@ def parse_term(text: str) -> PrTerm:
 # Clocked evaluation
 
 
-@dataclass(frozen=True)
-class Converged:
+class Converged(NamedTuple):
+    """A clocked run that converged: its value and its visit count.  It is
+    a tuple, so it also equals the plain tuple ``(value, steps)``."""
     value: int
     steps: int
 
@@ -408,6 +411,12 @@ class _Abort(Exception):
 # counter never runs ahead of the true visit count and the last check sees
 # the exact total.
 #
+# Every integer a term puts in its code (a block's cost, a closed form's
+# multiplier and offsets, an affine offset) is written as a name ``k0, k1,
+# ...`` that the function's own namespace binds, as it binds the loops it
+# calls.  Terms that differ only in their constants then generate one
+# source, a shape, and ``_shape`` compiles each shape once.
+#
 # A recursion whose step holds no recursion is flat: its step block emits
 # no lines, so y iterations cost y times the block's cost and the result
 # is affine in the caller's names.  It gets no loop; the caller writes
@@ -415,10 +424,10 @@ class _Abort(Exception):
 # step ``acc + off``, otherwise the last step's value (``i`` is ``y - 1``
 # there) or the base when ``y == 0``.  Every other recursion is compiled
 # once per process by ``_loop``, keyed by (term, arity), into a function
-# with one ``for`` loop, in its own namespace that binds the loops it
-# calls; a term then compiles only its entry.  A generated function is
-# taken out of its namespace after the ``exec``, so no namespace is a
-# reference cycle and dropped code is freed as soon as nothing holds it.
+# with one ``for`` loop; a term then generates only its entry.  A generated
+# function is taken out of its namespace after the ``exec``, so no
+# namespace is a reference cycle and dropped code is freed as soon as
+# nothing holds it.
 #
 # A loop body that never reads the counter ``i`` is a fixed map on ``acc``,
 # since ``y`` and the ``x``s do not change.  The loop records each ``acc``
@@ -446,13 +455,6 @@ def _skip(seen: dict, acc: int, i: int, y: int, c: int, b) -> tuple[int, int]:
     return acc, c
 
 
-def _expr(val) -> str:
-    name, offset = val
-    if name is None:
-        return str(offset)
-    return f"{name} + {offset}" if offset else name
-
-
 class _Block:
     """Straight-line statements of one generated function or loop body."""
 
@@ -461,6 +463,20 @@ class _Block:
         self.cost = 0
         self.reads: set = set()     # names the emitted lines read
         self.callees: dict = {}     # loop function -> its name in the namespace
+        self.consts: dict = {}      # constant name -> its value
+
+    def k(self, value: int) -> str:
+        """The name the code reads the constant ``value`` by."""
+        name = f"k{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def expr(self, val: tuple) -> str:
+        """The code of an affine value."""
+        name, offset = val
+        if name is None:
+            return self.k(offset)
+        return f"{name} + {self.k(offset)}" if offset else name
 
     def value(self, t: PrTerm, args: Sequence[tuple]) -> tuple:
         """Emit t applied to affine args; return its affine value."""
@@ -484,8 +500,8 @@ class _Block:
                 return self.closed_form(*loop, args, acc)
             name = self.callees.setdefault(loop, f"r{len(self.callees)}")
             temp = self.temp((*args, acc))
-            self.lines.append(
-                f"{temp}, c = {name}(c, b, {', '.join(_expr(v) for v in (*args, acc))})")
+            call = ", ".join(map(self.expr, (*args, acc)))
+            self.lines.append(f"{temp}, c = {name}(c, b, {call})")
             return (temp, 0)
         raise TypeError(f"not a term: {t!r}")
 
@@ -494,16 +510,17 @@ class _Block:
         returns the affine ``step`` of the loop's names; return its value."""
         y = args[0]
         self.reads.add(y[0])
-        self.lines += [f"c += {cost} * ({_expr(y)})", "if c >= b: raise _Abort"]
+        self.lines += [f"c += {self.k(cost)} * ({self.expr(y)})", "if c >= b: raise _Abort"]
         name, offset = step
         if name == "acc":
             if not offset:
                 return acc
-            line, reads = f"{_expr(acc)} + {offset} * ({_expr(y)})", (acc,)
+            line, reads = f"{self.expr(acc)} + {self.k(offset)} * ({self.expr(y)})", (acc,)
         else:   # a flat step's other names are i, y and the x's: never a constant
             last = (y[0], y[1] - 1) if name == "i" else args[0 if name == "y" else int(name[1:])]
             last = (last[0], last[1] + offset)
-            line, reads = f"{_expr(last)} if {_expr(y)} else {_expr(acc)}", (acc, last)
+            line = f"{self.expr(last)} if {self.expr(y)} else {self.expr(acc)}"
+            reads = (acc, last)
         temp = self.temp(reads)
         self.lines.append(f"{temp} = {line}")
         return (temp, 0)
@@ -514,12 +531,19 @@ class _Block:
         return f"t{len(self.lines) + 1}"
 
 
-def _define(name: str, lines: list, callees: dict) -> Callable:
-    """Compile the function ``name`` from lines, in a namespace of its own
-    that binds its callees; the function is not left in that namespace."""
-    namespace = {"_Abort": _Abort, "_skip": _skip}
-    namespace.update((callee, fn) for fn, callee in callees.items())
-    exec(compile("\n".join(lines), "<pr_lang term>", "exec"), namespace)
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _shape(source: str):
+    """The code of one generated source, shared by every term of that shape."""
+    return compile(source, "<pr_lang term>", "exec")
+
+
+def _define(name: str, lines: list, block: _Block) -> Callable:
+    """The function ``name`` that lines define, in a namespace of its own
+    that binds the block's constants and callees; the function is not left
+    in that namespace."""
+    namespace = {"_Abort": _Abort, "_skip": _skip, **block.consts}
+    namespace.update((callee, fn) for fn, callee in block.callees.items())
+    exec(_shape("\n".join(lines)), namespace)
     return namespace.pop(name)
 
 
@@ -537,10 +561,10 @@ def _loop(t: PrimRec, n: int) -> Union[tuple, Callable]:
     if not body.lines:
         return body.cost, acc
     run = ["for i in range(y):",
-           f"    c += {body.cost}",
+           f"    c += {body.k(body.cost)}",
            "    if c >= b: raise _Abort",
            *(f"    {line}" for line in body.lines),
-           *([f"    acc = {_expr(acc)}"] if acc != ("acc", 0) else [])]
+           *([f"    acc = {body.expr(acc)}"] if acc != ("acc", 0) else [])]
     if "i" not in body.reads and acc[0] != "i":    # counter-free
         run[1:1] = [f"    if i < {_PERIOD_WINDOW}:",
                     "        if acc in seen: return _skip(seen, acc, i, y, c, b)",
@@ -550,7 +574,7 @@ def _loop(t: PrimRec, n: int) -> Union[tuple, Callable]:
         f"def loop(c, b, {', '.join(('y', *xs, 'acc'))}):",
         *(f"    {line}" for line in run),
         "    return acc, c",
-    ], body.callees)
+    ], body)
 
 
 @lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -566,11 +590,11 @@ def _compiled(t: PrTerm) -> tuple[int, Callable]:
     value = body.value(t, [(p, 0) for p in params])
     return n, _define("entry", [
         f"def entry(c, b, {', '.join(params)}):",
-        f"    c += {body.cost}",
+        f"    c += {body.k(body.cost)}",
         "    if c >= b: raise _Abort",
         *(f"    {line}" for line in body.lines),
-        f"    return {_expr(value)}, c",
-    ], body.callees)
+        f"    return {body.expr(value)}, c",
+    ], body)
 
 
 _UNBOUNDED = float("inf")
@@ -592,10 +616,9 @@ def eval_clocked(t: PrTerm, args: Sequence[int], budget: int) -> StepOutcome:
     """Evaluate t on args; converges iff total cost < budget."""
     fn = _compiled_for(t, args)
     try:
-        value, steps = fn(0, budget, *args)
+        return Converged(*fn(0, budget, *args))
     except _Abort:
         return OUT_OF_BUDGET
-    return Converged(value, steps)
 
 
 def eval_total(t: PrTerm, args: Sequence[int]) -> int:

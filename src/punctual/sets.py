@@ -164,8 +164,8 @@ def _string_op(sigma: Prefix, tau: Prefix, pick) -> Prefix:
     """Join (pick=max) or meet (pick=min): the bits between pick of the
     operands' zero counts, as for sets."""
     _check_shapes(sigma, tau)
-    zc = map(pick, _zero_counts(sigma.bits), _zero_counts(tau.bits))
-    return Prefix(tuple(_climbs(list(zc))))
+    return Prefix(tuple(_climbs(_picked(pick, _zero_counts(sigma.bits),
+                                        _zero_counts(tau.bits)))))
 
 
 def string_join(sigma: Prefix, tau: Prefix) -> Prefix:
@@ -526,7 +526,7 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
     gx = px.period.count(0) * (span // len(px.period))
     gy = py.period.count(0) * (span // len(py.period))
     if gx == gy:
-        bits = _climbs(list(map(pick, zx, zy)))
+        bits = _climbs(_picked(pick, zx, zy))
         head, period = bits[:h], tuple(bits[h:])
     else:
         more, fewer = (zx, zy) if gx > gy else (zy, zx)
@@ -539,7 +539,7 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
             return None
         if top > n:
             zx, zy = _zero_counts(px.bits(0, top - 1)), _zero_counts(py.bits(0, top - 1))
-        head = _climbs(list(map(pick, zx[:top + 1], zy[:top + 1])))
+        head = _climbs(_picked(pick, zx[:top + 1], zy[:top + 1]))
         period = _rotated(kept.period, top - len(kept.head))
     # the shortest period, then the shortest head, that give the same bits
     b = bytes(period)
@@ -550,6 +550,14 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
         k -= 1
     return _Pattern(tuple(head[:k]), _rotated(period, k - len(head)),
                     px.unit_cost and py.unit_cost, max(px.extra, py.extra) + 1)
+
+
+def _picked(pick, xs: Sequence[int], ys: Sequence[int]) -> list:
+    """``list(map(pick, xs, ys))`` for pick max or min, compared inline
+    rather than through a builtin call per element."""
+    if pick is max:
+        return [a if a >= b else b for a, b in zip(xs, ys)]
+    return [a if a <= b else b for a, b in zip(xs, ys)]
 
 
 def _climbs(zc: list) -> list:
@@ -629,7 +637,11 @@ def blocks_set(k: int) -> PrSet:
 
 
 def term_set(term, bound, name: str | None = None) -> PrSet:
-    """Descriptor backed by a unary term with a declared step-bound term."""
+    """Descriptor backed by a unary term with a declared step-bound term.
+
+    A new bit runs the term once, clocked by the bound's value.  The memo
+    asks for a bit's cost right after the bit, so only the last run's steps
+    are kept; the cost of any other bit runs the term again."""
     if isinstance(term, str):
         term = pr_lang.parse_term(term)
     if isinstance(bound, str):
@@ -638,22 +650,22 @@ def term_set(term, bound, name: str | None = None) -> PrSet:
     bound = pr_lang.unary_wrap(bound)
     term_text = pr_lang.serialize(term)
     bound_text = pr_lang.serialize(bound)
-    outcomes: dict[int, pr_lang.Converged] = {}
+    last = [-1, 0]      # the bit evaluated last and its steps, for its cost
 
-    def run(n):
-        hit = outcomes.get(n)
-        if hit is None:
-            budget = pr_lang.eval_total(bound, [n])
-            out = pr_lang.eval_clocked(term, [n], budget)
-            if not isinstance(out, pr_lang.Converged):
-                raise PunctualityViolation(
-                    f"term set {term_text} exceeded its bound {bound_text} at n={n}")
-            hit = outcomes[n] = out
-        return hit
+    def bit(n):
+        out = pr_lang.eval_clocked(term, [n], pr_lang.eval_total(bound, [n]))
+        if not isinstance(out, pr_lang.Converged):
+            raise PunctualityViolation(
+                f"term set {term_text} exceeded its bound {bound_text} at n={n}")
+        last[:] = n, out.steps
+        return 1 if out.value else 0
 
-    return PrSet(name or f"term:{term_text}",
-                 lambda n: 1 if run(n).value else 0,
-                 lambda n: run(n).steps,
+    def cost(n):
+        if last[0] != n:
+            bit(n)
+        return last[1]
+
+    return PrSet(name or f"term:{term_text}", bit, cost,
                  dsl=f'term "{term_text}" bound "{bound_text}"')
 
 
@@ -754,11 +766,11 @@ def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
         x._ensure(n)
         y._ensure(n)
         lo = m - 1 if m else 0
-        zc = list(map(pick, x._zero_cum[lo:n + 1], y._zero_cum[lo:n + 1]))
+        zc = _picked(pick, x._zero_cum[lo:n + 1], y._zero_cum[lo:n + 1])
         if not m:
             zc.insert(0, 0)
         bits = _climbs(zc)
-        costs = [c + 1 for c in map(max, _bit_costs(x, m, n), _bit_costs(y, m, n))]
+        costs = [c + 1 for c in _picked(max, _bit_costs(x, m, n), _bit_costs(y, m, n))]
         return bits, costs
 
     return PrSet(name, bit,

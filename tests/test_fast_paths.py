@@ -76,6 +76,7 @@ from punctual.reductions import (
 from punctual.sets import (
     IdentityRelation,
     PredicateRelation,
+    Prefix,
     PrSet,
     SetRelation,
     blocks_set,
@@ -1324,6 +1325,61 @@ def test_term_backed_descriptors_never_fill(traces):
     j = set_join(x, parse_set(f"trace {traces['imm']}"))
     j.bit(300)
     assert seen == list(range(301))
+
+
+def seeded_columns(seed):
+    """Pairs of int columns: empty, one element, short, and 2,000 long,
+    with few and with many distinct values, and of unequal lengths."""
+    rng = random.Random(seed)
+    for n in (0, 1, 2, 7, 2000):
+        for spread in (1, 3, 10 ** 6):
+            a = [rng.randrange(spread) for _ in range(n)]
+            b = [rng.randrange(spread) for _ in range(n)]
+            yield a, b
+            yield a, b[:n // 2]
+
+
+@pytest.mark.parametrize("pick", [max, min])
+def test_picked_columns_match_the_builtin_map(pick):
+    for a, b in seeded_columns(11):
+        assert sets._picked(pick, a, b) == list(map(pick, a, b))
+
+
+def random_plain_set(rng, name):
+    """A set with random bits and costs and no fill."""
+    bits = [rng.randint(0, 1) for _ in range(400)]
+    costs = [rng.randint(1, 9) for _ in range(400)]
+    return PrSet(name, bits.__getitem__, costs.__getitem__)
+
+
+@pytest.mark.parametrize("pick", [max, min])
+def test_generic_lattice_fill_columns_match_the_builtin_map(pick):
+    rng = random.Random(29)
+    for _ in range(5):
+        x, y = random_plain_set(rng, "x"), random_plain_set(rng, "y")
+        d = (set_join if pick is max else set_meet)(x, y)
+        x, y = override_zero_member(x), override_zero_member(y)
+        assert d._pattern is None
+        x.bit(300), y.bit(300)
+        for m, n in [(0, 0), (0, 1), (5, 5), (6, 5), (0, 300), (37, 250), (299, 300)]:
+            lo = m - 1 if m else 0
+            zc = list(map(pick, x._zero_cum[lo:n + 1], y._zero_cum[lo:n + 1]))
+            costs = list(map(max, sets._bit_costs(x, m, n), sets._bit_costs(y, m, n)))
+            want = (sets._climbs([0] * (not m) + zc), [c + 1 for c in costs])
+            assert d._fill(m, n) == want, (m, n)
+
+
+@pytest.mark.parametrize("pick, op", [(max, sets.string_join), (min, sets.string_meet)])
+def test_string_ops_match_the_builtin_map(pick, op):
+    rng = random.Random(31)
+    for n in (0, 1, 2, 9, 500):
+        for _ in range(20):
+            sigma = Prefix(tuple(rng.randint(0, 1) for _ in range(n)))
+            bits = list(sigma.bits)
+            rng.shuffle(bits)                       # the same length and zero count
+            tau = Prefix(tuple(bits))
+            zc = list(map(pick, sets._zero_counts(sigma.bits), sets._zero_counts(tau.bits)))
+            assert op(sigma, tau) == Prefix(tuple(sets._climbs(zc)))
 
 
 # ---------------------------------------------------------------------------

@@ -233,11 +233,11 @@ def compiled_sources(text):
     sources = []
     define = pr_lang._define
 
-    def recording(name, lines, callees):
+    def recording(name, lines, block):
         sources.append("\n".join(lines))
-        return define(name, lines, callees)
+        return define(name, lines, block)
 
-    for cache in (parse_term, pr_lang._loop, pr_lang._compiled):
+    for cache in (parse_term, pr_lang._loop, pr_lang._compiled, pr_lang._shape):
         cache.cache_clear()
     pr_lang._define = recording
     try:
@@ -409,17 +409,19 @@ class TestNestingLimit:
 class TestCompileCache:
     def test_distinct_programs_keep_cache_bounded(self):
         decode.cache_clear()
-        pr_lang._compiled.cache_clear()
-        pr_lang._loop.cache_clear()
+        caches = (pr_lang._compiled, pr_lang._loop, pr_lang._shape)
+        for cache in caches:
+            cache.cache_clear()
         wrapped = set()
         e = 0
-        while (len(wrapped) <= 2 * pr_lang._COMPILE_CACHE_SIZE
-               or pr_lang._loop.cache_info().misses <= pr_lang._COMPILE_CACHE_SIZE):
+        while e < 40_000 and (len(wrapped) <= 2 * pr_lang._COMPILE_CACHE_SIZE
+                              or any(cache.cache_info().misses <= pr_lang._COMPILE_CACHE_SIZE
+                                     for cache in caches[1:])):
             if arity(decode(e)) != 1:
                 wrapped.add(unary_wrap(decode(e)))
                 converges_within(e, 3, 50)
             e += 1
-        for cache in (pr_lang._compiled, pr_lang._loop):
+        for cache in caches:
             info = cache.cache_info()
             assert info.misses > pr_lang._COMPILE_CACHE_SIZE
             assert info.currsize <= pr_lang._COMPILE_CACHE_SIZE
@@ -481,6 +483,75 @@ class TestCompileCache:
         pr_lang._compiled.cache_clear()
         assert (p.value(4), p.cost(4)) == (4, 14)
         assert pr_lang._compiled.cache_info().misses == 0
+
+
+def linear_text(slope, offset):
+    """Unary term text computing slope * n + offset in one flat recursion."""
+    return "C(S; " * offset + "R(Z; " + "C(S; " * slope + "P[3,3]" + ")" * (slope + 1 + offset)
+
+
+def entry_of(t):
+    return pr_lang._compiled_for(t, [0] * arity(t))
+
+
+def assert_exact(t, xs):
+    """Value, cost and the clocked outcomes around the cost, against the oracle."""
+    for x in xs:
+        cost = reference_cost(t, [x])
+        assert eval_cost(t, [x]) == cost
+        assert eval_total(t, [x]) == reference_value(t, [x])
+        for budget in (cost - 1, cost, cost + 1):
+            assert eval_clocked(t, [x], budget) == oracle_outcome(t, [x], budget)
+
+
+class TestShapes:
+    """Terms that differ only in their constants compile one shared code
+    object, and each runs with its own constants."""
+
+    @pytest.mark.parametrize("texts", [
+        [linear_text(a, b) for a, b in [(1, 1), (2, 5), (7, 3), (12, 100), (17, 40)]],
+        [serialize(const_term(c)) for c in (0, 1, 2, 5, 9)],
+    ], ids=["linear_bound", "const_term"])
+    def test_constants_share_one_code_object(self, texts):
+        for cache in (parse_term, pr_lang._compiled, pr_lang._shape):
+            cache.cache_clear()
+        terms = [parse_term(text) for text in texts]     # fresh objects, no code kept
+        codes = {entry_of(t).__code__ for t in terms}
+        assert len(codes) == 1
+        assert pr_lang._shape.cache_info().misses == 1
+        assert len({eval_total(t, [3]) for t in terms}) == len(terms)
+        for t in terms:
+            assert_exact(t, range(5))
+
+    def test_decode_sweep_shares_code_by_shape(self):
+        for cache in (decode, pr_lang._compiled, pr_lang._loop, pr_lang._shape):
+            cache.cache_clear()
+        by_code = {}
+        for e in range(1500):
+            t = unary_wrap(decode(e))
+            by_code.setdefault(entry_of(t).__code__, set()).add(t)
+        assert pr_lang._shape.cache_info().misses <= pr_lang._COMPILE_CACHE_SIZE  # none evicted
+        assert sum(map(len, by_code.values())) > 4 * len(by_code)
+        shared = [terms for terms in by_code.values() if len(terms) > 1]
+        assert any(len({eval_total(t, [3]) for t in terms}) > 1 for terms in shared)
+        for terms in shared:
+            for t in terms:
+                assert_exact(t, range(4))
+
+
+class TestConverged:
+    def test_a_converged_run_is_a_frozen_pair(self):
+        out = eval_clocked(parse_term(ADD_SHAPED), [3], 100)
+        assert (out.value, out.steps) == (3, 11)
+        assert out == Converged(3, 11) == (3, 11)
+        assert out != Converged(3, 12) and out != OUT_OF_BUDGET
+        assert hash(out) == hash(Converged(3, 11))
+        assert len({out, Converged(3, 11)}) == 1
+        for field in ("value", "steps"):
+            with pytest.raises(AttributeError):
+                setattr(out, field, 0)
+        assert out == (3, 11)
+        assert "(value, steps)" in Converged.__doc__
 
 
 def reference_text(t):

@@ -1,15 +1,17 @@
 import inspect
 import itertools
 import random
+import re
 
 import pytest
 
-from punctual import constructions, lattice, reductions
+from punctual import constructions, lattice, pr_lang, reductions
 from punctual.errors import (
     ArityError,
     CeilingExceeded,
     NotEquivalence,
     ParseError,
+    PunctualityViolation,
     ShapeMismatch,
 )
 from punctual.sets import (
@@ -205,6 +207,28 @@ class TestTermKind:
         again = parse_set(t.dsl)
         for n in range(20):
             assert again.bit(n) == t.bit(n)
+
+    def test_bound_overrun_raises_at_the_same_n(self, monkeypatch):
+        # bound 12 n + 100, which EVENS_TERM's cost overtakes
+        bound = "C(S; " * 100 + "R(Z; " + "C(S; " * 12 + "P[3,3]" + ")" * 113
+        term, limit = pr_lang.parse_term(EVENS_TERM), pr_lang.parse_term(bound)
+        first = next(n for n in itertools.count()
+                     if pr_lang.eval_cost(term, [n]) >= pr_lang.eval_total(limit, [n]))
+        assert first > 0
+        calls, clocked = [], pr_lang.eval_clocked
+        monkeypatch.setattr(pr_lang, "eval_clocked",
+                            lambda t, args, b: calls.append(args[0]) or clocked(t, args, b))
+        t = term_set(EVENS_TERM, bound)
+        message = (f"term set {pr_lang.serialize(term)} exceeded its bound "
+                   f"{pr_lang.serialize(limit)} at n={first}")
+        for read in (first + 5, first, first + 1):      # and again on each re-read
+            with pytest.raises(PunctualityViolation, match=f"^{re.escape(message)}$"):
+                t.bit(read)
+            assert t.decided == first
+        # one clocked run per bit, then one per failing read
+        assert calls == [*range(first + 1), first, first]
+        assert ([t.bit_cost(n) for n in range(first)]
+                == [pr_lang.eval_cost(term, [n]) for n in range(first)])
 
 
 class TestStringCalculus:

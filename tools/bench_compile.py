@@ -14,9 +14,11 @@ by the machine-speed probe of ``perfbench/speed.py``, as the benchmark
 scales it, since this machine's speed drifts between runs), next to
 deterministic counters from one extra, untimed interpreter per list:
 
-  * ``compile_calls``: builtin ``compile()`` calls made by ``pr_lang``;
-  * ``loop_functions``: generated functions other than an ``entry``;
-  * ``source_bytes``: the length of the compiled source texts;
+  * ``compile_calls``: builtin ``compile()`` calls made by ``pr_lang``,
+    one per code shape where shapes are shared;
+  * ``loop_functions``: generated functions other than an ``entry``,
+    whether their code was compiled for them or shared;
+  * ``source_bytes``: the length of the source texts actually compiled;
   * ``visits``: evaluator visits, counted as ``perfbench/tracer.py``
     counts ``pr_lang.visits`` (a converged run's steps, else its budget);
   * ``ensure_entries``: calls of ``PrSet._ensure``, the descriptor memo's
@@ -62,18 +64,22 @@ def jobs(kind: str):
 
 
 def install_counters(counts: dict) -> list:
-    """Wrap the evaluator's compile() and its clocked entry points, and the
-    descriptor memo's growth; return the list every new set is added to."""
+    """Wrap the evaluator's compile(), its function definitions and its
+    clocked entry points, and the descriptor memo's growth; return the list
+    every new set is added to."""
     import memo_split
     from punctual import pr_lang, sets
 
     def counting_compile(source, *args, **kwargs):
         counts["compile_calls"] += 1
         counts["source_bytes"] += len(source)
-        counts["loop_functions"] += sum(1 for line in source.split("\n")
-                                        if line.startswith("def ")
-                                        and not line.startswith("def entry("))
         return compile(source, *args, **kwargs)
+
+    define = pr_lang._define
+
+    def counting_define(name, *args):
+        counts["loop_functions"] += name != "entry"
+        return define(name, *args)
 
     clocked, cost = pr_lang.eval_clocked, pr_lang.eval_cost
 
@@ -87,7 +93,7 @@ def install_counters(counts: dict) -> list:
         counts["visits"] += out
         return out
 
-    pr_lang.compile = counting_compile
+    pr_lang.compile, pr_lang._define = counting_compile, counting_define
     pr_lang.eval_clocked, pr_lang.eval_cost = counting_clocked, counting_cost
 
     made, init, ensure = [], sets.PrSet.__init__, sets.PrSet._ensure
