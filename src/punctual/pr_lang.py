@@ -31,11 +31,13 @@ for a repeated text (it keeps the 512 texts used last), ``unary_wrap``
 keeps a non-unary term's wrap on the term, and ``serialize`` keeps each
 composite node's text, so a repeated text, wrap or decoded program finds
 its code without a parse or a lookup.  A term is validated when it is
-compiled.  Visits are counted per straight-line block.  A recursion whose
-step holds no recursion needs no loop: its caller computes it in closed
-form.  Every other recursion is compiled once per process into a loop
-function that every term holding it shares, so a new term generates only
-its entry.  The constants of the code are names bound per function, so
+compiled; the parser, ``decode`` and ``coerce_arity`` over a checked term
+record each composite node's arity where they build it, so only a term
+built from the constructors is walked.  Visits are counted per
+straight-line block.  A recursion whose step holds no recursion needs no
+loop: its caller computes it in closed form.  Every other recursion is
+compiled once per process into a loop function that every term holding
+it shares, so a new term generates only its entry.  The constants of the code are names bound per function, so
 terms that differ only in constants share one code object, compiled once
 per shape; a loop that never reads its counter skips whole periods (see
 the notes on compilation below).  Values, step counts and budget outcomes
@@ -138,17 +140,28 @@ MAX_ARITY = 4096
 
 
 def arity(t: PrTerm) -> int:
+    """The arity of t: the checked one a composite node keeps, if it keeps
+    one, else read down t's first inners and bases without a check."""
     if isinstance(t, Zero):
         return 0
     if isinstance(t, Succ):
         return 1
     if isinstance(t, Proj):
         return t.n
-    if isinstance(t, Comp):
-        return arity(t.inners[0])
-    if isinstance(t, PrimRec):
-        return arity(t.base) + 1
+    if isinstance(t, (Comp, PrimRec)):
+        n = t.__dict__.get("_arity")
+        if n is not None:
+            return n
+        return arity(t.inners[0]) if isinstance(t, Comp) else arity(t.base) + 1
     raise TypeError(f"not a term: {t!r}")
+
+
+def _built(t: PrTerm, n: int) -> PrTerm:
+    """t, keeping n as its checked arity: the one ``_checked_arity`` found,
+    or the one computed where t was built well formed (by the parser,
+    ``decode`` or ``coerce_arity`` over a checked term)."""
+    object.__setattr__(t, "_arity", n)
+    return t
 
 
 def _node_arity(t: PrTerm, child_arities: Sequence[int], position: int | None) -> int:
@@ -187,17 +200,15 @@ def _node_arity(t: PrTerm, child_arities: Sequence[int], position: int | None) -
 
 def _checked_arity(t: PrTerm, position: int | None) -> int:
     """Arity of t, checked at every node.  A composite node keeps its arity
-    once checked, and a child object repeated in one node (the k copies of
-    one projection in a coerced wrapper) is checked once, so a shared term
-    is walked once; an error is never kept."""
-    if isinstance(t, Comp):
-        children = (t.outer, *t.inners)
-    elif isinstance(t, PrimRec):
-        children = (t.base, t.step)
-    else:
+    once checked, or from where it was built (``_built``), and a child
+    object repeated in one node (the k copies of one projection in a
+    coerced wrapper) is checked once, so a shared term is walked once, and
+    a parsed or decoded one not at all; an error is never kept."""
+    if not isinstance(t, (Comp, PrimRec)):
         return _node_arity(t, (), position)
     n = t.__dict__.get("_arity")
     if n is None:
+        children = (t.outer, *t.inners) if isinstance(t, Comp) else (t.base, t.step)
         child_arities, seen = [], {}
         for g in children:  # a plain loop keeps one frame per term level
             a = seen.get(id(g))
@@ -205,7 +216,7 @@ def _checked_arity(t: PrTerm, position: int | None) -> int:
                 a = seen[id(g)] = _checked_arity(g, position)
             child_arities.append(a)
         n = _node_arity(t, child_arities, position)
-        object.__setattr__(t, "_arity", n)
+        _built(t, n)
     return n
 
 
@@ -310,7 +321,8 @@ class _Parser(_Scanner):
         """Parse one term; return it with its arity.
 
         Children are checked when they are built, so each node checks only
-        itself and the whole parse stays linear in the text.
+        itself and the whole parse stays linear in the text; a composite
+        node keeps its arity, so compiling the term checks nothing again.
         """
         ch = self.peek()
         start = self.pos
@@ -342,7 +354,8 @@ class _Parser(_Scanner):
             self.expect(")")
             t = Comp(outer, tuple(g for g, _ in parsed))
             self.depth -= 1
-            return t, _node_arity(t, [k, *(a for _, a in parsed)], start)
+            n = _node_arity(t, [k, *(a for _, a in parsed)], start)
+            return _built(t, n), n
         if ch == "R":
             self.expect("(")
             base, n = self.term()
@@ -351,7 +364,8 @@ class _Parser(_Scanner):
             self.expect(")")
             t = PrimRec(base, step)
             self.depth -= 1
-            return t, _node_arity(t, (n, m), start)
+            a = _node_arity(t, (n, m), start)
+            return _built(t, a), a
         raise ParseError(f"expected a term, got {ch!r}" if ch else "unexpected end of input",
                          start)
 
@@ -653,7 +667,10 @@ def coerce_arity(t: PrTerm, n: int) -> PrTerm:
         raise ArityError("cannot coerce to arity 0")
     if k == 0:
         return zero_of_arity(n)
-    return Comp(t, (Proj(n, 1),) * k)
+    wrap = Comp(t, (Proj(n, 1),) * k)
+    if n <= MAX_ARITY and "_arity" in t.__dict__:
+        return _built(wrap, n)  # a checked term, fed by a valid projection
+    return wrap
 
 
 def unary_wrap(t: PrTerm) -> PrTerm:
@@ -722,7 +739,8 @@ def encode(t: PrTerm) -> int:
 @lru_cache(maxsize=1 << 16)
 def decode(e: int) -> PrTerm:
     """Every natural denotes a well-formed term, unless it holds a projection
-    wider than ``MAX_ARITY``: then ArityError."""
+    wider than ``MAX_ARITY``: then ArityError.  A composite node keeps the
+    arity computed here, so compiling a decoded term checks nothing again."""
     if e == 0:
         return Zero()
     if e == 1:
@@ -742,10 +760,13 @@ def decode(e: int) -> PrTerm:
             return outer
         inners = [decode(x) for x in _unpair_list(b, k)]
         n = max(1, max(arity(g) for g in inners))
-        return Comp(outer, tuple(coerce_arity(g, n) for g in inners))
+        return _built(Comp(outer, tuple(coerce_arity(g, n) for g in inners)), n)
     a, b = cantor_unpair(m)
     base = decode(a)
-    return PrimRec(base, coerce_arity(decode(b), arity(base) + 3))
+    n = arity(base)
+    if n + 3 > MAX_ARITY:   # the step would be fed through wider projections
+        raise ArityError(f"code {e} decodes to a projection of arity {n + 3} > {MAX_ARITY}")
+    return _built(PrimRec(base, coerce_arity(decode(b), n + 3)), n + 1)
 
 
 def converges_within(e: int, x: int, s: int) -> Optional[int]:

@@ -56,13 +56,15 @@ grows only sets whose reach is unbounded.  Step-limited growth
 search, which ``next_zero`` and ``principal_zero`` call) take the per-bit
 loop, so a memo, and its operands' memos, stop exactly at the bit where
 the limit is met; a limit not met by bit ``DEFAULT_CEILING`` raises
-CeilingExceeded.  ``fresh_zeros`` picks a run of zeros in one pass: it
-reads the memo by bisection on from the last pick and grows it only for a
-pick it lacks.  A pattern set answers ``zeros_by_steps`` and steps
-profiles by arithmetic and grows no memo for them: a steps column is read
-off one pass over the bits its largest budget decides, and only a sparser
-column (over 8 such bits a budget) counts budget by budget.  Zero-list
-sets answer ``principal_zero`` from their list of zeros, past any ceiling.
+CeilingExceeded.  A step budget that the memo's total cost already
+exceeds is met there, so ``bits_within`` reads it without a growth step.
+``fresh_zeros`` picks a run of zeros in one pass: it reads the memo by
+bisection on from the last pick and grows it only for a pick it lacks.  A
+pattern set answers ``zeros_by_steps`` and steps profiles by arithmetic
+and grows no memo for them: a steps column is read off one pass over the
+bits its largest budget decides, and only a sparser column (over 8 such
+bits a budget) counts budget by budget.  Zero-list sets answer
+``principal_zero`` from their list of zeros, past any ceiling.
 
 Scans read memos as whole columns: ``profile(points, convention)`` and
 ``cum_costs(points)`` answer a list of points from one growth to the
@@ -324,11 +326,16 @@ class PrSet:
 
     def bits_within(self, s: int) -> int:
         """How many bits, from bit 0 on, are decided within s total steps;
-        the memo grows by the budget, bit by bit, to the first bit past s."""
-        if s > 0:
+        the memo grows by the budget, bit by bit, to the first bit past s.
+        A memo whose total cost already passes s holds that bit, so it is
+        read without an ``_ensure`` entry, which would add no bit (each
+        costs at least 1) and raise nothing (the ceiling test is a total
+        within s)."""
+        cost_cum = self._cost_cum
+        if s > 0 and (not cost_cum or cost_cum[-1] <= s):
             # bits 0..s cost at least s + 1 steps, so growth stops by bit s
             self._ensure(s, steps=s)
-        return bisect.bisect_right(self._cost_cum, s)
+        return bisect.bisect_right(cost_cum, s)
 
     def profile(self, points: Iterable[int], convention: str = "index") -> Iterator[int]:
         """zeros_by_index or zeros_by_steps at each point, in order, from
@@ -639,9 +646,11 @@ def blocks_set(k: int) -> PrSet:
 def term_set(term, bound, name: str | None = None) -> PrSet:
     """Descriptor backed by a unary term with a declared step-bound term.
 
-    A new bit runs the term once, clocked by the bound's value.  The memo
-    asks for a bit's cost right after the bit, so only the last run's steps
-    are kept; the cost of any other bit runs the term again."""
+    A new bit runs the term once, clocked by the bound's value, which the
+    bound's compiled entry gives directly; the entry is looked up on the
+    set's first bit, so a bound that is not well formed raises there.  The
+    memo asks for a bit's cost right after the bit, so only the last run's
+    steps are kept; the cost of any other bit runs the term again."""
     if isinstance(term, str):
         term = pr_lang.parse_term(term)
     if isinstance(bound, str):
@@ -651,9 +660,12 @@ def term_set(term, bound, name: str | None = None) -> PrSet:
     term_text = pr_lang.serialize(term)
     bound_text = pr_lang.serialize(bound)
     last = [-1, 0]      # the bit evaluated last and its steps, for its cost
+    limit = []          # the bound's entry, from the first bit on
 
     def bit(n):
-        out = pr_lang.eval_clocked(term, [n], pr_lang.eval_total(bound, [n]))
+        if not limit:
+            limit.append(pr_lang._compiled_for(bound, (n,)))
+        out = pr_lang.eval_clocked(term, [n], limit[0](0, pr_lang._UNBOUNDED, n)[0])
         if not isinstance(out, pr_lang.Converged):
             raise PunctualityViolation(
                 f"term set {term_text} exceeded its bound {bound_text} at n={n}")

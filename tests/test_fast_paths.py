@@ -440,6 +440,89 @@ def test_bits_within_matches_per_index_reads(traces):
                 assert x.decided == (before if s <= 0 else max(before, past + 1)), (x.name, s)
 
 
+def ref_bits_within(x, s):
+    """``bits_within`` as defined: a step-limited growth for every budget."""
+    if s > 0:
+        x._ensure(s, steps=s)
+    return bisect.bisect_right(x._cost_cum, s)
+
+
+def ensure_entries(x) -> list:
+    """The list each ``_ensure`` entry on x is appended to from now on."""
+    entries, ensure = [], x._ensure
+    x._ensure = lambda *args, **kwargs: entries.append(args) or ensure(*args, **kwargs)
+    return entries
+
+
+def overrun_term_set():
+    """A term set whose bound, 12 n + 100, the term's cost overtakes at some
+    bit past 0; with that bit."""
+    bound = "C(S; " * 100 + "R(Z; " + "C(S; " * 12 + "P[3,3]" + ")" * 113
+    term, limit = parse_term(EVENS_TERM), parse_term(bound)
+    first = next(n for n in itertools.count()
+                 if pr_lang.eval_cost(term, [n]) >= pr_lang.eval_total(limit, [n]))
+    return lambda: parse_set(f'term "{EVENS_TERM}" bound "{bound}"'), first
+
+
+def test_step_reads_skip_growth_the_memo_decides(traces):
+    """A budget the memo's total cost already passes is answered without an
+    ``_ensure`` entry; every budget gives the count, memo and error of the
+    definitional growth, a bound overrun past the memo included."""
+    overrun, first = overrun_term_set()
+    makers = [*(lambda k=k: SET_KINDS[k](traces) for k in SET_KINDS),
+              lambda: prefix_set("costly", [1, 0, 0, 1], cost_fn=lambda n: 5 * n + 9),
+              overrun]
+    skipped = raised = 0
+    for make in makers:
+        for grown in (-1, 0, 1, first - 1, 30):
+            x, ref = make(), make()
+            if grown >= 0:
+                assert outcome(x.bit, grown) == outcome(ref.bit, grown), (x.name, grown)
+            top = x._cost_cum[-1] if x.decided else 0
+            for s in sorted({-3, 0, 1, 8, 9, 10, 100, 2000, 50_000, top - 1, top, top + 1}):
+                entries = ensure_entries(x)
+                decided = x.decided > 0 and x._cost_cum[-1] > s
+                got = outcome(x.bits_within, s)
+                assert got == outcome(ref_bits_within, ref, s), (x.name, grown, s)
+                assert x.decided == ref.decided, (x.name, grown, s)
+                if s > 0 and decided:
+                    assert entries == [], (x.name, grown, s)
+                    skipped += 1
+                raised += isinstance(got, tuple) and got[0] is PunctualityViolation
+                del x._ensure
+    assert skipped > 50 and raised >= 5
+    # the overrun raises at the bit where the growth reaches it, and again
+    x = overrun()
+    x.bit(first - 1)
+    for _ in range(2):
+        with pytest.raises(PunctualityViolation, match=f"at n={first}$"):
+            x.bits_within(x.cum_cost(first - 1) + 1)
+        assert x.decided == first
+
+
+def test_step_reads_past_the_ceiling_raise_only_on_a_short_memo():
+    """A budget past the index ceiling, on a memo whose cost already passes
+    it, is answered with no CeilingExceeded, as the growth answers it; a
+    memo within the budget still grows to the ceiling and raises."""
+    s = 450_000     # bits cost 2 each: the ceiling's 200,001 bits cost 400,002
+    make = lambda: sets._pattern_set("twos", sets._Pattern((), (1, 0), True, 1), None)
+    ceiling = sets.DEFAULT_CEILING
+    message = f"twos: a budget of {s} steps reads past bit {ceiling}, the index ceiling"
+    for grown in (-1, 0, ceiling + 10_000, s // 2 + 5_000):
+        x, ref = make(), make()
+        if grown >= 0:
+            x.bit(grown)
+            ref.bit(grown)
+        entries = ensure_entries(x)
+        got = outcome(x.bits_within, s)
+        assert got == outcome(ref_bits_within, ref, s)
+        assert x.decided == ref.decided == max(grown + 1, ceiling + 1)
+        if 2 * (grown + 1) > s:
+            assert got == s // 2 and entries == []
+        else:
+            assert got == (CeilingExceeded, message)
+
+
 def test_synth_p_stops_at_the_index_ceiling():
     x, y = parse_set("evens"), parse_set("join(evens, mod 3)")
     g = synth_reduction_from_h(x, y, IDENTITY, 50)

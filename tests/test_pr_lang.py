@@ -715,6 +715,107 @@ class TestSharedTerms:
                 assert str(info.value).endswith("(at position 11)")
 
 
+def rebuilt(t):
+    """A copy of t from the constructors, with nothing kept on any node."""
+    if isinstance(t, Comp):
+        return Comp(rebuilt(t.outer), tuple(map(rebuilt, t.inners)))
+    if isinstance(t, PrimRec):
+        return PrimRec(rebuilt(t.base), rebuilt(t.step))
+    return dataclasses.replace(t)
+
+
+def nodes(t):
+    """Every node object of t, each once."""
+    found, todo = {}, [t]
+    while todo:
+        g = todo.pop()
+        if id(g) not in found:
+            found[id(g)] = g
+            if isinstance(g, Comp):
+                todo += [g.outer, *g.inners]
+            elif isinstance(g, PrimRec):
+                todo += [g.base, g.step]
+    return list(found.values())
+
+
+RECORDED_TEXTS = [*ROUND_TRIP_TEXTS, PRED, MSUB, CONST1, NOT, MOD2, FLIP_FROM_X, UNARY_ID,
+                  GROWING, linear_text(3, 2), "C(P[3,1]; P[2,2], P[2,1], C(S; P[2,1]))"]
+
+
+class TestRecordedArity:
+    """The parser, ``decode`` and ``coerce_arity`` keep on the composite
+    nodes they build the arity that a check from the constructors gives."""
+
+    @staticmethod
+    def fresh_terms():
+        """1,500 decoded terms and the parsed texts, built afresh, none compiled."""
+        for cache in (decode, parse_term, pr_lang._compiled, pr_lang._loop, pr_lang._shape):
+            cache.cache_clear()
+        return [decode(e) for e in range(1500)] + [parse_term(t) for t in RECORDED_TEXTS]
+
+    def test_recorded_arity_is_the_checked_one(self):
+        recorded = 0
+        for t in self.fresh_terms():
+            if isinstance(t, (Comp, PrimRec)):
+                assert "_arity" in t.__dict__ and "_arity" in unary_wrap(t).__dict__
+            for w in (t, unary_wrap(t)):
+                for g in nodes(w):
+                    n = g.__dict__.get("_arity")
+                    if n is not None:
+                        fresh = rebuilt(g)
+                        assert n == pr_lang._checked_arity(fresh, None) == arity(g), g
+                        recorded += 1
+        assert recorded > 1500
+
+    def test_compiling_checks_only_unrecorded_wraps(self, monkeypatch):
+        calls = []
+        node_arity = pr_lang._node_arity
+        monkeypatch.setattr(pr_lang, "_node_arity",
+                            lambda t, *rest: calls.append(t) or node_arity(t, *rest))
+        checked = 0
+        for t in self.fresh_terms():
+            for g in {id(w): w for w in (t, unary_wrap(t))}.values():
+                calls.clear()
+                kept = g.__dict__.get("_arity")
+                entry_of(g)
+                if kept is not None:
+                    assert calls == [], g
+                else:   # a leaf, or the wrap that feeds a leaf at another arity
+                    assert not isinstance(t, (Comp, PrimRec)), g
+                    assert {id(c) for c in calls} <= {id(c) for c in nodes(g)}
+                    checked += bool(calls)
+        assert checked > 100
+
+    def test_arity_reads_a_recorded_arity_first(self, monkeypatch):
+        calls, walk = [], pr_lang.arity
+        monkeypatch.setattr(pr_lang, "arity", lambda t: calls.append(t) or walk(t))
+        t = parse_term(GROWING)
+        fresh = rebuilt(t)
+        assert pr_lang.arity(t) == pr_lang.arity(fresh) == 1
+        assert calls == [t, fresh, fresh.base]
+
+    def test_coerce_records_only_a_checked_fit(self):
+        add = parse_term(ADD_SHAPED)
+        assert coerce_arity(add, 3).__dict__["_arity"] == 3
+        unchecked = PrimRec(Zero(), Proj(3, 3))
+        assert "_arity" not in coerce_arity(unchecked, 3).__dict__
+        wide = coerce_arity(add, pr_lang.MAX_ARITY + 1)
+        assert "_arity" not in wide.__dict__
+        with pytest.raises(ArityError, match=r"P\[4097,1\] needs n <= 4096"):
+            validate(wide)
+
+    def test_decode_rejects_a_step_fed_past_max_arity(self):
+        # a recursion on a base of arity 4094 feeds its step 4097 arguments
+        e = 4 + 3 * pr_lang.cantor_pair(encode(Proj(4094, 1)), 0)
+        for _ in range(2):
+            with pytest.raises(ArityError, match=f"^code {e} decodes to a projection of "
+                                                 f"arity 4097 > {pr_lang.MAX_ARITY}$"):
+                decode(e)
+        base = 4 + 3 * pr_lang.cantor_pair(encode(Proj(4093, 1)), 0)
+        assert arity(decode(base)) == pr_lang.MAX_ARITY - 2
+        validate(rebuilt(decode(base)))
+
+
 class TestMalformedTerms:
     """Every public evaluation validates its term when it compiles it."""
 

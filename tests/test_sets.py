@@ -230,6 +230,34 @@ class TestTermKind:
         assert ([t.bit_cost(n) for n in range(first)]
                 == [pr_lang.eval_cost(term, [n]) for n in range(first)])
 
+    def test_new_bit_makes_one_clocked_run_and_no_public_bound_call(self, monkeypatch):
+        term = pr_lang.parse_term(EVENS_TERM)
+        bound = pr_lang.parse_term(BOUND64)
+        runs = [pr_lang.eval_clocked(term, [n], pr_lang.eval_total(bound, [n]))
+                for n in range(40)]
+        calls = []
+        for name in ("eval_clocked", "eval_total", "eval_cost"):
+            fn = getattr(pr_lang, name)
+            monkeypatch.setattr(pr_lang, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        t = term_set(EVENS_TERM, BOUND64)
+        for n in range(40):
+            assert (t.bit(n), t.bit_cost(n)) == (runs[n].value, runs[n].steps)
+            assert calls == ["eval_clocked"] * (n + 1)
+        # a budget the memo decides runs nothing; one it does not, the next bit
+        assert t.zeros_by_steps(t.cum_cost(38)) == t.zeros_by_index(38) == 19
+        assert calls == ["eval_clocked"] * 40
+        assert t.zeros_by_steps(t.cum_cost(39)) == 20 and t.decided == 41
+        assert calls == ["eval_clocked"] * 41
+
+    def test_bound_not_well_formed_raises_on_every_first_bit(self):
+        bad = pr_lang.Comp(pr_lang.Succ(), (pr_lang.Proj(1, 1), pr_lang.Proj(1, 1)))
+        t = term_set(EVENS_TERM, bad)
+        for _ in range(2):
+            with pytest.raises(ArityError, match="^composition outer arity 1 != 2 inner terms$"):
+                t.bit(0)
+            assert t.decided == 0
+
 
 class TestStringCalculus:
     def test_spec_pairs(self):

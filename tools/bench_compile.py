@@ -23,6 +23,8 @@ deterministic counters from one extra, untimed interpreter per list:
     counts ``pr_lang.visits`` (a converged run's steps, else its budget);
   * ``ensure_entries``: calls of ``PrSet._ensure``, the descriptor memo's
     one way in, hits that return at once included;
+  * ``arity_checks``: calls of ``pr_lang._node_arity``, one per term node
+    checked, by the parser or at compile time;
   * ``memo_bits``: the bits held, after the list, by the memos of every
     set its jobs built, split by the generator that grew them
     (``memo_split.py``): ``pattern_fill_bits``, ``operand_fill_bits`` and
@@ -81,6 +83,12 @@ def install_counters(counts: dict) -> list:
         counts["loop_functions"] += name != "entry"
         return define(name, *args)
 
+    node_arity = pr_lang._node_arity
+
+    def counting_node_arity(*args):
+        counts["arity_checks"] += 1
+        return node_arity(*args)
+
     clocked, cost = pr_lang.eval_clocked, pr_lang.eval_cost
 
     def counting_clocked(t, args, budget):
@@ -94,6 +102,7 @@ def install_counters(counts: dict) -> list:
         return out
 
     pr_lang.compile, pr_lang._define = counting_compile, counting_define
+    pr_lang._node_arity = counting_node_arity
     pr_lang.eval_clocked, pr_lang.eval_cost = counting_clocked, counting_cost
 
     made, init, ensure = [], sets.PrSet.__init__, sets.PrSet._ensure
@@ -118,7 +127,8 @@ def child(kind: str, counted: bool) -> int:
     import speed
     keys, run, check = jobs(kind)
     counts = dict(compile_calls=0, loop_functions=0, source_bytes=0, visits=0,
-                  ensure_entries=0, memo_bits=0, pattern_fill_bits=0, operand_fill_bits=0)
+                  ensure_entries=0, arity_checks=0, memo_bits=0, pattern_fill_bits=0,
+                  operand_fill_bits=0)
     made = install_counters(counts) if counted else []
     outputs, durations, probes = [], [], []
     for k in keys:
@@ -161,7 +171,7 @@ def main() -> int:
                         "jobs": counters["jobs"], "failed": failed,
                         **{k: counters[k] for k in
                            ("compile_calls", "loop_functions", "source_bytes", "visits",
-                            "ensure_entries", "memo_bits", "pattern_fill_bits",
+                            "ensure_entries", "arity_checks", "memo_bits", "pattern_fill_bits",
                             "operand_fill_bits", "per_bit_bits")}}
     result.update({
         "repeats": REPEATS,
