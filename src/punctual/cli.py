@@ -17,7 +17,7 @@ import sys
 
 from . import constructions, lattice, reductions, sets
 from ._text import pair_lines, read_text, write_text
-from .errors import MisuseError, PunctualError, StageBudgetExhausted
+from .errors import MisuseError, StageBudgetExhausted
 from .pr_lang import TableProgram, resolve_program
 from .reductions import (
     check_reduction_prefix,
@@ -355,9 +355,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
-    except PunctualError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     return code
 
 

@@ -13,6 +13,7 @@ import pytest
 import punctual
 from punctual import pr_lang
 from punctual.cli import _check_bounds, build_parser, main
+from punctual.errors import MisuseError, ParseError, PunctualError, StageBudgetExhausted
 from punctual.sets import DEFAULT_CEILING
 
 FAMILY_TEXTS = [
@@ -229,6 +230,19 @@ class TestDiamondCli:
                          "--convention", "steps"], capsys)
         assert code == 0 and "count\t41" in out
 
+    def test_canonical_prints_its_case_and_counts(self, capsys):
+        code, out = run(["diamond", "canonical", "evens", "mod 3", "--horizon", "20",
+                         "--k", "2"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["case\t1", "good-stages\t4", "equilibria\t4"]
+
+    def test_restrict_with_both_operands(self, capsys):
+        code, out = run(["diamond", "restrict", "drop(evens)", "evens", "drop(evens)",
+                         "evens", "--horizon", "20"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["kind\tq-stage", "convention\tsteps", "count\t2",
+                                        "verdict\tevidence(1)", "hit\t0", "hit\t1"]
+
 
 class TestSlowCli:
     def test_make_and_check(self, capsys, family_file, tmp_path):
@@ -236,6 +250,25 @@ class TestSlowCli:
                          "--window", "6"], capsys)
         assert code == 0
         assert out.count("zero\t") == 7
+
+    def test_check_prints_a_verdict_per_member_and_stage(self, capsys, tmp_path):
+        fam = tmp_path / "two.fam"
+        fam.write_text("P[1,1]\nC(S; C(S; P[1,1]))\n")
+        code, out = run(["slow", "check", "evens", "--family", str(fam), "--window", "2"],
+                        capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "slow-on-window\tno",
+            *(f"verdict\tP[1,1]\t{n}\tok" for n in range(3)),
+            *(f"verdict\tC(S; C(S; P[1,1]))\t{n}\tfail" for n in range(3))]
+
+    def test_unknown_native_program_in_a_family_is_misuse(self, capsys, tmp_path):
+        fam = tmp_path / "nope.fam"
+        fam.write_text("P[1,1]\n@nope\n")
+        assert main(["slow", "make", "--family", str(fam), "--window", "2"]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err == "error: unknown native program @nope\n"
 
     def test_make_past_the_print_limit_is_misuse(self, capsys, tmp_path):
         # squared zeros pass the interpreter's 4,300-digit limit at zero 14
@@ -303,6 +336,26 @@ class TestConstructCli:
             fh.write("\n".join(lines) + "\n")
         code, out = run(["verify", trace], capsys)
         assert code == 1 and "divergence" in out
+
+    def test_antichain_writes_a_trace_per_member(self, capsys, family_file, tmp_path):
+        out_base = tmp_path / "anti.trace"
+        code, out = run(["construct", "antichain", "--count", "2", "--family", family_file,
+                         "--max-stages", "60", "--out", str(out_base)], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [f"trace\t{out_base}.0", "verdict\t0\tok",
+                                        f"trace\t{out_base}.1", "verdict\t1\tok"]
+        code, out = run(["verify", f"{out_base}.0"], capsys)
+        assert code == 0 and out.splitlines()[1:] == ["verify\tok\tok"]
+        # a later member's relations are opaque, so replay rejects its trace
+        assert main(["verify", f"{out_base}.1"]) == 1
+        assert capsys.readouterr().err == "error: relation R is not replayable: !opaque:R[S0]\n"
+
+    def test_antichain_of_no_member_is_misuse(self, capsys, family_file):
+        assert main(["construct", "antichain", "--count", "0", "--family", family_file,
+                     "--max-stages", "60"]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err == "error: antichain needs count >= 1\n"
 
     def test_missing_trace_is_io_error(self, capsys):
         assert main(["verify", "/nonexistent/path.trace"]) == 3
@@ -596,6 +649,8 @@ def test_deeply_nested_term_is_misuse(levels, where, capsys, tmp_path):
     ("mod 99999999999999999999999",
      "mod K needs K <= the index ceiling 200000, got 99999999999999999999999"),
     ("mod 1000000000", "mod K needs K <= the index ceiling 200000, got 1000000000"),
+    ("blocks 200001", "blocks K needs K <= the index ceiling 200000, got 200001"),
+    ('term "P\u00e9" bound "S"', "term text must be ASCII"),
     ('term "P[100000000000000000000,1]" bound "S"',
      "projection P[100000000000000000000,1] needs n <= 4096 (at position 6)"),
     ('term "P[1000000000,1]" bound "S"',
@@ -637,6 +692,28 @@ def test_trace_descriptor_unknown_output_is_misuse(capsys):
     assert main(["profile", f"trace {golden}:Nope", "--horizon", "4"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: trace {golden} has no output 'Nope'; its outputs are Y0, Y1\n"
+
+
+def test_quoted_trace_path_may_hold_blanks(capsys, tmp_path):
+    golden = pathlib.Path(__file__).parent / "golden" / "join-split.once.trace"
+    trace = tmp_path / "a b" / "js.trace"
+    trace.parent.mkdir()
+    trace.write_bytes(golden.read_bytes())
+    for descriptor, rows in ((f'trace "{trace}"', ["0\t0\t0", "1\t1\t0", "2\t2\t0"]),
+                             (f'trace "{trace}:Y1"', ["0\t0\t0", "1\t0\t0", "2\t1\t0"])):
+        code, out = run(["profile", descriptor, "--horizon", "2"], capsys)
+        assert code == 0 and out.splitlines()[1:] == rows
+
+
+def test_every_library_error_maps_to_an_exit_code():
+    """main catches MisuseError (exit 1) and StageBudgetExhausted (exit 2),
+    so no other PunctualError may exist."""
+    def subclasses(cls):
+        return [sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))]
+
+    errors = subclasses(PunctualError)
+    assert ParseError in errors
+    assert all(issubclass(e, (MisuseError, StageBudgetExhausted)) for e in errors)
 
 
 def test_consecutive_calls_echo_their_own_config(capsys, family_file):

@@ -9,7 +9,13 @@ from conftest import BOUND_LINEAR, EVENS_TERM, serialize_by_records
 from test_cli import fuzz_mutation
 
 from punctual._text import decode_text
-from punctual.errors import ParseError, PreconditionFailed, PunctualError, StageBudgetExhausted
+from punctual.errors import (
+    NotCertified,
+    ParseError,
+    PreconditionFailed,
+    PunctualError,
+    StageBudgetExhausted,
+)
 from punctual.constructions import (
     CONSTRUCTIONS,
     _DenseMachine,
@@ -229,6 +235,30 @@ class TestDenseIncomparable:
         with pytest.raises(NotCertified):
             construct_dense_incomparable(evens_set(), evens_set(), evens_set(),
                                          {}, family6(), 100)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: construct_dense(_no_zero_member(), _no_zero_member(), None, [], 60),
+     PreconditionFailed, "density needs 0 in both input sets"),
+    (lambda: construct_dense(parse_set("meet(evens, mod 3)"), parse_set("join(evens, mod 3)"),
+                             [0] * 201, [], 60),
+     NotCertified, "supplied witness is not a reduction: "
+                   "reduction l=0 m=1 stage=200 left=0 right=1 images=(0, 0)"),
+    (lambda: construct_dense(parse_set("join(evens, mod 3)"), parse_set("meet(evens, mod 3)"),
+                             None, [], 60),
+     NotCertified, "no reduction witness and no profile domination"),
+    (lambda: construct_dense_incomparable(_no_zero_member(), _no_zero_member(),
+                                          _no_zero_member(), None, [], 60),
+     PreconditionFailed, "the middle set must contain 0"),
+    (lambda: construct_diamond(parse_set("meet(evens, mod 3)"), parse_set("join(evens, mod 3)"),
+                               [], 60, min_equilibria=4),
+     PreconditionFailed, "only 3 equilibrium points below 60"),
+], ids=["dense without 0", "dense witness", "dense domination", "middle without 0",
+        "diamond equilibria"])
+def test_builders_check_their_preconditions(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 class TestJoinSplit:
@@ -546,6 +576,32 @@ def _mode(mode):
     return lambda result: setattr(result, "name", f"{mode}-split")
 
 
+def _immune120():
+    return construct_immune(family6()[:3], 120)
+
+
+def _separator300():
+    fam = [NATIVE_REGISTRY["id"], NATIVE_REGISTRY["succ"]]
+    return construct_separator(evens_set(), make_nondiamond_below(
+        drop_least_zero(evens_set()), fam, 8), fam, 300)
+
+
+def _closed(case, witness):
+    """Give the first closed cycle another case and witness."""
+    def mutate(result):
+        label, e, _, _ = result.notes["closed"][0]
+        result.notes["closed"][0] = (label, e, case, witness)
+    return mutate
+
+
+def _member(name):
+    """Name another member in the first counterexample."""
+    def mutate(result):
+        label, cex, src, tgt = result.counterexamples[0]
+        result.counterexamples[0] = (label, dataclasses.replace(cex, member=name), src, tgt)
+    return mutate
+
+
 # run, mutation, the validators' failures; a validator that raises fails its
 # row.  The closes are: diamond Q0 10, P0 22, Q1 24, P1 34, then fillers to
 # 120; join-split at bits 3, 6, 9, ...; meet-split at bits 5, 7, 9, ...;
@@ -567,6 +623,16 @@ VALIDATOR_MUTANTS = {
         "counterexample in P0 no longer violates", "output Y1 does not hold 0"]),
     "diamond empty family bit 0": (partial(_diamond120, []), _flip("Y0 Y1", 0), [
         "output Y0 does not hold 0", "output Y1 does not hold 0"]),
+    "join-split unknown member": (_join60, _member("nope"), ["unknown member nope in P0"]),
+    "immune non-injectivity": (_immune120, _closed("case1", (3, 3, 0)),
+                               ["P0 non-injectivity witness fails"]),
+    "immune membership": (_immune120, _closed("case2", (0, 1)),
+                          ["P0 membership witness fails"]),
+    "separator cap": (_separator300, _flip("Z", 1), [
+        "separator cap fails at stage 1", "anti-diamond window fails for member 0 at k=2",
+        "anti-diamond window fails for member 0 at k=3"]),
+    "separator escapes": (_separator300, lambda result: result.notes["escapes"].pop(1),
+                          ["separator missed a member escape"]),
     "join-split mode differs": (_join60, _mode("meet"),
                                 ["meet of outputs differs from the input set"]),
     "join-split counts at close": (_join60, _flip("Y0", 4, 7), [

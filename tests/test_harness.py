@@ -1,0 +1,91 @@
+"""The bench harnesses' shared counting and result storage, tools/harness.py."""
+import json
+import pathlib
+import sys
+
+import pytest
+from conftest import BOUND_LINEAR, EVENS_TERM
+
+from punctual import reductions, sets
+from punctual.pr_lang import parse_term
+from punctual.sets import PrSet, parse_set, set_join, term_set
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tools"))
+import harness  # noqa: E402
+
+BITS = {"bit_calls": (PrSet, "bit")}
+
+
+def counted(read) -> dict:
+    counts = {}
+    with harness.counting(counts, BITS):
+        read()
+    return harness.with_per_bit(counts)
+
+
+def test_a_pattern_read_is_one_fill():
+    s = parse_set("join(evens, mod 3)")
+    assert counted(lambda: s.bit(100)) == {
+        "ensure_entries": 1, "memo_bits": 101, "pattern_fill_bits": 101,
+        "operand_fill_bits": 0, "bit_calls": 1, "per_bit_bits": 0}
+
+
+def test_term_reads_go_bit_by_bit_and_a_join_fills_from_their_memo():
+    t = term_set(parse_term(EVENS_TERM), parse_term(BOUND_LINEAR))
+    assert counted(lambda: [t.bit(n) for n in range(100)]) == {
+        "ensure_entries": 100, "memo_bits": 100, "pattern_fill_bits": 0,
+        "operand_fill_bits": 0, "bit_calls": 100, "per_bit_bits": 100}
+    # building the join reads bit 0 of each operand; reading it then grows
+    # mod 3's other 99 bits by a pattern fill and its own 100 from the
+    # operands' memos
+    j = set_join(parse_set("mod 3"), t)
+    assert counted(lambda: j.bit(99)) == {
+        "ensure_entries": 3, "memo_bits": 199, "pattern_fill_bits": 99,
+        "operand_fill_bits": 100, "bit_calls": 1, "per_bit_bits": 0}
+
+
+def test_counts_keep_their_order_and_given_keys():
+    counts = {"first": 7}
+    with harness.counting(counts, {"fallbacks": (reductions, "_parse_rows")}):
+        pass
+    assert list(counts.items()) == [("first", 7), ("ensure_entries", 0), ("memo_bits", 0),
+                                    ("pattern_fill_bits", 0), ("operand_fill_bits", 0),
+                                    ("fallbacks", 0)]
+
+
+def test_every_patched_attribute_is_restored():
+    spots = [(PrSet, "_ensure"), (sets._Pattern, "__call__"), (sets._MemoFill, "__call__"),
+             (PrSet, "bit"), (reductions, "_parse_rows")]
+    calls = {"bit_calls": spots[3], "fallbacks": spots[4]}
+    originals = [vars(owner)[name] for owner, name in spots]
+
+    def restored():
+        return all(vars(owner)[name] is original
+                   for (owner, name), original in zip(spots, originals))
+
+    counts = {}
+    with harness.counting(counts, calls):
+        assert not any(vars(owner)[name] is original
+                       for (owner, name), original in zip(spots, originals))
+        parse_set("evens").bit(3)
+    assert restored() and counts["bit_calls"] == counts["ensure_entries"] == 1
+    with pytest.raises(ZeroDivisionError):
+        with harness.counting({}, calls):
+            1 / 0
+    assert restored()
+
+
+def test_store_keeps_the_other_labels(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "ROOT", str(tmp_path))
+    path = tmp_path / "BENCH_x.json"
+    harness.store("x", "before", {"n": 1})
+    harness.store("x", "after", {"n": 2})
+    stored = json.loads(path.read_text())
+    assert stored["harness"] == "tools/bench_x.py"
+    assert list(stored["runs"]) == ["before", "after"]
+    assert [list(run) for run in stored["runs"].values()] == [["n", "machine"]] * 2
+    harness.store("x", "before", {"n": 3})
+    stored = json.loads(path.read_text())
+    assert [run["n"] for run in stored["runs"].values()] == [3, 2]
+    echoed = capsys.readouterr().out.split("\n}\n")
+    assert json.loads(echoed[-2] + "}") == {"before": stored["runs"]["before"]}

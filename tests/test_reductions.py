@@ -24,6 +24,7 @@ from punctual.reductions import (
     synth_p_from_reduction,
     synth_reduction_from_h,
     synth_reduction_from_p,
+    verify_claim,
 )
 from punctual.sets import (
     IdentityRelation,
@@ -34,6 +35,7 @@ from punctual.sets import (
     evens_set,
     mod_set,
     normal_form,
+    parse_set,
     prefix_set,
     set_join,
     set_meet,
@@ -272,6 +274,21 @@ class TestCertificatesAndFiles:
     def test_domination_refused(self):
         with pytest.raises(NotCertified):
             domination_certificate(evens_set(), drop_least_zero(evens_set()), 100)
+
+    @pytest.mark.parametrize("table, claim, low, high, message", [
+        ([0] * 11, "reduction", "evens", "mod 3",
+         "claimed reduction fails: reduction l=0 m=1 stage=10 left=0 right=1 images=(0, 0)"),
+        (list(range(11)), "growth-q", "evens", "mod 3", "unknown claim kind 'growth-q'"),
+        (list(range(11)), "growth-h", "mod 3", "evens", "claimed growth-h bound fails at s=2"),
+        (list(range(11)), "growth-p", "mod 3", "evens", "claimed growth-p bound fails at s=3"),
+    ])
+    def test_verify_claim_refuses(self, table, claim, low, high, message):
+        # the identity's growth claims hold from evens to mod 3, not back
+        low, high = parse_set(low), parse_set(high)
+        w = ReductionWitness(TableProgram(table), claim, low.name, high.name, 10)
+        with pytest.raises(NotCertified) as exc:
+            verify_claim(w, low, high, 10)
+        assert str(exc.value) == message
 
     def test_witness_file_round_trip(self):
         g = synth_reduction_from_h(evens_set(), mod_set(3), IDENTITY, 25)

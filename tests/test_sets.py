@@ -17,9 +17,11 @@ from punctual.errors import (
 from punctual.sets import (
     DEFAULT_CEILING,
     IdentityRelation,
+    PredicateRelation,
     Prefix,
     PrSet,
     SetRelation,
+    check_equivalence_sampled,
     drop_least_zero,
     evens_set,
     mod_set,
@@ -479,6 +481,15 @@ class TestTransversalAndNormalForm:
 
         with pytest.raises(NotEquivalence):
             principal_transversal(Bad(), 10)
+
+    @pytest.mark.parametrize("related, message", [
+        (lambda x, y: x == y != 7, "odd is not reflexive at 7"),
+        (lambda x, y: abs(x - y) <= 1, "odd is not transitive at (0,1,2)"),
+    ])
+    def test_sampled_check_names_the_failing_law(self, related, message):
+        with pytest.raises(NotEquivalence) as exc:
+            check_equivalence_sampled(PredicateRelation(related, "odd"), 10)
+        assert str(exc.value) == message
 
     def test_normal_form_evens(self):
         r = SetRelation(evens_set())

@@ -25,10 +25,12 @@ deterministic counters from one extra, untimed interpreter per list:
     one way in, hits that return at once included;
   * ``arity_checks``: calls of ``pr_lang._node_arity``, one per term node
     checked, by the parser or at compile time;
-  * ``memo_bits``: the bits held, after the list, by the memos of every
-    set its jobs built, split by the generator that grew them
-    (``memo_split.py``): ``pattern_fill_bits``, ``operand_fill_bits`` and
-    ``per_bit_bits``.
+  * ``memo_bits``: the bits the list's ``PrSet._ensure`` calls grew, split
+    by the generator that grew them: ``pattern_fill_bits``,
+    ``operand_fill_bits`` and ``per_bit_bits``.
+
+Every memo counter comes from ``tools/harness.py``, which also stores the
+result.
 
 The result is stored under ``--label`` in ``BENCH_compile.json`` at the
 root of the checkout, keeping the other labels there, so that two commits
@@ -38,13 +40,15 @@ can be compared by running this file against each one's ``src``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
+
+import harness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -52,6 +56,8 @@ LISTS = ("conv", "tset")
 REPEATS = 11
 SEED = 1
 SECONDS = 25
+COUNTERS = ("compile_calls", "loop_functions", "source_bytes", "visits", "ensure_entries",
+            "arity_checks", "memo_bits", "pattern_fill_bits", "operand_fill_bits", "per_bit_bits")
 
 
 def jobs(kind: str):
@@ -65,12 +71,12 @@ def jobs(kind: str):
     return [k for k in keys if k[0] == kind], run, lambda k, out: W.check(k, out, expected)
 
 
-def install_counters(counts: dict) -> list:
-    """Wrap the evaluator's compile(), its function definitions and its
-    clocked entry points, and the descriptor memo's growth; return the list
-    every new set is added to."""
-    import memo_split
-    from punctual import pr_lang, sets
+@contextlib.contextmanager
+def counters(counts: dict):
+    """A block that counts the evaluator's compile() calls, its function
+    definitions, its clocked visits and its arity checks, and the memo's
+    work (``tools/harness.py``)."""
+    from punctual import pr_lang
 
     def counting_compile(source, *args, **kwargs):
         counts["compile_calls"] += 1
@@ -82,12 +88,6 @@ def install_counters(counts: dict) -> list:
     def counting_define(name, *args):
         counts["loop_functions"] += name != "entry"
         return define(name, *args)
-
-    node_arity = pr_lang._node_arity
-
-    def counting_node_arity(*args):
-        counts["arity_checks"] += 1
-        return node_arity(*args)
 
     clocked, cost = pr_lang.eval_clocked, pr_lang.eval_cost
 
@@ -102,46 +102,28 @@ def install_counters(counts: dict) -> list:
         return out
 
     pr_lang.compile, pr_lang._define = counting_compile, counting_define
-    pr_lang._node_arity = counting_node_arity
     pr_lang.eval_clocked, pr_lang.eval_cost = counting_clocked, counting_cost
-
-    made, init, ensure = [], sets.PrSet.__init__, sets.PrSet._ensure
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    def counting_ensure(self, *args, **kwargs):
-        counts["ensure_entries"] += 1
-        return ensure(self, *args, **kwargs)
-
-    sets.PrSet.__init__, sets.PrSet._ensure = counting_init, counting_ensure
-    memo_split.count_fills(counts)
-    return made
+    with harness.counting(counts, {"arity_checks": (pr_lang, "_node_arity")}):
+        yield
 
 
 def child(kind: str, counted: bool) -> int:
     """Run one list in this interpreter; print its wall time or counters."""
     sys.path.insert(0, PERFBENCH)
-    import memo_split
     import speed
     keys, run, check = jobs(kind)
-    counts = dict(compile_calls=0, loop_functions=0, source_bytes=0, visits=0,
-                  ensure_entries=0, arity_checks=0, memo_bits=0, pattern_fill_bits=0,
-                  operand_fill_bits=0)
-    made = install_counters(counts) if counted else []
+    counts = dict.fromkeys(COUNTERS, 0)
     outputs, durations, probes = [], [], []
-    for k in keys:
+    with counters(counts) if counted else contextlib.nullcontext():
+        for k in keys:
+            probes.append(speed.probe())
+            start = time.perf_counter()
+            outputs.append(run(k))
+            durations.append(time.perf_counter() - start)
         probes.append(speed.probe())
-        start = time.perf_counter()
-        outputs.append(run(k))
-        durations.append(time.perf_counter() - start)
-    probes.append(speed.probe())
-    counts["memo_bits"] = sum(x.decided for x in made)
-    counts = memo_split.with_per_bit(counts)
     failed = sum(not check(k, out) for k, out in zip(keys, outputs))
     json.dump({"wall_s": sum(durations), "ref_s": sum(speed.scaled(durations, probes)),
-               "jobs": len(keys), "failed": failed, **counts}, sys.stdout)
+               "jobs": len(keys), "failed": failed, **harness.with_per_bit(counts)}, sys.stdout)
     return 0
 
 
@@ -163,34 +145,15 @@ def main() -> int:
         return child(args.child, args.counted)
     result = {}
     for kind in LISTS:
-        counters = spawn(kind, True)
+        counted = spawn(kind, True)
         runs = [spawn(kind, False) for _ in range(REPEATS)]
-        failed = max(r["failed"] for r in (counters, *runs))
+        failed = max(r["failed"] for r in (counted, *runs))
         result[kind] = {"median_s": round(statistics.median(r["wall_s"] for r in runs), 4),
                         "median_ref_s": round(statistics.median(r["ref_s"] for r in runs), 4),
-                        "jobs": counters["jobs"], "failed": failed,
-                        **{k: counters[k] for k in
-                           ("compile_calls", "loop_functions", "source_bytes", "visits",
-                            "ensure_entries", "arity_checks", "memo_bits", "pattern_fill_bits",
-                            "operand_fill_bits", "per_bit_bits")}}
-    result.update({
-        "repeats": REPEATS,
-        "seed": SEED,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
-                   f"Python {platform.python_version()}",
-    })
-    path = os.path.join(ROOT, "BENCH_compile.json")
-    try:
-        with open(path) as fh:
-            stored = json.load(fh)
-    except FileNotFoundError:
-        stored = {"harness": "tools/bench_compile.py", "runs": {}}
-    stored["runs"][args.label] = result
-    with open(path, "w") as fh:
-        json.dump(stored, fh, indent=2)
-        fh.write("\n")
-    json.dump({args.label: result}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+                        "jobs": counted["jobs"], "failed": failed,
+                        **{k: counted[k] for k in COUNTERS}}
+    result.update(repeats=REPEATS, seed=SEED)
+    harness.store("compile", args.label, result)
     return 0
 
 

@@ -11,7 +11,7 @@ median wall time over the repeats next to deterministic counters:
 records, trace bytes, full (generation-2) garbage collections from
 ``gc.get_stats()`` over all repeats, and, from one extra, untimed pass,
 each phase's ``PrSet._ensure`` entries and memo bits grown, split by the
-generator that grew them (``memo_split.py``), and its calls of
+generator that grew them (``tools/harness.py``), and its calls of
 ``PrSet.bit`` and of ``_Output.emit``, the per-bit input reads and output
 appends that stage machines reading memo columns avoid.  The result is stored under
 ``--label`` in ``BENCH_traces.json`` at the root of the checkout, keeping
@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
-import platform
 import statistics
 import sys
 import time
@@ -33,7 +31,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-import memo_split  # noqa: E402
+import harness  # noqa: E402
 import test_golden as G  # noqa: E402  (the golden cases and how each is run)
 
 from punctual import constructions, sets  # noqa: E402
@@ -75,46 +73,15 @@ def one_pass(names: list, after_phase=lambda phase: None) -> tuple:
 def counted_pass(names: list) -> dict:
     """Memo work of each phase: _ensure entries and memo bits grown, by
     generator, and the per-bit calls of PrSet.bit and _Output.emit."""
-    cls = sets.PrSet
-    ensure = cls._ensure
-    zero = dict(ensure_entries=0, memo_bits=0, pattern_fill_bits=0, operand_fill_bits=0,
-                bit_calls=0, emit_calls=0)
-    counts = dict(zero)
-    calls = {"bit_calls": (cls, "bit"), "emit_calls": (constructions._Output, "emit")}
-    saved = {key: getattr(owner, name) for key, (owner, name) in calls.items()}
-
-    def counting(key):
-        method = saved[key]
-
-        def call(self, *args):
-            counts[key] += 1
-            return method(self, *args)
-        return call
-
-    def counting_ensure(self, *args, **kwargs):
-        counts["ensure_entries"] += 1
-        before = len(self._bits)
-        try:
-            return ensure(self, *args, **kwargs)
-        finally:
-            counts["memo_bits"] += len(self._bits) - before
+    out, counts = {}, {}
 
     def after_phase(phase):
-        out[phase] = memo_split.with_per_bit(counts)
-        counts.update(zero)
+        out[phase] = harness.with_per_bit(counts)
+        counts.update(dict.fromkeys(counts, 0))
 
-    out = {}
-    cls._ensure = counting_ensure
-    for key, (owner, name) in calls.items():
-        setattr(owner, name, counting(key))
-    restore_fills = memo_split.count_fills(counts)
-    try:
+    with harness.counting(counts, {"bit_calls": (sets.PrSet, "bit"),
+                                   "emit_calls": (constructions._Output, "emit")}):
         one_pass(names, after_phase)
-    finally:
-        cls._ensure = ensure
-        for key, (owner, name) in calls.items():
-            setattr(owner, name, saved[key])
-        restore_fills()
     return out
 
 
@@ -135,21 +102,8 @@ def main() -> int:
         "total_median_s": round(statistics.median(sum(w.values()) for w, _, _ in runs), 4),
         "repeats": REPEATS,
         **counters,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
-                   f"Python {platform.python_version()}",
     }
-    path = os.path.join(ROOT, "BENCH_traces.json")
-    try:
-        with open(path) as fh:
-            stored = json.load(fh)
-    except FileNotFoundError:
-        stored = {"harness": "tools/bench_traces.py", "runs": {}}
-    stored["runs"][args.label] = result
-    with open(path, "w") as fh:
-        json.dump(stored, fh, indent=2)
-        fh.write("\n")
-    json.dump({args.label: result}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    harness.store("traces", args.label, result)
     return 0
 
 

@@ -26,7 +26,7 @@ starts, as a command-line call would:
 It reports each phase's median wall time over the repeats next to
 deterministic counters from one extra, untimed pass: ``PrSet._ensure``
 entries, ``PrSet.bit`` and ``PrSet.cum_cost`` calls, memo bits grown, split
-by the generator that grew them (``memo_split.py``), calls of the
+by the generator that grew them (``tools/harness.py``), calls of the
 per-row witness reader ``_parse_rows`` (``fallbacks``), and the reads
 made one Python call per point: ``pattern_point_reads``, the per-point
 step counts of a pattern set (``_Pattern._zeros_below``, or
@@ -41,10 +41,7 @@ this file against each one's ``src``.
 from __future__ import annotations
 
 import argparse
-import collections
-import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
@@ -54,7 +51,7 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import memo_split  # noqa: E402
+import harness  # noqa: E402
 import workloads as W  # noqa: E402  (the pairs and the inputs they read)
 
 from punctual import lattice, pr_lang, reductions, sets  # noqa: E402
@@ -67,6 +64,13 @@ PROGRAMS = (pr_lang.NativeProgram, pr_lang.TableProgram, pr_lang.FloorTableProgr
 # the per-point step count of a pattern: a column's sparse case, or every
 # point in a source without steps columns
 PATTERN_POINT = "_zeros_below" if "_zeros_below" in vars(sets._Pattern) else "zeros_by_steps"
+CALLS = {"bit_calls": (sets.PrSet, "bit"), "cum_cost_calls": (sets.PrSet, "cum_cost"),
+         "fallbacks": (reductions, "_parse_rows"),
+         "pattern_point_reads": (sets._Pattern, PATTERN_POINT),
+         **{prog.__name__: (prog, "value") for prog in PROGRAMS}}
+# the counters of each phase, in the order they are stored
+COUNTERS = ("ensure_entries", "bit_calls", "cum_cost_calls", "memo_bits", "pattern_fill_bits",
+            "operand_fill_bits", "fallbacks", "pattern_point_reads", "per_bit_bits")
 
 
 def fresh_pairs() -> list:
@@ -130,73 +134,19 @@ def counted_pass(items: list) -> dict:
     """Memo work of each phase: _ensure entries, bit and cum_cost calls,
     memo growth by generator, per-row reader calls, per-point pattern and
     program reads; rows and text bytes of the text phases."""
-    cls = sets.PrSet
-    ensure, bit, cum_cost, parse_rows = cls._ensure, cls.bit, cls.cum_cost, reductions._parse_rows
-    zero = dict(ensure_entries=0, bit_calls=0, cum_cost_calls=0, memo_bits=0,
-                pattern_fill_bits=0, operand_fill_bits=0, fallbacks=0, pattern_point_reads=0)
-    counts = dict(zero)
-    program_reads = collections.Counter()
-    pattern_point = getattr(sets._Pattern, PATTERN_POINT)
-    values = {prog: vars(prog)["value"] for prog in PROGRAMS}
-
-    def counting_ensure(self, *args, **kwargs):
-        counts["ensure_entries"] += 1
-        before = len(self._bits)
-        try:
-            return ensure(self, *args, **kwargs)
-        finally:
-            counts["memo_bits"] += len(self._bits) - before
-
-    def counting_bit(self, n):
-        counts["bit_calls"] += 1
-        return bit(self, n)
-
-    def counting_cum_cost(self, n):
-        counts["cum_cost_calls"] += 1
-        return cum_cost(self, n)
-
-    def counting_parse_rows(*args):
-        counts["fallbacks"] += 1
-        return parse_rows(*args)
-
-    def counting_pattern_point(self, s):
-        counts["pattern_point_reads"] += 1
-        return pattern_point(self, s)
-
-    def counting_value(prog):
-        def value(self, x):
-            program_reads[prog.__name__] += 1
-            return values[prog](self, x)
-        return value
-
     out = {}
-    cls._ensure, cls.bit, cls.cum_cost = counting_ensure, counting_bit, counting_cum_cost
-    reductions._parse_rows = counting_parse_rows
-    setattr(sets._Pattern, PATTERN_POINT, counting_pattern_point)
-    for prog in PROGRAMS:
-        prog.value = counting_value(prog)
-    restore_fills = memo_split.count_fills(counts)
-    try:
-        for name, fn in PHASES.items():
-            pairs = fresh_pairs()
-            counts.update(zero)
-            program_reads.clear()
+    for name, fn in PHASES.items():
+        pairs, counts = fresh_pairs(), {}
+        with harness.counting(counts, CALLS):
             for (x, y), h, item in zip(pairs, horizons(), items):
                 fn(x, y, h, item)
-            out[name] = memo_split.with_per_bit(counts)
-            out[name]["program_point_reads"] = {p.__name__: program_reads[p.__name__]
-                                                for p in PROGRAMS}
-            if name in TEXT_PHASES:
-                out[name].update(
-                    rows=sum(w.horizon + 1 for item in items for w in item.witnesses),
-                    text_bytes=sum(map(len, (text for item in items for text in item.texts))))
-    finally:
-        cls._ensure, cls.bit, cls.cum_cost = ensure, bit, cum_cost
-        reductions._parse_rows = parse_rows
-        setattr(sets._Pattern, PATTERN_POINT, pattern_point)
-        for prog in PROGRAMS:
-            prog.value = values[prog]
-        restore_fills()
+        counts = harness.with_per_bit(counts)
+        out[name] = {key: counts[key] for key in COUNTERS}
+        out[name]["program_point_reads"] = {p.__name__: counts[p.__name__] for p in PROGRAMS}
+        if name in TEXT_PHASES:
+            out[name].update(
+                rows=sum(w.horizon + 1 for item in items for w in item.witnesses),
+                text_bytes=sum(map(len, (text for item in items for text in item.texts))))
     return out
 
 
@@ -228,21 +178,8 @@ def main() -> int:
         "repeats": REPEATS,
         "pairs": len(W.PAIRS),
         "horizons": list(HORIZONS),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
-                   f"Python {platform.python_version()}",
     }
-    path = os.path.join(ROOT, "BENCH_witness.json")
-    try:
-        with open(path) as fh:
-            stored = json.load(fh)
-    except FileNotFoundError:
-        stored = {"harness": "tools/bench_witness.py", "runs": {}}
-    stored["runs"][args.label] = result
-    with open(path, "w") as fh:
-        json.dump(stored, fh, indent=2)
-        fh.write("\n")
-    json.dump({args.label: result}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    harness.store("witness", args.label, result)
     return 0
 
 
