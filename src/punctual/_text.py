@@ -8,7 +8,6 @@ per-line readers, which name the first bad line of a block that
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 
 from .errors import ParseError
@@ -79,7 +78,10 @@ def pair_lines(items) -> str:
 
 
 def digest(lines) -> str:
-    """The first 16 hex digits of the SHA-256 of lines joined by newlines."""
+    """The first 16 hex digits of the SHA-256 of lines joined by newlines.
+    ``hashlib`` is imported here, so a command that hashes nothing does not
+    pay for loading OpenSSL."""
+    import hashlib
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 

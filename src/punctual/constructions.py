@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, product, zip_longest
 from operator import gt, le
@@ -96,15 +95,17 @@ class StageRecord(NamedTuple):
     events: tuple              # strings
 
 
-@dataclass
 class Trace:
-    header: list               # ordered (key, value) pairs; keys may repeat
-    stages: Sequence = field(default_factory=list)  # range(n) for a run, else a list
-    cycles: list = field(default_factory=list)
-    phases: list = field(default_factory=list)
-    events: dict = field(default_factory=dict)      # record index -> events; none empty
-    columns: dict = field(default_factory=dict)     # output name -> bits
-    footer: list = field(default_factory=list)
+    def __init__(self, header: list, stages: Sequence = None, cycles: list = None,
+                 phases: list = None, events: dict = None, columns: dict = None,
+                 footer: list = None):
+        self.header = header  # ordered (key, value) pairs; keys may repeat
+        self.stages = [] if stages is None else stages  # range(n) for a run, else a list
+        self.cycles = [] if cycles is None else cycles
+        self.phases = [] if phases is None else phases
+        self.events = {} if events is None else events  # record index -> events; none empty
+        self.columns = {} if columns is None else columns  # output name -> bits
+        self.footer = [] if footer is None else footer
 
     @property
     def records(self) -> list:
@@ -228,15 +229,16 @@ def parse_trace(text: str) -> Trace:
     return Trace(header, *_parse_records(lines, first), footer)
 
 
-@dataclass
 class ConstructionResult:
-    name: str
-    outputs: dict
-    trace: Trace
-    counterexamples: list      # (cycle, Counterexample, source role, target role)
-    inputs: dict = field(default_factory=dict)      # role -> set, as the header lists them
-    witnesses: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)       # evidence the validator re-checks
+    def __init__(self, name: str, outputs: dict, trace: Trace, counterexamples: list,
+                 inputs: dict = None, witnesses: dict = None, notes: dict = None):
+        self.name = name
+        self.outputs = outputs
+        self.trace = trace
+        self.counterexamples = counterexamples  # (cycle, Counterexample, source role, target role)
+        self.inputs = {} if inputs is None else inputs  # role -> set, as the header lists them
+        self.witnesses = {} if witnesses is None else witnesses
+        self.notes = {} if notes is None else notes  # evidence the validator re-checks
 
     def output(self) -> PrSet:
         """The first output set."""
@@ -340,16 +342,18 @@ def _schedule(kinds: Sequence[str], family_size: int, policy: str,
             return
 
 
-@dataclass
 class _Cycle:
     """An open requirement cycle; fillers have no member and no watch."""
-    label: str
-    kind: str
-    member: Optional[int]
-    relation: int
-    watch: object              # per-cycle detector state
-    phase: str
-    opened: int
+
+    def __init__(self, label: str, kind: str, member: Optional[int], relation: int,
+                 watch: object, phase: str, opened: int):
+        self.label = label
+        self.kind = kind
+        self.member = member
+        self.relation = relation
+        self.watch = watch  # per-cycle detector state
+        self.phase = phase
+        self.opened = opened
 
 
 class _Machine:
@@ -1249,8 +1253,7 @@ def _finish(result: ConstructionResult) -> None:
 # Registry
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """How the command line, replay and validation reach one construction.
 
     ``build`` is called as ``build(*inputs, family=, max_stages=, policy=)``

@@ -10,9 +10,8 @@ No verdict claims the limit property.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._text import digest, pair_lines
 from .errors import CaseUndetermined, NotCertified
@@ -41,14 +40,14 @@ def family_hash(family: Sequence[ClockedProgram]) -> str:
 # Equilibrium points
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     convention: str
     horizon: int
     points: tuple
 
     @property
     def count(self) -> int:
+        """The number of points; it hides ``tuple.count``."""
         return len(self.points)
 
 
@@ -65,8 +64,7 @@ def equilibrium_points(x: PrSet, y: PrSet, horizon: int,
 # Diamond evidence
 
 
-@dataclass(frozen=True)
-class DiamondEvidence:
+class DiamondEvidence(NamedTuple):
     kind: str                  # q-stage | r-principal
     pair: tuple
     hits: tuple
@@ -78,6 +76,7 @@ class DiamondEvidence:
 
     @property
     def count(self) -> int:
+        """The number of hits; it hides ``tuple.count``."""
         return len(self.hits)
 
 
@@ -133,17 +132,19 @@ def diamond_evidence_r(x: PrSet, y: PrSet, r, window: tuple,
 # Canonical witnesses (the profile-smoothing construction)
 
 
-@dataclass
 class CanonicalWitness:
-    x_star: PrSet
-    y_star: PrSet
-    case: int
-    good_stage_count: int
-    equilibrium_count: int
-    certificates: dict
-    monotonized: bool
-    horizon: int
-    d_table: Optional[tuple] = None
+    def __init__(self, x_star: PrSet, y_star: PrSet, case: int, good_stage_count: int,
+                 equilibrium_count: int, certificates: dict, monotonized: bool,
+                 horizon: int, d_table: Optional[tuple] = None):
+        self.x_star = x_star
+        self.y_star = y_star
+        self.case = case
+        self.good_stage_count = good_stage_count
+        self.equilibrium_count = equilibrium_count
+        self.certificates = certificates
+        self.monotonized = monotonized
+        self.horizon = horizon
+        self.d_table = d_table
 
 
 def _monotonize(prog: ClockedProgram, horizon: int) -> tuple[list[int], bool]:
@@ -322,8 +323,7 @@ def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
 # Slow sets and anti-diamond constructions
 
 
-@dataclass(frozen=True)
-class SlownessCertificate:
+class SlownessCertificate(NamedTuple):
     set_name: str
     family: tuple
     window: tuple
@@ -404,8 +404,7 @@ def make_nondiamond_below(y: PrSet, family: Sequence[ClockedProgram],
 # Drop-one bounds
 
 
-@dataclass(frozen=True)
-class DropBoundVerdict:
+class DropBoundVerdict(NamedTuple):
     pair: tuple
     horizon: int
     diamond_side_stages: tuple     # stages with target count >= source count

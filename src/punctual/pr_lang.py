@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -72,22 +71,52 @@ COST_MODEL = "visits/1"
 # Terms
 
 
-@dataclass(frozen=True)
-class Zero:
+# Sets a field past a node's __setattr__; unlike a write to its __dict__,
+# it leaves the instance's attributes in their compact, shared-key form.
+_set = object.__setattr__
+
+
+class _Node:
+    """A term node.  Its fields are fixed once built; the evaluator keeps
+    what it derives from a node (``_code``, ``_arity``, ``_text``,
+    ``_unary``, ``_hash``) in its ``__dict__``.  A leaf with no field
+    equals every leaf of its class."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class Zero(_Node):
     def __repr__(self):
         return "Zero"
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(_Node):
     def __repr__(self):
         return "Succ"
 
 
-@dataclass(frozen=True)
-class Proj:
-    n: int
-    i: int
+class Proj(_Node):
+    def __init__(self, n: int, i: int):
+        _set(self, "n", n)
+        _set(self, "i", i)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.i == other.i
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.i))
 
     def __repr__(self):
         return f"Proj({self.n},{self.i})"
@@ -103,14 +132,19 @@ def _hash_once(t, fields: tuple) -> int:
     h = t.__dict__.get("_hash")
     if h is None:
         h = hash(fields)
-        object.__setattr__(t, "_hash", h)
+        _set(t, "_hash", h)
     return h
 
 
-@dataclass(frozen=True)
-class Comp:
-    outer: "PrTerm"
-    inners: tuple
+class Comp(_Node):
+    def __init__(self, outer: "PrTerm", inners: tuple):
+        _set(self, "outer", outer)
+        _set(self, "inners", inners)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.outer, self.inners) == (other.outer, other.inners)
+        return NotImplemented
 
     def __hash__(self):
         return _hash_once(self, (self.outer, self.inners))
@@ -119,10 +153,15 @@ class Comp:
         return f"Comp({self.outer!r},{list(self.inners)!r})"
 
 
-@dataclass(frozen=True)
-class PrimRec:
-    base: "PrTerm"
-    step: "PrTerm"
+class PrimRec(_Node):
+    def __init__(self, base: "PrTerm", step: "PrTerm"):
+        _set(self, "base", base)
+        _set(self, "step", step)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.step) == (other.base, other.step)
+        return NotImplemented
 
     def __hash__(self):
         return _hash_once(self, (self.base, self.step))
@@ -160,7 +199,7 @@ def _built(t: PrTerm, n: int) -> PrTerm:
     """t, keeping n as its checked arity: the one ``_checked_arity`` found,
     or the one computed where t was built well formed (by the parser,
     ``decode`` or ``coerce_arity`` over a checked term)."""
-    object.__setattr__(t, "_arity", n)
+    _set(t, "_arity", n)
     return t
 
 
@@ -238,7 +277,7 @@ def serialize(t: PrTerm) -> str:
                 text = f"C({serialize(t.outer)}; {', '.join(map(serialize, t.inners))})"
             else:
                 text = f"R({serialize(t.base)}; {serialize(t.step)})"
-            object.__setattr__(t, "_text", text)
+            _set(t, "_text", text)
         return text
     if isinstance(t, Zero):
         return "Z"
@@ -400,9 +439,12 @@ class Converged(NamedTuple):
     steps: int
 
 
-@dataclass(frozen=True)
-class OutOfBudget:
-    pass
+class OutOfBudget(_Node):
+    """A clocked run stopped by its budget: a leaf with no field, as
+    ``Zero`` is, not a term; ``eval_clocked`` returns ``OUT_OF_BUDGET``."""
+
+    def __repr__(self):
+        return "OutOfBudget()"
 
 
 StepOutcome = Union[Converged, OutOfBudget]
@@ -619,7 +661,7 @@ def _compiled_for(t: PrTerm, args: Sequence[int]) -> Callable:
     code = t.__dict__.get("_code")
     if code is None:
         code = _compiled(t)
-        object.__setattr__(t, "_code", code)
+        _set(t, "_code", code)
     n, fn = code
     if len(args) != n:
         raise ArityError(f"term of arity {n} applied to {len(args)} arguments")
@@ -679,7 +721,7 @@ def unary_wrap(t: PrTerm) -> PrTerm:
     if wrapped is None:
         wrapped = coerce_arity(t, 1)
         if wrapped is not t:
-            object.__setattr__(t, "_unary", wrapped)
+            _set(t, "_unary", wrapped)
     return wrapped
 
 

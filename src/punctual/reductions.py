@@ -14,10 +14,9 @@ clocked convergence is monotone, a fired pair stays fired forever.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import gt, lt, mul, not_
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ._text import columns, decimals, integers, pair_lines, pairs, read_text, rows
 from .errors import (
@@ -32,24 +31,24 @@ from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
 from .sets import DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation
 
 
-@dataclass
 class ReductionWitness:
     """A clocked program plus the certificate kind it claims."""
 
-    program: ClockedProgram
-    claim: str                 # reduction | growth-h | growth-p | rate-r
-    source: str
-    target: str
-    horizon: int
-    convention: str = "index"
-    verified: bool = False
+    def __init__(self, program: ClockedProgram, claim: str, source: str, target: str,
+                 horizon: int, convention: str = "index", verified: bool = False):
+        self.program = program
+        self.claim = claim  # reduction | growth-h | growth-p | rate-r
+        self.source = source
+        self.target = target
+        self.horizon = horizon
+        self.convention = convention
+        self.verified = verified
 
     def value(self, x: int) -> int:
         return self.program.value(x)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     flavor: str                # R_to_RY | RY_to_R | RX_to_RY | reduction
     l: int
     m: int
@@ -489,8 +488,7 @@ def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
 # Immunity evidence
 
 
-@dataclass(frozen=True)
-class PreImmuneVerdict:
+class PreImmuneVerdict(NamedTuple):
     member: str
     injective: bool
     collision: Optional[tuple]

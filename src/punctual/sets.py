@@ -83,7 +83,6 @@ import bisect
 import math
 import re
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, cycle, islice, repeat
 from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -126,9 +125,24 @@ _FILL_MIN = 32
 # Finite binary strings
 
 
-@dataclass(frozen=True)
 class Prefix:
-    bits: tuple
+    """A finite binary string: ``bits`` is a tuple of 0s and 1s, fixed once
+    built."""
+
+    def __init__(self, bits: tuple):
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.bits == other.bits if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.bits,))
+
+    def __repr__(self):
+        return f"Prefix(bits={self.bits!r})"
 
     def __len__(self):
         return len(self.bits)

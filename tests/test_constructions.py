@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import pathlib
 import random
 from functools import partial
@@ -421,8 +420,7 @@ class TestDetector:
                 assert det.scan(s, source, target) == (want is not None), (run, s)
                 if want is not None:
                     # the detector names the member; the public scan does not
-                    assert det.extract(s, source, target) == dataclasses.replace(
-                        want, member=prog.name)
+                    assert det.extract(s, source, target) == want._replace(member=prog.name)
                     if first is None:
                         first = s
             first_hits.append(first)
@@ -598,7 +596,7 @@ def _member(name):
     """Name another member in the first counterexample."""
     def mutate(result):
         label, cex, src, tgt = result.counterexamples[0]
-        result.counterexamples[0] = (label, dataclasses.replace(cex, member=name), src, tgt)
+        result.counterexamples[0] = (label, cex._replace(member=name), src, tgt)
     return mutate
 
 

@@ -2051,7 +2051,7 @@ def test_check_reduction_prefix_with_a_fragile_carrier(k):
                          (lambda: (other(), SetRelation(fragile(k))))):
                 want = outcome(ref_check_upward, f, *make(), n)
                 assert outcome(reductions.check_reduction_prefix, f, *make(), n) == want
-                kinds.add(want[0] if isinstance(want, tuple) else type(want))
+                kinds.add(want[0] if type(want) is tuple else type(want))
     assert kinds >= {PunctualityViolation, Counterexample}
 
 

@@ -1,4 +1,5 @@
-"""The bench harnesses' shared counting and result storage, tools/harness.py."""
+"""The bench harnesses' shared counting and result storage, tools/harness.py,
+and the line counter tools/src_lines.py."""
 import json
 import pathlib
 import sys
@@ -12,6 +13,7 @@ from punctual.sets import PrSet, parse_set, set_join, term_set
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tools"))
 import harness  # noqa: E402
+import src_lines  # noqa: E402
 
 BITS = {"bit_calls": (PrSet, "bit")}
 
@@ -89,3 +91,16 @@ def test_store_keeps_the_other_labels(tmp_path, monkeypatch, capsys):
     assert [run["n"] for run in stored["runs"].values()] == [3, 2]
     echoed = capsys.readouterr().out.split("\n}\n")
     assert json.loads(echoed[-2] + "}") == {"before": stored["runs"]["before"]}
+
+
+def test_src_lines_counts_a_package_and_refuses_an_empty_directory(tmp_path, capsys):
+    (tmp_path / "mod.py").write_text('"""Doc."""\n\nx = 1  # one\n# alone\n')
+    (tmp_path / "notes.txt").write_text("x = 2\n")
+    assert src_lines.main(["src_lines.py", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["mod.py", "4", "1", "1", "1", "1"]
+    assert out[2].split() == ["total", "4", "1", "1", "1", "1"]
+    (tmp_path / "mod.py").unlink()
+    assert src_lines.main(["src_lines.py", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: no *.py file in {tmp_path}\n"

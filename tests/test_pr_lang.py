@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import weakref
@@ -707,7 +706,7 @@ class TestSharedTerms:
                 (Proj(3, 1), (p2, p1, p2), r"mixed arities \[1, 2\]"),
                 (Proj(2, 1), (bad_proj, bad_proj), r"P\[1,3\] needs 1 <= i <= n"),
                 (Proj(2, 1), (Zero(), Zero()), "inners cannot be 0-ary")]:
-            distinct = tuple(map(dataclasses.replace, inners))
+            distinct = tuple(map(rebuilt, inners))
             for kids in (inners, distinct):
                 with pytest.raises(ArityError, match=message) as info:
                     validate(Comp(outer, kids), 11)
@@ -721,7 +720,7 @@ def rebuilt(t):
         return Comp(rebuilt(t.outer), tuple(map(rebuilt, t.inners)))
     if isinstance(t, PrimRec):
         return PrimRec(rebuilt(t.base), rebuilt(t.step))
-    return dataclasses.replace(t)
+    return Proj(t.n, t.i) if isinstance(t, Proj) else type(t)()
 
 
 def nodes(t):

@@ -13,7 +13,8 @@ Each line of every ``*.py`` file under ``SRC_DIR`` (default
 
 Docstrings are found from the syntax tree (the string that opens a body),
 comments from the tokenizer, so a ``#`` inside a string is not a comment.
-The table is printed with one row per module and a total row.
+The table is printed with one row per module and a total row; a
+directory that holds no ``*.py`` file is an error (exit 1).
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ def main(argv: list) -> int:
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 rows[name] = count(fh.read())
+    if not rows:
+        print(f"error: no *.py file in {src}", file=sys.stderr)
+        return 1
     rows["total"] = {k: sum(r[k] for r in rows.values()) for k in KINDS}
     width = max(map(len, rows))
     print(f"{'module':<{width}}  {'lines':>6}" + "".join(f"  {k:>9}" for k in KINDS))
