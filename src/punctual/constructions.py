@@ -700,6 +700,11 @@ class _DenseMachine(_Machine):
                                            inputs[self.q_role]))
         self.tp_bits: list = []     # prefix of the P-side detector target
         self.tq_bits: list = []     # prefix of the Q-side detector source
+        # after the last close no detector reads a side, so a fallback stage
+        # reads only the sides that can still raise: sets not read ahead
+        # through max_stages, whose reader is ``bit``
+        self.unsettled = [s.bit for s in (inputs[self.p_role], inputs[self.q_role])
+                          if s.decided <= max_stages]
 
     def _track(self, stage):
         self.tp_bits.append(self.tp_bit(stage))
@@ -710,7 +715,8 @@ class _DenseMachine(_Machine):
         self._track(0)
 
     def fallback(self, stage, events):
-        self._track(stage)
+        for read in self.unsettled:
+            read(stage)
         y, b = self.y, self.z_bit(stage)
         y.bits.append(b)
         y.zero_count += 1 - b
@@ -1292,20 +1298,39 @@ def save_trace(result: ConstructionResult, path) -> None:
     _text.write_text(path, result.trace.serialize())
 
 
+# Trace texts whose outputs load_trace_set keeps parsed, least recently
+# used first out.  An entry holds its text and 8 bytes per output bit: 11.6
+# MB for a join-split at the 200,000-stage ceiling, whose text is 8.4 MB.
+_TRACE_TEXTS = 16
+
+
+@functools.lru_cache(maxsize=_TRACE_TEXTS)
+def _trace_outputs(text: str) -> tuple:
+    """A trace text's output names, in header order, and each one's bits as
+    a tuple; a malformed text raises, and raises again on the next call."""
+    trace = parse_trace(text)
+    outputs = tuple(_required(trace, "outputs").split(","))
+    return outputs, tuple(tuple(trace.columns.get(n, ())) for n in outputs)
+
+
 def load_trace_set(path: str) -> PrSet:
-    """Rebuild a constructed set from a trace file (for the DSL)."""
+    """Rebuild a constructed set from a trace file (for the DSL).
+
+    The file is read on every call and its text is the key of the parse:
+    a text among the last ``_TRACE_TEXTS`` parsed is not parsed again, a
+    rewritten file parses afresh, and a malformed text raises on every
+    call.  Each call builds a fresh set over the kept bits."""
     name = None
     if ":" in str(path) and not str(path).endswith(":"):
         base, _, maybe = str(path).rpartition(":")
         if maybe.isidentifier():
             path, name = base, maybe
-    trace = parse_trace(_text.read_text(path))
-    outputs = _required(trace, "outputs").split(",")
+    outputs, columns = _trace_outputs(_text.read_text(path))
     pick = name or outputs[0]
     if pick not in outputs:
         raise ParseError(f"trace {path} has no output {pick!r}; "
                          f"its outputs are {', '.join(outputs)}")
-    bits = trace.columns.get(pick, [])
+    bits = columns[outputs.index(pick)]
     if not {0, 1}.issuperset(bits):
         i = next(i for i, b in enumerate(bits) if b not in (0, 1))
         raise ParseError(f"trace {path} output {pick} bit {i} is {bits[i]}, not 0 or 1")

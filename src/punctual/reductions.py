@@ -27,7 +27,7 @@ from .errors import (
     PreconditionFailed,
     WitnessBoundViolated,
 )
-from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
+from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram, TermProgram
 from .sets import DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation
 
 
@@ -208,10 +208,15 @@ def _least_violation(flavor: str, p: ClockedProgram, source, target, s: int,
     domain = s + 1 if isinstance(source, Relation) else len(source)
     images = None if isinstance(target, Relation) else len(target)
     conv = {}
-    for x in range(domain):
-        v = p.converges_within(x, s)
-        if v is not None and (images is None or v < images):
-            conv[x] = v
+    if isinstance(p, TermProgram):      # value and cost from one run per point
+        for x, (v, c) in enumerate(map(p._run, range(domain))):
+            if c < s and (images is None or v < images):
+                conv[x] = v
+    else:
+        for x in range(domain):
+            v = p.converges_within(x, s)
+            if v is not None and (images is None or v < images):
+                conv[x] = v
     pair = _PAIR_PREDICATES[flavor]
     for l, vl in conv.items():
         for m, vm in conv.items():

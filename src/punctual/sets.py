@@ -39,11 +39,14 @@ n + 1), and ``drop``, the zero-member override, join and meet over pattern
 sets while their head plus period stays within ``_PATTERN_MAX`` bits:
 ``drop`` and the override flip one bit of the operand's pattern, and join
 and meet read one pass over the operands' patterns (``_lattice_pattern``),
-unless a unit-cost operand costs more than the n + 1 one.  Every other
-``drop``, override, join and meet fills from its operands' memos (one bit
-flipped, or the max or min of the normalised zero counts) and reaches as
-far as its least operand, where a set reaches to the further of its memo
-and its fill.  Term-backed sets, normal-form carriers and zero-list sets
+unless a unit-cost operand costs more than the n + 1 one.  Such a pattern
+is built once while it stays among the last ``_LATTICE_PATTERNS`` built,
+kept by the operands' heads, periods and costs, the pick and
+``_PATTERN_MAX``; the sets built over it share it, each with its own
+memo.  Every other ``drop``, override, join and meet fills from its
+operands' memos (one bit flipped, or the max or min of the normalised
+zero counts) and reaches as far as its least operand, where a set
+reaches to the further of its memo and its fill.  Term-backed sets, normal-form carriers and zero-list sets
 have no fill, so a set derived over one has a bounded reach.  Within its
 reach a fill cannot raise, and a bounded one only slices memos.
 
@@ -83,6 +86,7 @@ import bisect
 import math
 import re
 import sys
+from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
 from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -112,6 +116,12 @@ DEFAULT_CEILING = 200_000
 # benchmark lists read these sets to bit 2,001 at most, over spans of at
 # most 2,003, so the cap sits where a 2,000-bit read breaks even.
 _PATTERN_MAX = 1 << 12
+
+# Join and meet patterns kept by their operands' patterns, pick and
+# _PATTERN_MAX, least recently used first out.  The benchmark lists build 9
+# distinct ones per process at most; an entry holds three patterns of at
+# most _PATTERN_MAX bits, about 0.4 MB with every zero-count table built.
+_LATTICE_PATTERNS = 16
 
 # A fill costs a fixed few microseconds before its first bit, so extensions
 # shorter than this many bits keep the per-bit loop.  Measured on the seed-1
@@ -444,6 +454,15 @@ class _Pattern:
         self.head, self.period, self.unit_cost, self.extra = head, period, unit_cost, extra
         self._ones = None   # members among the first j bits, j up to head + period
 
+    def __eq__(self, other):
+        return isinstance(other, _Pattern) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return self.head, self.period, self.unit_cost, self.extra
+
     def bit(self, n: int) -> int:
         h = len(self.head)
         return self.head[n] if n < h else self.period[(n - h) % len(self.period)]
@@ -533,15 +552,26 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
     it keeps its sign, pick keeps one operand's count, so the bits are that
     operand's.
     """
-    if px is None or py is None:
+    # an operand past the cap makes no pattern and stays out of the cache,
+    # so an entry holds three patterns of at most _PATTERN_MAX bits
+    if (px is None or py is None or len(px.head) + len(px.period) > _PATTERN_MAX
+            or len(py.head) + len(py.period) > _PATTERN_MAX):
         return None
+    return _lattice_pattern_of(px, py, pick, _PATTERN_MAX)
+
+
+@lru_cache(maxsize=_LATTICE_PATTERNS)
+def _lattice_pattern_of(px: _Pattern, py: _Pattern, pick, cap: int) -> _Pattern | None:
+    """_lattice_pattern under the cap ``_PATTERN_MAX``, kept by the
+    operands' fields, pick and cap: sets share the pattern, which is
+    immutable (its ``_ones`` is derived), and each keeps its own memo."""
     unit, other = (px, py) if px.unit_cost else (py, px)
     if unit.unit_cost and not other.unit_cost and unit.extra > other.extra:
         return None
     h = max(len(px.head), len(py.head))
     span = math.lcm(len(px.period), len(py.period))
     n = h + span
-    if n > _PATTERN_MAX:
+    if n > cap:
         return None
     zx, zy = _zero_counts(px.bits(0, n - 1)), _zero_counts(py.bits(0, n - 1))
     gx = px.period.count(0) * (span // len(px.period))
@@ -556,7 +586,7 @@ def _lattice_pattern(px: _Pattern | None, py: _Pattern | None, pick) -> _Pattern
         # past `top`, more - fewer stays >= 0: max keeps `more`, min `fewer`
         top = h + max(0, gap - 1 - low) // gap * span
         kept = px if (gx > gy) == (pick is max) else py
-        if top + len(kept.period) > _PATTERN_MAX:
+        if top + len(kept.period) > cap:
             return None
         if top > n:
             zx, zy = _zero_counts(px.bits(0, top - 1)), _zero_counts(py.bits(0, top - 1))

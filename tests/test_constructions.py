@@ -13,6 +13,7 @@ from punctual.errors import (
     ParseError,
     PreconditionFailed,
     PunctualError,
+    PunctualityViolation,
     StageBudgetExhausted,
 )
 from punctual.constructions import (
@@ -40,7 +41,7 @@ from punctual.constructions import (
     verify_trace_file,
 )
 from punctual.lattice import equilibrium_points, make_nondiamond_below
-from punctual.pr_lang import NATIVE_REGISTRY, NativeProgram, TermProgram, parse_term
+from punctual.pr_lang import NATIVE_REGISTRY, NativeProgram, TermProgram, parse_term, serialize
 from punctual.reductions import (
     check_pre_immune,
     detect_counterexample_R_to_RY,
@@ -234,6 +235,28 @@ class TestDenseIncomparable:
         with pytest.raises(NotCertified):
             construct_dense_incomparable(evens_set(), evens_set(), evens_set(),
                                          {}, family6(), 100)
+
+    def test_middle_overrun_after_the_last_close_raises_at_its_fallback_stage(
+            self, monkeypatch):
+        # the middle set's bound, 12 n + 100, gives out at bit 87; four
+        # members close their last cycle at stage 69, so the fallback stage
+        # 87 still reads the term set and the run ends there
+        bound = "C(S; " * 100 + "R(Z; " + "C(S; " * 12 + "P[3,3]" + ")" * 113
+        x, z = parse_set("meet(evens, mod 3)"), parse_set("join(evens, mod 3)")
+        middle = partial(parse_set, f'term "{EVENS_TERM}" bound "{bound}"')
+        certs = {"x<=t": domination_certificate(x, middle(), 20),
+                 "t<=z": domination_certificate(middle(), z, 20)}
+        stages = []
+        fallback = _DenseMachine.fallback
+        monkeypatch.setattr(_DenseMachine, "fallback", lambda m, stage, events: (
+            stages.append(stage), fallback(m, stage, events)))
+        t = middle()
+        message = (f"term set {serialize(parse_term(EVENS_TERM))} exceeded its bound "
+                   f"{serialize(parse_term(bound))} at n=87")
+        with pytest.raises(PunctualityViolation) as info:
+            construct_dense_incomparable(x, t, z, certs, family6()[:4], 600)
+        assert str(info.value) == message
+        assert (stages[0], stages[-1], t.decided) == (70, 87, 87)
 
 
 @pytest.mark.parametrize("build, error, message", [

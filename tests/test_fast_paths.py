@@ -9,13 +9,16 @@ replace), the
 per-line trace record loop, one profile read per stage, the all-pairs
 reduction check, one cost read per index in the step-rate syntheses,
 one zero search per fresh pick, one step count per budget of a pattern
-set's steps column, and one ``value`` read per point of a program's
-column.  Each fast
+set's steps column, one ``value`` read per point of a program's
+column, and one ``converges_within`` read per point of the least-pair
+scan.  Each fast
 path must give the same table or value, or raise the same exception class
 with the same message, and must not materialise a bit past the one the
 reference reads up to.  Range fills are checked against the per-bit memo
-loop, which stays in ``PrSet._ensure``, and sets built as patterns from
-pattern operands against the lattice and flip fills they replace.
+loop, which stays in ``PrSet._ensure``, sets built as patterns from
+pattern operands against the lattice and flip fills they replace, and
+sets built from kept trace parses and lattice patterns against sets built
+after the caches are cleared.
 """
 
 import bisect
@@ -23,6 +26,7 @@ import collections
 import contextlib
 import itertools
 import math
+import os
 import pathlib
 import random
 import sys
@@ -2320,3 +2324,167 @@ def test_record_columns_match_the_per_line_loop_on_mutants(fallbacks):
             assert (len(fallbacks) > before) == error
             seen["malformed" if error else "records" if lines else "no records"] += 1
     assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+# ---------------------------------------------------------------------------
+# The least-pair scan against one converges_within read per point
+
+
+def ref_least_violation(flavor, p, source, target, s, member=None):
+    """The least violating pair, from ``converges_within`` at every point."""
+    domain = s + 1 if isinstance(source, sets.Relation) else len(source)
+    images = None if isinstance(target, sets.Relation) else len(target)
+    conv = {}
+    for x in range(domain):
+        v = p.converges_within(x, s)
+        if v is not None and (images is None or v < images):
+            conv[x] = v
+    pair = reductions._PAIR_PREDICATES[flavor]
+    for l, vl in conv.items():
+        for m, vm in conv.items():
+            if m != l:
+                left, right = pair(source, target, l, m, vl, vm)
+                if left == right:
+                    return Counterexample(flavor, l, m, s, left, right, (vl, vm), member)
+    return None
+
+
+def least_programs(rng):
+    """Term, native and table programs whose costs fall below and past the
+    stages scanned."""
+    terms = [TermProgram(parse_term(t)) for t in (*FAMILY_TEXTS, EVENS_TERM, MOD2)]
+    values = [[rng.randrange(12) for _ in range(48)] for _ in range(6)]
+    costs = [[rng.randrange(40) for _ in range(48)] for _ in range(6)]
+    return {"term": terms,
+            "native": [NativeProgram(f"n{i}", v.__getitem__, c.__getitem__)
+                       for i, (v, c) in enumerate(zip(values, costs))],
+            "table": [TableProgram(v, f"t{i}") for i, v in enumerate(values)]}
+
+
+def least_sides(rng, flavor):
+    """The flavour's source and target: relations, or prefixes of random bits."""
+    def side(relation):
+        if relation:
+            return rng.choice([IdentityRelation(), SetRelation(evens_set()), SetRelation(
+                prefix_set("r", [rng.randrange(2) for _ in range(8)]))])
+        return Prefix(tuple(rng.randrange(2) for _ in range(rng.randrange(30))))
+    return {"R_to_RY": (side(True), side(False)), "RY_to_R": (side(False), side(True)),
+            "RX_to_RY": (side(False), side(False))}[flavor]
+
+
+@pytest.mark.parametrize("flavor", sorted(reductions._PAIR_PREDICATES))
+def test_least_violation_matches_per_point_reads(flavor):
+    rng = random.Random(f"least-{flavor}")
+    seen = collections.Counter()
+    for kind, programs in least_programs(rng).items():
+        for p in programs:
+            for _ in range(12):
+                source, target = least_sides(rng, flavor)
+                s = rng.randrange(41)
+                want = outcome(ref_least_violation, flavor, p, source, target, s, "m")
+                got = outcome(reductions._least_violation, flavor, p, source, target, s, "m")
+                assert got == want, (kind, p.name, s)
+                seen[kind, want is None] += 1
+    # each kind of program fires in some scans and in others does not
+    assert len(seen) == 6, seen
+    # a term program runs once per point of the domain
+    p, runs = TermProgram(parse_term(FAMILY_TEXTS[4])), []
+    run = p._run
+    p._run = lambda x: runs.append(x) or run(x)
+    source, target = least_sides(rng, flavor)
+    reductions._least_violation(flavor, p, source, target, 30)
+    assert runs == list(range(31 if isinstance(source, sets.Relation) else len(source)))
+
+
+# ---------------------------------------------------------------------------
+# Kept trace parses and lattice patterns against fresh builds
+
+
+def clear_kept():
+    constructions._trace_outputs.cache_clear()
+    sets._lattice_pattern_of.cache_clear()
+
+
+def dual(desc):
+    """desc with every join a meet and every meet a join."""
+    return desc.replace("join", "\0").replace("meet", "join").replace("\0", "meet")
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["patterns", "generic"])
+@pytest.mark.parametrize("desc", FILLED)
+def test_kept_parses_and_patterns_build_what_fresh_ones_build(desc, generic, traces):
+    clear_kept()
+    for d in FILLED:            # every text and pattern kept at the default cap
+        make_filled(d, traces), make_filled(dual(d), traces)
+    with generic_fills() if generic else contextlib.nullcontext():
+        warm = make_filled(desc, traces)
+        clear_kept()
+        cold = make_filled(desc, traces)
+    assert (warm._pattern is None) == (cold._pattern is None)
+    assert warm._pattern is None or not (generic and desc.startswith(("join", "meet")))
+    top = 200
+    assert warm.prefix(top) == cold.prefix(top)
+    assert list(warm.cum_costs(range(top + 1))) == list(cold.cum_costs(range(top + 1)))
+    budgets = range(-1, cold.cum_cost(top) + 2)
+    for convention, points in (("index", range(top + 1)), ("steps", budgets)):
+        assert (list(warm.profile(points, convention))
+                == list(cold.profile(points, convention))), convention
+
+
+def test_a_rewritten_trace_parses_afresh(traces, tmp_path):
+    path = tmp_path / "t.trace"
+    imm, odd = (pathlib.Path(traces[k]).read_text() for k in ("imm", "odd"))
+    assert len(imm) == len(odd)
+    path.write_text(imm)
+    stamp = path.stat()
+    first = parse_set(f"trace {path}")
+    path.write_text(odd)
+    # the same path, size and times: only the text tells the two apart
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    second = parse_set(f"trace {path}")
+    assert first.prefix(150) == parse_set(f"trace {traces['imm']}").prefix(150)
+    assert second.prefix(150) == parse_set(f"trace {traces['odd']}").prefix(150)
+    assert first.prefix(150) != second.prefix(150)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not a trace\n", "not a trace file"),
+    (f"{constructions.TRACE_FORMAT}\noutputs\tY\n---\n0\t-\tinit\tY=x\t-\n---\n",
+     "malformed trace record on line 4: '0\\t-\\tinit\\tY=x\\t-'"),
+    (f"{constructions.TRACE_FORMAT}\nconstruction\timmune\n---\n---\n",
+     "trace header has no 'outputs' line"),
+], ids=["format", "record", "header"])
+def test_a_malformed_trace_raises_alike_and_is_not_kept(text, message, tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    clear_kept()
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse_set(f"trace {path}")
+        assert message in str(info.value)
+        assert constructions._trace_outputs.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("desc", ["trace {imm}", "join(evens, mod 3)",
+                                  "meet(trace {js}:Y0, join(trace {js}:Y1, evens))"])
+def test_sets_from_one_text_share_bits_not_memos(desc, traces):
+    a, b = (parse_set(desc.format(**traces)) for _ in range(2))
+    # a lattice pattern is built once and shared; a trace set's is rebuilt
+    assert (a._pattern is b._pattern) == desc.startswith(("join", "meet"))
+    a.bit(120)
+    assert a.decided > 120 and b.decided == 0
+    assert b.prefix(90) == a.prefix(90) and b.decided == 91 and a.decided > 120
+
+
+def test_kept_parses_and_patterns_stay_within_their_bounds(tmp_path):
+    clear_kept()
+    for n in range(constructions._TRACE_TEXTS + 3):
+        path = tmp_path / f"{n}.trace"
+        save_trace(construct_immune([], n), str(path))
+        parse_set(f"trace {path}")
+    for k in range(2, sets._LATTICE_PATTERNS + 5):
+        assert parse_set(f"join(mod {k}, mod {k + 1})")._pattern is not None
+    for kept, bound in ((constructions._trace_outputs, constructions._TRACE_TEXTS),
+                        (sets._lattice_pattern_of, sets._LATTICE_PATTERNS)):
+        info = kept.cache_info()
+        assert info.maxsize == info.currsize == bound < info.misses, info

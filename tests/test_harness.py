@@ -7,7 +7,8 @@ import sys
 import pytest
 from conftest import BOUND_LINEAR, EVENS_TERM
 
-from punctual import reductions, sets
+from punctual import constructions, reductions, sets
+from punctual.constructions import construct_immune, save_trace
 from punctual.pr_lang import parse_term
 from punctual.sets import PrSet, parse_set, set_join, term_set
 
@@ -75,6 +76,24 @@ def test_every_patched_attribute_is_restored():
         with harness.counting({}, calls):
             1 / 0
     assert restored()
+
+
+def test_parses_count_on_empty_caches_and_leave_the_kept_ones(tmp_path):
+    path = tmp_path / "t.trace"
+    save_trace(construct_immune([], 20), str(path))
+    descs = [f"trace {path}", f"join(trace {path}, mod 3)", "meet(evens, mod 3)"]
+    for desc in descs:
+        parse_set(desc)
+    kept = [constructions._trace_outputs, sets._lattice_pattern_of]
+    held = [cache.cache_info() for cache in kept]
+    counts = {}
+    with harness.counting_parses(counts):
+        for desc in descs * 3:
+            parse_set(desc)
+    # one parse per text, one build per pattern, though both were kept before
+    assert counts == {"trace_parses": 1, "pattern_builds": 2}
+    assert [constructions._trace_outputs, sets._lattice_pattern_of] == kept
+    assert [cache.cache_info() for cache in kept] == held
 
 
 def test_store_keeps_the_other_labels(tmp_path, monkeypatch, capsys):

@@ -5,9 +5,10 @@
 The pairs are the 12 of ``perfbench/workloads.py`` (``PAIRS``), whose
 trace inputs its ``setup`` writes into a temporary directory.  Each of
 ``REPEATS`` (11) repeats runs every pair at each horizon h of ``HORIZONS``
-through ten phases, each on descriptors parsed fresh before the phase
+through eleven phases, each on descriptors parsed fresh before the phase
 starts, as a command-line call would:
 
+  * descriptors: ``parse_set`` of the pair's two descriptor texts;
   * synth-g-from-h: ``synth_reduction_from_h`` under the identity bound;
   * synth-h: ``synth_h_from_reduction`` of that table;
   * surjectivize: ``surjectivize`` of that table;
@@ -31,11 +32,14 @@ per-row witness reader ``_parse_rows`` (``fallbacks``), and the reads
 made one Python call per point: ``pattern_point_reads``, the per-point
 step counts of a pattern set (``_Pattern._zeros_below``, or
 ``_Pattern.zeros_by_steps`` in a source without steps columns), and
-``program_point_reads``, the ``value`` calls of each program class.  The
-two text phases also count table rows and text bytes.  The result is stored under
-``--label`` in ``BENCH_witness.json`` at the root of the checkout, keeping
-the other labels there, so that two commits can be compared by running
-this file against each one's ``src``.
+``program_point_reads``, the ``value`` calls of each program class; and
+the parses behind the descriptor caches, ``trace_parses`` and
+``pattern_builds``, each pass on caches that start empty
+(``harness.counting_parses``).  The two text phases also count table rows
+and text bytes.  The result is stored under ``--label`` in
+``BENCH_witness.json`` at the root of the checkout, keeping the other
+labels there, so that two commits can be compared by running this file
+against each one's ``src``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ CALLS = {"bit_calls": (sets.PrSet, "bit"), "cum_cost_calls": (sets.PrSet, "cum_c
          **{prog.__name__: (prog, "value") for prog in PROGRAMS}}
 # the counters of each phase, in the order they are stored
 COUNTERS = ("ensure_entries", "bit_calls", "cum_cost_calls", "memo_bits", "pattern_fill_bits",
-            "operand_fill_bits", "fallbacks", "pattern_point_reads", "per_bit_bits")
+            "operand_fill_bits", "fallbacks", "pattern_point_reads", "per_bit_bits",
+            "trace_parses", "pattern_builds")
 
 
 def fresh_pairs() -> list:
@@ -89,9 +94,10 @@ def witnesses(x, y, h, g) -> list:
 
 
 class Item(NamedTuple):
-    """One pair and horizon's inputs: its synth-g table, that table and its
-    synth-h table as witnesses, their texts, its synth-p witness and its
-    domination certificate."""
+    """One pair and horizon's inputs: its descriptor texts, its synth-g
+    table, that table and its synth-h table as witnesses, their texts, its
+    synth-p witness and its domination certificate."""
+    descs: tuple
     table: list
     witnesses: list
     texts: list
@@ -101,6 +107,7 @@ class Item(NamedTuple):
 
 # each phase's function of one (x, y, horizon, Item)
 PHASES = {
+    "descriptors": lambda x, y, h, it: [sets.parse_set(d) for d in it.descs],
     "synth-g-from-h": lambda x, y, h, it: reductions.synth_reduction_from_h(x, y, IDENTITY, h),
     "synth-h": lambda x, y, h, it: reductions.synth_h_from_reduction(it.table, x, y, h),
     "surjectivize": lambda x, y, h, it: reductions.surjectivize(it.table, x, y, h),
@@ -133,11 +140,12 @@ def one_pass(items: list) -> dict:
 def counted_pass(items: list) -> dict:
     """Memo work of each phase: _ensure entries, bit and cum_cost calls,
     memo growth by generator, per-row reader calls, per-point pattern and
-    program reads; rows and text bytes of the text phases."""
+    program reads, trace parses and pattern builds; rows and text bytes of
+    the text phases."""
     out = {}
     for name, fn in PHASES.items():
         pairs, counts = fresh_pairs(), {}
-        with harness.counting(counts, CALLS):
+        with harness.counting(counts, CALLS), harness.counting_parses(counts):
             for (x, y), h, item in zip(pairs, horizons(), items):
                 fn(x, y, h, item)
         counts = harness.with_per_bit(counts)
@@ -160,12 +168,14 @@ def main() -> int:
         try:
             W.setup(workdir)
             items = []
-            for (x, y), h in zip(fresh_pairs(), horizons()):
+            descs = [pair for pair in W.PAIRS for _ in HORIZONS]
+            for (x, y), h, pair in zip(fresh_pairs(), horizons(), descs):
                 t = list(reductions.synth_reduction_from_h(x, y, IDENTITY, h).program.values)
                 ws = witnesses(x, y, h, t)
                 p = reductions.synth_p_from_reduction(t, x, y, x.cum_cost(h))
                 cert = reductions.domination_certificate(x, y, h)
-                items.append(Item(t, ws, [reductions.serialize_witness(w) for w in ws], p, cert))
+                items.append(Item(pair, t, ws, [reductions.serialize_witness(w) for w in ws],
+                                  p, cert))
             counters = counted_pass(items)
             runs = [one_pass(items) for _ in range(REPEATS)]
         finally:

@@ -13,8 +13,16 @@ work into ``counts``:
   * one key of ``calls`` per named attribute ``(owner, name)``: the calls
     made to it.
 
-Every attribute it patches is the original object again when the block
-ends, also when it raises.  ``store(name, label, result)`` merges a run
+``counting_parses(counts)`` is a block that counts the parses behind the
+descriptor caches into ``counts``, each on a cache of its size that starts
+empty, as in a fresh process:
+
+  * ``trace_parses``: trace texts parsed for ``load_trace_set``;
+  * ``pattern_builds``: join and meet patterns built (``sets._lattice_pattern``).
+
+Against a source without a cache every call parses, and counts.  Every
+attribute either block patches is the original object again when the
+block ends, also when it raises.  ``store(name, label, result)`` merges a run
 under ``label`` into ``BENCH_<name>.json`` at the root of the checkout,
 keeping the other labels there, and echoes it.
 """
@@ -26,12 +34,15 @@ import json
 import os
 import platform
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
-from punctual import sets
+from punctual import constructions, sets
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FILLS = {"pattern_fill_bits": sets._Pattern, "operand_fill_bits": sets._MemoFill}
+# each cache's function, or in a source without it the function that parses
+KEPT = {"trace_parses": ((constructions, "_trace_outputs"), (constructions, "parse_trace")),
+        "pattern_builds": ((sets, "_lattice_pattern_of"), (sets, "_lattice_pattern"))}
 
 
 def _counted(counts: dict, key: str, method):
@@ -60,6 +71,27 @@ def _ensure(counts: dict, ensure):
     return call
 
 
+def _cold(counts: dict, key: str, cached):
+    """An empty cache of cached's size over its function, whose calls, the
+    misses, count into counts[key]."""
+    return lru_cache(maxsize=cached.cache_info().maxsize)(
+        _counted(counts, key, cached.__wrapped__))
+
+
+@contextlib.contextmanager
+def _patched(patches: dict):
+    """Each attribute ``(owner, name)`` of `patches` set to its wrap of the
+    original inside the block."""
+    saved = {spot: getattr(*spot) for spot in patches}
+    try:
+        for spot, wrap in patches.items():
+            setattr(*spot, wrap(saved[spot]))
+        yield
+    finally:
+        for spot, original in saved.items():
+            setattr(*spot, original)
+
+
 @contextlib.contextmanager
 def counting(counts: dict, calls: dict):
     """Count memo work and the calls of each ``calls[key] = (owner, name)``
@@ -69,14 +101,22 @@ def counting(counts: dict, calls: dict):
     patches.update({spot: partial(_counted, counts, key) for key, spot in calls.items()})
     for key in ("ensure_entries", "memo_bits", *FILLS, *calls):
         counts.setdefault(key, 0)
-    saved = {spot: getattr(*spot) for spot in patches}
-    try:
-        for spot, wrap in patches.items():
-            setattr(*spot, wrap(saved[spot]))
+    with _patched(patches):
         yield counts
-    finally:
-        for spot, original in saved.items():
-            setattr(*spot, original)
+
+
+@contextlib.contextmanager
+def counting_parses(counts: dict):
+    """Count trace parses and pattern builds into `counts` on empty caches."""
+    patches = {}
+    for key, (cached, plain) in KEPT.items():
+        counts.setdefault(key, 0)
+        if hasattr(*cached):
+            patches[cached] = partial(_cold, counts, key)
+        else:
+            patches[plain] = partial(_counted, counts, key)
+    with _patched(patches):
+        yield counts
 
 
 def with_per_bit(counts: dict) -> dict:
