@@ -11,7 +11,8 @@ record per stage and exhaustion at the end of the run.  Each construction
 supplies a ``_Machine`` whose ``step`` and ``fallback`` emit a stage's bits
 and append its events, close events included.  A machine reads each input
 through ``PrSet.reader``, the memo list's own lookup once the builder has
-read the input ahead, and appends output bits and zero counts inline.
+read the input ahead, and appends each output bit to that output's list,
+which is also its trace column; it keeps only the zero counts it reads.
 
 Under the ``once`` policy the requirement list is processed in order and,
 after the last cycle closes, emission follows a fixed fallback that keeps
@@ -72,6 +73,7 @@ from .sets import (
     PrSet,
     Relation,
     SetRelation,
+    _picked,
     drop_least_zero,
     override_zero_member,
     parse_set,
@@ -308,22 +310,6 @@ class _Detector:
 # The stage-machine driver
 
 
-class _Output:
-    """One constructed set: bit list plus running zero count."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.bits: list = []
-        self.zero_count = 0
-
-    def emit(self, b: int):
-        self.bits.append(b)
-        self.zero_count += 1 - b
-
-    def as_set(self) -> PrSet:
-        return prefix_set(self.name, self.bits)
-
-
 def _schedule(kinds: Sequence[str], family_size: int, policy: str,
               relation_count: int = 1):
     """Requirement cycles as (label, member index, relation index, kind).
@@ -378,8 +364,8 @@ class _Machine:
 
     def __init__(self, family, policy, max_stages, inputs, relation_count=1):
         self.family, self.policy = family, policy
-        self.outputs = [_Output(n) for n in self.names]
-        self.y = self.outputs[0]
+        self.outputs = {n: [] for n in self.names}     # name -> bits, its trace column
+        self.y = self.outputs[self.names[0]]
         self.slots = _schedule(self.kinds, len(family), policy, relation_count)
         self.counterexamples: list = []
         self.notes: dict = {}
@@ -393,9 +379,8 @@ class _Machine:
 
     def fallback(self, stage, events) -> None:
         """No cycle left: an alternating tail keeps the output coinfinite."""
-        y, self.flip = self.y, 1 - self.flip
-        y.bits.append(self.flip)
-        y.zero_count += 1 - self.flip
+        self.flip = 1 - self.flip
+        self.y.append(self.flip)
 
     def starved(self, cycle) -> str:
         return "open cycle at the stage budget"
@@ -454,8 +439,7 @@ def _drive(construction: str, machine: Callable, inputs: dict, family,
         events.append(f"open:{label}")
         return cycle
 
-    trace = Trace(header, range(max(max_stages, 0) + 1),
-                  columns={o.name: o.bits for o in m.outputs})
+    trace = Trace(header, range(max(max_stages, 0) + 1), columns=m.outputs)
     cycles, phases, records = trace.cycles, trace.phases, trace.events
     step, fallback = m.step, m.fallback
     events: list = []
@@ -495,7 +479,7 @@ def _drive(construction: str, machine: Callable, inputs: dict, family,
         raise StageBudgetExhausted(m.starved(cycle), cycle=cycle.label,
                                    phase=cycle.phase, stage=max_stages,
                                    trace=trace)
-    outputs = {o.name: o.as_set() for o in m.outputs}
+    outputs = {name: prefix_set(name, bits) for name, bits in m.outputs.items()}
     result = ConstructionResult(construction, outputs, trace, m.counterexamples,
                                 inputs, m.witnesses(outputs, max_stages), m.notes)
     _finish(result)
@@ -545,7 +529,7 @@ class _ImmuneMachine(_Machine):
                 if v in seen and witness is None:
                     witness = ("case1", seen[v], l, v)
                 seen.setdefault(v, l)
-                if witness is None and v < len(y.bits) and y.bits[v] == 1:
+                if witness is None and v < len(y) and y[v] == 1:
                     witness = ("case2", l, v)
             else:
                 still.append(l)
@@ -553,13 +537,13 @@ class _ImmuneMachine(_Machine):
         if witness is None:
             # a value that converged earlier may sit on a freshly set bit
             for v, l in seen.items():
-                if v < len(y.bits) and y.bits[v] == 1:
+                if v < len(y) and y[v] == 1:
                     witness = ("case2", l, v)
                     break
         if witness is None:
-            y.emit(1)
+            y.append(1)
             return "copy", False
-        y.emit(0)
+        y.append(0)
         case, *data = witness
         self.closed.append((cycle.label, cycle.member, case, tuple(data)))
         names = ("l", "m", "v") if case == "case1" else ("m", "v")
@@ -601,13 +585,13 @@ class _IncomparableMachine(_Machine):
         y = self.y
         rel = self.relations[cycle.relation]
         if cycle.kind == "P":
-            sides, names = (rel, y.bits), (rel.name, "Y")
+            sides, names = (rel, y), (rel.name, "Y")
         else:
-            sides, names = (y.bits, rel), ("Y", rel.name)
+            sides, names = (y, rel), ("Y", rel.name)
         if self.refute(cycle, stage - 1, *sides, names, events):
-            y.emit(0)
+            y.append(0)
             return "copy", self.close(cycle, events)
-        y.emit(1 if cycle.kind == "P" else 0)
+        y.append(1 if cycle.kind == "P" else 0)
         return "copy", False
 
 
@@ -705,21 +689,20 @@ class _DenseMachine(_Machine):
         # through max_stages, whose reader is ``bit``
         self.unsettled = [s.bit for s in (inputs[self.p_role], inputs[self.q_role])
                           if s.decided <= max_stages]
+        self.zeros = 0      # zeros of Y through the last step; fallback leaves it
 
     def _track(self, stage):
         self.tp_bits.append(self.tp_bit(stage))
         self.tq_bits.append(self.tq_bit(stage))
 
     def init(self, cycle):
-        self.y.emit(1)
+        self.y.append(1)
         self._track(0)
 
     def fallback(self, stage, events):
         for read in self.unsettled:
             read(stage)
-        y, b = self.y, self.z_bit(stage)
-        y.bits.append(b)
-        y.zero_count += 1 - b
+        self.y.append(self.z_bit(stage))
 
     def witnesses(self, outputs, max_stages):
         # the sandwich reductions promised by the construction; Y grows in
@@ -733,18 +716,18 @@ class _DenseMachine(_Machine):
         self._track(stage)
         y, p_side, copy = self.y, cycle.kind == "P", cycle.phase == "copy"
         b = (self.z_bit if p_side else self.x_bit)(stage) if copy else 1 if p_side else 0
-        y.bits.append(b)
-        y.zero_count += 1 - b
+        y.append(b)
+        self.zeros += 1 - b
         if copy:
             if p_side:
-                sides, names = (y.bits, self.tp_bits), ("Y", self.p_role)
+                sides, names = (y, self.tp_bits), ("Y", self.p_role)
             else:
-                sides, names = (self.tq_bits, y.bits), (self.q_role, "Y")
+                sides, names = (self.tq_bits, y), (self.q_role, "Y")
             if self.refute(cycle, stage, *sides, names, events):
                 cycle.phase = "transition"
         if cycle.phase == "transition":
             target = (self.x if p_side else self.z).zeros_by_index(stage)
-            if y.zero_count == target:
+            if self.zeros == target:
                 return "transition", self.close(cycle, events)
         return cycle.phase, False
 
@@ -840,29 +823,27 @@ class _SplitMachine(_Machine):
         self.z_bit = inputs["Z"].reader(max_stages - 1)     # stage s reads bit s - 1
         self.z_bits: list = []
         self.copy_fill = 1 if mode == "join" else 0
+        self.y1 = self.outputs["Y1"]
+        self.gap = 0        # zeros of Y1 minus zeros of Y0; the columns grow together
 
     def step(self, stage, cycle, events):
         b = self.z_bit(stage - 1)
         self.z_bits.append(b)
-        y0, y1 = self.outputs
-        copier, filler = (y0, y1) if cycle.kind == "P" else (y1, y0)
-        copier.bits.append(b)
-        copier.zero_count += 1 - b
+        p_side = cycle.kind == "P"
+        copier, filler, name = (self.y, self.y1, "Y1") if p_side else (self.y1, self.y, "Y0")
+        copier.append(b)
         transition = cycle.phase == "transition"
         f = 1 - self.copy_fill if transition else self.copy_fill
-        filler.bits.append(f)
-        filler.zero_count += 1 - f
+        filler.append(f)
+        self.gap += b - f if p_side else f - b
         if transition:
-            closed = y0.zero_count == y1.zero_count
-            return "transition", closed and self.close(cycle, events)
+            return "transition", self.gap == 0 and self.close(cycle, events)
         if cycle.watch is None:
-            diverged = copier.zero_count != filler.zero_count
+            diverged = self.gap != 0
         elif self.mode == "join":
-            diverged = self.refute(cycle, stage, self.z_bits, filler.bits,
-                                   ("Z", filler.name), events)
+            diverged = self.refute(cycle, stage, self.z_bits, filler, ("Z", name), events)
         else:
-            diverged = self.refute(cycle, stage, filler.bits, self.z_bits,
-                                   (filler.name, "Z"), events)
+            diverged = self.refute(cycle, stage, filler, self.z_bits, (name, "Z"), events)
         if diverged:
             cycle.phase = "transition"
         return "copy", False
@@ -907,28 +888,28 @@ class _DiamondMachine(_Machine):
         super().__init__(family, policy, max_stages, inputs)
         self.x_bit, self.z_bit = inputs["X"].reader(max_stages), inputs["Z"].reader(max_stages)
         self.z_bits: list = []
+        self.y1 = self.outputs["Y1"]
+        self.gap = 0        # zeros of Y1 minus zeros of Y0; the columns grow together
 
     def init(self, cycle):
-        for out in self.outputs:
-            out.emit(1)
+        self.y.append(1)
+        self.y1.append(1)
         self.z_bits.append(self.z_bit(0))
 
     def step(self, stage, cycle, events):
         zb = self.z_bit(stage)
         self.z_bits.append(zb)
         xb = self.x_bit(stage)
-        y0, y1 = self.outputs
-        x_tracker, z_tracker = (y0, y1) if cycle.kind == "Q" else (y1, y0)
-        x_tracker.bits.append(xb)
-        x_tracker.zero_count += 1 - xb
-        z_tracker.bits.append(zb)
-        z_tracker.zero_count += 1 - zb
+        q_side = cycle.kind == "Q"
+        x_tracker, z_tracker, name = (self.y, self.y1, "Y0") if q_side else (self.y1, self.y, "Y1")
+        x_tracker.append(xb)
+        z_tracker.append(zb)
+        self.gap += xb - zb if q_side else zb - xb
         if cycle.phase == "copy":
-            if self.refute(cycle, stage, self.z_bits, x_tracker.bits,
-                           ("Z", x_tracker.name), events):
+            if self.refute(cycle, stage, self.z_bits, x_tracker, ("Z", name), events):
                 cycle.phase = "transition"
             return "copy", False
-        return "transition", y0.zero_count == y1.zero_count and self.close(cycle, events)
+        return "transition", self.gap == 0 and self.close(cycle, events)
 
     def starved(self, cycle):
         if cycle.phase == "transition":
@@ -1020,11 +1001,11 @@ class _SeparatorMachine(_Machine):
         self.notes = {"escapes": self.escapes, "val": self.val}
 
     def init(self, cycle):
-        self.y.emit(1)
+        self.y.append(1)
         self.counts.append(0)
 
     def step(self, stage, cycle, events):
-        n, z, k, zx1 = len(self.family), self.y, self.k, self.zx1
+        n, k, zx1 = len(self.family), self.k, self.zx1
         e = cycle.member if cycle else n       # n: the fallback's virtual member
         increment = escaped = False
         self.progress += 1
@@ -1045,15 +1026,16 @@ class _SeparatorMachine(_Machine):
             self.progress = 0
             self.bracket = bisect.bisect_left(self.marks, k)
         cap = zx1[stage]
-        b = 0 if increment and cap > z.zero_count else 1
-        z.bits.append(b)
-        z.zero_count += 1 - b
-        self.counts.append(z.zero_count)
+        count = self.counts[-1]
+        b = 0 if increment and cap > count else 1
+        self.y.append(b)
+        count += 1 - b
+        self.counts.append(count)
         # the built count tracks the dropped-profile bracket at every stage
-        if z.zero_count != self.bracket:
+        if count != self.bracket:
             raise AssertionError(f"bracket invariant failed at stage {stage}: "
-                                 f"count={z.zero_count} bracket={self.bracket} k={k}")
-        if z.zero_count > cap:
+                                 f"count={count} bracket={self.bracket} k={k}")
+        if count > cap:
             raise AssertionError(f"domination cap failed at stage {stage}")
         return "wait", escaped
 
@@ -1187,10 +1169,7 @@ def _validate_split(result, closes) -> list:
     y0, y1, z = (list(v.profile(range(last))) for v in (
         result.outputs["Y0"], result.outputs["Y1"], result.inputs["Z"]))
     failures = []
-    # comprehensions: a max or min call per index costs about four times as much
-    both = ([a if a > b else b for a, b in zip(y0, y1)] if mode == "join"
-            else [a if a < b else b for a, b in zip(y0, y1)])
-    if both != z:
+    if _picked(max if mode == "join" else min, y0, y1) != z:
         failures.append(f"{mode} of outputs differs from the input set")
     failures.extend(f"counts differ at close stage {stage}"
                     for stage, _ in closes if y0[stage - 1] != y1[stage - 1])
@@ -1205,8 +1184,7 @@ def _validate_diamond(result, closes) -> list:
     x, y0, y1, z = (list(v.profile(range(last + 1))) for v in (
         result.inputs["X"], override_zero_member(result.outputs["Y0"]),
         override_zero_member(result.outputs["Y1"]), result.inputs["Z"]))
-    meet = [a if a < b else b for a, b in zip(y0, y1)]
-    join = [a if a > b else b for a, b in zip(y0, y1)]
+    meet, join = _picked(min, y0, y1), _picked(max, y0, y1)
     if last and (meet != x or join != z):
         i = next(i for i in range(last + 1) if meet[i] != x[i] or join[i] != z[i])
         failures.append(f"{'meet' if meet[i] != x[i] else 'join'} side differs at {i}")

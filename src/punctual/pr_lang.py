@@ -79,8 +79,11 @@ _set = object.__setattr__
 class _Node:
     """A term node.  Its fields are fixed once built; the evaluator keeps
     what it derives from a node (``_code``, ``_arity``, ``_text``,
-    ``_unary``, ``_hash``) in its ``__dict__``.  A leaf with no field
-    equals every leaf of its class."""
+    ``_unary``, ``_hash``) as attributes, None until kept.  A leaf with no
+    field equals every leaf of its class."""
+
+    # a read that falls back to these builds no dict, as ``__dict__`` would
+    _arity = _text = _code = _unary = _hash = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -129,7 +132,7 @@ def _hash_once(t, fields: tuple) -> int:
     compile hashes each recursion it meets; terms are immutable, so a deep
     hash is needed only once per node.
     """
-    h = t.__dict__.get("_hash")
+    h = t._hash
     if h is None:
         h = hash(fields)
         _set(t, "_hash", h)
@@ -188,7 +191,7 @@ def arity(t: PrTerm) -> int:
     if isinstance(t, Proj):
         return t.n
     if isinstance(t, (Comp, PrimRec)):
-        n = t.__dict__.get("_arity")
+        n = t._arity
         if n is not None:
             return n
         return arity(t.inners[0]) if isinstance(t, Comp) else arity(t.base) + 1
@@ -245,7 +248,7 @@ def _checked_arity(t: PrTerm, position: int | None) -> int:
     a parsed or decoded one not at all; an error is never kept."""
     if not isinstance(t, (Comp, PrimRec)):
         return _node_arity(t, (), position)
-    n = t.__dict__.get("_arity")
+    n = t._arity
     if n is None:
         children = (t.outer, *t.inners) if isinstance(t, Comp) else (t.base, t.step)
         child_arities, seen = [], {}
@@ -271,7 +274,7 @@ def validate(t: PrTerm, position: int | None = None) -> None:
 def serialize(t: PrTerm) -> str:
     """Canonical text of t; a composite node keeps its text after the first call."""
     if isinstance(t, (Comp, PrimRec)):
-        text = t.__dict__.get("_text")
+        text = t._text
         if text is None:
             if isinstance(t, Comp):
                 text = f"C({serialize(t.outer)}; {', '.join(map(serialize, t.inners))})"
@@ -658,7 +661,7 @@ _UNBOUNDED = float("inf")
 
 def _compiled_for(t: PrTerm, args: Sequence[int]) -> Callable:
     """The entry of t, kept on the term object after its first lookup."""
-    code = t.__dict__.get("_code")
+    code = t._code
     if code is None:
         code = _compiled(t)
         _set(t, "_code", code)
@@ -710,14 +713,14 @@ def coerce_arity(t: PrTerm, n: int) -> PrTerm:
     if k == 0:
         return zero_of_arity(n)
     wrap = Comp(t, (Proj(n, 1),) * k)
-    if n <= MAX_ARITY and "_arity" in t.__dict__:
+    if n <= MAX_ARITY and t._arity is not None:
         return _built(wrap, n)  # a checked term, fed by a valid projection
     return wrap
 
 
 def unary_wrap(t: PrTerm) -> PrTerm:
     """t at arity 1; a non-unary t keeps its wrap, so each call returns it."""
-    wrapped = t.__dict__.get("_unary")
+    wrapped = t._unary
     if wrapped is None:
         wrapped = coerce_arity(t, 1)
         if wrapped is not t:

@@ -639,8 +639,13 @@ class _MemoFill:
                    for x in self.operands)
 
 
-def _flip_fill(x: PrSet, pos: int) -> _MemoFill:
-    """Fill for x with bit pos forced to 1."""
+def _flip(x: PrSet, pos: int, name: str, dsl: str | None) -> PrSet:
+    """x with bit pos forced to 1: a pattern set where ``_flipped`` finds
+    one, otherwise filled from x's memo."""
+    pattern = _flipped(x._pattern, pos)
+    if pattern:
+        return _pattern_set(name, pattern, dsl)
+
     def fill(m, n):
         x._ensure(n)
         bits = x._bits[m:n + 1]
@@ -648,7 +653,8 @@ def _flip_fill(x: PrSet, pos: int) -> _MemoFill:
             bits[pos - m] = 1
         return bits, _bit_costs(x, m, n)
 
-    return _MemoFill(fill, x)
+    return PrSet(name, lambda n: 1 if n == pos else x.bit(n), x.bit_cost, dsl=dsl,
+                 fill=_MemoFill(fill, x))
 
 
 # Builtins
@@ -790,12 +796,7 @@ def override_zero_member(x: PrSet) -> PrSet:
     """Force 0 into the set (bit 0 becomes 1); identity if already there."""
     if x.bit(0) == 1:
         return x
-    name = f"{x.name}+0"
-    pattern = _flipped(x._pattern, 0)
-    if pattern:
-        return _pattern_set(name, pattern, x.dsl)
-    return PrSet(name, lambda n: 1 if n == 0 else x.bit(n),
-                 x.bit_cost, dsl=x.dsl, fill=_flip_fill(x, 0))
+    return _flip(x, 0, f"{x.name}+0", x.dsl)
 
 
 def _lattice_op(x: PrSet, y: PrSet, pick, op: str, symbol: str) -> PrSet:
@@ -851,11 +852,7 @@ def drop_least_zero(x: PrSet) -> PrSet:
     name, dsl = f"{x.name}^[-1]", f"drop({x.dsl})" if x.dsl else None
     if isinstance(x, _ZeroListSet):
         return zero_list_set(name, lambda zs: x.principal_zero(len(zs) + 1))
-    pattern = _flipped(x._pattern, z0)
-    if pattern:
-        return _pattern_set(name, pattern, dsl)
-    return PrSet(name, lambda n: 1 if n == z0 else x.bit(n),
-                 x.bit_cost, dsl=dsl, fill=_flip_fill(x, z0))
+    return _flip(x, z0, name, dsl)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import collections
 import pathlib
 import random
 from functools import partial
+from itertools import accumulate
 
 import pytest
 from conftest import BOUND_LINEAR, EVENS_TERM, serialize_by_records
@@ -20,7 +21,10 @@ from punctual.constructions import (
     CONSTRUCTIONS,
     _DenseMachine,
     _Detector,
+    _DiamondMachine,
     _IncomparableMachine,
+    _SeparatorMachine,
+    _SplitMachine,
     _closes,
     _divergence,
     construct_antichain,
@@ -524,9 +528,11 @@ def _with_fault(monkeypatch, machine, fault, at):
             shown = method(self, stage, *rest)
             if stage == at:
                 if fault == "extra":
-                    self.y.emit(1)
+                    self.y.append(1)
+                elif isinstance(self, _DenseMachine):
+                    self.zeros -= 1 - self.y.pop()
                 else:
-                    self.y.zero_count -= 1 - self.y.bits.pop()
+                    self.y.pop()
             return shown
         return faulty
 
@@ -565,6 +571,53 @@ def test_miscounted_emission_fails_validation(kind, fault, monkeypatch, tmp_path
     p = tmp_path / f"{kind}.trace"
     save_trace(r, p)
     assert verify_trace_file(p) == (False, "validation verdict: fail")
+
+
+def _gap(m):
+    """A split or diamond machine's kept gap, and the zeros of Y1 minus
+    those of Y0 counted in its columns, which grow together."""
+    assert len(m.y) == len(m.outputs["Y1"])
+    return m.gap, m.outputs["Y1"].count(0) - m.y.count(0)
+
+
+# each machine's kept count, and the same count taken from its columns
+KEPT_COUNTS = {
+    _DenseMachine: lambda m: (m.zeros, m.y.count(0)),
+    _SplitMachine: _gap,
+    _DiamondMachine: _gap,
+    _SeparatorMachine: lambda m: (m.counts, list(accumulate(1 - b for b in m.y))),
+}
+
+
+@pytest.mark.parametrize("kind", ["dense", "join-split", "meet-split", "diamond", "separator"])
+def test_kept_zero_counts_match_the_columns(kind, monkeypatch):
+    """After every stage each count a machine keeps equals the zeros in
+    its columns; a dense fallback stage leaves its count, which no stage
+    reads after the last step."""
+    machine, build = {"dense": (_DenseMachine, _dense60), "join-split": (_SplitMachine, _join60),
+                      "meet-split": (_SplitMachine, _meet60),
+                      "diamond": (_DiamondMachine, _diamond120),
+                      "separator": (_SeparatorMachine, _separator300)}[kind]
+    kept, stages = KEPT_COUNTS[machine], collections.Counter()
+
+    def wrap(name, method):
+        def checked(self, stage, *rest):
+            frozen = getattr(self, "zeros", None)
+            shown = method(self, stage, *rest)
+            count, counted = kept(self)
+            if machine is _DenseMachine and name == "fallback":
+                assert count == frozen, stage
+            else:
+                assert count == counted, (name, stage)
+            stages[name] += 1
+            return shown
+        return checked
+
+    for name in ("step", "fallback"):
+        monkeypatch.setattr(machine, name, wrap(name, getattr(machine, name)))
+    assert_ok(build())
+    # dense falls back after its last close; the separator's fallback steps
+    assert stages["step"] > 10 and (stages["fallback"] > 10) == (kind in ("dense", "separator"))
 
 
 def _diamond120(family=None):

@@ -989,7 +989,7 @@ def per_bit():
 
 def generic_fills():
     """Every derived set built inside keeps the generic fill: the lattice
-    closures and ``_flip_fill``, over its operands' memos."""
+    closures and the memo fill of ``_flip``, over its operands' memos."""
     return setting("_PATTERN_MAX", 0)
 
 

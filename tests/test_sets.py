@@ -252,6 +252,20 @@ class TestTermKind:
         assert t.zeros_by_steps(t.cum_cost(39)) == 20 and t.decided == 41
         assert calls == ["eval_clocked"] * 41
 
+    def test_cost_of_a_bit_not_evaluated_last_runs_the_term_again(self, monkeypatch):
+        term = pr_lang.parse_term(EVENS_TERM)
+        calls, clocked = [], pr_lang.eval_clocked
+        monkeypatch.setattr(pr_lang, "eval_clocked",
+                            lambda t, args, b: calls.append(args[0]) or clocked(t, args, b))
+        t = term_set(EVENS_TERM, BOUND64)
+        t.bit(9)
+        del calls[:]
+        reads = (3, 3, 9, 0)
+        costs = [t._cost_fn(n) for n in reads]
+        assert costs == [pr_lang.eval_cost(term, [n]) for n in reads]
+        # the second read of 3 is the last run's cost
+        assert calls == [3, 9, 0]
+
     def test_bound_not_well_formed_raises_on_every_first_bit(self):
         bad = pr_lang.Comp(pr_lang.Succ(), (pr_lang.Proj(1, 1), pr_lang.Proj(1, 1)))
         t = term_set(EVENS_TERM, bad)

@@ -12,8 +12,8 @@ records, trace bytes, full (generation-2) garbage collections from
 ``gc.get_stats()`` over all repeats, and, from one extra, untimed pass,
 each phase's ``PrSet._ensure`` entries and memo bits grown, split by the
 generator that grew them (``tools/harness.py``), and its calls of
-``PrSet.bit`` and of ``_Output.emit``, the per-bit input reads and output
-appends that stage machines reading memo columns avoid.  The result is stored under
+``PrSet.bit``, the per-bit input reads that stage machines reading memo
+columns avoid.  The result is stored under
 ``--label`` in ``BENCH_traces.json`` at the root of the checkout, keeping
 the other labels there, so that two commits can be compared by running
 this file against each one's ``src``.
@@ -34,7 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 import harness  # noqa: E402
 import test_golden as G  # noqa: E402  (the golden cases and how each is run)
 
-from punctual import constructions, sets  # noqa: E402
+from punctual import sets  # noqa: E402
 from punctual.constructions import parse_trace, verify_trace_file  # noqa: E402
 
 PHASES = ("build", "serialize", "parse", "verify")
@@ -72,15 +72,14 @@ def one_pass(names: list, after_phase=lambda phase: None) -> tuple:
 
 def counted_pass(names: list) -> dict:
     """Memo work of each phase: _ensure entries and memo bits grown, by
-    generator, and the per-bit calls of PrSet.bit and _Output.emit."""
+    generator, and the per-bit calls of PrSet.bit."""
     out, counts = {}, {}
 
     def after_phase(phase):
         out[phase] = harness.with_per_bit(counts)
         counts.update(dict.fromkeys(counts, 0))
 
-    with harness.counting(counts, {"bit_calls": (sets.PrSet, "bit"),
-                                   "emit_calls": (constructions._Output, "emit")}):
+    with harness.counting(counts, {"bit_calls": (sets.PrSet, "bit")}):
         one_pass(names, after_phase)
     return out
 

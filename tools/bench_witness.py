@@ -24,8 +24,11 @@ starts, as a command-line call would:
     synth-h table;
   * parse: ``parse_witness`` of those two texts.
 
-It reports each phase's median wall time over the repeats next to
-deterministic counters from one extra, untimed pass: ``PrSet._ensure``
+It reports each phase's median wall time over the repeats, and the median
+in reference seconds (each phase scaled by the machine-speed probe of
+``perfbench/speed.py``, which runs before every phase and after the last,
+as ``tools/bench_compile.py`` scales its jobs), next to deterministic
+counters from one extra, untimed pass: ``PrSet._ensure``
 entries, ``PrSet.bit`` and ``PrSet.cum_cost`` calls, memo bits grown, split
 by the generator that grew them (``tools/harness.py``), calls of the
 per-row witness reader ``_parse_rows`` (``fallbacks``), and the reads
@@ -56,6 +59,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import harness  # noqa: E402
+import speed  # noqa: E402
 import workloads as W  # noqa: E402  (the pairs and the inputs they read)
 
 from punctual import lattice, pr_lang, reductions, sets  # noqa: E402
@@ -125,16 +129,19 @@ PHASES = {
 TEXT_PHASES = ("serialize", "parse")
 
 
-def one_pass(items: list) -> dict:
-    """Wall time of each phase over every pair and horizon."""
-    walls = {}
+def one_pass(items: list) -> tuple:
+    """Wall time of each phase over every pair and horizon, and the same
+    in reference seconds."""
+    walls, probes = {}, []
     for name, fn in PHASES.items():
         pairs = fresh_pairs()
+        probes.append(speed.probe())
         start = time.perf_counter()
         for (x, y), h, item in zip(pairs, horizons(), items):
             fn(x, y, h, item)
         walls[name] = time.perf_counter() - start
-    return walls
+    probes.append(speed.probe())
+    return walls, dict(zip(walls, speed.scaled(walls.values(), probes)))
 
 
 def counted_pass(items: list) -> dict:
@@ -181,10 +188,12 @@ def main() -> int:
         finally:
             os.chdir(here)
     result = {
-        "phases": {name: {"median_s": round(statistics.median(w[name] for w in runs), 4),
+        "phases": {name: {"median_s": round(statistics.median(w[name] for w, _ in runs), 4),
+                          "median_ref_s": round(statistics.median(r[name] for _, r in runs), 4),
                           **counters[name]}
                    for name in counters},
-        "total_median_s": round(statistics.median(sum(w.values()) for w in runs), 4),
+        "total_median_s": round(statistics.median(sum(w.values()) for w, _ in runs), 4),
+        "total_median_ref_s": round(statistics.median(sum(r.values()) for _, r in runs), 4),
         "repeats": REPEATS,
         "pairs": len(W.PAIRS),
         "horizons": list(HORIZONS),
