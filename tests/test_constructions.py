@@ -10,6 +10,7 @@ from test_cli import fuzz_mutation
 
 from punctual._text import decode_text
 from punctual.errors import (
+    BudgetExceeded,
     NotCertified,
     ParseError,
     PreconditionFailed,
@@ -19,6 +20,7 @@ from punctual.errors import (
 )
 from punctual.constructions import (
     CONSTRUCTIONS,
+    _normalize_family,
     _DenseMachine,
     _Detector,
     _DiamondMachine,
@@ -45,7 +47,8 @@ from punctual.constructions import (
     verify_trace_file,
 )
 from punctual.lattice import equilibrium_points, make_nondiamond_below
-from punctual.pr_lang import NATIVE_REGISTRY, NativeProgram, TermProgram, parse_term, serialize
+from punctual.pr_lang import (NATIVE_REGISTRY, NativeProgram, TableProgram, TermProgram, parse_term,
+                              serialize)
 from punctual.reductions import (
     check_pre_immune,
     detect_counterexample_R_to_RY,
@@ -413,6 +416,48 @@ class TestSeparator:
         r = construct_separator(evens_set(), drop_least_zero(evens_set()), [],
                                 200)
         assert_ok(r)
+
+    def test_normalized_tables_read_cold_far_up(self):
+        # val and cost recursed once per input below the one read, so a cold
+        # read at 2,000 passed the recursion limit; built here with loops
+        fam = [NATIVE_REGISTRY[k] for k in ("id", "succ", "double")]
+        n, top = len(fam), 5000
+        vals, costs = [], []
+        for e, p in enumerate(fam):
+            v_row, c_row = [], []
+            for x in range(top + 1):
+                v = max(p.value(x), x + 1, v_row[-1] + 1 if x else 0,
+                        vals[e - 1][x] + 1 if e else 0)
+                c_row.append(max(1, p.cost(x), v + 1, c_row[-1] + 1 if x else 0,
+                                 costs[e - 1][x] + 1 if e else 0))
+                v_row.append(v)
+            vals.append(v_row)
+            costs.append(c_row)
+        for e in range(n + 2):        # two virtual members past the family
+            past = e - n + 2 if e >= n else 0
+            want_v, want_c = (vals[min(e, n - 1)][top] + past, costs[min(e, n - 1)][top] + past)
+            val, cost = _normalize_family(fam)
+            assert val(e, top) == want_v
+            val, cost = _normalize_family(fam)
+            assert cost(e, top) == want_c
+            assert val(e, top) == want_v
+        val, cost = _normalize_family(fam)
+        assert [val(1, x) for x in range(0, top + 1, 7)] == vals[1][::7]
+        assert [cost(2, x) for x in range(top, -1, -7)] == costs[2][::-7]
+        val, cost = _normalize_family([])
+        assert (val(0, top), val(2, top), cost(0, top), cost(2, top)) == (
+            top + 2, top + 4, top + 3, top + 5)
+
+    def test_a_normalized_table_raises_at_the_input_read(self):
+        # a member past its table raises at the input read, as the recursion
+        # from that input down did, not at the first input past the table
+        fam = [NATIVE_REGISTRY["id"], TableProgram(list(range(10)), "short")]
+        val, cost = _normalize_family(fam)
+        assert val(1, 9) == 11
+        with pytest.raises(BudgetExceeded, match="asked for 20$"):
+            cost(1, 20)
+        with pytest.raises(BudgetExceeded, match="asked for 15$"):
+            val(1, 15)
 
 
 class TestDetector:

@@ -24,15 +24,19 @@ after the caches are cleared.
 import bisect
 import collections
 import contextlib
+import importlib
+import inspect
 import itertools
 import math
 import os
 import pathlib
+import pkgutil
 import random
 import sys
 
 import pytest
 
+import punctual
 from punctual import _text, constructions, pr_lang, reductions, sets
 from punctual._text import decode_text
 from punctual.constructions import (
@@ -74,8 +78,10 @@ from punctual.reductions import (
     respect_normal_form,
     serialize_witness,
     surjectivize,
+    synth_h_from_reduction,
     synth_p_from_reduction,
     synth_reduction_from_h,
+    verify_claim,
 )
 from punctual.sets import (
     IdentityRelation,
@@ -2118,6 +2124,124 @@ def test_set_class_test_matches_all_pairs(traces):
     assert len(kinds) == 5 and min(kinds.values()) >= 10, kinds
 
 
+def kernel_tables(rng, xbits, ybits):
+    """Named tables over 0..n for the set relation of xbits into that of
+    ybits (each a prefix_set's head), one for each shape the class test
+    tells apart, plus a random one."""
+    n, span = len(xbits) - 1, 3 * len(ybits)      # values run past y's head
+    members = [v for v, b in enumerate(xbits) if b]
+    rest = [v for v, b in enumerate(xbits) if not b]
+    tail = [len(ybits) + 2 * j for j in range(len(ybits) + 1)]     # members of y
+    inside = [v for v, b in enumerate(ybits) if b] + tail
+    outside = [v for v, b in enumerate(ybits) if not b] + [t + 1 for t in tail]
+    rng.shuffle(inside)
+    rng.shuffle(outside)
+    good = [0] * (n + 1)
+    for v in members:
+        good[v] = inside[0]
+    for v, z in zip(rest, outside):
+        good[v] = z
+    tables = {"reduction": good, "random": [rng.randrange(span) for _ in range(n + 1)]}
+
+    def edit(name, *changes):
+        t = list(good)
+        for v, value in changes:
+            t[v] = value
+        tables[name] = t
+
+    if members:
+        # every member on one non-member of y that no non-member takes
+        edit("members on one non-member", *((v, outside[-1]) for v in members))
+        edit("members split in and out", (members[-1], outside[-1]))
+        if len(inside) > 1:
+            edit("members on two members of y", (members[0], inside[1]))
+    if rest:
+        edit("a non-member inside y once", (rest[-1], inside[1 % len(inside)]))
+    if len(rest) > 1:
+        edit("non-members inside y twice", (rest[0], inside[0]), (rest[-1], inside[-1]))
+        edit("a repeated non-member image", (rest[-1], good[rest[0]]))
+    if len(members) == 1 and rest:
+        edit("a single member and a non-member inside y",
+             (members[0], outside[-1]), (rest[0], inside[0]))
+    return tables
+
+
+def test_set_class_kernel_matches_all_pairs(monkeypatch):
+    rng = random.Random(41)
+    reads = collections.Counter()
+    related = SetRelation.related
+    monkeypatch.setattr(SetRelation, "related",
+                        lambda self, a, b: reads.update(["related"]) or related(self, a, b))
+    shapes = collections.Counter()
+    for trial in range(300):
+        n = (0, 1, 2, 3, 5, 8, 13, 30)[trial % 8]
+        density = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+        xbits = [int(rng.random() < density) for _ in range(n + 1)]
+        if trial % 5 == 0 and n:
+            xbits = [0] * (n + 1)
+            xbits[rng.randrange(n + 1)] = 1      # a single member
+        ybits = [rng.randrange(2) for _ in range(rng.randrange(1, 2 * n + 3))]
+        for name, table in kernel_tables(rng, xbits, ybits).items():
+            make = lambda: (SetRelation(prefix_set("x", xbits)), SetRelation(prefix_set("y", ybits)))
+            want = ref_check_all_pairs(table, *make(), n)
+            reads.clear()
+            assert reductions.check_reduction_prefix(table, *make(), n) == want, (xbits, ybits, name)
+            # a table that holds is decided without the least-pair rescan
+            assert want is not None or not reads, name
+            shapes[name, want is None] += 1
+    for name in ("reduction", "members on one non-member", "a single member and a non-member "
+                 "inside y", "a non-member inside y once"):
+        assert shapes[name, True] >= 5, shapes
+    for name in ("members split in and out", "members on two members of y",
+                 "non-members inside y twice", "a repeated non-member image",
+                 "a non-member inside y once", "random"):
+        assert shapes[name, False] >= 5, shapes
+
+
+def pinned_profiles(s, counts):
+    """s with its profile reads replaced by the counts `counts` gives each point."""
+    s.profile = lambda points, convention="index": iter(list(map(counts, points)))
+    return s
+
+
+def test_bound_scans_name_their_first_failing_stage():
+    x, y = parse_set("meet(evens, mod 3)"), parse_set("mod 3")
+    table = list(synth_reduction_from_h(x, y, IDENTITY, 60).program.values)
+    # a target whose counts are all 0 fails each synthesis at x's first zero
+    first = x.principal_zero(0)
+    with pytest.raises(NotAReduction, match=rf"growth synthesis failed its own bound at s={first}$"):
+        synth_h_from_reduction(table, x, pinned_profiles(parse_set("mod 3"), lambda s: 0), 60)
+    budget = x.cum_cost(60)
+    steps = next(b for b in [0, *x.cum_costs(range(x.bits_within(budget)))]
+                 if x.zeros_by_steps(b) > 0)
+    with pytest.raises(NotAReduction, match=rf"step-rate synthesis failed its own bound at s={steps}$"):
+        synth_p_from_reduction(table, x, pinned_profiles(parse_set("mod 3"), lambda s: 0), budget)
+    # a growth-h claim of the constant 0: the first stage with a zero of x fails
+    for claim, pick in (("growth-h", "zeros_by_index"), ("growth-p", "zeros_by_steps")):
+        w = ReductionWitness(TableProgram([0] * 61), claim, x.name, y.name, 60)
+        low, high = parse_set("meet(evens, mod 3)"), parse_set("mod 3")
+        s = next(s for s in range(61) if getattr(low, pick)(s) > getattr(high, pick)(0))
+        with pytest.raises(NotCertified, match=rf"claimed {claim} bound fails at s={s}$"):
+            verify_claim(w, parse_set(x.dsl), parse_set("mod 3"), 60)
+    for low, high in (("mod 3", "evens"), ("mod 7", "blocks 2"), ("mod 5", "join(evens, mod 3)")):
+        for convention in ("index", "steps"):
+            want = outcome(ref_domination if convention == "index" else ref_domination_steps,
+                           parse_set(low), parse_set(high), 80)
+            assert want[0] is NotCertified and " > " in want[1], want
+            got = outcome(lambda a, b: domination_certificate(a, b, 80, convention).program.values,
+                          parse_set(low), parse_set(high))
+            assert got == want
+
+
+def ref_domination_steps(low, high, horizon):
+    """ref_domination under the step convention."""
+    for s in range(horizon + 1):
+        a, b = low.zeros_by_steps(s), high.zeros_by_steps(s)
+        if a > b:
+            raise NotCertified(f"profile of {low.name} exceeds {high.name} at s={s} ({a} > {b})")
+    return list(range(horizon + 1))
+
+
 # ---------------------------------------------------------------------------
 # Witness rows in bulk against the per-row reader
 
@@ -2474,6 +2598,38 @@ def test_sets_from_one_text_share_bits_not_memos(desc, traces):
     a.bit(120)
     assert a.decided > 120 and b.decided == 0
     assert b.prefix(90) == a.prefix(90) and b.decided == 91 and a.decided > 120
+
+
+def test_every_module_level_cache_is_bounded_or_takes_no_argument():
+    caches = {}
+    for info in pkgutil.iter_modules(punctual.__path__):
+        if info.name != "__main__":         # importing it runs the command line
+            module = importlib.import_module(f"punctual.{info.name}")
+            caches.update((f"{info.name}.{name}", obj) for name, obj in vars(module).items()
+                          if hasattr(obj, "cache_info") and obj.__module__ == module.__name__)
+    free = {name for name, cache in caches.items()
+            if not inspect.signature(cache.__wrapped__).parameters}
+    assert free == {"cli._parser", "_text._decimal_strs", "_text._decimal_table"}
+    unbounded = {name for name, cache in caches.items() if cache.cache_info().maxsize is None}
+    assert unbounded <= free, unbounded
+    assert {"constructions._trace_outputs", "sets._lattice_pattern_of"} < set(caches)
+    assert len(caches) == 10, sorted(caches)
+
+
+def text_key(text):
+    """The key load_trace_set makes for a trace text."""
+    key = constructions._TextKey((len(text), _text.digest((text,))))
+    key.text = text
+    return key
+
+
+def test_a_kept_trace_key_holds_no_text(traces):
+    clear_kept()
+    text = pathlib.Path(traces["imm"]).read_text()
+    key = text_key(text)
+    assert constructions._trace_outputs(key) == constructions._trace_outputs(text_key(text))
+    # the second call, on a key of equal length and digest, is a hit
+    assert not hasattr(key, "text") and constructions._trace_outputs.cache_info()[:2] == (1, 1)
 
 
 def test_kept_parses_and_patterns_stay_within_their_bounds(tmp_path):

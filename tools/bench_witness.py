@@ -8,7 +8,8 @@ trace inputs its ``setup`` writes into a temporary directory.  Each of
 through eleven phases, each on descriptors parsed fresh before the phase
 starts, as a command-line call would:
 
-  * descriptors: ``parse_set`` of the pair's two descriptor texts;
+  * descriptors: ``parse_set`` of the pair's two descriptor texts, trace
+    texts read and hashed for the key of their kept parse;
   * synth-g-from-h: ``synth_reduction_from_h`` under the identity bound;
   * synth-h: ``synth_h_from_reduction`` of that table;
   * surjectivize: ``surjectivize`` of that table;
@@ -38,16 +39,19 @@ step counts of a pattern set (``_Pattern._zeros_below``, or
 ``program_point_reads``, the ``value`` calls of each program class; and
 the parses behind the descriptor caches, ``trace_parses`` and
 ``pattern_builds``, each pass on caches that start empty
-(``harness.counting_parses``).  The two text phases also count table rows
-and text bytes.  The result is stored under ``--label`` in
-``BENCH_witness.json`` at the root of the checkout, keeping the other
-labels there, so that two commits can be compared by running this file
-against each one's ``src``.
+(``harness.counting_parses``); and ``least_pair_scans``, the
+``check_reduction_prefix`` calls that reach the definitional rescan for
+the least violating pair, which no table of these phases should.  The two
+text phases also count table rows and text bytes.  The result is stored
+under ``--label`` in ``BENCH_witness.json`` at the root of the checkout,
+keeping the other labels there, so that two commits can be compared by
+running this file against each one's ``src``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import statistics
 import sys
@@ -79,7 +83,38 @@ CALLS = {"bit_calls": (sets.PrSet, "bit"), "cum_cost_calls": (sets.PrSet, "cum_c
 # the counters of each phase, in the order they are stored
 COUNTERS = ("ensure_entries", "bit_calls", "cum_cost_calls", "memo_bits", "pattern_fill_bits",
             "operand_fill_bits", "fallbacks", "pattern_point_reads", "per_bit_bits",
-            "trace_parses", "pattern_builds")
+            "trace_parses", "pattern_builds", "least_pair_scans")
+
+
+@contextlib.contextmanager
+def counting_rescans(counts: dict):
+    """Count into ``counts["least_pair_scans"]`` the check_reduction_prefix
+    calls that reach the least-pair rescan.  The phases read set relations
+    only, whose ``related`` nothing but that rescan calls, so a check counts
+    when ``SetRelation.related`` runs inside it; the count needs no hook in
+    the source, so it reads alike on every commit."""
+    counts.setdefault("least_pair_scans", 0)
+    open_checks = []
+
+    def check(original):
+        def call(*args, **kwargs):
+            open_checks.append(0)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                counts["least_pair_scans"] += open_checks.pop()
+        return call
+
+    def related(original):
+        def call(self, a, b):
+            if open_checks:
+                open_checks[-1] = 1
+            return original(self, a, b)
+        return call
+
+    with harness.patched({(reductions, "check_reduction_prefix"): check,
+                          (sets.SetRelation, "related"): related}):
+        yield counts
 
 
 def fresh_pairs() -> list:
@@ -147,12 +182,13 @@ def one_pass(items: list) -> tuple:
 def counted_pass(items: list) -> dict:
     """Memo work of each phase: _ensure entries, bit and cum_cost calls,
     memo growth by generator, per-row reader calls, per-point pattern and
-    program reads, trace parses and pattern builds; rows and text bytes of
-    the text phases."""
+    program reads, trace parses, pattern builds and least-pair rescans;
+    rows and text bytes of the text phases."""
     out = {}
     for name, fn in PHASES.items():
         pairs, counts = fresh_pairs(), {}
-        with harness.counting(counts, CALLS), harness.counting_parses(counts):
+        with harness.counting(counts, CALLS), harness.counting_parses(counts), \
+                counting_rescans(counts):
             for (x, y), h, item in zip(pairs, horizons(), items):
                 fn(x, y, h, item)
         counts = harness.with_per_bit(counts)

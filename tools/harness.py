@@ -79,7 +79,7 @@ def _cold(counts: dict, key: str, cached):
 
 
 @contextlib.contextmanager
-def _patched(patches: dict):
+def patched(patches: dict):
     """Each attribute ``(owner, name)`` of `patches` set to its wrap of the
     original inside the block."""
     saved = {spot: getattr(*spot) for spot in patches}
@@ -101,7 +101,7 @@ def counting(counts: dict, calls: dict):
     patches.update({spot: partial(_counted, counts, key) for key, spot in calls.items()})
     for key in ("ensure_entries", "memo_bits", *FILLS, *calls):
         counts.setdefault(key, 0)
-    with _patched(patches):
+    with patched(patches):
         yield counts
 
 
@@ -115,7 +115,7 @@ def counting_parses(counts: dict):
             patches[cached] = partial(_cold, counts, key)
         else:
             patches[plain] = partial(_counted, counts, key)
-    with _patched(patches):
+    with patched(patches):
         yield counts
 
 
