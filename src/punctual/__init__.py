@@ -1,99 +1,2 @@
 """Clocked bit-generators, zero-count profiles, and stage-based
 diagonalization runs for punctual equivalence relations."""
-
-from .errors import (
-    ArityError,
-    BudgetExceeded,
-    CaseUndetermined,
-    CeilingExceeded,
-    MisuseError,
-    NotAReduction,
-    NotCertified,
-    NotEquivalence,
-    ParseError,
-    PreconditionFailed,
-    PunctualError,
-    PunctualityViolation,
-    ShapeMismatch,
-    StageBudgetExhausted,
-    WitnessBoundViolated,
-)
-from .pr_lang import (
-    ClockedProgram,
-    Converged,
-    FloorTableProgram,
-    NativeProgram,
-    OutOfBudget,
-    TableProgram,
-    TermProgram,
-    converges_within,
-    decode,
-    encode,
-    eval_clocked,
-    parse_term,
-    serialize,
-)
-from .sets import (
-    IdentityRelation,
-    Prefix,
-    PrSet,
-    SetRelation,
-    blocks_set,
-    drop_least_zero,
-    evens_set,
-    mod_set,
-    normal_form,
-    parse_set,
-    principal_transversal,
-    set_join,
-    set_meet,
-    singleton_zero_set,
-    string_join,
-    string_meet,
-    term_set,
-)
-from .reductions import (
-    Counterexample,
-    ReductionWitness,
-    check_pre_immune,
-    check_reduction_prefix,
-    detect_counterexample_R_to_RY,
-    detect_counterexample_RX_to_RY,
-    detect_counterexample_RY_to_R,
-    domination_certificate,
-    respect_normal_form,
-    surjectivize,
-    synth_h_from_reduction,
-    synth_p_from_reduction,
-    synth_reduction_from_h,
-    synth_reduction_from_p,
-)
-from .lattice import (
-    DiamondEvidence,
-    EquilibriumReport,
-    canonical_diamond_witness,
-    check_slowness,
-    diamond_evidence_q,
-    diamond_evidence_r,
-    equilibrium_points,
-    make_nondiamond_below,
-    make_slow_set,
-    restrict_diamond_witness,
-    x1_bound_check,
-)
-from .constructions import (
-    ConstructionResult,
-    construct_antichain,
-    construct_dense,
-    construct_dense_incomparable,
-    construct_diamond,
-    construct_immune,
-    construct_incomparable,
-    construct_join_split,
-    construct_meet_split,
-    construct_separator,
-    load_trace_set,
-    replay_from_trace,
-    save_trace,
-    verify_trace_file,
-)

@@ -129,19 +129,16 @@ def diamond_evidence_r(x: PrSet, y: PrSet, r, window: tuple,
 # Canonical witnesses (the profile-smoothing construction)
 
 
-class CanonicalWitness:
-    def __init__(self, x_star: PrSet, y_star: PrSet, case: int, good_stage_count: int,
-                 equilibrium_count: int, certificates: dict, monotonized: bool,
-                 horizon: int, d_table: Optional[tuple] = None):
-        self.x_star = x_star
-        self.y_star = y_star
-        self.case = case
-        self.good_stage_count = good_stage_count
-        self.equilibrium_count = equilibrium_count
-        self.certificates = certificates
-        self.monotonized = monotonized
-        self.horizon = horizon
-        self.d_table = d_table
+class CanonicalWitness(NamedTuple):
+    x_star: PrSet
+    y_star: PrSet
+    case: int
+    good_stage_count: int
+    equilibrium_count: int
+    certificates: dict
+    monotonized: bool
+    horizon: int
+    d_table: Optional[tuple] = None
 
 
 def _monotonize(prog: ClockedProgram, horizon: int) -> tuple[list[int], bool]:

@@ -760,17 +760,22 @@ def test_python_m_punctual_runs_the_cli(capsys):
 
 def test_a_small_command_loads_no_heavy_stdlib_module():
     # dataclasses (with inspect under it) and hashlib each cost a command
-    # milliseconds of import; profile needs none of them
+    # milliseconds of import; profile needs none of them, and the package
+    # alone loads no module but itself
     src = str(pathlib.Path(punctual.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, punctual\n"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import punctual\n"
+            "print(sorted(set(sys.modules) - before))\n"
             "from punctual import cli\n"
             "cli.main(['profile', 'evens', '--horizon', '3'])\n"
             "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "['punctual']" and lines[-1] == "[]"
 
 
 def test_python_m_punctual_usage_error_exits_1():

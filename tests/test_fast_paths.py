@@ -1316,6 +1316,16 @@ def test_pattern_cap_bounds_the_build_span(desc, span, monkeypatch):
     assert x._pattern is not None
 
 
+def test_a_kept_period_past_the_cap_makes_no_pattern():
+    # the join of evens with eight members then zeros follows evens for 16
+    # bits, then the zeros: its pattern needs 17 bits, though the first span
+    # past both heads ends at bit 10
+    px, py = sets._Pattern((), (0, 1)), sets._Pattern((1,) * 8, (0,))
+    assert sets._lattice_pattern_of(px, py, max, 16) is None
+    join = sets._lattice_pattern_of(px, py, max, 17)
+    assert (join.head, join.period) == ((0, 1) * 8, (0,))
+    assert join == sets._lattice_pattern_of(px, py, max, sets._PATTERN_MAX)
+
 def random_pattern_set(rng, name, period=None, head=None):
     """A pattern set with a random cost, a random head and a random period
     holding a zero, unless a head or period is given."""

@@ -803,6 +803,12 @@ class TestRecordedArity:
         with pytest.raises(ArityError, match=r"P\[4097,1\] needs n <= 4096"):
             validate(wide)
 
+    def test_no_term_is_made_at_arity_zero(self):
+        with pytest.raises(ArityError, match="^zero_of_arity needs n >= 1$"):
+            pr_lang.zero_of_arity(0)
+        with pytest.raises(ArityError, match="^cannot coerce to arity 0$"):
+            coerce_arity(parse_term(ADD_SHAPED), 0)
+
     def test_decode_rejects_a_step_fed_past_max_arity(self):
         # a recursion on a base of arity 4094 feeds its step 4097 arguments
         e = 4 + 3 * pr_lang.cantor_pair(encode(Proj(4094, 1)), 0)
@@ -824,8 +830,9 @@ class TestMalformedTerms:
         (Comp(Succ(), (Proj(1, 1), Proj(1, 1))), [3]),
         (PrimRec(Zero(), Proj(2, 1)), [2]),
         (Proj(10 ** 20, 1), [1]),
+        (parse_term("P[2,1]"), [1]),
     ], ids=["projection-index", "empty-composition", "outer-arity", "step-arity",
-            "projection-width"])
+            "projection-width", "argument-count"])
     def test_rejected_before_running(self, t, args):
         for run in (lambda: eval_clocked(t, args, 100), lambda: eval_total(t, args),
                     lambda: eval_cost(t, args)):

@@ -78,6 +78,8 @@ def test_keywords_name_the_fields_in_constructor_order():
     canon = CanonicalWitness(x, x, 1, 2, 3, {}, False, 9)
     assert (canon.case, canon.good_stage_count, canon.equilibrium_count, canon.horizon,
             canon.d_table) == (1, 2, 3, 9, None)
+    assert canon == (x, x, 1, 2, 3, {}, False, 9, None)
+    assert canon._replace(d_table=(0,)).d_table == (0,) and canon.d_table is None
     cycle = _Cycle("P0", "P", 0, 1, None, "copy", 5)
     assert (cycle.label, cycle.kind, cycle.member, cycle.relation, cycle.watch,
             cycle.phase, cycle.opened) == ("P0", "P", 0, 1, None, "copy", 5)

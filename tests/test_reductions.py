@@ -28,6 +28,7 @@ from punctual.reductions import (
 )
 from punctual.sets import (
     IdentityRelation,
+    PredicateRelation,
     Prefix,
     PrSet,
     SetRelation,
@@ -75,6 +76,22 @@ class TestCheckReduction:
         with pytest.raises(PreconditionFailed, match="maps 3 to -1"):
             check_reduction_prefix(neg, SetRelation(evens_set()),
                                    SetRelation(mod_set(3)), 5)
+
+    def test_a_failing_source_relation_reraises_only_on_a_clean_prefix(self):
+        # deciding element 6's class reads (6, 6), which the pairwise rescan
+        # never reads: the check raises when 0..5 is clean, and otherwise
+        # returns the least pair, found below 6
+        def related(a, b):
+            if a == b == 6:
+                raise PreconditionFailed("element 6 read")
+            return a == b
+
+        source = PredicateRelation(related, "fails at 6")
+        with pytest.raises(PreconditionFailed, match="element 6 read"):
+            check_reduction_prefix(IDENTITY, source, IdentityRelation(), 10)
+        collapsed = TableProgram([0, 0] + list(range(2, 11)), "collapsed")
+        assert check_reduction_prefix(collapsed, source, IdentityRelation(), 10) == (
+            "reduction", 0, 1, 10, False, True, (0, 0), None)
 
 
 class TestDetectors:
@@ -130,6 +147,22 @@ class TestDetectors:
         assert revalidate_counterexample(cex, IDENTITY,
                                          source=SetRelation(evens_set()),
                                          sigma_y=longer)
+
+    def test_revalidation_refuses_what_the_final_data_cannot_decide(self):
+        cex = detect_counterexample_RX_to_RY(IDENTITY, Prefix.from_str("1100"),
+                                             Prefix.from_str("1111"), 10)
+        assert (cex.l, cex.m, cex.images) == (0, 2, (0, 2))
+        sx, sy = Prefix.from_str("1100"), Prefix.from_str("1111")
+        assert revalidate_counterexample(cex, IDENTITY, sigma_x=sx, sigma_y=sy)
+        # the member no longer converges within the recorded stage
+        slow = NativeProgram("slow-id", lambda x: x, lambda x: 100)
+        assert not revalidate_counterexample(cex, slow, sigma_x=sx, sigma_y=sy)
+        # m = 2 lies past a decided source prefix
+        assert not revalidate_counterexample(cex, IDENTITY, sigma_x=Prefix.from_str("11"),
+                                             sigma_y=sy)
+        # the image 2 lies past a decided target prefix
+        assert not revalidate_counterexample(cex, IDENTITY, sigma_x=sx,
+                                             sigma_y=Prefix.from_str("11"))
 
 
 class TestGrowthSynthesis:
@@ -289,6 +322,15 @@ class TestCertificatesAndFiles:
         with pytest.raises(NotCertified) as exc:
             verify_claim(w, low, high, 10)
         assert str(exc.value) == message
+
+    def test_verify_claim_accepts_a_valid_reduction(self):
+        w = ReductionWitness(TableProgram(list(range(11))), "reduction", "evens", "evens", 10)
+        assert verify_claim(w, evens_set(), evens_set(), 10) is None
+
+    def test_only_a_table_witness_serializes(self):
+        w = ReductionWitness(IDENTITY, "reduction", "evens", "evens", 10)
+        with pytest.raises(PreconditionFailed, match="only table-backed witnesses serialize"):
+            serialize_witness(w)
 
     def test_witness_file_round_trip(self):
         g = synth_reduction_from_h(evens_set(), mod_set(3), IDENTITY, 25)

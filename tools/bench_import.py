@@ -1,5 +1,5 @@
-"""Import harness: ``import punctual`` and one small command, each in a fresh
-interpreter.
+"""Import harness: ``import punctual.cli``, which every command loads, and
+one small command, each in a fresh interpreter.
 
     PYTHONPATH=src python tools/bench_import.py --label after
 
@@ -15,9 +15,9 @@ the same harness measures any checkout by pointing ``PYTHONPATH`` at its
 Both modes run with ``PYTHONDONTWRITEBYTECODE=1``, so neither copy
 changes.  Each of ``REPEATS`` (15) rounds runs, in both modes in turn:
 
-  * ``import``: a child that times its own ``import punctual`` and reports
-    its peak RSS (``ru_maxrss``) and the modules the import added to
-    ``sys.modules``;
+  * ``import``: a child that times its own ``import punctual.cli`` and
+    reports its peak RSS (``ru_maxrss``) and the modules the import added
+    to ``sys.modules``;
   * ``cli``: ``python -m punctual profile evens --horizon 10``, timed end
     to end from here.
 
@@ -51,7 +51,7 @@ CHILD = """\
 import json, resource, sys, time
 before = set(sys.modules)
 start = time.perf_counter()
-import punctual
+import punctual.cli
 took = time.perf_counter() - start
 json.dump({"import_s": took, "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
            "modules": sorted(set(sys.modules) - before)}, sys.stdout)
