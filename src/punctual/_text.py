@@ -1,8 +1,8 @@
 """The text layout that witness files and traces share: UTF-8 files of
 "key<TAB>value" header lines, ``---`` and rows of tab-separated cells.
 The codecs (``reductions``, ``constructions``) keep their fields and their
-per-line readers, which name the first bad line of a block that
-``columns`` declines.
+per-line readers, which name the first bad line: trace records are read
+one line at a time, a witness body only when ``columns`` declines it.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ def pairs(lines) -> list:
     """The (key, value) of each line "key<TAB>value"; the value runs to the
     line's end, and a line without a tab is a key with an empty value."""
     return [line.partition("\t")[::2] for line in lines]
+
+
+def split_lines(text: str) -> list:
+    """The lines of text, split only at the newlines read_text folds, not at
+    str.splitlines's "\\v", "\\f", "\\u2028", ...: a line number names a file line."""
+    *lines, last = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines + [last] if last else lines
 
 
 def pair_lines(items) -> str:

@@ -28,10 +28,11 @@ refute, so exhaustion is a first-class outcome.
 roles and its validator; the command line, replay and validation read it.
 
 A trace keeps its records as columns (stage, cycle, phase, sparse events)
-and its bits as the machines' own output lists; ``_text`` writes and
-reads them as text.  ``verify_trace_file`` replays from the header alone
-and parses the records only when the replay raises or its bytes differ,
-so a malformed record is still the first error reported.
+and its bits as the machines' own output lists, written as text in one
+join and read back one line at a time.  ``verify_trace_file`` replays
+from the header alone and parses the records only when the replay raises
+or its bytes differ, so a malformed record is still the first error
+reported.
 Validators compare zero-count columns: each reads every set's index
 profile once, as a list, and checks whole columns (a meet or join of
 outputs is their pointwise min or max, as in the lattice); only a failing
@@ -49,7 +50,7 @@ from __future__ import annotations
 import bisect
 import functools
 from functools import partial
-from itertools import chain, islice, product, zip_longest
+from itertools import islice, product, zip_longest
 from operator import gt, le
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -150,10 +151,7 @@ class Trace:
                 f"---\n{_text.pair_lines(self.footer)}")
 
     def header_value(self, key: str) -> Optional[str]:
-        for k, v in self.header:
-            if k == key:
-                return v
-        return None
+        return next((v for k, v in self.header if k == key), None)
 
     def header_all(self, key: str) -> list:
         return [v for k, v in self.header if k == key]
@@ -174,7 +172,7 @@ def _split_trace(text: str):
     The first two ``---`` lines end the header and the records; the footer
     skips blank lines.  Only a text without the format line raises here.
     """
-    lines = text.splitlines()
+    lines = _text.split_lines(text)
     if not lines or lines[0] != TRACE_FORMAT:
         raise ParseError("not a trace file")
 
@@ -186,30 +184,8 @@ def _split_trace(text: str):
 
 
 def _parse_records(lines: list, first: int) -> tuple:
-    """The record lines' columns, bits by output, read by column: ``int``
-    over the stage column, each distinct bits field parsed once.  Lines
-    that ``_text.columns`` declines, and a ValueError in a column, go
-    through _parse_record_lines, which names the first bad line."""
-    read = _text.columns("\n".join([*lines, ""]), len(_RECORD_FIELDS))
-    if read is None:
-        return _parse_record_lines(lines, first)
-    stage, cycles, phases, bits, evs = read
-    try:
-        fields = {f: [p.split("=") for p in f.split(",")] if f != "-" else []
-                  for f in dict.fromkeys(bits)}
-        outputs = {}
-        for n in dict.fromkeys(n for named in fields.values() for n, _ in named):
-            cells = {f: [int(b) for m, b in named if m == n] for f, named in fields.items()}
-            outputs[n] = list(chain.from_iterable(map(cells.__getitem__, bits)))
-        stages = list(map(int, stage))
-    except ValueError:
-        return _parse_record_lines(lines, first)
-    events = {i: tuple(e.split(";")) for i, e in enumerate(evs) if e != "-"}
-    return stages, cycles, phases, events, outputs
-
-
-def _parse_record_lines(lines: list, first: int) -> tuple:
-    """_parse_records one line at a time; the first bad line raises."""
+    """The record lines' columns, events by record and bits by output, one
+    line at a time; the first bad line raises, naming its line in the file."""
     stages, cycles, phases, events, columns = [], [], [], {}, {}
     try:
         for i, line in enumerate(lines):

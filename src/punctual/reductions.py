@@ -18,7 +18,7 @@ from itertools import compress, count
 from operator import gt, itemgetter, lt, mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._text import columns, decimals, integers, pair_lines, pairs, read_text, rows
+from ._text import columns, decimals, integers, pair_lines, pairs, read_text, rows, split_lines
 from .errors import (
     CeilingExceeded,
     NotAReduction,
@@ -678,11 +678,11 @@ def parse_witness(text: str) -> ReductionWitness:
     under the decimal cap, is read by lookup; any other body goes through
     _parse_rows, which names the first bad line."""
     head, _, body = text.partition("---\n")
-    fields = dict(pairs(head.splitlines()))
+    fields = dict(pairs(split_lines(head)))
     table = columns(body, 2)
     values = integers(table[1]) if table else None
     if values is None or table[0] != decimals(range(len(values))):
-        values = _parse_rows(body.splitlines(), len(head.splitlines()) + 2)
+        values = _parse_rows(split_lines(body), len(split_lines(head)) + 2)
     for key in _HEADER:
         if key not in fields:
             raise ParseError(f"witness header has no {key!r} line")

@@ -13,7 +13,9 @@ import pytest
 import punctual
 from punctual import pr_lang
 from punctual.cli import _check_bounds, build_parser, main
+from punctual.constructions import parse_trace, verify_trace_file
 from punctual.errors import MisuseError, ParseError, PunctualError, StageBudgetExhausted
+from punctual.reductions import load_witness, parse_witness
 from punctual.sets import DEFAULT_CEILING
 
 FAMILY_TEXTS = [
@@ -902,3 +904,55 @@ def test_fuzzed_input_files_end_in_a_documented_exit(tmp_path, family_file, caps
         os.remove(mutant)
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+# ---------------------------------------------------------------------------
+# Lines end only at the newlines read_text folds: "\n", "\r\n" and "\r"
+
+# the line breaks of str.splitlines that are not newlines, and the
+# whitespace that int() strips from a number (a blank, not "\x1c"-"\x1e")
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+STRIPPED = [" ", "\v", "\f", "\x85", "\u2028", "\u2029"]
+GOLDEN_TRACE = pathlib.Path(__file__).parent / "golden" / "join-split.empty.trace"
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_a_bad_line_is_named_by_its_file_line_past_other_breaks(brk, tmp_path):
+    row = f"1\tx{brk}"
+    witness = tmp_path / "w.table"
+    witness.write_bytes(WITNESS.replace("\n", f"{brk}\n", 1)
+                        .replace("\n1\t1\n", f"\n{row}\n").encode())
+    with pytest.raises(ParseError) as info:
+        load_witness(witness)
+    assert str(info.value) == f"malformed witness row on line 9: {row!r}"
+
+    record = f"7x{brk}\tF1\ttransition\tY0=0,Y1=1\tclose:F1;open:F2"
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(GOLDEN_TRACE.read_text()
+                      .replace("construction\tjoin-split\n", f"construction\tjoin-split{brk}\n")
+                      .replace("\n7\tF1\ttransition\tY0=0,Y1=1\tclose:F1;open:F2\n",
+                               f"\n{record}\n").encode())
+    with pytest.raises(ParseError) as info:
+        verify_trace_file(trace)
+    assert str(info.value) == f"malformed trace record on line 19: {record!r}"
+
+
+@pytest.mark.parametrize("space", STRIPPED)
+def test_whitespace_that_int_strips_reads_as_a_leading_space_does(space):
+    text = GOLDEN_TRACE.read_text()
+    padded = parse_trace(text.replace("\n7\tF1\t", f"\n7{space}\tF1\t", 1))
+    assert padded.serialize() == text
+    table = parse_witness(WITNESS.replace("\n1\t1\n", f"\n1\t1{space}\n"))
+    assert list(table.program.values) == [0, 1]
+
+
+def test_a_crlf_file_reads_as_its_lf_text_and_fails_verify_at_the_first_cr(tmp_path, capsys):
+    text = GOLDEN_TRACE.read_text()
+    trace = tmp_path / "crlf.trace"
+    trace.write_bytes(text.replace("\n", "\r\n").encode())
+    assert parse_trace(trace.read_bytes().decode()).serialize() == text
+    assert main(["verify", str(trace)]) == 1
+    assert capsys.readouterr().out.endswith("\nverify\tfail\tdivergence at byte 16: line 1\n")
+    witness = tmp_path / "w.table"
+    witness.write_bytes(WITNESS.replace("\n", "\r\n").encode())
+    assert list(load_witness(witness).program.values) == [0, 1]

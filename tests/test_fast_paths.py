@@ -5,8 +5,7 @@ The references below are the earlier, definitional versions: the two
 per-stage step-rate table, the bit-by-bit step-profile count, the
 principal-zero scan, the one-row-at-a-time witness writer and reader
 (which the column writer and, under the decimal cap, the column reader
-replace), the
-per-line trace record loop, one profile read per stage, the all-pairs
+replace), one profile read per stage, the all-pairs
 reduction check, one cost read per index in the step-rate syntheses,
 one zero search per fresh pick, one step count per budget of a pattern
 set's steps column, one ``value`` read per point of a program's
@@ -18,7 +17,8 @@ reference reads up to.  Range fills are checked against the per-bit memo
 loop, which stays in ``PrSet._ensure``, sets built as patterns from
 pattern operands against the lattice and flip fills they replace, and
 sets built from kept trace parses and lattice patterns against sets built
-after the caches are cleared.
+after the caches are cleared.  Trace records have one reader, checked
+here on single edited lines.
 """
 
 import bisect
@@ -38,13 +38,10 @@ import pytest
 
 import punctual
 from punctual import _text, constructions, pr_lang, reductions, sets
-from punctual._text import decode_text
 from punctual.constructions import (
     _fresh_zero_table,
-    _parse_record_lines,
     _parse_records,
     _split_trace,
-    construct_dense,
     construct_immune,
     construct_join_split,
     save_trace,
@@ -103,7 +100,6 @@ from punctual.sets import (
 )
 
 from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2
-from test_cli import fuzz_mutation
 
 IDENTITY = NativeProgram("id", lambda x: x)
 
@@ -2364,19 +2360,7 @@ def test_parse_witness_headers_match_the_per_row_reader():
 
 
 # ---------------------------------------------------------------------------
-# Trace records by column against the per-line loop
-
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Each call from _parse_records to the per-line loop, recorded."""
-    calls = []
-    monkeypatch.setattr(constructions, "_parse_record_lines",
-                        lambda *args: calls.append(args) or _parse_record_lines(*args))
-    return calls
+# Trace record lines, each edited once
 
 
 def family6():
@@ -2388,17 +2372,8 @@ def record_lines(text):
     return lines, first
 
 
-def test_record_columns_match_the_per_line_loop_on_golden_traces(fallbacks):
-    names = sorted(GOLDEN.glob("*.trace"))
-    assert len(names) == 40
-    for path in names:
-        lines, first = record_lines(decode_text(path.read_bytes(), path))
-        assert _parse_records(lines, first) == _parse_record_lines(lines, first), path.name
-    assert not fallbacks
-
-
 # one record line edited: a name order, a name repeated or added, integers
-# other than 0 and 1, and lines the per-line loop rejects
+# other than 0 and 1, and lines the reader rejects
 RECORD_EDITS = [
     lambda line: line.replace("Y0=0,Y1=1", "Y1=1,Y0=0"),
     lambda line: line.replace("Y0=", "Y1=", 1),
@@ -2419,45 +2394,24 @@ RECORD_EDITS = [
 ]
 
 
-def test_record_columns_match_the_per_line_loop_on_edits(fallbacks):
+def test_record_edits_raise_on_their_line_or_keep_the_other_columns():
+    """A rejected edit names its own line and text; an accepted one leaves
+    the stages, cycles, phases and events as the unedited lines give them."""
     lines, first = record_lines(construct_join_split(mod_set(3), family6()[:2], 40)
                                 .trace.serialize())
-    assert outcome(_parse_records, [], first) == outcome(_parse_record_lines, [], first)
+    assert _parse_records([], first) == ([], [], [], {}, {})
+    want = _parse_records(lines, first)[:4]
     seen = collections.Counter()
     for edit in RECORD_EDITS:
         for k in (0, 1, 5, 17, len(lines) - 1):
-            edited = lines[:k] + [edit(lines[k])] + lines[k + 1:]
-            before = len(fallbacks)
-            want = outcome(_parse_record_lines, edited, first)
-            assert outcome(_parse_records, edited, first) == want, (k, edited[k])
-            # the columns read the good lines, and every bad line falls back
-            assert (len(fallbacks) > before) == (want[0] is ParseError)
-            seen[want[0] is ParseError] += 1
+            edited = edit(lines[k])
+            got = outcome(_parse_records, lines[:k] + [edited] + lines[k + 1:], first)
+            if got[0] is ParseError:
+                assert got[1] == f"malformed trace record on line {first + k}: {edited!r}"
+            else:
+                assert got[:4] == want, (k, edited)
+            seen[got[0] is ParseError] += 1
     assert min(seen.values()) >= 20 and len(seen) == 2, seen
-
-
-def test_record_columns_match_the_per_line_loop_on_mutants(fallbacks):
-    saved = [construct_immune(family6(), 40),
-             construct_join_split(mod_set(3), family6()[:2], 40),
-             construct_dense(parse_set("meet(evens, blocks 6)"),
-                             parse_set("join(evens, blocks 6)"), None, family6(), 40)]
-    rng = random.Random(20)
-    seen = collections.Counter()
-    for result in saved:
-        original = result.trace.serialize().encode()
-        for _ in range(300):
-            try:
-                lines, first = record_lines(decode_text(fuzz_mutation(rng, original), "m"))
-            except ParseError:
-                continue
-            before = len(fallbacks)
-            want = outcome(_parse_record_lines, lines, first)
-            assert outcome(_parse_records, lines, first) == want, lines
-            # only a malformed line leaves the columns
-            error = want[0] is ParseError
-            assert (len(fallbacks) > before) == error
-            seen["malformed" if error else "records" if lines else "no records"] += 1
-    assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
 
 # ---------------------------------------------------------------------------

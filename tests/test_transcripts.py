@@ -1,0 +1,31 @@
+"""Golden command-line transcripts, replayed byte for byte.
+
+Each ``tests/golden/cli/<case>.json`` holds one invocation of the commands
+that read trace and witness files: its argv, exit code, stdout and stderr.
+``tools/cli_transcripts.py`` defines the cases and their input files and
+writes the transcripts:
+
+    PYTHONPATH=src python tools/cli_transcripts.py
+"""
+import json
+import pathlib
+import sys
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tools"))
+import cli_transcripts  # noqa: E402
+
+CLI = pathlib.Path(cli_transcripts.OUT)
+
+
+def test_every_case_has_one_transcript():
+    assert sorted(p.stem for p in CLI.glob("*.json")) == sorted(cli_transcripts.CASES)
+
+
+@pytest.mark.parametrize("case", sorted(cli_transcripts.CASES))
+def test_transcript_replays(case):
+    stored = (CLI / f"{case}.json").read_bytes()
+    replayed = cli_transcripts.run(case)
+    assert replayed == json.loads(stored)
+    assert cli_transcripts.dumps(replayed).encode() == stored
