@@ -63,10 +63,10 @@ from .reductions import (
     Counterexample,
     ReductionWitness,
     _fresh_pick_table,
-    _least_violation,
-    _still_violates,
     check_reduction_prefix,
+    detect_counterexample,
     domination_certificate,
+    revalidate_counterexample,
     verify_claim,
 )
 from .sets import (
@@ -275,11 +275,10 @@ class _Detector:
 
     def extract(self, s: int, source, target) -> Counterexample:
         """Definitional least-pair scan at the firing stage."""
-        cex = _least_violation(self.flavor, self.program, source, target, s,
-                               self.program.name)
+        cex = detect_counterexample(self.flavor, self.program, source, target, s)
         if cex is None:
             raise AssertionError("incremental detector fired but full scan found nothing")
-        return cex
+        return cex._replace(member=self.program.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,7 +1082,7 @@ def validate_result(result: ConstructionResult, closes: list) -> list:
         prog = by_name.get(cex.member)
         if prog is None:
             failures.append(f"unknown member {cex.member} in {label}")
-        elif not _still_violates(cex, prog, side(src), side(tgt)):
+        elif not revalidate_counterexample(cex, prog, side(src), side(tgt)):
             failures.append(f"counterexample in {label} no longer violates")
     failures.extend(CONSTRUCTIONS[result.name].validate(result, closes))
     return failures

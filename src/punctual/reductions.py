@@ -4,11 +4,12 @@ A reduction between induced relations is witnessed by a clocked total unary
 program together with the claim it makes.  Verification is always against a
 stated finite horizon; no verdict extrapolates beyond it.
 
-The three detectors decide, from a stage bound and the decided prefixes,
-whether a program permanently violates a reduction claim.  Each fires on
-the least pair (l, m) in lexicographic order whose decided data
-contradicts the claimed biconditional; because prefixes only extend and
-clocked convergence is monotone, a fired pair stays fired forever.
+One detector decides, from a stage bound and the decided prefixes, whether
+a program permanently violates a reduction claim of any of the three
+flavours.  It fires on the least pair (l, m) in lexicographic order whose
+decided data contradicts the claimed biconditional; because prefixes only
+extend and clocked convergence is monotone, a fired pair stays fired
+forever, and one revalidation re-derives it on final data.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram, TermProgram
 from .sets import (DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation,
-                   _picked, _running_max, _zeros_mask)
+                   _least_related, _picked, _running_max, _zeros_mask)
 
 
 class ReductionWitness:
@@ -89,7 +90,7 @@ def _classes(rel: Relation, points: Sequence[int], out: list) -> list:
         def rep(v):
             hit = reps.get(v)
             if hit is None:
-                hit = reps[v] = next((u for u in range(v + 1) if rel.related(u, v)), v)
+                hit = reps[v] = _least_related(rel, v)
             return hit
 
         out.extend(map(rep, points))
@@ -192,9 +193,9 @@ def require_reduction(f: Witnessable, source: Relation, target: Relation,
 
 
 # ---------------------------------------------------------------------------
-# Stage detectors.  All three fire exactly when the decided data contradicts
-# the claimed biconditional; eligibility needs converged images inside the
-# decided prefixes, which makes every hit permanent.
+# The stage detector.  Under every flavour it fires exactly when the decided
+# data contradicts the claimed biconditional; eligibility needs converged
+# images inside the decided prefixes, which makes every hit permanent.
 #
 # A side of a claim is either a relation or a decided prefix (any indexable
 # bit sequence).  A prefix source bounds the inputs examined, a prefix
@@ -224,9 +225,17 @@ _PAIR_PREDICATES = {"R_to_RY": _pair_R_to_RY, "RY_to_R": _pair_RY_to_R,
                    "RX_to_RY": _pair_RX_to_RY}
 
 
-def _least_violation(flavor: str, p: ClockedProgram, source, target, s: int,
-                    member: str | None = None) -> Optional[Counterexample]:
-    """Definitional scan: the least pair whose decided data fires at s."""
+def _pair_predicate(flavor: str):
+    if flavor not in _PAIR_PREDICATES:
+        raise ValueError(f"unknown flavor {flavor}")
+    return _PAIR_PREDICATES[flavor]
+
+
+def detect_counterexample(flavor: str, p: ClockedProgram, source, target,
+                          s: int) -> Optional[Counterexample]:
+    """The least pair whose decided data at stage s violates the claim that
+    p reduces source to target under flavor, or None."""
+    pair = _pair_predicate(flavor)
     domain = s + 1 if isinstance(source, Relation) else len(source)
     images = None if isinstance(target, Relation) else len(target)
     conv = {}
@@ -239,37 +248,19 @@ def _least_violation(flavor: str, p: ClockedProgram, source, target, s: int,
             v = p.converges_within(x, s)
             if v is not None and (images is None or v < images):
                 conv[x] = v
-    pair = _PAIR_PREDICATES[flavor]
     for l, vl in conv.items():
         for m, vm in conv.items():
             if m != l:
                 left, right = pair(source, target, l, m, vl, vm)
                 if left == right:
-                    return Counterexample(flavor, l, m, s, left, right,
-                                          (vl, vm), member)
+                    return Counterexample(flavor, l, m, s, left, right, (vl, vm))
     return None
 
 
-def detect_counterexample_R_to_RY(p: ClockedProgram, source: Relation,
-                                  sigma_y: Prefix, s: int) -> Optional[Counterexample]:
-    """Permanent violation of `p reduces the source relation to R_Y`."""
-    return _least_violation("R_to_RY", p, source, sigma_y, s)
-
-
-def detect_counterexample_RY_to_R(p: ClockedProgram, sigma_y: Prefix,
-                                  target: Relation, s: int) -> Optional[Counterexample]:
-    """Permanent violation of `p reduces R_Y to the target relation`."""
-    return _least_violation("RY_to_R", p, sigma_y, target, s)
-
-
-def detect_counterexample_RX_to_RY(p: ClockedProgram, sigma_x: Prefix,
-                                   sigma_y: Prefix, s: int) -> Optional[Counterexample]:
-    """Permanent violation of `p reduces R_X to R_Y`, both sets by prefix."""
-    return _least_violation("RX_to_RY", p, sigma_x, sigma_y, s)
-
-
-def _still_violates(cex: Counterexample, p: ClockedProgram, source, target) -> bool:
-    """revalidate_counterexample with the claim's two sides given directly."""
+def revalidate_counterexample(cex: Counterexample, p: ClockedProgram, source, target) -> bool:
+    """Re-derive the fired condition for the recorded pair on final data,
+    the claim's sides given in the detector's order."""
+    pair = _pair_predicate(cex.flavor)
     l, m, s = cex.l, cex.m, cex.stage
     vl = p.converges_within(l, s)
     vm = p.converges_within(m, s)
@@ -279,21 +270,8 @@ def _still_violates(cex: Counterexample, p: ClockedProgram, source, target) -> b
         return False
     if not isinstance(target, Relation) and max(vl, vm) >= len(target):
         return False
-    left, right = _PAIR_PREDICATES[cex.flavor](source, target, l, m, vl, vm)
+    left, right = pair(source, target, l, m, vl, vm)
     return left == right
-
-
-def revalidate_counterexample(cex: Counterexample, p: ClockedProgram, *,
-                              source: Relation | None = None,
-                              sigma_x: Prefix | None = None,
-                              sigma_y: Prefix | None = None,
-                              target: Relation | None = None) -> bool:
-    """Re-derive the fired condition for the recorded pair on final data."""
-    sides = {"R_to_RY": (source, sigma_y), "RY_to_R": (sigma_y, target),
-             "RX_to_RY": (sigma_x, sigma_y)}
-    if cex.flavor not in sides:
-        raise ValueError(f"unknown flavor {cex.flavor}")
-    return _still_violates(cex, p, *sides[cex.flavor])
 
 
 # ---------------------------------------------------------------------------

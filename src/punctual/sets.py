@@ -934,10 +934,13 @@ def check_equivalence_sampled(r: Relation, bound: int) -> None:
                         f"{r.name} is not transitive at ({x},{y},{z})")
 
 
+def _least_related(r: Relation, v: int) -> int:
+    """The least element related to v under r (v itself if none is)."""
+    return next((u for u in range(v + 1) if r.related(u, v)), v)
+
+
 def in_principal_transversal(r: Relation, y: int) -> bool:
-    if y == 0:
-        return False
-    return all(not r.related(x, y) for x in range(y))
+    return y != 0 and _least_related(r, y) == y
 
 
 def principal_transversal(r: Relation, bound: int) -> Prefix:
@@ -967,13 +970,8 @@ def normal_form(r: Relation):
     x = PrSet(f"nf[{r.name}]", lambda n: 1 if in_main(n) else 0,
               lambda n: n + 1)
 
-    def f_fn(v):
-        for y in range(v + 1):
-            if r.related(y, v):
-                return y
-        return v
-
-    f = pr_lang.NativeProgram(f"nf-fwd[{r.name}]", f_fn, lambda v: v + 1)
+    f = pr_lang.NativeProgram(f"nf-fwd[{r.name}]", lambda v: _least_related(r, v),
+                              lambda v: v + 1)
     g = pr_lang.NativeProgram(
         f"nf-back[{r.name}]", lambda v: 0 if in_main(v) else v, lambda v: v + 1)
     return x, f, g

@@ -51,9 +51,7 @@ from punctual.pr_lang import (NATIVE_REGISTRY, NativeProgram, TableProgram, Term
                               serialize)
 from punctual.reductions import (
     check_pre_immune,
-    detect_counterexample_R_to_RY,
-    detect_counterexample_RX_to_RY,
-    detect_counterexample_RY_to_R,
+    detect_counterexample,
     domination_certificate,
 )
 from punctual.sets import (
@@ -123,6 +121,10 @@ class TestImmune:
                      for e in rec.events if e.startswith("close:"))
         horizon = len(r.trace.records) - 2
         assert y.zeros_by_index(horizon) == closes + _fallback_zeros(r)
+
+    def test_a_member_without_text_is_refused(self):
+        with pytest.raises(ParseError, match="has no canonical text form"):
+            construct_immune([TableProgram([0, 1, 2])], 5)
 
     def test_empty_family_fallback(self):
         r = construct_immune([], 40)
@@ -461,11 +463,9 @@ class TestSeparator:
 
 
 class TestDetector:
-    """The incremental detector against the definitional ones."""
+    """The incremental detector against the definitional scan."""
 
-    DEFINITIONAL = {"R_to_RY": detect_counterexample_R_to_RY,
-                    "RY_to_R": detect_counterexample_RY_to_R,
-                    "RX_to_RY": detect_counterexample_RX_to_RY}
+    DEFINITIONAL = ("R_to_RY", "RY_to_R", "RX_to_RY")
 
     @pytest.mark.parametrize("flavor", sorted(DEFINITIONAL))
     def test_scan_and_extract_match_definitional(self, flavor):
@@ -488,7 +488,7 @@ class TestDetector:
                 tgt.append(rng.randrange(2))
                 prefixes = [Prefix(tuple(side)) if isinstance(side, list)
                             else side for side in (source, target)]
-                want = self.DEFINITIONAL[flavor](prog, *prefixes, s)
+                want = detect_counterexample(flavor, prog, *prefixes, s)
                 assert det.scan(s, source, target) == (want is not None), (run, s)
                 if want is not None:
                     # the detector names the member; the public scan does not

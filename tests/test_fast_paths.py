@@ -2418,7 +2418,7 @@ def test_record_edits_raise_on_their_line_or_keep_the_other_columns():
 # The least-pair scan against one converges_within read per point
 
 
-def ref_least_violation(flavor, p, source, target, s, member=None):
+def ref_counterexample(flavor, p, source, target, s):
     """The least violating pair, from ``converges_within`` at every point."""
     domain = s + 1 if isinstance(source, sets.Relation) else len(source)
     images = None if isinstance(target, sets.Relation) else len(target)
@@ -2433,7 +2433,7 @@ def ref_least_violation(flavor, p, source, target, s, member=None):
             if m != l:
                 left, right = pair(source, target, l, m, vl, vm)
                 if left == right:
-                    return Counterexample(flavor, l, m, s, left, right, (vl, vm), member)
+                    return Counterexample(flavor, l, m, s, left, right, (vl, vm))
     return None
 
 
@@ -2469,8 +2469,8 @@ def test_least_violation_matches_per_point_reads(flavor):
             for _ in range(12):
                 source, target = least_sides(rng, flavor)
                 s = rng.randrange(41)
-                want = outcome(ref_least_violation, flavor, p, source, target, s, "m")
-                got = outcome(reductions._least_violation, flavor, p, source, target, s, "m")
+                want = outcome(ref_counterexample, flavor, p, source, target, s)
+                got = outcome(reductions.detect_counterexample, flavor, p, source, target, s)
                 assert got == want, (kind, p.name, s)
                 seen[kind, want is None] += 1
     # each kind of program fires in some scans and in others does not
@@ -2480,7 +2480,7 @@ def test_least_violation_matches_per_point_reads(flavor):
     run = p._run
     p._run = lambda x: runs.append(x) or run(x)
     source, target = least_sides(rng, flavor)
-    reductions._least_violation(flavor, p, source, target, 30)
+    reductions.detect_counterexample(flavor, p, source, target, 30)
     assert runs == list(range(31 if isinstance(source, sets.Relation) else len(source)))
 
 

@@ -1,6 +1,8 @@
 """The bench harnesses' shared counting and result storage, tools/harness.py,
-and the line counter tools/src_lines.py."""
+the line counter tools/src_lines.py and the coverage report
+tools/line_cover.py."""
 import json
+import os
 import pathlib
 import sys
 
@@ -14,6 +16,7 @@ from punctual.sets import PrSet, parse_set, set_join, term_set
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tools"))
 import harness  # noqa: E402
+import line_cover  # noqa: E402
 import src_lines  # noqa: E402
 
 BITS = {"bit_calls": (PrSet, "bit")}
@@ -123,3 +126,29 @@ def test_src_lines_counts_a_package_and_refuses_an_empty_directory(tmp_path, cap
     assert src_lines.main(["src_lines.py", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: no *.py file in {tmp_path}\n"
+
+
+def test_line_cover_reports_the_executable_lines_no_hit_reached(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Doc."""\n'
+        "import os\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Doc."""\n'
+        "    if x:\n"
+        "        return [y for y in os.sep]\n"
+        "    return 0\n")
+    (tmp_path / "empty.py").write_text("# nothing\n")
+    path = os.path.realpath(tmp_path / "mod.py")
+    assert line_cover.executable_lines((tmp_path / "mod.py").read_text(), path) == {
+        1, 2, 5, 7, 8, 9}
+    assert line_cover.report(str(tmp_path), {path: {1, 2, 5, 7, 9}}) == [
+        "module             executable  missed",
+        "empty.py                    0       0",
+        "mod.py                      6       1",
+        "total                       6       1",
+        "",
+        "mod.py:8: return [y for y in os.sep]"]
+    assert line_cover.report(str(tmp_path), {path: set(range(10))})[-1].split() == [
+        "total", "6", "0"]

@@ -839,6 +839,17 @@ class TestMalformedTerms:
             with pytest.raises(ArityError):
                 run()
 
+    @pytest.mark.parametrize("fn", [arity, validate, serialize, encode],
+                             ids=lambda fn: fn.__name__)
+    def test_a_non_term_is_refused(self, fn):
+        with pytest.raises(TypeError, match="^not a term: 5$"):
+            fn(5)
+
+    def test_a_field_cannot_be_deleted(self):
+        t = parse_term("C(S; P[1,1])")
+        with pytest.raises(AttributeError, match="^cannot delete field 'outer'$"):
+            del t.outer
+
 
 class TestCoding:
     def test_base_of_coding(self):
@@ -915,6 +926,14 @@ class TestPrograms:
         z = coerce_arity(Zero(), 2)
         assert arity(z) == 2
         assert eval_total(z, [8, 8]) == 0
+
+    def test_reprs(self):
+        assert repr(Succ()) == "Succ"
+        assert repr(pr_lang.NATIVE_REGISTRY["id"]) == "<program id>"
+
+    def test_a_table_program_has_no_text(self):
+        with pytest.raises(ParseError, match="has no canonical text form"):
+            pr_lang.program_text(pr_lang.TableProgram([0, 1]))
 
     def test_unary_wrap_identity_on_unary(self):
         t = parse_term("C(S; P[1,1])")

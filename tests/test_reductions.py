@@ -8,12 +8,12 @@ from punctual.errors import (
 )
 from punctual.pr_lang import NativeProgram, TableProgram, TermProgram, parse_term
 from punctual.reductions import (
+    Counterexample,
     ReductionWitness,
+    as_program,
     check_pre_immune,
     check_reduction_prefix,
-    detect_counterexample_R_to_RY,
-    detect_counterexample_RX_to_RY,
-    detect_counterexample_RY_to_R,
+    detect_counterexample,
     domination_certificate,
     parse_witness,
     respect_normal_form,
@@ -57,6 +57,10 @@ class TestCheckReduction:
         assert (cex.l, cex.m) == (0, 1)
         assert cex.left is False and cex.right is True
 
+    def test_a_non_program_is_refused(self):
+        with pytest.raises(TypeError, match="^not a program or witness: 5$"):
+            as_program(5)
+
     def test_normal_form_forward_map(self):
         r = SetRelation(evens_set())
         x, f, g = normal_form(r)
@@ -95,74 +99,74 @@ class TestCheckReduction:
 
 
 class TestDetectors:
+    @pytest.mark.parametrize("flavor", ["reduction", "R_to_R"])
+    def test_an_unknown_flavor_is_refused(self, flavor):
+        with pytest.raises(ValueError, match=f"^unknown flavor {flavor}$"):
+            detect_counterexample(flavor, IDENTITY, IdentityRelation(), IdentityRelation(), 3)
+        cex = Counterexample(flavor, 0, 1, 3, True, False)
+        with pytest.raises(ValueError, match=f"^unknown flavor {flavor}$"):
+            revalidate_counterexample(cex, IDENTITY, IdentityRelation(), IdentityRelation())
+
     def test_constant_on_identity_fires_least_pair(self):
         sigma = Prefix.from_str("1")
-        cex = detect_counterexample_R_to_RY(CONST0, IdentityRelation(), sigma, 3)
+        cex = detect_counterexample("R_to_RY", CONST0, IdentityRelation(), sigma, 3)
         assert (cex.l, cex.m) == (0, 1)
         assert cex.left is False and cex.right is False
 
     def test_identity_on_evens_against_all_ones(self):
         sigma = Prefix.from_str("1111")
-        cex = detect_counterexample_R_to_RY(IDENTITY, SetRelation(evens_set()),
-                                            sigma, 3)
+        cex = detect_counterexample("R_to_RY", IDENTITY, SetRelation(evens_set()), sigma, 3)
         assert (cex.l, cex.m) == (0, 1)
 
     def test_identity_on_id_against_1010(self):
         sigma = Prefix.from_str("1010")
-        cex = detect_counterexample_R_to_RY(IDENTITY, IdentityRelation(), sigma, 3)
+        cex = detect_counterexample("R_to_RY", IDENTITY, IdentityRelation(), sigma, 3)
         assert (cex.l, cex.m) == (0, 2)
         assert cex.images == (0, 2)
 
     def test_true_reduction_never_fires(self):
         # Y = {0}: the induced relation is the identity, reduced by the identity map
         sigma = Prefix.from_str("10000")
-        assert detect_counterexample_RY_to_R(IDENTITY, sigma,
-                                             IdentityRelation(), 8) is None
+        assert detect_counterexample("RY_to_R", IDENTITY, sigma, IdentityRelation(), 8) is None
 
     def test_ry_to_r_fires_on_collapsed_prefix(self):
         sigma = Prefix.from_str("1101")
-        cex = detect_counterexample_RY_to_R(IDENTITY, sigma, IdentityRelation(), 8)
+        cex = detect_counterexample("RY_to_R", IDENTITY, sigma, IdentityRelation(), 8)
         assert (cex.l, cex.m) == (0, 1)
         assert cex.left is True and cex.right is True
 
     def test_budget_gates_eligibility(self):
         slow = NativeProgram("slow-id", lambda x: x, lambda x: 100)
         sigma = Prefix.from_str("1111")
-        assert detect_counterexample_R_to_RY(slow, SetRelation(evens_set()),
-                                             sigma, 3) is None
+        assert detect_counterexample("R_to_RY", slow, SetRelation(evens_set()), sigma, 3) is None
 
     def test_two_string_detector(self):
         sx = Prefix.from_str("1100")
         sy = Prefix.from_str("1111")
-        cex = detect_counterexample_RX_to_RY(IDENTITY, sx, sy, 10)
+        cex = detect_counterexample("RX_to_RY", IDENTITY, sx, sy, 10)
         # 2,3 are distinct zeros of the source prefix, images 2,3 are both ones
         assert (cex.l, cex.m) == (0, 2)
         assert cex.left is False and cex.right is False
 
     def test_revalidation_on_longer_prefix(self):
         sigma = Prefix.from_str("1111")
-        cex = detect_counterexample_R_to_RY(IDENTITY, SetRelation(evens_set()),
-                                            sigma, 3)
+        cex = detect_counterexample("R_to_RY", IDENTITY, SetRelation(evens_set()), sigma, 3)
         longer = Prefix.from_str("11110101")
-        assert revalidate_counterexample(cex, IDENTITY,
-                                         source=SetRelation(evens_set()),
-                                         sigma_y=longer)
+        assert revalidate_counterexample(cex, IDENTITY, SetRelation(evens_set()), longer)
 
     def test_revalidation_refuses_what_the_final_data_cannot_decide(self):
-        cex = detect_counterexample_RX_to_RY(IDENTITY, Prefix.from_str("1100"),
-                                             Prefix.from_str("1111"), 10)
+        cex = detect_counterexample("RX_to_RY", IDENTITY, Prefix.from_str("1100"),
+                                    Prefix.from_str("1111"), 10)
         assert (cex.l, cex.m, cex.images) == (0, 2, (0, 2))
         sx, sy = Prefix.from_str("1100"), Prefix.from_str("1111")
-        assert revalidate_counterexample(cex, IDENTITY, sigma_x=sx, sigma_y=sy)
+        assert revalidate_counterexample(cex, IDENTITY, sx, sy)
         # the member no longer converges within the recorded stage
         slow = NativeProgram("slow-id", lambda x: x, lambda x: 100)
-        assert not revalidate_counterexample(cex, slow, sigma_x=sx, sigma_y=sy)
+        assert not revalidate_counterexample(cex, slow, sx, sy)
         # m = 2 lies past a decided source prefix
-        assert not revalidate_counterexample(cex, IDENTITY, sigma_x=Prefix.from_str("11"),
-                                             sigma_y=sy)
+        assert not revalidate_counterexample(cex, IDENTITY, Prefix.from_str("11"), sy)
         # the image 2 lies past a decided target prefix
-        assert not revalidate_counterexample(cex, IDENTITY, sigma_x=sx,
-                                             sigma_y=Prefix.from_str("11"))
+        assert not revalidate_counterexample(cex, IDENTITY, sx, Prefix.from_str("11"))
 
 
 class TestGrowthSynthesis:

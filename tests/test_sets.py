@@ -276,6 +276,11 @@ class TestTermKind:
 
 
 class TestStringCalculus:
+    def test_iteration_and_reprs(self):
+        assert list(Prefix((0, 1))) == [0, 1]
+        assert repr(evens_set()) == "<set evens>"
+        assert repr(IdentityRelation()) == "<relation Id>"
+
     def test_spec_pairs(self):
         s = Prefix.from_str("0101")
         t = Prefix.from_str("0110")
@@ -459,9 +464,8 @@ TRIMMED_PARAMETERS = {
     constructions.ConstructionResult.output: ["self"],
     normal_form: ["r"],
     reductions.check_pre_immune: ["x", "family", "horizon"],
-    reductions.detect_counterexample_R_to_RY: ["p", "source", "sigma_y", "s"],
-    reductions.detect_counterexample_RY_to_R: ["p", "sigma_y", "target", "s"],
-    reductions.detect_counterexample_RX_to_RY: ["p", "sigma_x", "sigma_y", "s"],
+    reductions.detect_counterexample: ["flavor", "p", "source", "target", "s"],
+    reductions.revalidate_counterexample: ["cex", "p", "source", "target"],
 }
 
 
