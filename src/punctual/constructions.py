@@ -749,7 +749,7 @@ def construct_dense(x: PrSet, z: PrSet, f, family, max_stages: int,
             if cex is not None:
                 raise NotCertified(
                     f"supplied witness is not a reduction: {cex.describe()}")
-    elif not all(x.zeros_by_index(s) <= z.zeros_by_index(s) for s in range(200)):
+    elif any(map(gt, x.profile(range(200)), z.profile(range(200)))):
         raise NotCertified("no reduction witness and no profile domination")
     return _dense_run("dense", {"X": x, "Z": z}, family, max_stages, policy,
                       cycle_budget)

@@ -32,15 +32,18 @@ keeps a non-unary term's wrap on the term, and ``serialize`` keeps each
 composite node's text, so a repeated text, wrap or decoded program finds
 its code without a parse or a lookup.  A term is validated when it is
 compiled; the parser, ``decode`` and ``coerce_arity`` over a checked term
-record each composite node's arity where they build it, so only a term
-built from the constructors is walked.  Visits are counted per
+or a leaf record each composite node's arity where they build it, so only
+a term built from the constructors is walked.  Visits are counted per
 straight-line block.  A recursion whose step holds no recursion needs no
 loop: its caller computes it in closed form.  Every other recursion is
 compiled once per process into a loop function that every term holding
-it shares, so a new term generates only its entry.  The constants of the code are names bound per function, so
-terms that differ only in constants share one code object, compiled once
-per shape; a loop that never reads its counter skips whole periods (see
-the notes on compilation below).  Values, step counts and budget outcomes
+it shares, so a new term generates only its entry.  The constants of the
+code are names bound per function, so terms that differ only in constants
+share one code object, compiled once per shape.  A loop that never reads
+its counter skips whole periods, and keeps each orbit it found, so a later
+run from the same arguments and first state replays it; the orbits of all
+loops keep at most 65,536 values (about 7.2 MB) together (see the notes
+on compilation below).  Values, step counts and budget outcomes
 are exactly those of the ``visits/1`` model.  A term text nests at most
 ``MAX_TERM_DEPTH`` compositions and recursions.  The parser reads through a
 scanner that the descriptor DSL of ``sets`` shares; a number too long for
@@ -201,7 +204,7 @@ def arity(t: PrTerm) -> int:
 def _built(t: PrTerm, n: int) -> PrTerm:
     """t, keeping n as its checked arity: the one ``_checked_arity`` found,
     or the one computed where t was built well formed (by the parser,
-    ``decode`` or ``coerce_arity`` over a checked term)."""
+    ``decode`` or ``coerce_arity`` over a checked term or a leaf)."""
     _set(t, "_arity", n)
     return t
 
@@ -494,24 +497,55 @@ class _Abort(Exception):
 # and ``_skip`` ends it once one repeats.  Like the closed form, one budget
 # check then stands for many iterations; the count only grows, so the run
 # aborts exactly when its final total reaches the budget, as the
-# per-iteration checks would.
+# per-iteration checks would.  The orbit found is kept in the loop's own
+# ``orbits`` table, keyed by the ``x``s, by ``y`` when the body reads it,
+# and by the first state; a later call with that key returns through
+# ``_replay`` without iterating.  A run that ends before a state repeats
+# keeps nothing.
 
 _PERIOD_WINDOW = 64   # iterations a counter-free loop records its states for
+# Values that the orbit tables of all loops keep together, never given back
+# (2m + 1 + r for m states, their counts and a key of r); past it, loops
+# find their periods per call.  With values below 2**30 that is at most
+# about 7.2 MB: 110 bytes a value when each loop keeps one one-state orbit.
+_ORBIT_ROOM = 1 << 16
+_orbit_room = _ORBIT_ROOM   # what is left of it
 
 
-def _skip(seen: dict, acc: int, i: int, y: int, c: int, b) -> tuple[int, int]:
+def _replay(orbit: tuple, y: int, c: int, b) -> tuple[int, int]:
+    """(state, count) of a counter-free loop run y iterations from count c.
+
+    ``orbit`` is (states, counts, j): the loop's states from the first,
+    the count before each one's iteration relative to the first, then that
+    of the repeat, and the index j of the state that repeats; from j on,
+    states and costs repeat every ``len(states) - j``.
+    """
+    states, counts, j = orbit
+    if y > j:
+        periods, rest = divmod(y - j, len(states) - j)
+        c += periods * (counts[-1] - counts[j])
+        y = j + rest
+    c += counts[y]
+    if c >= b:
+        raise _Abort
+    return states[y], c
+
+
+def _skip(seen: dict, acc: int, i: int, y: int, c: int, b, orbits: dict,
+          key: tuple) -> tuple[int, int]:
     """Finish a counter-free loop whose state ``acc`` at iteration i repeats.
 
     ``seen`` maps each earlier state, in order, to (iteration, count before
-    it); from ``acc``'s first visit j, states and costs repeat every i - j.
+    it).  The orbit is kept in ``orbits`` under ``key`` while the room lasts.
     """
-    j, cj = seen[acc]
-    periods, rest = divmod(y - i, i - j)
-    acc = list(seen)[j + rest]
-    c += periods * (c - cj) + seen[acc][1] - cj
-    if c >= b:
-        raise _Abort
-    return acc, c
+    global _orbit_room
+    c0 = next(iter(seen.values()))[1]
+    orbit = (tuple(seen), (*(mark - c0 for _, mark in seen.values()), c - c0), seen[acc][0])
+    charge = 2 * i + 1 + len(key)       # its states, counts and key
+    if charge <= _orbit_room:
+        _orbit_room -= charge
+        orbits[key] = orbit
+    return _replay(orbit, y, c0, b)
 
 
 class _Block:
@@ -600,7 +634,7 @@ def _define(name: str, lines: list, block: _Block) -> Callable:
     """The function ``name`` that lines define, in a namespace of its own
     that binds the block's constants and callees; the function is not left
     in that namespace."""
-    namespace = {"_Abort": _Abort, "_skip": _skip, **block.consts}
+    namespace = {"_Abort": _Abort, "_skip": _skip, "_replay": _replay, **block.consts}
     namespace.update((callee, fn) for fn, callee in block.callees.items())
     exec(_shape("\n".join(lines)), namespace)
     return namespace.pop(name)
@@ -625,10 +659,15 @@ def _loop(t: PrimRec, n: int) -> Union[tuple, Callable]:
            *(f"    {line}" for line in body.lines),
            *([f"    acc = {body.expr(acc)}"] if acc != ("acc", 0) else [])]
     if "i" not in body.reads and acc[0] != "i":    # counter-free
+        key = (*(["y"] if "y" in body.reads or acc[0] == "y" else []), *xs, "acc")
         run[1:1] = [f"    if i < {_PERIOD_WINDOW}:",
-                    "        if acc in seen: return _skip(seen, acc, i, y, c, b)",
+                    "        if acc in seen: return _skip(seen, acc, i, y, c, b, orbits, key)",
                     "        seen[acc] = i, c"]
-        run.insert(0, "seen = {}")
+        run[:0] = [f"key = ({', '.join(key)},)",
+                   "orbit = orbits.get(key)",
+                   "if orbit is not None: return _replay(orbit, y, c, b)",
+                   "seen = {}"]
+        body.consts["orbits"] = {}      # bound like a constant; ``_skip`` fills it
     return _define("loop", [
         f"def loop(c, b, {', '.join(('y', *xs, 'acc'))}):",
         *(f"    {line}" for line in run),
@@ -693,14 +732,15 @@ def eval_cost(t: PrTerm, args: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Derived combinators
 
-CONST0_UNARY = PrimRec(Zero(), Proj(3, 3))
+CONST0_UNARY = _built(PrimRec(Zero(), Proj(3, 3)), 1)
 
 
 def zero_of_arity(n: int) -> PrTerm:
     """The constant-zero term of arity n >= 1."""
     if n < 1:
         raise ArityError("zero_of_arity needs n >= 1")
-    return Comp(CONST0_UNARY, (Proj(n, 1),))
+    zero = Comp(CONST0_UNARY, (Proj(n, 1),))
+    return _built(zero, n) if n <= MAX_ARITY else zero
 
 
 def coerce_arity(t: PrTerm, n: int) -> PrTerm:
@@ -713,7 +753,9 @@ def coerce_arity(t: PrTerm, n: int) -> PrTerm:
     if k == 0:
         return zero_of_arity(n)
     wrap = Comp(t, (Proj(n, 1),) * k)
-    if n <= MAX_ARITY and t._arity is not None:
+    # a leaf is checked at once: S, or a projection (Z took the branch above)
+    leaf = isinstance(t, Succ) or isinstance(t, Proj) and 1 <= t.i <= k <= MAX_ARITY
+    if n <= MAX_ARITY and (leaf or t._arity is not None):
         return _built(wrap, n)  # a checked term, fed by a valid projection
     return wrap
 

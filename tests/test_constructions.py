@@ -292,6 +292,32 @@ def test_builders_check_their_preconditions(build, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("short", ["x", "z"])
+def test_dense_domination_fails_as_its_per_point_reads_do(short):
+    # a term set whose bound gives out at bit 87, on either side of mod 3:
+    # as lower set nothing breaks domination first, so its bound error
+    # surfaces; as upper set domination breaks at 2 and the error never does
+    bound = "C(S; " * 100 + "R(Z; " + "C(S; " * 12 + "P[3,3]" + ")" * 113
+    sets = {"x": f'term "{EVENS_TERM}" bound "{bound}"', "z": "mod 3"}
+    if short == "z":
+        sets = {"x": sets["z"], "z": sets["x"]}
+
+    def outcome(check):
+        x, z = parse_set(sets["x"]), parse_set(sets["z"])
+        try:
+            check(x, z)
+        except (NotCertified, PunctualityViolation) as e:
+            return type(e), str(e)
+
+    def per_point(x, z):
+        if not all(x.zeros_by_index(s) <= z.zeros_by_index(s) for s in range(200)):
+            raise NotCertified("no reduction witness and no profile domination")
+
+    got = outcome(lambda x, z: construct_dense(x, z, None, [], 60))
+    assert got == outcome(per_point)
+    assert got[0] is (PunctualityViolation if short == "x" else NotCertified)
+
+
 class TestJoinSplit:
     def test_join_equality_bit_exact(self):
         z = mod_set(3)

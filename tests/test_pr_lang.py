@@ -1,4 +1,6 @@
+import collections
 import gc
+import itertools
 import random
 import weakref
 
@@ -361,6 +363,72 @@ class TestCompiledAgainstOracle:
         assert eval_clocked(bound, [y], cost + 1) == Converged(2 * y + 1, cost)
 
 
+def fresh_term(text):
+    """The term of a text, with every compile cache cleared first, so its
+    loops are generated afresh and their orbit tables start empty."""
+    for cache in (parse_term, pr_lang._loop, pr_lang._compiled, pr_lang._shape):
+        cache.cache_clear()
+    return parse_term(text)
+
+
+def count_orbit_calls(monkeypatch):
+    """A Counter of the ``_skip`` and ``_replay`` calls of loops generated
+    from here on, with the orbit room full."""
+    calls = collections.Counter()
+    for name in ("_skip", "_replay"):
+        fn = getattr(pr_lang, name)
+        monkeypatch.setattr(pr_lang, name,
+                            lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    monkeypatch.setattr(pr_lang, "_orbit_room", pr_lang._ORBIT_ROOM)
+    return calls
+
+
+class TestOrbits:
+    """A counter-free loop keeps the orbit it found and replays it."""
+
+    @pytest.mark.parametrize("text, xs", [
+        (MOD2, [()]),                                   # period 2 from the start
+        (FLIP_FROM_X, [(0,), (1,), (5,)]),              # transient 1, then period 2
+        (f"R(Z; C({MSUB}; P[3,1], P[3,3]))", [()]),     # acc monus y: its cost reads y
+        (f"R(P[1,1]; C({MSUB}; P[4,1], P[4,4]))", [(0,), (3,), (7,)]),  # x monus y, 2y, ...
+    ])
+    def test_warm_orbits_match_the_oracle(self, text, xs, monkeypatch):
+        calls = count_orbit_calls(monkeypatch)
+        t = fresh_term(text)
+        ys = list(range(14))
+        for order in (ys, ys[::-1], random.Random(7).sample(ys, len(ys))):
+            for y, x in itertools.product(order, xs):
+                args = [y, *x]
+                cost = reference_cost(t, args)
+                for budget in (0, 1, cost - 1, cost, cost + 1):
+                    assert eval_clocked(t, args, budget) == oracle_outcome(t, args, budget)
+                assert eval_cost(t, args) == cost
+        assert calls["_replay"] > calls["_skip"] > 0     # each _skip finishes by a replay
+
+    def test_a_full_room_keeps_no_more_orbits(self, monkeypatch):
+        calls = count_orbit_calls(monkeypatch)
+        t = fresh_term(FLIP_FROM_X)     # keeps 3 states under (x, x) for each x > 1: 9 values
+        eval_total(t, [6, 0])
+        tables = [pr_lang._loop(r, 2).__globals__["orbits"]
+                  for r in (t, parse_term(MSUB))]
+        x = 0
+        while pr_lang._orbit_room >= 9:
+            eval_total(t, [6, x])
+            x += 1
+        kept = sum(len(states) + len(counts) + len(key)
+                   for table in tables for key, (states, counts, _) in table.items())
+        assert kept == pr_lang._ORBIT_ROOM - pr_lang._orbit_room > pr_lang._ORBIT_ROOM - 9
+        sizes, room, skips = list(map(len, tables)), pr_lang._orbit_room, calls["_skip"]
+        for args in ([6, x], [6, x], [9, x + 1], [3, x + 2]):   # y = 3 ends before a repeat
+            cost, value = reference_cost(t, args), reference_value(t, args)
+            for budget in (0, 1, cost - 1, cost, cost + 1):
+                want = Converged(value, cost) if cost < budget else OUT_OF_BUDGET
+                assert eval_clocked(t, args, budget) == want
+        assert list(map(len, tables)) == sizes and pr_lang._orbit_room == room
+        assert calls["_skip"] - skips == 3 * 3      # each run that reaches a repeat finds it again
+        fresh_term(FLIP_FROM_X)         # drops the full tables
+
+
 def nested(levels):
     """A unary term that nests ``levels`` compositions."""
     return "C(S; " * levels + "P[1,1]" + ")" * levels
@@ -693,8 +761,9 @@ class TestSharedTerms:
         node_arity = pr_lang._node_arity
         monkeypatch.setattr(pr_lang, "_node_arity",
                             lambda t, *rest: calls.append(t) or node_arity(t, *rest))
-        # a wide coerce wrapper holds 40 copies of one projection object
-        wide = coerce_arity(Proj(40, 40), 1)
+        # a wide wrapper, as coerce_arity builds it, holds 40 copies of one
+        # projection object; built here, it keeps no arity
+        wide = Comp(Proj(40, 40), (Proj(1, 1),) * 40)
         assert len({id(g) for g in wide.inners}) == 1
         validate(wide)
         assert calls == [Proj(40, 40), Proj(1, 1), wide]
@@ -796,6 +865,14 @@ class TestRecordedArity:
     def test_coerce_records_only_a_checked_fit(self):
         add = parse_term(ADD_SHAPED)
         assert coerce_arity(add, 3).__dict__["_arity"] == 3
+        for leaf in (Zero(), Succ(), Proj(3, 2), Proj(pr_lang.MAX_ARITY, 1)):
+            wrap = coerce_arity(leaf, 2)
+            assert wrap.__dict__["_arity"] == 2 == pr_lang._checked_arity(rebuilt(wrap), None)
+        for leaf in (Proj(2, 3), Proj(pr_lang.MAX_ARITY + 1, 1)):
+            assert "_arity" not in coerce_arity(leaf, 1).__dict__
+            with pytest.raises(ArityError):
+                validate(coerce_arity(leaf, 1))
+        assert "_arity" not in pr_lang.zero_of_arity(pr_lang.MAX_ARITY + 1).__dict__
         unchecked = PrimRec(Zero(), Proj(3, 3))
         assert "_arity" not in coerce_arity(unchecked, 3).__dict__
         wide = coerce_arity(add, pr_lang.MAX_ARITY + 1)

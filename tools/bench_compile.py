@@ -25,6 +25,11 @@ deterministic counters from one extra, untimed interpreter per list:
     one way in, hits that return at once included;
   * ``arity_checks``: calls of ``pr_lang._node_arity``, one per term node
     checked, by the parser or at compile time;
+  * ``period_detections``: calls of ``pr_lang._skip``, one per counter-free
+    loop run that found its period by iterating;
+  * ``orbit_replays``: calls of ``pr_lang._replay``, one per counter-free
+    loop run finished along an orbit, each detection's own finish
+    included (0 against a source that keeps no orbits);
   * ``memo_bits``: the bits the list's ``PrSet._ensure`` calls grew, split
     by the generator that grew them: ``pattern_fill_bits``,
     ``operand_fill_bits`` and ``per_bit_bits``.
@@ -57,7 +62,11 @@ REPEATS = 11
 SEED = 1
 SECONDS = 25
 COUNTERS = ("compile_calls", "loop_functions", "source_bytes", "visits", "ensure_entries",
-            "arity_checks", "memo_bits", "pattern_fill_bits", "operand_fill_bits", "per_bit_bits")
+            "arity_checks", "period_detections", "orbit_replays", "memo_bits",
+            "pattern_fill_bits", "operand_fill_bits", "per_bit_bits")
+# counted calls, each of a pr_lang function; one a source lacks counts 0
+CALLS = {"arity_checks": "_node_arity", "period_detections": "_skip",
+         "orbit_replays": "_replay"}
 
 
 def jobs(kind: str):
@@ -74,8 +83,8 @@ def jobs(kind: str):
 @contextlib.contextmanager
 def counters(counts: dict):
     """A block that counts the evaluator's compile() calls, its function
-    definitions, its clocked visits and its arity checks, and the memo's
-    work (``tools/harness.py``)."""
+    definitions, its clocked visits and the calls named in ``CALLS``, and
+    the memo's work (``tools/harness.py``)."""
     from punctual import pr_lang
 
     def counting_compile(source, *args, **kwargs):
@@ -103,7 +112,8 @@ def counters(counts: dict):
 
     pr_lang.compile, pr_lang._define = counting_compile, counting_define
     pr_lang.eval_clocked, pr_lang.eval_cost = counting_clocked, counting_cost
-    with harness.counting(counts, {"arity_checks": (pr_lang, "_node_arity")}):
+    calls = {key: (pr_lang, name) for key, name in CALLS.items() if hasattr(pr_lang, name)}
+    with harness.counting(counts, calls):
         yield
 
 
