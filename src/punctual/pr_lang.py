@@ -33,21 +33,22 @@ composite node's text, so a repeated text, wrap or decoded program finds
 its code without a parse or a lookup.  A term is validated when it is
 compiled; the parser, ``decode`` and ``coerce_arity`` over a checked term
 or a leaf record each composite node's arity where they build it, so only
-a term built from the constructors is walked.  Visits are counted per
-straight-line block.  A recursion whose step holds no recursion needs no
-loop: its caller computes it in closed form.  Every other recursion is
-compiled once per process into a loop function that every term holding
-it shares, so a new term generates only its entry.  The constants of the
-code are names bound per function, so terms that differ only in constants
-share one code object, compiled once per shape.  A loop that never reads
-its counter skips whole periods, and keeps each orbit it found, so a later
-run from the same arguments and first state replays it; the orbits of all
-loops keep at most 65,536 values (about 7.2 MB) together (see the notes
-on compilation below).  Values, step counts and budget outcomes
-are exactly those of the ``visits/1`` model.  A term text nests at most
-``MAX_TERM_DEPTH`` compositions and recursions.  The parser reads through a
-scanner that the descriptor DSL of ``sets`` shares; a number too long for
-``int()`` is a ``ParseError`` at its first digit.
+a term built from the constructors is walked.  Visits are charged once
+per straight-line run, with one budget check.  A recursion whose step
+holds no recursion needs no loop: its caller computes it in closed form.
+Every other recursion is compiled once per process into a loop function
+that every term holding it shares, so a new term generates only its
+entry.  The constants of the code are names bound per function, so
+terms that differ only in constants share one code object, compiled once
+per shape.  A loop that never reads its counter skips whole periods, and
+keeps each orbit it found, so a later run from the same arguments and
+first state replays it; the orbits of all loops keep at most 65,536
+values (about 7.2 MB) together (see the notes on compilation below).
+Values, step counts and budget outcomes are exactly those of the
+``visits/1`` model.  A term text nests at most ``MAX_TERM_DEPTH``
+compositions and recursions.  The parser reads through a scanner that the
+descriptor DSL of ``sets`` shares; a number too long for ``int()`` is a
+``ParseError`` at its first digit.
 
 The Goedel coding is a direct coding of terms via Cantor pairing: every
 natural number decodes to a well-formed term, except one that holds a
@@ -62,6 +63,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -468,40 +470,41 @@ class _Abort(Exception):
 # and its cost, one visit per node, is static.  Only recursions emit code,
 # as flat temp-variable statements; with no nested loops or expressions in
 # one code object, deep terms stay within CPython's compile limits.  Every
-# function body and loop body is a straight-line block; its static cost is
-# added with one ``c += k`` and the budget is checked right after, so the
-# counter never runs ahead of the true visit count and the last check sees
-# the exact total.
+# function body and loop body is a straight-line block.  Its closed forms'
+# visits wait as a coefficient per name plus a constant; before each loop
+# call and at its end, the block charges them with one ``c += k0 + k1 * a0
+# + ...`` and one budget check, the first such line with the block's whole
+# static cost too.  That is exact: the count only grows, every charge is
+# checked and each loop checks its own iterations, so a run aborts exactly
+# when its final total reaches the budget, whatever checks lie between.
 #
-# Every integer a term puts in its code (a block's cost, a closed form's
-# multiplier and offsets, an affine offset) is written as a name ``k0, k1,
-# ...`` that the function's own namespace binds, as it binds the loops it
-# calls.  Terms that differ only in their constants then generate one
-# source, a shape, and ``_shape`` compiles each shape once.
+# Every integer a term puts in its code (a charge's constant and
+# coefficients, a closed form's multiplier, an affine offset) is written as
+# a name ``k0, k1, ...`` that the function's own namespace binds, as it
+# binds the loops it calls; an affine value is written ``name + k`` even
+# where k is 0.  Terms that differ only in their constants then generate
+# one source, a shape, and ``_shape`` compiles each shape once.
 #
 # A recursion whose step holds no recursion is flat: its step block emits
-# no lines, so y iterations cost y times the block's cost and the result
-# is affine in the caller's names.  It gets no loop; the caller writes
-# ``c += k * (y)``, one budget check and one temp: ``acc + off*y`` for a
-# step ``acc + off``, otherwise the last step's value (``i`` is ``y - 1``
-# there) or the base when ``y == 0``.  Every other recursion is compiled
-# once per process by ``_loop``, keyed by (term, arity), into a function
-# with one ``for`` loop; a term then generates only its entry.  A generated
-# function is taken out of its namespace after the ``exec``, so no
-# namespace is a reference cycle and dropped code is freed as soon as
-# nothing holds it.
+# no lines and no charge, so y iterations cost y times the block's cost and
+# the result is affine in the caller's names.  It gets no loop; the caller
+# charges ``k * y`` and writes at most one temp: ``acc + off*y`` for a step
+# ``acc + off``, otherwise the last step's value (``i`` is ``y - 1`` there)
+# or the base when ``y == 0``.  Every other recursion is compiled once per
+# process by ``_loop``, keyed by (term, arity), into a function with one
+# ``for`` loop; a term then generates only its entry.  A generated function
+# is taken out of its namespace after the ``exec``, so no namespace is a
+# reference cycle and dropped code is freed as soon as nothing holds it.
 #
 # A loop body that never reads the counter ``i`` is a fixed map on ``acc``,
 # since ``y`` and the ``x``s do not change.  The loop records each ``acc``
 # with its iteration and count for its first ``_PERIOD_WINDOW`` iterations,
 # and ``_skip`` ends it once one repeats.  Like the closed form, one budget
-# check then stands for many iterations; the count only grows, so the run
-# aborts exactly when its final total reaches the budget, as the
-# per-iteration checks would.  The orbit found is kept in the loop's own
-# ``orbits`` table, keyed by the ``x``s, by ``y`` when the body reads it,
-# and by the first state; a later call with that key returns through
-# ``_replay`` without iterating.  A run that ends before a state repeats
-# keeps nothing.
+# check then stands for many iterations, exact for the same reason.  The
+# orbit found is kept in the loop's own ``orbits`` table, keyed by the
+# ``x``s, by ``y`` when the body reads it, and by the first state; a later
+# call with that key returns through ``_replay`` without iterating.  A run
+# that ends before a state repeats keeps nothing.
 
 _PERIOD_WINDOW = 64   # iterations a counter-free loop records its states for
 # Values that the orbit tables of all loops keep together, never given back
@@ -557,6 +560,8 @@ class _Block:
         self.reads: set = set()     # names the emitted lines read
         self.callees: dict = {}     # loop function -> its name in the namespace
         self.consts: dict = {}      # constant name -> its value
+        self.charges = Counter()    # visits not yet charged: per unit of a name, None a constant
+        self.head = None            # constant of the first charge, which adds ``cost`` too
 
     def k(self, value: int) -> str:
         """The name the code reads the constant ``value`` by."""
@@ -565,11 +570,9 @@ class _Block:
         return name
 
     def expr(self, val: tuple) -> str:
-        """The code of an affine value."""
+        """The code of an affine value, ``name + k`` even where k is 0."""
         name, offset = val
-        if name is None:
-            return self.k(offset)
-        return f"{name} + {self.k(offset)}" if offset else name
+        return self.k(offset) if name is None else f"{name} + {self.k(offset)}"
 
     def value(self, t: PrTerm, args: Sequence[tuple]) -> tuple:
         """Emit t applied to affine args; return its affine value."""
@@ -591,6 +594,7 @@ class _Block:
             loop = _loop(t, len(args))
             if isinstance(loop, tuple):
                 return self.closed_form(*loop, args, acc)
+            self.charge()
             name = self.callees.setdefault(loop, f"r{len(self.callees)}")
             temp = self.temp((*args, acc))
             call = ", ".join(map(self.expr, (*args, acc)))
@@ -603,12 +607,13 @@ class _Block:
         returns the affine ``step`` of the loop's names; return its value."""
         y = args[0]
         self.reads.add(y[0])
-        self.lines += [f"c += {self.k(cost)} * ({self.expr(y)})", "if c >= b: raise _Abort"]
+        self.charges.update({y[0]: cost, None: cost * y[1]})    # constant y: cost * y[1] only
         name, offset = step
         if name == "acc":
-            if not offset:
+            acc = (acc[0], acc[1] + offset * y[1])
+            if not offset or y[0] is None:
                 return acc
-            line, reads = f"{self.expr(acc)} + {self.k(offset)} * ({self.expr(y)})", (acc,)
+            line, reads = f"{self.expr(acc)} + {self.k(offset)} * {y[0]}", (acc,)
         else:   # a flat step's other names are i, y and the x's: never a constant
             last = (y[0], y[1] - 1) if name == "i" else args[0 if name == "y" else int(name[1:])]
             last = (last[0], last[1] + offset)
@@ -617,6 +622,20 @@ class _Block:
         temp = self.temp(reads)
         self.lines.append(f"{temp} = {line}")
         return (temp, 0)
+
+    def charge(self, end: bool = False) -> list:
+        """Write the pending charges as one line and one budget check, the
+        first even with none pending; at the block's end, add the static
+        cost to the first and return the block's lines."""
+        if self.charges or self.head is None:
+            const = self.k(self.charges.pop(None, 0))
+            self.head = self.head or const
+            terms = [const, *(f"{self.k(n)} * {name}" for name, n in self.charges.items())]
+            self.lines += [f"c += {' + '.join(terms)}", "if c >= b: raise _Abort"]
+            self.charges.clear()
+        if end:
+            self.consts[self.head] += self.cost
+        return self.lines
 
     def temp(self, reads: Sequence[tuple]) -> str:
         """Name for the next line's result; that line reads ``reads``."""
@@ -651,13 +670,11 @@ def _loop(t: PrimRec, n: int) -> Union[tuple, Callable]:
     xs = [f"x{j}" for j in range(1, n)]
     body = _Block()
     acc = body.value(t.step, [(p, 0) for p in ("y", *xs, "i", "acc")])
-    if not body.lines:
+    if not body.lines and not body.charges:
         return body.cost, acc
     run = ["for i in range(y):",
-           f"    c += {body.k(body.cost)}",
-           "    if c >= b: raise _Abort",
-           *(f"    {line}" for line in body.lines),
-           *([f"    acc = {body.expr(acc)}"] if acc != ("acc", 0) else [])]
+           *(f"    {line}" for line in body.charge(end=True)),
+           f"    acc = {body.expr(acc)}"]
     if "i" not in body.reads and acc[0] != "i":    # counter-free
         key = (*(["y"] if "y" in body.reads or acc[0] == "y" else []), *xs, "acc")
         run[1:1] = [f"    if i < {_PERIOD_WINDOW}:",
@@ -679,7 +696,8 @@ def _loop(t: PrimRec, n: int) -> Union[tuple, Callable]:
 def _compiled(t: PrTerm) -> tuple[int, Callable]:
     """(arity, entry) of t; ``entry(0, budget, *args)`` returns (value, visits).
 
-    The entry raises ``_Abort`` as soon as the visit count reaches the budget.
+    The entry raises ``_Abort`` at the first charge that brings the visit
+    count to the budget.
     A term that is not well formed raises ArityError here.
     """
     n = _checked_arity(t, None)
@@ -688,9 +706,7 @@ def _compiled(t: PrTerm) -> tuple[int, Callable]:
     value = body.value(t, [(p, 0) for p in params])
     return n, _define("entry", [
         f"def entry(c, b, {', '.join(params)}):",
-        f"    c += {body.k(body.cost)}",
-        "    if c >= b: raise _Abort",
-        *(f"    {line}" for line in body.lines),
+        *(f"    {line}" for line in body.charge(end=True)),
         f"    return {body.expr(value)}, c",
     ], body)
 
@@ -714,7 +730,7 @@ def eval_clocked(t: PrTerm, args: Sequence[int], budget: int) -> StepOutcome:
     """Evaluate t on args; converges iff total cost < budget."""
     fn = _compiled_for(t, args)
     try:
-        return Converged(*fn(0, budget, *args))
+        return tuple.__new__(Converged, fn(0, budget, *args))  # no __new__ frame
     except _Abort:
         return OUT_OF_BUDGET
 

@@ -653,11 +653,12 @@ def parse_witness(text: str) -> ReductionWitness:
     """Read a witness file; malformed rows and header keys raise ParseError.
 
     A body that ``columns`` reads, with indices 0, 1, ... and every value
-    under the decimal cap, is read by lookup; any other body goes through
-    _parse_rows, which names the first bad line."""
+    under the decimal cap, is read by lookup; any other body, at once one
+    whose first value is past the cap, goes through _parse_rows."""
     head, _, body = text.partition("---\n")
     fields = dict(pairs(split_lines(head)))
-    table = columns(body, 2)
+    first = body.partition("\n")[0].partition("\t")[2]
+    table = columns(body, 2) if integers((first,)) else None
     values = integers(table[1]) if table else None
     if values is None or table[0] != decimals(range(len(values))):
         values = _parse_rows(split_lines(body), len(split_lines(head)) + 2)

@@ -723,17 +723,18 @@ def term_set(term, bound, name: str | None = None) -> PrSet:
     term_text = pr_lang.serialize(term)
     bound_text = pr_lang.serialize(bound)
     last = [-1, 0]      # the bit evaluated last and its steps, for its cost
-    limit = []          # the bound's entry, from the first bit on
+    limit = None        # the bound's entry, from the first bit on
 
     def bit(n):
-        if not limit:
-            limit.append(pr_lang._compiled_for(bound, (n,)))
-        out = pr_lang.eval_clocked(term, [n], limit[0](0, pr_lang._UNBOUNDED, n)[0])
-        if not isinstance(out, pr_lang.Converged):
+        nonlocal limit
+        if limit is None:
+            limit = pr_lang._compiled_for(bound, (n,))
+        out = pr_lang.eval_clocked(term, [n], limit(0, pr_lang._UNBOUNDED, n)[0])
+        if out is pr_lang.OUT_OF_BUDGET:
             raise PunctualityViolation(
                 f"term set {term_text} exceeded its bound {bound_text} at n={n}")
-        last[:] = n, out.steps
-        return 1 if out.value else 0
+        last[:] = n, out[1]
+        return 1 if out[0] else 0
 
     def cost(n):
         if last[0] != n:

@@ -2334,6 +2334,26 @@ def test_parse_witness_rows_match_the_per_row_reader(edit):
     check_row_edits(edit, 10 ** 6, (1, 2, 7, 300))
 
 
+def test_parse_witness_over_the_cap_goes_straight_to_the_row_reader(monkeypatch):
+    """A body whose first value is past the cap is not split into columns,
+    and reads, bad rows included, as the per-row reader reads it."""
+    monkeypatch.setattr(reductions, "columns", None)
+    rng = random.Random(9)
+    w = ReductionWitness(TableProgram([rng.randint(CAP, 10 ** 6) for _ in range(400)], "t"),
+                         "reduction", "a", "b", 399)
+    text = serialize_witness(w)
+    assert parsed(text) == ref_parse_witness(text)
+    head, _, body = text.partition("---\n")
+    rows, raised = body.splitlines(), set()
+    for name, change in ROW_EDITS:
+        for k in (1, 200, 399):
+            bad = head + "---\n" + "\n".join(rows[:k] + [change(rows, k)] + rows[k + 1:]) + "\n"
+            got = outcome(parsed, bad)
+            assert got == outcome(ref_parse_witness, bad), (name, k)
+            raised.add(got[0] if isinstance(got, tuple) else None)
+    assert {ParseError, PreconditionFailed} < raised
+
+
 def parsed_cold(text):
     _text._decimal_table.cache_clear()
     return parsed(text)

@@ -293,7 +293,9 @@ class TestCompiledAgainstOracle:
     ])
     def test_affine_steps(self, text):
         assert loop_sources(text) == []            # written inline in the entry
-        assert "c += " in compiled_sources(text)[-1].split("\n", 3)[3]
+        # the closed form's y visits join the static cost in the one charge line
+        charges = [line for line in compiled_sources(text)[-1].split("\n") if "c += " in line]
+        assert len(charges) == 1 and charges[0].endswith(" * a0")
         for y in range(6):
             self.check_budgets(text, [y] if arity(parse_term(text)) == 1 else [y, 3])
 
@@ -325,7 +327,7 @@ class TestCompiledAgainstOracle:
         assert not any("_skip" in src for src in sources)
         assert all("range" in src for src in sources)
         if not loops:
-            assert " if a0 else " in compiled_sources(text)[-1]
+            assert " if a0 + k" in compiled_sources(text)[-1]     # y written as name + k
         for y in range(8):
             self.check_budgets(text, [y])
 
@@ -346,6 +348,54 @@ class TestCompiledAgainstOracle:
         assert loop_sources(text) == []
         for y in (0, 1, 2, 5):
             self.check_budgets(text, [y, *xs])
+
+    def test_closed_forms_share_one_budget_check(self):
+        text = "C(P[3,1]; R(Z; C(S; P[3,3])), R(Z; P[3,2]), C(S; R(Z; C(S; C(S; P[3,3])))))"
+        entry = compiled_sources(text)[-1]
+        assert loop_sources(text) == [] and entry.count("if c >= b") == 1
+        charge, = [line for line in entry.split("\n") if "c += " in line]
+        assert charge.count("a0") == 1             # one coefficient for the three forms
+        for y in range(6):
+            self.check_budgets(text, [y])
+
+    @staticmethod
+    def check_every_budget(t, args):
+        cost = reference_cost(t, args)
+        for budget in range(cost + 2):
+            assert eval_clocked(t, args, budget) == oracle_outcome(t, args, budget)
+
+    def test_nested_recursion_at_every_budget(self):
+        rng = random.Random(4242)
+        for _ in range(100):
+            ar = rng.randint(1, 2)
+            t = nested_recursion(rng, 2, ar)
+            args = [rng.randint(0, 4) for _ in range(ar)]
+            if reference_cost(t, args) <= 300:
+                self.check_every_budget(t, args)
+
+    def test_decoded_charges_around_loop_calls_at_every_budget(self, monkeypatch):
+        """Entries that write closed-form charges next to loop calls, some
+        on both sides of one, checked at every budget up to their cost."""
+        entries = {}
+        define = pr_lang._define
+        monkeypatch.setattr(pr_lang, "_define", lambda name, lines, block: entries.update(
+            {name: "\n".join(lines)}) or define(name, lines, block))
+        for cache in (decode, pr_lang._compiled):
+            cache.cache_clear()
+        mixed = after = 0
+        for e in range(1200):
+            t = unary_wrap(decode(e))
+            entry_of(t)
+            lines = entries.pop("entry", "").split("\n")   # no entry: a term met before
+            charges = [line for line in lines if "c += " in line]
+            if not any(", c = r" in line for line in lines) or " * " not in "".join(charges):
+                continue
+            mixed += 1
+            after += len(charges) > 1               # a charge after a loop call
+            for x in range(4):
+                if reference_cost(t, [x]) <= 300:
+                    self.check_every_budget(t, [x])
+        assert mixed > 50 and after > 20
 
     def test_huge_recursion_argument_returns_at_once(self):
         y = 10 ** 12
@@ -476,8 +526,8 @@ class TestNestingLimit:
 class TestCompileCache:
     def test_distinct_programs_keep_cache_bounded(self):
         decode.cache_clear()
-        caches = (pr_lang._compiled, pr_lang._loop, pr_lang._shape)
-        for cache in caches:
+        caches = (pr_lang._compiled, pr_lang._loop)
+        for cache in (*caches, pr_lang._shape):
             cache.cache_clear()
         wrapped = set()
         e = 0
@@ -488,7 +538,10 @@ class TestCompileCache:
                 wrapped.add(unary_wrap(decode(e)))
                 converges_within(e, 3, 50)
             e += 1
-        for cache in caches:
+        # decoded programs share too few shapes to fill _shape: feed it sources
+        for j in range(2 * pr_lang._COMPILE_CACHE_SIZE):
+            pr_lang._shape(f"x = {j}")
+        for cache in (*caches, pr_lang._shape):
             info = cache.cache_info()
             assert info.misses > pr_lang._COMPILE_CACHE_SIZE
             assert info.currsize <= pr_lang._COMPILE_CACHE_SIZE

@@ -19,6 +19,8 @@ deterministic counters from one extra, untimed interpreter per list:
   * ``loop_functions``: generated functions other than an ``entry``,
     whether their code was compiled for them or shared;
   * ``source_bytes``: the length of the source texts actually compiled;
+  * ``budget_checks``: the ``if c >= b`` lines in those texts, one per
+    budget check a generated function writes;
   * ``visits``: evaluator visits, counted as ``perfbench/tracer.py``
     counts ``pr_lang.visits`` (a converged run's steps, else its budget);
   * ``ensure_entries``: calls of ``PrSet._ensure``, the descriptor memo's
@@ -61,8 +63,8 @@ LISTS = ("conv", "tset")
 REPEATS = 11
 SEED = 1
 SECONDS = 25
-COUNTERS = ("compile_calls", "loop_functions", "source_bytes", "visits", "ensure_entries",
-            "arity_checks", "period_detections", "orbit_replays", "memo_bits",
+COUNTERS = ("compile_calls", "loop_functions", "source_bytes", "budget_checks", "visits",
+            "ensure_entries", "arity_checks", "period_detections", "orbit_replays", "memo_bits",
             "pattern_fill_bits", "operand_fill_bits", "per_bit_bits")
 # counted calls, each of a pr_lang function; one a source lacks counts 0
 CALLS = {"arity_checks": "_node_arity", "period_detections": "_skip",
@@ -90,6 +92,7 @@ def counters(counts: dict):
     def counting_compile(source, *args, **kwargs):
         counts["compile_calls"] += 1
         counts["source_bytes"] += len(source)
+        counts["budget_checks"] += source.count("if c >= b")
         return compile(source, *args, **kwargs)
 
     define = pr_lang._define
