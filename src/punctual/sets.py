@@ -73,8 +73,8 @@ Scans read memos as whole columns: ``profile(points, convention)`` and
 ``cum_costs(points)`` answer a list of points from one growth to the
 largest, an index range from 0 up by 1 as one slice of the memo, and
 ``prefix(n).bits`` hands a scan the bits it maps over, so a scan pays one
-``_ensure`` entry, not one per element (README, "Scans read memos whole");
-``reader(n)`` hands a stage loop the memo list's lookup for bits 0..n.
+``_ensure`` entry, not one per element; ``reader(n)`` hands a stage loop
+the memo list's lookup for bits 0..n.
 
 Descriptors are single-threaded: memos grow unguarded, so no descriptor may
 be read from two threads at once.

@@ -4,6 +4,7 @@ import io
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,9 @@ from punctual.constructions import parse_trace, verify_trace_file
 from punctual.errors import MisuseError, ParseError, PunctualError, StageBudgetExhausted
 from punctual.reductions import load_witness, parse_witness
 from punctual.sets import DEFAULT_CEILING
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tools"))
+import cli_transcripts  # noqa: E402
 
 FAMILY_TEXTS = [
     "P[1,1]",
@@ -670,22 +674,27 @@ def test_oversized_descriptor_numbers_are_misuse(descriptor, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def readme_block(readme, heading):
-    """The first fenced block after a README heading, as lines."""
-    body = readme.split(f"\n{heading}\n", 1)[1]
-    return body.split("```\n", 2)[1].splitlines()
-
-
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
-    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     (tmp_path / "basic.fam").write_text(
-        "\n".join(readme_block(readme, "### Family files")) + "\n")
+        "\n".join(cli_transcripts.readme_block("### Family files")) + "\n")
     monkeypatch.chdir(tmp_path)
-    lines = readme_block(readme, "## Command-line usage")
+    lines = cli_transcripts.readme_block("## Command-line usage")
     assert len(lines) == 11 and all(line.startswith("punctual ") for line in lines)
     # in order: the --out files of earlier lines feed later ones
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+    # and each line is pinned by exactly one golden transcript
+    argvs = [argv for argv, _ in cli_transcripts.CASES.values()]
+    for line in lines:
+        assert argvs.count(shlex.split(line)[1:]) == 1, line
+
+
+def test_readme_states_no_benchmark_figure():
+    """Figures belong in CHANGES.md and the BENCH_*.json files, where a
+    later change cannot turn them false."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    figure = re.compile(r"jobs/s|jobs_per_s|job_p50|job_p90|peak_rss|\d\s*(?:ms|us|MB|KB)\b")
+    assert [line for line in readme.splitlines() if figure.search(line)] == []
 
 
 def test_trace_descriptor_unknown_output_is_misuse(capsys):

@@ -1,9 +1,9 @@
 """Golden command-line transcripts, replayed byte for byte.
 
-Each ``tests/golden/cli/<case>.json`` holds one invocation of the commands
-that read trace and witness files: its argv, exit code, stdout and stderr.
-``tools/cli_transcripts.py`` defines the cases and their input files and
-writes the transcripts:
+Each ``tests/golden/cli/<case>.json`` holds one command-line invocation,
+a line of README's usage block or another case: its argv, exit code,
+stdout and stderr.  ``tools/cli_transcripts.py`` defines the cases and
+their input files and writes the transcripts:
 
     PYTHONPATH=src python tools/cli_transcripts.py
 """

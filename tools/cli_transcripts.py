@@ -1,17 +1,22 @@
-"""Golden transcripts of the commands that read trace and witness files.
+"""Golden command-line transcripts.
 
     PYTHONPATH=src python tools/cli_transcripts.py
 
 Each case in ``CASES`` is one invocation of ``punctual.cli.main``, made
 in process inside a fresh temporary directory that holds the case's input
 files, so every path in its argv (and in its ``# config`` line) is
-relative.  The inputs are a golden trace of ``tests/golden`` with at most
-one edit each, and two witness tables written out below.  The script
-writes one transcript per case, ``tests/golden/cli/<case>.json``: the
-argv, the exit code, and the stdout and stderr texts (UTF-8, newlines as
-written).  ``tests/test_transcripts.py`` replays every transcript and
-compares each field byte for byte; a change that alters one regenerates
-it with this script and says which file changed and why.
+relative.  The cases are every line of README's usage block, argv for
+argv, and the commands that read trace and witness files; the runs cover
+every construction kind the usage block leaves out, term descriptors and
+a stage-budget exhaustion (exit 2).  The inputs are a golden trace of
+``tests/golden`` with at most one edit each, two witness tables written
+out below, README's family file, and files that an earlier case writes,
+made by running that case.  The script writes one transcript per case,
+``tests/golden/cli/<case>.json``: the argv, the exit code, and the stdout
+and stderr texts (UTF-8, newlines as written).  ``tests/test_transcripts.py``
+replays every transcript and compares each field byte for byte; a change
+that alters one regenerates it with this script and says which file
+changed and why.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -50,6 +56,33 @@ def _witness(old: str = "", new: str = ""):
     return lambda: WITNESS.replace(old, new, 1).encode()
 
 
+def readme_block(heading: str) -> list:
+    """The first fenced block after a README heading, as lines."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        body = fh.read().split(f"\n{heading}\n", 1)[1]
+    return body.split("```\n", 2)[1].splitlines()
+
+
+def _family() -> bytes:
+    return ("\n".join(readme_block("### Family files")) + "\n").encode()
+
+
+def _written(case: str, name: str):
+    """The bytes of the file `name` that running `case` writes."""
+    return lambda: _execute(case, name)[1]
+
+
+# n mod 2 under the declared step bound 24n + 60 (MOD2 and linear_bound(24, 60)
+# of perfbench/workloads.py): a term set has no pattern, so a join over it
+# fills from its operands' memos
+NOT = "C(R(P[1,1]; C(R(Z; P[3,2]); P[4,4])); P[1,1], C(S; R(Z; P[3,3])))"
+MOD2 = f"R(Z; C({NOT}; P[3,3]))"
+BOUND = "C(S; " * 60 + "R(Z; " + "C(S; " * 24 + "P[3,3]" + ")" * 85
+TERM = f'term "{MOD2}" bound "{BOUND}"'
+
+BASIC = {"basic.fam": _family}
+
+
 # case name -> (argv, {input file name: its bytes' maker})
 CASES = {
     "verify-ok": (["verify", "ok.trace"], {"ok.trace": _golden()}),
@@ -75,11 +108,50 @@ CASES = {
     "reduce-check-malformed-row": (["reduce", "check", "evens", "evens", "--witness",
                                     "bad.table", "--horizon", "5"],
                                    {"bad.table": _witness("\n3\t3\n", "\n3\tx\n")}),
+    # README's usage block, line by line
+    "readme-profile": (["profile", "evens", "--horizon", "10"], {}),
+    "readme-lattice-join": (["lattice", "join", "evens", "mod 3", "--horizon", "100"], {}),
+    "readme-lattice-distrib": (["lattice", "distrib", "evens", "mod 3", "mod 5",
+                                "--horizon", "200"], {}),
+    "readme-lattice-equilibrium": (["lattice", "equilibrium", "evens", "blocks 6",
+                                    "--horizon", "50"], {}),
+    "readme-reduce-synth-g": (["reduce", "synth-g", "evens", "mod 3", "--horizon", "60",
+                               "--out", "g.wit"], {}),
+    "readme-reduce-check": (["reduce", "check", "evens", "mod 3", "--witness", "g.wit",
+                             "--horizon", "60"],
+                            {"g.wit": _written("readme-reduce-synth-g", "g.wit")}),
+    "readme-diamond-evidence-r": (["diamond", "evidence-r", "drop(evens)", "evens",
+                                   "--horizon", "30", "--k", "20"], {}),
+    "readme-slow-make": (["slow", "make", "--family", "basic.fam", "--window", "8"], BASIC),
+    "readme-construct-join-split": (["construct", "join-split", "mod 3", "--family",
+                                     "basic.fam", "--max-stages", "500", "--out", "js.trace"],
+                                    BASIC),
+    "readme-construct-diamond": (["construct", "diamond", "--x", "meet(evens, blocks 6)",
+                                  "--z", "join(evens, blocks 6)", "--family", "basic.fam",
+                                  "--max-stages", "500"], BASIC),
+    "readme-verify": (["verify", "js.trace"],
+                      {"js.trace": _written("readme-construct-join-split", "js.trace")}),
+    # constructions, term descriptors and an exhaustion the usage block leaves out
+    "construct-meet-split": (["construct", "meet-split", "evens", "--family", "basic.fam",
+                              "--max-stages", "300", "--out", "ms.trace"], BASIC),
+    "verify-meet-split": (["verify", "ms.trace"],
+                          {"ms.trace": _written("construct-meet-split", "ms.trace")}),
+    "construct-separator": (["construct", "separator", "--x", "id", "--y",
+                             "meet(evens, blocks 6)", "--family", "nat.fam",
+                             "--max-stages", "600", "--out", "sep.trace"],
+                            {"nat.fam": lambda: b"@id\n@succ\n"}),
+    "verify-separator": (["verify", "sep.trace"],
+                         {"sep.trace": _written("construct-separator", "sep.trace")}),
+    "lattice-join-term": (["lattice", "join", TERM, "evens", "--horizon", "40"], {}),
+    "profile-term": (["profile", TERM, "--horizon", "10"], {}),
+    "construct-immune-budget": (["construct", "immune", "--family", "basic.fam",
+                                 "--max-stages", "3"], BASIC),
 }
 
 
-def run(case: str) -> dict:
-    """The transcript of one case, run in a fresh temporary directory."""
+def _execute(case: str, written: str | None = None):
+    """One case's transcript, run in a fresh temporary directory, and the
+    bytes of its file `written` (None if not asked for)."""
     from punctual import cli
 
     argv, inputs = CASES[case]
@@ -93,9 +165,15 @@ def run(case: str) -> dict:
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(list(argv))
+            data = None if written is None else pathlib.Path(written).read_bytes()
         finally:
             os.chdir(cwd)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, data
+
+
+def run(case: str) -> dict:
+    """The transcript of one case, run in a fresh temporary directory."""
+    return _execute(case)[0]
 
 
 def dumps(transcript: dict) -> str:
