@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from operator import eq
 
 from . import constructions, lattice, reductions, sets
 from ._text import pair_lines, read_text, write_text
@@ -44,22 +45,22 @@ def load_family(path) -> list:
 
 def cmd_profile(args, out) -> int:
     x = parse_set(args.descriptor)
-    for s in range(args.horizon + 1):
-        out.write(f"{s}\t{x.zeros_by_index(s)}\t{x.zeros_by_steps(s)}\n")
+    stages = range(args.horizon + 1)
+    for s, zi, zs in zip(stages, x.profile(stages), x.profile(stages, "steps")):
+        out.write(f"{s}\t{zi}\t{zs}\n")
     return 0
 
 
 def cmd_lattice(args, out) -> int:
     if args.lattice_op in ("join", "meet"):
         x, y = parse_set(args.a), parse_set(args.b)
+        stages = range(args.horizon + 1)
         combine = sets.set_join if args.lattice_op == "join" else sets.set_meet
         z = combine(x, y)
         xn = sets.override_zero_member(x)
         yn = sets.override_zero_member(y)
         pick = max if args.lattice_op == "join" else min
-        ok = all(z.zeros_by_index(s) == pick(xn.zeros_by_index(s),
-                                             yn.zeros_by_index(s))
-                 for s in range(args.horizon + 1))
+        ok = all(map(eq, z.profile(stages), map(pick, xn.profile(stages), yn.profile(stages))))
         out.write(f"bits\t{z.prefix(args.horizon).as_str()}\n")
         out.write(f"profile-identity\t{'ok' if ok else 'fail'}\n")
         return 0 if ok else 1
@@ -67,7 +68,7 @@ def cmd_lattice(args, out) -> int:
         x, y, z = parse_set(args.a), parse_set(args.b), parse_set(args.c)
         lhs = sets.set_join(x, sets.set_meet(y, z))
         rhs = sets.set_meet(sets.set_join(x, y), sets.set_join(x, z))
-        ok = all(lhs.bit(n) == rhs.bit(n) for n in range(args.horizon + 1))
+        ok = lhs.prefix(args.horizon) == rhs.prefix(args.horizon)
         out.write(f"distributivity\t{'ok' if ok else 'fail'}\n")
         return 0 if ok else 1
     x, y = parse_set(args.a), parse_set(args.b)
@@ -108,35 +109,29 @@ def cmd_reduce(args, out) -> int:
 
 def cmd_diamond(args, out) -> int:
     x, y = parse_set(args.a), parse_set(args.b)
-    cert = domination_certificate(x, y, args.horizon,
-                                  "index" if args.convention == "index" else "steps")
-    if args.diamond_op == "evidence-q":
-        q = (load_witness(args.q).program if args.q
-             else resolve_program(args.q_program or "P[1,1]"))
-        ev = lattice.diamond_evidence_q(x, y, q, args.horizon, args.k, cert,
-                                        convention=args.convention,
-                                        relaxed=args.relaxed)
-    elif args.diamond_op == "evidence-r":
-        r = (load_witness(args.q).program if args.q
-             else resolve_program(args.q_program or "P[1,1]"))
-        ev = lattice.diamond_evidence_r(x, y, r, (0, args.horizon), cert,
-                                        k=args.k)
-    elif args.diamond_op == "canonical":
-        pw = TableProgram(
-            [min(s, args.horizon) for s in range(args.horizon + 1)], "p")
+    cert = domination_certificate(x, y, args.horizon, args.convention)
+    if args.diamond_op == "canonical":
+        pw = TableProgram(range(args.horizon + 1), "p")
         w = lattice.canonical_diamond_witness(x, y, pw, pw, args.horizon, args.k)
         out.write(pair_lines([("case", w.case), ("good-stages", w.good_stage_count),
                               ("equilibria", w.equilibrium_count)]))
         return 0
-    else:
+    if args.diamond_op == "restrict":
         missing = [name for name in ("c", "d") if getattr(args, name) is None]
         if missing:
             raise MisuseError(f"diamond restrict needs the operands c and d, "
                               f"missing {' and '.join(missing)}")
-        qw, report = lattice.restrict_diamond_witness(
-            x, parse_set(args.c), parse_set(args.d), y, args.horizon,
-            certificate=cert)
-        ev = report
+        _, ev = lattice.restrict_diamond_witness(x, parse_set(args.c), parse_set(args.d), y,
+                                                 args.horizon, cert)
+    else:
+        q = (load_witness(args.q).program if args.q
+             else resolve_program(args.q_program or "P[1,1]"))
+        if args.diamond_op == "evidence-q":
+            ev = lattice.diamond_evidence_q(x, y, q, args.horizon, args.k, cert,
+                                            convention=args.convention,
+                                            relaxed=args.relaxed)
+        else:
+            ev = lattice.diamond_evidence_r(x, y, q, (0, args.horizon), cert, k=args.k)
     out.write(pair_lines([("kind", ev.kind), ("convention", ev.convention), ("count", ev.count),
                           ("verdict", ev.verdict), *(("hit", h) for h in ev.hits)]))
     return 0

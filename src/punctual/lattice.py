@@ -26,10 +26,11 @@ from .reductions import (
 from .sets import (
     DEFAULT_CEILING,
     PrSet,
+    _Pattern,
+    _pattern_set,
     _running_max,
     drop_least_zero,
     evens_set,
-    prefix_set,
     zero_list_set,
 )
 
@@ -86,6 +87,12 @@ def _require_certificate(cert) -> None:
         raise NotCertified("operation needs a verified reducibility certificate")
 
 
+def _evidence(kind, x, y, hits: tuple, k, convention, span, relaxed=False) -> DiamondEvidence:
+    """The report on the hits: evidence(k) when there are at least k."""
+    verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
+    return DiamondEvidence(kind, (x.name, y.name), hits, k, verdict, convention, span, relaxed)
+
+
 def diamond_evidence_q(x: PrSet, y: PrSet, q, horizon: int, k: int,
                        certificate: ReductionWitness, *,
                        convention: str = "steps",
@@ -103,10 +110,8 @@ def diamond_evidence_q(x: PrSet, y: PrSet, q, horizon: int, k: int,
         require_index_values(images)
     zy = y.profile(stages, convention)
     zx = x.profile(images, convention)
-    hits = list(compress(stages, map(le if relaxed else eq, zy, zx)))
-    verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
-    return DiamondEvidence("q-stage", (x.name, y.name), tuple(hits), k, verdict,
-                           convention, (0, horizon), relaxed)
+    hits = tuple(compress(stages, map(le if relaxed else eq, zy, zx)))
+    return _evidence("q-stage", x, y, hits, k, convention, (0, horizon), relaxed)
 
 
 def diamond_evidence_r(x: PrSet, y: PrSet, r, window: tuple,
@@ -118,11 +123,9 @@ def diamond_evidence_r(x: PrSet, y: PrSet, r, window: tuple,
     _require_certificate(certificate)
     prog = as_program(r)
     n0, n1 = window
-    hits = [n for n in range(n0, n1 + 1)
-            if x.principal_zero(n, ceiling) <= prog.value(y.principal_zero(n + 1, ceiling))]
-    verdict = f"evidence({k})" if len(hits) >= k else "no-evidence-at-horizon"
-    return DiamondEvidence("r-principal", (x.name, y.name), tuple(hits), k,
-                           verdict, "principal", (n0, n1))
+    hits = tuple(n for n in range(n0, n1 + 1)
+                 if x.principal_zero(n, ceiling) <= prog.value(y.principal_zero(n + 1, ceiling)))
+    return _evidence("r-principal", x, y, hits, k, "principal", (n0, n1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ class CanonicalWitness(NamedTuple):
 def _monotonize(prog: ClockedProgram, horizon: int) -> tuple[list[int], bool]:
     """The running maximum of prog's values from 0, and whether it differs
     from them: it does where a value falls below the maximum before it."""
-    raw = [prog.value(s) for s in range(horizon + 1)]
+    raw = list(prog.values_at(range(horizon + 1)))
     vals = _running_max(raw)
     return vals, vals != raw
 
@@ -192,7 +195,7 @@ def _first_stages(profile: list[int]) -> dict:
 
 def _profile_set(name: str, d: list[int]) -> PrSet:
     bits = [1 if d[m + 1] == d[m] else 0 for m in range(len(d) - 1)]
-    return prefix_set(name, bits, cost_fn=lambda n: 1)
+    return _pattern_set(name, _Pattern(tuple(bits), (1, 0)), None)
 
 
 def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
@@ -222,13 +225,15 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
     case3_s = [s for s in good_s if p_vals[s] < s]
     case3_t = [t for t in good_t if q_vals[t] < t]
 
+    stages1 = sorted({p_vals[s] for s in case1_s if p_vals[s] < horizon})
+    stages2 = sorted({q_vals[t] for t in case2_t if q_vals[t] < horizon})
     certificates = {}
-    if case1_s and len({p_vals[s] for s in case1_s if p_vals[s] < horizon}) >= min_pairs:
+    if case1_s and len(stages1) >= min_pairs:
         case = 1
         _, d = _smooth_profile(x, y, p_vals, horizon)
         x_star = _profile_set(f"{x.name}*", d)
         y_star = y
-        good_stages = sorted({p_vals[s] for s in case1_s if p_vals[s] < horizon})
+        good_stages = stages1
         d_table = tuple(d)
         certificates["x_star<=x"] = domination_certificate(x_star, x, horizon - 1, "steps")
         back = [min(2 * max(s, p_vals[s] + 1), horizon - 1) for s in range(horizon + 1)]
@@ -238,12 +243,12 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
         w = ReductionWitness(TableProgram(back, "back"), "growth-p", x.name,
                              x_star.name, cert_h, "steps", ok)
         certificates["x<=x_star"] = w
-    elif case2_t and len({q_vals[t] for t in case2_t if q_vals[t] < horizon}) >= min_pairs:
+    elif case2_t and len(stages2) >= min_pairs:
         case = 2
         _, d = _smooth_profile(y, x, q_vals, horizon)
         y_star = _profile_set(f"{y.name}*", d)
         x_star = x
-        good_stages = sorted({q_vals[t] for t in case2_t if q_vals[t] < horizon})
+        good_stages = stages2
         d_table = tuple(d)
         certificates["y_star<=y"] = domination_certificate(y_star, y, horizon - 1, "steps")
     elif case3_s and case3_t:
@@ -277,8 +282,7 @@ def canonical_diamond_witness(x: PrSet, y: PrSet, p, q, horizon: int,
 
 
 def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
-                             horizon: int = 1000,
-                             certificate: ReductionWitness | None = None) -> tuple:
+                             horizon: int, certificate: ReductionWitness) -> tuple:
     """Push diamond evidence for an outer pair into a subinterval.
 
     The outer pair must have literal equilibrium stages (smooth it first if
@@ -298,10 +302,8 @@ def restrict_diamond_witness(x: PrSet, x2: PrSet, y2: PrSet, y: PrSet,
         i = bisect_left(eq_outer, bound)     # eq_outer[i - 1] is the last below
         q_vals.append(f_vals[eq_outer[i - 1]] if i else t)
     qw = TableProgram(q_vals, "restricted-q")
-    inner_cert = ReductionWitness(qw, "growth-p", x2.name, y2.name, horizon,
-                                  "steps", True)
-    report = diamond_evidence_q(x2, y2, qw, horizon, 1, inner_cert)
-    return qw, report
+    inner_cert = ReductionWitness(qw, "growth-p", x2.name, y2.name, horizon, "steps", True)
+    return qw, diamond_evidence_q(x2, y2, qw, horizon, 1, inner_cert)
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +400,12 @@ def x1_bound_check(x: PrSet, y: PrSet, horizon: int,
     """Which disjunct holds below the horizon: stage evidence for the diamond
     side, or pointwise domination under the set with its least zero dropped."""
     _require_certificate(certificate)
-    dropped = drop_least_zero(x)
-    stages = []
-    violation = None
     span = range(horizon + 1)
-    for s, zy, zx, zd in zip(span, y.profile(span, "steps"), x.profile(span, "steps"),
-                             dropped.profile(span, "steps")):
-        if zy >= zx:
-            stages.append(s)
-        if violation is None and zy > zd:
-            violation = s
-    return DropBoundVerdict((x.name, y.name), horizon, tuple(stages),
-                            violation is None, violation)
+    # zip reads the columns stage by stage: a generator fails where per-stage reads do
+    rows = list(zip(*(z.profile(span, "steps") for z in (y, x, drop_least_zero(x)))))
+    stages = tuple(compress(span, (zy >= zx for zy, zx, _ in rows)))
+    violation = next(compress(span, (zy > zd for zy, _, zd in rows)), None)
+    return DropBoundVerdict((x.name, y.name), horizon, stages, violation is None, violation)
 
 
 def shift_top_certificate(g, x: PrSet, horizon: int):

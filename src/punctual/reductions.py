@@ -558,11 +558,11 @@ def verify_claim(w: ReductionWitness, low: PrSet, high: PrSet,
 def domination_certificate(low: PrSet, high: PrSet, horizon: int,
                            convention: str = "index") -> ReductionWitness:
     """Certify low <= high from a pointwise profile comparison (h = identity)."""
-    kind = "index" if convention == "index" else "steps"
     stages = range(horizon + 1)
-    s = next(compress(stages, map(gt, *(z.profile(stages, kind) for z in (low, high)))), None)
+    columns = (z.profile(stages, convention) for z in (low, high))
+    s = next(compress(stages, map(gt, *columns)), None)
     if s is not None:
-        a, b = (next(z.profile((s,), kind)) for z in (low, high))
+        a, b = (next(z.profile((s,), convention)) for z in (low, high))
         raise NotCertified(f"profile of {low.name} exceeds {high.name} at s={s} ({a} > {b})")
     claim = "growth-h" if convention == "index" else "growth-p"
     return ReductionWitness(TableProgram(list(range(horizon + 1)), "identity"),

@@ -776,8 +776,7 @@ def zero_list_set(name: str, next_zero: Callable[[list], int]) -> PrSet:
     return _ZeroListSet(name, next_zero)
 
 
-def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
-               cost_fn: Callable[[int], int] | None = None) -> PrSet:
+def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None) -> PrSet:
     """Finite constructed prefix, extended past its end by alternating 1,0.
 
     The alternating tail keeps the set infinite and coinfinite at any
@@ -789,10 +788,7 @@ def prefix_set(name: str, bits: Sequence[int], *, dsl: str | None = None,
         data = b"\2"
     bits = (tuple(data) if not data.translate(None, b"\0\1")
             else tuple(1 if int(b) else 0 for b in bits))
-    pattern = _Pattern(bits, (1, 0), False)
-    if cost_fn:
-        return PrSet(name, pattern.bit, cost_fn, dsl=dsl)
-    return _pattern_set(name, pattern, dsl)
+    return _pattern_set(name, _Pattern(bits, (1, 0), False), dsl)
 
 
 # Derived descriptors

@@ -7,6 +7,7 @@ from punctual.constructions import TRACE_FORMAT, construct_immune, construct_joi
 from punctual.pr_lang import TermProgram, parse_term
 from punctual.sets import (
     PrSet,
+    _Pattern,
     blocks_set,
     evens_set,
     mod_set,
@@ -54,6 +55,12 @@ def serialize_by_records(trace) -> str:
                for (stage, cycle, phase, events), *bits in rows],
              "---", *[f"{k}\t{v}" for k, v in trace.footer]]
     return "\n".join(lines) + "\n"
+
+
+def costed_prefix(name, bits, cost_fn):
+    """``prefix_set``'s bits, a finite prefix then 1, 0 over and over, with
+    bit n costing cost_fn(n) and no fill, so the memo grows bit by bit."""
+    return PrSet(name, _Pattern(tuple(1 if b else 0 for b in bits), (1, 0), False).bit, cost_fn)
 
 
 def basic_family():

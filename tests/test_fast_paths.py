@@ -63,7 +63,7 @@ from punctual.pr_lang import (
     TermProgram,
     parse_term,
 )
-from punctual.lattice import equilibrium_points
+from punctual.lattice import diamond_evidence_q, equilibrium_points, x1_bound_check
 from punctual.reductions import (
     Counterexample,
     ReductionWitness,
@@ -99,7 +99,7 @@ from punctual.sets import (
     zero_list_set,
 )
 
-from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2
+from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2, costed_prefix
 
 IDENTITY = NativeProgram("id", lambda x: x)
 
@@ -433,7 +433,7 @@ def test_bits_within_matches_per_index_reads(traces):
     past it and no further (none for budgets of 0 and below)."""
     makers = [*(lambda k=k: SET_KINDS[k](traces) for k in SET_KINDS),
               lambda: ahead_of_its_memo(traces),
-              lambda: prefix_set("costly", [1, 0, 0, 1], cost_fn=lambda n: 5 * n + 9)]
+              lambda: costed_prefix("costly", [1, 0, 0, 1], lambda n: 5 * n + 9)]
     for make in makers:
         for grown in (-1, 0, 1, 30):
             for s in (-3, 0, 1, 8, 9, 10, 100, 2000):
@@ -476,7 +476,7 @@ def test_step_reads_skip_growth_the_memo_decides(traces):
     definitional growth, a bound overrun past the memo included."""
     overrun, first = overrun_term_set()
     makers = [*(lambda k=k: SET_KINDS[k](traces) for k in SET_KINDS),
-              lambda: prefix_set("costly", [1, 0, 0, 1], cost_fn=lambda n: 5 * n + 9),
+              lambda: costed_prefix("costly", [1, 0, 0, 1], lambda n: 5 * n + 9),
               overrun]
     skipped = raised = 0
     for make in makers:
@@ -1405,7 +1405,7 @@ def test_term_backed_descriptors_never_fill(traces):
     term = TERMS["evens"]
     nf = normal_form(SetRelation(parse_set("mod 3")))[0]
     listed = zero_list_set("zl", lambda zs: 2 * len(zs) + 1)
-    plain = [parse_set(term), nf, listed, prefix_set("unit", [1, 0], cost_fn=lambda n: 1)]
+    plain = [parse_set(term), nf, listed, costed_prefix("unit", [1, 0], lambda n: 1)]
     for x in plain:
         assert x._fill is None
         for over in (set_join(x, evens_set()), set_meet(mod_set(3), x), drop_least_zero(x),
@@ -1824,7 +1824,7 @@ def make_profiled(desc, traces):
     if desc == "zero-list":
         return zero_list_set("zl", lambda zs: zs[-1] + 3 if zs else 1)
     if desc == "costly":
-        return prefix_set("costly", [1, 0, 0, 1, 1, 0], cost_fn=lambda n: n % 3 + 1)
+        return costed_prefix("costly", [1, 0, 0, 1, 1, 0], lambda n: n % 3 + 1)
     if "{evens}" in desc or "{odds}" in desc:
         return parse_set(desc.format(**TERMS))
     return make_filled(desc, traces)
@@ -1896,6 +1896,12 @@ def test_profile_rejects_an_unknown_convention():
         evens_set().profile([1, 2], "principal")
 
 
+def test_domination_certificate_rejects_an_unknown_convention():
+    # a certificate carries index or steps, never a name it was merely given
+    with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+        domination_certificate(parse_set("meet(evens, mod 3)"), evens_set(), 6, "bogus")
+
+
 def fragile(k, name="fragile"):
     """Members are the multiples of 3; deciding any bit past k raises."""
     def bit(n):
@@ -1921,6 +1927,30 @@ def ref_equilibria(x, y, horizon, convention):
                  if getattr(x, read)(s) == getattr(y, read)(s))
 
 
+def ref_x1_bound(x, y, horizon):
+    """x1_bound_check's stages and first violation, three reads per stage."""
+    dropped = drop_least_zero(x)
+    stages, violation = [], None
+    for s in range(horizon + 1):
+        zy, zx, zd = y.zeros_by_steps(s), x.zeros_by_steps(s), dropped.zeros_by_steps(s)
+        if zy >= zx:
+            stages.append(s)
+        if violation is None and zy > zd:
+            violation = s
+    return tuple(stages), violation
+
+
+def ref_evidence_q(x, y, q, horizon, convention, relaxed):
+    """diamond_evidence_q's hits, y at t and then x at q(t), stage by stage."""
+    read = f"zeros_by_{convention}"
+    hits = []
+    for t in range(horizon + 1):
+        zy, zx = getattr(y, read)(t), getattr(x, read)(q.value(t))
+        if (zy <= zx) if relaxed else (zy == zx):
+            hits.append(t)
+    return tuple(hits)
+
+
 @pytest.mark.parametrize("k", [0, 4, 9, 30, 200])
 def test_profile_consumers_fail_where_per_stage_reads_fail(k):
     # a fragile set next to one whose profile it passes early or late; the
@@ -1942,6 +1972,23 @@ def test_profile_consumers_fail_where_per_stage_reads_fail(k):
             low2, high2 = ((fragile(k), partner()) if low.name == "fragile"
                            else (partner(), fragile(k)))
             assert outcome(domination_certificate, low2, high2, 60) == want
+    cert = domination_certificate(evens_set(), evens_set(), 1)
+    shift = TableProgram([t + 2 for t in range(61)], "shift")
+
+    def x1_fields(x, y):
+        v = x1_bound_check(x, y, 60, cert)
+        return v.diamond_side_stages, v.first_reduction_violation
+
+    for partner in partners:
+        for a, b in ((lambda: fragile(k), partner), (partner, lambda: fragile(k))):
+            pair = lambda: (a(), b())
+            assert outcome(x1_fields, *pair()) == outcome(ref_x1_bound, *pair(), 60)
+            for convention, relaxed, q in itertools.product(("index", "steps"), (False, True),
+                                                             (IDENTITY, shift)):
+                want = outcome(ref_evidence_q, *pair(), q, 60, convention, relaxed)
+                got = outcome(lambda x, y: diamond_evidence_q(
+                    x, y, q, 60, 1, cert, convention=convention, relaxed=relaxed).hits, *pair())
+                assert got == want
     # list consumers see the per-point failure too
     for convention in ("index", "steps"):
         read = f"zeros_by_{convention}"

@@ -23,7 +23,9 @@ from punctual.lattice import (
 )
 from punctual.pr_lang import NATIVE_REGISTRY, TableProgram
 from punctual.reductions import ReductionWitness, as_program, domination_certificate
-from punctual.sets import drop_least_zero, evens_set, mod_set, prefix_set
+from punctual.sets import drop_least_zero, evens_set, mod_set
+
+from conftest import costed_prefix
 
 ID = NATIVE_REGISTRY["id"]
 PLUS2 = NATIVE_REGISTRY["plus2"]
@@ -340,7 +342,7 @@ def assert_canonical_matches(x, y, p, q, horizon, min_pairs=1):
 def random_set(rng, name, length=60):
     bits = [rng.random() < 0.5 for _ in range(length)]
     costs = [rng.randint(1, 3) for _ in range(7)]
-    return prefix_set(name, bits, cost_fn=lambda n: costs[n % 7])
+    return costed_prefix(name, bits, lambda n: costs[n % 7])
 
 
 def random_rate(rng, horizon):

@@ -38,6 +38,8 @@ from punctual.sets import (
     zero_list_set,
 )
 
+from conftest import costed_prefix
+
 # term computing the characteristic function of the even numbers:
 # not(x) = 1 monus x, via msub(b, a) = a monus b and pred
 PRED = "R(Z; P[3,2])"
@@ -162,7 +164,7 @@ class TestProfiles:
     ], ids=["zeros_by_steps", "profile", "fresh_zeros"])
     def test_limited_growth_stops_at_the_index_ceiling(self, read):
         # unit cost and no pattern: a step budget of s reads s bits
-        x = prefix_set("ones", [1] * (DEFAULT_CEILING + 2), cost_fn=lambda n: 1)
+        x = costed_prefix("ones", [1] * (DEFAULT_CEILING + 2), lambda n: 1)
         with pytest.raises(CeilingExceeded, match=rf"past bit {DEFAULT_CEILING}, the index"):
             read(x)
         assert x.decided == DEFAULT_CEILING + 1
@@ -438,7 +440,7 @@ class TestZeroListSet:
 # every value a caller can set on a descriptor constructor
 DESCRIPTOR_PARAMETERS = {
     PrSet: ["name", "bit_fn", "cost_fn", "dsl", "fill"],
-    prefix_set: ["name", "bits", "dsl", "cost_fn"],
+    prefix_set: ["name", "bits", "dsl"],
     zero_list_set: ["name", "next_zero"],
 }
 
@@ -473,6 +475,12 @@ def test_trimmed_parameter_surface():
     surface = {fn: list(inspect.signature(fn).parameters)
                for fn in TRIMMED_PARAMETERS}
     assert surface == TRIMMED_PARAMETERS
+
+
+def test_restrict_diamond_witness_sets_no_default():
+    # a default certificate of None could only raise NotCertified
+    params = inspect.signature(lattice.restrict_diamond_witness).parameters.values()
+    assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
 
 
 class TestTransversalAndNormalForm:

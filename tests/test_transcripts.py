@@ -29,3 +29,17 @@ def test_transcript_replays(case):
     replayed = cli_transcripts.run(case)
     assert replayed == json.loads(stored)
     assert cli_transcripts.dumps(replayed).encode() == stored
+
+
+def _ops(parser):
+    """(command,) or (command, op) for each op choice of the parser."""
+    for command, sub in parser._subparsers._group_actions[0].choices.items():
+        ops = next((a.choices for a in sub._positionals._group_actions if a.choices), None)
+        yield from ([(command, op) for op in ops] if ops else [(command,)])
+
+
+def test_every_command_and_op_has_a_case():
+    from punctual import cli
+
+    starts = {tuple(argv[:n]) for argv, _ in cli_transcripts.CASES.values() for n in (1, 2)}
+    assert [pair for pair in _ops(cli.build_parser()) if pair not in starts] == []

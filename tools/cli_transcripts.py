@@ -6,9 +6,11 @@ Each case in ``CASES`` is one invocation of ``punctual.cli.main``, made
 in process inside a fresh temporary directory that holds the case's input
 files, so every path in its argv (and in its ``# config`` line) is
 relative.  The cases are every line of README's usage block, argv for
-argv, and the commands that read trace and witness files; the runs cover
-every construction kind the usage block leaves out, term descriptors and
-a stage-budget exhaustion (exit 2).  The inputs are a golden trace of
+argv, at least one case for each command and op of the parser, and the
+commands that read trace and witness files; the runs cover every
+construction kind, each followed by ``verify`` of its trace, term
+descriptors (one over its declared bound, exit 1) and a stage-budget
+exhaustion (exit 2).  The inputs are a golden trace of
 ``tests/golden`` with at most one edit each, two witness tables written
 out below, README's family file, and files that an earlier case writes,
 made by running that case.  The script writes one transcript per case,
@@ -72,13 +74,20 @@ def _written(case: str, name: str):
     return lambda: _execute(case, name)[1]
 
 
+def _linear_bound(a: int, b: int) -> str:
+    """The unary term for a*n + b, as ``linear_bound`` of perfbench/workloads.py."""
+    return "C(S; " * b + "R(Z; " + "C(S; " * a + "P[3,3]" + ")" * (a + b + 1)
+
+
 # n mod 2 under the declared step bound 24n + 60 (MOD2 and linear_bound(24, 60)
 # of perfbench/workloads.py): a term set has no pattern, so a join over it
 # fills from its operands' memos
 NOT = "C(R(P[1,1]; C(R(Z; P[3,2]); P[4,4])); P[1,1], C(S; R(Z; P[3,3])))"
 MOD2 = f"R(Z; C({NOT}; P[3,3]))"
-BOUND = "C(S; " * 60 + "R(Z; " + "C(S; " * 24 + "P[3,3]" + ")" * 85
-TERM = f'term "{MOD2}" bound "{BOUND}"'
+TERM = f'term "{MOD2}" bound "{_linear_bound(24, 60)}"'
+# the same term under 8n + 30, which its evaluation outgrows within a dozen
+# bits: a read past there fails with a punctuality violation (exit 1)
+OVER = f'term "{MOD2}" bound "{_linear_bound(8, 30)}"'
 
 BASIC = {"basic.fam": _family}
 
@@ -146,6 +155,67 @@ CASES = {
     "profile-term": (["profile", TERM, "--horizon", "10"], {}),
     "construct-immune-budget": (["construct", "immune", "--family", "basic.fam",
                                  "--max-stages", "3"], BASIC),
+    "construct-immune": (["construct", "immune", "--family", "basic.fam", "--max-stages",
+                          "300", "--out", "imm.trace"], BASIC),
+    "verify-immune": (["verify", "imm.trace"],
+                      {"imm.trace": _written("construct-immune", "imm.trace")}),
+    "construct-diamond": (["construct", "diamond", "--x", "meet(evens, blocks 6)", "--z",
+                           "join(evens, blocks 6)", "--family", "basic.fam",
+                           "--max-stages", "500", "--out", "dia.trace"], BASIC),
+    "verify-diamond": (["verify", "dia.trace"],
+                       {"dia.trace": _written("construct-diamond", "dia.trace")}),
+    "construct-incomparable": (["construct", "incomparable", "--r", "evens",
+                                "--out", "inc.trace"], {}),
+    "verify-incomparable": (["verify", "inc.trace"],
+                            {"inc.trace": _written("construct-incomparable", "inc.trace")}),
+    "construct-antichain": (["construct", "antichain", "--count", "2", "--out", "ac.trace"],
+                            {}),
+    "verify-antichain": (["verify", "ac.trace.0"],
+                         {"ac.trace.0": _written("construct-antichain", "ac.trace.0")}),
+    "construct-dense": (["construct", "dense", "--x", "meet(evens, blocks 6)", "--z",
+                         "join(evens, blocks 6)", "--out", "dense.trace"], {}),
+    "verify-dense": (["verify", "dense.trace"],
+                     {"dense.trace": _written("construct-dense", "dense.trace")}),
+    "construct-dense-incomparable": (["construct", "dense-incomparable", "--x",
+                                      "meet(evens, mod 3)", "--t", "evens", "--z",
+                                      "join(evens, mod 3)", "--max-stages", "600",
+                                      "--out", "di.trace"], {}),
+    "verify-dense-incomparable": (["verify", "di.trace"], {
+        "di.trace": _written("construct-dense-incomparable", "di.trace")}),
+    # the other ops of reduce, slow, lattice and diamond
+    **{f"reduce-{op}": (["reduce", op, "evens", "mod 3", "--witness", "g.wit",
+                         "--horizon", "60"],
+                        {"g.wit": _written("readme-reduce-synth-g", "g.wit")})
+       for op in ("synth-h", "surjectivize", "respect")},
+    "slow-check": (["slow", "check", "evens", "--family", "basic.fam", "--window", "4"],
+                   BASIC),
+    "lattice-meet": (["lattice", "meet", "evens", "mod 3", "--horizon", "40"], {}),
+    "lattice-equilibrium-steps": (["lattice", "equilibrium", "evens", "blocks 6",
+                                   "--horizon", "50", "--convention", "steps"], {}),
+    "diamond-evidence-q": (["diamond", "evidence-q", "meet(evens, mod 3)", "evens",
+                            "--horizon", "40"], {}),
+    "diamond-evidence-q-relaxed-index": (["diamond", "evidence-q", "meet(evens, mod 3)",
+                                          "evens", "--horizon", "40", "--relaxed",
+                                          "--convention", "index"], {}),
+    "diamond-evidence-q-witness": (["diamond", "evidence-q", "meet(evens, mod 3)", "evens",
+                                    "--horizon", "40", "--q", "g.wit"],
+                                   {"g.wit": _written("readme-reduce-synth-g", "g.wit")}),
+    "diamond-evidence-r-program": (["diamond", "evidence-r", "drop(evens)", "evens",
+                                    "--horizon", "30", "--q-program", "C(S; P[1,1])"], {}),
+    "diamond-canonical": (["diamond", "canonical", "meet(evens, mod 3)", "evens",
+                           "--horizon", "40"], {}),
+    "diamond-restrict": (["diamond", "restrict", "evens", "evens", "evens", "evens",
+                          "--horizon", "40"], {}),
+    "diamond-restrict-missing-d": (["diamond", "restrict", "meet(evens, blocks 6)",
+                                    "join(evens, blocks 6)", "evens", "--horizon", "40"], {}),
+    "profile-drop-join": (["profile", "drop(join(evens, mod 3))", "--horizon", "30"], {}),
+    # a term over its declared bound fails at the same stage whichever way
+    # its counts are read
+    "profile-term-over-bound": (["profile", OVER, "--horizon", "12"], {}),
+    **{f"lattice-{op}-term-over-bound": (["lattice", op, OVER, "evens",
+                                          *(["mod 3"] if op == "distrib" else []),
+                                          "--horizon", "12"], {})
+       for op in ("join", "meet", "distrib")},
 }
 
 
