@@ -10,9 +10,9 @@ No verdict claims the limit property.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count, repeat
 from operator import eq, le
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._text import digest, pair_lines
 from .errors import CaseUndetermined, NotCertified
@@ -27,6 +27,7 @@ from .sets import (
     DEFAULT_CEILING,
     PrSet,
     _Pattern,
+    _ZeroListSet,
     _pattern_set,
     _running_max,
     drop_least_zero,
@@ -119,13 +120,30 @@ def diamond_evidence_r(x: PrSet, y: PrSet, r, window: tuple,
                        k: int = 1,
                        ceiling: int = DEFAULT_CEILING) -> DiamondEvidence:
     """Indices n where the source's n-th zero is caught by r at the target's
-    next zero: principal(x, n) <= r(principal(y, n + 1))."""
+    next zero: principal(x, n) <= r(principal(y, n + 1)).  Each index reads
+    x's zero, then y's, then r, so a failure raises where it would with one
+    ``principal_zero`` call per zero."""
     _require_certificate(certificate)
     prog = as_program(r)
     n0, n1 = window
-    hits = tuple(n for n in range(n0, n1 + 1)
-                 if x.principal_zero(n, ceiling) <= prog.value(y.principal_zero(n + 1, ceiling)))
+    xs, ys = _principal_zeros(x, n0, ceiling), _principal_zeros(y, n0 + 1, ceiling)
+    hits = tuple(n for n in range(n0, n1 + 1) if next(xs) <= prog.value(next(ys)))
     return _evidence("r-principal", x, y, hits, k, "principal", (n0, n1))
+
+
+def _principal_zeros(s: PrSet, first: int, ceiling: int) -> Iterator[int]:
+    """``s.principal_zero(n, ceiling)`` for n = first, first + 1, ... in
+    turn, read lazily: one ``fresh_zeros`` pass, which grows the memo as one
+    call per n grows it, then one call per n from where the pass stopped,
+    so a zero past the ceiling raises as that call raises.  A zero-list set,
+    which answers past any ceiling, and a first rank below 0 read one call
+    per n throughout."""
+    n = first
+    if first >= 0 and not isinstance(s, _ZeroListSet):
+        # n ends at the first rank the pass did not yield
+        for n, pos in enumerate(s.fresh_zeros(repeat(ceiling), first + 1), first + 1):
+            yield pos
+    yield from map(s.principal_zero, count(n), repeat(ceiling))
 
 
 # ---------------------------------------------------------------------------

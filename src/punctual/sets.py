@@ -46,9 +46,13 @@ kept by the operands' heads, periods and costs, the pick and
 memo.  Every other ``drop``, override, join and meet fills from its
 operands' memos (one bit flipped, or the max or min of the normalised
 zero counts) and reaches as far as its least operand, where a set
-reaches to the further of its memo and its fill.  Term-backed sets, normal-form carriers and zero-list sets
-have no fill, so a set derived over one has a bounded reach.  Within its
-reach a fill cannot raise, and a bounded one only slices memos.
+reaches to the further of its memo and its fill.  Term-backed sets,
+normal-form carriers and zero-list sets have no fill, so a set derived
+over one has a bounded reach.  Within its reach a fill cannot raise, and
+a bounded one only slices memos.  A set with a pattern answers ``bit``
+past its memo from the pattern, in O(1) and with no memo growth, so
+``decided`` does not count the bits it read that way; every other read
+past a memo grows it.
 
 The one reach rule: an unlimited read that grows a memo by at least
 ``_FILL_MIN`` bits fills to the bit read when the reach is unbounded and
@@ -64,9 +68,9 @@ exceeds is met there, so ``bits_within`` reads it without a growth step.
 ``fresh_zeros`` picks a run of zeros in one pass: it reads the memo by
 bisection on from the last pick and grows it only for a pick it lacks.  A
 pattern set answers ``zeros_by_steps`` and steps profiles by arithmetic
-and grows no memo for them: a steps column is read off one pass over the
-bits its largest budget decides, and only a sparser column (over 8 such
-bits a budget) counts budget by budget.  Zero-list sets answer
+and grows no memo for them either: a steps column is read off one pass
+over the bits its largest budget decides, and only a sparser column (over
+8 such bits a budget) counts budget by budget.  Zero-list sets answer
 ``principal_zero`` from their list of zeros, past any ceiling.
 
 Scans read memos as whole columns: ``profile(points, convention)`` and
@@ -297,11 +301,16 @@ class PrSet:
     @property
     def decided(self) -> int:
         """How many bits the memo holds: bits 0..decided-1 are read without
-        another generator call."""
+        another generator call.  A pattern set's ``bit`` past the memo adds
+        none, though it reads the bit."""
         return len(self._bits)
 
     def bit(self, n: int) -> int:
+        """Bit n: from the memo when it holds n, else from the set's pattern
+        if it has one, which grows no memo, else from the memo grown to n."""
         if n >= len(self._bits):
+            if self._pattern is not None:
+                return self._pattern.bit(n)
             self._ensure(n)
         elif n < 0:
             raise ValueError(f"{self.name}: no bit {n}")
@@ -309,7 +318,8 @@ class PrSet:
 
     def reader(self, n: int) -> Callable[[int], int]:
         """``bit`` for a scan of bits 0..n: the memo list's own lookup when
-        the memo holds them all (it only grows in place), else ``bit``."""
+        the memo holds them all (it only grows in place), else ``bit``,
+        which a pattern set answers past its memo from its pattern."""
         return self._bits.__getitem__ if n < len(self._bits) else self.bit
 
     def prefix(self, s: int) -> Prefix:
@@ -446,10 +456,11 @@ class _Pattern:
     1 + extra steps at unit cost, else n + 1 + extra.
 
     ``bit`` and ``cost`` are the per-bit generator of a set built from the
-    pattern; called as ``fill(m, n)`` it gives the bits and costs of bits
-    m..n, and it reaches without end.  ``steps_column(points)`` counts the
-    zeros among the bits decided within each step budget by arithmetic, so
-    a step query grows no memo.
+    pattern, and ``bit`` answers that set's bit reads past its memo; called
+    as ``fill(m, n)`` it gives the bits and costs of bits m..n, and it
+    reaches without end.  ``steps_column(points)`` counts the zeros among
+    the bits decided within each step budget by arithmetic, so a step query
+    grows no memo.
     """
 
     def __init__(self, head: tuple, period: tuple, unit_cost: bool = True, extra: int = 0):

@@ -9,12 +9,13 @@ replace), one profile read per stage, the all-pairs
 reduction check, one cost read per index in the step-rate syntheses,
 one zero search per fresh pick, one step count per budget of a pattern
 set's steps column, one ``value`` read per point of a program's
-column, and one ``converges_within`` read per point of the least-pair
-scan.  Each fast
-path must give the same table or value, or raise the same exception class
-with the same message, and must not materialise a bit past the one the
-reference reads up to.  Range fills are checked against the per-bit memo
-loop, which stays in ``PrSet._ensure``, sets built as patterns from
+column, one ``converges_within`` read per point of the least-pair
+scan, and one ``principal_zero`` call per zero of the evidence-r scan.
+Each fast path must give the same table or value, or raise the same
+exception class with the same message, and must not materialise a bit
+past the one the reference reads up to.  Range fills are checked against
+the per-bit memo loop, which stays in ``PrSet._ensure``, a pattern set's
+point reads against its fill, sets built as patterns from
 pattern operands against the lattice and flip fills they replace, and
 sets built from kept trace parses and lattice patterns against sets built
 after the caches are cleared.  Trace records have one reader, checked
@@ -63,7 +64,12 @@ from punctual.pr_lang import (
     TermProgram,
     parse_term,
 )
-from punctual.lattice import diamond_evidence_q, equilibrium_points, x1_bound_check
+from punctual.lattice import (
+    diamond_evidence_q,
+    diamond_evidence_r,
+    equilibrium_points,
+    x1_bound_check,
+)
 from punctual.reductions import (
     Counterexample,
     ReductionWitness,
@@ -195,14 +201,21 @@ def ref_zeros_by_steps(x, s):
         n += 1
 
 
+def memo_bit(x, n):
+    """Bit n off x's memo grown to n, as a per-bit search reads it; a
+    pattern set's own ``bit`` past its memo grows none."""
+    x.read_ahead(n)
+    return x.bit(n)
+
+
 def ref_next_zero(x, after, ceiling):
-    return next((p for p in range(after + 1, ceiling + 1) if x.bit(p) == 0), None)
+    return next((p for p in range(after + 1, ceiling + 1) if memo_bit(x, p) == 0), None)
 
 
 def ref_principal_zero(x, n, ceiling):
     seen = 0
     for pos in range(ceiling + 1):
-        if x.bit(pos) == 0:
+        if memo_bit(x, pos) == 0:
             if seen == n:
                 return pos
             seen += 1
@@ -406,7 +419,7 @@ def test_step_rate_syntheses_match_per_index_reads(traces):
                     for synth in (ref_synth_p, synth_p_from_reduction):
                         x, y = make()
                         if grown >= 0:
-                            x.bit(grown)
+                            x.prefix(grown)
                         runs.append((outcome(synth, f, x, y, horizon), x.decided, y.decided))
                     assert runs[0] == runs[1], (make()[0].name, horizon, grown)
                 seen.add(type(runs[0][0]))
@@ -439,7 +452,7 @@ def test_bits_within_matches_per_index_reads(traces):
             for s in (-3, 0, 1, 8, 9, 10, 100, 2000):
                 x, ref = make(), make()
                 if grown >= 0:
-                    x.bit(grown)
+                    x.prefix(grown)
                 before = x.decided
                 past = next(j for j in itertools.count() if ref.cum_cost(j) > s)
                 assert x.bits_within(s) == past, (x.name, s)
@@ -517,8 +530,8 @@ def test_step_reads_past_the_ceiling_raise_only_on_a_short_memo():
     for grown in (-1, 0, ceiling + 10_000, s // 2 + 5_000):
         x, ref = make(), make()
         if grown >= 0:
-            x.bit(grown)
-            ref.bit(grown)
+            x.read_ahead(grown)
+            ref.read_ahead(grown)
         entries = ensure_entries(x)
         got = outcome(x.bits_within, s)
         assert got == outcome(ref_bits_within, ref, s)
@@ -595,7 +608,7 @@ def test_fresh_picks_match_the_per_pick_search(traces):
                                 (reductions._fresh_pick_table, ceiling)):
                     y = make_pair(traces, high)[1]
                     if grown >= 0:
-                        y.bit(grown)
+                        y.prefix(grown)
                     runs.append((outcome(pick, xbits, y, c, 7), y.decided))
                 assert runs[0] == runs[1], (low, high, grown, ceiling.name)
                 got = runs[0][0]
@@ -670,7 +683,7 @@ def test_principal_zero_ceiling(kind, traces):
         assert len(fresh._bits) == ceiling + 1
         # a memo that already runs past the ceiling still answers by it
         grown = make(traces)
-        grown.bit(pos + 20)
+        grown.prefix(pos + 20)
         assert outcome(grown.principal_zero, 6, ceiling) == want
     assert make(traces).principal_zero(6, pos) == pos
 
@@ -707,7 +720,7 @@ def test_next_zero_matches_scan(kind, traces):
             read = -1 if after >= ceiling else ceiling if want is None else want
             assert len(fresh._bits) == read + 1
             grown = make(traces)
-            grown.bit(answer + 20)
+            grown.prefix(answer + 20)
             assert grown.next_zero(after, ceiling) == want
             cases += want is None
     assert cases                                # some ceilings hid the zero
@@ -770,7 +783,7 @@ def test_fresh_zeros_matches_next_zero_loop(kind, traces):
         # a fresh memo ends where the loop of searches ends it
         assert len(fresh._bits) == len(loop._bits), name
         grown = make(traces)
-        grown.bit(zeros[-1] + 60)
+        grown.prefix(zeros[-1] + 60)
         assert list(grown.fresh_zeros(cs)) == want, name
         stopped += len(want) < len(cs)
     assert stopped >= 2                         # some ceilings hid their zero
@@ -1039,7 +1052,7 @@ def test_fill_matches_per_bit_loop(desc, fill_min, traces, monkeypatch):
     top = 600
     ref = make_filled(desc, traces)
     with per_bit():
-        ref.bit(top + 1)
+        ref.prefix(top + 1)
     for order, reads in read_orders(desc, top).items():
         x = make_filled(desc, traces)
         assert x._fill is not None
@@ -1061,7 +1074,7 @@ def test_fill_zeros_by_steps_matches_per_bit_loop(desc, fill_min, traces, monkey
     ref = make_filled(desc, traces)
     with per_bit():
         top = ref.cum_cost(40) + 1
-        ref.bit(top + 1)
+        ref.prefix(top + 1)
     steps = list(range(-1, top + 1))
     shuffled = random.Random(desc).sample(steps, len(steps))
     for order in (steps, shuffled):
@@ -1090,7 +1103,7 @@ def test_reader_matches_bit_and_grows_no_memo(desc, traces):
     top = 300
     ref = make_filled(desc, traces)
     want = [ref.bit(i) for i in range(top + 1)]
-    ref.bit(top + 40)
+    ref.prefix(top + 40)
     for ahead in (-1, top - 1, top, top + 40):
         x = make_filled(desc, traces)
         if ahead >= 0:
@@ -1101,6 +1114,9 @@ def test_reader_matches_bit_and_grows_no_memo(desc, traces):
         # a memo that holds bits 0..top reads them from the list itself
         assert (read == x._bits.__getitem__) == (before > top), ahead
         assert [read(i) for i in range(top + 1)] == want, ahead
+        # past the memo a pattern set's bit is its pattern's, and grows none
+        if x._pattern is not None:
+            assert x.decided == before, ahead
         assert_memo_matches(x, ref)
 
 
@@ -1152,10 +1168,12 @@ def test_pattern_steps_count_matches_memo_read(desc, traces):
             assert list(x.profile(points, "steps")) == [want[s] for s in points]
             assert list(x.profile(iter(points), "steps")) == [want[s] for s in points]
             assert x.decided == grown
-            # a later bit read grows the memo exactly as on a set never asked
-            x.bit(read)
+            # a bit read past the memo grows none; a later column read grows
+            # it exactly as on a set never asked
+            assert x.bit(read + 1) == ref.bit(read + 1) and x.decided == grown
+            x.prefix(read)
             plain = make_patterned(desc, traces)
-            plain.bit(read)
+            plain.prefix(read)
             assert (x._bits, x._zero_cum, x._cost_cum) == (
                 plain._bits, plain._zero_cum, plain._cost_cum)
 
@@ -1172,6 +1190,71 @@ def test_pattern_steps_count_needs_no_memo(traces, no_step_growth):
         assert list(x.profile([big, 0, big], "steps")) == [got, 0, got]
         assert got == known.get(desc, got) and 0 < got < big
         assert x.decided == 0
+
+
+# sets built with a pattern, one of each kind: builtins, prefix sets (over
+# bits other than 0 and 1 too), trace sets, drops and zero-member flips, and
+# join and meet patterns
+POINT_READ = ["evens", "id", "mod 2", "mod 7", "blocks 1", "blocks 5", "bits 0,2,-1,0,3",
+              "bits 0,1,1,0,0,1,0,0,0", "trace {imm}", "trace {short}", "trace {js}:Y1",
+              "drop(evens)", "drop(trace {imm})", "drop(drop(mod 3))", "override bits 0,2,-1,0,3",
+              "override pattern 0,0,1 1,0,0 unit", "join(evens, mod 3)", "meet(blocks 2, mod 5)",
+              "meet(trace {js}:Y0, join(trace {js}:Y1, evens))", "join(drop(mod 4), id)"]
+
+
+def make_point_read(desc, traces):
+    """make_patterned, or "override <desc>": the set with 0 forced in."""
+    if desc.startswith("override "):
+        x = make_patterned(desc[9:], traces)
+        assert x.bit(0) == 0                # the override flips bit 0
+        return override_zero_member(x)
+    return make_patterned(desc, traces)
+
+
+@pytest.mark.parametrize("desc", POINT_READ)
+def test_pattern_bit_reads_match_the_fill(desc, traces):
+    """A pattern set's bit past its memo equals the bit its fill
+    (``_Pattern.bits``) gives, inside the head, at the head + period
+    boundary and past it, and grows no memo, as far out as 10^15."""
+    x = make_point_read(desc, traces)
+    p = x._pattern
+    assert p is not None, desc
+    h, span = len(p.head), len(p.head) + len(p.period)
+    points = sorted({0, 1, h // 2, h - 1, h, h + 1, span - 1, span, span + 1, 2 * span + 3,
+                     *random.Random(desc).sample(range(3 * span + 64), 20)} - {-1})
+    top = max(points) + sets._FILL_MIN
+    filled = make_point_read(desc, traces).prefix(top).bits
+    for n in points:
+        fresh = make_point_read(desc, traces)
+        held = fresh.decided
+        assert fresh.bit(n) == filled[n], (desc, n)
+        assert fresh.decided == held, (desc, n)
+    # one set read out of order, then grown part way: memo reads as before
+    x = make_point_read(desc, traces)
+    held = x.decided
+    shuffled = random.Random(desc).sample(points, len(points))
+    assert [x.bit(n) for n in shuffled] == [filled[n] for n in shuffled]
+    assert x.decided == held
+    x.prefix(span)
+    assert [x.bit(n) for n in points] == [filled[n] for n in points]
+    assert x.decided == max(held, span + 1)
+    far = 10 ** 15
+    assert x.bit(far) == filled[h + (far - h) % (span - h)] and x.decided == max(held, span + 1)
+
+
+@pytest.mark.parametrize("desc", [TERMS["evens"], f"join({TERMS['evens']}, mod 3)",
+                                  f"drop({TERMS['odds']})", f"meet(evens, {TERMS['odds']})"])
+def test_bit_reads_over_a_term_set_grow_the_memo(desc):
+    """A set with no pattern, a term set or one derived over it, grows its
+    memo to each bit read past it, as the per-bit loop or a fill grows it."""
+    x, ref = parse_set(desc), parse_set(desc)
+    assert x._pattern is None
+    want = ref.prefix(150).bits
+    for n in (0, 7, 40, 39, 150):
+        before = x.decided
+        assert x.bit(n) == want[n]
+        assert x.decided >= max(before, n + 1)
+    assert_memo_matches(x, ref)
 
 
 def budget_columns(rng, top):
@@ -1261,7 +1344,7 @@ def test_step_limited_fill_bounds_operand_run_ahead(fill_min, monkeypatch):
             j = set_join(a, b)
         assert (j._pattern is None) == generic
         if read >= 0:
-            j.bit(read)
+            j.prefix(read)
         m, c = len(j._bits), j._cost_cum[-1] if j._bits else 0
         ahead = max(len(a._bits), len(b._bits))
         j.zeros_by_steps(s)
@@ -1848,8 +1931,8 @@ def test_profile_matches_per_call_reads(desc, convention, traces):
     for grown in (-1, 0, 37, top):
         x, ref = make_profiled(desc, traces), make_profiled(desc, traces)
         if grown >= 0:
-            x.bit(grown)
-            ref.bit(grown)
+            x.prefix(grown)
+            ref.prefix(grown)
         points = profile_points(desc, convention, top)
         assert list(x.profile(points, convention)) == [getattr(ref, read)(p) for p in points]
         # the set's own memo ends where one read per point ends it
@@ -1876,8 +1959,8 @@ def test_index_columns_match_per_call_reads(desc, traces):
         for points in column_ranges(CAP if "{" not in desc else 120):
             x, ref = make_profiled(desc, traces), make_profiled(desc, traces)
             if grown >= 0:
-                x.bit(grown)
-                ref.bit(grown)
+                x.prefix(grown)
+                ref.prefix(grown)
             assert list(x.profile(points)) == [ref.zeros_by_index(p) for p in points], points
             assert list(x.cum_costs(points)) == [ref.cum_cost(p) for p in points], points
             assert x._bits == ref._bits and x._cost_cum == ref._cost_cum
@@ -1995,6 +2078,43 @@ def test_profile_consumers_fail_where_per_stage_reads_fail(k):
         points = list(range(80, -1, -3))
         want = outcome(lambda x: [getattr(x, read)(p) for p in points], fragile(k))
         assert outcome(lambda x: list(x.profile(points, convention)), fragile(k)) == want
+
+
+def ref_evidence_r(x, y, r, window, ceiling):
+    """diamond_evidence_r's hits, index by index: x's zero, y's next zero,
+    then r, one principal_zero call per zero."""
+    n0, n1 = window
+    return tuple(n for n in range(n0, n1 + 1)
+                 if x.principal_zero(n, ceiling) <= r.value(y.principal_zero(n + 1, ceiling)))
+
+
+def test_evidence_r_fails_where_per_index_reads_fail(traces):
+    """Hits, or the exception and its message, and both memo lengths of
+    diamond_evidence_r against one principal_zero call per zero, over
+    windows where x, y or r fails part-way: a generator that raises, a zero
+    past the ceiling, an r that raises past a value."""
+    makers = {"fragile": lambda: fragile(14), "over": overrun_term_set()[0],
+              "evens": evens_set, "meet": lambda: parse_set("meet(evens, mod 3)"),
+              "drop": lambda: parse_set(f"drop(trace {traces['imm']})"),
+              "gaps": lambda: zero_list_set("gaps", lambda zs: zs[-1] * 2 + 1 if zs else 2)}
+    rs = [IDENTITY, TableProgram([v + 2 for v in range(100)], "shift"),
+          NativeProgram("r", raising_after(25, lambda v: v))]
+    cert = domination_certificate(evens_set(), evens_set(), 1)
+    kinds = collections.Counter()
+    for (a, b), r, window, ceiling in itertools.product(
+            itertools.permutations(makers, 2), rs, [(0, 12), (3, 30), (6, 5), (9, 9)],
+            (sets.DEFAULT_CEILING, 40)):
+        runs = []
+        for evidence in (lambda x, y: ref_evidence_r(x, y, r, window, ceiling),
+                         lambda x, y: diamond_evidence_r(x, y, r, window, cert,
+                                                         ceiling=ceiling).hits):
+            x, y = makers[a](), makers[b]()
+            runs.append((outcome(evidence, x, y), x.decided, y.decided))
+        assert runs[0] == runs[1], (a, b, r.name, window, ceiling)
+        got = runs[0][0]
+        kinds[got[0].__name__ if isinstance(got, tuple) and got and isinstance(got[0], type)
+              else "hits"] += 1
+    assert set(kinds) == {"hits", "PunctualityViolation", "CeilingExceeded", "BudgetExceeded"}
 
 
 # ---------------------------------------------------------------------------
@@ -2626,7 +2746,7 @@ def test_sets_from_one_text_share_bits_not_memos(desc, traces):
     a, b = (parse_set(desc.format(**traces)) for _ in range(2))
     # a lattice pattern is built once and shared; a trace set's is rebuilt
     assert (a._pattern is b._pattern) == desc.startswith(("join", "meet"))
-    a.bit(120)
+    a.prefix(120)
     assert a.decided > 120 and b.decided == 0
     assert b.prefix(90) == a.prefix(90) and b.decided == 91 and a.decided > 120
 

@@ -31,23 +31,29 @@ def counted(read) -> dict:
 
 def test_a_pattern_read_is_one_fill():
     s = parse_set("join(evens, mod 3)")
-    assert counted(lambda: s.bit(100)) == {
+    assert counted(lambda: s.prefix(100)) == {
         "ensure_entries": 1, "memo_bits": 101, "pattern_fill_bits": 101,
-        "operand_fill_bits": 0, "bit_calls": 1, "per_bit_bits": 0}
+        "operand_fill_bits": 0, "pattern_bit_reads": 0, "bit_calls": 0, "per_bit_bits": 0}
+    # a bit past the memo is read off the pattern, with no memo entry
+    assert counted(lambda: s.bit(10 ** 15)) == {
+        "ensure_entries": 0, "memo_bits": 0, "pattern_fill_bits": 0,
+        "operand_fill_bits": 0, "pattern_bit_reads": 1, "bit_calls": 1, "per_bit_bits": 0}
+    assert s.decided == 101
 
 
 def test_term_reads_go_bit_by_bit_and_a_join_fills_from_their_memo():
     t = term_set(parse_term(EVENS_TERM), parse_term(BOUND_LINEAR))
     assert counted(lambda: [t.bit(n) for n in range(100)]) == {
         "ensure_entries": 100, "memo_bits": 100, "pattern_fill_bits": 0,
-        "operand_fill_bits": 0, "bit_calls": 100, "per_bit_bits": 100}
-    # building the join reads bit 0 of each operand; reading it then grows
-    # mod 3's other 99 bits by a pattern fill and its own 100 from the
-    # operands' memos
+        "operand_fill_bits": 0, "pattern_bit_reads": 0, "bit_calls": 100,
+        "per_bit_bits": 100}
+    # building the join reads bit 0 of each operand, mod 3's off its
+    # pattern; reading the join then grows mod 3's 100 bits by a pattern
+    # fill and its own 100 from the operands' memos
     j = set_join(parse_set("mod 3"), t)
     assert counted(lambda: j.bit(99)) == {
-        "ensure_entries": 3, "memo_bits": 199, "pattern_fill_bits": 99,
-        "operand_fill_bits": 100, "bit_calls": 1, "per_bit_bits": 0}
+        "ensure_entries": 3, "memo_bits": 200, "pattern_fill_bits": 100,
+        "operand_fill_bits": 100, "pattern_bit_reads": 0, "bit_calls": 1, "per_bit_bits": 0}
 
 
 def test_counts_keep_their_order_and_given_keys():
@@ -56,7 +62,7 @@ def test_counts_keep_their_order_and_given_keys():
         pass
     assert list(counts.items()) == [("first", 7), ("ensure_entries", 0), ("memo_bits", 0),
                                     ("pattern_fill_bits", 0), ("operand_fill_bits", 0),
-                                    ("fallbacks", 0)]
+                                    ("pattern_bit_reads", 0), ("fallbacks", 0)]
 
 
 def test_every_patched_attribute_is_restored():
@@ -73,8 +79,12 @@ def test_every_patched_attribute_is_restored():
     with harness.counting(counts, calls):
         assert not any(vars(owner)[name] is original
                        for (owner, name), original in zip(spots, originals))
-        parse_set("evens").bit(3)
-    assert restored() and counts["bit_calls"] == counts["ensure_entries"] == 1
+        evens = parse_set("evens")
+        evens.bit(3)
+        evens.prefix(3)
+    # PrSet.bit is wrapped twice, and each wrap counts the one read
+    assert restored() and counts["bit_calls"] == counts["pattern_bit_reads"] == 1
+    assert counts["ensure_entries"] == 1 and counts["memo_bits"] == 4
     with pytest.raises(ZeroDivisionError):
         with harness.counting({}, calls):
             1 / 0

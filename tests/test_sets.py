@@ -136,7 +136,7 @@ class TestProfiles:
     def test_negative_reads(self, read, s, want, grown, dsl):
         x = parse_set(dsl)
         if grown is not None:
-            x.bit(grown)
+            x.prefix(grown)
         held = x.decided
         if want is ValueError:
             with pytest.raises(ValueError):

@@ -34,7 +34,9 @@ deterministic counters from one extra, untimed interpreter per list:
     included (0 against a source that keeps no orbits);
   * ``memo_bits``: the bits the list's ``PrSet._ensure`` calls grew, split
     by the generator that grew them: ``pattern_fill_bits``,
-    ``operand_fill_bits`` and ``per_bit_bits``.
+    ``operand_fill_bits`` and ``per_bit_bits``;
+  * ``pattern_bit_reads``: ``PrSet.bit`` calls past the memo of a set with
+    a pattern.
 
 Every memo counter comes from ``tools/harness.py``, which also stores the
 result.
@@ -65,7 +67,7 @@ SEED = 1
 SECONDS = 25
 COUNTERS = ("compile_calls", "loop_functions", "source_bytes", "budget_checks", "visits",
             "ensure_entries", "arity_checks", "period_detections", "orbit_replays", "memo_bits",
-            "pattern_fill_bits", "operand_fill_bits", "per_bit_bits")
+            "pattern_fill_bits", "operand_fill_bits", "per_bit_bits", "pattern_bit_reads")
 # counted calls, each of a pr_lang function; one a source lacks counts 0
 CALLS = {"arity_checks": "_node_arity", "period_detections": "_skip",
          "orbit_replays": "_replay"}

@@ -112,8 +112,8 @@ def counting_rescans(counts: dict):
             return original(self, a, b)
         return call
 
-    with harness.patched({(reductions, "check_reduction_prefix"): check,
-                          (sets.SetRelation, "related"): related}):
+    with harness.patched([((reductions, "check_reduction_prefix"), check),
+                          ((sets.SetRelation, "related"), related)]):
         yield counts
 
 

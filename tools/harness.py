@@ -10,6 +10,9 @@ work into ``counts``:
     ``operand_fill_bits`` (``sets._MemoFill``, a derived set's fill from
     its operands' memos) and, through ``with_per_bit``, ``per_bit_bits``,
     the rest, grown by the per-bit loop;
+  * ``pattern_bit_reads``: ``PrSet.bit`` calls past the memo of a set
+    with a pattern, which the pattern answers with no ``_ensure`` entry
+    (in a source whose ``bit`` grows the memo there, each grows it);
   * one key of ``calls`` per named attribute ``(owner, name)``: the calls
     made to it.
 
@@ -22,9 +25,11 @@ empty, as in a fresh process:
 
 Against a source without a cache every call parses, and counts.  Every
 attribute either block patches is the original object again when the
-block ends, also when it raises.  ``store(name, label, result)`` merges a run
-under ``label`` into ``BENCH_<name>.json`` at the root of the checkout,
-keeping the other labels there, and echoes it.
+block ends, also when it raises; an attribute patched twice, such as
+``PrSet.bit`` named in ``calls``, counts into both keys.
+``store(name, label, result)`` merges a run under ``label`` into
+``BENCH_<name>.json`` at the root of the checkout, keeping the other
+labels there, and echoes it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,14 @@ def _filled(counts: dict, key: str, fill):
     return call
 
 
+def _pattern_reads(counts: dict, bit):
+    def call(self, n):
+        if n >= len(self._bits) and self._pattern is not None:
+            counts["pattern_bit_reads"] += 1
+        return bit(self, n)
+    return call
+
+
 def _ensure(counts: dict, ensure):
     def call(self, *args, **kwargs):
         counts["ensure_entries"] += 1
@@ -79,13 +92,14 @@ def _cold(counts: dict, key: str, cached):
 
 
 @contextlib.contextmanager
-def patched(patches: dict):
-    """Each attribute ``(owner, name)`` of `patches` set to its wrap of the
-    original inside the block."""
-    saved = {spot: getattr(*spot) for spot in patches}
+def patched(patches: list):
+    """Each attribute ``(owner, name)`` of the ``(spot, wrap)`` pairs in
+    `patches` set inside the block to its wraps of the original, applied in
+    order, so a later wrap of one attribute calls the earlier."""
+    saved = {spot: getattr(*spot) for spot, _ in patches}
     try:
-        for spot, wrap in patches.items():
-            setattr(*spot, wrap(saved[spot]))
+        for spot, wrap in patches:
+            setattr(*spot, wrap(getattr(*spot)))
         yield
     finally:
         for spot, original in saved.items():
@@ -96,10 +110,11 @@ def patched(patches: dict):
 def counting(counts: dict, calls: dict):
     """Count memo work and the calls of each ``calls[key] = (owner, name)``
     into `counts`, whose missing keys start at 0."""
-    patches = {(sets.PrSet, "_ensure"): partial(_ensure, counts)}
-    patches.update({(cls, "__call__"): partial(_filled, counts, key) for key, cls in FILLS.items()})
-    patches.update({spot: partial(_counted, counts, key) for key, spot in calls.items()})
-    for key in ("ensure_entries", "memo_bits", *FILLS, *calls):
+    patches = [((sets.PrSet, "_ensure"), partial(_ensure, counts)),
+               ((sets.PrSet, "bit"), partial(_pattern_reads, counts))]
+    patches += [((cls, "__call__"), partial(_filled, counts, key)) for key, cls in FILLS.items()]
+    patches += [(spot, partial(_counted, counts, key)) for key, spot in calls.items()]
+    for key in ("ensure_entries", "memo_bits", *FILLS, "pattern_bit_reads", *calls):
         counts.setdefault(key, 0)
     with patched(patches):
         yield counts
@@ -108,13 +123,13 @@ def counting(counts: dict, calls: dict):
 @contextlib.contextmanager
 def counting_parses(counts: dict):
     """Count trace parses and pattern builds into `counts` on empty caches."""
-    patches = {}
+    patches = []
     for key, (cached, plain) in KEPT.items():
         counts.setdefault(key, 0)
         if hasattr(*cached):
-            patches[cached] = partial(_cold, counts, key)
+            patches.append((cached, partial(_cold, counts, key)))
         else:
-            patches[plain] = partial(_counted, counts, key)
+            patches.append((plain, partial(_counted, counts, key)))
     with patched(patches):
         yield counts
 
