@@ -235,6 +235,8 @@ class _Detector:
     once, with the flavour's pair predicate; on the first hit the
     definitional scan extracts the least pair for the record.  Each side of
     the claim is a relation or a decided bit prefix, as in the detectors.
+    The program is asked only converges_within(l, s), never a cost or a
+    value, so a member that converges late costs the scan no more than s.
     """
 
     def __init__(self, flavor: str, program: ClockedProgram):
@@ -257,11 +259,8 @@ class _Detector:
         prog, pair = self.program, self.pair
         still = []
         for l in self.pending:
-            if prog.cost(l) >= s:
-                still.append(l)
-                continue
-            lv = prog.value(l)
-            if images is not None and lv >= images:
+            lv = prog.converges_within(l, s)
+            if lv is None or images is not None and lv >= images:
                 still.append(l)
                 continue
             for m, mv in self.eligible:
@@ -499,15 +498,15 @@ class _ImmuneMachine(_Machine):
         witness = None
         still = []
         for l in pending:
-            if prog.cost(l) < s:
-                v = prog.value(l)
-                if v in seen and witness is None:
-                    witness = ("case1", seen[v], l, v)
-                seen.setdefault(v, l)
-                if witness is None and v < len(y) and y[v] == 1:
-                    witness = ("case2", l, v)
-            else:
+            v = prog.converges_within(l, s)
+            if v is None:
                 still.append(l)
+                continue
+            if v in seen and witness is None:
+                witness = ("case1", seen[v], l, v)
+            seen.setdefault(v, l)
+            if witness is None and v < len(y) and y[v] == 1:
+                witness = ("case2", l, v)
         pending[:] = still
         if witness is None:
             # a value that converged earlier may sit on a freshly set bit

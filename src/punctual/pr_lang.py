@@ -889,6 +889,9 @@ class ClockedProgram:
 
     value(x) is total; cost(x) is the number of steps needed, so
     converges_within(x, s) returns the value exactly when cost(x) < s.
+    The detectors and every stage machine but the separator ask a member
+    only this bounded question, so a subclass may answer it without
+    learning the cost.
     values_at(points) is value at each point, in order, read point by point
     here; native programs map their function, tables read the column whole.
     A column fails where its first failing point does, with that error.
@@ -915,20 +918,37 @@ class ClockedProgram:
 
 
 class TermProgram(ClockedProgram):
-    """Program backed by a unary term; cost is the evaluator's node count."""
+    """Program backed by a unary term; cost is the evaluator's node count.
+
+    converges_within(x, s) runs the term at a budget, never to completion.
+    The memo keeps (value, cost), or (None, b) when a run stopped at budget
+    b, which proves cost >= b; x runs again only once s passes b, then at
+    max(s, 2b), so its work stays linear in the last budget asked.  value
+    and cost run to completion.
+    """
 
     def __init__(self, term: PrTerm, name: str | None = None):
         validate(term)
         self.source = term
         self.term = unary_wrap(term)
         self.name = name if name is not None else serialize(term)
-        self._memo: dict[int, tuple[int, int]] = {}
+        self._memo: dict[int, tuple[Optional[int], int]] = {}
 
-    def _run(self, x: int) -> tuple[int, int]:
+    def _run(self, x: int, s: float = _UNBOUNDED) -> tuple[Optional[int], int]:
+        """(value, cost) if x converges below s, else (None, b) with b >= s."""
         hit = self._memo.get(x)
-        if hit is None:
-            hit = self._memo[x] = _compiled_for(self.term, (x,))(0, _UNBOUNDED, x)
+        if hit is None or hit[0] is None and hit[1] < s:
+            budget = max(s, 2 * hit[1]) if hit else s
+            try:
+                hit = _compiled_for(self.term, (x,))(0, budget, x)
+            except _Abort:
+                hit = (None, budget)
+            self._memo[x] = hit
         return hit
+
+    def converges_within(self, x: int, s: int) -> Optional[int]:
+        value, cost = self._run(x, s)
+        return value if cost < s else None
 
     def value(self, x: int) -> int:
         return self._run(x)[0]

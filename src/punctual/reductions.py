@@ -28,7 +28,7 @@ from .errors import (
     PreconditionFailed,
     WitnessBoundViolated,
 )
-from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram, TermProgram
+from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
 from .sets import (DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation,
                    _least_related, _picked, _running_max, _zeros_mask)
 
@@ -239,15 +239,10 @@ def detect_counterexample(flavor: str, p: ClockedProgram, source, target,
     domain = s + 1 if isinstance(source, Relation) else len(source)
     images = None if isinstance(target, Relation) else len(target)
     conv = {}
-    if isinstance(p, TermProgram):      # value and cost from one run per point
-        for x, (v, c) in enumerate(map(p._run, range(domain))):
-            if c < s and (images is None or v < images):
-                conv[x] = v
-    else:
-        for x in range(domain):
-            v = p.converges_within(x, s)
-            if v is not None and (images is None or v < images):
-                conv[x] = v
+    for x in range(domain):
+        v = p.converges_within(x, s)
+        if v is not None and (images is None or v < images):
+            conv[x] = v
     for l, vl in conv.items():
         for m, vm in conv.items():
             if m != l:

@@ -6,6 +6,7 @@ import pathlib
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -393,6 +394,47 @@ class TestConstructCli:
         assert code == 0 and not reader.is_alive()
         run(argv + [str(plain)], capsys)
         assert got == [plain.read_bytes()]
+
+
+# T(x) = 0, 1, 2, 4, 16, 65536, 2**65536, ... for x = 0, 1, 2, ...: primitive
+# recursive, yet no evaluation past x = 5 finishes
+TOWER = "R(Z; C(S; C(R(Z; C(S; C(R(P[1,1]; C(S; P[4,4])); P[3,3], P[3,3]))); P[3,3])))"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM here")
+@pytest.mark.parametrize("argv, code", [
+    (["join-split", "mod 3"], 0),
+    (["meet-split", "evens"], 0),
+    (["immune"], 0),
+    (["immune", "--policy", "round-robin"], 0),
+    (["incomparable", "--r", "evens"], 0),
+    (["dense", "--x", "meet(evens, blocks 6)", "--z", "join(evens, blocks 6)"], 0),
+    (["dense-incomparable", "--x", "meet(evens, mod 3)", "--t", "evens",
+      "--z", "join(evens, mod 3)"], 0),
+    (["diamond", "--x", "meet(evens, blocks 6)", "--z", "join(evens, blocks 6)"], 0),
+    (["antichain", "--count", "2"], 2),
+], ids=["join-split", "meet-split", "immune", "immune-round-robin", "incomparable", "dense",
+        "dense-incomparable", "diamond", "antichain"])
+def test_a_member_past_every_budget_ends_the_run(argv, code, capsys, tmp_path):
+    """A stage machine asks a member only whether it converges within the
+    stage budget, so a member whose evaluation never ends in practice still
+    lets the run end; the alarm fails a regression instead of hanging."""
+    family, trace = tmp_path / "tower.fam", tmp_path / "tower.trace"
+    family.write_text(TOWER + "\n")
+
+    def hung(signum, frame):
+        pytest.fail(f"construct {argv[0]} over the tower family ran past 20 s")
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        assert run(["construct", *argv, "--family", str(family), "--max-stages", "200",
+                    "--out", str(trace)], capsys)[0] == code
+        if code == 0:
+            code, out = run(["verify", str(trace)], capsys)
+            assert code == 0 and out.splitlines()[1:] == ["verify\tok\tok"]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -47,12 +47,13 @@ from punctual.constructions import (
     verify_trace_file,
 )
 from punctual.lattice import equilibrium_points, make_nondiamond_below
-from punctual.pr_lang import (NATIVE_REGISTRY, NativeProgram, TableProgram, TermProgram, parse_term,
-                              serialize)
+from punctual.pr_lang import (NATIVE_REGISTRY, ClockedProgram, NativeProgram, TableProgram,
+                              TermProgram, parse_term, serialize)
 from punctual.reductions import (
     check_pre_immune,
     detect_counterexample,
     domination_certificate,
+    revalidate_counterexample,
 )
 from punctual.sets import (
     blocks_set,
@@ -488,6 +489,22 @@ class TestSeparator:
             val(1, 15)
 
 
+class AskedOnly(ClockedProgram):
+    """A program that answers only the bounded question, from its tables."""
+
+    def __init__(self, name, values, costs):
+        self.name, self.values, self.costs = name, values, costs
+
+    def converges_within(self, x, s):
+        return self.values[x] if self.costs[x] < s else None
+
+    def value(self, x):
+        raise AssertionError(f"value({x}) read")
+
+    def cost(self, x):
+        raise AssertionError(f"cost({x}) read")
+
+
 class TestDetector:
     """The incremental detector against the definitional scan."""
 
@@ -502,12 +519,14 @@ class TestDetector:
             values = [rng.randrange(2 * stages) for _ in range(stages + 2)]
             costs = [rng.randrange(stages) for _ in range(stages + 2)]
             prog = NativeProgram(f"r{run}", values.__getitem__, costs.__getitem__)
+            # the detectors ask a member only whether it converges within s
+            asked = AskedOnly(f"r{run}", values, costs)
             rel = SetRelation(prefix_set("rel", [rng.randrange(2)
                                                  for _ in range(4 * stages)]))
             src, tgt = [], []
             source, target = {"R_to_RY": (rel, tgt), "RY_to_R": (src, rel),
                               "RX_to_RY": (src, tgt)}[flavor]
-            det = _Detector(flavor, prog)
+            dets = [_Detector(flavor, prog), _Detector(flavor, asked)]
             first = None
             for s in range(stages):
                 src.append(rng.randrange(2))
@@ -515,10 +534,14 @@ class TestDetector:
                 prefixes = [Prefix(tuple(side)) if isinstance(side, list)
                             else side for side in (source, target)]
                 want = detect_counterexample(flavor, prog, *prefixes, s)
-                assert det.scan(s, source, target) == (want is not None), (run, s)
+                assert detect_counterexample(flavor, asked, *prefixes, s) == want, (run, s)
+                for det in dets:
+                    assert det.scan(s, source, target) == (want is not None), (run, s)
                 if want is not None:
-                    # the detector names the member; the public scan does not
-                    assert det.extract(s, source, target) == want._replace(member=prog.name)
+                    for det in dets:
+                        # the detector names the member; the public scan does not
+                        assert det.extract(s, source, target) == want._replace(member=prog.name)
+                        assert revalidate_counterexample(want, det.program, *prefixes)
                     if first is None:
                         first = s
             first_hits.append(first)

@@ -2665,7 +2665,7 @@ def test_least_violation_matches_per_point_reads(flavor):
     # a term program runs once per point of the domain
     p, runs = TermProgram(parse_term(FAMILY_TEXTS[4])), []
     run = p._run
-    p._run = lambda x: runs.append(x) or run(x)
+    p._run = lambda x, s: runs.append(x) or run(x, s)
     source, target = least_sides(rng, flavor)
     reductions.detect_counterexample(flavor, p, source, target, 30)
     assert runs == list(range(31 if isinstance(source, sets.Relation) else len(source)))

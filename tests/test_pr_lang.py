@@ -1049,6 +1049,26 @@ class TestPrograms:
         assert p.converges_within(12, 2) == 12
         assert p.converges_within(12, 1) is None
 
+    def test_converges_within_matches_eval_clocked_in_any_order(self):
+        """Every budget 0..cost+1 on one program object, asked rising,
+        falling and shuffled, so answers also come from a memo that holds
+        only a lower bound on the cost."""
+        rng = random.Random(4243)
+        for _ in range(100):
+            t = unary_wrap(nested_recursion(rng, 2, rng.randint(1, 2)))
+            xs = [x for x in range(5) if eval_cost(t, [x]) <= 300]
+            top = max((eval_cost(t, [x]) for x in xs), default=0) + 2
+            rising = list(range(top))
+            for budgets in (rising, rising[::-1], rng.sample(rising, top)):
+                p = TermProgram(t)
+                for b in budgets:
+                    for x in xs:
+                        want = eval_clocked(t, [x], b)
+                        assert p.converges_within(x, b) == (
+                            want.value if isinstance(want, Converged) else None), (t, x, b)
+                assert [(p.value(x), p.cost(x)) for x in xs] == [
+                    (eval_total(t, [x]), eval_cost(t, [x])) for x in xs]
+
     def test_coerce_arity(self):
         t = coerce_arity(Succ(), 3)
         assert arity(t) == 3

@@ -182,6 +182,27 @@ CASES = {
                                       "--out", "di.trace"], {}),
     "verify-dense-incomparable": (["verify", "di.trace"], {
         "di.trace": _written("construct-dense-incomparable", "di.trace")}),
+    # the same constructions over a family, so that their cycles open
+    "construct-incomparable-family": (["construct", "incomparable", "--r", "evens",
+                                       "--family", "basic.fam", "--out", "inc.trace"], BASIC),
+    "verify-incomparable-family": (["verify", "inc.trace"], {
+        "inc.trace": _written("construct-incomparable-family", "inc.trace")}),
+    "construct-antichain-family": (["construct", "antichain", "--count", "2", "--family",
+                                    "basic.fam", "--out", "ac.trace"], BASIC),
+    "verify-antichain-family": (["verify", "ac.trace.0"], {
+        "ac.trace.0": _written("construct-antichain-family", "ac.trace.0")}),
+    "construct-dense-family": (["construct", "dense", "--x", "meet(evens, blocks 6)", "--z",
+                                "join(evens, blocks 6)", "--family", "basic.fam",
+                                "--out", "dense.trace"], BASIC),
+    "verify-dense-family": (["verify", "dense.trace"], {
+        "dense.trace": _written("construct-dense-family", "dense.trace")}),
+    "construct-dense-incomparable-family": (["construct", "dense-incomparable", "--x",
+                                             "meet(evens, mod 3)", "--t", "evens", "--z",
+                                             "join(evens, mod 3)", "--family", "basic.fam",
+                                             "--max-stages", "600", "--out", "di.trace"],
+                                            BASIC),
+    "verify-dense-incomparable-family": (["verify", "di.trace"], {
+        "di.trace": _written("construct-dense-incomparable-family", "di.trace")}),
     # the other ops of reduce, slow, lattice and diamond
     **{f"reduce-{op}": (["reduce", op, "evens", "mod 3", "--witness", "g.wit",
                          "--horizon", "60"],
