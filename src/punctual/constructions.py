@@ -759,16 +759,20 @@ def construct_dense_incomparable(x: PrSet, t: PrSet, z: PrSet, certificates,
                                  cycle_budget: int | None = None) -> ConstructionResult:
     """Density with both-direction counterexamples against a middle set.
 
+    Supplied certificates, witnesses under the keys "x<=t" and "t<=z", are
+    checked against their pair up to 200, whatever their verified flag.
     Without certificates (None) the builder derives both from profile
     domination up to max_stages.
     """
     if certificates is None:
         certificates = {"x<=t": domination_certificate(x, t, max_stages),
                         "t<=z": domination_certificate(t, z, max_stages)}
-    for key in ("x<=t", "t<=z"):
-        w = certificates.get(key)
-        if w is None or not getattr(w, "verified", False):
-            raise NotCertified(f"missing verified certificate {key}")
+    else:
+        for key, low, high in (("x<=t", x, t), ("t<=z", t, z)):
+            w = certificates.get(key)
+            if w is None:
+                raise NotCertified(f"missing verified certificate {key}")
+            verify_claim(w, low, high, min(200, w.horizon))
     if t.bit(0) != 1:
         raise PreconditionFailed("the middle set must contain 0")
     return _dense_run("dense-incomparable", {"X": x, "T": t, "Z": z}, family,

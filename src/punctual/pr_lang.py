@@ -981,16 +981,25 @@ class NativeProgram(ClockedProgram):
 
 
 class TableProgram(ClockedProgram):
-    """Program backed by a finite table; lookups cost one step."""
+    """Program backed by a finite table; lookups cost one step.
 
-    def __init__(self, values: Sequence[int], name: str = "table"):
-        self.values = tuple(values)
+    The table is ``prefix``, then max(x + 1, floor) for each x past it up
+    to ``horizon``, which is at least len(prefix) - 1: a table built from
+    values alone is its prefix, with no tail, and its ``values`` are that
+    stored tuple.  A tail's dense values are built on demand.
+    """
+
+    def __init__(self, prefix: Sequence[int], name: str = "table", floor: int = 0,
+                 horizon: int = -1):
+        self.prefix = tuple(prefix)
         self.name = name
+        self.floor = floor
+        self.horizon = max(horizon, len(self.prefix) - 1)
 
     def value(self, x: int) -> int:
-        if 0 <= x < len(self.values):
-            return self.values[x]
-        raise self._off_table(x)
+        if not 0 <= x <= self.horizon:
+            raise self._off_table(x)
+        return self.prefix[x] if x < len(self.prefix) else max(x + 1, self.floor)
 
     def _off_table(self, x: int) -> BudgetExceeded:
         return BudgetExceeded(f"table program {self.name} has horizon {self.horizon}, "
@@ -1000,51 +1009,18 @@ class TableProgram(ClockedProgram):
         return 1
 
     def values_at(self, points: Iterable[int]) -> Sequence[int]:
-        values, end = self.values, len(self.values)
+        """Ranges up by 1: inside the prefix a slice; from 0 the prefix, floor run, climb."""
+        prefix, floor, n, top = self.prefix, self.floor, len(self.prefix), self.horizon
         r = points if isinstance(points, range) and points.step == 1 else range(-1)
-        if 0 <= r.start <= r.stop <= end:
-            return values[r.start:r.stop]
-        return [values[x] if 0 <= x < end else self.value(x) for x in points]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
-
-class FloorTableProgram(TableProgram):
-    """Table that is a dense prefix, then max(x + 1, floor) up to the horizon.
-
-    This is the shape of a step-rate table past the source's reach; the
-    dense ``values`` tuple is built on demand, never stored.
-    """
-
-    def __init__(self, prefix: Sequence[int], floor: int, horizon: int,
-                 name: str = "table"):
-        self.prefix = tuple(prefix)
-        self.floor = floor
-        self._horizon = max(horizon, len(self.prefix) - 1)
-        self.name = name
-
-    def value(self, x: int) -> int:
-        if not 0 <= x <= self._horizon:
-            raise self._off_table(x)
-        return self.prefix[x] if x < len(self.prefix) else max(x + 1, self.floor)
-
-    def values_at(self, points: Iterable[int]) -> Sequence[int]:
-        """A range up by 1 from 0 is built as prefix, floor run and climb."""
-        prefix, floor, n, top = self.prefix, self.floor, len(self.prefix), self._horizon
-        r = points if isinstance(points, range) and points.step == 1 else range(-1)
+        if 0 <= r.start <= r.stop <= n:
+            return prefix[r.start:r.stop]
         if r.start == 0 <= r.stop <= top + 1:
             run = max(0, min(floor, r.stop) - n)
-            return (*prefix[:r.stop], *[floor] * run, *range(n + run + 1, r.stop + 1))
+            return (*prefix, *[floor] * run, *range(n + run + 1, r.stop + 1))
         return [(prefix[x] if x < n else floor if x < floor else x + 1) if 0 <= x <= top
                 else self.value(x) for x in points]
 
-    values = property(lambda self: self.values_at(range(self._horizon + 1)))
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
+    values = property(lambda self: self.values_at(range(self.horizon + 1)))
 
 
 NATIVE_REGISTRY: dict[str, NativeProgram] = {

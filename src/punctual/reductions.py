@@ -28,7 +28,7 @@ from .errors import (
     PreconditionFailed,
     WitnessBoundViolated,
 )
-from .pr_lang import ClockedProgram, FloorTableProgram, TableProgram
+from .pr_lang import ClockedProgram, TableProgram
 from .sets import (DEFAULT_CEILING, IdentityRelation, Prefix, PrSet, Relation, SetRelation,
                    _least_related, _picked, _running_max, _zeros_mask)
 
@@ -377,7 +377,7 @@ def synth_p_from_reduction(f: Witnessable, x: PrSet, y: PrSet,
     costs = list(y.cum_costs(running))
     prefix = _picked(max, range(1, k_max + 2), costs)
     # past k_max every entry is max(s + 1, c)
-    table = FloorTableProgram(prefix, costs[-1], horizon, "p")
+    table = TableProgram(prefix, "p", costs[-1], horizon)
     # the left side only changes where the source reveals a bit, and the
     # right side is nondecreasing, so boundary checks cover every stage
     boundaries = [0, *x.cum_costs(range(reach))]
@@ -567,7 +567,7 @@ def domination_certificate(low: PrSet, high: PrSet, horizon: int,
 _HEADER = ("claim", "source", "target", "horizon", "convention", "verified")
 # Rows i in one aligned block of 1000 indices (i >= 1000) share the decimal
 # prefix str(i // 1000) and differ in a three-digit suffix, so a block of a
-# floor table's tail is one join of these suffixes around that prefix.
+# table's tail is one join of these suffixes around that prefix.
 _SUFFIXES = tuple(f"{j:03d}" for j in range(1000))
 # a block of rows "i\ti+1": each suffix closes one row's value and opens the
 # next row's index; the last value carries into the next block's prefix
@@ -584,12 +584,14 @@ def _write_rows(out, lo: int, values) -> None:
         out.write(rows([decimals(range(lo + at, lo + at + len(chunk))), decimals(chunk)]))
 
 
-def _write_floor_tail(out, prog: FloorTableProgram) -> None:
-    """Rows past the prefix: a run of the floor c, then the range i -> i + 1.
-    Each part's rows from lo to hi - 1, whose entries from i to j - 1 are
-    values(i, j), go out as aligned blocks of 1000 past 1000, block(k),
-    and the rest through _write_rows."""
+def _write_tail(out, prog: TableProgram) -> None:
+    """A table's tail, the rows past its prefix: a run of the floor c, then
+    the range i -> i + 1.  Each part's rows from lo to hi - 1, whose entries
+    from i to j - 1 are values(i, j), go out as aligned blocks of 1000 past
+    1000, block(k), and the rest through _write_rows."""
     start, end, c = len(prog.prefix), prog.horizon + 1, prog.floor
+    if start == end:
+        return
     run_end = max(start, min(c, end))
     close = f"\t{c}\n"
 
@@ -611,18 +613,15 @@ def _write_floor_tail(out, prog: FloorTableProgram) -> None:
 
 def serialize_witness(w: ReductionWitness) -> str:
     """A table witness as text: the header, ``---``, then one row
-    "index<TAB>value" per entry, a floor table's tail in aligned blocks
-    of 1000."""
+    "index<TAB>value" per entry, a table's tail in aligned blocks of 1000."""
     prog = w.program
     if not isinstance(prog, TableProgram):
         raise PreconditionFailed("only table-backed witnesses serialize")
     out = io.StringIO()
     out.write(pair_lines(zip(_HEADER, (w.claim, w.source, w.target, w.horizon,
                                        w.convention, int(w.verified)))) + "---\n")
-    floor = isinstance(prog, FloorTableProgram)
-    _write_rows(out, 0, prog.prefix if floor else prog.values)
-    if floor:
-        _write_floor_tail(out, prog)
+    _write_rows(out, 0, prog.prefix)
+    _write_tail(out, prog)
     return out.getvalue()
 
 

@@ -246,6 +246,21 @@ class TestDenseIncomparable:
             construct_dense_incomparable(evens_set(), evens_set(), evens_set(),
                                          {}, family6(), 100)
 
+    def test_supplied_certificates_are_checked_against_their_pair(self):
+        # both certificates are x <= z; the middle set's profile passes z's at 2
+        x, t, z = map(parse_set, ("meet(evens, mod 3)", "join(evens, mod 3)", "evens"))
+        cert = domination_certificate(x, z, 60)
+        family = [TermProgram(parse_term("P[1,1]"))]
+        with pytest.raises(NotCertified, match="^claimed growth-h bound fails at s=2$"):
+            construct_dense_incomparable(x, t, z, {"x<=t": cert, "t<=z": cert}, family, 60)
+        # a true certificate is checked, not trusted, so its verified flag is not read
+        x, t, z = map(parse_set, ("meet(evens, mod 3)", "evens", "join(evens, mod 3)"))
+        certs = {"x<=t": domination_certificate(x, t, 60),
+                 "t<=z": domination_certificate(t, z, 60)}
+        for w in certs.values():
+            w.verified = False
+        assert_ok(construct_dense_incomparable(x, t, z, certs, family, 60))
+
     def test_middle_overrun_after_the_last_close_raises_at_its_fallback_stage(
             self, monkeypatch):
         # the middle set's bound, 12 n + 100, gives out at bit 87; four

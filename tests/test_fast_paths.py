@@ -58,7 +58,6 @@ from punctual.errors import (
     WitnessBoundViolated,
 )
 from punctual.pr_lang import (
-    FloorTableProgram,
     NativeProgram,
     TableProgram,
     TermProgram,
@@ -359,7 +358,7 @@ def test_synth_p_tail_shapes():
         for extra in (0, 1, 31):
             want = ref_synth_p_table(g, make_x(), make_y(), horizon + extra)
             got = synth_p_from_reduction(g, make_x(), make_y(), horizon + extra)
-            assert isinstance(got.program, FloorTableProgram)
+            assert got.program.horizon >= len(got.program.prefix)   # a tail
             assert list(got.program.values) == want
             assert [got.value(s) for s in range(len(want))] == want
             tail = want[31:]
@@ -591,7 +590,7 @@ def ceiling_programs():
     natives += [raising_after(k, c) for k in (0, 9, 40, 119) for c in natives[:3]]
     tables = [TableProgram([2 * v + 3 for v in range(n)], f"c{n}") for n in (0, 1, 41, 121)]
     return [NativeProgram("c", fn) for fn in natives] + tables + [
-        FloorTableProgram([5, 1, 9], 30, n, "f") for n in (2, 60, 120)]
+        TableProgram([5, 1, 9], "f", 30, n) for n in (2, 60, 120)]
 
 
 def test_fresh_picks_match_the_per_pick_search(traces):
@@ -849,7 +848,7 @@ def test_synth_reduction_from_h_failures_before_the_source_fails():
 
 PROGRAMS = [
     TableProgram([5, 6, 7], "t"),
-    FloorTableProgram([5, 6], 9, 12, "f"),
+    TableProgram([5, 6], "f", 9, 12),
     TermProgram(parse_term(FAMILY_TEXTS[1])),
     NativeProgram("double", lambda v: 2 * v),
 ]
@@ -877,16 +876,17 @@ def point_columns(top):
 
 
 def test_values_at_matches_value():
-    """values_at against one value read per point, on all four program
-    classes (tables of each kind at several horizons, natives that raise
+    """values_at against one value read per point, on every program class
+    (tables with and without a tail at several horizons, natives that raise
     part-way), for the same values or the same error at the same point,
     reading an iterator no further than the per-point loop reads it."""
     progs = PROGRAMS + [TableProgram(range(40), "t40"), TableProgram([], "empty"),
-                        FloorTableProgram([], 3, 7, "f7"),
-                        FloorTableProgram([4, 1, 8], 0, 2, "f2"),
+                        TableProgram([], "f7", 3, 7), TableProgram([4, 1, 8], "f2", 0, 2),
+                        TableProgram([5, 1, 9], "f60", 30, 60),
                         NativeProgram("upto 9", raising_after(9, lambda v: v * v))]
     for prog in progs:
-        for points in point_columns(12) + point_columns(40):
+        for points in point_columns(12) + point_columns(40) + [
+                range(1, 3), range(2, 45), [2, 3, 29, 30, 31, 60, 61, 1]]:
             want = outcome(lambda: [prog.value(x) for x in points])
             assert outcome(lambda: list(prog.values_at(points))) == want, (prog, points)
             read = []
@@ -914,10 +914,10 @@ def test_floor_values_upto_reads_no_dense_table(monkeypatch):
     def dense(self):
         raise AssertionError("the dense values were read")
 
-    monkeypatch.setattr(FloorTableProgram, "values", property(dense))
+    monkeypatch.setattr(TableProgram, "values", property(dense))
     for prefix, floor, horizon in [([5, 6], 9, 12), ([], 3, 7), ([4, 1, 8], 0, 501_500),
                                    ([2] * 6, 2, 5)]:
-        prog = FloorTableProgram(prefix, floor, horizon, "f")
+        prog = TableProgram(prefix, "f", floor, horizon)
         for n in (-3, -1, 0, 1, 2, 3, 5, 10, 12, 13, 20, 501_500):
             want = outcome(lambda: [prog.value(x) for x in range(min(n, 30) + 1)])
             if n <= 30 or n > prog.horizon:
@@ -1745,7 +1745,7 @@ def test_floor_table_matches_its_dense_values():
     rng = random.Random(7)
     for n, c, h in floor_triples(7):
         prefix = [rng.randint(0, 10 ** 6) for _ in range(n)]
-        t = FloorTableProgram(prefix, c, h, "p")
+        t = TableProgram(prefix, "p", c, h)
         values = t.values
         assert len(values) == t.horizon + 1 == max(h, n - 1) + 1
         assert values[:n] == tuple(prefix)
@@ -1796,7 +1796,7 @@ def test_floor_table_text_at_the_cap():
             for h in (0, CAP - 2, CAP - 1, CAP, CAP + 1):
                 for top in (CAP - 1, CAP + 1):
                     prefix = [rng.randint(0, top) for _ in range(n)]
-                    t = FloorTableProgram(prefix, c, h, "p")
+                    t = TableProgram(prefix, "p", c, h)
                     w = ReductionWitness(t, "growth-p", "a", "b", t.horizon, "steps", True)
                     assert serialize_witness(w) == ref_witness_text(w), (n, c, h, top)
 
@@ -1850,7 +1850,7 @@ def test_decimal_table_stays_at_its_cap():
     _text._decimal_table.cache_clear()
     n = 200_000
     for prog in (TableProgram(range(n), "t"), TableProgram([7] * n, "t"),
-                 FloorTableProgram([3, 1], 5, n - 1, "p")):
+                 TableProgram([3, 1], "p", 5, n - 1)):
         w = ReductionWitness(prog, "growth-p", "a", "b", n - 1, "steps", True)
         text = serialize_witness(w)
         assert parse_witness(text).program.values == prog.values
@@ -1861,9 +1861,12 @@ def test_decimal_table_stays_at_its_cap():
 
 
 @pytest.mark.parametrize("table, values", [(TableProgram([5, 6, 7], "t"), [5, 6, 7]),
-                                           (FloorTableProgram([5, 6], 9, 2, "t"), [5, 6, 9])])
+                                           (TableProgram([5, 6], "t", 9, 2), [5, 6, 9])])
 def test_table_reads_off_the_table_raise(table, values):
     assert [table.value(x) for x in range(3)] == values
+    # a table with no tail reads back its stored prefix tuple
+    assert table.values == tuple(values)
+    assert (table.values is table.prefix) == (len(table.prefix) == len(values))
     for x in (-1, -3, 3, 10):
         with pytest.raises(BudgetExceeded, match=f"has horizon 2, asked for {x}$"):
             table.value(x)

@@ -468,6 +468,7 @@ TRIMMED_PARAMETERS = {
     reductions.check_pre_immune: ["x", "family", "horizon"],
     reductions.detect_counterexample: ["flavor", "p", "source", "target", "s"],
     reductions.revalidate_counterexample: ["cex", "p", "source", "target"],
+    pr_lang.TableProgram: ["prefix", "name", "floor", "horizon"],
 }
 
 

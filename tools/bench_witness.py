@@ -71,8 +71,7 @@ from punctual import lattice, pr_lang, reductions, sets  # noqa: E402
 HORIZONS = (200, 600, 1000)
 REPEATS = 11
 IDENTITY = W.IDENTITY
-PROGRAMS = (pr_lang.NativeProgram, pr_lang.TableProgram, pr_lang.FloorTableProgram,
-            pr_lang.TermProgram)
+PROGRAMS = (pr_lang.NativeProgram, pr_lang.TableProgram, pr_lang.TermProgram)
 # the per-point step count of a pattern: a column's sparse case, or every
 # point in a source without steps columns
 PATTERN_POINT = "_zeros_below" if "_zeros_below" in vars(sets._Pattern) else "zeros_by_steps"

@@ -203,6 +203,12 @@ CASES = {
                                             BASIC),
     "verify-dense-incomparable-family": (["verify", "di.trace"], {
         "di.trace": _written("construct-dense-incomparable-family", "di.trace")}),
+    # a middle set outside the interval: its derived certificate t <= z fails
+    "construct-dense-incomparable-middle-above": (["construct", "dense-incomparable", "--x",
+                                                   "meet(evens, mod 3)", "--t",
+                                                   "join(evens, mod 3)", "--z", "evens",
+                                                   "--family", "basic.fam",
+                                                   "--max-stages", "60"], BASIC),
     # the other ops of reduce, slow, lattice and diamond
     **{f"reduce-{op}": (["reduce", op, "evens", "mod 3", "--witness", "g.wit",
                          "--horizon", "60"],
