@@ -720,11 +720,13 @@ def blocks_set(k: int) -> PrSet:
 def term_set(term, bound, name: str | None = None) -> PrSet:
     """Descriptor backed by a unary term with a declared step-bound term.
 
-    A new bit runs the term once, clocked by the bound's value, which the
-    bound's compiled entry gives directly; the entry is looked up on the
-    set's first bit, so a bound that is not well formed raises there.  The
-    memo asks for a bit's cost right after the bit, so only the last run's
-    steps are kept; the cost of any other bit runs the term again."""
+    A new bit runs the term once, clocked by the bound's value; both run
+    through their compiled entries, called directly.  The entries are
+    looked up on the set's first bit, and kept only once both lookups
+    succeed, so a term or bound that is not well formed raises on every
+    first bit.  The memo asks for a bit's cost right after the bit, so only
+    the last run's steps are kept; the cost of any other bit runs the term
+    again."""
     if isinstance(term, str):
         term = pr_lang.parse_term(term)
     if isinstance(bound, str):
@@ -734,18 +736,20 @@ def term_set(term, bound, name: str | None = None) -> PrSet:
     term_text = pr_lang.serialize(term)
     bound_text = pr_lang.serialize(bound)
     last = [-1, 0]      # the bit evaluated last and its steps, for its cost
-    limit = None        # the bound's entry, from the first bit on
+    limit = run = None  # the bound's and the term's entries, from the first bit on
 
     def bit(n):
-        nonlocal limit
-        if limit is None:
-            limit = pr_lang._compiled_for(bound, (n,))
-        out = pr_lang.eval_clocked(term, [n], limit(0, pr_lang._UNBOUNDED, n)[0])
-        if out is pr_lang.OUT_OF_BUDGET:
+        nonlocal limit, run
+        if run is None:
+            limit, run = pr_lang._compiled_for(bound, (n,)), pr_lang._compiled_for(term, (n,))
+        budget = limit(0, pr_lang._UNBOUNDED, n)[0]
+        try:
+            value, steps = run(0, budget, n)
+        except pr_lang._Abort:
             raise PunctualityViolation(
-                f"term set {term_text} exceeded its bound {bound_text} at n={n}")
-        last[:] = n, out[1]
-        return 1 if out[0] else 0
+                f"term set {term_text} exceeded its bound {bound_text} at n={n}") from None
+        last[0], last[1] = n, steps
+        return 1 if value else 0
 
     def cost(n):
         if last[0] != n:

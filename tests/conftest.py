@@ -3,8 +3,9 @@ from itertools import islice, zip_longest
 
 import pytest
 
+from punctual import pr_lang
 from punctual.constructions import TRACE_FORMAT, construct_immune, construct_join_split
-from punctual.pr_lang import TermProgram, parse_term
+from punctual.pr_lang import Comp, PrimRec, Proj, Succ, TermProgram, Zero, parse_term
 from punctual.sets import (
     PrSet,
     _Pattern,
@@ -61,6 +62,52 @@ def costed_prefix(name, bits, cost_fn):
     """``prefix_set``'s bits, a finite prefix then 1, 0 over and over, with
     bit n costing cost_fn(n) and no fill, so the memo grows bit by bit."""
     return PrSet(name, _Pattern(tuple(1 if b else 0 for b in bits), (1, 0), False).bit, cost_fn)
+
+
+def count_term_runs(monkeypatch, *texts):
+    """The argument of each run of the listed terms' compiled entries, as
+    ``pr_lang._compiled_for`` hands them out from here on.  A term set looks
+    its term's entry up on its first bit and runs it once per new bit, so
+    its runs count here, and so do those of ``eval_clocked``, ``eval_total``
+    and ``eval_cost`` on these terms."""
+    runs, compiled_for = [], pr_lang._compiled_for
+    terms = {pr_lang.unary_wrap(parse_term(text)) for text in texts}
+
+    def hooked(t, args):
+        entry = compiled_for(t, args)
+        if t not in terms:
+            return entry
+        return lambda c, b, *xs: runs.append(xs[0]) or entry(c, b, *xs)
+    monkeypatch.setattr(pr_lang, "_compiled_for", hooked)
+    return runs
+
+
+def shallow_term(rng, depth, target_arity):
+    """Recursion-free term of the given arity (at most 4)."""
+    if depth <= 0 or rng.random() < 0.4:
+        if target_arity == 1 and rng.random() < 0.3:
+            return Succ()
+        return Proj(target_arity, rng.randint(1, target_arity))
+    k = rng.randint(1, 2)
+    return Comp(shallow_term(rng, depth - 1, k),
+                tuple(shallow_term(rng, depth - 1, target_arity) for _ in range(k)))
+
+
+def nested_recursion(rng, levels, target_arity):
+    """Term of arity 1 or 2 whose recursions nest ``levels`` deep.
+
+    Each step composes the next level's term with shallow inner terms, so
+    no node needs more than four arguments.
+    """
+    if levels == 0:
+        return shallow_term(rng, 2, target_arity)
+    base = Zero() if target_arity == 1 else shallow_term(rng, 1, target_arity - 1)
+    k = rng.randint(1, 2)
+    step = Comp(nested_recursion(rng, levels - 1, k),
+                tuple(shallow_term(rng, 1, target_arity + 2) for _ in range(k)))
+    if rng.random() < 0.3:
+        step = Comp(Succ(), (step,))
+    return PrimRec(base, step)
 
 
 def basic_family():

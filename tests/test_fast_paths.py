@@ -104,7 +104,7 @@ from punctual.sets import (
     zero_list_set,
 )
 
-from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2, costed_prefix
+from conftest import BOUND_LINEAR, EVENS_TERM, FAMILY_TEXTS, MOD2, costed_prefix, count_term_runs
 
 IDENTITY = NativeProgram("id", lambda x: x)
 
@@ -1598,14 +1598,8 @@ OVER_TERMS = {
 
 @pytest.fixture
 def eval_calls(monkeypatch):
-    """Every evaluator call a term set makes, as its argument."""
-    calls = []
-    total, clocked = pr_lang.eval_total, pr_lang.eval_clocked
-    monkeypatch.setattr(pr_lang, "eval_total",
-                        lambda t, args: calls.append(args[0]) or total(t, args))
-    monkeypatch.setattr(pr_lang, "eval_clocked",
-                        lambda t, args, b: calls.append(args[0]) or clocked(t, args, b))
-    return calls
+    """Every run of a term set's term, as its argument."""
+    return count_term_runs(monkeypatch, EVENS_TERM, MOD2)
 
 
 def read_over_terms(desc, reads, ahead, calls, bound=BOUND_LINEAR):
@@ -1658,6 +1652,8 @@ def test_catch_up_reads_only_term_memos(desc, eval_calls):
     terms = term_pair()
     terms["ev"].bit(150)
     terms["od"].bit(230)
+    # the hook sees each term set's runs, one per bit
+    assert eval_calls == [*range(151), *range(231)]
     uses, build = OVER_TERMS[desc]
     d = build(terms["ev"], terms["od"])
     held = {name: t.decided for name, t in terms.items()}

@@ -7,9 +7,9 @@ import pathlib
 import sys
 
 import pytest
-from conftest import BOUND_LINEAR, EVENS_TERM
+from conftest import BOUND_LINEAR, EVENS_TERM, MOD2
 
-from punctual import constructions, reductions, sets
+from punctual import constructions, pr_lang, reductions, sets
 from punctual.constructions import construct_immune, save_trace
 from punctual.pr_lang import parse_term
 from punctual.sets import PrSet, parse_set, set_join, term_set
@@ -33,27 +33,52 @@ def test_a_pattern_read_is_one_fill():
     s = parse_set("join(evens, mod 3)")
     assert counted(lambda: s.prefix(100)) == {
         "ensure_entries": 1, "memo_bits": 101, "pattern_fill_bits": 101,
-        "operand_fill_bits": 0, "pattern_bit_reads": 0, "bit_calls": 0, "per_bit_bits": 0}
+        "operand_fill_bits": 0, "pattern_bit_reads": 0, "term_visits": 0, "bit_calls": 0,
+        "per_bit_bits": 0}
     # a bit past the memo is read off the pattern, with no memo entry
     assert counted(lambda: s.bit(10 ** 15)) == {
         "ensure_entries": 0, "memo_bits": 0, "pattern_fill_bits": 0,
-        "operand_fill_bits": 0, "pattern_bit_reads": 1, "bit_calls": 1, "per_bit_bits": 0}
+        "operand_fill_bits": 0, "pattern_bit_reads": 1, "term_visits": 0, "bit_calls": 1,
+        "per_bit_bits": 0}
     assert s.decided == 101
 
 
 def test_term_reads_go_bit_by_bit_and_a_join_fills_from_their_memo():
-    t = term_set(parse_term(EVENS_TERM), parse_term(BOUND_LINEAR))
+    term = parse_term(EVENS_TERM)
+    t = term_set(term, parse_term(BOUND_LINEAR))
     assert counted(lambda: [t.bit(n) for n in range(100)]) == {
         "ensure_entries": 100, "memo_bits": 100, "pattern_fill_bits": 0,
-        "operand_fill_bits": 0, "pattern_bit_reads": 0, "bit_calls": 100,
-        "per_bit_bits": 100}
+        "operand_fill_bits": 0, "pattern_bit_reads": 0,
+        "term_visits": sum(pr_lang.eval_cost(term, [n]) for n in range(100)),
+        "bit_calls": 100, "per_bit_bits": 100}
     # building the join reads bit 0 of each operand, mod 3's off its
     # pattern; reading the join then grows mod 3's 100 bits by a pattern
     # fill and its own 100 from the operands' memos
     j = set_join(parse_set("mod 3"), t)
     assert counted(lambda: j.bit(99)) == {
         "ensure_entries": 3, "memo_bits": 200, "pattern_fill_bits": 100,
-        "operand_fill_bits": 100, "pattern_bit_reads": 0, "bit_calls": 1, "per_bit_bits": 0}
+        "operand_fill_bits": 100, "pattern_bit_reads": 0, "term_visits": 0, "bit_calls": 1,
+        "per_bit_bits": 0}
+
+
+def test_term_visits_are_the_visits_of_the_bits_grown():
+    term = parse_term(EVENS_TERM)
+    t = parse_set(f'term "{EVENS_TERM}" bound "{BOUND_LINEAR}"')
+    t.bit(4)
+    # bits 5..12 grow, each once, by a read and a step query past the memo;
+    # reads the memo holds, and the sets built over it, add none
+    counts = counted(lambda: (t.zeros_by_index(9), t.bit(3), t.cum_cost(12),
+                              t.zeros_by_steps(t.cum_cost(7))))
+    assert counts["memo_bits"] == 8
+    assert counts["term_visits"] == sum(pr_lang.eval_cost(term, [n]) for n in range(5, 13))
+    assert counted(lambda: set_join(parse_set("evens"), t).prefix(12))["term_visits"] == 0
+    # a join forces 0 into a term set without it by a flip that keeps its
+    # dsl; the flip reads the term set's costs and runs no term
+    odd = parse_set(f'term "{MOD2}" bound "{BOUND_LINEAR}"')
+    counts = counted(lambda: set_join(odd, parse_set("evens")).prefix(20))
+    assert odd.decided > 20
+    assert counts["term_visits"] == sum(pr_lang.eval_cost(parse_term(MOD2), [n])
+                                        for n in range(odd.decided))
 
 
 def test_counts_keep_their_order_and_given_keys():
@@ -62,7 +87,8 @@ def test_counts_keep_their_order_and_given_keys():
         pass
     assert list(counts.items()) == [("first", 7), ("ensure_entries", 0), ("memo_bits", 0),
                                     ("pattern_fill_bits", 0), ("operand_fill_bits", 0),
-                                    ("pattern_bit_reads", 0), ("fallbacks", 0)]
+                                    ("pattern_bit_reads", 0), ("term_visits", 0),
+                                    ("fallbacks", 0)]
 
 
 def test_every_patched_attribute_is_restored():

@@ -32,6 +32,8 @@ from punctual.pr_lang import (
     validate,
 )
 
+from conftest import nested_recursion, shallow_term
+
 
 def reference_cost(t, args):
     """Independent cost oracle: one visit per node, recursion unfolds linearly."""
@@ -92,34 +94,6 @@ def random_term(rng, depth, target_arity):
         return Comp(outer, inners)
     base = random_term(rng, depth - 1, target_arity - 1)
     step = random_term(rng, depth - 1, target_arity + 2)
-    return PrimRec(base, step)
-
-
-def shallow_term(rng, depth, target_arity):
-    """Recursion-free term of the given arity (at most 4)."""
-    if depth <= 0 or rng.random() < 0.4:
-        if target_arity == 1 and rng.random() < 0.3:
-            return Succ()
-        return Proj(target_arity, rng.randint(1, target_arity))
-    k = rng.randint(1, 2)
-    return Comp(shallow_term(rng, depth - 1, k),
-                tuple(shallow_term(rng, depth - 1, target_arity) for _ in range(k)))
-
-
-def nested_recursion(rng, levels, target_arity):
-    """Term of arity 1 or 2 whose recursions nest ``levels`` deep.
-
-    Each step composes the next level's term with shallow inner terms, so
-    no node needs more than four arguments.
-    """
-    if levels == 0:
-        return shallow_term(rng, 2, target_arity)
-    base = Zero() if target_arity == 1 else shallow_term(rng, 1, target_arity - 1)
-    k = rng.randint(1, 2)
-    step = Comp(nested_recursion(rng, levels - 1, k),
-                tuple(shallow_term(rng, 1, target_arity + 2) for _ in range(k)))
-    if rng.random() < 0.3:
-        step = Comp(Succ(), (step,))
     return PrimRec(base, step)
 
 

@@ -38,7 +38,7 @@ from punctual.sets import (
     zero_list_set,
 )
 
-from conftest import costed_prefix
+from conftest import costed_prefix, count_term_runs, nested_recursion
 
 # term computing the characteristic function of the even numbers:
 # not(x) = 1 monus x, via msub(b, a) = a monus b and pred
@@ -53,6 +53,36 @@ DOUBLE = "R(Z; C(S; C(S; P[3,3])))"
 BOUND64 = "C(S; P[1,1])"
 for _ in range(6):
     BOUND64 = f"C({DOUBLE}; {BOUND64})"
+# bound 12 n + 100, which EVENS_TERM's cost overtakes
+OVERRUN_BOUND = "C(S; " * 100 + "R(Z; " + "C(S; " * 12 + "P[3,3]" + ")" * 113
+# bound 64 (n^2 + 1); n^2 by adding 2 i + 1 at each step i
+SQUARE = f"R(Z; C(S; C(R(P[1,1]; C(S; P[4,4])); C({DOUBLE}; P[3,2]), P[3,3])))"
+SQUARE64 = f"C({BOUND64}; {SQUARE})"
+
+
+def definitional_term_set(term, bound):
+    """``term_set`` on the public evaluator: each bit one ``eval_clocked``
+    run of the term under ``eval_total`` of the bound, each cost another."""
+    term, bound = pr_lang.unary_wrap(term), pr_lang.unary_wrap(bound)
+    term_text, bound_text = pr_lang.serialize(term), pr_lang.serialize(bound)
+
+    def run(n):
+        out = pr_lang.eval_clocked(term, [n], pr_lang.eval_total(bound, [n]))
+        if out is pr_lang.OUT_OF_BUDGET:
+            raise PunctualityViolation(
+                f"term set {term_text} exceeded its bound {bound_text} at n={n}")
+        return out
+
+    return PrSet(f"term:{term_text}", lambda n: 1 if run(n).value else 0,
+                 lambda n: run(n).steps)
+
+
+def read_outcome(read, x, i):
+    """A read's answer, or its exception's class and message."""
+    try:
+        return read(x, i)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
 
 
 def brute_zeros_by_index(x, s):
@@ -213,16 +243,12 @@ class TestTermKind:
             assert again.bit(n) == t.bit(n)
 
     def test_bound_overrun_raises_at_the_same_n(self, monkeypatch):
-        # bound 12 n + 100, which EVENS_TERM's cost overtakes
-        bound = "C(S; " * 100 + "R(Z; " + "C(S; " * 12 + "P[3,3]" + ")" * 113
-        term, limit = pr_lang.parse_term(EVENS_TERM), pr_lang.parse_term(bound)
+        term, limit = pr_lang.parse_term(EVENS_TERM), pr_lang.parse_term(OVERRUN_BOUND)
         first = next(n for n in itertools.count()
                      if pr_lang.eval_cost(term, [n]) >= pr_lang.eval_total(limit, [n]))
         assert first > 0
-        calls, clocked = [], pr_lang.eval_clocked
-        monkeypatch.setattr(pr_lang, "eval_clocked",
-                            lambda t, args, b: calls.append(args[0]) or clocked(t, args, b))
-        t = term_set(EVENS_TERM, bound)
+        runs = count_term_runs(monkeypatch, EVENS_TERM)
+        t = term_set(EVENS_TERM, OVERRUN_BOUND)
         message = (f"term set {pr_lang.serialize(term)} exceeded its bound "
                    f"{pr_lang.serialize(limit)} at n={first}")
         for read in (first + 5, first, first + 1):      # and again on each re-read
@@ -230,7 +256,7 @@ class TestTermKind:
                 t.bit(read)
             assert t.decided == first
         # one clocked run per bit, then one per failing read
-        assert calls == [*range(first + 1), first, first]
+        assert runs == [*range(first + 1), first, first]
         assert ([t.bit_cost(n) for n in range(first)]
                 == [pr_lang.eval_cost(term, [n]) for n in range(first)])
 
@@ -244,33 +270,75 @@ class TestTermKind:
             fn = getattr(pr_lang, name)
             monkeypatch.setattr(pr_lang, name, lambda *args, fn=fn, name=name:
                                 calls.append(name) or fn(*args))
+        term_runs = count_term_runs(monkeypatch, EVENS_TERM)
         t = term_set(EVENS_TERM, BOUND64)
         for n in range(40):
             assert (t.bit(n), t.bit_cost(n)) == (runs[n].value, runs[n].steps)
-            assert calls == ["eval_clocked"] * (n + 1)
+            assert (term_runs, calls) == ([*range(n + 1)], [])
         # a budget the memo decides runs nothing; one it does not, the next bit
         assert t.zeros_by_steps(t.cum_cost(38)) == t.zeros_by_index(38) == 19
-        assert calls == ["eval_clocked"] * 40
+        assert (term_runs, calls) == ([*range(40)], [])
         assert t.zeros_by_steps(t.cum_cost(39)) == 20 and t.decided == 41
-        assert calls == ["eval_clocked"] * 41
+        assert (term_runs, calls) == ([*range(41)], [])
 
     def test_cost_of_a_bit_not_evaluated_last_runs_the_term_again(self, monkeypatch):
         term = pr_lang.parse_term(EVENS_TERM)
-        calls, clocked = [], pr_lang.eval_clocked
-        monkeypatch.setattr(pr_lang, "eval_clocked",
-                            lambda t, args, b: calls.append(args[0]) or clocked(t, args, b))
+        reads = (3, 3, 9, 0)
+        want = [pr_lang.eval_cost(term, [n]) for n in reads]
+        runs = count_term_runs(monkeypatch, EVENS_TERM)
         t = term_set(EVENS_TERM, BOUND64)
         t.bit(9)
-        del calls[:]
-        reads = (3, 3, 9, 0)
+        del runs[:]
         costs = [t._cost_fn(n) for n in reads]
-        assert costs == [pr_lang.eval_cost(term, [n]) for n in reads]
+        assert costs == want
         # the second read of 3 is the last run's cost
-        assert calls == [3, 9, 0]
+        assert runs == [3, 9, 0]
+
+    def test_entries_match_the_definitional_path_in_any_order(self):
+        """Term sets against ``definitional_term_set`` on terms that keep
+        to their bound through the top point and terms that overrun it part
+        way, read rising, falling and shuffled through each reader: the same
+        answers or errors, and the same memo after each read."""
+        rng = random.Random(53)
+        nested = [pr_lang.unary_wrap(nested_recursion(rng, 2, 1)) for _ in range(4)]
+        # each term, its bound, the top point read, and whether the term
+        # overruns its bound before it
+        cases = [(EVENS_TERM, BOUND64, 100, False), (EVENS_TERM, OVERRUN_BOUND, 100, True),
+                 *((t, SQUARE64, 30, False) for t in nested), (nested[0], BOUND64, 30, True),
+                 # 5 n + 2 steps against a bound of 2 n + 20, met exactly at n = 6
+                 (DOUBLE, "C(S; " * 20 + DOUBLE + ")" * 20, 30, True)]
+        for term, bound, top, overruns in cases:
+            if isinstance(term, str):
+                term = pr_lang.parse_term(term)
+            bound = pr_lang.parse_term(bound)
+            points = list(range(top + 1))
+            over = [n for n in points
+                    if pr_lang.eval_cost(term, [n]) >= pr_lang.eval_total(bound, [n])]
+            assert bool(over) == overruns
+            assert not over or 0 < over[0] < top
+            scale = pr_lang.eval_cost(term, [top])
+            readers = {"bit": PrSet.bit, "zeros_by_index": PrSet.zeros_by_index,
+                       "zeros_by_steps": lambda x, i: x.zeros_by_steps(i * scale),
+                       "cum_cost": PrSet.cum_cost, "prefix": PrSet.prefix}
+            for order in (points, points[::-1], rng.sample(points, len(points))):
+                for name, read in readers.items():
+                    fast, ref = term_set(term, bound), definitional_term_set(term, bound)
+                    for i in order:
+                        assert (read_outcome(read, fast, i)
+                                == read_outcome(read, ref, i)), (name, i)
+                        assert fast.decided == ref.decided, (name, i)
 
     def test_bound_not_well_formed_raises_on_every_first_bit(self):
         bad = pr_lang.Comp(pr_lang.Succ(), (pr_lang.Proj(1, 1), pr_lang.Proj(1, 1)))
         t = term_set(EVENS_TERM, bad)
+        for _ in range(2):
+            with pytest.raises(ArityError, match="^composition outer arity 1 != 2 inner terms$"):
+                t.bit(0)
+            assert t.decided == 0
+
+    def test_term_not_well_formed_raises_on_every_first_bit(self):
+        bad = pr_lang.Comp(pr_lang.Succ(), (pr_lang.Proj(1, 1), pr_lang.Proj(1, 1)))
+        t = term_set(bad, BOUND64)
         for _ in range(2):
             with pytest.raises(ArityError, match="^composition outer arity 1 != 2 inner terms$"):
                 t.bit(0)

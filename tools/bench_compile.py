@@ -22,7 +22,12 @@ deterministic counters from one extra, untimed interpreter per list:
   * ``budget_checks``: the ``if c >= b`` lines in those texts, one per
     budget check a generated function writes;
   * ``visits``: evaluator visits, counted as ``perfbench/tracer.py``
-    counts ``pr_lang.visits`` (a converged run's steps, else its budget);
+    counts ``pr_lang.visits`` (a converged run's steps, else its budget),
+    in calls of ``eval_clocked`` and ``eval_cost``;
+  * ``term_visits``: the visits of the term runs behind the bits the
+    list's term sets grew, which call the term's compiled entry directly
+    and so pass neither function; ``visits + term_visits`` is the
+    evaluator's work on a list, whichever way its term sets run;
   * ``ensure_entries``: calls of ``PrSet._ensure``, the descriptor memo's
     one way in, hits that return at once included;
   * ``arity_checks``: calls of ``pr_lang._node_arity``, one per term node
@@ -67,7 +72,8 @@ SEED = 1
 SECONDS = 25
 COUNTERS = ("compile_calls", "loop_functions", "source_bytes", "budget_checks", "visits",
             "ensure_entries", "arity_checks", "period_detections", "orbit_replays", "memo_bits",
-            "pattern_fill_bits", "operand_fill_bits", "per_bit_bits", "pattern_bit_reads")
+            "pattern_fill_bits", "operand_fill_bits", "per_bit_bits", "pattern_bit_reads",
+            "term_visits")
 # counted calls, each of a pr_lang function; one a source lacks counts 0
 CALLS = {"arity_checks": "_node_arity", "period_detections": "_skip",
          "orbit_replays": "_replay"}

@@ -13,6 +13,13 @@ work into ``counts``:
   * ``pattern_bit_reads``: ``PrSet.bit`` calls past the memo of a set
     with a pattern, which the pattern answers with no ``_ensure`` entry
     (in a source whose ``bit`` grows the memo there, each grows it);
+  * ``term_visits``: the growth of the cost column of each term set, a
+    set whose ``dsl`` starts with ``term "`` and that has no fill.  A term
+    set's bit costs the evaluator visits of the term's run, so these are
+    the visits of the runs behind the bits those ``_ensure`` calls grew.
+    A set with a fill, such as the flip that forces 0 into a term set,
+    may keep the term set's ``dsl`` but reads its costs off the term
+    set's memo, so it runs no term and counts none;
   * one key of ``calls`` per named attribute ``(owner, name)``: the calls
     made to it.
 
@@ -73,14 +80,22 @@ def _pattern_reads(counts: dict, bit):
     return call
 
 
+def _total_cost(x) -> int:
+    return x._cost_cum[-1] if x._cost_cum else 0
+
+
 def _ensure(counts: dict, ensure):
     def call(self, *args, **kwargs):
         counts["ensure_entries"] += 1
         before = len(self._bits)
+        term = self._fill is None and (self.dsl or "").startswith('term "')
+        cost = _total_cost(self) if term else 0
         try:
             return ensure(self, *args, **kwargs)
         finally:
             counts["memo_bits"] += len(self._bits) - before
+            if term:
+                counts["term_visits"] += _total_cost(self) - cost
     return call
 
 
@@ -114,7 +129,8 @@ def counting(counts: dict, calls: dict):
                ((sets.PrSet, "bit"), partial(_pattern_reads, counts))]
     patches += [((cls, "__call__"), partial(_filled, counts, key)) for key, cls in FILLS.items()]
     patches += [(spot, partial(_counted, counts, key)) for key, spot in calls.items()]
-    for key in ("ensure_entries", "memo_bits", *FILLS, "pattern_bit_reads", *calls):
+    for key in ("ensure_entries", "memo_bits", *FILLS, "pattern_bit_reads", "term_visits",
+                *calls):
         counts.setdefault(key, 0)
     with patched(patches):
         yield counts
